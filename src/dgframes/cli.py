@@ -120,7 +120,7 @@ def cmd_check(cfg: RunConfig):
 
     diagram = build_frame_diagram(s, m_bound, check=False)
     for alpha, o in diagram.objects.items():
-        defects = o.complex.d_squared_defects()
+        defects = o.d2_defects
         report.add(
             "frame-d2",
             alpha.key(),
@@ -143,10 +143,10 @@ def cmd_check(cfg: RunConfig):
     if n >= 1:
         for i in range(n + 1):
             face = OrderMap(tuple(v for v in range(n + 1) if v != i), n)
-            report.extend(check_simplicial_compat(face, s, m_bound))
+            report.extend(check_simplicial_compat(face, diagram))
     for i in range(n + 1):
         degen = OrderMap(tuple(sorted(list(range(n + 1)) + [i])), n)
-        report.extend(check_simplicial_compat(degen, s, m_bound))
+        report.extend(check_simplicial_compat(degen, diagram))
 
     payload = {
         "command": "check",

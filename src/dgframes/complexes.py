@@ -26,9 +26,6 @@ from .exact_linalg import (
     block,
     invariant_factors,
     kernel_basis,
-    mat_vec,
-    rank as matrix_rank,
-    snf,
     solve,
 )
 
@@ -153,20 +150,42 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, obj: Mapping, check=True) -> "ChainComplex":
-        if not isinstance(obj, Mapping):
-            raise ValueError("complex must be a JSON object")
+        obj = json_object(obj, "complex")
         for field in ("name", "degrees"):
             if field not in obj:
                 raise ValueError("complex is missing the %r field" % field)
         ranks = {}
-        for k, v in obj["degrees"].items():
-            ranks[int(k)] = int(v)
+        for k, v in json_object(obj["degrees"], "complex degrees").items():
+            ranks[int(k)] = json_int(v, "rank at degree %s" % k)
         diffs = {}
-        for k, rows in obj.get("differentials", {}).items():
+        for k, rows in json_object(obj.get("differentials", {}), "complex differentials").items():
             d = int(k)
-            r_to, r_from = ranks.get(d - 1, 0), ranks.get(d, 0)
-            diffs[d] = IntMatrix(r_to, r_from, rows)
+            diffs[d] = json_matrix(rows, ranks.get(d - 1, 0), ranks.get(d, 0), "differential at degree %s" % k)
         return cls(obj["name"], ranks, diffs, check=check)
+
+
+def json_object(value, what: str) -> Mapping:
+    """``value`` if it is a JSON object, else ValueError."""
+    if not isinstance(value, Mapping):
+        raise ValueError("%s must be a JSON object" % what)
+    return value
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string), else ValueError."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def json_matrix(rows, n_rows: int, n_cols: int, what: str) -> IntMatrix:
+    """An IntMatrix from a JSON list of integer rows of the declared shape."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("%s must be a list of rows" % what)
+    for row in rows:
+        for v in row:
+            json_int(v, "%s entry" % what)
+    return IntMatrix(n_rows, n_cols, rows)
 
 
 def zero_complex(name: str = "0") -> ChainComplex:
@@ -284,6 +303,7 @@ class GradedMap:
 
     @classmethod
     def from_json(cls, obj: Mapping, source: ChainComplex, target: ChainComplex) -> "GradedMap":
+        obj = json_object(obj, "graded map")
         for field in ("source", "target", "degree", "matrices"):
             if field not in obj:
                 raise ValueError("graded map is missing the %r field" % field)
@@ -292,11 +312,11 @@ class GradedMap:
                 "graded map endpoints %r -> %r do not match %r -> %r"
                 % (obj["source"], obj["target"], source.name, target.name)
             )
-        degree = int(obj["degree"])
+        degree = json_int(obj["degree"], "graded map degree")
         mats = {}
-        for k, rows in obj["matrices"].items():
+        for k, rows in json_object(obj["matrices"], "graded map matrices").items():
             d = int(k)
-            mats[d] = IntMatrix(target.rank(d + degree), source.rank(d), rows)
+            mats[d] = json_matrix(rows, target.rank(d + degree), source.rank(d), "matrix at degree %s" % k)
         return cls(source, target, degree, mats)
 
     def _compatible(self, other: "GradedMap"):
@@ -559,15 +579,14 @@ class HomologySummary:
 
 
 def homology(x: ChainComplex) -> HomologySummary:
-    """Betti numbers and torsion via Smith normal form of the differentials."""
+    """Betti numbers and torsion from the invariant factors of the differentials,
+    one factor list per differential: its length is the rank of the differential."""
+    factors = {d: invariant_factors(x.diff(d)) for d in x.support if x.rank(d - 1)}
     betti = {}
     torsion = {}
-    degrees = set(x.support)
-    for d in sorted(degrees):
-        r = x.rank(d)
-        r_out = matrix_rank(x.diff(d)) if x.rank(d - 1) else 0
-        inv_in = invariant_factors(x.diff(d + 1)) if x.rank(d + 1) else ()
-        b = r - r_out - len(inv_in)
+    for d in x.support:
+        inv_in = factors.get(d + 1, ())
+        b = x.rank(d) - len(factors.get(d, ())) - len(inv_in)
         t = tuple(v for v in inv_in if v > 1)
         if b:
             betti[d] = b

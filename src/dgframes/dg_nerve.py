@@ -28,6 +28,8 @@ from .complexes import (
     ChainComplex,
     GradedMap,
     hom_differential,
+    json_int,
+    json_object,
     random_chain_map,
     random_complex,
     random_graded_map,
@@ -61,6 +63,9 @@ class NerveSimplex:
             if f.source != self.objects[key[0]] or f.target != self.objects[key[-1]]:
                 raise ValueError("map at %r has wrong endpoints" % (key,))
             self.maps[key] = f
+        # strict unitality values, built once per object or endpoint pair
+        self._units: Dict[int, GradedMap] = {}
+        self._zeros: Dict[tuple, GradedMap] = {}
 
     @property
     def n(self) -> int:
@@ -82,9 +87,16 @@ class NerveSimplex:
         if any(b < a for a, b in zip(seq, seq[1:])):
             raise ValueError("sequence %r is not nondecreasing" % (seq,))
         if len(seq) == 2 and seq[0] == seq[1]:
-            return GradedMap.identity(self.objects[seq[0]])
+            unit = self._units.get(seq[0])
+            if unit is None:
+                unit = self._units[seq[0]] = GradedMap.identity(self.objects[seq[0]])
+            return unit
         if len(seq) > 2 and any(a == b for a, b in zip(seq, seq[1:])):
-            return GradedMap.zero(self.objects[seq[0]], self.objects[seq[-1]], len(seq) - 2)
+            key = (seq[0], seq[-1], len(seq) - 2)
+            zero = self._zeros.get(key)
+            if zero is None:
+                zero = self._zeros[key] = GradedMap.zero(self.objects[seq[0]], self.objects[seq[-1]], len(seq) - 2)
+            return zero
         got = self.maps.get(seq)
         if got is None:
             raise ValueError("no cochain stored at %s" % (seq,))
@@ -111,14 +123,17 @@ class NerveSimplex:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "NerveSimplex":
+        obj = json_object(obj, "simplex")
         for field in ("n", "objects", "maps"):
             if field not in obj:
                 raise ValueError("simplex is missing the %r field" % field)
+        if not isinstance(obj["objects"], list):
+            raise ValueError("simplex objects must be a JSON list")
         objects = [ChainComplex.from_json(o) for o in obj["objects"]]
-        if len(objects) != int(obj["n"]) + 1:
+        if len(objects) != json_int(obj["n"], "simplex n") + 1:
             raise ValueError("simplex declares n=%s but carries %d objects" % (obj["n"], len(objects)))
         maps = {}
-        for key_text, mobj in obj["maps"].items():
+        for key_text, mobj in json_object(obj["maps"], "simplex maps").items():
             try:
                 key = tuple(int(p) for p in str(key_text).split(","))
             except ValueError:

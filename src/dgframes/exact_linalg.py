@@ -7,7 +7,8 @@ they can be shared freely between complexes and maps.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple  # tuple[int, ...], kept loose for 3.10 friendliness
 
@@ -35,15 +36,28 @@ class IntMatrix:
                 raise ValueError("matrix data does not match declared shape %dx%d" % (rows, cols))
             self.data = packed
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
+        """Wrap ``data`` without checks: a tuple of ``rows`` tuples of ``cols``
+        Python ints.  For results computed here from valid matrices."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._trusted(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        """The n x n identity; shared, like every IntMatrix it is immutable."""
+        return _identity(n)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -55,11 +69,11 @@ class IntMatrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "IntMatrix":
-        """Build from a {(i, j): value} mapping; unspecified entries are 0."""
+        """Build from a {(i, j): value} mapping of ints; unspecified entries are 0."""
         grid = [[0] * cols for _ in range(rows)]
         for (i, j), v in entries.items():
-            grid[i][j] = grid[i][j] + v
-        return cls(rows, cols, grid)
+            grid[i][j] += v
+        return cls._trusted(rows, cols, tuple(map(tuple, grid)))
 
     # -- basic protocol ---------------------------------------------------
 
@@ -82,7 +96,7 @@ class IntMatrix:
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.data])
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
+        return not any(map(any, self.data))
 
     def to_lists(self):
         return [list(r) for r in self.data]
@@ -91,7 +105,7 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             self.rows,
             self.cols,
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)),
@@ -99,7 +113,7 @@ class IntMatrix:
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             self.rows,
             self.cols,
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)),
@@ -109,32 +123,40 @@ class IntMatrix:
         return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(c * v for v in row) for row in self.data))
+        return IntMatrix._trusted(self.rows, self.cols, tuple(tuple(c * v for v in row) for row in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         bdata = other.data
         width = other.cols
+        bsparse: Dict[int, list] = {}  # nonzeros of the rows of other that are used
         out = []
         for arow in self.data:
             acc = [0] * width
             for k, v in enumerate(arow):
                 if v:
-                    brow = bdata[k]
-                    for j in range(width):
-                        bv = brow[j]
-                        if bv:
-                            acc[j] += v * bv
+                    nz = bsparse.get(k)
+                    if nz is None:
+                        nz = bsparse[k] = [(j, bv) for j, bv in enumerate(bdata[k]) if bv]
+                    for j, bv in nz:
+                        acc[j] += v * bv
             out.append(tuple(acc))
-        return IntMatrix(self.rows, width, out)
+        return IntMatrix._trusted(self.rows, width, tuple(out))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else None)
+        return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ((),) * self.cols)
 
     def _same_shape(self, other: "IntMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch: %dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
+
+
+@lru_cache(maxsize=64)
+def _identity(n: int) -> IntMatrix:
+    if n < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    return IntMatrix._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> Vector:
@@ -145,7 +167,7 @@ def mat_vec(m: IntMatrix, v: Sequence[int]) -> Vector:
 
 def submatrix(m: IntMatrix, rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
     """The submatrix on the given row and column indices, in the given order."""
-    return IntMatrix(len(rows), len(cols), [[m.data[i][j] for j in cols] for i in rows])
+    return IntMatrix._trusted(len(rows), len(cols), tuple(tuple(m.data[i][j] for j in cols) for i in rows))
 
 
 def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
@@ -155,7 +177,7 @@ def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
     grid column in column count; zero-sized blocks are fine.
     """
     if not grid:
-        return IntMatrix(0, 0)
+        return IntMatrix.zeros(0, 0)
     row_heights = [r[0].rows for r in grid]
     col_widths = [b.cols for b in grid[0]]
     for r in grid:
@@ -171,7 +193,7 @@ def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
             for b in r:
                 row.extend(b.data[i])
             out.append(tuple(row))
-    return IntMatrix(sum(row_heights), sum(col_widths), out)
+    return IntMatrix._trusted(sum(row_heights), sum(col_widths), tuple(out))
 
 
 class SNFResult(NamedTuple):
@@ -202,19 +224,14 @@ def _col_sub(a, i, j, q):
         row[i] -= q * row[j]
 
 
-def snf(m: IntMatrix) -> SNFResult:
-    """Smith normal form: returns (s, u, v) with u @ m @ v == s.
+def _diagonalize(a, nr: int, nc: int) -> None:
+    """Reduce the leading nr x nc block of the row lists ``a`` to Smith form,
+    in place, by the pivot rule documented on :func:`snf`.
 
-    ``s`` is diagonal with nonnegative entries d_1 | d_2 | ... and ``u``, ``v``
-    are unimodular.  Pivot selection is deterministic: among the remaining
-    submatrix, the entry of smallest nonzero absolute value, ties broken by
-    lowest row index, then lowest column index.
+    Every row operation acts on the whole row and every column operation on
+    the whole column, so entries past column nc of the first nr rows record
+    the row transform, and rows past nr record the column transform.
     """
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.data]
-    u = [list(row) for row in IntMatrix.identity(nr).data]
-    v = [list(row) for row in IntMatrix.identity(nc).data]
-
     t = 0
     while t < min(nr, nc):
         # deterministic pivot hunt over the trailing submatrix
@@ -231,10 +248,8 @@ def snf(m: IntMatrix) -> SNFResult:
         pi, pj = pivot
         if pi != t:
             _row_swap(a, pi, t)
-            _row_swap(u, pi, t)
         if pj != t:
             _col_swap(a, pj, t)
-            _col_swap(v, pj, t)
 
         while True:
             # clear the pivot column; nonzero remainders are strictly smaller
@@ -245,20 +260,16 @@ def snf(m: IntMatrix) -> SNFResult:
                     q = a[i][t] // a[t][t]
                     if q:
                         _row_sub(a, i, t, q)
-                        _row_sub(u, i, t, q)
                     if a[i][t]:
                         _row_swap(a, i, t)
-                        _row_swap(u, i, t)
                         dirty = True
             for j in range(t + 1, nc):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
                     if q:
                         _col_sub(a, j, t, q)
-                        _col_sub(v, j, t, q)
                     if a[t][j]:
                         _col_swap(a, j, t)
-                        _col_swap(v, j, t)
                         dirty = True
             if dirty:
                 continue
@@ -277,26 +288,101 @@ def snf(m: IntMatrix) -> SNFResult:
             if offender is None:
                 break
             _row_sub(a, t, offender, -1)  # add the offending row to the pivot row
-            _row_sub(u, t, offender, -1)
         if a[t][t] < 0:
-            for k in range(nc):
-                a[t][k] = -a[t][k]
-            for k in range(nr):
-                u[t][k] = -u[t][k]
+            a[t] = [-x for x in a[t]]
         t += 1
 
-    return SNFResult(IntMatrix(nr, nc, a), IntMatrix(nr, nr, u), IntMatrix(nc, nc, v))
 
+def snf(m: IntMatrix) -> SNFResult:
+    """Smith normal form: returns (s, u, v) with u @ m @ v == s.
 
-def rank(m: IntMatrix) -> int:
-    s = snf(m).s
-    return sum(1 for i in range(min(m.rows, m.cols)) if s[i, i])
+    ``s`` is diagonal with nonnegative entries d_1 | d_2 | ... and ``u``, ``v``
+    are unimodular.  Pivot selection is deterministic: among the remaining
+    submatrix, the entry of smallest nonzero absolute value, ties broken by
+    lowest row index, then lowest column index.  :func:`solve` and
+    :func:`kernel_basis` depend on this rule; :func:`invariant_factors` does not.
+    """
+    nr, nc = m.rows, m.cols
+    # [m | 1] above [1]: row operations reach u, column operations reach v
+    a = [list(row) + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.data)]
+    a.extend([1 if k == i else 0 for k in range(nc)] for i in range(nc))
+    _diagonalize(a, nr, nc)
+    # pack from the bottom up, releasing each working row once it is packed
+    v = [tuple(a.pop()) for _ in range(nc)]
+    s, u = [], []
+    while a:
+        row = a.pop()
+        s.append(tuple(row[:nc]))
+        u.append(tuple(row[nc:]))
+    return SNFResult(
+        IntMatrix._trusted(nr, nc, tuple(reversed(s))),
+        IntMatrix._trusted(nr, nr, tuple(reversed(u))),
+        IntMatrix._trusted(nc, nc, tuple(reversed(v))),
+    )
 
 
 def invariant_factors(m: IntMatrix) -> Vector:
-    """The nonzero diagonal of the Smith form, in divisibility order."""
-    s = snf(m).s
-    return tuple(s[i, i] for i in range(min(m.rows, m.cols)) if s[i, i])
+    """The nonzero diagonal of the Smith form, in divisibility order.
+
+    The invariant factors are unique, so they are found by any sequence of
+    unimodular row and column operations, in any order and without building
+    transforms.  On sparse rows, +-1 pivots go first: the row with the fewest
+    nonzeros that holds one, then its unit column with the fewest nonzeros.
+    Each unit pivot contributes a factor 1 and leaves the Schur complement
+    with its row and column deleted, since 1 divides every later factor.
+    What is left, if anything, goes through the dense diagonalization of
+    :func:`snf` without transforms.
+    """
+    rows: Dict[int, Dict[int, int]] = {}
+    cols: Dict[int, set] = {}
+    for i, row in enumerate(m.data):
+        r = {j: v for j, v in enumerate(row) if v}
+        if r:
+            rows[i] = r
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    while rows:
+        best = None
+        for i, r in rows.items():
+            if (best is None or len(r) < len(rows[best])) and (1 in r.values() or -1 in r.values()):
+                best = i
+                if len(r) == 1:
+                    break
+        if best is None:
+            break
+        prow = rows.pop(best)
+        for j in prow:
+            cols[j].discard(best)
+        q = min((j for j, v in prow.items() if v == 1 or v == -1), key=lambda j: len(cols[j]))
+        unit = prow.pop(q)
+        for i in cols.pop(q):
+            r = rows[i]
+            c = r.pop(q) * unit  # unit is its own inverse
+            for j, v in prow.items():
+                nv = r.get(j, 0) - c * v
+                if nv:
+                    if j not in r:
+                        cols[j].add(i)
+                    r[j] = nv
+                else:
+                    del r[j]
+                    cols[j].discard(i)
+            if not r:
+                del rows[i]
+        units += 1
+    rest: tuple = ()
+    if rows:
+        live = sorted(j for j, held in cols.items() if held)
+        a = [[r.get(j, 0) for j in live] for r in rows.values()]
+        _diagonalize(a, len(a), len(live))
+        rest = tuple(a[t][t] for t in range(min(len(a), len(live))) if a[t][t])
+    return (1,) * units + rest
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank over the rationals: the number of invariant factors."""
+    return len(invariant_factors(m))
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:

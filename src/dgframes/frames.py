@@ -30,6 +30,7 @@ cofibrations, and the recovery of a 1-simplex edge from its cylinder frame.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -73,6 +74,12 @@ class FrameObject:
         self.complex = complex
         self.basis: Dict[int, tuple] = dict(basis)
         self.position = {d: {pair: c for c, pair in enumerate(pairs)} for d, pairs in self.basis.items()}
+
+    @cached_property
+    def d2_defects(self) -> List[int]:
+        """Degrees where the differential does not square to zero (empty for
+        every frame of a valid simplex)."""
+        return self.complex.d_squared_defects()
 
     def source_complex(self, subset) -> ChainComplex:
         return self.simplex.objects[self.alpha(subset[0])]
@@ -398,10 +405,20 @@ def last_vertex_data(o: FrameObject):
 def is_homotopical(diagram: FrameDiagram) -> Report:
     """Every max-preserving morphism must have a structure map whose cone is
     acyclic.  Non-max-preserving morphisms carry no requirement and are
-    skipped."""
+    skipped.  A morphism with an endpoint frame whose d^2 is nonzero fails
+    without a cone, since that cone is no complex."""
     report = Report()
     for mor, g in diagram.morphisms.items():
         if not is_weak_equivalence_d(mor):
+            continue
+        broken = next((a for a in (mor.src, mor.tgt) if diagram.objects[a].d2_defects), None)
+        if broken is not None:
+            report.add(
+                "homotopical",
+                _morphism_key(mor),
+                False,
+                "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), diagram.objects[broken].d2_defects[0]),
+            )
             continue
         if not g.is_cycle():
             report.add("homotopical", _morphism_key(mor), False, "structure map is not a chain map")
@@ -412,15 +429,16 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     return report
 
 
-def check_simplicial_compat(sigma: OrderMap, s: NerveSimplex, max_len: int = 3) -> Report:
+def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:
     """Frames commute with reindexing: building over the reindexed simplex
-    equals building over the original at the composed sequence, as literal
-    complexes (same labels, same matrices)."""
-    t = act(sigma, s)
+    equals the diagram's frame at the composed sequence, as literal complexes
+    (same labels, same matrices).  The left side is built afresh over
+    act(sigma, s), so the check does not rest on the frames it compares."""
+    t = act(sigma, diagram.simplex)
     report = Report()
-    for alpha in enumerate_d_objects(sigma.dom, max_len):
+    for alpha in enumerate_d_objects(sigma.dom, diagram.max_len):
         left = build_frame_object(t, alpha, check=False).complex
-        right = build_frame_object(s, sigma.compose(alpha), check=False).complex
+        right = diagram.objects[sigma.compose(alpha)].complex
         ok = left == right
         wit = None if ok else "frames differ"
         report.add("simplicial-compat", "sigma=%s alpha=%s" % (sigma.key(), alpha.key()), ok, wit)
@@ -440,7 +458,7 @@ def _operator_matrix(op, sx, sy, sdeg, tx, ty, tdeg) -> IntMatrix:
         unit = [0] * len(src)
         unit[c] = 1
         cols.append(graded_map_to_vector(op(vector_to_graded_map(sx, sy, sdeg, unit))))
-    return IntMatrix(n_rows, len(src), [[col[i] for col in cols] for i in range(n_rows)])
+    return IntMatrix._trusted(len(src), n_rows, tuple(cols)).transpose()
 
 
 def split_acyclic_cofibration(iota: GradedMap):

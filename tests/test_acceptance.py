@@ -272,9 +272,10 @@ def test_criterion_08_simplicial_compatibility():
     pairs = 0
     for n in range(3):
         for s in targets[n]:
+            diagram = build_frame_diagram(s, max_len=2)
             for m in range(3):
                 for sigma in enumerate_order_maps(n, m):
-                    report = check_simplicial_compat(sigma, s, max_len=2)
+                    report = check_simplicial_compat(sigma, diagram)
                     assert report.ok, (sigma.key(), report.failures())
                     pairs += len(report.items)
     _announce(8, "reindex/build square commutes literally for %d (sigma, alpha) pairs" % pairs)

@@ -180,3 +180,39 @@ def test_text_format(valid_simplex, capsys):
     main(["frame", "--input", valid_simplex, "--alpha", "0,0", "--format", "text"])
     out = capsys.readouterr().out
     assert "alpha: 0,0" in out and "degrees:" in out
+
+
+def test_check_reports_broken_frames_of_an_invalid_simplex(corrupt_simplex, capsys):
+    """Frames of an MC-invalid simplex have d^2 != 0; check reports that as
+    failures (exit 1) instead of failing to build their cones (exit 2)."""
+    code = main(["check", "--input", corrupt_simplex, "--max-len", "2"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    failed = [item for item in payload["report"] if item["status"] == "fail"]
+    assert {"check": "maurer-cartan", "location": "0,1,2", "status": "fail"}.items() <= failed[0].items()
+    assert any(item["check"] == "frame-d2" for item in failed)
+    broken = [item for item in failed if item["check"] == "homotopical"]
+    assert broken and all(item["witness"].startswith("endpoint B(") for item in broken)
+    assert any("endpoint B(0,1,2) has d^2 != 0" in item["witness"] for item in broken)
+
+
+@pytest.mark.parametrize("degrees", [[1, 2], "0:1", 3])
+def test_non_object_degrees_exit_2(tmp_path, capsys, degrees):
+    path = write_json(tmp_path / "cx.json", {"name": "X", "degrees": degrees})
+    assert main(["homology", "--input", path]) == 2
+    assert "degrees must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [2.7, True, "2"])
+def test_non_integer_entries_exit_2(valid_simplex, tmp_path, capsys, entry):
+    """A float, bool or string entry is an input error, never truncated or coerced."""
+    obj = json.loads(open(valid_simplex).read())
+    obj["objects"][0]["differentials"]["1"][0][0] = entry
+    assert main(["validate", "--input", write_json(tmp_path / "entry.json", obj)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    obj = json.loads(open(valid_simplex).read())
+    obj["maps"]["0,1,2"]["matrices"]["0"][0][0] = entry
+    assert main(["validate", "--input", write_json(tmp_path / "map.json", obj)]) == 2
+    obj = json.loads(open(valid_simplex).read())
+    obj["n"] = entry
+    assert main(["validate", "--input", write_json(tmp_path / "n.json", obj)]) == 2

@@ -147,6 +147,49 @@ def test_invariant_factors_and_rank():
     assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
 
 
+def _oracle_cases():
+    """Seeded matrices: dense, sparse +-1-heavy, torsion-only (no unit entry,
+    so the dense remainder does all the work), signed permutations (unit
+    pivots do all the work) and the degenerate shapes 0 x n and n x 0."""
+    rng = random.Random(11)
+    cases = []
+    for trial in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        kind = trial % 4
+        if kind == 0:
+            pool = list(range(-5, 6))
+        elif kind == 1:
+            pool = [0, 0, 0, 0, 1, -1, 1, -1, 2]
+        elif kind == 2:
+            pool = [0, 0, 2, -2, 3, 6, -4, 9]
+        else:
+            pool = [0, 0, 1, -1, 2, 3, -3]
+        cases.append(IntMatrix(rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]))
+    for n in range(1, 8):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append(IntMatrix(n, n, [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]))
+        cases.append(IntMatrix.zeros(0, n))
+        cases.append(IntMatrix.zeros(n, 0))
+    return cases
+
+
+def test_invariant_factors_against_sympy_and_snf():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    for m in _oracle_cases():
+        got = invariant_factors(m)
+        s = snf(m).s
+        assert got == tuple(s[i, i] for i in range(min(m.rows, m.cols)) if s[i, i])
+        assert rank(m) == len(got)
+        if m.rows and m.cols:
+            expected = tuple(int(v) for v in sympy_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ) if v)
+            assert got == expected, m
+        else:
+            assert got == ()
+
+
 def test_det_against_cofactor_expansion():
     def cofactor(m):
         if m.rows == 1:

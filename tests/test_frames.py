@@ -374,9 +374,10 @@ def test_is_homotopical_flags_a_tampered_structure_map():
 def test_check_simplicial_compat():
     rng = random.Random(64)
     s = random_simplex(rng, 2)
+    diagram = build_frame_diagram(s, max_len=2)
     for m in range(3):
         for sigma in enumerate_order_maps(2, m):
-            report = check_simplicial_compat(sigma, s, max_len=2)
+            report = check_simplicial_compat(sigma, diagram)
             assert report.ok, (sigma.key(), report.failures())
             assert len(report.items) == len(enumerate_d_objects(m, 2))
 
