@@ -41,7 +41,6 @@ from .dg_nerve import (
     NerveSimplex,
     act,
     coherence_defect,
-    eval_cochain,
     make_perturbed_2simplex,
     make_strict,
     random_simplex,
@@ -79,7 +78,6 @@ from .simplicial import (
     is_weak_equivalence_d,
     path_comult,
     path_diff,
-    reindex_cell,
 )
 
 __all__ = [
@@ -106,7 +104,6 @@ __all__ = [
     "cylinder",
     "enumerate_d_objects",
     "enumerate_order_maps",
-    "eval_cochain",
     "hom_complex",
     "hom_differential",
     "homology",
@@ -132,7 +129,6 @@ __all__ = [
     "random_graded_map",
     "random_simplex",
     "recover_map_from_cylinder",
-    "reindex_cell",
     "retraction",
     "shift",
     "snf",

@@ -25,15 +25,15 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import ChainComplex, GradedMap, hom_differential, homology, is_nullhomotopic
+from .complexes import ChainComplex, homology, is_nullhomotopic
 from .dg_nerve import NerveSimplex, increasing_sequences, validate_maurer_cartan
 from .frames import (
     build_frame_diagram,
     build_frame_object,
+    check_last_vertex,
     check_simplicial_compat,
     is_homotopical,
     is_reedy_cofibrant,
-    last_vertex_data,
     recover_map_from_cylinder,
 )
 from .reporting import Report
@@ -128,17 +128,12 @@ def cmd_check(cfg: RunConfig):
             None if not defects else "d^2 != 0 at degree %d" % defects[0],
         )
     report.extend(is_reedy_cofibrant(diagram))
-    for alpha, o in diagram.objects.items():
-        j, r, h = last_vertex_data(o)
-        x_last = j.source
-        report.add("last-vertex-chain", alpha.key(), hom_differential(j).is_zero() and hom_differential(r).is_zero())
-        report.add("last-vertex-section", alpha.key(), (r @ j) == GradedMap.identity(x_last))
-        report.add(
-            "last-vertex-homotopy",
-            alpha.key(),
-            hom_differential(h) == (j @ r) - GradedMap.identity(o.complex),
-        )
-    report.extend(is_homotopical(diagram))
+    last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
+    for alpha, lv in last_vertex.items():
+        for check, witness in lv.verdicts:
+            report.add(check, alpha.key(), witness is None, witness)
+    report.extend(is_homotopical(diagram, last_vertex))
+    del last_vertex  # free j and r of every frame before the frame rebuilds below
     n = s.n
     if n >= 1:
         for i in range(n + 1):

@@ -161,7 +161,7 @@ class ChainComplex:
         for k, rows in json_object(obj.get("differentials", {}), "complex differentials").items():
             d = int(k)
             diffs[d] = json_matrix(rows, ranks.get(d - 1, 0), ranks.get(d, 0), "differential at degree %s" % k)
-        return cls(obj["name"], ranks, diffs, check=check)
+        return cls(json_str(obj["name"], "complex name"), ranks, diffs, check=check)
 
 
 def json_object(value, what: str) -> Mapping:
@@ -175,6 +175,13 @@ def json_int(value, what: str) -> int:
     """``value`` if it is a JSON integer (not a bool, float or string), else ValueError."""
     if type(value) is not int:
         raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """``value`` if it is a JSON string, else ValueError."""
+    if not isinstance(value, str):
+        raise ValueError("%s must be a JSON string, got %r" % (what, value))
     return value
 
 
@@ -307,10 +314,10 @@ class GradedMap:
         for field in ("source", "target", "degree", "matrices"):
             if field not in obj:
                 raise ValueError("graded map is missing the %r field" % field)
-        if obj["source"] != source.name or obj["target"] != target.name:
+        src, tgt = json_str(obj["source"], "graded map source"), json_str(obj["target"], "graded map target")
+        if src != source.name or tgt != target.name:
             raise ValueError(
-                "graded map endpoints %r -> %r do not match %r -> %r"
-                % (obj["source"], obj["target"], source.name, target.name)
+                "graded map endpoints %r -> %r do not match %r -> %r" % (src, tgt, source.name, target.name)
             )
         degree = json_int(obj["degree"], "graded map degree")
         mats = {}

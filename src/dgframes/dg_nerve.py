@@ -152,10 +152,6 @@ def increasing_sequences(n: int, min_len: int = 2):
     return out
 
 
-def eval_cochain(s: NerveSimplex, seq) -> GradedMap:
-    return s.eval(seq)
-
-
 def coherence_rhs(s: NerveSimplex, seq: tuple) -> GradedMap:
     """sum_j (-1)^j f(face_j) + sum_j (-1)^{(j-1)k} f(suffix_j) o f(prefix_j)."""
     k = len(seq) - 1

@@ -23,9 +23,11 @@ alpha produces X_{alpha(0)} itself, labels included.
 
 The module also provides the structure maps (basis inclusions along subset
 reindexing), latching data for the Reedy condition, the last-vertex
-inclusion/retraction/homotopy triple, the homotopical and simplicial
-compatibility check suites, an integer splitting solver for acyclic
-cofibrations, and the recovery of a 1-simplex edge from its cylinder frame.
+inclusion/retraction/homotopy triple with the homotopy inverses it gives
+the structure maps of max-preserving morphisms, the homotopical and
+simplicial compatibility check suites, an integer splitting solver for
+acyclic cofibrations, and the recovery of a 1-simplex edge from its
+cylinder frame.
 """
 
 from __future__ import annotations
@@ -73,7 +75,10 @@ class FrameObject:
         self.alpha = alpha
         self.complex = complex
         self.basis: Dict[int, tuple] = dict(basis)
-        self.position = {d: {pair: c for c, pair in enumerate(pairs)} for d, pairs in self.basis.items()}
+
+    @cached_property
+    def position(self) -> Dict[int, Dict[tuple, int]]:
+        return {d: {pair: c for c, pair in enumerate(pairs)} for d, pairs in self.basis.items()}
 
     @cached_property
     def d2_defects(self) -> List[int]:
@@ -120,66 +125,68 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap, check: bool = True) -> 
     """
     if alpha.cod != s.n:
         raise ValueError("alpha lands in [%d] but the simplex has dimension %d" % (alpha.cod, s.n))
-    m = alpha.dom
-    subsets = nonempty_subsets(m)
-    lone = m == 0
+    lone = alpha.dom == 0
+    # one entry per subset S: (S, its shift k, X_{alpha(S[0])}, its label prefix)
+    summands = [
+        (S, len(S) - 1, s.objects[alpha(S[0])], ",".join(map(str, S)) + "|") for S in nonempty_subsets(alpha.dom)
+    ]
+    degrees = sorted({t + k for _, k, x, _ in summands for t in x.support})
 
+    # the (S, e) pairs of a degree are contiguous per subset; offset[d][S] is
+    # the column of (S, 0)
     basis: Dict[int, tuple] = {}
     labels: Dict[int, tuple] = {}
-    degrees = set()
-    for S in subsets:
-        x = s.objects[alpha(S[0])]
-        k = len(S) - 1
-        degrees.update(d + k for d in x.support)
-    for d in sorted(degrees):
+    offset: Dict[int, Dict[tuple, int]] = {}
+    for d in degrees:
         pairs: List[tuple] = []
         labs: List[str] = []
-        for S in subsets:
-            k = len(S) - 1
-            x = s.objects[alpha(S[0])]
-            for i in range(x.rank(d - k)):
-                pairs.append((S, i))
-                if lone:
-                    labs.append(x.label(d - k, i))
-                else:
-                    labs.append("%s|%s" % (",".join(str(t) for t in S), x.label(d - k, i)))
-        if pairs:
-            basis[d] = tuple(pairs)
-            labels[d] = tuple(labs)
-    ranks = {d: len(pairs) for d, pairs in basis.items()}
-    position = {d: {pair: c for c, pair in enumerate(pairs)} for d, pairs in basis.items()}
+        starts = offset[d] = {}
+        for S, k, x, prefix in summands:
+            rank = x.rank(d - k)
+            if rank:
+                starts[S] = len(pairs)
+                pairs.extend((S, e) for e in range(rank))
+                labs.extend(x.labels(d - k) if lone else [prefix + lab for lab in x.labels(d - k)])
+        basis[d] = tuple(pairs)
+        labels[d] = tuple(labs)
 
+    evals: Dict[tuple, GradedMap] = {}
     diffs = {}
-    for d in sorted(ranks):
-        if not ranks.get(d - 1):
+    for d in degrees:
+        if d - 1 not in basis:
             continue
-        pos_tgt = position[d - 1]
-        entries: Dict[tuple, int] = {}
-
-        def put(row, col, v):
-            if v:
-                entries[(row, col)] = entries.get((row, col), 0) + v
-
-        for col, (S, e) in enumerate(basis[d]):
-            k = len(S) - 1
-            x = s.objects[alpha(S[0])]
+        rows = offset[d - 1]
+        grid = [[0] * len(basis[d]) for _ in basis[d - 1]]
+        for S, k, x, _ in summands:
+            col = offset[d].get(S)
+            if col is None:
+                continue
             ds = d - k
-            sgn_k = -1 if k % 2 else 1
-            dx = x.diff(ds)
-            for i in range(x.rank(ds - 1)):
-                put(pos_tgt[(S, i)], col, sgn_k * dx[i, e])
+            _add_block(grid, rows.get(S), col, x.diff(ds), -1 if k % 2 else 1)
             for j in range(1, k + 1):
-                put(pos_tgt[(S[:j] + S[j + 1 :], e)], col, -1 if j % 2 else 1)
-                g = s.eval(tuple(alpha(t) for t in S[: j + 1]))
-                gm = g.mat(ds)
-                suffix = S[j:]
-                sgn = -1 if (k * (j - 1)) % 2 else 1
-                for i in range(g.target.rank(ds + j - 1)):
-                    put(pos_tgt[(suffix, i)], col, sgn * gm[i, e])
-        diffs[d] = IntMatrix.from_entries(ranks[d - 1], ranks[d], entries)
+                face = rows[S[:j] + S[j + 1 :]]
+                sgn = -1 if j % 2 else 1
+                for e in range(x.rank(ds)):
+                    grid[face + e][col + e] += sgn
+                seq = tuple(alpha(t) for t in S[: j + 1])
+                f = evals.get(seq)
+                if f is None:
+                    f = evals[seq] = s.eval(seq)
+                _add_block(grid, rows.get(S[j:]), col, f.mat(ds), -1 if (k * (j - 1)) % 2 else 1)
+        diffs[d] = IntMatrix._trusted(len(grid), len(basis[d]), tuple(map(tuple, grid)))
 
-    cx = ChainComplex("B(%s)" % alpha.key(), ranks, diffs, labels, check=check)
+    cx = ChainComplex("B(%s)" % alpha.key(), {d: len(p) for d, p in basis.items()}, diffs, labels, check=check)
     return FrameObject(s, alpha, cx, basis)
+
+
+def _add_block(grid, row: Optional[int], col: int, m: IntMatrix, sign: int):
+    """grid[row + i][col + e] += sign * m[i, e]; ``row`` may be None only when
+    m has no rows."""
+    for i, mrow in enumerate(m.data):
+        out = grid[row + i]
+        for e, v in enumerate(mrow):
+            if v:
+                out[col + e] += sign * v
 
 
 class FrameDiagram:
@@ -246,6 +253,12 @@ def latching_data(o: FrameObject):
     Both sub and coker are built without the d^2 check so that deliberately
     corrupted fixtures are reported by the check suite rather than raising.
     """
+    return _latching(o)[:3]
+
+
+def _latching(o: FrameObject):
+    """latching_data plus, per degree, the basis positions of the proper-subset
+    pairs and of the full-subset pairs."""
     alpha = o.alpha
     m = alpha.dom
     x = o.simplex.objects[alpha(0)]
@@ -278,7 +291,7 @@ def latching_data(o: FrameObject):
         if coker_ranks.get(d - 1):
             coker_diffs[d] = submatrix(o.complex.diff(d), coker_idx[d - 1], coker_idx[d])
     coker = ChainComplex("B/L(%s)" % alpha.key(), coker_ranks, coker_diffs, coker_labels, check=False)
-    return sub, incl, coker
+    return sub, incl, coker, sub_idx, coker_idx
 
 
 def latching_map(diagram: FrameDiagram, alpha: OrderMap):
@@ -299,16 +312,7 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
     complementary quotient equals shift(X_{alpha(0)}, m) literally."""
     report = Report()
     for alpha, o in diagram.objects.items():
-        m = alpha.dom
-        x = o.simplex.objects[alpha(0)]
-        full_idx = {
-            d: [c for c, (S, e) in enumerate(pairs) if len(S) == m + 1]
-            for d, pairs in o.basis.items()
-        }
-        proper_idx = {
-            d: [c for c, (S, e) in enumerate(pairs) if len(S) <= m]
-            for d, pairs in o.basis.items()
-        }
+        sub, incl, coker, proper_idx, full_idx = _latching(o)
         ok_closed, wit_closed = True, None
         for d in o.complex.support:
             if not proper_idx.get(d) or not full_idx.get(d - 1):
@@ -319,7 +323,6 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
                 break
         report.add("latching-closure", alpha.key(), ok_closed, wit_closed)
 
-        sub, incl, coker = latching_data(o)
         ok_split, wit_split = True, None
         for d in sub.support:
             fac = invariant_factors(incl.mat(d))
@@ -328,8 +331,7 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
                 break
         report.add("latching-split", alpha.key(), ok_split, wit_split)
 
-        expected = shift(x, m)
-        ok_coker = coker == expected
+        ok_coker = coker == shift(o.simplex.objects[alpha(0)], alpha.dom)
         wit_coker = None if ok_coker else "quotient differs from the shifted source"
         report.add("latching-cokernel", alpha.key(), ok_coker, wit_coker)
     return report
@@ -355,21 +357,24 @@ def retraction(o: FrameObject) -> GradedMap:
     a = o.alpha.dom
     last = o.alpha(a)
     tgt = o.simplex.objects[last]
+    subsets = nonempty_subsets(a)
+    cochains: Dict[tuple, GradedMap] = {}
     mats = {}
     for d, pairs in o.basis.items():
         if not tgt.rank(d):
             continue
-        entries: Dict[tuple, int] = {}
-        for col, (S, e) in enumerate(pairs):
+        grid = [[0] * len(pairs) for _ in range(tgt.rank(d))]
+        col = 0
+        for S in subsets:  # the basis lists each subset's pairs together, in this order
             k = len(S) - 1
-            g = o.simplex.eval(tuple(o.alpha(t) for t in S) + (last,))
-            gm = g.mat(d - k)
-            sgn = -1 if k % 2 else 1
-            for i in range(tgt.rank(d)):
-                v = gm[i, e]
-                if v:
-                    entries[(i, col)] = entries.get((i, col), 0) + sgn * v
-        mats[d] = IntMatrix.from_entries(tgt.rank(d), o.complex.rank(d), entries)
+            width = o.source_complex(S).rank(d - k)
+            if width:
+                g = cochains.get(S)
+                if g is None:
+                    g = cochains[S] = o.simplex.eval(tuple(o.alpha(t) for t in S) + (last,))
+                _add_block(grid, 0, col, g.mat(d - k), -1 if k % 2 else 1)
+                col += width
+        mats[d] = IntMatrix._trusted(len(grid), len(pairs), tuple(map(tuple, grid)))
     return GradedMap(o.complex, tgt, 0, mats)
 
 
@@ -399,14 +404,67 @@ def last_vertex_data(o: FrameObject):
     return include_last(o), retraction(o), homotopy(o)
 
 
+class LastVertexCheck:
+    """A frame's last-vertex inclusion j and retraction r, and one
+    (check, witness) pair per last-vertex identity, the witness None when the
+    identity holds.  The homotopy h is checked but not kept."""
+
+    __slots__ = ("j", "r", "verdicts")
+
+    def __init__(self, j: GradedMap, r: GradedMap, verdicts: Tuple[Tuple[str, Optional[str]], ...]):
+        self.j, self.r, self.verdicts = j, r, verdicts
+
+    @property
+    def holds(self) -> bool:
+        return all(w is None for _, w in self.verdicts)
+
+
+def check_last_vertex(o: FrameObject) -> LastVertexCheck:
+    """Check that j and r are chain maps, r o j = id and D(h) = j o r - id,
+    naming the first failing identity and degree of each."""
+    j, r, h = last_vertex_data(o)
+    chain = _nonzero_at(hom_differential(j), "D(j) != 0") or _nonzero_at(hom_differential(r), "D(r) != 0")
+    section = _nonzero_at((r @ j) - GradedMap.identity(j.source), "r o j != id")
+    htpy = _nonzero_at(hom_differential(h) - ((j @ r) - GradedMap.identity(o.complex)), "D(h) != j o r - id")
+    return LastVertexCheck(
+        j, r, (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
+    )
+
+
+def _nonzero_at(f: GradedMap, what: str) -> Optional[str]:
+    """None when f = 0, else ``what`` with the first degree where f is nonzero."""
+    d = next((d for d in f.source.support if not f.mat(d).is_zero()), None)
+    return None if d is None else "%s at degree %d" % (what, d)
+
+
+def homotopy_inverse_certified(g: GradedMap, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
+    """Whether q = j_src o r_tgt is a homotopy inverse of the chain map
+    g : B(beta) -> B(alpha), by literal identities.
+
+    Given the last-vertex identities at both ends, g o j_src = j_tgt and
+    r_tgt o g = r_src give g o q = j_tgt r_tgt ~ id through h_tgt and
+    q o g = j_src r_src ~ id through h_src, so the cone of g is acyclic.  The
+    two identities hold for the structure map of every max-preserving
+    morphism.  The caller must already know that g is a chain map and that
+    both frames have d^2 = 0."""
+    return src.holds and tgt.holds and g @ src.j == tgt.j and tgt.r @ g == src.r
+
+
 # -- check suites --------------------------------------------------------------
 
 
-def is_homotopical(diagram: FrameDiagram) -> Report:
+def is_homotopical(diagram: FrameDiagram, last_vertex: Optional[Dict[OrderMap, LastVertexCheck]] = None) -> Report:
     """Every max-preserving morphism must have a structure map whose cone is
     acyclic.  Non-max-preserving morphisms carry no requirement and are
     skipped.  A morphism with an endpoint frame whose d^2 is nonzero fails
-    without a cone, since that cone is no complex."""
+    without a cone, since that cone is no complex.
+
+    A chain map passes on its homotopy-inverse certificate (see
+    :func:`homotopy_inverse_certified`); only when that fails is its cone
+    homology computed, so that a FAIL names the homology.  ``last_vertex``
+    holds :func:`check_last_vertex` of every frame, computed here if absent."""
+    if last_vertex is None:
+        last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
     report = Report()
     for mor, g in diagram.morphisms.items():
         if not is_weak_equivalence_d(mor):
@@ -422,6 +480,9 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
             continue
         if not g.is_cycle():
             report.add("homotopical", _morphism_key(mor), False, "structure map is not a chain map")
+            continue
+        if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
+            report.add("homotopical", _morphism_key(mor), True)
             continue
         ok = is_weak_equivalence(g)
         wit = None if ok else "cone homology: %s" % homology(cone(g))

@@ -144,12 +144,6 @@ def nonempty_subsets(m: int):
     return out
 
 
-def latching_subsets(alpha: OrderMap):
-    """The proper nonempty subsets of the domain of alpha: the objects of its
-    latching category."""
-    return [s for s in nonempty_subsets(alpha.dom) if len(s) <= alpha.dom]
-
-
 class FormalChain:
     """A finitely supported integer combination of hashable basis keys.
 
@@ -235,16 +229,6 @@ def path_comult(chain) -> FormalChain:
     return FormalChain(out)
 
 
-def path_push(sigma: OrderMap, chain) -> FormalChain:
-    """Postcomposition sigma o (-) on path keys; a map of coalgebras."""
-    chain = _as_chain(chain)
-    out: Dict = {}
-    for key, c in chain.coeffs.items():
-        new = tuple(sigma.values[v] for v in key)
-        out[new] = out.get(new, 0) + c
-    return FormalChain(out)
-
-
 def cell_diff(alpha: OrderMap, chain) -> FormalChain:
     """Differential of the cell complex of alpha: drop each index except the
     0-th, with alternating signs starting at -1."""
@@ -273,18 +257,6 @@ def cell_comult(alpha: OrderMap, chain) -> FormalChain:
             word = (key[j:], tuple(alpha.values[i] for i in key[: j + 1]))
             out[word] = out.get(word, 0) + sign * c
     return FormalChain(out)
-
-
-def reindex_cell(sigma: OrderMap, alpha: OrderMap) -> Dict:
-    """The canonical bijection Cell(alpha) -> Cell(sigma o alpha).
-
-    Both cell complexes are keyed by subsets of the same domain, and the
-    bijection is the identity on keys; it intertwines the differentials on
-    the nose and the coactions up to pushing path keys forward along sigma.
-    """
-    if alpha.cod != sigma.dom:
-        raise ValueError("alpha must land in the domain of sigma")
-    return {s: s for s in nonempty_subsets(alpha.dom)}
 
 
 def _check_cell_key(alpha: OrderMap, key):

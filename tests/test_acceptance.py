@@ -1,6 +1,8 @@
 """Acceptance suite: ten standalone criteria, one test (and one printed
 pass/fail line) per criterion.  Run with ``pytest -v tests/test_acceptance.py``
 for the per-criterion verdicts, or with ``-s`` to see the detail lines.
+Criterion 6 has a second test: cone homology as the oracle of the
+certificate that ``is_homotopical`` passes on.
 
 The shared corpus is 200 seeded simplices of dimensions 0..3 in round-robin
 (strict in dimensions 0 and 1, homotopy-perturbed in dimensions 2 and 3),
@@ -40,7 +42,9 @@ from dgframes.exact_linalg import IntMatrix, invariant_factors
 from dgframes.frames import (
     build_frame_diagram,
     build_frame_object,
+    check_last_vertex,
     check_simplicial_compat,
+    homotopy_inverse_certified,
     is_homotopical,
     latching_data,
     last_vertex_data,
@@ -240,6 +244,31 @@ def test_criterion_06_homotopical_check(corpus):
         "%d max-preserving structure maps have acyclic cones over %d diagrams; "
         "multiplication-by-2 source inclusion pinned as non-example" % (checked, len(indices)),
     )
+
+
+def test_criterion_06_certificate_implies_acyclic_cone(corpus):
+    """Cone homology as the oracle of the homotopy-inverse certificate that
+    ``is_homotopical`` passes on: over criterion 6's cross-section, every
+    structure map the certificate accepts has an acyclic cone, and it accepts
+    every max-preserving one.  The multiplication-by-2 non-example is not
+    accepted."""
+    sims, _ = corpus
+    for idx in range(0, CORPUS_SIZE, 21):
+        diagram = build_frame_diagram(sims[idx], 2)
+        last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
+        for mor, g in diagram.morphisms.items():
+            if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
+                assert is_acyclic(cone(g)), (idx, mor)
+            else:
+                assert not is_weak_equivalence_d(mor), (idx, mor)
+
+    x = ChainComplex("x", {0: 1}, {}, {0: ("p",)})
+    y = ChainComplex("y", {0: 1}, {}, {0: ("q",)})
+    diagram = build_frame_diagram(make_strict([GradedMap(x, y, 0, {0: IntMatrix.from_rows([[2]])})]), 1)
+    last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
+    counterexample = DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))
+    g = structure_map(diagram, counterexample)
+    assert not homotopy_inverse_certified(g, last_vertex[counterexample.src], last_vertex[counterexample.tgt])
 
 
 def test_criterion_07_reedy_check(frame_sweep):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from dgframes.cli import main
 from dgframes.complexes import ChainComplex, GradedMap, random_chain_map, random_complex
-from dgframes.dg_nerve import NerveSimplex, make_perturbed_2simplex, make_strict
+from dgframes.dg_nerve import NerveSimplex, make_perturbed_2simplex, make_strict, random_simplex
 from dgframes.exact_linalg import IntMatrix
 
 
@@ -216,3 +217,36 @@ def test_non_integer_entries_exit_2(valid_simplex, tmp_path, capsys, entry):
     obj = json.loads(open(valid_simplex).read())
     obj["n"] = entry
     assert main(["validate", "--input", write_json(tmp_path / "n.json", obj)]) == 2
+
+
+@pytest.mark.parametrize("field", ["name", "source", "target"])
+def test_non_string_names_exit_2(valid_simplex, tmp_path, capsys, field):
+    """A complex name or a map endpoint that is not a JSON string is an input
+    error, never coerced with str()."""
+    obj = json.loads(open(valid_simplex).read())
+    if field == "name":
+        obj["objects"][0]["name"] = 0
+    else:
+        obj["maps"]["0,1"][field] = 0
+    assert main(["validate", "--input", write_json(tmp_path / "named.json", obj)]) == 2
+    assert "must be a JSON string" in capsys.readouterr().err
+
+
+# sha256 of the stdout of `frame --alpha 0,0,1,1` and `check --max-len 2` on
+# random_simplex(Random(seed), n), recorded before the frame builder and the
+# homotopical check were rewritten for speed.
+PINNED_STDOUT = {
+    (7, 3, "frame"): "ea6126a938e031884dfa510be875ae7d413431a4a7f45f6fed4160bffb68c149",
+    (7, 3, "check"): "5b7546184eb79bedf4ec7cdaca2314045b3d4ce9bf9066c1b7f8dfdbe50cad9d",
+    (6, 2, "frame"): "bf9febef1fed68fe1dcf5c806e55fe001a9e69107bc541b31c041c19a19409e4",
+    (6, 2, "check"): "f0488b26e74d8f739aab54db5f00c8f54788b2979e176a35bb5489971eb063e3",
+}
+
+
+@pytest.mark.parametrize("seed, n, command", sorted(PINNED_STDOUT))
+def test_frame_and_check_output_is_pinned(tmp_path, capsys, seed, n, command):
+    path = write_json(tmp_path / "simplex.json", random_simplex(random.Random(seed), n).to_json())
+    args = ["--alpha", "0,0,1,1"] if command == "frame" else ["--max-len", "2"]
+    assert main([command, "--input", path] + args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[seed, n, command]

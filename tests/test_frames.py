@@ -25,9 +25,11 @@ from dgframes.dg_nerve import (
     validate_maurer_cartan,
 )
 from dgframes.exact_linalg import IntMatrix, block
+import dgframes.frames as frames
 from dgframes.frames import (
     build_frame_diagram,
     build_frame_object,
+    check_last_vertex,
     check_simplicial_compat,
     include_last,
     is_homotopical,
@@ -41,7 +43,13 @@ from dgframes.frames import (
     structure_map,
     verify_mc_extension,
 )
-from dgframes.simplicial import DMorphism, OrderMap, enumerate_d_objects, enumerate_order_maps
+from dgframes.simplicial import (
+    DMorphism,
+    OrderMap,
+    enumerate_d_objects,
+    enumerate_order_maps,
+    is_weak_equivalence_d,
+)
 
 
 def point(name="pt", label="p"):
@@ -293,6 +301,7 @@ def test_last_vertex_identities():
             assert r @ j == GradedMap.identity(j.source)
             assert hom_differential(h) == (j @ r) - GradedMap.identity(o.complex)
             assert is_acyclic(cone(j)) and is_acyclic(cone(r))
+            assert check_last_vertex(o).holds
 
 
 def test_last_vertex_on_a_singleton():
@@ -303,6 +312,37 @@ def test_last_vertex_on_a_singleton():
     assert j == GradedMap.identity(o.complex)
     assert r == GradedMap.identity(o.complex)
     assert h.is_zero()
+
+
+def test_check_last_vertex_names_the_failing_identity_and_degree(monkeypatch):
+    """X is Z in degree 1 plus Z in degree 2 with d = 0; B(<0,1>) of the
+    identity lives in degrees 1..3 and X_1 in degrees 1..2."""
+    x = ChainComplex("x", {1: 1, 2: 1}, {}, {1: ("a",), 2: ("b",)})
+    o = build_frame_object(make_strict([GradedMap.identity(x)]), OrderMap((0, 1), 1))
+    true_retraction, true_homotopy = frames.retraction, frames.homotopy
+
+    monkeypatch.setattr(frames, "retraction", lambda f: true_retraction(f).scale(2))
+    assert dict(check_last_vertex(o).verdicts) == {
+        "last-vertex-chain": None,
+        "last-vertex-section": "r o j != id at degree 1",
+        "last-vertex-homotopy": "D(h) != j o r - id at degree 1",
+    }
+
+    monkeypatch.setattr(frames, "retraction", true_retraction)
+    monkeypatch.setattr(frames, "homotopy", lambda f: GradedMap.zero(f.complex, f.complex, 1))
+    assert dict(check_last_vertex(o).verdicts) == {
+        "last-vertex-chain": None,
+        "last-vertex-section": None,
+        "last-vertex-homotopy": "D(h) != j o r - id at degree 1",
+    }
+
+    monkeypatch.setattr(frames, "homotopy", true_homotopy)
+    # r sends "0|b" to 2b: then r o d("0,1|b") = r(-"0|b" + "1|b") = -b
+    bent = true_retraction(o) + GradedMap(o.complex, x, 0, {2: IntMatrix.from_rows([[1, 0, 0]])})
+    monkeypatch.setattr(frames, "retraction", lambda f: bent)
+    lv = check_last_vertex(o)
+    assert not lv.holds
+    assert dict(lv.verdicts)["last-vertex-chain"] == "D(r) != 0 at degree 3"
 
 
 def test_include_last_lands_on_the_last_singleton():
@@ -369,6 +409,32 @@ def test_is_homotopical_flags_a_tampered_structure_map():
     report = is_homotopical(diagram2)
     flagged = [i for i in report.failures() if "1->0,1" in i.location]
     assert flagged and flagged[0].witness == "structure map is not a chain map"
+
+
+def test_is_homotopical_falls_back_to_cone_homology(monkeypatch):
+    """A frame whose retraction is corrupted has no certificate: the
+    max-preserving morphisms touching it are decided by cone homology, the
+    others pass on their certificates without a cone, and a broken structure
+    map still fails with its cone homology."""
+    s = random_simplex(random.Random(66), 2)
+    diagram = build_frame_diagram(s, max_len=2)
+    bad = OrderMap((0, 1, 1), 2)
+    true_retraction = frames.retraction
+    monkeypatch.setattr(frames, "retraction", lambda o: true_retraction(o).scale(1 + (o.alpha == bad)))
+    decided_by_cone = []
+    true_weq = frames.is_weak_equivalence
+    monkeypatch.setattr(frames, "is_weak_equivalence", lambda g: decided_by_cone.append(g) or true_weq(g))
+
+    report = is_homotopical(diagram)
+    assert report.ok, report.failures()
+    touching = [g for mor, g in diagram.morphisms.items() if is_weak_equivalence_d(mor) and bad in (mor.src, mor.tgt)]
+    assert len(touching) > 1
+    assert len(decided_by_cone) == len(touching) and all(a is b for a, b in zip(decided_by_cone, touching))
+
+    mor = DMorphism(OrderMap((1,), 2), bad, (2,))
+    diagram.morphisms[mor] = diagram.morphisms[mor].scale(2)
+    flagged = [i for i in is_homotopical(diagram).failures() if i.location == "1->0,1,1[2]"]
+    assert len(flagged) == 1 and flagged[0].witness.startswith("cone homology: ")
 
 
 def test_check_simplicial_compat():

@@ -15,7 +15,6 @@ from dgframes.dg_nerve import (
     NerveSimplex,
     act,
     coherence_defect,
-    eval_cochain,
     increasing_sequences,
     make_perturbed_2simplex,
     make_strict,
@@ -67,7 +66,7 @@ def test_eval_strict_unitality():
     degen = s.eval((0, 0, 1))
     assert degen.is_zero() and degen.degree == 1
     assert s.eval((0, 1)) == f
-    assert eval_cochain(s, (0, 2)) == g @ f
+    assert s.eval((0, 2)) == g @ f
     with pytest.raises(ValueError):
         s.eval((0,))
     with pytest.raises(ValueError):

@@ -12,12 +12,9 @@ from dgframes.simplicial import (
     enumerate_inclusions,
     enumerate_order_maps,
     is_weak_equivalence_d,
-    latching_subsets,
     nonempty_subsets,
     path_comult,
     path_diff,
-    path_push,
-    reindex_cell,
 )
 
 
@@ -109,8 +106,6 @@ def test_enumerate_inclusions():
 
 def test_subset_helpers():
     assert nonempty_subsets(1) == [(0,), (1,), (0, 1)]
-    assert latching_subsets(OrderMap((0, 1), 1)) == [(0,), (1,)]
-    assert latching_subsets(OrderMap((0,), 1)) == []
 
 
 def test_is_weak_equivalence_d_examples():
@@ -229,23 +224,6 @@ def test_path_comult_co_leibniz():
         assert lhs.coeffs == rhs
 
 
-def test_path_push_is_a_coalgebra_map():
-    sigma = OrderMap((0, 1, 1, 3), 3)
-    for key in increasing_keys(3, 4):
-        if len(key) >= 3:
-            assert path_push(sigma, path_diff(key)) == path_diff(path_push(sigma, key))
-        ch = path_comult(key)
-        pushed_words = {}
-        for (s, p), c in ch.coeffs.items():
-            w = (
-                tuple(sigma.values[v] for v in s),
-                tuple(sigma.values[v] for v in p),
-            )
-            pushed_words[w] = pushed_words.get(w, 0) + c
-        direct = path_comult(path_push(sigma, key))
-        assert direct.coeffs == {k: v for k, v in pushed_words.items() if v}
-
-
 # -- cell complexes and the coaction ------------------------------------------
 
 
@@ -303,16 +281,6 @@ def test_cell_coaction_co_leibniz():
         lhs = cell_comult(alpha, cell_diff(alpha, cell))
         rhs = _word_leibniz_rhs(cell_comult(alpha, cell), cd, _pd)
         assert lhs.coeffs == rhs
-
-
-def test_reindex_cell():
-    alpha = OrderMap((0, 2, 3), 3)
-    sigma = OrderMap((0, 1, 1, 2), 3)
-    table = reindex_cell(sigma, alpha)
-    assert set(table) == set(nonempty_subsets(alpha.dom))
-    assert all(table[s] == s for s in table)
-    with pytest.raises(ValueError):
-        reindex_cell(OrderMap((0, 1), 1), alpha)
 
 
 def test_reindex_intertwines_differentials_and_coactions():
