@@ -69,11 +69,18 @@ class IntMatrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "IntMatrix":
-        """Build from a {(i, j): value} mapping of ints; unspecified entries are 0."""
-        grid = [[0] * cols for _ in range(rows)]
+        """Build from a {(i, j): value} mapping of ints; unspecified entries are 0.
+        Rows without entries share one zero row."""
+        touched: Dict[int, list] = {}
         for (i, j), v in entries.items():
-            grid[i][j] += v
-        return cls._trusted(rows, cols, tuple(map(tuple, grid)))
+            row = touched.get(i)
+            if row is None:
+                row = touched[i] = [0] * cols
+            row[j] += v
+        data = [(0,) * cols] * rows
+        for i, row in touched.items():
+            data[i] = tuple(row)
+        return cls._trusted(rows, cols, tuple(data))
 
     # -- basic protocol ---------------------------------------------------
 
