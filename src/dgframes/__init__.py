@@ -4,9 +4,7 @@ The package implements, with exact integer arithmetic throughout:
 
 * bounded finitely generated free chain complexes, graded maps, cones,
   cylinders, shifts, mapping complexes and homology (``complexes``),
-* the combinatorics of order maps, the direct category of sequences, and the
-  path/cell coalgebras with their differentials and comultiplications
-  (``simplicial``),
+* order maps and the direct category of sequences (``simplicial``),
 * coherent simplices of chain complexes — a twisting cochain per simplex —
   with a Maurer-Cartan validator, reindexing action and generators
   (``dg_nerve``),
@@ -59,7 +57,6 @@ from .frames import (
     is_reedy_cofibrant,
     last_vertex_data,
     latching_data,
-    latching_map,
     recover_map_from_cylinder,
     retraction,
     split_acyclic_cofibration,
@@ -69,22 +66,16 @@ from .frames import (
 from .reporting import CheckItem, Report
 from .simplicial import (
     DMorphism,
-    FormalChain,
     OrderMap,
-    cell_comult,
-    cell_diff,
     enumerate_d_objects,
     enumerate_order_maps,
     is_weak_equivalence_d,
-    path_comult,
-    path_diff,
 )
 
 __all__ = [
     "ChainComplex",
     "CheckItem",
     "DMorphism",
-    "FormalChain",
     "FrameDiagram",
     "FrameObject",
     "GradedMap",
@@ -96,8 +87,6 @@ __all__ = [
     "act",
     "build_frame_diagram",
     "build_frame_object",
-    "cell_comult",
-    "cell_diff",
     "check_simplicial_compat",
     "coherence_defect",
     "cone",
@@ -119,11 +108,8 @@ __all__ = [
     "kernel_basis",
     "last_vertex_data",
     "latching_data",
-    "latching_map",
     "make_perturbed_2simplex",
     "make_strict",
-    "path_comult",
-    "path_diff",
     "random_chain_map",
     "random_complex",
     "random_graded_map",

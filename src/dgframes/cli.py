@@ -22,8 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .complexes import ChainComplex, homology, is_nullhomotopic
 from .dg_nerve import NerveSimplex, increasing_sequences, validate_maurer_cartan
@@ -40,20 +38,12 @@ from .reporting import Report
 from .simplicial import OrderMap
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str
-    alpha: Optional[str]
-    max_len: int
-    seed: int
-    output: Optional[str]
-    format: str
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s nests too deeply to parse" % path) from None
 
 
 def _load_simplex(path: str) -> NerveSimplex:
@@ -66,33 +56,33 @@ def _load_simplex(path: str) -> NerveSimplex:
     return s
 
 
-def _metadata(cfg: RunConfig) -> dict:
-    return {"seed": cfg.seed, "max_len": cfg.max_len}
+def _metadata(args: argparse.Namespace) -> dict:
+    return {"seed": args.seed, "max_len": args.max_len}
 
 
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig):
-    s = _load_simplex(cfg.input)
+def cmd_validate(args: argparse.Namespace):
+    s = _load_simplex(args.input)
     report = validate_maurer_cartan(s)
     payload = {
         "command": "validate",
-        "metadata": _metadata(cfg),
+        "metadata": _metadata(args),
         "report": report.to_json(),
         "summary": report.summary(),
     }
     return payload, (0 if report.ok else 1)
 
 
-def cmd_frame(cfg: RunConfig):
-    s = _load_simplex(cfg.input)
-    alpha = OrderMap.from_key(cfg.alpha, s.n)
+def cmd_frame(args: argparse.Namespace):
+    s = _load_simplex(args.input)
+    alpha = OrderMap.from_key(args.alpha, s.n)
     o = build_frame_object(s, alpha)
     h = homology(o.complex)
     payload = {
         "command": "frame",
-        "metadata": _metadata(cfg),
+        "metadata": _metadata(args),
         "alpha": alpha.key(),
         "frame": o.to_json(),
         "homology": {str(d): h.group(d) for d in h.degrees()},
@@ -100,21 +90,21 @@ def cmd_frame(cfg: RunConfig):
     return payload, 0
 
 
-def cmd_homology(cfg: RunConfig):
-    x = ChainComplex.from_json(_load_json(cfg.input))
+def cmd_homology(args: argparse.Namespace):
+    x = ChainComplex.from_json(_load_json(args.input))
     h = homology(x)
     payload = {
         "command": "homology",
-        "metadata": _metadata(cfg),
+        "metadata": _metadata(args),
         "name": x.name,
         "homology": {str(d): h.group(d) for d in h.degrees()},
     }
     return payload, 0
 
 
-def cmd_check(cfg: RunConfig):
-    s = _load_simplex(cfg.input)
-    m_bound = cfg.max_len
+def cmd_check(args: argparse.Namespace):
+    s = _load_simplex(args.input)
+    m_bound = args.max_len
     report = Report()
     report.extend(validate_maurer_cartan(s))
 
@@ -145,15 +135,15 @@ def cmd_check(cfg: RunConfig):
 
     payload = {
         "command": "check",
-        "metadata": _metadata(cfg),
+        "metadata": _metadata(args),
         "report": report.to_json(),
         "summary": report.summary(),
     }
     return payload, (0 if report.ok else 1)
 
 
-def cmd_recover(cfg: RunConfig):
-    s = _load_simplex(cfg.input)
+def cmd_recover(args: argparse.Namespace):
+    s = _load_simplex(args.input)
     if s.n != 1:
         raise ValueError("recover expects a 1-simplex, got n=%d" % s.n)
     o = build_frame_object(s, OrderMap((0, 1), 1))
@@ -162,7 +152,7 @@ def cmd_recover(cfg: RunConfig):
     witness = is_nullhomotopic(difference)
     payload = {
         "command": "recover",
-        "metadata": _metadata(cfg),
+        "metadata": _metadata(args),
         "recovered": rec.to_json(),
         "difference_is_boundary": witness is not None,
         "exact_match": difference.is_zero(),
@@ -208,13 +198,13 @@ def _render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: dict, cfg: RunConfig):
-    if cfg.format == "json":
+def _emit(payload: dict, args: argparse.Namespace):
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = _render_text(payload)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -259,23 +249,14 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input=args.input,
-        alpha=getattr(args, "alpha", None),
-        max_len=args.max_len,
-        seed=args.seed,
-        output=args.output,
-        format=args.format,
-    )
     try:
-        if cfg.max_len < 0:
+        if args.max_len < 0:
             raise ValueError("--max-len must be >= 0")
-        payload, code = _HANDLERS[cfg.command](cfg)
+        payload, code = _HANDLERS[args.command](args)
     except (OSError, ValueError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
-    _emit(payload, cfg)
+    _emit(payload, args)
     return code
 
 

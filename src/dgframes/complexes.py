@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .exact_linalg import (
     IntMatrix,
@@ -156,10 +156,10 @@ class ChainComplex:
                 raise ValueError("complex is missing the %r field" % field)
         ranks = {}
         for k, v in json_object(obj["degrees"], "complex degrees").items():
-            ranks[int(k)] = json_int(v, "rank at degree %s" % k)
+            ranks[json_int_key(k, "complex degree")] = json_int(v, "rank at degree %s" % k)
         diffs = {}
         for k, rows in json_object(obj.get("differentials", {}), "complex differentials").items():
-            d = int(k)
+            d = json_int_key(k, "differential degree")
             diffs[d] = json_matrix(rows, ranks.get(d - 1, 0), ranks.get(d, 0), "differential at degree %s" % k)
         return cls(json_str(obj["name"], "complex name"), ranks, diffs, check=check)
 
@@ -175,6 +175,19 @@ def json_int(value, what: str) -> int:
     """``value`` if it is a JSON integer (not a bool, float or string), else ValueError."""
     if type(value) is not int:
         raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def json_int_key(text: str, what: str) -> int:
+    """The integer that ``text`` spells in canonical ASCII decimal, else
+    ValueError.  "00", "+0", "-0", " 1", "1_0" and non-ASCII digits are
+    refused, so no two keys of one JSON object name the same integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError("%s must be a canonical decimal integer, got %r" % (what, text))
     return value
 
 
@@ -322,7 +335,7 @@ class GradedMap:
         degree = json_int(obj["degree"], "graded map degree")
         mats = {}
         for k, rows in json_object(obj["matrices"], "graded map matrices").items():
-            d = int(k)
+            d = json_int_key(k, "matrix degree")
             mats[d] = json_matrix(rows, target.rank(d + degree), source.rank(d), "matrix at degree %s" % k)
         return cls(source, target, degree, mats)
 

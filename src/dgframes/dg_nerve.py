@@ -29,6 +29,7 @@ from .complexes import (
     GradedMap,
     hom_differential,
     json_int,
+    json_int_key,
     json_object,
     random_chain_map,
     random_complex,
@@ -134,10 +135,7 @@ class NerveSimplex:
             raise ValueError("simplex declares n=%s but carries %d objects" % (obj["n"], len(objects)))
         maps = {}
         for key_text, mobj in json_object(obj["maps"], "simplex maps").items():
-            try:
-                key = tuple(int(p) for p in str(key_text).split(","))
-            except ValueError:
-                raise ValueError("cannot parse map key %r" % key_text)
+            key = tuple(json_int_key(p, "a part of map key %r" % key_text) for p in key_text.split(","))
             if len(key) < 2 or any(b <= a for a, b in zip(key, key[1:])) or key[0] < 0 or key[-1] >= len(objects):
                 raise ValueError("map key %r is not a strictly increasing sequence in range" % key_text)
             maps[key] = GradedMap.from_json(mobj, objects[key[0]], objects[key[-1]])

@@ -33,7 +33,7 @@ cylinder frame.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
     ChainComplex,
@@ -47,7 +47,6 @@ from .complexes import (
     is_weak_equivalence,
     shift,
     vector_to_graded_map,
-    zero_complex,
 )
 from .dg_nerve import NerveSimplex, act, coherence_defect, increasing_sequences
 from .exact_linalg import IntMatrix, block, invariant_factors, solve, submatrix
@@ -225,13 +224,9 @@ def _structure_matrix(src: FrameObject, tgt: FrameObject, inj) -> GradedMap:
 def structure_map(diagram: FrameDiagram, mor: DMorphism) -> GradedMap:
     """The chain map B(mor.src) -> B(mor.tgt): the basis inclusion S -> inj(S)."""
     got = diagram.morphisms.get(mor)
-    if got is not None:
-        return got
-    if mor.src not in diagram.objects or mor.tgt not in diagram.objects:
-        raise ValueError("both endpoints of the morphism must be in the diagram")
-    out = _structure_matrix(diagram.objects[mor.src], diagram.objects[mor.tgt], mor.inj)
-    diagram.morphisms[mor] = out
-    return out
+    if got is None:
+        raise ValueError("morphism %s is not in the diagram" % _morphism_key(mor))
+    return got
 
 
 def _morphism_key(mor: DMorphism) -> str:
@@ -292,18 +287,6 @@ def _latching(o: FrameObject):
             coker_diffs[d] = submatrix(o.complex.diff(d), coker_idx[d - 1], coker_idx[d])
     coker = ChainComplex("B/L(%s)" % alpha.key(), coker_ranks, coker_diffs, coker_labels, check=False)
     return sub, incl, coker, sub_idx, coker_idx
-
-
-def latching_map(diagram: FrameDiagram, alpha: OrderMap):
-    """(sub, incl): the latching subcomplex of B(alpha) and its inclusion.
-
-    For a singleton alpha the latching category is empty and sub is the zero
-    complex.
-    """
-    if alpha not in diagram.objects:
-        raise ValueError("alpha %s is not in the diagram" % alpha.key())
-    sub, incl, _ = latching_data(diagram.objects[alpha])
-    return sub, incl
 
 
 def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:

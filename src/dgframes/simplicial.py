@@ -1,28 +1,16 @@
-"""Order maps, the direct index category of sequences, and the path/cell
-coalgebra combinatorics on which the twisted resolutions are built.
+"""Order maps and the direct index category of sequences.
 
 Conventions.  An order map [m] -> [n] is a nondecreasing tuple of m+1 values
-in 0..n, serialized as "v0,v1,...".  The path coalgebra of [n] is free on all
-order maps [k] -> [n] in degree k >= 1, with
-
-    d <a_0..a_k>      = sum_{j=1..k-1} (-1)^j <a_0.. a_j-hat ..a_k>
-    Delta <a_0..a_k>  = sum_{j=1..k-1} (-1)^{j(k-j)} <a_j..a_k> (x) <a_0..a_j>
-
-(suffix tensor prefix).  The cell complex of a sequence alpha : [a] -> [n] is
-free on the nonempty subsets of {0..a} in degree |S| - 1, with
-
-    d* <i_0..i_k>     = sum_{j=1..k} (-1)^j <i_0.. i_j-hat ..i_k>
-    delta <i_0..i_k>  = sum_{j=1..k} (-1)^{j(k-j)} <i_j..i_k> (x) alpha o <i_0..i_j>
-
-The 0-th entry of a cell key is never dropped; the coaction pairs cell keys
-with path keys through alpha.
+in 0..n, serialized as "v0,v1,...".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Tuple
+
+from .complexes import json_int_key
 
 
 @dataclass(frozen=True)
@@ -66,11 +54,7 @@ class OrderMap:
 
     @classmethod
     def from_key(cls, text: str, cod: int) -> "OrderMap":
-        try:
-            vals = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            raise ValueError("cannot parse %r as a comma-separated sequence" % text)
-        return cls(vals, cod)
+        return cls(tuple(json_int_key(p, "sequence entry") for p in text.split(",")), cod)
 
 
 @dataclass(frozen=True)
@@ -142,127 +126,3 @@ def nonempty_subsets(m: int):
     for size in range(1, m + 2):
         out.extend(combinations(range(m + 1), size))
     return out
-
-
-class FormalChain:
-    """A finitely supported integer combination of hashable basis keys.
-
-    Keys are index tuples for cell chains, value tuples for path chains, and
-    (left, right) pairs of those for tensor words; zero coefficients are
-    dropped eagerly.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping = ()):
-        self.coeffs: Dict = {}
-        for k, v in dict(coeffs).items():
-            if v:
-                self.coeffs[k] = int(v)
-
-    @classmethod
-    def basis(cls, key) -> "FormalChain":
-        return cls({key: 1})
-
-    def __add__(self, other: "FormalChain") -> "FormalChain":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return FormalChain(out)
-
-    def __sub__(self, other: "FormalChain") -> "FormalChain":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "FormalChain":
-        return FormalChain({k: c * v for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def __eq__(self, other):
-        return isinstance(other, FormalChain) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "FormalChain(0)"
-        return "FormalChain(%s)" % ", ".join("%+d*%r" % (v, k) for k, v in self.items())
-
-
-def _as_chain(x) -> FormalChain:
-    if isinstance(x, FormalChain):
-        return x
-    return FormalChain.basis(tuple(x))
-
-
-def path_diff(chain) -> FormalChain:
-    """Differential of the path coalgebra: alternating sum of inner faces."""
-    chain = _as_chain(chain)
-    out: Dict = {}
-    for key, c in chain.coeffs.items():
-        if len(key) < 2:
-            raise ValueError("path keys have length >= 2, got %r" % (key,))
-        k = len(key) - 1
-        for j in range(1, k):
-            face = key[:j] + key[j + 1 :]
-            sign = -1 if j % 2 else 1
-            out[face] = out.get(face, 0) + sign * c
-    return FormalChain(out)
-
-
-def path_comult(chain) -> FormalChain:
-    """Comultiplication of the path coalgebra, as (suffix, prefix) words."""
-    chain = _as_chain(chain)
-    out: Dict = {}
-    for key, c in chain.coeffs.items():
-        if len(key) < 2:
-            raise ValueError("path keys have length >= 2, got %r" % (key,))
-        k = len(key) - 1
-        for j in range(1, k):
-            sign = -1 if (j * (k - j)) % 2 else 1
-            word = (key[j:], key[: j + 1])
-            out[word] = out.get(word, 0) + sign * c
-    return FormalChain(out)
-
-
-def cell_diff(alpha: OrderMap, chain) -> FormalChain:
-    """Differential of the cell complex of alpha: drop each index except the
-    0-th, with alternating signs starting at -1."""
-    chain = _as_chain(chain)
-    out: Dict = {}
-    for key, c in chain.coeffs.items():
-        _check_cell_key(alpha, key)
-        k = len(key) - 1
-        for j in range(1, k + 1):
-            face = key[:j] + key[j + 1 :]
-            sign = -1 if j % 2 else 1
-            out[face] = out.get(face, 0) + sign * c
-    return FormalChain(out)
-
-
-def cell_comult(alpha: OrderMap, chain) -> FormalChain:
-    """Coaction of the path coalgebra on the cell complex: words
-    (cell suffix, alpha o prefix)."""
-    chain = _as_chain(chain)
-    out: Dict = {}
-    for key, c in chain.coeffs.items():
-        _check_cell_key(alpha, key)
-        k = len(key) - 1
-        for j in range(1, k + 1):
-            sign = -1 if (j * (k - j)) % 2 else 1
-            word = (key[j:], tuple(alpha.values[i] for i in key[: j + 1]))
-            out[word] = out.get(word, 0) + sign * c
-    return FormalChain(out)
-
-
-def _check_cell_key(alpha: OrderMap, key):
-    if not key:
-        raise ValueError("cell keys are nonempty subsets")
-    if any(b <= a for a, b in zip(key, key[1:])):
-        raise ValueError("cell key %r is not strictly increasing" % (key,))
-    if key[0] < 0 or key[-1] > alpha.dom:
-        raise ValueError("cell key %r leaves the domain of %s" % (key, alpha))

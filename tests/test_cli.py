@@ -1,8 +1,12 @@
+import copy
 import hashlib
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgframes.cli import main
 from dgframes.complexes import ChainComplex, GradedMap, random_chain_map, random_complex
@@ -230,6 +234,105 @@ def test_non_string_names_exit_2(valid_simplex, tmp_path, capsys, field):
         obj["maps"]["0,1"][field] = 0
     assert main(["validate", "--input", write_json(tmp_path / "named.json", obj)]) == 2
     assert "must be a JSON string" in capsys.readouterr().err
+
+
+# Each spelling names the same integer as ``t`` but is not its canonical text.
+NON_CANONICAL = {
+    "leading zero": lambda t: "0" + t,
+    "plus sign": lambda t: "+" + t,
+    "leading space": lambda t: " " + t,
+    "trailing newline": lambda t: t + "\n",
+    "arabic-indic digits": lambda t: "".join(chr(0x660 + int(c)) for c in t),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(NON_CANONICAL))
+def test_non_canonical_integer_keys_exit_2(valid_simplex, tmp_path, capsys, spelling):
+    """Integer keys and --alpha entries must be canonical decimal text; any
+    other spelling is an input error, so two keys never name one integer."""
+    spell = NON_CANONICAL[spelling]
+
+    def exit_code(command, obj, *args):
+        return main([command, "--input", write_json(tmp_path / "in.json", obj)] + list(args))
+
+    # a second spelling of degree 0 would overwrite the first
+    assert exit_code("homology", {"name": "X", "degrees": {"0": 1, spell("0"): 2}}) == 2
+    cx = two_step(2).to_json()
+    cx["differentials"][spell("1")] = cx["differentials"].pop("1")
+    assert exit_code("homology", cx) == 2
+    simplex = json.loads(open(valid_simplex).read())
+    maps = copy.deepcopy(simplex["maps"])
+    maps[spell("0") + ",1"] = maps.pop("0,1")
+    assert exit_code("validate", dict(simplex, maps=maps)) == 2
+    maps = copy.deepcopy(simplex["maps"])
+    matrices = maps["0,1,2"]["matrices"]
+    matrices[spell("0")] = matrices.pop("0")
+    assert exit_code("validate", dict(simplex, maps=maps)) == 2
+    assert main(["frame", "--input", valid_simplex, "--alpha", spell("0") + ",1"]) == 2
+    assert capsys.readouterr().err.count("must be a canonical decimal integer") == 5
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["homology", "--input", str(path)]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
+FUZZ_DOCUMENTS = [
+    ("validate", make_strict([GradedMap.identity(two_step(2))]).to_json()),
+    ("homology", two_step(2).to_json()),
+]
+
+# Integers stay in [-3, 3]: a rank in the millions is a resource question,
+# not an exit-code one.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _node_paths(node, path=()):
+    yield path
+    keys = sorted(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for k in keys:
+        yield from _node_paths(node[k], path + (k,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one node replaced by arbitrary JSON, or one
+    object key renamed to arbitrary short text."""
+    command, doc = draw(st.sampled_from(FUZZ_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_node_paths(doc))))
+    if not path:
+        return command, draw(JSON_VALUES)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        parent[draw(st.text(max_size=4))] = parent.pop(path[-1])
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return command, doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_documents())
+def test_exit_code_contract_holds_on_mutated_documents(case):
+    """Any JSON document gives exit code 0, 1 or 2 and raises nothing."""
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main([command, "--input", path, "--output", os.path.join(tmp, "out.json")]) in (0, 1, 2)
 
 
 # sha256 of the stdout of `frame --alpha 0,0,1,1` and `check --max-len 2` on

@@ -36,7 +36,6 @@ from dgframes.frames import (
     is_reedy_cofibrant,
     last_vertex_data,
     latching_data,
-    latching_map,
     recover_map_from_cylinder,
     retraction,
     split_acyclic_cofibration,
@@ -240,11 +239,9 @@ def test_latching_of_a_singleton_is_zero():
     rng = random.Random(58)
     s = random_simplex(rng, 1)
     diagram = build_frame_diagram(s, max_len=1)
-    sub, incl = latching_map(diagram, OrderMap((0,), 1))
+    sub, incl, coker = latching_data(diagram.objects[OrderMap((0,), 1)])
     assert sub.support == ()
     assert sub == zero_complex("L(0)")
-    with pytest.raises(ValueError):
-        latching_map(diagram, OrderMap((0, 0, 0, 0), 1))  # not in a max_len=1 diagram
 
 
 def test_is_reedy_cofibrant_passes_on_valid_simplices():
