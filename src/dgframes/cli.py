@@ -20,6 +20,7 @@ metadata for bookkeeping.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,14 +35,25 @@ from .frames import (
     is_reedy_cofibrant,
     recover_map_from_cylinder,
 )
-from .reporting import Report
+from .reporting import Report, canonical_json
 from .simplicial import OrderMap
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError("JSON object repeats the key %r" % key)
+            seen.add(key)
+    return obj
 
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("%s nests too deeply to parse" % path) from None
 
@@ -200,7 +212,7 @@ def _render_text(payload: dict) -> str:
 
 def _emit(payload: dict, args: argparse.Namespace):
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = canonical_json(payload) + "\n"
     else:
         text = _render_text(payload)
     if args.output:
@@ -213,7 +225,10 @@ def _emit(payload: dict, args: argparse.Namespace):
 # -- entry points ---------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and reused after it; parse_args
+    leaves the parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="path to the input JSON file")
     common.add_argument(
@@ -248,7 +263,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.max_len < 0:
             raise ValueError("--max-len must be >= 0")

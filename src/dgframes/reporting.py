@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 
@@ -50,3 +51,46 @@ class Report:
     def __repr__(self):
         s = self.summary()
         return "Report(%d pass, %d fail)" % (s["pass"], s["fail"])
+
+
+def canonical_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for the JSON trees the
+    CLI emits: dicts with str keys, lists, tuples, str, int, bool and None.
+    Anything else, floats and non-str keys included, raises TypeError.
+
+    With ``indent`` set, ``json`` on CPython 3.11 falls back to its
+    pure-Python encoder, which yields one chunk per list item; here strings
+    still go through the C escaper and a list of ints is one join."""
+    return _encode(obj, "\n")
+
+
+_INT_ONLY = {int}
+
+
+def _encode(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # sorted() or the escaper raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == _INT_ONLY:  # type(), not isinstance: bools take the general path
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)

@@ -8,10 +8,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgframes import cli
 from dgframes.cli import main
 from dgframes.complexes import ChainComplex, GradedMap, random_chain_map, random_complex
 from dgframes.dg_nerve import NerveSimplex, make_perturbed_2simplex, make_strict, random_simplex
 from dgframes.exact_linalg import IntMatrix
+from dgframes.reporting import canonical_json
 
 
 def two_step(scalar, name="W"):
@@ -279,6 +281,21 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     assert "nests too deeply" in capsys.readouterr().err
 
 
+def test_repeated_json_keys_exit_2(valid_simplex, tmp_path, capsys):
+    """A key repeated within one JSON object is an input error; the loader
+    never keeps just one of the two values."""
+    path = tmp_path / "cx.json"
+    path.write_text('{"name": "X", "degrees": {"0": 1, "0": 2}}', encoding="utf-8")
+    assert main(["homology", "--input", str(path)]) == 2
+    assert "repeats the key '0'" in capsys.readouterr().err
+    simplex = json.loads(open(valid_simplex).read())
+    pairs = list(simplex["maps"].items())
+    maps = "{" + ", ".join("%s: %s" % (json.dumps(k), json.dumps(v)) for k, v in pairs + pairs[:1]) + "}"
+    path.write_text('{"n": 2, "objects": %s, "maps": %s}' % (json.dumps(simplex["objects"]), maps), encoding="utf-8")
+    assert main(["validate", "--input", str(path)]) == 2
+    assert "repeats the key %r" % pairs[0][0] in capsys.readouterr().err
+
+
 FUZZ_DOCUMENTS = [
     ("validate", make_strict([GradedMap.identity(two_step(2))]).to_json()),
     ("homology", two_step(2).to_json()),
@@ -353,3 +370,83 @@ def test_frame_and_check_output_is_pinned(tmp_path, capsys, seed, n, command):
     assert main([command, "--input", path] + args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[seed, n, command]
+
+
+def torsion_complex():
+    """H_0 = Z + Z/2, H_1 = Z/3; the name needs JSON escapes."""
+    d1 = IntMatrix.from_rows([[2, 0], [0, 0]])
+    d2 = IntMatrix.from_rows([[0], [3]])
+    return ChainComplex('Té∂ "q"\\', {0: 2, 1: 2, 2: 1}, {1: d1, 2: d2})
+
+
+PINNED_CASES = {
+    "validate": (lambda: random_simplex(random.Random(6), 2), ["validate"]),
+    "homology-torsion": (torsion_complex, ["homology", "--seed", "-3"]),
+    "recover": (lambda: random_simplex(random.Random(5), 1, max_rank=4), ["recover"]),
+    "frame-wide": (lambda: random_simplex(random.Random(7), 3), ["frame", "--alpha", "0,0,1,1,2,2,3,3"]),
+    "check-text": (lambda: random_simplex(random.Random(6), 2), ["check", "--max-len", "1", "--format", "text"]),
+}
+
+# sha256 of the stdout of each case, recorded before the JSON writer replaced
+# json.dumps(..., indent=2) in the CLI.
+PINNED_CASE_STDOUT = {
+    "validate": "ab22d3289de446b0ea77622ae916eca0c3b90ae0db3ea4bba20e0cee20e04fff",
+    "homology-torsion": "d83ae9befd3a50f9bf6627567e444c8fc54d6ddddf95828fc1a2bd6999a4f0bf",
+    "recover": "e2ec3a51b16363a13731ff44793a7420182cab1ea88417dfae4e18e361cf4813",
+    "frame-wide": "802253759d1a47f2201f44cf3a7be3adfe2316b3ae9758f3e72b10e52864c11d",
+    "check-text": "b4ea22029115a2fc1d8e85ed5c91e286b0a83e221f8e4e55e05147c7f45cc1f8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_more_command_outputs_are_pinned(tmp_path, capsys, case):
+    build, argv = PINNED_CASES[case]
+    path = write_json(tmp_path / "input.json", build().to_json())
+    assert main(argv + ["--input", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_CASE_STDOUT[case]
+
+
+def test_a_failed_parse_leaves_the_reused_parser_intact(valid_simplex, capsys):
+    """The parser is built once per process; an argparse error on one call
+    must not change what later calls print."""
+    runs = [["validate", "--input", valid_simplex], ["frame", "--input", valid_simplex, "--alpha", "0,1,2"]]
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as e:
+        main(["check", "--input", valid_simplex, "--max-len", "x"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    parser = cli._parser()
+    for argv, out in zip(runs, fresh):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    assert cli._parser() is parser
+
+
+# Text covers non-ASCII (also outside the BMP), quotes, backslashes and
+# control characters; integers run past 64 bits on both sides.
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.lists(st.integers(-(2**70), 2**70), max_size=6)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(JSON_TREES | st.just('"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e'))
+def test_canonical_json_matches_json_dumps(tree):
+    assert canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": [{0: 1}]}, {1, 2}, [0, 2.0], float("nan")])
+def test_canonical_json_refuses_what_the_cli_never_emits(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
