@@ -3,7 +3,7 @@
 The package implements, with exact integer arithmetic throughout:
 
 * bounded finitely generated free chain complexes, graded maps, cones,
-  cylinders, shifts, mapping complexes and homology (``complexes``),
+  shifts, mapping complexes and homology (``complexes``),
 * order maps and the direct category of sequences (``simplicial``),
 * coherent simplices of chain complexes — a twisting cochain per simplex —
   with a Maurer-Cartan validator, reindexing action and generators
@@ -11,8 +11,7 @@ The package implements, with exact integer arithmetic throughout:
 * the resolution B(alpha): a twisted sum over the subset lattice which is
   Reedy cofibrant, homotopical and compatible with reindexing, together with
   last-vertex retraction data, an integer splitting solver for acyclic
-  cofibrations, edge recovery from cylinders and coherence-extension checks
-  (``frames``),
+  cofibrations and edge recovery from cylinder frames (``frames``),
 * Smith normal form and integer linear solvers (``exact_linalg``), and a
   deterministic JSON command line (``cli``).
 """
@@ -22,7 +21,6 @@ from .complexes import (
     GradedMap,
     HomologySummary,
     cone,
-    cylinder,
     hom_complex,
     hom_differential,
     homology,
@@ -61,7 +59,6 @@ from .frames import (
     retraction,
     split_acyclic_cofibration,
     structure_map,
-    verify_mc_extension,
 )
 from .reporting import CheckItem, Report
 from .simplicial import (
@@ -90,7 +87,6 @@ __all__ = [
     "check_simplicial_compat",
     "coherence_defect",
     "cone",
-    "cylinder",
     "enumerate_d_objects",
     "enumerate_order_maps",
     "hom_complex",
@@ -122,7 +118,6 @@ __all__ = [
     "split_acyclic_cofibration",
     "structure_map",
     "validate_maurer_cartan",
-    "verify_mc_extension",
     "zero_complex",
 ]
 

@@ -135,7 +135,6 @@ def cmd_check(args: argparse.Namespace):
         for check, witness in lv.verdicts:
             report.add(check, alpha.key(), witness is None, witness)
     report.extend(is_homotopical(diagram, last_vertex))
-    del last_vertex  # free j and r of every frame before the frame rebuilds below
     n = s.n
     if n >= 1:
         for i in range(n + 1):

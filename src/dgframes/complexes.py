@@ -397,99 +397,6 @@ def cone(f: GradedMap) -> ChainComplex:
     return ChainComplex("Cone(%s->%s)" % (x.name, y.name), ranks, diffs, labels)
 
 
-def cylinder(f: GradedMap):
-    """Mapping cylinder of a chain map f : X -> Y.
-
-    Returns (cyl, in_src, in_tgt, proj).  Cyl(f)_d = X_d (+) Y_d (+) X_{d-1}
-    with differential
-
-        d(x, y, xbar) = (d x - xbar,  d y + f xbar,  -d xbar),
-
-    the summands being labelled "0|...", "1|..." and "0,1|..." in that order.
-    These labels and blocks coincide, entry for entry, with the cofibrant
-    resolution of a one-arrow diagram, which is what pins this sign choice.
-    ``proj`` is the standard projection collapsing the source end along f;
-    ``in_tgt`` is a chain homotopy equivalence.
-    """
-    if f.degree != 0:
-        raise ValueError("cylinder needs a degree-0 map")
-    if not f.is_cycle():
-        raise ValueError("cylinder needs a chain map")
-    x, y = f.source, f.target
-    degrees = sorted(set(x.support) | set(y.support) | {d + 1 for d in x.support})
-    ranks = {}
-    labels = {}
-    for d in degrees:
-        ranks[d] = x.rank(d) + y.rank(d) + x.rank(d - 1)
-        labels[d] = (
-            tuple("0|%s" % s for s in x.labels(d))
-            + tuple("1|%s" % s for s in y.labels(d))
-            + tuple("0,1|%s" % s for s in x.labels(d - 1))
-        )
-    diffs = {}
-    for d in degrees:
-        if not ranks.get(d - 1, 0) or not ranks[d]:
-            continue
-        diffs[d] = block(
-            [
-                [
-                    x.diff(d),
-                    IntMatrix.zeros(x.rank(d - 1), y.rank(d)),
-                    IntMatrix.identity(x.rank(d - 1)).scale(-1),
-                ],
-                [
-                    IntMatrix.zeros(y.rank(d - 1), x.rank(d)),
-                    y.diff(d),
-                    f.mat(d - 1),
-                ],
-                [
-                    IntMatrix.zeros(x.rank(d - 2), x.rank(d)),
-                    IntMatrix.zeros(x.rank(d - 2), y.rank(d)),
-                    x.diff(d - 1).scale(-1),
-                ],
-            ]
-        )
-    cyl = ChainComplex("Cyl(%s->%s)" % (x.name, y.name), ranks, diffs, labels)
-    in_src = GradedMap(
-        x,
-        cyl,
-        0,
-        {
-            d: IntMatrix.from_entries(
-                cyl.rank(d), x.rank(d), {(i, i): 1 for i in range(x.rank(d))}
-            )
-            for d in x.support
-            if cyl.rank(d)
-        },
-    )
-    in_tgt = GradedMap(
-        y,
-        cyl,
-        0,
-        {
-            d: IntMatrix.from_entries(
-                cyl.rank(d), y.rank(d), {(x.rank(d) + i, i): 1 for i in range(y.rank(d))}
-            )
-            for d in y.support
-            if cyl.rank(d)
-        },
-    )
-    proj_mats = {}
-    for d in cyl.support:
-        if not y.rank(d):
-            continue
-        entries = {}
-        fm = f.mat(d)
-        for i in range(y.rank(d)):
-            for j in range(x.rank(d)):
-                if fm[i, j]:
-                    entries[(i, j)] = fm[i, j]
-            entries[(i, x.rank(d) + i)] = 1
-        proj_mats[d] = IntMatrix.from_entries(y.rank(d), cyl.rank(d), entries)
-    proj = GradedMap(cyl, y, 0, proj_mats)
-    return cyl, in_src, in_tgt, proj
-
-
 # -- mapping complexes ------------------------------------------------------
 
 

@@ -68,6 +68,13 @@ class NerveSimplex:
         self._units: Dict[int, GradedMap] = {}
         self._zeros: Dict[tuple, GradedMap] = {}
 
+    @classmethod
+    def _trusted(cls, objects: Tuple[ChainComplex, ...], maps: Dict[tuple, GradedMap]) -> "NerveSimplex":
+        """A simplex from data that already meets every check of __init__."""
+        s = cls.__new__(cls)
+        s.objects, s.maps, s._units, s._zeros = objects, maps, {}, {}
+        return s
+
     @property
     def n(self) -> int:
         return len(self.objects) - 1
@@ -206,12 +213,13 @@ def act(sigma, s: NerveSimplex) -> NerveSimplex:
         raise ValueError("sigma must be a nondecreasing nonempty sequence")
     if values[0] < 0 or values[-1] > s.n:
         raise ValueError("sigma %r leaves [%d]" % (values, s.n))
-    objects = [s.objects[v] for v in values]
+    objects = tuple(s.objects[v] for v in values)
     maps = {}
     m = len(values) - 1
     for key in increasing_sequences(m):
         maps[key] = s.eval(tuple(values[i] for i in key))
-    return NerveSimplex(objects, maps)
+    # valid by construction: s.eval keeps the degree and endpoints of each key
+    return NerveSimplex._trusted(objects, maps)
 
 
 def make_strict(maps: Sequence[GradedMap], lone_object: Optional[ChainComplex] = None) -> NerveSimplex:

@@ -429,34 +429,3 @@ def kernel_basis(m: IntMatrix) -> list:
     s, _u, v = snf(m)
     r = sum(1 for i in range(min(m.rows, m.cols)) if s[i, i])
     return [tuple(v[i, j] for i in range(m.cols)) for j in range(r, m.cols)]
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a nonsquare matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and det(m) in (1, -1)

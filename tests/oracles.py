@@ -1,0 +1,154 @@
+"""Independent oracles that only the tests use.
+
+``cylinder`` is the mapping cylinder that criterion 3 compares the edge frame
+with, ``det`` and ``is_unimodular`` check the Smith-form transforms, and
+``verify_mc_extension`` fills the top cochain of a simplex and tests its
+coherence identity.
+"""
+
+from dgframes.complexes import ChainComplex, GradedMap
+from dgframes.dg_nerve import NerveSimplex, coherence_defect, increasing_sequences
+from dgframes.exact_linalg import IntMatrix, block
+
+
+def cylinder(f: GradedMap):
+    """Mapping cylinder of a chain map f : X -> Y.
+
+    Returns (cyl, in_src, in_tgt, proj).  Cyl(f)_d = X_d (+) Y_d (+) X_{d-1}
+    with differential
+
+        d(x, y, xbar) = (d x - xbar,  d y + f xbar,  -d xbar),
+
+    the summands being labelled "0|...", "1|..." and "0,1|..." in that order.
+    These labels and blocks coincide, entry for entry, with the cofibrant
+    resolution of a one-arrow diagram, which is what pins this sign choice.
+    ``proj`` is the standard projection collapsing the source end along f;
+    ``in_tgt`` is a chain homotopy equivalence.
+    """
+    if f.degree != 0:
+        raise ValueError("cylinder needs a degree-0 map")
+    if not f.is_cycle():
+        raise ValueError("cylinder needs a chain map")
+    x, y = f.source, f.target
+    degrees = sorted(set(x.support) | set(y.support) | {d + 1 for d in x.support})
+    ranks = {}
+    labels = {}
+    for d in degrees:
+        ranks[d] = x.rank(d) + y.rank(d) + x.rank(d - 1)
+        labels[d] = (
+            tuple("0|%s" % s for s in x.labels(d))
+            + tuple("1|%s" % s for s in y.labels(d))
+            + tuple("0,1|%s" % s for s in x.labels(d - 1))
+        )
+    diffs = {}
+    for d in degrees:
+        if not ranks.get(d - 1, 0) or not ranks[d]:
+            continue
+        diffs[d] = block(
+            [
+                [
+                    x.diff(d),
+                    IntMatrix.zeros(x.rank(d - 1), y.rank(d)),
+                    IntMatrix.identity(x.rank(d - 1)).scale(-1),
+                ],
+                [
+                    IntMatrix.zeros(y.rank(d - 1), x.rank(d)),
+                    y.diff(d),
+                    f.mat(d - 1),
+                ],
+                [
+                    IntMatrix.zeros(x.rank(d - 2), x.rank(d)),
+                    IntMatrix.zeros(x.rank(d - 2), y.rank(d)),
+                    x.diff(d - 1).scale(-1),
+                ],
+            ]
+        )
+    cyl = ChainComplex("Cyl(%s->%s)" % (x.name, y.name), ranks, diffs, labels)
+    in_src = GradedMap(
+        x,
+        cyl,
+        0,
+        {
+            d: IntMatrix.from_entries(
+                cyl.rank(d), x.rank(d), {(i, i): 1 for i in range(x.rank(d))}
+            )
+            for d in x.support
+            if cyl.rank(d)
+        },
+    )
+    in_tgt = GradedMap(
+        y,
+        cyl,
+        0,
+        {
+            d: IntMatrix.from_entries(
+                cyl.rank(d), y.rank(d), {(x.rank(d) + i, i): 1 for i in range(y.rank(d))}
+            )
+            for d in y.support
+            if cyl.rank(d)
+        },
+    )
+    proj_mats = {}
+    for d in cyl.support:
+        if not y.rank(d):
+            continue
+        entries = {}
+        fm = f.mat(d)
+        for i in range(y.rank(d)):
+            for j in range(x.rank(d)):
+                if fm[i, j]:
+                    entries[(i, j)] = fm[i, j]
+            entries[(i, x.rank(d) + i)] = 1
+        proj_mats[d] = IntMatrix.from_entries(y.rank(d), cyl.rank(d), entries)
+    proj = GradedMap(cyl, y, 0, proj_mats)
+    return cyl, in_src, in_tgt, proj
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a nonsquare matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    return m.rows == m.cols and det(m) in (1, -1)
+
+
+def verify_mc_extension(s_partial: NerveSimplex, candidate: GradedMap) -> bool:
+    """Whether filling the top cochain of a boundary-complete simplex with
+    ``candidate`` satisfies the coherence identity on the top sequence.
+
+    All cochains except possibly the top one must be present; the faces are
+    assumed coherent (their own identities are the caller's concern)."""
+    n = s_partial.n
+    if n < 1:
+        raise ValueError("a 0-simplex has no top cochain to extend")
+    top = tuple(range(n + 1))
+    for seq in increasing_sequences(n):
+        if seq != top and seq not in s_partial.maps:
+            raise ValueError("missing cochain at %s" % (seq,))
+    filled = dict(s_partial.maps)
+    filled[top] = candidate
+    completed = NerveSimplex(s_partial.objects, filled)
+    return coherence_defect(completed, top).is_zero()

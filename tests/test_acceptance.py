@@ -21,7 +21,6 @@ from dgframes.complexes import (
     ChainComplex,
     GradedMap,
     cone,
-    cylinder,
     hom_basis,
     hom_differential,
     homology,
@@ -59,6 +58,8 @@ from dgframes.simplicial import (
     enumerate_order_maps,
     is_weak_equivalence_d,
 )
+
+from oracles import cylinder
 
 CORPUS_SIZE = 200
 

@@ -385,16 +385,21 @@ PINNED_CASES = {
     "recover": (lambda: random_simplex(random.Random(5), 1, max_rank=4), ["recover"]),
     "frame-wide": (lambda: random_simplex(random.Random(7), 3), ["frame", "--alpha", "0,0,1,1,2,2,3,3"]),
     "check-text": (lambda: random_simplex(random.Random(6), 2), ["check", "--max-len", "1", "--format", "text"]),
+    "check-deep": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "3"]),
+    "check-deep-text": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "3", "--format", "text"]),
 }
 
 # sha256 of the stdout of each case, recorded before the JSON writer replaced
-# json.dumps(..., indent=2) in the CLI.
+# json.dumps(..., indent=2) in the CLI; the two check-deep cases were recorded
+# before simplicial-compat compared restrictions instead of rebuilding frames.
 PINNED_CASE_STDOUT = {
     "validate": "ab22d3289de446b0ea77622ae916eca0c3b90ae0db3ea4bba20e0cee20e04fff",
     "homology-torsion": "d83ae9befd3a50f9bf6627567e444c8fc54d6ddddf95828fc1a2bd6999a4f0bf",
     "recover": "e2ec3a51b16363a13731ff44793a7420182cab1ea88417dfae4e18e361cf4813",
     "frame-wide": "802253759d1a47f2201f44cf3a7be3adfe2316b3ae9758f3e72b10e52864c11d",
     "check-text": "b4ea22029115a2fc1d8e85ed5c91e286b0a83e221f8e4e55e05147c7f45cc1f8",
+    "check-deep": "9ffbc12ab0e13c1b3b7e801371e89b5c7fcc1d1610048c26e9d262af05554113",
+    "check-deep-text": "a1a16a685f4f4b6c0475ba7535dc7f298f91efd3400662e9ee702a7defa3af91",
 }
 
 

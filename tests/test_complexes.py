@@ -6,7 +6,6 @@ from dgframes.complexes import (
     ChainComplex,
     GradedMap,
     cone,
-    cylinder,
     graded_map_to_vector,
     hom_basis,
     hom_complex,
@@ -22,7 +21,9 @@ from dgframes.complexes import (
     vector_to_graded_map,
     zero_complex,
 )
-from dgframes.exact_linalg import IntMatrix, block, is_unimodular, mat_vec, solve
+from dgframes.exact_linalg import IntMatrix, block, mat_vec, solve
+
+from oracles import cylinder, is_unimodular
 
 
 def two_step(scalar, name="X"):

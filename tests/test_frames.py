@@ -6,7 +6,6 @@ from dgframes.complexes import (
     ChainComplex,
     GradedMap,
     cone,
-    cylinder,
     hom_differential,
     homology,
     is_acyclic,
@@ -19,6 +18,7 @@ from dgframes.complexes import (
 )
 from dgframes.dg_nerve import (
     NerveSimplex,
+    act,
     make_perturbed_2simplex,
     make_strict,
     random_simplex,
@@ -40,7 +40,6 @@ from dgframes.frames import (
     retraction,
     split_acyclic_cofibration,
     structure_map,
-    verify_mc_extension,
 )
 from dgframes.simplicial import (
     DMorphism,
@@ -49,6 +48,8 @@ from dgframes.simplicial import (
     enumerate_order_maps,
     is_weak_equivalence_d,
 )
+
+from oracles import cylinder, verify_mc_extension
 
 
 def point(name="pt", label="p"):
@@ -276,12 +277,15 @@ def test_is_reedy_cofibrant_flags_a_tampered_frame():
     )
     from dgframes.frames import FrameObject
 
-    diagram.objects[alpha] = FrameObject(s, alpha, bad, o.basis)
+    diagram.objects[alpha] = FrameObject(s, alpha, bad, o.basis, o.restriction)
     report = is_reedy_cofibrant(diagram)
     assert not report.ok
     failed = {(i.check, i.location) for i in report.failures()}
     assert ("latching-cokernel", "0,0") in failed
     assert ("latching-closure", "0,0") not in failed
+    # simplicial-compat reads restrictions only, and this one is intact
+    sigma = OrderMap((0,), 0)
+    assert check_simplicial_compat(sigma, diagram).ok
 
 
 # -- last-vertex data ----------------------------------------------------------
@@ -443,6 +447,75 @@ def test_check_simplicial_compat():
             report = check_simplicial_compat(sigma, diagram)
             assert report.ok, (sigma.key(), report.failures())
             assert len(report.items) == len(enumerate_d_objects(m, 2))
+
+
+def test_frame_factors_through_the_restriction():
+    """B_s(alpha) and B_{act(alpha, s)}(id) are equal complexes, labels
+    included, for every frame of a 3-simplex up to domain size 3."""
+    s = random_simplex(random.Random(7), 3)
+    alphas = enumerate_d_objects(3, 3)
+    assert len(alphas) == 69
+    for alpha in alphas:
+        m = alpha.dom
+        rebuilt = build_frame_object(act(alpha, s), OrderMap(tuple(range(m + 1)), m))
+        assert build_frame_object(s, alpha).complex == rebuilt.complex, alpha.key()
+
+
+def _rebuilt_compat_verdicts(sigma, diagram):
+    """check_simplicial_compat's verdicts as they were decided before it
+    compared restrictions: build every left frame afresh over act(sigma, s)
+    and compare it with the diagram's frame as a literal complex."""
+    t = act(sigma, diagram.simplex)
+    return [
+        build_frame_object(t, alpha, check=False).complex == diagram.objects[sigma.compose(alpha)].complex
+        for alpha in enumerate_d_objects(sigma.dom, diagram.max_len)
+    ]
+
+
+def test_restriction_verdict_equals_the_rebuild_verdict():
+    """Over criterion 8's simplices and one simplex that fails Maurer-Cartan,
+    the reported verdict of every (sigma, alpha) item equals the verdict of
+    rebuilding the frame."""
+    rng = random.Random(800)
+    sims = []
+    for n in range(3):
+        sims.append(random_simplex(rng, n, perturb=False))
+        if n >= 2:
+            sims.append(random_simplex(rng, n, perturb=True))
+    w = ChainComplex("W", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    e = GradedMap(w, w, 1, {0: IntMatrix.from_rows([[1]])})
+    valid = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
+    invalid = NerveSimplex(valid.objects, {**valid.maps, (0, 1, 2): e.scale(2)})
+    assert not validate_maurer_cartan(invalid).ok
+    sims.append(invalid)
+    for s in sims:
+        diagram = build_frame_diagram(s, max_len=2, check=False)
+        for m in range(3):
+            for sigma in enumerate_order_maps(s.n, m):
+                expected = _rebuilt_compat_verdicts(sigma, diagram)
+                reported = [i.status == "pass" for i in check_simplicial_compat(sigma, diagram).items]
+                assert reported == expected, (s, sigma.key())
+
+
+def test_simplicial_compat_fails_on_a_swapped_frame():
+    """Swap the frame at <0,1> for the frame of another simplex on the same
+    objects: exactly the items landing on it fail, with ``frames differ``."""
+    x = ChainComplex("X", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    s = make_strict([GradedMap.identity(x)])
+    other = make_strict([GradedMap.identity(x).scale(-1)])
+    edge = OrderMap((0, 1), 1)
+    diagram = build_frame_diagram(s, max_len=2)
+    diagram.objects[edge] = build_frame_object(other, edge)
+    assert diagram.objects[edge].complex != build_frame_object(s, edge).complex
+
+    failed = []
+    landing = 0
+    for m in range(3):
+        for sigma in enumerate_order_maps(1, m):
+            landing += sum(sigma.compose(a) == edge for a in enumerate_d_objects(m, 2))
+            failed.extend(check_simplicial_compat(sigma, diagram).failures())
+    assert landing == len(failed) > 1
+    assert all(i.witness == "frames differ" for i in failed)
 
 
 # -- splitting, recovery, extension ---------------------------------------------
