@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from dgframes.frames import (
     build_frame_object,
     check_last_vertex,
     check_simplicial_compat,
+    homotopy,
     include_last,
     is_homotopical,
     is_reedy_cofibrant,
@@ -41,6 +43,7 @@ from dgframes.frames import (
     split_acyclic_cofibration,
     structure_map,
 )
+from dgframes.reporting import canonical_json
 from dgframes.simplicial import (
     DMorphism,
     OrderMap,
@@ -148,6 +151,54 @@ def test_build_frame_object_validation():
     assert set(payload) == {"alpha", "degrees", "labels", "differentials"}
     # deterministic: building twice gives the same complex
     assert build_frame_object(s, OrderMap((0, 1), 1)).complex == o.complex
+
+
+# Seeded frames, their last-vertex maps, latching data and structure maps,
+# pinned by sha256 of their canonical JSON.  The cases cover n = 2 and 3 and
+# degenerate alpha of length 3 and 4.
+PINNED_FRAME_CASES = {
+    (71, 2): [(0, 1, 1), (0, 0, 2), (0, 1, 1, 2), (1, 1, 1, 2), (2,)],
+    (72, 3): [(0, 1, 1, 3), (1, 1, 2), (0, 2, 3), (0, 0, 3, 3)],
+}
+
+
+def _frame_case_payload(seed, n):
+    s = random_simplex(random.Random(seed), n)
+    objects = []
+    for values in PINNED_FRAME_CASES[seed, n]:
+        o = build_frame_object(s, OrderMap(values, n))
+        sub, incl, coker = latching_data(o)
+        objects.append(
+            {
+                "frame": o.to_json(),
+                "retraction": retraction(o).to_json(),
+                "homotopy": homotopy(o).to_json(),
+                "latching": {
+                    "sub": sub.to_json(),
+                    "sub_labels": {str(d): list(sub.labels(d)) for d in sub.support},
+                    "incl": incl.to_json(),
+                    "coker": coker.to_json(),
+                    "coker_labels": {str(d): list(coker.labels(d)) for d in coker.support},
+                },
+            }
+        )
+    diagram = build_frame_diagram(s, max_len=2)
+    structure = {frames._morphism_key(mor): g.to_json() for mor, g in diagram.morphisms.items()}
+    return {"objects": objects, "structure_maps": structure}
+
+
+PINNED_FRAME_DIGESTS = {
+    (71, 2): "db958efe7bb526f06d66919da17335a4f24d71bc53fff52fe07922c00f9a2efe",
+    (72, 3): "3827c6ddc640852e887363c0caf47a1b3d249cfeb107e8c12ddff0a8aca4cfa3",
+}
+
+
+@pytest.mark.parametrize("seed,n", sorted(PINNED_FRAME_CASES))
+def test_frame_maps_are_pinned(seed, n):
+    """Frame, r, h, latching data and every structure map of a max-len-2
+    diagram hash to the digests recorded before the block-layout builder."""
+    payload = canonical_json(_frame_case_payload(seed, n))
+    assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == PINNED_FRAME_DIGESTS[seed, n]
 
 
 def test_summand_inclusions_assemble_the_basis():
