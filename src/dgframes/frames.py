@@ -16,10 +16,17 @@ differential making the tuple of summand inclusions a closed degree-0
 element of the twisted mapping complex; d^2 = 0 is equivalent to the
 Maurer-Cartan identity for f and is asserted on construction.
 
-Basis and labels are canonical so that equality of frame values is literal:
-subsets are ordered by size then lexicographically, then by source basis
-order, and a pair (S, e) is labelled "s_0,...,s_k|<label of e>".  A singleton
-alpha produces X_{alpha(0)} itself, labels included.
+The basis lists the summands in the order of nonempty_subsets (by size,
+then lexicographically), each in the basis order of its source, so the full
+subset [m] comes last.  ``FrameObject.blocks`` records this layout, and a
+basis element of the S summand is labelled "s_0,...,s_k|<its source label>".
+A singleton alpha produces X_{alpha(0)} itself, labels included.
+
+Every map here between frames and their summands is a sum of signed blocks
+between summands: the differential, the summand and latching inclusions,
+the structure maps, and the last-vertex retraction and homotopy.  Each is
+described per column subset as a list of (row offset, sign, block) and put
+together by one assembler; every sign is (-1)^e of an exponent e.
 
 B(alpha) reads the simplex only through its restriction act(alpha, s): the
 objects X_{alpha(i)} and the cochains on the alpha-images of increasing
@@ -69,24 +76,22 @@ from .simplicial import (
 
 
 class FrameObject:
-    """One value B(alpha), with its basis bookkeeping.
+    """One value B(alpha), with its block layout.
 
-    ``basis`` maps each degree to the tuple of pairs (S, e): S an increasing
-    tuple of indices in [alpha.dom], e the index of a basis element of
-    X_{alpha(S[0])} in degree d - (len(S) - 1).  ``position`` inverts it.
-    ``restriction`` is act(alpha, simplex), all the complex was built from.
+    ``blocks[d]`` maps each subset S (an increasing tuple of indices in
+    [alpha.dom]) whose summand X_{alpha(S[0])}[len(S) - 1] is nonzero in
+    degree d to (first column, width), in basis order: the blocks are
+    contiguous and cover [0, rank d), and the width is the rank of
+    X_{alpha(S[0])} in degree d - (len(S) - 1).  ``restriction`` is
+    act(alpha, simplex), all the complex was built from.
     """
 
-    def __init__(self, simplex: NerveSimplex, alpha: OrderMap, complex: ChainComplex, basis, restriction):
+    def __init__(self, simplex: NerveSimplex, alpha: OrderMap, complex: ChainComplex, blocks, restriction):
         self.simplex = simplex
         self.alpha = alpha
         self.complex = complex
-        self.basis: Dict[int, tuple] = dict(basis)
+        self.blocks: Dict[int, Dict[tuple, Tuple[int, int]]] = dict(blocks)
         self.restriction = restriction
-
-    @cached_property
-    def position(self) -> Dict[int, Dict[tuple, int]]:
-        return {d: {pair: c for c, pair in enumerate(pairs)} for d, pairs in self.basis.items()}
 
     @cached_property
     def d2_defects(self) -> List[int]:
@@ -104,11 +109,9 @@ class FrameObject:
         x = self.source_complex(subset)
         mats = {}
         for t in x.support:
-            pos = self.position.get(t + k)
-            if pos is None:
-                continue
-            entries = {(pos[(subset, i)], i): 1 for i in range(x.rank(t))}
-            mats[t] = IntMatrix.from_entries(self.complex.rank(t + k), x.rank(t), entries)
+            width = x.rank(t)
+            row = self.blocks[t + k][subset][0]
+            mats[t] = _assemble(self.complex.rank(t + k), width, [(0, width, [(row, 1, None)])])
         return GradedMap(x, self.complex, k, mats)
 
     def __repr__(self):
@@ -142,56 +145,71 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap, check: bool = True) -> 
     ]
     degrees = sorted({t + k for _, k, x, _ in summands for t in x.support})
 
-    # the (S, e) pairs of a degree are contiguous per subset; offset[d][S] is
-    # the column of (S, 0)
-    basis: Dict[int, tuple] = {}
+    blocks: Dict[int, Dict[tuple, Tuple[int, int]]] = {}
     labels: Dict[int, tuple] = {}
-    offset: Dict[int, Dict[tuple, int]] = {}
     for d in degrees:
-        pairs: List[tuple] = []
+        spans = blocks[d] = {}
         labs: List[str] = []
-        starts = offset[d] = {}
         for S, k, x, prefix in summands:
-            rank = x.rank(d - k)
-            if rank:
-                starts[S] = len(pairs)
-                pairs.extend((S, e) for e in range(rank))
+            width = x.rank(d - k)
+            if width:
+                spans[S] = (len(labs), width)
                 labs.extend(x.labels(d - k) if lone else [prefix + lab for lab in x.labels(d - k)])
-        basis[d] = tuple(pairs)
         labels[d] = tuple(labs)
 
     diffs = {}
     for d in degrees:
-        if d - 1 not in basis:
+        rows = blocks.get(d - 1)
+        if rows is None:
             continue
-        rows = offset[d - 1]
-        grid = [[0] * len(basis[d]) for _ in basis[d - 1]]
-        for S, k, x, _ in summands:
-            col = offset[d].get(S)
-            if col is None:
-                continue
+        columns = []
+        for S, (col, width) in blocks[d].items():
+            k = len(S) - 1
             ds = d - k
-            _add_block(grid, rows.get(S), col, x.diff(ds), -1 if k % 2 else 1)
+            terms = [(rows[S][0], _sign(k), r.objects[S[0]].diff(ds))] if S in rows else []
             for j in range(1, k + 1):
-                face = rows[S[:j] + S[j + 1 :]]
-                sgn = -1 if j % 2 else 1
-                for e in range(x.rank(ds)):
-                    grid[face + e][col + e] += sgn
-                _add_block(grid, rows.get(S[j:]), col, r.maps[S[: j + 1]].mat(ds), -1 if (k * (j - 1)) % 2 else 1)
-        diffs[d] = IntMatrix._trusted(len(grid), len(basis[d]), tuple(map(tuple, grid)))
+                terms.append((rows[S[:j] + S[j + 1 :]][0], _sign(j), None))
+                if S[j:] in rows:
+                    terms.append((rows[S[j:]][0], _sign(k * (j - 1)), r.maps[S[: j + 1]].mat(ds)))
+            columns.append((col, width, terms))
+        diffs[d] = _assemble(len(labels[d - 1]), len(labels[d]), columns)
 
-    cx = ChainComplex("B(%s)" % alpha.key(), {d: len(p) for d, p in basis.items()}, diffs, labels, check=check)
-    return FrameObject(s, alpha, cx, basis, r)
+    cx = ChainComplex("B(%s)" % alpha.key(), {d: len(labs) for d, labs in labels.items()}, diffs, labels, check=check)
+    return FrameObject(s, alpha, cx, blocks, r)
 
 
-def _add_block(grid, row: Optional[int], col: int, m: IntMatrix, sign: int):
-    """grid[row + i][col + e] += sign * m[i, e]; ``row`` may be None only when
-    m has no rows."""
-    for i, mrow in enumerate(m.data):
-        out = grid[row + i]
-        for e, v in enumerate(mrow):
-            if v:
-                out[col + e] += sign * v
+def _sign(e: int) -> int:
+    """(-1)^e."""
+    return -1 if e % 2 else 1
+
+
+def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
+    """The n_rows x n_cols matrix of a map given block by block.
+
+    ``columns`` lists (col, width, terms): on columns col .. col + width - 1
+    the matrix is the sum, over (row, sign, block) in ``terms``, of sign times
+    the block with its top row at ``row``, a block of None standing for the
+    width x width identity.  Columns not listed are zero, and rows that no
+    block reaches share one zero row."""
+    grid: List[Optional[list]] = [None] * n_rows
+    for col, width, terms in columns:
+        for row, sign, m in terms:
+            if m is None:
+                for e in range(width):
+                    out = grid[row + e]
+                    if out is None:
+                        out = grid[row + e] = [0] * n_cols
+                    out[col + e] += sign
+                continue
+            for i, mrow in enumerate(m.data, row):
+                out = grid[i]
+                for e, v in enumerate(mrow, col):
+                    if v:
+                        if out is None:
+                            out = grid[i] = [0] * n_cols
+                        out[e] += sign * v
+    zero = (0,) * n_cols
+    return IntMatrix._trusted(n_rows, n_cols, tuple(zero if out is None else tuple(out) for out in grid))
 
 
 class FrameDiagram:
@@ -218,12 +236,10 @@ def build_frame_diagram(s: NerveSimplex, max_len: int = 3, check: bool = True) -
 
 def _structure_matrix(src: FrameObject, tgt: FrameObject, inj) -> GradedMap:
     mats = {}
-    for d, pairs in src.basis.items():
-        pos = tgt.position[d]
-        entries = {}
-        for col, (S, e) in enumerate(pairs):
-            entries[(pos[(tuple(inj[i] for i in S), e)], col)] = 1
-        mats[d] = IntMatrix.from_entries(tgt.complex.rank(d), src.complex.rank(d), entries)
+    for d, spans in src.blocks.items():
+        rows = tgt.blocks[d]
+        columns = [(col, width, [(rows[tuple(inj[i] for i in S)][0], 1, None)]) for S, (col, width) in spans.items()]
+        mats[d] = _assemble(tgt.complex.rank(d), src.complex.rank(d), columns)
     return GradedMap(src.complex, tgt.complex, 0, mats)
 
 
@@ -245,54 +261,45 @@ def _morphism_key(mor: DMorphism) -> str:
 def latching_data(o: FrameObject):
     """(sub, incl, coker) for the latching filtration of one frame value.
 
-    ``sub`` spans the basis pairs whose subset is proper (the image of the
-    latching map), ``incl`` is the evident basis inclusion, and ``coker`` is
-    the complementary span of full-subset pairs with the induced differential,
-    carrying the labels of the source complex so that the expected literal
-    equality coker == shift(X_{alpha(0)}, m) can be tested directly.
+    ``sub`` spans the summands of proper subsets (the image of the latching
+    map), ``incl`` is the evident basis inclusion, and ``coker`` is the
+    complementary span of the full-subset summand with the induced
+    differential, carrying the labels of the source complex so that the
+    expected literal equality coker == shift(X_{alpha(0)}, m) can be tested
+    directly.
 
     Both sub and coker are built without the d^2 check so that deliberately
     corrupted fixtures are reported by the check suite rather than raising.
     """
-    return _latching(o)[:3]
+    c = o.complex
+    m = o.alpha.dom
+    proper, full = _latching_spans(o)
+
+    def span_complex(name, idx, labels):
+        diffs = {d: submatrix(c.diff(d), idx[d - 1], cols) for d, cols in idx.items() if d - 1 in idx}
+        return ChainComplex(name % o.alpha.key(), {d: len(cols) for d, cols in idx.items()}, diffs, labels, check=False)
+
+    sub = span_complex("L(%s)", proper, {d: c.labels(d)[: len(cols)] for d, cols in proper.items()})
+    incl_mats = {d: _assemble(c.rank(d), len(cols), [(0, len(cols), [(0, 1, None)])]) for d, cols in proper.items()}
+    x = o.restriction.objects[0]
+    coker = span_complex("B/L(%s)", full, {d: x.labels(d - m) for d in full})
+    return sub, GradedMap(sub, c, 0, incl_mats), coker
 
 
-def _latching(o: FrameObject):
-    """latching_data plus, per degree, the basis positions of the proper-subset
-    pairs and of the full-subset pairs."""
-    alpha = o.alpha
-    m = alpha.dom
-    x = o.simplex.objects[alpha(0)]
-    sub_idx: Dict[int, list] = {}
-    coker_idx: Dict[int, list] = {}
-    for d, pairs in o.basis.items():
-        sub_idx[d] = [c for c, (S, e) in enumerate(pairs) if len(S) <= m]
-        coker_idx[d] = [c for c, (S, e) in enumerate(pairs) if len(S) == m + 1]
-
-    sub_ranks = {d: len(v) for d, v in sub_idx.items() if v}
-    sub_labels = {
-        d: tuple(o.complex.labels(d)[c] for c in sub_idx[d]) for d in sub_ranks
-    }
-    sub_diffs = {}
-    for d in sub_ranks:
-        if sub_ranks.get(d - 1):
-            sub_diffs[d] = submatrix(o.complex.diff(d), sub_idx[d - 1], sub_idx[d])
-    sub = ChainComplex("L(%s)" % alpha.key(), sub_ranks, sub_diffs, sub_labels, check=False)
-
-    incl_mats = {}
-    for d in sub_ranks:
-        entries = {(c, col): 1 for col, c in enumerate(sub_idx[d])}
-        incl_mats[d] = IntMatrix.from_entries(o.complex.rank(d), sub_ranks[d], entries)
-    incl = GradedMap(sub, o.complex, 0, incl_mats)
-
-    coker_ranks = {d: len(v) for d, v in coker_idx.items() if v}
-    coker_labels = {d: x.labels(d - m) for d in coker_ranks}
-    coker_diffs = {}
-    for d in coker_ranks:
-        if coker_ranks.get(d - 1):
-            coker_diffs[d] = submatrix(o.complex.diff(d), coker_idx[d - 1], coker_idx[d])
-    coker = ChainComplex("B/L(%s)" % alpha.key(), coker_ranks, coker_diffs, coker_labels, check=False)
-    return sub, incl, coker, sub_idx, coker_idx
+def _latching_spans(o: FrameObject):
+    """(proper, full): per degree, the basis positions of the proper-subset
+    summands and those of the full-subset summand, which comes last in basis
+    order; degrees where a span is empty are left out."""
+    top = tuple(range(o.alpha.dom + 1))
+    proper, full = {}, {}
+    for d, spans in o.blocks.items():
+        rank = o.complex.rank(d)
+        start = spans[top][0] if top in spans else rank
+        if start:
+            proper[d] = range(start)
+        if start < rank:
+            full[d] = range(start, rank)
+    return proper, full
 
 
 def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
@@ -301,13 +308,11 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
     complementary quotient equals shift(X_{alpha(0)}, m) literally."""
     report = Report()
     for alpha, o in diagram.objects.items():
-        sub, incl, coker, proper_idx, full_idx = _latching(o)
+        sub, incl, coker = latching_data(o)
+        proper, full = _latching_spans(o)
         ok_closed, wit_closed = True, None
-        for d in o.complex.support:
-            if not proper_idx.get(d) or not full_idx.get(d - 1):
-                continue
-            leak = submatrix(o.complex.diff(d), full_idx[d - 1], proper_idx[d])
-            if not leak.is_zero():
+        for d, cols in proper.items():
+            if d - 1 in full and not submatrix(o.complex.diff(d), full[d - 1], cols).is_zero():
                 ok_closed, wit_closed = False, "differential leaves the latching span at degree %d" % d
                 break
         report.add("latching-closure", alpha.key(), ok_closed, wit_closed)
@@ -344,47 +349,39 @@ def retraction(o: FrameObject) -> GradedMap:
     other summand containing a.
     """
     a = o.alpha.dom
-    last = o.alpha(a)
-    tgt = o.simplex.objects[last]
-    subsets = nonempty_subsets(a)
-    cochains: Dict[tuple, GradedMap] = {}
+    r = o.restriction
+    tgt = r.objects[a]
     mats = {}
-    for d, pairs in o.basis.items():
+    for d, spans in o.blocks.items():
         if not tgt.rank(d):
             continue
-        grid = [[0] * len(pairs) for _ in range(tgt.rank(d))]
-        col = 0
-        for S in subsets:  # the basis lists each subset's pairs together, in this order
-            k = len(S) - 1
-            width = o.source_complex(S).rank(d - k)
-            if width:
-                g = cochains.get(S)
-                if g is None:
-                    g = cochains[S] = o.simplex.eval(tuple(o.alpha(t) for t in S) + (last,))
-                _add_block(grid, 0, col, g.mat(d - k), -1 if k % 2 else 1)
-                col += width
-        mats[d] = IntMatrix._trusted(len(grid), len(pairs), tuple(map(tuple, grid)))
+        columns = []
+        for S, (col, width) in spans.items():
+            if S == (a,):
+                columns.append((col, width, [(0, 1, None)]))
+            elif S[-1] != a:
+                k = len(S) - 1
+                columns.append((col, width, [(0, _sign(k), r.maps[S + (a,)].mat(d - k))]))
+        mats[d] = _assemble(tgt.rank(d), o.complex.rank(d), columns)
     return GradedMap(o.complex, tgt, 0, mats)
 
 
 def homotopy(o: FrameObject) -> GradedMap:
     """The degree-1 map h : B -> B with D(h) = include_last o retraction - id.
 
-    It sends the (S, e) generator to (S u {a}, e) with sign (-1)^{|S|-1} when
-    a is not in S, and to zero otherwise.
+    It sends the S summand to the S u {a} summand, as the identity of
+    X_{alpha(s_0)} with sign (-1)^{|S|-1}, when a is not in S, and to zero
+    otherwise.
     """
     a = o.alpha.dom
     mats = {}
-    for d, pairs in o.basis.items():
-        pos_up = o.position.get(d + 1, {})
-        entries = {}
-        for col, (S, e) in enumerate(pairs):
-            if S[-1] == a:
-                continue
-            sgn = -1 if (len(S) - 1) % 2 else 1
-            entries[(pos_up[(S + (a,), e)], col)] = sgn
-        if entries:
-            mats[d] = IntMatrix.from_entries(o.complex.rank(d + 1), o.complex.rank(d), entries)
+    for d, spans in o.blocks.items():
+        columns = [
+            (col, width, [(o.blocks[d + 1][S + (a,)][0], _sign(len(S) - 1), None)])
+            for S, (col, width) in spans.items()
+            if S[-1] != a
+        ]
+        mats[d] = _assemble(o.complex.rank(d + 1), o.complex.rank(d), columns)
     return GradedMap(o.complex, o.complex, 1, mats)
 
 

@@ -222,6 +222,22 @@ def test_summand_inclusions_assemble_the_basis():
                         seen[t + len(S) - 1][i] += 1
     assert all(all(v == 1 for v in row) for row in seen.values())
 
+    # the layout: per degree, one block per summand of positive rank, in
+    # subset order, contiguous over [0, rank), each as wide as its source in
+    # that degree and labelled with its subset
+    assert sorted(o.blocks) == list(o.complex.support)
+    for d, spans in o.blocks.items():
+        ranks = {S: o.source_complex(S).rank(d - (len(S) - 1)) for S in nonempty_subsets(alpha.dom)}
+        assert list(spans) == [S for S, rank in ranks.items() if rank]
+        col = 0
+        for S, (start, width) in spans.items():
+            assert (start, width) == (col, ranks[S])
+            prefix = ",".join(map(str, S)) + "|"
+            labels = o.complex.labels(d)[start : start + width]
+            assert labels == tuple(prefix + lab for lab in o.source_complex(S).labels(d - (len(S) - 1)))
+            col += width
+        assert col == o.complex.rank(d)
+
 
 # -- structure maps ------------------------------------------------------------
 
@@ -328,7 +344,7 @@ def test_is_reedy_cofibrant_flags_a_tampered_frame():
     )
     from dgframes.frames import FrameObject
 
-    diagram.objects[alpha] = FrameObject(s, alpha, bad, o.basis, o.restriction)
+    diagram.objects[alpha] = FrameObject(s, alpha, bad, o.blocks, o.restriction)
     report = is_reedy_cofibrant(diagram)
     assert not report.ok
     failed = {(i.check, i.location) for i in report.failures()}
