@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
+from operator import add
 from typing import Dict, Mapping, Optional, Tuple
 
 from .exact_linalg import (
@@ -306,7 +308,7 @@ class GradedMap:
 
     def is_cycle(self) -> bool:
         """Whether D(f) = 0; in degree 0 this says f is a chain map."""
-        return hom_differential(self).is_zero()
+        return cycle_defect(self) is None
 
     def __repr__(self):
         return "GradedMap(%s -> %s, degree %d)" % (self.source.name, self.target.name, self.degree)
@@ -355,6 +357,104 @@ def hom_differential(f: GradedMap) -> GradedMap:
         m = y.diff(d + r) @ f.mat(d) + (f.mat(d - 1) @ x.diff(d)).scale(sign)
         mats[d] = m
     return GradedMap(x, y, r - 1, mats)
+
+
+# -- identities decided column by column --------------------------------------
+#
+# An identity between graded maps, such as D(f) = 0 or f o g = h, is decided
+# one degree and one column at a time from the stored matrices: no product,
+# sum or scaled copy of a whole matrix is formed.  Column c of A o B is the
+# sum of the columns of A named by the nonzeros of column c of B, so a basis
+# inclusion B costs one gather per column.  Every matrix takes the same path,
+# whatever its entries, and the first nonzero column ends the test.
+
+
+def combination_is_zero(height: int, width: int, terms) -> bool:
+    """Whether the height x width sum of the ``terms`` is zero.
+
+    A term (c, A, B) of IntMatrix A and B stands for c * A o B, (c, None, B)
+    for c * B, and (c, None, None), in a square sum, for c times the identity.
+    Column col of the sum adds, for each term, c * v times column k of A for
+    each nonzero v = B[k, col], c times column col of B, or c at row col; the
+    zeros of B are skipped."""
+    columns = [
+        (c, None if a is None else tuple(zip(*a.data)), None if b is None else (range(b.rows), zip(*b.data)))
+        for c, a, b in terms
+    ]
+    for col in range(width):
+        acc = None  # column col of the sum, None while it is zero
+        for c, a, b in columns:
+            if b is None:
+                if acc is None:
+                    acc = [0] * height
+                acc[col] += c
+                continue
+            rows, b_cols = b
+            b_col = next(b_cols)
+            if a is None:
+                part = b_col if c == 1 else map(c.__mul__, b_col)
+                acc = list(part) if acc is None else list(map(add, acc, part))
+                continue
+            for k in compress(rows, b_col):
+                v = c * b_col[k]
+                part = a[k] if v == 1 else map(v.__mul__, a[k])
+                acc = list(part) if acc is None else list(map(add, acc, part))
+        if acc is not None and any(acc):
+            return False
+    return True
+
+
+def first_defect(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> Optional[int]:
+    """The first degree d of x where the terms_at(d) of combination_is_zero,
+    maps X_d -> Y_{d+r}, do not sum to zero; None if there is none."""
+    return next((d for d in x.support if not combination_is_zero(y.rank(d + r), x.rank(d), terms_at(d))), None)
+
+
+def _product(c: int, a: Optional[IntMatrix], b: Optional[IntMatrix]) -> tuple:
+    return () if a is None or b is None else ((c, a, b),)
+
+
+def composite_term(c: int, f: GradedMap, g: GradedMap, d: int) -> tuple:
+    """c * f o g at source degree d as terms of combination_is_zero; none
+    when f or g stores no matrix there, since the composite is then zero."""
+    return _product(c, f._mats.get(d + g.degree), g._mats.get(d))
+
+
+def map_term(c: int, f: GradedMap, d: int) -> tuple:
+    """c * f at source degree d as terms of combination_is_zero."""
+    b = f._mats.get(d)
+    return () if b is None else ((c, None, b),)
+
+
+def identity_term(c: int) -> tuple:
+    """c times the identity as terms of combination_is_zero."""
+    return ((c, None, None),)
+
+
+def differential_terms(f: GradedMap, d: int) -> tuple:
+    """D(f) = d_Y o f - (-1)^|f| f o d_X at source degree d, as terms of
+    combination_is_zero."""
+    x, y, r = f.source, f.target, f.degree
+    return _product(1, y._diffs.get(d + r), f._mats.get(d)) + _product(
+        1 if r % 2 else -1, f._mats.get(d - 1), x._diffs.get(d)
+    )
+
+
+def cycle_defect(f: GradedMap) -> Optional[int]:
+    """The first degree where D(f) != 0, or None when f is a cycle.  Unlike
+    hom_differential, this forms neither D(f) nor its terms."""
+    return first_defect(f.source, f.target, f.degree - 1, lambda d: differential_terms(f, d))
+
+
+def composite_equals(f: GradedMap, g: GradedMap, h: GradedMap) -> bool:
+    """Whether f o g == h, as GradedMap.__eq__ decides it, without forming
+    f o g.  ValueError when f o g is not defined, as for ``f @ g``."""
+    if g.target is not f.source and g.target != f.source:
+        raise ValueError("composition endpoints do not match")
+    # tuples compare their items by identity first, then by ==
+    if f.degree + g.degree != h.degree or (g.source, f.target) != (h.source, h.target):
+        return False
+    return first_defect(h.source, h.target, h.degree, lambda d: composite_term(1, f, g, d) + map_term(-1, h, d)) is None
 
 
 def shift(x: ChainComplex, n: int) -> ChainComplex:

@@ -94,6 +94,11 @@ class NerveSimplex:
             raise ValueError("sequence %r leaves [%d]" % (seq, self.n))
         if any(b < a for a, b in zip(seq, seq[1:])):
             raise ValueError("sequence %r is not nondecreasing" % (seq,))
+        return self._lookup(seq)
+
+    def _lookup(self, seq: tuple) -> GradedMap:
+        """eval on a tuple of ints already known to be a nondecreasing
+        sequence in [n] of length >= 2."""
         if len(seq) == 2 and seq[0] == seq[1]:
             unit = self._units.get(seq[0])
             if unit is None:
@@ -217,8 +222,9 @@ def act(sigma, s: NerveSimplex) -> NerveSimplex:
     maps = {}
     m = len(values) - 1
     for key in increasing_sequences(m):
-        maps[key] = s.eval(tuple(values[i] for i in key))
-    # valid by construction: s.eval keeps the degree and endpoints of each key
+        # nondecreasing and in [n], since values is and key increases
+        maps[key] = s._lookup(tuple(values[i] for i in key))
+    # valid by construction: s._lookup keeps the degree and endpoints of each key
     return NerveSimplex._trusted(objects, maps)
 
 

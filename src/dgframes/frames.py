@@ -52,11 +52,18 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import (
     ChainComplex,
     GradedMap,
+    combination_is_zero,
+    composite_equals,
+    composite_term,
     cone,
+    cycle_defect,
+    differential_terms,
+    first_defect,
     graded_map_to_vector,
     hom_basis,
     hom_differential,
     homology,
+    identity_term,
     is_acyclic,
     is_weak_equivalence,
     shift,
@@ -319,8 +326,7 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
 
         ok_split, wit_split = True, None
         for d in sub.support:
-            fac = invariant_factors(incl.mat(d))
-            if len(fac) != sub.rank(d) or any(v != 1 for v in fac):
+            if not _split_by_transpose(incl.mat(d)):
                 ok_split, wit_split = False, "inclusion is not split at degree %d" % d
                 break
         report.add("latching-split", alpha.key(), ok_split, wit_split)
@@ -329,6 +335,13 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
         wit_coker = None if ok_coker else "quotient differs from the shifted source"
         report.add("latching-cokernel", alpha.key(), ok_coker, wit_coker)
     return report
+
+
+def _split_by_transpose(m: IntMatrix) -> bool:
+    """Whether m^T o m = id, decided like the last-vertex identities.  This
+    holds exactly when every column of m is +-e_i with distinct i, and then
+    m^T is a retraction of m."""
+    return combination_is_zero(m.cols, m.cols, ((1, m.transpose(), m),) + identity_term(-1))
 
 
 # -- last-vertex inclusion, retraction, homotopy -------------------------------
@@ -395,32 +408,43 @@ class LastVertexCheck:
     (check, witness) pair per last-vertex identity, the witness None when the
     identity holds.  The homotopy h is checked but not kept."""
 
-    __slots__ = ("j", "r", "verdicts")
+    __slots__ = ("j", "r", "verdicts", "holds")
 
     def __init__(self, j: GradedMap, r: GradedMap, verdicts: Tuple[Tuple[str, Optional[str]], ...]):
         self.j, self.r, self.verdicts = j, r, verdicts
-
-    @property
-    def holds(self) -> bool:
-        return all(w is None for _, w in self.verdicts)
+        self.holds = all(w is None for _, w in verdicts)
 
 
 def check_last_vertex(o: FrameObject) -> LastVertexCheck:
     """Check that j and r are chain maps, r o j = id and D(h) = j o r - id,
-    naming the first failing identity and degree of each."""
+    naming the first failing identity and degree of each.  Each identity is
+    decided column by column from the stored entries (see
+    complexes.combination_is_zero); ValueError when the maps do not fit
+    together as X -> B -> X and B -> B of degree 1."""
     j, r, h = last_vertex_data(o)
-    chain = _nonzero_at(hom_differential(j), "D(j) != 0") or _nonzero_at(hom_differential(r), "D(r) != 0")
-    section = _nonzero_at((r @ j) - GradedMap.identity(j.source), "r o j != id")
-    htpy = _nonzero_at(hom_differential(h) - ((j @ r) - GradedMap.identity(o.complex)), "D(h) != j o r - id")
+    b, x = o.complex, j.source
+    ends = (j.target, r.source, r.target, h.source, h.target)
+    if ends != (b, b, x, b, b) or (j.degree, r.degree, h.degree) != (0, 0, 1):
+        raise ValueError("the last-vertex maps of B(%s) do not fit together" % o.alpha.key())
+    chain = _at(cycle_defect(j), "D(j) != 0") or _at(cycle_defect(r), "D(r) != 0")
+
+    def section_terms(d):
+        return composite_term(1, r, j, d) + identity_term(-1)
+
+    def homotopy_terms(d):
+        return differential_terms(h, d) + composite_term(-1, j, r, d) + identity_term(1)
+
+    section = _at(first_defect(x, x, 0, section_terms), "r o j != id")
+    htpy = _at(first_defect(b, b, 0, homotopy_terms), "D(h) != j o r - id")
     return LastVertexCheck(
         j, r, (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
     )
 
 
-def _nonzero_at(f: GradedMap, what: str) -> Optional[str]:
-    """None when f = 0, else ``what`` with the first degree where f is nonzero."""
-    d = next((d for d in f.source.support if not f.mat(d).is_zero()), None)
-    return None if d is None else "%s at degree %d" % (what, d)
+def _at(degree: Optional[int], what: str) -> Optional[str]:
+    """None when an identity holds (degree None), else ``what`` with the
+    first degree where it fails."""
+    return None if degree is None else "%s at degree %d" % (what, degree)
 
 
 def homotopy_inverse_certified(g: GradedMap, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
@@ -431,9 +455,10 @@ def homotopy_inverse_certified(g: GradedMap, src: LastVertexCheck, tgt: LastVert
     r_tgt o g = r_src give g o q = j_tgt r_tgt ~ id through h_tgt and
     q o g = j_src r_src ~ id through h_src, so the cone of g is acyclic.  The
     two identities hold for the structure map of every max-preserving
-    morphism.  The caller must already know that g is a chain map and that
+    morphism; they are decided column by column, without forming either
+    composite.  The caller must already know that g is a chain map and that
     both frames have d^2 = 0."""
-    return src.holds and tgt.holds and g @ src.j == tgt.j and tgt.r @ g == src.r
+    return src.holds and tgt.holds and composite_equals(g, src.j, tgt.j) and composite_equals(tgt.r, g, src.r)
 
 
 # -- check suites --------------------------------------------------------------

@@ -3,10 +3,15 @@
 ``cylinder`` is the mapping cylinder that criterion 3 compares the edge frame
 with, ``det`` and ``is_unimodular`` check the Smith-form transforms, and
 ``verify_mc_extension`` fills the top cochain of a simplex and tests its
-coherence identity.
+coherence identity.  ``cycle_defect``, ``last_vertex_verdicts`` and
+``certificate_identities`` decide the identities of the check suite by dense
+products, sums and scalings, as the library did before it decided them
+column by column.
 """
 
-from dgframes.complexes import ChainComplex, GradedMap
+from typing import Optional
+
+from dgframes.complexes import ChainComplex, GradedMap, hom_differential
 from dgframes.dg_nerve import NerveSimplex, coherence_defect, increasing_sequences
 from dgframes.exact_linalg import IntMatrix, block
 
@@ -152,3 +157,34 @@ def verify_mc_extension(s_partial: NerveSimplex, candidate: GradedMap) -> bool:
     filled[top] = candidate
     completed = NerveSimplex(s_partial.objects, filled)
     return coherence_defect(completed, top).is_zero()
+
+
+# -- the check-suite identities by dense products -------------------------------
+
+
+def _nonzero_at(f: GradedMap, what: str) -> Optional[str]:
+    """None when f = 0, else ``what`` with the first degree where f is nonzero."""
+    d = next((d for d in f.source.support if not f.mat(d).is_zero()), None)
+    return None if d is None else "%s at degree %d" % (what, d)
+
+
+def cycle_defect(f: GradedMap) -> Optional[int]:
+    """The first degree where D(f) != 0, or None when f is a cycle, read
+    off the formed D(f); ``hom_differential(f).is_zero()`` is the verdict."""
+    df = hom_differential(f)
+    return next((d for d in df.source.support if not df.mat(d).is_zero()), None)
+
+
+def last_vertex_verdicts(j: GradedMap, r: GradedMap, h: GradedMap, b: ChainComplex):
+    """The (check, witness) pairs of check_last_vertex for the last-vertex
+    maps j, r, h of the frame complex b."""
+    chain = _nonzero_at(hom_differential(j), "D(j) != 0") or _nonzero_at(hom_differential(r), "D(r) != 0")
+    section = _nonzero_at((r @ j) - GradedMap.identity(j.source), "r o j != id")
+    htpy = _nonzero_at(hom_differential(h) - ((j @ r) - GradedMap.identity(b)), "D(h) != j o r - id")
+    return (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
+
+
+def certificate_identities(g: GradedMap, src_j, src_r, tgt_j, tgt_r):
+    """(g o j_src == j_tgt, r_tgt o g == r_src), the two literal identities of
+    the homotopy-inverse certificate of g : B(src) -> B(tgt)."""
+    return g @ src_j == tgt_j, tgt_r @ g == src_r

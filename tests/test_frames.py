@@ -355,6 +355,31 @@ def test_is_reedy_cofibrant_flags_a_tampered_frame():
     assert check_simplicial_compat(sigma, diagram).ok
 
 
+@pytest.mark.parametrize(
+    "rows,split",
+    [
+        ([[1, 0], [0, -1], [0, 0]], True),
+        ([[0, 0], [0, 1], [1, 0]], True),
+        ([[2, 0], [0, 1], [0, 0]], False),
+        ([[1, 0], [1, 0], [0, 1]], False),
+        ([[1, 1], [0, 0], [0, 1]], False),
+        ([[1, 1], [0, 1], [0, 0]], False),
+    ],
+)
+def test_latching_split_is_the_transpose_identity(monkeypatch, rows, split):
+    """latching-split holds exactly when incl^T o incl = id in every degree:
+    every column of the inclusion is +-e_i, the i distinct.  The last matrix
+    is split injective over Z, but not by its transpose, and fails."""
+    x = point("x")
+    diagram = build_frame_diagram(make_strict([], lone_object=x), max_len=0)
+    sub = ChainComplex("L", {0: 2})
+    incl = GradedMap(sub, ChainComplex("T", {0: 3}), 0, {0: IntMatrix.from_rows(rows)})
+    true_latching_data = frames.latching_data
+    monkeypatch.setattr(frames, "latching_data", lambda o: (sub, incl, true_latching_data(o)[2]))
+    (item,) = [i for i in is_reedy_cofibrant(diagram).items if i.check == "latching-split"]
+    assert (item.status, item.witness) == (("pass", None) if split else ("fail", "inclusion is not split at degree 0"))
+
+
 # -- last-vertex data ----------------------------------------------------------
 
 

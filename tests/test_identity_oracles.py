@@ -1,0 +1,142 @@
+"""The column-wise identity deciders of the check suite against the dense
+checks they replaced, kept in ``oracles.py``.
+
+Every verdict and every witness degree must agree: the cycle test of each
+structure map and last-vertex map, the two certificate identities of each
+structure map, and the three last-vertex items of each frame.  The diagrams
+are criterion 6's cross-section of the acceptance corpus at max-len 2 and
+criterion 8's simplices at max-len 3.  Tampered copies of the maps (scaled by
+2, an extra entry outside the image, an entry moved to another row, a flipped
+sign) must be judged alike too.
+"""
+
+import random
+
+import pytest
+
+import dgframes.frames as frames
+from dgframes.complexes import GradedMap, composite_equals, cycle_defect, hom_differential
+from dgframes.dg_nerve import random_simplex
+from dgframes.exact_linalg import IntMatrix
+from dgframes.frames import build_frame_diagram, check_last_vertex, homotopy_inverse_certified, last_vertex_data
+from dgframes.simplicial import is_weak_equivalence_d
+
+import oracles
+
+
+@pytest.fixture(scope="module")
+def criterion_06_diagrams():
+    """Criterion 6's cross-section of the acceptance corpus, at max-len 2."""
+    rng = random.Random(0)
+    sims = [random_simplex(rng, i % 4) for i in range(200)]
+    return [build_frame_diagram(sims[i], 2) for i in range(0, 200, 21)]
+
+
+@pytest.fixture(scope="module")
+def criterion_08_diagrams():
+    """Criterion 8's strict and perturbed simplices, at max-len 3."""
+    rng = random.Random(800)
+    sims = []
+    for n in range(3):
+        sims.append(random_simplex(rng, n, perturb=False))
+        if n >= 2:
+            sims.append(random_simplex(rng, n, perturb=True))
+    return [build_frame_diagram(s, 3) for s in sims]
+
+
+def _entry(f: GradedMap, d: int, i: int, c: int, v: int) -> GradedMap:
+    """f plus v at entry (i, c) of its degree-d matrix."""
+    rows = f.target.rank(d + f.degree)
+    return f + GradedMap(f.source, f.target, f.degree, {d: IntMatrix.from_entries(rows, f.source.rank(d), {(i, c): v})})
+
+
+def _tamperings(f: GradedMap):
+    """Tampered copies of f: scaled by 2, an extra entry in the first row
+    outside the image, its first nonzero entry moved to the next row, and that
+    entry with its sign flipped."""
+    out = [f.scale(2)]
+    spots = [
+        (d, i) for d in f.source.support if f.source.rank(d) for i, row in enumerate(f.mat(d).data) if not any(row)
+    ]
+    if spots:
+        out.append(_entry(f, *spots[0], 0, 1))
+    first = [
+        (d, i, c, v) for d in f.source.support for i, row in enumerate(f.mat(d).data) for c, v in enumerate(row) if v
+    ]
+    if first:
+        d, i, c, v = first[0]
+        rows = f.target.rank(d + f.degree)
+        if rows > 1:
+            out.append(_entry(_entry(f, d, i, c, -v), d, (i + 1) % rows, c, v))
+        out.append(_entry(f, d, i, c, -2 * v))
+    return out
+
+
+def _same_verdicts(g: GradedMap, src, tgt) -> bool:
+    """Compare the cycle test and the certificate of g : B(src) -> B(tgt)
+    with the oracle; return whether g is certified."""
+    assert cycle_defect(g) == oracles.cycle_defect(g)
+    assert g.is_cycle() == hom_differential(g).is_zero()
+    identities = (composite_equals(g, src.j, tgt.j), composite_equals(tgt.r, g, src.r))
+    assert identities == oracles.certificate_identities(g, src.j, src.r, tgt.j, tgt.r)
+    certified = homotopy_inverse_certified(g, src, tgt)
+    assert certified == (src.holds and tgt.holds and all(identities))
+    return certified
+
+
+def test_verdicts_equal_the_dense_oracle(criterion_06_diagrams, criterion_08_diagrams):
+    frames_seen = maps_seen = certified = non_cycles = 0
+    for diagram in criterion_06_diagrams + criterion_08_diagrams:
+        last_vertex = {}
+        for alpha, o in diagram.objects.items():
+            lv = last_vertex[alpha] = check_last_vertex(o)
+            j, r, h = last_vertex_data(o)
+            assert lv.verdicts == oracles.last_vertex_verdicts(j, r, h, o.complex)
+            assert lv.holds
+            for f in (j, r, h):
+                assert cycle_defect(f) == oracles.cycle_defect(f)
+                non_cycles += cycle_defect(f) is not None
+            frames_seen += 1
+        for mor, g in diagram.morphisms.items():
+            certified += _same_verdicts(g, last_vertex[mor.src], last_vertex[mor.tgt])
+            maps_seen += 1
+    assert (frames_seen, maps_seen) == (228, 1452)
+    # h is no cycle unless j o r = id, and most structure maps are certified
+    assert non_cycles > 100 and 0 < certified < maps_seen
+
+
+def test_tampered_structure_maps_are_judged_alike(criterion_06_diagrams):
+    """Every tampered structure map of a max-preserving morphism is judged
+    as the oracle judges it.  All but three are caught: those three are
+    extra entries that leave a certified chain map."""
+    tampered = caught = 0
+    for diagram in criterion_06_diagrams:
+        last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
+        for mor, g in diagram.morphisms.items():
+            if not is_weak_equivalence_d(mor):
+                continue
+            for t in _tamperings(g):
+                caught += not (_same_verdicts(t, last_vertex[mor.src], last_vertex[mor.tgt]) and t.is_cycle())
+                tampered += 1
+    assert (tampered, caught) == (1478, 1475)
+
+
+@pytest.mark.parametrize(
+    "which,tampered,caught", [("include_last", 313, 313), ("retraction", 214, 214), ("homotopy", 306, 288)]
+)
+def test_tampered_last_vertex_maps_are_judged_alike(monkeypatch, criterion_08_diagrams, which, tampered, caught):
+    """Each tampered j, r or h of a frame gets the oracle's last-vertex
+    verdicts and witnesses; a doubled retraction and a flipped sign in h are
+    among the tamperings.  The tampered h that pass differ from h by a cycle,
+    so they are homotopies too."""
+    true_map = getattr(frames, which)
+    seen = []
+    for diagram in criterion_08_diagrams:
+        for o in diagram.objects.values():
+            for t in _tamperings(true_map(o)):
+                monkeypatch.setattr(frames, which, lambda _o, t=t: t)
+                lv = check_last_vertex(o)
+                assert lv.verdicts == oracles.last_vertex_verdicts(*last_vertex_data(o), o.complex)
+                assert cycle_defect(t) == oracles.cycle_defect(t)
+                seen.append(not lv.holds)
+    assert (len(seen), sum(seen)) == (tampered, caught)

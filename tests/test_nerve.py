@@ -203,6 +203,18 @@ def test_act_identity_and_degeneracy():
     assert act((0, 2), s) == face
 
 
+def test_act_looks_values_up_without_eval(monkeypatch):
+    """act passes sequences that are valid by construction, so it looks them
+    up without eval's checks; eval keeps them for outside callers."""
+    s = random_simplex(random.Random(34), 2)
+    sigma = OrderMap((0, 1, 1, 2), 2)
+    expected = act(sigma, s)
+    monkeypatch.setattr(NerveSimplex, "eval", lambda self, seq: pytest.fail("act called eval"))
+    assert act(sigma, s) == expected
+    assert expected.maps[(1, 2)] == GradedMap.identity(s.objects[1])
+    assert expected.maps[(0, 1, 2)].is_zero()
+
+
 def test_act_functoriality():
     """act(tau, act(sigma, s)) == act(sigma o tau, s), exhaustively over
     order maps with domains of size <= 2."""

@@ -1,0 +1,53 @@
+"""Exact call counts of the dense operations under ``check``.
+
+``check --max-len 3`` on ``random_simplex(Random(7), 3)`` decides its
+latching, last-vertex and homotopical identities column by column, so it
+calls ``hom_differential`` only in the Maurer-Cartan suite, ``@`` only there
+and in the d^2 checks of the frames, and ``invariant_factors`` not at all.
+The counts are deterministic, so a change that brings back a dense path
+shows up here.
+"""
+
+import functools
+import json
+import random
+import sys
+
+import dgframes
+from dgframes import cli, complexes, exact_linalg
+from dgframes.dg_nerve import random_simplex
+from dgframes.exact_linalg import IntMatrix
+
+
+def _count_calls(monkeypatch, counts, name, original):
+    """Rebind ``original`` wherever a dgframes module holds it as ``name``,
+    to a wrapper counting its calls in counts[name]."""
+    counts[name] = 0
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith(dgframes.__name__) and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
+    path = tmp_path / "r7n3.json"
+    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
+    counts = {}
+    _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
+    _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
+    counts["IntMatrix.__matmul__"] = 0
+    matmul = IntMatrix.__matmul__
+
+    def counted_matmul(self, other):
+        counts["IntMatrix.__matmul__"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+    assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]) == 0
+    # at the commit before the column-wise deciders: 602, 207 and 4024
+    assert counts == {"hom_differential": 11, "invariant_factors": 0, "IntMatrix.__matmul__": 140}
