@@ -518,6 +518,23 @@ def hom_basis(x: ChainComplex, y: ChainComplex, n: int):
     return out
 
 
+def precompose_matrix(f: GradedMap, z: ChainComplex, n: int) -> IntMatrix:
+    """The matrix of g -> g o f from Map(Y, Z)_n to Map(X, Z)_{n+r}, for
+    f : X -> Y of degree r, in :func:`hom_basis` coordinates: the elementary
+    map (k, i, j) goes to the sum over i' of f_{k-r}[i, i'] (k - r, i', j)."""
+    x, y, r = f.source, f.target, f.degree
+    columns = hom_basis(y, z, n)
+    index = {t: c for c, t in enumerate(hom_basis(x, z, n + r))}
+    entries = {}
+    for col, (k, i, j) in enumerate(columns):
+        m = f._mats.get(k - r)
+        if m is not None:
+            for i2, v in enumerate(m.data[i]):
+                if v:
+                    entries[(index[(k - r, i2, j)], col)] = v
+    return IntMatrix.from_entries(len(index), len(columns), entries)
+
+
 def hom_complex(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     """The mapping complex with Map(X, Y)_n = prod_k Ab(X_k, Y_{k+n}).
 
@@ -640,19 +657,8 @@ def is_nullhomotopic(f: GradedMap) -> Optional[GradedMap]:
     certified nonexistence over the integers.
     """
     x, y, r = f.source, f.target, f.degree
-    target_basis = hom_basis(x, y, r)
-    b = graded_map_to_vector(f)
-    if not target_basis:
-        return GradedMap(x, y, r + 1)
-    h = hom_complex(x, y)
-    m = h.diff(r + 1) if h.rank(r + 1) else IntMatrix.zeros(len(target_basis), len(hom_basis(x, y, r + 1)))
-    if m.rows != len(target_basis):
-        # degree r sits outside the support of the mapping complex
-        m = IntMatrix.zeros(len(target_basis), len(hom_basis(x, y, r + 1)))
-    sol = solve(m, b)
-    if sol is None:
-        return None
-    return vector_to_graded_map(x, y, r + 1, sol)
+    sol = solve(hom_complex(x, y).diff(r + 1), graded_map_to_vector(f))
+    return None if sol is None else vector_to_graded_map(x, y, r + 1, sol)
 
 
 # -- randomized generators (exact, seeded; used by the test sweeps) ----------
@@ -702,16 +708,12 @@ def random_complex(rng: random.Random, max_rank=3, max_width=4, min_degree=-1, m
 
 def random_chain_map(rng: random.Random, x: ChainComplex, y: ChainComplex, spread=1) -> GradedMap:
     """A random degree-0 cycle of the mapping complex, i.e. a chain map."""
-    h = hom_complex(x, y)
-    basis = hom_basis(x, y, 0)
-    if not basis:
-        return GradedMap(x, y, 0)
-    m = h.diff(0) if h.rank(0) and h.rank(-1) else IntMatrix.zeros(0, len(basis))
-    vec = [0] * len(basis)
+    m = hom_complex(x, y).diff(0)
+    vec = [0] * m.cols
     for v in kernel_basis(m):
         c = rng.randint(-spread, spread)
         if c:
-            for i in range(len(basis)):
+            for i in range(m.cols):
                 vec[i] += c * v[i]
     return vector_to_graded_map(x, y, 0, vec)
 

@@ -60,12 +60,12 @@ from .complexes import (
     differential_terms,
     first_defect,
     graded_map_to_vector,
-    hom_basis,
-    hom_differential,
+    hom_complex,
     homology,
     identity_term,
     is_acyclic,
     is_weak_equivalence,
+    precompose_matrix,
     shift,
     vector_to_graded_map,
 )
@@ -526,25 +526,14 @@ def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:
 # -- splitting of acyclic cofibrations -----------------------------------------
 
 
-def _operator_matrix(op, sx, sy, sdeg, tx, ty, tdeg) -> IntMatrix:
-    """Matrix of a linear operator Hom(sx,sy)_sdeg -> Hom(tx,ty)_tdeg over the
-    elementary-map bases, assembled column by column."""
-    src = hom_basis(sx, sy, sdeg)
-    n_rows = len(hom_basis(tx, ty, tdeg))
-    cols = []
-    for c in range(len(src)):
-        unit = [0] * len(src)
-        unit[c] = 1
-        cols.append(graded_map_to_vector(op(vector_to_graded_map(sx, sy, sdeg, unit))))
-    return IntMatrix._trusted(len(src), n_rows, tuple(cols)).transpose()
-
-
 def split_acyclic_cofibration(iota: GradedMap):
     """Split a degreewise split injective chain map with acyclic cone.
 
     Returns (p, h) with p o iota = id, D(p) = 0, D(h) = iota o p - id and
-    h o iota = 0, found by exact integer linear solves over the mapping
-    complexes.  Inputs violating the preconditions raise ValueError.
+    h o iota = 0, found by exact integer linear solves whose blocks are the
+    differentials of the mapping complexes Map(Y, X) and Map(Y, Y) and the
+    matrices of precomposition with iota.  Inputs violating the
+    preconditions raise ValueError.
     """
     if iota.degree != 0 or not iota.is_cycle():
         raise ValueError("expected a chain map of degree 0")
@@ -556,8 +545,8 @@ def split_acyclic_cofibration(iota: GradedMap):
     if not is_acyclic(cone(iota)):
         raise ValueError("the cone is not acyclic")
 
-    pre = _operator_matrix(lambda f: f @ iota, y, x, 0, x, x, 0)
-    dif = _operator_matrix(hom_differential, y, x, 0, y, x, -1)
+    pre = precompose_matrix(iota, x, 0)
+    dif = hom_complex(y, x).diff(0)
     rhs = list(graded_map_to_vector(GradedMap.identity(x))) + [0] * dif.rows
     sol = solve(block([[pre], [dif]]), rhs)
     if sol is None:
@@ -565,8 +554,8 @@ def split_acyclic_cofibration(iota: GradedMap):
     p = vector_to_graded_map(y, x, 0, sol)
 
     target = (iota @ p) - GradedMap.identity(y)
-    dif2 = _operator_matrix(hom_differential, y, y, 1, y, y, 0)
-    pre2 = _operator_matrix(lambda f: f @ iota, y, y, 1, x, y, 1)
+    dif2 = hom_complex(y, y).diff(1)
+    pre2 = precompose_matrix(iota, y, 1)
     rhs2 = list(graded_map_to_vector(target)) + [0] * pre2.rows
     sol2 = solve(block([[dif2], [pre2]]), rhs2)
     if sol2 is None:

@@ -14,6 +14,7 @@ from dgframes.complexes import (
     is_acyclic,
     is_nullhomotopic,
     is_weak_equivalence,
+    precompose_matrix,
     random_chain_map,
     random_complex,
     random_graded_map,
@@ -21,7 +22,10 @@ from dgframes.complexes import (
     vector_to_graded_map,
     zero_complex,
 )
+from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import IntMatrix, block, mat_vec, solve
+from dgframes.frames import build_frame_object, include_last
+from dgframes.simplicial import OrderMap
 
 from oracles import cylinder, is_unimodular
 
@@ -349,6 +353,28 @@ def _matrix_of(op, sx, sy, sdeg, tx, ty, tdeg):
     return IntMatrix(n_rows, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(n_rows)])
 
 
+def test_mapping_complex_matrices_match_the_probe():
+    """precompose_matrix and the differentials of hom_complex equal the
+    matrices read off by applying the operators to every elementary map, on
+    random pairs and on the last-vertex inclusions of cylinder frames."""
+    rng = random.Random(24)
+    maps = []
+    for _ in range(30):
+        x = random_complex(rng, name="X")
+        y = random_complex(rng, name="Y")
+        maps.append(random_graded_map(rng, x, y, rng.randint(-1, 1)))
+    for seed in range(8):
+        s = random_simplex(random.Random(seed), 1, max_rank=rng.randint(2, 4))
+        maps.append(include_last(build_frame_object(s, OrderMap((0, 1), 1))))
+    for iota in maps:
+        x, y, r = iota.source, iota.target, iota.degree
+        for n in range(-1, 2):
+            for z in (x, y):
+                assert precompose_matrix(iota, z, n) == _matrix_of(lambda g: g @ iota, y, z, n, x, z, n + r)
+            for a, b in ((y, x), (y, y), (x, y)):
+                assert hom_complex(a, b).diff(n) == _matrix_of(hom_differential, a, b, n, a, b, n - 1)
+
+
 def test_is_nullhomotopic():
     x = two_step(2)
     assert is_nullhomotopic(GradedMap.zero(x, x, 0)) is not None
@@ -361,6 +387,30 @@ def test_is_nullhomotopic():
         witness = is_nullhomotopic(hom_differential(h))
         assert witness is not None
         assert hom_differential(witness) == hom_differential(h)
+
+
+def test_is_nullhomotopic_outside_the_hom_support():
+    """Degrees r or r + 1 outside the support of Map(X, Y), and X or Y zero:
+    the witness h satisfies D(h) = f, and None comes only for a cycle that
+    is not a boundary."""
+    pt0, pt1, zero = point("P0"), ChainComplex("P1", {1: 1}), zero_complex()
+    for x, y in [(pt0, pt0), (pt0, pt1), (pt1, pt0), (zero, pt0), (pt0, zero), (zero, zero)]:
+        for r in range(-3, 4):
+            f = GradedMap.zero(x, y, r)
+            witness = is_nullhomotopic(f)
+            assert witness is not None and witness.degree == r + 1
+            assert hom_differential(witness) == f
+    # Map(P0, P0) and Map(P0, P1) are a single Z with no differential
+    assert is_nullhomotopic(GradedMap.identity(pt0)) is None
+    assert is_nullhomotopic(GradedMap(pt0, pt1, 1, {0: IntMatrix.from_rows([[3]])})) is None
+    rng = random.Random(23)
+    for _ in range(12):
+        x = random_complex(rng, max_width=2, name="X")
+        y = random_complex(rng, max_width=2, name="Y")
+        for r in range(-6, 6):
+            f = hom_differential(random_graded_map(rng, x, y, r + 1))
+            witness = is_nullhomotopic(f)
+            assert witness is not None and hom_differential(witness) == f
 
 
 def test_json_roundtrip():

@@ -645,6 +645,33 @@ def test_split_summand_inclusion():
     assert hom_differential(h) == (incl @ p) - GradedMap.identity(total)
 
 
+def _split_case_payload():
+    """(p, h) of split_acyclic_cofibration on the last-vertex inclusions of
+    the cylinder frames of seeded 1-simplices, and on the target inclusions
+    of seeded mapping cylinders."""
+    inclusions = []
+    for seed in range(6):
+        o = build_frame_object(random_simplex(random.Random(seed), 1), OrderMap((0, 1), 1))
+        inclusions.append(include_last(o))
+    rng = random.Random(73)
+    for _ in range(4):
+        x = random_complex(rng, name="X")
+        y = random_complex(rng, name="Y")
+        inclusions.append(cylinder(random_chain_map(rng, x, y))[2])
+    return [[m.to_json() for m in split_acyclic_cofibration(iota)] for iota in inclusions]
+
+
+def test_split_output_is_pinned():
+    """p and h are one solution each of systems that can have many.  The
+    ``recover`` report prints only p, so this digest is what pins h.  It was
+    recorded while the systems were still assembled by probing with unit
+    vectors."""
+    payload = canonical_json(_split_case_payload())
+    assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+        "b6d961471ad35ecf45480acb07bce580401e003116fac4cdf93e630ec3c7d557"
+    )
+
+
 def test_split_rejects_bad_inputs():
     pt = point()
     times2 = GradedMap(pt, point("q"), 0, {0: IntMatrix.from_rows([[2]])})

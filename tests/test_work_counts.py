@@ -51,3 +51,25 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
     assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]) == 0
     # at the commit before the column-wise deciders: 602, 207 and 4024
     assert counts == {"hom_differential": 11, "invariant_factors": 0, "IntMatrix.__matmul__": 140}
+
+
+def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_path):
+    """``recover`` takes the blocks of its splitting systems from the matrices
+    of the mapping complexes, not by applying D and precomposition to every
+    elementary map."""
+    path = tmp_path / "r5n1.json"
+    path.write_text(json.dumps(random_simplex(random.Random(5), 1, max_rank=4).to_json()))
+    counts = {}
+    _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
+    _count_calls(monkeypatch, counts, "vector_to_graded_map", complexes.vector_to_graded_map)
+    counts["IntMatrix.__matmul__"] = 0
+    matmul = IntMatrix.__matmul__
+
+    def counted_matmul(self, other):
+        counts["IntMatrix.__matmul__"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+    assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    # at the commit before the systems were read from the mapping complex: 42, 86 and 467
+    assert counts == {"hom_differential": 0, "vector_to_graded_map": 3, "IntMatrix.__matmul__": 23}
