@@ -57,6 +57,7 @@ from .frames import (
     latching_data,
     recover_map_from_cylinder,
     retraction,
+    solve_retraction,
     split_acyclic_cofibration,
     structure_map,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "shift",
     "snf",
     "solve",
+    "solve_retraction",
     "split_acyclic_cofibration",
     "structure_map",
     "validate_maurer_cartan",

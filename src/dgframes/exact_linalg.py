@@ -241,15 +241,22 @@ def _diagonalize(a, nr: int, nc: int) -> None:
     """
     t = 0
     while t < min(nr, nc):
-        # deterministic pivot hunt over the trailing submatrix
+        # deterministic pivot hunt over the trailing submatrix; the first +-1
+        # met in row-major order wins, since only a smaller value replaces it
         pivot = None
         best = None
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                val = abs(a[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot = (i, j)
+                if row[j]:
+                    val = abs(row[j])
+                    if best is None or val < best:
+                        best = val
+                        pivot = (i, j)
+                        if val == 1:
+                            break
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot

@@ -64,7 +64,6 @@ from .complexes import (
     homology,
     identity_term,
     is_acyclic,
-    is_weak_equivalence,
     precompose_matrix,
     shift,
     vector_to_graded_map,
@@ -495,9 +494,9 @@ def is_homotopical(diagram: FrameDiagram, last_vertex: Optional[Dict[OrderMap, L
         if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
             report.add("homotopical", _morphism_key(mor), True)
             continue
-        ok = is_weak_equivalence(g)
-        wit = None if ok else "cone homology: %s" % homology(cone(g))
-        report.add("homotopical", _morphism_key(mor), ok, wit)
+        hom = homology(cone(g))
+        ok = hom.is_trivial()
+        report.add("homotopical", _morphism_key(mor), ok, None if ok else "cone homology: %s" % hom)
     return report
 
 
@@ -526,14 +525,14 @@ def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:
 # -- splitting of acyclic cofibrations -----------------------------------------
 
 
-def split_acyclic_cofibration(iota: GradedMap):
-    """Split a degreewise split injective chain map with acyclic cone.
+def solve_retraction(iota: GradedMap) -> GradedMap:
+    """A chain retraction of a degreewise split injective chain map with
+    acyclic cone.
 
-    Returns (p, h) with p o iota = id, D(p) = 0, D(h) = iota o p - id and
-    h o iota = 0, found by exact integer linear solves whose blocks are the
-    differentials of the mapping complexes Map(Y, X) and Map(Y, Y) and the
-    matrices of precomposition with iota.  Inputs violating the
-    preconditions raise ValueError.
+    Returns p with p o iota = id and D(p) = 0, found by one exact integer
+    linear solve whose blocks are the matrix of precomposition with iota and
+    the differential of the mapping complex Map(Y, X) in degree 0.  Inputs
+    violating the preconditions raise ValueError.
     """
     if iota.degree != 0 or not iota.is_cycle():
         raise ValueError("expected a chain map of degree 0")
@@ -551,17 +550,28 @@ def split_acyclic_cofibration(iota: GradedMap):
     sol = solve(block([[pre], [dif]]), rhs)
     if sol is None:
         raise ValueError("no integer chain retraction exists")
-    p = vector_to_graded_map(y, x, 0, sol)
+    return vector_to_graded_map(y, x, 0, sol)
 
+
+def split_acyclic_cofibration(iota: GradedMap):
+    """Split a degreewise split injective chain map with acyclic cone.
+
+    Returns (p, h) with p = :func:`solve_retraction` of iota, and h with
+    D(h) = iota o p - id and h o iota = 0, found by a second exact integer
+    linear solve whose blocks are the differential of the mapping complex
+    Map(Y, Y) in degree 1 and the matrix of precomposition with iota.
+    Inputs violating the preconditions raise ValueError.
+    """
+    p = solve_retraction(iota)
+    y = iota.target
     target = (iota @ p) - GradedMap.identity(y)
-    dif2 = hom_complex(y, y).diff(1)
-    pre2 = precompose_matrix(iota, y, 1)
-    rhs2 = list(graded_map_to_vector(target)) + [0] * pre2.rows
-    sol2 = solve(block([[dif2], [pre2]]), rhs2)
-    if sol2 is None:
+    dif = hom_complex(y, y).diff(1)
+    pre = precompose_matrix(iota, y, 1)
+    rhs = list(graded_map_to_vector(target)) + [0] * pre.rows
+    sol = solve(block([[dif], [pre]]), rhs)
+    if sol is None:
         raise ValueError("no integer homotopy exists")
-    h = vector_to_graded_map(y, y, 1, sol2)
-    return p, h
+    return p, vector_to_graded_map(y, y, 1, sol)
 
 
 # -- 1-simplex recovery --------------------------------------------------------
@@ -569,9 +579,11 @@ def split_acyclic_cofibration(iota: GradedMap):
 
 def recover_map_from_cylinder(o: FrameObject) -> GradedMap:
     """Recover the edge of a 1-simplex from its cylinder frame, up to homotopy:
-    split the last-vertex inclusion and compose the retraction with the
-    source-end inclusion."""
+    solve for a retraction p of the last-vertex inclusion (see
+    :func:`solve_retraction`) and compose it with the source-end inclusion.
+    The homotopy that completes the splitting is not needed, so it is not
+    solved for."""
     if o.simplex.n != 1 or o.alpha.values != (0, 1):
         raise ValueError("recovery expects the frame at <0,1> of a 1-simplex")
-    p, _ = split_acyclic_cofibration(include_last(o))
+    p = solve_retraction(include_last(o))
     return p @ o.summand_inclusion((0,))

@@ -1,7 +1,9 @@
 """Independent oracles that only the tests use.
 
 ``cylinder`` is the mapping cylinder that criterion 3 compares the edge frame
-with, ``det`` and ``is_unimodular`` check the Smith-form transforms, and
+with, ``det`` and ``is_unimodular`` check the Smith-form transforms,
+``diagonalize_exhaustive`` is the Smith diagonalization with a pivot hunt
+over the whole trailing submatrix, and
 ``verify_mc_extension`` fills the top cochain of a simplex and tests its
 coherence identity.  ``cycle_defect``, ``last_vertex_verdicts`` and
 ``certificate_identities`` decide the identities of the check suite by dense
@@ -13,7 +15,7 @@ from typing import Optional
 
 from dgframes.complexes import ChainComplex, GradedMap, hom_differential
 from dgframes.dg_nerve import NerveSimplex, coherence_defect, increasing_sequences
-from dgframes.exact_linalg import IntMatrix, block
+from dgframes.exact_linalg import IntMatrix, _col_sub, _col_swap, _row_sub, _row_swap, block
 
 
 def cylinder(f: GradedMap):
@@ -107,6 +109,77 @@ def cylinder(f: GradedMap):
         proj_mats[d] = IntMatrix.from_entries(y.rank(d), cyl.rank(d), entries)
     proj = GradedMap(cyl, y, 0, proj_mats)
     return cyl, in_src, in_tgt, proj
+
+
+def diagonalize_exhaustive(a, nr: int, nc: int) -> None:
+    """``exact_linalg._diagonalize`` as it was before its pivot hunt stopped
+    at the first +-1: the hunt scans the whole trailing submatrix.  Reduces
+    the leading nr x nc block of the row lists ``a`` to Smith form, in place,
+    by the pivot rule documented on :func:`snf`.
+
+    Every row operation acts on the whole row and every column operation on
+    the whole column, so entries past column nc of the first nr rows record
+    the row transform, and rows past nr record the column transform.
+    """
+    t = 0
+    while t < min(nr, nc):
+        # deterministic pivot hunt over the trailing submatrix
+        pivot = None
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                val = abs(a[i][j])
+                if val and (best is None or val < best):
+                    best = val
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            _row_swap(a, pi, t)
+        if pj != t:
+            _col_swap(a, pj, t)
+
+        while True:
+            # clear the pivot column; nonzero remainders are strictly smaller
+            # than the pivot, so swapping them up makes progress
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        _row_sub(a, i, t, q)
+                    if a[i][t]:
+                        _row_swap(a, i, t)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        _col_sub(a, j, t, q)
+                    if a[t][j]:
+                        _col_swap(a, j, t)
+                        dirty = True
+            if dirty:
+                continue
+            if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][j] for j in range(t + 1, nc)):
+                continue
+            # row and column are clear; enforce the divisibility chain
+            offender = None
+            d = a[t][t]
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % d:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _row_sub(a, t, offender, -1)  # add the offending row to the pivot row
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        t += 1
 
 
 def det(m: IntMatrix) -> int:

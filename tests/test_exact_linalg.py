@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from dgframes import exact_linalg
 from dgframes.exact_linalg import (
     IntMatrix,
     block,
@@ -15,7 +16,7 @@ from dgframes.exact_linalg import (
     submatrix,
 )
 
-from oracles import det, is_unimodular
+from oracles import det, diagonalize_exhaustive, is_unimodular
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -188,6 +189,15 @@ def test_invariant_factors_against_sympy_and_snf():
             assert got == expected, m
         else:
             assert got == ()
+
+
+def test_snf_pivot_hunt_stops_at_the_first_unit(monkeypatch):
+    """Stopping the pivot hunt at the first +-1 keeps the pivot rule, so
+    (s, u, v) is the same as with a hunt over the whole trailing submatrix."""
+    cases = _oracle_cases()
+    fast = [snf(m) for m in cases]
+    monkeypatch.setattr(exact_linalg, "_diagonalize", diagonalize_exhaustive)
+    assert fast == [snf(m) for m in cases]
 
 
 def test_det_against_cofactor_expansion():

@@ -40,6 +40,7 @@ from dgframes.frames import (
     latching_data,
     recover_map_from_cylinder,
     retraction,
+    solve_retraction,
     split_acyclic_cofibration,
     structure_map,
 )
@@ -515,8 +516,8 @@ def test_is_homotopical_falls_back_to_cone_homology(monkeypatch):
     true_retraction = frames.retraction
     monkeypatch.setattr(frames, "retraction", lambda o: true_retraction(o).scale(1 + (o.alpha == bad)))
     decided_by_cone = []
-    true_weq = frames.is_weak_equivalence
-    monkeypatch.setattr(frames, "is_weak_equivalence", lambda g: decided_by_cone.append(g) or true_weq(g))
+    true_cone = frames.cone
+    monkeypatch.setattr(frames, "cone", lambda g: decided_by_cone.append(g) or true_cone(g))
 
     report = is_homotopical(diagram)
     assert report.ok, report.failures()
@@ -525,9 +526,11 @@ def test_is_homotopical_falls_back_to_cone_homology(monkeypatch):
     assert len(decided_by_cone) == len(touching) and all(a is b for a, b in zip(decided_by_cone, touching))
 
     mor = DMorphism(OrderMap((1,), 2), bad, (2,))
-    diagram.morphisms[mor] = diagram.morphisms[mor].scale(2)
+    scaled = diagram.morphisms[mor] = diagram.morphisms[mor].scale(2)
+    decided_by_cone.clear()
     flagged = [i for i in is_homotopical(diagram).failures() if i.location == "1->0,1,1[2]"]
     assert len(flagged) == 1 and flagged[0].witness.startswith("cone homology: ")
+    assert sum(g is scaled for g in decided_by_cone) == 1
 
 
 def test_check_simplicial_compat():
@@ -645,10 +648,9 @@ def test_split_summand_inclusion():
     assert hom_differential(h) == (incl @ p) - GradedMap.identity(total)
 
 
-def _split_case_payload():
-    """(p, h) of split_acyclic_cofibration on the last-vertex inclusions of
-    the cylinder frames of seeded 1-simplices, and on the target inclusions
-    of seeded mapping cylinders."""
+def _split_inputs():
+    """The last-vertex inclusions of the cylinder frames of seeded
+    1-simplices, and the target inclusions of seeded mapping cylinders."""
     inclusions = []
     for seed in range(6):
         o = build_frame_object(random_simplex(random.Random(seed), 1), OrderMap((0, 1), 1))
@@ -658,7 +660,12 @@ def _split_case_payload():
         x = random_complex(rng, name="X")
         y = random_complex(rng, name="Y")
         inclusions.append(cylinder(random_chain_map(rng, x, y))[2])
-    return [[m.to_json() for m in split_acyclic_cofibration(iota)] for iota in inclusions]
+    return inclusions
+
+
+def _split_case_payload():
+    """(p, h) of split_acyclic_cofibration on :func:`_split_inputs`."""
+    return [[m.to_json() for m in split_acyclic_cofibration(iota)] for iota in _split_inputs()]
 
 
 def test_split_output_is_pinned():
@@ -670,6 +677,39 @@ def test_split_output_is_pinned():
     assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
         "b6d961471ad35ecf45480acb07bce580401e003116fac4cdf93e630ec3c7d557"
     )
+
+
+def test_solve_retraction_is_the_retraction_of_the_split():
+    """On the pinned splitting inputs, the retraction alone is the p of
+    split_acyclic_cofibration, a chain map and a left inverse of iota."""
+    for iota in _split_inputs():
+        p = solve_retraction(iota)
+        assert p == split_acyclic_cofibration(iota)[0]
+        assert p @ iota == GradedMap.identity(iota.source)
+        assert hom_differential(p).is_zero()
+
+
+def test_solve_retraction_rejects_what_the_split_rejects():
+    """The inputs of test_split_rejects_bad_inputs: both functions raise the
+    same ValueError on each."""
+    pt = point()
+    rng = random.Random(68)
+    x = random_complex(rng, name="X")
+    w = ChainComplex("W", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    times2 = GradedMap(pt, point("q"), 0, {0: IntMatrix.from_rows([[2]])})
+    noncycle = GradedMap(w, w, 0, {0: IntMatrix.from_rows([[1]])})
+    assert not noncycle.is_cycle()
+    bad = [
+        ("the map is not degreewise split injective at degree 0", times2),
+        ("the cone is not acyclic", direct_sum(pt, point("q", "q"))[1]),
+        ("expected a chain map of degree 0", random_graded_map(rng, x, x, 1)),
+        ("expected a chain map of degree 0", noncycle),
+    ]
+    for message, iota in bad:
+        for split in (solve_retraction, split_acyclic_cofibration):
+            with pytest.raises(ValueError) as err:
+                split(iota)
+            assert str(err.value) == message, (split.__name__, message)
 
 
 def test_split_rejects_bad_inputs():

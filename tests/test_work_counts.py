@@ -54,14 +54,16 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
 
 
 def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_path):
-    """``recover`` takes the blocks of its splitting systems from the matrices
+    """``recover`` takes the block of its retraction system from the matrices
     of the mapping complexes, not by applying D and precomposition to every
-    elementary map."""
+    elementary map, and solves one system for the retraction and one for
+    the null-homotopy it reports, none for a splitting homotopy."""
     path = tmp_path / "r5n1.json"
     path.write_text(json.dumps(random_simplex(random.Random(5), 1, max_rank=4).to_json()))
     counts = {}
     _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
     _count_calls(monkeypatch, counts, "vector_to_graded_map", complexes.vector_to_graded_map)
+    _count_calls(monkeypatch, counts, "solve", exact_linalg.solve)
     counts["IntMatrix.__matmul__"] = 0
     matmul = IntMatrix.__matmul__
 
@@ -71,5 +73,6 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
     assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
-    # at the commit before the systems were read from the mapping complex: 42, 86 and 467
-    assert counts == {"hom_differential": 0, "vector_to_graded_map": 3, "IntMatrix.__matmul__": 23}
+    # at the commit before the systems were read from the mapping complex: 42, 86 and 467;
+    # while recovery also solved for the homotopy: 0, 3, 3 and 23
+    assert counts == {"hom_differential": 0, "vector_to_graded_map": 2, "solve": 2, "IntMatrix.__matmul__": 11}
