@@ -8,6 +8,7 @@ they can be shared freely between complexes and maps.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple  # tuple[int, ...], kept loose for 3.10 friendliness
@@ -133,21 +134,27 @@ class IntMatrix:
         return IntMatrix._trusted(self.rows, self.cols, tuple(tuple(c * v for v in row) for row in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, with Python work per nonzero only: ``compress`` over a
+        range built once per call skips the zeros, in C, of each row of self
+        and of each row of other that those rows select."""
         if self.cols != other.rows:
             raise ValueError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         bdata = other.data
         width = other.cols
+        inner = range(self.cols)
+        outer = range(width)
         bsparse: Dict[int, list] = {}  # nonzeros of the rows of other that are used
         out = []
         for arow in self.data:
             acc = [0] * width
-            for k, v in enumerate(arow):
-                if v:
-                    nz = bsparse.get(k)
-                    if nz is None:
-                        nz = bsparse[k] = [(j, bv) for j, bv in enumerate(bdata[k]) if bv]
-                    for j, bv in nz:
-                        acc[j] += v * bv
+            for k in compress(inner, arow):
+                v = arow[k]
+                nz = bsparse.get(k)
+                if nz is None:
+                    brow = bdata[k]
+                    nz = bsparse[k] = [(j, brow[j]) for j in compress(outer, brow)]
+                for j, bv in nz:
+                    acc[j] += v * bv
             out.append(tuple(acc))
         return IntMatrix._trusted(self.rows, width, tuple(out))
 
@@ -345,12 +352,14 @@ def invariant_factors(m: IntMatrix) -> Vector:
     Each unit pivot contributes a factor 1 and leaves the Schur complement
     with its row and column deleted, since 1 divides every later factor.
     What is left, if anything, goes through the dense diagonalization of
-    :func:`snf` without transforms.
+    :func:`snf` without transforms.  The sparse rows are read with
+    ``compress``, which skips the zeros in C.
     """
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, set] = {}
+    width = range(m.cols)
     for i, row in enumerate(m.data):
-        r = {j: v for j, v in enumerate(row) if v}
+        r = {j: row[j] for j in compress(width, row)}
         if r:
             rows[i] = r
             for j in r:

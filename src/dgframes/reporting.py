@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
@@ -60,7 +62,10 @@ def canonical_json(obj) -> str:
 
     With ``indent`` set, ``json`` on CPython 3.11 falls back to its
     pure-Python encoder, which yields one chunk per list item; here strings
-    still go through the C escaper and a list of ints is one join."""
+    still go through the C escaper.  A list of ints is written from the
+    cached text of an all-zero list of its length and indent, sliced around
+    the nonzeros that ``compress`` finds, so a mostly-zero matrix row costs
+    Python work per nonzero, not per entry."""
     return _encode(obj, "\n")
 
 
@@ -88,9 +93,32 @@ def _encode(obj, newline: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        sep = "," + inner
         if set(map(type, obj)) == _INT_ONLY:  # type(), not isinstance: bools take the general path
-            items = map(int.__repr__, obj)
+            body = _int_items(obj, sep)
         else:
-            items = [_encode(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[" + inner + body + newline + "]"
     raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
+def _int_items(row, sep: str) -> str:
+    """``sep.join(map(int.__repr__, row))`` for a nonempty sequence of ints:
+    the zero text of its width, with each nonzero spliced in at its place."""
+    n = len(row)
+    zeros = _zero_items(n, sep)
+    step = len(sep) + 1  # every "0" is one character
+    parts = []
+    at = 0
+    for k in compress(range(n), row):
+        start = k * step
+        parts.append(zeros[at:start])
+        parts.append(int.__repr__(row[k]))
+        at = start + 1
+    parts.append(zeros[at:])
+    return "".join(parts)
+
+
+@lru_cache(maxsize=256)  # bounded: one entry per row width and nesting depth seen
+def _zero_items(n: int, sep: str) -> str:
+    return sep.join("0" * n)

@@ -1,7 +1,8 @@
 """Independent oracles that only the tests use.
 
 ``cylinder`` is the mapping cylinder that criterion 3 compares the edge frame
-with, ``det`` and ``is_unimodular`` check the Smith-form transforms,
+with, ``matmul`` is the schoolbook product, ``det`` and ``is_unimodular``
+check the Smith-form transforms,
 ``diagonalize_exhaustive`` is the Smith diagonalization with a pivot hunt
 over the whole trailing submatrix, and
 ``verify_mc_extension`` fills the top cochain of a simplex and tests its
@@ -180,6 +181,18 @@ def diagonalize_exhaustive(a, nr: int, nc: int) -> None:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
         t += 1
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product by the triple loop over every cell, zeros included."""
+    if a.cols != b.rows:
+        raise ValueError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a[i, k] * b[k, j]
+    return IntMatrix(a.rows, b.cols, out)
 
 
 def det(m: IntMatrix) -> int:

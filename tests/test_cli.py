@@ -434,24 +434,35 @@ def test_a_failed_parse_leaves_the_reused_parser_intact(valid_simplex, capsys):
 
 
 # Text covers non-ASCII (also outside the BMP), quotes, backslashes and
-# control characters; integers run past 64 bits on both sides.
+# control characters; integers run past 64 bits on both sides.  Sparse rows
+# are mostly zeros, like the rows of a frame's differentials.
+SPARSE_INT_ROWS = st.lists(st.sampled_from((0,) * 12 + (1, -1, 2**70, -(2**70))), max_size=40)
 JSON_TREES = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.text(),
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.lists(st.integers(-(2**70), 2**70), max_size=6)
+    | SPARSE_INT_ROWS
+    | SPARSE_INT_ROWS.map(tuple)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=20,
 )
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(JSON_TREES | st.just('"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e'))
+@given(JSON_TREES | SPARSE_INT_ROWS | st.just('"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e'))
 def test_canonical_json_matches_json_dumps(tree):
     assert canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": [{0: 1}]}, {1, 2}, [0, 2.0], float("nan")])
+@pytest.mark.parametrize("value", [[0, False], (0, False, 1), [False, 0, True, 1]])
+def test_canonical_json_writes_falsy_non_ints_as_themselves(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {1: "a"}, {"a": [{0: 1}]}, {1, 2}, [0, 2.0], float("nan"), [0, 0.0], [1, 0.0]]
+)
 def test_canonical_json_refuses_what_the_cli_never_emits(value):
     with pytest.raises(TypeError):
         canonical_json(value)

@@ -16,7 +16,7 @@ from dgframes.exact_linalg import (
     submatrix,
 )
 
-from oracles import det, diagonalize_exhaustive, is_unimodular
+from oracles import det, diagonalize_exhaustive, is_unimodular, matmul
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -175,14 +175,55 @@ def _oracle_cases():
     return cases
 
 
+def _wide_sparse(rng, rows, cols, density):
+    """A rows x cols matrix of +-1, small ints and ints past 64 bits at the
+    given density, with at least one zero row and one zero column when it
+    has any cells."""
+    pool = (1, -1, 1, -1, 2, -3, 2**70 + 1, -(2**66))
+    data = [[rng.choice(pool) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    if rows and cols:
+        data[rng.randrange(rows)] = [0] * cols
+        dead = rng.randrange(cols)
+        for row in data:
+            row[dead] = 0
+    return IntMatrix(rows, cols, data)
+
+
+def test_matmul_against_the_triple_loop():
+    rng = random.Random(29)
+    shapes = [(rng.randint(1, 40), rng.randint(1, 120), rng.randint(1, 120)) for _ in range(12)]
+    shapes += [(0, 7, 5), (6, 0, 5), (6, 7, 0), (0, 0, 3), (4, 0, 0)]
+    for rows, inner, cols in shapes:
+        density = rng.choice((0.02, 0.05, 0.1, 0.2))
+        a, b = _wide_sparse(rng, rows, inner, density), _wide_sparse(rng, inner, cols, density)
+        assert a @ b == matmul(a, b)
+        assert b.transpose() @ a.transpose() == matmul(a, b).transpose()
+
+
+def _snf_diagonal(m):
+    s = snf(m).s
+    return tuple(s[i, i] for i in range(min(m.rows, m.cols)) if s[i, i])
+
+
+def test_invariant_factors_of_wide_sparse_matrices_against_snf():
+    """Densities stop at 5% and no shape is square: a 40 x 40 at 5% of these
+    entries, or at 10% of small ones, leaves the dense diagonalization of
+    either function with entries of hundreds of bits, and it does not end
+    within a minute."""
+    rng = random.Random(31)
+    for density in (0.02, 0.05):
+        for rows, cols in [(40, 120), (30, 90), (12, 120), (120, 20), (0, 9), (9, 0)]:
+            m = _wide_sparse(rng, rows, cols, density)
+            assert invariant_factors(m) == _snf_diagonal(m), m
+
+
 def test_invariant_factors_against_sympy_and_snf():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
     for m in _oracle_cases():
         got = invariant_factors(m)
-        s = snf(m).s
-        assert got == tuple(s[i, i] for i in range(min(m.rows, m.cols)) if s[i, i])
+        assert got == _snf_diagonal(m)
         assert rank(m) == len(got)
         if m.rows and m.cols:
             expected = tuple(int(v) for v in sympy_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ) if v)

@@ -5,7 +5,7 @@ latching, last-vertex and homotopical identities column by column, so it
 calls ``hom_differential`` only in the Maurer-Cartan suite, ``@`` only there
 and in the d^2 checks of the frames, and ``invariant_factors`` not at all.
 The counts are deterministic, so a change that brings back a dense path
-shows up here.
+shows up here.  ``frame`` and ``recover`` are pinned the same way.
 """
 
 import functools
@@ -34,12 +34,7 @@ def _count_calls(monkeypatch, counts, name, original):
             monkeypatch.setattr(module, name, counted)
 
 
-def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
-    path = tmp_path / "r7n3.json"
-    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
-    counts = {}
-    _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
-    _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
+def _count_matmul(monkeypatch, counts):
     counts["IntMatrix.__matmul__"] = 0
     matmul = IntMatrix.__matmul__
 
@@ -48,6 +43,15 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
         return matmul(self, other)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+
+
+def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
+    path = tmp_path / "r7n3.json"
+    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
+    counts = {}
+    _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
+    _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
+    _count_matmul(monkeypatch, counts)
     assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]) == 0
     # at the commit before the column-wise deciders: 602, 207 and 4024
     assert counts == {"hom_differential": 11, "invariant_factors": 0, "IntMatrix.__matmul__": 140}
@@ -64,15 +68,23 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
     _count_calls(monkeypatch, counts, "vector_to_graded_map", complexes.vector_to_graded_map)
     _count_calls(monkeypatch, counts, "solve", exact_linalg.solve)
-    counts["IntMatrix.__matmul__"] = 0
-    matmul = IntMatrix.__matmul__
-
-    def counted_matmul(self, other):
-        counts["IntMatrix.__matmul__"] += 1
-        return matmul(self, other)
-
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+    _count_matmul(monkeypatch, counts)
     assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
     # at the commit before the systems were read from the mapping complex: 42, 86 and 467;
     # while recovery also solved for the homotopy: 0, 3, 3 and 23
     assert counts == {"hom_differential": 0, "vector_to_graded_map": 2, "solve": 2, "IntMatrix.__matmul__": 11}
+
+
+def test_frame_counts_its_products_and_factorizations(monkeypatch, tmp_path):
+    """``frame`` on an 8-long alpha multiplies only in the d^2 checks of the
+    complexes it builds and factors only the differentials whose homology it
+    reports.  Skipping zeros inside ``@`` and ``invariant_factors`` changes
+    what each call costs, not how many calls there are."""
+    path = tmp_path / "r7n3.json"
+    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
+    counts = {}
+    _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
+    _count_matmul(monkeypatch, counts)
+    argv = ["frame", "--input", str(path), "--alpha", "0,0,1,1,2,2,3,3", "--output", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert counts == {"invariant_factors": 9, "IntMatrix.__matmul__": 8}
