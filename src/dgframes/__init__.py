@@ -26,7 +26,6 @@ from .complexes import (
     homology,
     is_acyclic,
     is_nullhomotopic,
-    is_weak_equivalence,
     random_chain_map,
     random_complex,
     random_graded_map,
@@ -59,7 +58,6 @@ from .frames import (
     retraction,
     solve_retraction,
     split_acyclic_cofibration,
-    structure_map,
 )
 from .reporting import CheckItem, Report
 from .simplicial import (
@@ -100,7 +98,6 @@ __all__ = [
     "is_homotopical",
     "is_nullhomotopic",
     "is_reedy_cofibrant",
-    "is_weak_equivalence",
     "is_weak_equivalence_d",
     "kernel_basis",
     "last_vertex_data",
@@ -118,7 +115,6 @@ __all__ = [
     "solve",
     "solve_retraction",
     "split_acyclic_cofibration",
-    "structure_map",
     "validate_maurer_cartan",
     "zero_complex",
 ]

@@ -26,16 +26,8 @@ import sys
 
 from .complexes import ChainComplex, homology, is_nullhomotopic
 from .dg_nerve import NerveSimplex, increasing_sequences, validate_maurer_cartan
-from .frames import (
-    build_frame_diagram,
-    build_frame_object,
-    check_last_vertex,
-    check_simplicial_compat,
-    is_homotopical,
-    is_reedy_cofibrant,
-    recover_map_from_cylinder,
-)
-from .reporting import Report, canonical_json
+from .frames import build_frame_object, recover_map_from_cylinder, run_checks
+from .reporting import canonical_json
 from .simplicial import OrderMap
 
 
@@ -115,35 +107,7 @@ def cmd_homology(args: argparse.Namespace):
 
 
 def cmd_check(args: argparse.Namespace):
-    s = _load_simplex(args.input)
-    m_bound = args.max_len
-    report = Report()
-    report.extend(validate_maurer_cartan(s))
-
-    diagram = build_frame_diagram(s, m_bound, check=False)
-    for alpha, o in diagram.objects.items():
-        defects = o.d2_defects
-        report.add(
-            "frame-d2",
-            alpha.key(),
-            not defects,
-            None if not defects else "d^2 != 0 at degree %d" % defects[0],
-        )
-    report.extend(is_reedy_cofibrant(diagram))
-    last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
-    for alpha, lv in last_vertex.items():
-        for check, witness in lv.verdicts:
-            report.add(check, alpha.key(), witness is None, witness)
-    report.extend(is_homotopical(diagram, last_vertex))
-    n = s.n
-    if n >= 1:
-        for i in range(n + 1):
-            face = OrderMap(tuple(v for v in range(n + 1) if v != i), n)
-            report.extend(check_simplicial_compat(face, diagram))
-    for i in range(n + 1):
-        degen = OrderMap(tuple(sorted(list(range(n + 1)) + [i])), n)
-        report.extend(check_simplicial_compat(degen, diagram))
-
+    report = run_checks(_load_simplex(args.input), args.max_len)
     payload = {
         "command": "check",
         "metadata": _metadata(args),

@@ -11,6 +11,8 @@ Sign conventions used throughout the package:
 * shifted complex:               d_{X[n]} = (-1)^n d_X
 * tensor-style evaluation:       (f (x) g)(x (x) y) = (-1)^{|x||g|} f(x) (x) g(y)
 
+Every such sign is :func:`parity_sign` of its exponent.
+
 Equality of complexes and of graded maps is label-wise and matrix-wise literal;
 the ``name`` field is display metadata and never takes part in comparisons.
 """
@@ -30,6 +32,11 @@ from .exact_linalg import (
     kernel_basis,
     solve,
 )
+
+
+def parity_sign(e: int) -> int:
+    """(-1)^e."""
+    return -1 if e % 2 else 1
 
 
 class ChainComplex:
@@ -220,7 +227,7 @@ class GradedMap:
     Matrices are stored canonically for exactly the degrees where both
     rank_X(d) and rank_Y(d+r) are positive; ``mat`` returns a zero matrix of
     the right shape elsewhere.  Composition carries no sign; signs enter only
-    through :func:`hom_differential`.
+    through :func:`differential_terms`.
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, degree: int, mats=None):
@@ -347,15 +354,10 @@ class GradedMap:
 
 
 def hom_differential(f: GradedMap) -> GradedMap:
-    """D(f) = d_Y o f - (-1)^{|f|} f o d_X, a graded map of degree |f| - 1."""
+    """D(f) = d_Y o f - (-1)^{|f|} f o d_X, a graded map of degree |f| - 1,
+    formed from :func:`differential_terms`."""
     x, y, r = f.source, f.target, f.degree
-    sign = -1 if r % 2 == 0 else 1  # this is -(-1)^r
-    mats = {}
-    for d in x.support:
-        if y.rank(d + r - 1) == 0:
-            continue
-        m = y.diff(d + r) @ f.mat(d) + (f.mat(d - 1) @ x.diff(d)).scale(sign)
-        mats[d] = m
+    mats = {d: combination_matrix(y.rank(d + r - 1), x.rank(d), differential_terms(f, d)) for d in x.support}
     return GradedMap(x, y, r - 1, mats)
 
 
@@ -366,11 +368,14 @@ def hom_differential(f: GradedMap) -> GradedMap:
 # sum or scaled copy of a whole matrix is formed.  Column c of A o B is the
 # sum of the columns of A named by the nonzeros of column c of B, so a basis
 # inclusion B costs one gather per column.  Every matrix takes the same path,
-# whatever its entries, and the first nonzero column ends the test.
+# whatever its entries.  combination_is_zero stops at the first nonzero
+# column; combination_matrix places every nonzero column in a matrix, to form
+# D(f) or a witness.
 
 
-def combination_is_zero(height: int, width: int, terms) -> bool:
-    """Whether the height x width sum of the ``terms`` is zero.
+def _nonzero_columns(height: int, width: int, terms):
+    """(col, column col as a list) for each nonzero column of the height x
+    width sum of the ``terms``, in column order.
 
     A term (c, A, B) of IntMatrix A and B stands for c * A o B, (c, None, B)
     for c * B, and (c, None, None), in a square sum, for c times the identity.
@@ -400,8 +405,21 @@ def combination_is_zero(height: int, width: int, terms) -> bool:
                 part = a[k] if v == 1 else map(v.__mul__, a[k])
                 acc = list(part) if acc is None else list(map(add, acc, part))
         if acc is not None and any(acc):
-            return False
-    return True
+            yield col, acc
+
+
+def combination_is_zero(height: int, width: int, terms) -> bool:
+    """Whether the height x width sum of the ``terms`` (see _nonzero_columns)
+    is zero; the first nonzero column ends the test."""
+    return next(_nonzero_columns(height, width, terms), None) is None
+
+
+def combination_matrix(height: int, width: int, terms) -> IntMatrix:
+    """The height x width sum of the ``terms`` (see _nonzero_columns)."""
+    columns = [(0,) * height] * width
+    for col, acc in _nonzero_columns(height, width, terms):
+        columns[col] = acc
+    return IntMatrix._trusted(height, width, tuple(zip(*columns)) if width else ((),) * height)
 
 
 def first_defect(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> Optional[int]:
@@ -436,13 +454,13 @@ def differential_terms(f: GradedMap, d: int) -> tuple:
     combination_is_zero."""
     x, y, r = f.source, f.target, f.degree
     return _product(1, y._diffs.get(d + r), f._mats.get(d)) + _product(
-        1 if r % 2 else -1, f._mats.get(d - 1), x._diffs.get(d)
+        -parity_sign(r), f._mats.get(d - 1), x._diffs.get(d)
     )
 
 
 def cycle_defect(f: GradedMap) -> Optional[int]:
     """The first degree where D(f) != 0, or None when f is a cycle.  Unlike
-    hom_differential, this forms neither D(f) nor its terms."""
+    hom_differential, this forms no matrix of D(f)."""
     return first_defect(f.source, f.target, f.degree - 1, lambda d: differential_terms(f, d))
 
 
@@ -459,7 +477,7 @@ def composite_equals(f: GradedMap, g: GradedMap, h: GradedMap) -> bool:
 
 def shift(x: ChainComplex, n: int) -> ChainComplex:
     """The n-fold shift X[n] with rank_d = rank_X(d - n) and d = (-1)^n d_X."""
-    sgn = -1 if n % 2 else 1
+    sgn = parity_sign(n)
     return ChainComplex(
         "%s[%d]" % (x.name, n),
         {d + n: x.rank(d) for d in x.support},
@@ -558,7 +576,7 @@ def hom_complex(x: ChainComplex, y: ChainComplex) -> ChainComplex:
         if not ranks.get(n - 1):
             continue
         entries = {}
-        sign = 1 if n % 2 else -1  # -(-1)^n
+        sign = -parity_sign(n)
         for col, (k, i, j) in enumerate(bases[n]):
             dy = y.diff(k + n)
             for l in range(y.rank(k + n - 1)):
@@ -641,12 +659,6 @@ def homology(x: ChainComplex) -> HomologySummary:
 
 def is_acyclic(x: ChainComplex) -> bool:
     return homology(x).is_trivial()
-
-
-def is_weak_equivalence(f: GradedMap) -> bool:
-    """A chain map between bounded free complexes is a quasi-isomorphism
-    exactly when its cone is acyclic."""
-    return is_acyclic(cone(f))
 
 
 def is_nullhomotopic(f: GradedMap) -> Optional[GradedMap]:

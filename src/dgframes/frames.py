@@ -26,7 +26,8 @@ Every map here between frames and their summands is a sum of signed blocks
 between summands: the differential, the summand and latching inclusions,
 the structure maps, and the last-vertex retraction and homotopy.  Each is
 described per column subset as a list of (row offset, sign, block) and put
-together by one assembler; every sign is (-1)^e of an exponent e.
+together by one assembler; every sign is (-1)^e of an exponent e, written
+``parity_sign(e)`` as everywhere in the package.
 
 B(alpha) reads the simplex only through its restriction act(alpha, s): the
 objects X_{alpha(i)} and the cochains on the alpha-images of increasing
@@ -39,9 +40,9 @@ The module also provides the structure maps (basis inclusions along subset
 reindexing), latching data for the Reedy condition, the last-vertex
 inclusion/retraction/homotopy triple with the homotopy inverses it gives
 the structure maps of max-preserving morphisms, the homotopical and
-simplicial compatibility check suites, an integer splitting solver for
-acyclic cofibrations, and the recovery of a 1-simplex edge from its
-cylinder frame.
+simplicial compatibility check suites, ``run_checks``, which assembles the
+whole suite, an integer splitting solver for acyclic cofibrations, and the
+recovery of a 1-simplex edge from its cylinder frame.
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ from .complexes import (
     homology,
     identity_term,
     is_acyclic,
+    parity_sign,
     precompose_matrix,
     shift,
     vector_to_graded_map,
 )
-from .dg_nerve import NerveSimplex, act
+from .dg_nerve import NerveSimplex, act, validate_maurer_cartan
 from .exact_linalg import IntMatrix, block, invariant_factors, solve, submatrix
 from .reporting import Report
 from .simplicial import (
@@ -172,21 +174,16 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap, check: bool = True) -> 
         for S, (col, width) in blocks[d].items():
             k = len(S) - 1
             ds = d - k
-            terms = [(rows[S][0], _sign(k), r.objects[S[0]].diff(ds))] if S in rows else []
+            terms = [(rows[S][0], parity_sign(k), r.objects[S[0]].diff(ds))] if S in rows else []
             for j in range(1, k + 1):
-                terms.append((rows[S[:j] + S[j + 1 :]][0], _sign(j), None))
+                terms.append((rows[S[:j] + S[j + 1 :]][0], parity_sign(j), None))
                 if S[j:] in rows:
-                    terms.append((rows[S[j:]][0], _sign(k * (j - 1)), r.maps[S[: j + 1]].mat(ds)))
+                    terms.append((rows[S[j:]][0], parity_sign(k * (j - 1)), r.maps[S[: j + 1]].mat(ds)))
             columns.append((col, width, terms))
         diffs[d] = _assemble(len(labels[d - 1]), len(labels[d]), columns)
 
     cx = ChainComplex("B(%s)" % alpha.key(), {d: len(labs) for d, labs in labels.items()}, diffs, labels, check=check)
     return FrameObject(s, alpha, cx, blocks, r)
-
-
-def _sign(e: int) -> int:
-    """(-1)^e."""
-    return -1 if e % 2 else 1
 
 
 def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
@@ -247,14 +244,6 @@ def _structure_matrix(src: FrameObject, tgt: FrameObject, inj) -> GradedMap:
         columns = [(col, width, [(rows[tuple(inj[i] for i in S)][0], 1, None)]) for S, (col, width) in spans.items()]
         mats[d] = _assemble(tgt.complex.rank(d), src.complex.rank(d), columns)
     return GradedMap(src.complex, tgt.complex, 0, mats)
-
-
-def structure_map(diagram: FrameDiagram, mor: DMorphism) -> GradedMap:
-    """The chain map B(mor.src) -> B(mor.tgt): the basis inclusion S -> inj(S)."""
-    got = diagram.morphisms.get(mor)
-    if got is None:
-        raise ValueError("morphism %s is not in the diagram" % _morphism_key(mor))
-    return got
 
 
 def _morphism_key(mor: DMorphism) -> str:
@@ -373,7 +362,7 @@ def retraction(o: FrameObject) -> GradedMap:
                 columns.append((col, width, [(0, 1, None)]))
             elif S[-1] != a:
                 k = len(S) - 1
-                columns.append((col, width, [(0, _sign(k), r.maps[S + (a,)].mat(d - k))]))
+                columns.append((col, width, [(0, parity_sign(k), r.maps[S + (a,)].mat(d - k))]))
         mats[d] = _assemble(tgt.rank(d), o.complex.rank(d), columns)
     return GradedMap(o.complex, tgt, 0, mats)
 
@@ -389,7 +378,7 @@ def homotopy(o: FrameObject) -> GradedMap:
     mats = {}
     for d, spans in o.blocks.items():
         columns = [
-            (col, width, [(o.blocks[d + 1][S + (a,)][0], _sign(len(S) - 1), None)])
+            (col, width, [(o.blocks[d + 1][S + (a,)][0], parity_sign(len(S) - 1), None)])
             for S, (col, width) in spans.items()
             if S[-1] != a
         ]
@@ -519,6 +508,30 @@ def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:
         ok = act(alpha, t) == diagram.objects[sigma.compose(alpha)].restriction
         wit = None if ok else "frames differ"
         report.add("simplicial-compat", "sigma=%s alpha=%s" % (sigma.key(), alpha.key()), ok, wit)
+    return report
+
+
+def run_checks(s: NerveSimplex, max_len: int) -> Report:
+    """The whole check suite of s over the frames of sequences with domain
+    size <= max_len, in report order: Maurer-Cartan, frame d^2, Reedy,
+    last-vertex, homotopical, then simplicial compatibility along every face
+    and every degeneracy of [n]."""
+    report = validate_maurer_cartan(s)
+    diagram = build_frame_diagram(s, max_len, check=False)
+    for alpha, o in diagram.objects.items():
+        defects = o.d2_defects
+        report.add("frame-d2", alpha.key(), not defects, _at(defects[0] if defects else None, "d^2 != 0"))
+    report.extend(is_reedy_cofibrant(diagram))
+    last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
+    for alpha, lv in last_vertex.items():
+        for check, witness in lv.verdicts:
+            report.add(check, alpha.key(), witness is None, witness)
+    report.extend(is_homotopical(diagram, last_vertex))
+    n = s.n
+    faces = [tuple(v for v in range(n + 1) if v != i) for i in range(n + 1)] if n else []
+    degeneracies = [tuple(sorted([*range(n + 1), i])) for i in range(n + 1)]
+    for values in faces + degeneracies:
+        report.extend(check_simplicial_compat(OrderMap(values, n), diagram))
     return report
 
 

@@ -43,9 +43,6 @@ class OrderMap:
             raise ValueError("codomain [%d] does not match domain [%d]" % (other.cod, self.dom))
         return OrderMap(tuple(self.values[v] for v in other.values), self.cod)
 
-    def is_injective(self) -> bool:
-        return all(b > a for a, b in zip(self.values, self.values[1:]))
-
     def key(self) -> str:
         return ",".join(str(v) for v in self.values)
 
@@ -84,10 +81,6 @@ class DMorphism:
         if other.tgt != self.src:
             raise ValueError("morphisms are not composable")
         return DMorphism(other.src, self.tgt, tuple(self.inj[i] for i in other.inj))
-
-    @classmethod
-    def identity(cls, alpha: OrderMap) -> "DMorphism":
-        return cls(alpha, alpha, tuple(range(alpha.dom + 1)))
 
 
 def is_weak_equivalence_d(m: DMorphism) -> bool:

@@ -6,16 +6,18 @@ check the Smith-form transforms,
 ``diagonalize_exhaustive`` is the Smith diagonalization with a pivot hunt
 over the whole trailing submatrix, and
 ``verify_mc_extension`` fills the top cochain of a simplex and tests its
-coherence identity.  ``cycle_defect``, ``last_vertex_verdicts`` and
-``certificate_identities`` decide the identities of the check suite by dense
-products, sums and scalings, as the library did before it decided them
-column by column.
+coherence identity.  ``hom_differential``, ``coherence_defect`` and
+``maurer_cartan_items`` form D(f) and the Maurer-Cartan defect densely and
+read the validator's verdicts and witnesses off them; ``cycle_defect``,
+``last_vertex_verdicts`` and ``certificate_identities`` decide the identities
+of the check suite by dense products, sums and scalings.  Both are the
+library's code from before it decided these identities column by column.
 """
 
 from typing import Optional
 
-from dgframes.complexes import ChainComplex, GradedMap, hom_differential
-from dgframes.dg_nerve import NerveSimplex, coherence_defect, increasing_sequences
+from dgframes.complexes import ChainComplex, GradedMap
+from dgframes.dg_nerve import NerveSimplex, increasing_sequences
 from dgframes.exact_linalg import IntMatrix, _col_sub, _col_swap, _row_sub, _row_swap, block
 
 
@@ -243,6 +245,63 @@ def verify_mc_extension(s_partial: NerveSimplex, candidate: GradedMap) -> bool:
     filled[top] = candidate
     completed = NerveSimplex(s_partial.objects, filled)
     return coherence_defect(completed, top).is_zero()
+
+
+# -- the Maurer-Cartan identity by dense products --------------------------------
+
+
+def hom_differential(f: GradedMap) -> GradedMap:
+    """D(f) = d_Y o f - (-1)^{|f|} f o d_X, a graded map of degree |f| - 1."""
+    x, y, r = f.source, f.target, f.degree
+    sign = -1 if r % 2 == 0 else 1  # this is -(-1)^r
+    mats = {}
+    for d in x.support:
+        if y.rank(d + r - 1) == 0:
+            continue
+        m = y.diff(d + r) @ f.mat(d) + (f.mat(d - 1) @ x.diff(d)).scale(sign)
+        mats[d] = m
+    return GradedMap(x, y, r - 1, mats)
+
+
+def coherence_rhs(s: NerveSimplex, seq: tuple) -> GradedMap:
+    """sum_j (-1)^j f(face_j) + sum_j (-1)^{(j-1)k} f(suffix_j) o f(prefix_j)."""
+    k = len(seq) - 1
+    acc = GradedMap.zero(s.objects[seq[0]], s.objects[seq[-1]], k - 2)
+    for j in range(1, k):
+        face = s.eval(seq[:j] + seq[j + 1 :])
+        acc = acc + (face if j % 2 == 0 else -face)
+        comp = s.eval(seq[j:]) @ s.eval(seq[: j + 1])
+        sign = -1 if ((j - 1) * k) % 2 else 1
+        acc = acc + (comp if sign == 1 else -comp)
+    return acc
+
+
+def coherence_defect(s: NerveSimplex, seq) -> GradedMap:
+    """D(f(seq)) + rhs; zero exactly when the coherence identity holds at seq."""
+    seq = tuple(seq)
+    return hom_differential(s.eval(seq)) + coherence_rhs(s, seq)
+
+
+def maurer_cartan_items(s: NerveSimplex):
+    """(location, ok, witness) of each item of validate_maurer_cartan."""
+    out = []
+    for seq in increasing_sequences(s.n, min_len=2):
+        defect = coherence_defect(s, seq)
+        witness = None
+        if not defect.is_zero():
+            witness = _first_nonzero_entry(defect)
+        out.append((",".join(str(v) for v in seq), defect.is_zero(), witness))
+    return out
+
+
+def _first_nonzero_entry(f: GradedMap) -> str:
+    for d in f.source.support:
+        m = f.mat(d)
+        for i in range(m.rows):
+            for j in range(m.cols):
+                if m[i, j]:
+                    return "degree %d entry (%d,%d) = %d" % (d, i, j, m[i, j])
+    return "zero"
 
 
 # -- the check-suite identities by dense products -------------------------------

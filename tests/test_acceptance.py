@@ -49,7 +49,6 @@ from dgframes.frames import (
     last_vertex_data,
     recover_map_from_cylinder,
     split_acyclic_cofibration,
-    structure_map,
 )
 from dgframes.simplicial import (
     DMorphism,
@@ -237,7 +236,7 @@ def test_criterion_06_homotopical_check(corpus):
     diagram = build_frame_diagram(make_strict([times2]), 1)
     counterexample = DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))
     assert not is_weak_equivalence_d(counterexample)
-    g = structure_map(diagram, counterexample)
+    g = diagram.morphisms[counterexample]
     assert not is_acyclic(cone(g))
     assert homology(cone(g)).group(0) == "Z/2"
     _announce(
@@ -268,7 +267,7 @@ def test_criterion_06_certificate_implies_acyclic_cone(corpus):
     diagram = build_frame_diagram(make_strict([GradedMap(x, y, 0, {0: IntMatrix.from_rows([[2]])})]), 1)
     last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
     counterexample = DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))
-    g = structure_map(diagram, counterexample)
+    g = diagram.morphisms[counterexample]
     assert not homotopy_inverse_certified(g, last_vertex[counterexample.src], last_vertex[counterexample.tgt])
 
 

@@ -42,7 +42,6 @@ from dgframes.frames import (
     retraction,
     solve_retraction,
     split_acyclic_cofibration,
-    structure_map,
 )
 from dgframes.reporting import canonical_json
 from dgframes.simplicial import (
@@ -252,7 +251,7 @@ def test_structure_maps_are_functorial_chain_maps():
         assert g.degree == 0
     # identity morphisms act as the identity
     for alpha, o in diagram.objects.items():
-        ident = structure_map(diagram, DMorphism.identity(alpha))
+        ident = diagram.morphisms[DMorphism(alpha, alpha, tuple(range(alpha.dom + 1)))]
         assert ident == GradedMap.identity(o.complex)
     # composition: subset of a subset
     tgt = OrderMap((0, 1, 2), 2)
@@ -260,8 +259,8 @@ def test_structure_maps_are_functorial_chain_maps():
     low = OrderMap((2,), 2)
     m1 = DMorphism(mid, tgt, (0, 2))
     m2 = DMorphism(low, mid, (1,))
-    lhs = structure_map(diagram, m1.compose(m2))
-    rhs = structure_map(diagram, m1) @ structure_map(diagram, m2)
+    lhs = diagram.morphisms[m1.compose(m2)]
+    rhs = diagram.morphisms[m1] @ diagram.morphisms[m2]
     assert lhs == rhs
 
 
@@ -274,11 +273,11 @@ def test_structure_maps_restrict_to_cylinder_inclusions():
     diagram = build_frame_diagram(s, max_len=1)
     edge = OrderMap((0, 1), 1)
     cyl, in_src, in_tgt, _ = cylinder(f)
-    g0 = structure_map(diagram, DMorphism(OrderMap((0,), 1), edge, (0,)))
-    g1 = structure_map(diagram, DMorphism(OrderMap((1,), 1), edge, (1,)))
+    g0 = diagram.morphisms[DMorphism(OrderMap((0,), 1), edge, (0,))]
+    g1 = diagram.morphisms[DMorphism(OrderMap((1,), 1), edge, (1,))]
     assert g0 == in_src and g1 == in_tgt
-    with pytest.raises(ValueError):
-        structure_map(diagram, DMorphism(OrderMap((0, 1), 2), OrderMap((0, 1, 2), 2), (0, 1)))
+    with pytest.raises(KeyError):
+        diagram.morphisms[DMorphism(OrderMap((0, 1), 2), OrderMap((0, 1, 2), 2), (0, 1))]
 
 
 # -- latching ------------------------------------------------------------------
@@ -473,9 +472,7 @@ def test_is_homotopical_skips_non_max_preserving_morphisms():
     assert any(loc.startswith("1->0,1") for loc in locations)
     assert not any(loc.startswith("0->0,1") for loc in locations)
     # sanity: that skipped map is indeed not an equivalence
-    src_incl = structure_map(
-        diagram, DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))
-    )
+    src_incl = diagram.morphisms[DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))]
     assert not is_acyclic(cone(src_incl))
 
 

@@ -1,9 +1,9 @@
 """Exact call counts of the dense operations under ``check``.
 
 ``check --max-len 3`` on ``random_simplex(Random(7), 3)`` decides its
-latching, last-vertex and homotopical identities column by column, so it
-calls ``hom_differential`` only in the Maurer-Cartan suite, ``@`` only there
-and in the d^2 checks of the frames, and ``invariant_factors`` not at all.
+Maurer-Cartan, latching, last-vertex and homotopical identities column by
+column, so it never calls ``hom_differential``, calls ``@`` only in the d^2
+checks of the frames, and calls ``invariant_factors`` not at all.
 The counts are deterministic, so a change that brings back a dense path
 shows up here.  ``frame`` and ``recover`` are pinned the same way.
 """
@@ -53,8 +53,9 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
     _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
     _count_matmul(monkeypatch, counts)
     assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]) == 0
-    # at the commit before the column-wise deciders: 602, 207 and 4024
-    assert counts == {"hom_differential": 11, "invariant_factors": 0, "IntMatrix.__matmul__": 140}
+    # at the commit before the column-wise deciders: 602, 207 and 4024;
+    # while the Maurer-Cartan suite formed its defects densely: 11, 0 and 140
+    assert counts == {"hom_differential": 0, "invariant_factors": 0, "IntMatrix.__matmul__": 130}
 
 
 def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_path):
