@@ -45,8 +45,9 @@ class ChainComplex:
     Parameters
     ----------
     name : display name (metadata only, ignored by equality)
-    ranks : mapping degree -> rank; zero ranks are dropped
-    diffs : mapping degree -> IntMatrix of X_d -> X_{d-1}; matrices are kept
+    ranks : mapping degree -> rank, both ints (ValueError for any other
+        type, bools included); zero ranks are dropped
+    diffs : mapping int degree -> IntMatrix of X_d -> X_{d-1}; matrices are kept
         exactly for the degrees where both ends have positive rank, missing
         ones are filled with zeros
     labels : optional mapping degree -> sequence of basis label strings;
@@ -59,11 +60,14 @@ class ChainComplex:
         self.name = str(name)
         self._ranks: Dict[int, int] = {}
         for d, r in dict(ranks).items():
-            if r < 0:
+            json_int(d, "complex degree")
+            if json_int(r, "rank at degree %d" % d) < 0:
                 raise ValueError("negative rank in degree %d" % d)
             if r:
-                self._ranks[int(d)] = int(r)
+                self._ranks[d] = r
         diffs = dict(diffs) if diffs else {}
+        for d in diffs:
+            json_int(d, "differential degree")
         self._diffs: Dict[int, IntMatrix] = {}
         for d in self._ranks:
             if self.rank(d - 1) > 0:
@@ -94,6 +98,17 @@ class ChainComplex:
             bad = self.d_squared_defects()
             if bad:
                 raise ValueError("differential does not square to zero at degree %d" % bad[0])
+
+    @classmethod
+    def _trusted(cls, name: str, ranks: Dict[int, int], diffs: Dict[int, IntMatrix], labels) -> "ChainComplex":
+        """Wrap parts without checks: ``ranks`` has positive int ranks only,
+        ``diffs`` holds a matrix of the right shape for exactly the degrees d
+        where rank(d) and rank(d - 1) are positive, and ``labels`` a tuple of
+        rank(d) strings for every degree of ``ranks``.  d^2 is not checked.
+        For complexes built here from valid parts."""
+        x = cls.__new__(cls)
+        x.name, x._ranks, x._diffs, x._labels = name, ranks, diffs, labels
+        return x
 
     # -- inspection --------------------------------------------------------
 
@@ -135,7 +150,7 @@ class ChainComplex:
         return out
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, ChainComplex)
             and self._ranks == other._ranks
             and self._labels == other._labels
@@ -213,7 +228,8 @@ def json_matrix(rows, n_rows: int, n_cols: int, what: str) -> IntMatrix:
         raise ValueError("%s must be a list of rows" % what)
     for row in rows:
         for v in row:
-            json_int(v, "%s entry" % what)
+            if type(v) is not int:
+                json_int(v, "%s entry" % what)  # raises
     return IntMatrix(n_rows, n_cols, rows)
 
 
@@ -226,15 +242,18 @@ class GradedMap:
 
     Matrices are stored canonically for exactly the degrees where both
     rank_X(d) and rank_Y(d+r) are positive; ``mat`` returns a zero matrix of
-    the right shape elsewhere.  Composition carries no sign; signs enter only
-    through :func:`differential_terms`.
+    the right shape elsewhere.  The degree and the keys of ``mats`` must be
+    ints.  Composition carries no sign; signs enter only through
+    :func:`differential_terms`.
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, degree: int, mats=None):
         self.source = source
         self.target = target
-        self.degree = int(degree)
+        self.degree = json_int(degree, "graded map degree")
         given = dict(mats) if mats else {}
+        for d in given:
+            json_int(d, "matrix degree")
         self._mats: Dict[int, IntMatrix] = {}
         for d in source.support:
             r_from = source.rank(d)
@@ -256,12 +275,27 @@ class GradedMap:
                 raise ValueError("matrix at degree %d outside the source support" % d)
 
     @classmethod
+    def _trusted(cls, source: ChainComplex, target: ChainComplex, degree: int, mats: Dict[int, IntMatrix]) -> "GradedMap":
+        """Wrap ``mats`` without checks: a matrix of the right shape for
+        exactly the degrees d where source.rank(d) and target.rank(d + degree)
+        are positive.  For maps built here from valid parts."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.degree, f._mats = source, target, degree, mats
+        return f
+
+    @classmethod
     def zero(cls, source, target, degree=0) -> "GradedMap":
-        return cls(source, target, degree)
+        json_int(degree, "graded map degree")
+        mats = {}
+        for d in source.support:
+            r_to = target.rank(d + degree)
+            if r_to:
+                mats[d] = IntMatrix.zeros(r_to, source.rank(d))
+        return cls._trusted(source, target, degree, mats)
 
     @classmethod
     def identity(cls, x: ChainComplex) -> "GradedMap":
-        return cls(x, x, 0, {d: IntMatrix.identity(x.rank(d)) for d in x.support})
+        return cls._trusted(x, x, 0, {d: IntMatrix.identity(x.rank(d)) for d in x.support})
 
     def mat(self, d: int) -> IntMatrix:
         got = self._mats.get(d)
@@ -273,7 +307,7 @@ class GradedMap:
         return all(m.is_zero() for m in self._mats.values())
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, GradedMap)
             and self.degree == other.degree
             and self.source == other.source
@@ -285,7 +319,7 @@ class GradedMap:
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         self._compatible(other)
-        return GradedMap(
+        return GradedMap._trusted(
             self.source,
             self.target,
             self.degree,
@@ -299,7 +333,7 @@ class GradedMap:
         return self.scale(-1)
 
     def scale(self, c: int) -> "GradedMap":
-        return GradedMap(self.source, self.target, self.degree, {d: m.scale(c) for d, m in self._mats.items()})
+        return GradedMap._trusted(self.source, self.target, self.degree, {d: m.scale(c) for d, m in self._mats.items()})
 
     def __matmul__(self, other: "GradedMap") -> "GradedMap":
         """Composition self o other (no Koszul sign for composition)."""
@@ -311,7 +345,7 @@ class GradedMap:
             m = self.mat(d + other.degree) @ other.mat(d)
             if m.rows and m.cols:
                 mats[d] = m
-        return GradedMap(other.source, self.target, deg, mats)
+        return GradedMap._trusted(other.source, self.target, deg, mats)
 
     def is_cycle(self) -> bool:
         """Whether D(f) = 0; in degree 0 this says f is a chain map."""
@@ -424,8 +458,13 @@ def combination_matrix(height: int, width: int, terms) -> IntMatrix:
 
 def first_defect(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> Optional[int]:
     """The first degree d of x where the terms_at(d) of combination_is_zero,
-    maps X_d -> Y_{d+r}, do not sum to zero; None if there is none."""
-    return next((d for d in x.support if not combination_is_zero(y.rank(d + r), x.rank(d), terms_at(d))), None)
+    maps X_d -> Y_{d+r}, do not sum to zero; None if there is none.  Degrees
+    where Y_{d+r} is 0, and every such sum is zero, are not visited."""
+    for d in x.support:
+        height = y.rank(d + r)
+        if height and not combination_is_zero(height, x.rank(d), terms_at(d)):
+            return d
+    return None
 
 
 def _product(c: int, a: Optional[IntMatrix], b: Optional[IntMatrix]) -> tuple:
@@ -478,12 +517,11 @@ def composite_equals(f: GradedMap, g: GradedMap, h: GradedMap) -> bool:
 def shift(x: ChainComplex, n: int) -> ChainComplex:
     """The n-fold shift X[n] with rank_d = rank_X(d - n) and d = (-1)^n d_X."""
     sgn = parity_sign(n)
-    return ChainComplex(
+    return ChainComplex._trusted(
         "%s[%d]" % (x.name, n),
-        {d + n: x.rank(d) for d in x.support},
-        {d + n: x.diff(d).scale(sgn) for d in x.support if x.rank(d - 1)},
-        {d + n: x.labels(d) for d in x.support},
-        check=False,
+        {d + n: r for d, r in x._ranks.items()},
+        {d + n: m if sgn == 1 else m.scale(-1) for d, m in x._diffs.items()},
+        {d + n: labs for d, labs in x._labels.items()},
     )
 
 

@@ -26,7 +26,7 @@ that every other identity of the package goes through
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -48,6 +48,7 @@ from .complexes import (
     random_graded_map,
 )
 from .reporting import Report
+from .simplicial import OrderMap
 
 
 def _seq_key(seq) -> str:
@@ -64,7 +65,7 @@ class NerveSimplex:
         self.maps: Dict[tuple, GradedMap] = {}
         n = self.n
         for key, f in maps.items():
-            key = tuple(int(v) for v in key)
+            key = tuple(json_int(v, "map key entry") for v in key)
             if len(key) < 2:
                 raise ValueError("map keys have length >= 2, got %r" % (key,))
             if any(b <= a for a, b in zip(key, key[1:])):
@@ -76,15 +77,23 @@ class NerveSimplex:
             if f.source != self.objects[key[0]] or f.target != self.objects[key[-1]]:
                 raise ValueError("map at %r has wrong endpoints" % (key,))
             self.maps[key] = f
-        # strict unitality values, built once per object or endpoint pair
+        # strict unitality values, built once per object or endpoint pair and
+        # keyed by the positions in ``_base`` (see _trusted)
         self._units: Dict[int, GradedMap] = {}
         self._zeros: Dict[tuple, GradedMap] = {}
+        self._base: Tuple[int, ...] = tuple(range(len(self.objects)))
 
     @classmethod
-    def _trusted(cls, objects: Tuple[ChainComplex, ...], maps: Dict[tuple, GradedMap]) -> "NerveSimplex":
-        """A simplex from data that already meets every check of __init__."""
+    def _trusted(
+        cls, objects: Tuple[ChainComplex, ...], maps: Dict[tuple, GradedMap], parent: "NerveSimplex", values: tuple
+    ) -> "NerveSimplex":
+        """The restriction act(sigma, parent), sigma of the given values, from
+        data that already meets every check of __init__.  It shares the
+        strict unitality values of parent: its object i is parent's object
+        values[i], so its caches are keyed by parent's positions."""
         s = cls.__new__(cls)
-        s.objects, s.maps, s._units, s._zeros = objects, maps, {}, {}
+        s.objects, s.maps, s._units, s._zeros = objects, maps, parent._units, parent._zeros
+        s._base = tuple(map(parent._base.__getitem__, values))
         return s
 
     @property
@@ -99,7 +108,7 @@ class NerveSimplex:
 
     def eval(self, seq) -> GradedMap:
         """Value on any nondecreasing sequence, via strict unitality."""
-        seq = tuple(int(v) for v in seq)
+        seq = tuple(json_int(v, "sequence entry") for v in seq)
         if len(seq) < 2:
             raise ValueError("sequences have length >= 2, got %r" % (seq,))
         if seq[0] < 0 or seq[-1] > self.n:
@@ -111,21 +120,22 @@ class NerveSimplex:
     def _lookup(self, seq: tuple) -> GradedMap:
         """eval on a tuple of ints already known to be a nondecreasing
         sequence in [n] of length >= 2."""
-        if len(seq) == 2 and seq[0] == seq[1]:
-            unit = self._units.get(seq[0])
-            if unit is None:
-                unit = self._units[seq[0]] = GradedMap.identity(self.objects[seq[0]])
-            return unit
-        if len(seq) > 2 and any(a == b for a, b in zip(seq, seq[1:])):
-            key = (seq[0], seq[-1], len(seq) - 2)
-            zero = self._zeros.get(key)
-            if zero is None:
-                zero = self._zeros[key] = GradedMap.zero(self.objects[seq[0]], self.objects[seq[-1]], len(seq) - 2)
-            return zero
         got = self.maps.get(seq)
-        if got is None:
+        if got is not None:
+            return got
+        if len(set(seq)) == len(seq):  # strictly increasing
             raise ValueError("no cochain stored at %s" % (seq,))
-        return got
+        if len(seq) == 2:
+            i = self._base[seq[0]]
+            unit = self._units.get(i)
+            if unit is None:
+                unit = self._units[i] = GradedMap.identity(self.objects[seq[0]])
+            return unit
+        key = (self._base[seq[0]], self._base[seq[-1]], len(seq) - 2)
+        zero = self._zeros.get(key)
+        if zero is None:
+            zero = self._zeros[key] = GradedMap.zero(self.objects[seq[0]], self.objects[seq[-1]], len(seq) - 2)
+        return zero
 
     def __eq__(self, other):
         return (
@@ -167,11 +177,15 @@ class NerveSimplex:
 
 
 def increasing_sequences(n: int, min_len: int = 2):
-    """All strictly increasing sequences in [n] of length >= min_len."""
-    out = []
-    for size in range(min_len, n + 2):
-        out.extend(combinations(range(n + 1), size))
-    return out
+    """All strictly increasing sequences in [n] of length >= min_len, as a
+    new list."""
+    return list(_increasing_keys(n, min_len))
+
+
+@lru_cache(maxsize=32)
+def _increasing_keys(n: int, min_len: int = 2) -> tuple:
+    """increasing_sequences(n, min_len) as a shared tuple."""
+    return tuple(seq for size in range(min_len, n + 2) for seq in combinations(range(n + 1), size))
 
 
 def coherence_terms(s: NerveSimplex, seq: tuple, d: int) -> tuple:
@@ -224,21 +238,24 @@ def act(sigma, s: NerveSimplex) -> NerveSimplex:
 
     Objects are pulled back by reindexing and the coherence maps by
     precomposition of sequences, normalized through strict unitality whenever
-    sigma collapses adjacent entries.
+    sigma collapses adjacent entries.  The result shares the strict
+    unitality values of s, so equal restrictions hold the same unit and zero
+    maps.
     """
-    values = tuple(sigma.values) if hasattr(sigma, "values") else tuple(sigma)
-    if not values or any(b < a for a, b in zip(values, values[1:])):
-        raise ValueError("sigma must be a nondecreasing nonempty sequence")
-    if values[0] < 0 or values[-1] > s.n:
-        raise ValueError("sigma %r leaves [%d]" % (values, s.n))
+    if type(sigma) is OrderMap and sigma.cod == s.n:
+        values = sigma.values  # an OrderMap into [n] is valid by construction
+    else:
+        values = tuple(sigma.values) if hasattr(sigma, "values") else tuple(sigma)
+        if not values or any(b < a for a, b in zip(values, values[1:])):
+            raise ValueError("sigma must be a nondecreasing nonempty sequence")
+        if values[0] < 0 or values[-1] > s.n:
+            raise ValueError("sigma %r leaves [%d]" % (values, s.n))
     objects = tuple(s.objects[v] for v in values)
-    maps = {}
-    m = len(values) - 1
-    for key in increasing_sequences(m):
-        # nondecreasing and in [n], since values is and key increases
-        maps[key] = s._lookup(tuple(values[i] for i in key))
+    # each image is nondecreasing and in [n], since values is and key increases
+    image = values.__getitem__
+    maps = {key: s._lookup(tuple(map(image, key))) for key in _increasing_keys(len(values) - 1)}
     # valid by construction: s._lookup keeps the degree and endpoints of each key
-    return NerveSimplex._trusted(objects, maps)
+    return NerveSimplex._trusted(objects, maps, s, values)
 
 
 def make_strict(maps: Sequence[GradedMap], lone_object: Optional[ChainComplex] = None) -> NerveSimplex:

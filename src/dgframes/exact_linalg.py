@@ -32,9 +32,13 @@ class IntMatrix:
         if data is None:
             self.data = tuple((0,) * cols for _ in range(rows))
         else:
-            packed = tuple(tuple(int(v) for v in row) for row in data)
+            packed = tuple(map(tuple, data))
             if len(packed) != rows or any(len(r) != cols for r in packed):
                 raise ValueError("matrix data does not match declared shape %dx%d" % (rows, cols))
+            for row in packed:
+                for v in row:
+                    if type(v) is not int:
+                        raise ValueError("matrix entry must be an integer, got %r" % (v,))
             self.data = packed
 
     @classmethod

@@ -120,7 +120,7 @@ class FrameObject:
             width = x.rank(t)
             row = self.blocks[t + k][subset][0]
             mats[t] = _assemble(self.complex.rank(t + k), width, [(0, width, [(row, 1, None)])])
-        return GradedMap(x, self.complex, k, mats)
+        return GradedMap._trusted(x, self.complex, k, mats)
 
     def __repr__(self):
         return "FrameObject(alpha=%s, total rank %d)" % (self.alpha.key(), self.complex.total_rank())
@@ -182,8 +182,11 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap, check: bool = True) -> 
             columns.append((col, width, terms))
         diffs[d] = _assemble(len(labels[d - 1]), len(labels[d]), columns)
 
-    cx = ChainComplex("B(%s)" % alpha.key(), {d: len(labs) for d, labs in labels.items()}, diffs, labels, check=check)
-    return FrameObject(s, alpha, cx, blocks, r)
+    cx = ChainComplex._trusted("B(%s)" % alpha.key(), {d: len(labs) for d, labs in labels.items()}, diffs, labels)
+    o = FrameObject(s, alpha, cx, blocks, r)
+    if check and o.d2_defects:
+        raise ValueError("differential does not square to zero at degree %d" % o.d2_defects[0])
+    return o
 
 
 def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
@@ -243,7 +246,7 @@ def _structure_matrix(src: FrameObject, tgt: FrameObject, inj) -> GradedMap:
         rows = tgt.blocks[d]
         columns = [(col, width, [(rows[tuple(inj[i] for i in S)][0], 1, None)]) for S, (col, width) in spans.items()]
         mats[d] = _assemble(tgt.complex.rank(d), src.complex.rank(d), columns)
-    return GradedMap(src.complex, tgt.complex, 0, mats)
+    return GradedMap._trusted(src.complex, tgt.complex, 0, mats)
 
 
 def _morphism_key(mor: DMorphism) -> str:
@@ -272,13 +275,13 @@ def latching_data(o: FrameObject):
 
     def span_complex(name, idx, labels):
         diffs = {d: submatrix(c.diff(d), idx[d - 1], cols) for d, cols in idx.items() if d - 1 in idx}
-        return ChainComplex(name % o.alpha.key(), {d: len(cols) for d, cols in idx.items()}, diffs, labels, check=False)
+        return ChainComplex._trusted(name % o.alpha.key(), {d: len(cols) for d, cols in idx.items()}, diffs, labels)
 
     sub = span_complex("L(%s)", proper, {d: c.labels(d)[: len(cols)] for d, cols in proper.items()})
     incl_mats = {d: _assemble(c.rank(d), len(cols), [(0, len(cols), [(0, 1, None)])]) for d, cols in proper.items()}
     x = o.restriction.objects[0]
     coker = span_complex("B/L(%s)", full, {d: x.labels(d - m) for d in full})
-    return sub, GradedMap(sub, c, 0, incl_mats), coker
+    return sub, GradedMap._trusted(sub, c, 0, incl_mats), coker
 
 
 def _latching_spans(o: FrameObject):
@@ -364,7 +367,7 @@ def retraction(o: FrameObject) -> GradedMap:
                 k = len(S) - 1
                 columns.append((col, width, [(0, parity_sign(k), r.maps[S + (a,)].mat(d - k))]))
         mats[d] = _assemble(tgt.rank(d), o.complex.rank(d), columns)
-    return GradedMap(o.complex, tgt, 0, mats)
+    return GradedMap._trusted(o.complex, tgt, 0, mats)
 
 
 def homotopy(o: FrameObject) -> GradedMap:
@@ -377,13 +380,15 @@ def homotopy(o: FrameObject) -> GradedMap:
     a = o.alpha.dom
     mats = {}
     for d, spans in o.blocks.items():
+        if d + 1 not in o.blocks:
+            continue
         columns = [
             (col, width, [(o.blocks[d + 1][S + (a,)][0], parity_sign(len(S) - 1), None)])
             for S, (col, width) in spans.items()
             if S[-1] != a
         ]
         mats[d] = _assemble(o.complex.rank(d + 1), o.complex.rank(d), columns)
-    return GradedMap(o.complex, o.complex, 1, mats)
+    return GradedMap._trusted(o.complex, o.complex, 1, mats)
 
 
 def last_vertex_data(o: FrameObject):

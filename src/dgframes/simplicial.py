@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Tuple
 
-from .complexes import json_int_key
+from .complexes import json_int, json_int_key
 
 
 @dataclass(frozen=True)
@@ -21,13 +21,21 @@ class OrderMap:
     cod: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(json_int(v, "order map value") for v in self.values))
+        json_int(self.cod, "order map codomain")
         if not self.values:
             raise ValueError("an order map needs a nonempty domain")
         if any(b < a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values %r are not nondecreasing" % (self.values,))
         if self.values[0] < 0 or self.values[-1] > self.cod:
             raise ValueError("values %r leave the codomain [%d]" % (self.values, self.cod))
+
+    @classmethod
+    def _trusted(cls, values: Tuple[int, ...], cod: int) -> "OrderMap":
+        """Wrap a tuple of ints already known to be nondecreasing in [cod]."""
+        o = cls.__new__(cls)
+        o.__dict__.update(values=values, cod=cod)
+        return o
 
     @property
     def dom(self) -> int:
@@ -41,10 +49,14 @@ class OrderMap:
         """self o other."""
         if other.cod != self.dom:
             raise ValueError("codomain [%d] does not match domain [%d]" % (other.cod, self.dom))
-        return OrderMap(tuple(self.values[v] for v in other.values), self.cod)
+        return OrderMap._trusted(tuple(self.values[v] for v in other.values), self.cod)
 
     def key(self) -> str:
-        return ",".join(str(v) for v in self.values)
+        """The values joined by commas, formed once per map."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = ",".join(map(str, self.values))
+        return key
 
     def __str__(self):
         return self.key()
@@ -64,7 +76,7 @@ class DMorphism:
     inj: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "inj", tuple(int(v) for v in self.inj))
+        object.__setattr__(self, "inj", tuple(json_int(v, "injection value") for v in self.inj))
         if len(self.inj) != self.src.dom + 1:
             raise ValueError("injection arity %d does not match source domain" % len(self.inj))
         if any(b <= a for a, b in zip(self.inj, self.inj[1:])):
@@ -76,11 +88,18 @@ class DMorphism:
         if tuple(self.tgt.values[i] for i in self.inj) != self.src.values:
             raise ValueError("injection %r does not carry %s into %s" % (self.inj, self.src, self.tgt))
 
+    @classmethod
+    def _trusted(cls, src: OrderMap, tgt: OrderMap, inj: Tuple[int, ...]) -> "DMorphism":
+        """Wrap parts already known to meet every check of __post_init__."""
+        m = cls.__new__(cls)
+        m.__dict__.update(src=src, tgt=tgt, inj=inj)
+        return m
+
     def compose(self, other: "DMorphism") -> "DMorphism":
         """self o other (other's target must be self's source)."""
         if other.tgt != self.src:
             raise ValueError("morphisms are not composable")
-        return DMorphism(other.src, self.tgt, tuple(self.inj[i] for i in other.inj))
+        return DMorphism._trusted(other.src, self.tgt, tuple(self.inj[i] for i in other.inj))
 
 
 def is_weak_equivalence_d(m: DMorphism) -> bool:
@@ -91,7 +110,7 @@ def is_weak_equivalence_d(m: DMorphism) -> bool:
 
 def enumerate_order_maps(n: int, m: int):
     """All order maps [m] -> [n] in lexicographic order."""
-    return [OrderMap(v, n) for v in combinations_with_replacement(range(n + 1), m + 1)]
+    return [OrderMap._trusted(v, n) for v in combinations_with_replacement(range(n + 1), m + 1)]
 
 
 def enumerate_d_objects(n: int, max_len: int = 3):
@@ -108,8 +127,8 @@ def enumerate_inclusions(alpha: OrderMap):
     each nonempty subset of its domain, sorted by size then lexicographically."""
     out = []
     for subset in nonempty_subsets(alpha.dom):
-        src = OrderMap(tuple(alpha.values[i] for i in subset), alpha.cod)
-        out.append(DMorphism(src, alpha, subset))
+        src = OrderMap._trusted(tuple(alpha.values[i] for i in subset), alpha.cod)
+        out.append(DMorphism._trusted(src, alpha, subset))
     return out
 
 

@@ -5,7 +5,9 @@ Maurer-Cartan, latching, last-vertex and homotopical identities column by
 column, so it never calls ``hom_differential``, calls ``@`` only in the d^2
 checks of the frames, and calls ``invariant_factors`` not at all.
 The counts are deterministic, so a change that brings back a dense path
-shows up here.  ``frame`` and ``recover`` are pinned the same way.
+shows up here.  ``frame`` and ``recover`` are pinned the same way, and so
+are the calls of the checking constructors under ``check``, so that
+validation of values the library builds itself does not creep back.
 """
 
 import functools
@@ -15,8 +17,10 @@ import sys
 
 import dgframes
 from dgframes import cli, complexes, exact_linalg
+from dgframes.complexes import ChainComplex, GradedMap
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import IntMatrix
+from dgframes.simplicial import DMorphism, OrderMap
 
 
 def _count_calls(monkeypatch, counts, name, original):
@@ -56,6 +60,40 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
     # at the commit before the column-wise deciders: 602, 207 and 4024;
     # while the Maurer-Cartan suite formed its defects densely: 11, 0 and 140
     assert counts == {"hom_differential": 0, "invariant_factors": 0, "IntMatrix.__matmul__": 130}
+
+
+def test_check_validates_only_the_values_it_parses(monkeypatch, tmp_path):
+    """``check --max-len 2`` on the pinned 3-simplex runs the checking
+    constructors only on what it reads from outside: the 4 objects and 11
+    cochains it parses, and the n+1 faces and n+1 degeneracies it reindexes
+    along.  Every frame, map, restriction, order map and morphism it builds
+    itself takes the trusted path."""
+    path = tmp_path / "r7n3.json"
+    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
+    counts = {}
+    for cls, name in (
+        (ChainComplex, "__init__"),
+        (GradedMap, "__init__"),
+        (OrderMap, "__post_init__"),
+        (DMorphism, "__post_init__"),
+    ):
+        key = "%s.%s" % (cls.__name__, name)
+        counts[key] = 0
+        original = getattr(cls, name)
+
+        def counted(*args, _original=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    assert cli.main(["check", "--input", str(path), "--max-len", "2", "--output", str(tmp_path / "out.json")]) == 0
+    # at the commit before the trusted constructors: 140, 455, 808 and 174
+    assert counts == {
+        "ChainComplex.__init__": 4,
+        "GradedMap.__init__": 11,
+        "OrderMap.__post_init__": 8,
+        "DMorphism.__post_init__": 0,
+    }
 
 
 def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_path):
