@@ -44,20 +44,21 @@ class ChainComplex:
 
     Parameters
     ----------
-    name : display name (metadata only, ignored by equality)
+    name : display name, a str (metadata only, ignored by equality)
     ranks : mapping degree -> rank, both ints (ValueError for any other
         type, bools included); zero ranks are dropped
     diffs : mapping int degree -> IntMatrix of X_d -> X_{d-1}; matrices are kept
         exactly for the degrees where both ends have positive rank, missing
         ones are filled with zeros
-    labels : optional mapping degree -> sequence of basis label strings;
-        defaults to "e0", "e1", ...
+    labels : optional mapping degree -> sequence of basis label strings
+        (ValueError for any other type, as for ``name``); defaults to
+        "e0", "e1", ...
     check : verify d o d = 0 on construction (disable only to build
         deliberately broken fixtures)
     """
 
     def __init__(self, name, ranks, diffs=None, labels=None, check=True):
-        self.name = str(name)
+        self.name = json_str(name, "complex name")
         self._ranks: Dict[int, int] = {}
         for d, r in dict(ranks).items():
             json_int(d, "complex degree")
@@ -90,7 +91,10 @@ class ChainComplex:
             if got is None:
                 self._labels[d] = tuple("e%d" % i for i in range(r))
             else:
-                got = tuple(str(s) for s in got)
+                got = tuple(got)
+                for s in got:
+                    if not isinstance(s, str):
+                        json_str(s, "label at degree %d" % d)  # raises
                 if len(got) != r:
                     raise ValueError("degree %d has %d labels for rank %d" % (d, len(got), r))
                 self._labels[d] = got
@@ -145,7 +149,7 @@ class ChainComplex:
         out = []
         for d in self.support:
             if self.rank(d - 1) and self.rank(d - 2):
-                if not (self.diff(d - 1) @ self.diff(d)).is_zero():
+                if not self.diff(d - 1).product_is_zero(self.diff(d)):
                     out.append(d)
         return out
 

@@ -1,13 +1,19 @@
-"""Exact dense integer matrices, Smith normal form and integer linear solvers.
+"""Exact integer matrices, Smith normal form and integer linear solvers.
 
 Everything here runs on Python's arbitrary-precision ints; no floating point
-is used anywhere in the package.  Matrices are immutable once constructed, so
-they can be shared freely between complexes and maps.
+is used anywhere in the package.  A matrix is stored as dense rows, its one
+representation.  Matrices are immutable once constructed, so they can be
+shared freely between complexes and maps, and each caches one derived
+index on its rows: :meth:`IntMatrix.row_nonzeros`, the (column, value)
+pairs of every row, built on first use.  The d^2 test
+(:meth:`IntMatrix.product_is_zero`), :func:`invariant_factors`, the frame
+assembler and the JSON writer read it, so they pay per nonzero.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
@@ -22,13 +28,13 @@ class IntMatrix:
     bounded complexes.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_nonzeros")
 
     def __init__(self, rows: int, cols: int, data: Optional[Iterable[Iterable[int]]] = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_shape(rows, cols)
         self.rows = rows
         self.cols = cols
+        self._nonzeros = None
         if data is None:
             self.data = tuple((0,) * cols for _ in range(rows))
         else:
@@ -49,14 +55,14 @@ class IntMatrix:
         m.rows = rows
         m.cols = cols
         m.data = data
+        m._nonzeros = None
         return m
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_shape(rows, cols)
         return cls._trusted(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
@@ -113,6 +119,16 @@ class IntMatrix:
     def to_lists(self):
         return [list(r) for r in self.data]
 
+    def row_nonzeros(self) -> tuple:
+        """For each row, the tuple of its (column, value) pairs with value
+        nonzero, in column order.  Built on the first call and kept: the
+        matrix is immutable, so the view never goes stale."""
+        view = self._nonzeros
+        if view is None:
+            width = range(self.cols)
+            view = self._nonzeros = tuple([tuple(zip(compress(width, row), compress(row, row))) for row in self.data])
+        return view
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -140,9 +156,10 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """The product, with Python work per nonzero only: ``compress`` over a
         range built once per call skips the zeros, in C, of each row of self
-        and of each row of other that those rows select."""
-        if self.cols != other.rows:
-            raise ValueError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
+        and of each row of other that those rows select.  It does not read
+        :meth:`row_nonzeros`: on the small factors ``recover`` multiplies,
+        building both views costs about twice this scan."""
+        self._check_product(other)
         bdata = other.data
         width = other.cols
         inner = range(self.cols)
@@ -162,18 +179,44 @@ class IntMatrix:
             out.append(tuple(acc))
         return IntMatrix._trusted(self.rows, width, tuple(out))
 
+    def product_is_zero(self, other: "IntMatrix") -> bool:
+        """Whether self @ other is the zero matrix, decided row by row over
+        the nonzeros of both factors; stops at the first nonzero row and
+        forms no dense product."""
+        self._check_product(other)
+        right = other.row_nonzeros()
+        for left in self.row_nonzeros():
+            acc: Dict[int, int] = {}
+            for k, v in left:
+                for j, w in right[k]:
+                    acc[j] = acc.get(j, 0) + v * w
+            if any(acc.values()):
+                return False
+        return True
+
     def transpose(self) -> "IntMatrix":
         return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ((),) * self.cols)
+
+    def _check_product(self, other: "IntMatrix"):
+        if self.cols != other.rows:
+            raise ValueError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
 
     def _same_shape(self, other: "IntMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch: %dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
 
 
-@lru_cache(maxsize=64)
+def _check_shape(rows, cols) -> None:
+    for n in (rows, cols):
+        if type(n) is not int:  # not isinstance: a bool is refused too
+            raise ValueError("matrix dimension must be an integer, got %r" % (n,))
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: identity(True) must not hit the entry of 1
 def _identity(n: int) -> IntMatrix:
-    if n < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
+    _check_shape(n, n)
     return IntMatrix._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
@@ -352,33 +395,32 @@ def invariant_factors(m: IntMatrix) -> Vector:
     The invariant factors are unique, so they are found by any sequence of
     unimodular row and column operations, in any order and without building
     transforms.  On sparse rows, +-1 pivots go first: the row with the fewest
-    nonzeros that holds one, then its unit column with the fewest nonzeros.
-    Each unit pivot contributes a factor 1 and leaves the Schur complement
-    with its row and column deleted, since 1 divides every later factor.
-    What is left, if anything, goes through the dense diagonalization of
-    :func:`snf` without transforms.  The sparse rows are read with
-    ``compress``, which skips the zeros in C.
+    nonzeros that holds one (the lowest index among those), then its unit
+    column with the fewest nonzeros.  A heap keyed by (row length, row index)
+    finds that row; an entry that no longer describes its row is skipped when
+    popped, and a row changed by an elimination is pushed again while it
+    holds a unit.  Each unit pivot contributes a factor 1 and leaves the
+    Schur complement with its row and column deleted, since 1 divides every
+    later factor.  What is left, if anything, goes through the dense
+    diagonalization of :func:`snf` without transforms.  The sparse rows come
+    from :meth:`IntMatrix.row_nonzeros`.
     """
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, set] = {}
-    width = range(m.cols)
-    for i, row in enumerate(m.data):
-        r = {j: row[j] for j in compress(width, row)}
-        if r:
-            rows[i] = r
-            for j in r:
+    for i, nz in enumerate(m.row_nonzeros()):
+        if nz:
+            rows[i] = dict(nz)
+            for j, _ in nz:
                 cols.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in rows.items() if _holds_unit(r)]
+    heapify(heap)
     units = 0
-    while rows:
-        best = None
-        for i, r in rows.items():
-            if (best is None or len(r) < len(rows[best])) and (1 in r.values() or -1 in r.values()):
-                best = i
-                if len(r) == 1:
-                    break
-        if best is None:
-            break
-        prow = rows.pop(best)
+    while heap:
+        length, best = heappop(heap)
+        prow = rows.get(best)
+        if prow is None or len(prow) != length or not _holds_unit(prow):
+            continue
+        del rows[best]
         for j in prow:
             cols[j].discard(best)
         q = min((j for j, v in prow.items() if v == 1 or v == -1), key=lambda j: len(cols[j]))
@@ -397,6 +439,8 @@ def invariant_factors(m: IntMatrix) -> Vector:
                     cols[j].discard(i)
             if not r:
                 del rows[i]
+            elif _holds_unit(r):
+                heappush(heap, (len(r), i))
         units += 1
     rest: tuple = ()
     if rows:
@@ -405,6 +449,11 @@ def invariant_factors(m: IntMatrix) -> Vector:
         _diagonalize(a, len(a), len(live))
         rest = tuple(a[t][t] for t in range(min(len(a), len(live))) if a[t][t])
     return (1,) * units + rest
+
+
+def _holds_unit(row: Dict[int, int]) -> bool:
+    values = row.values()
+    return 1 in values or -1 in values
 
 
 def rank(m: IntMatrix) -> int:

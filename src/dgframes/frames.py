@@ -126,12 +126,14 @@ class FrameObject:
         return "FrameObject(alpha=%s, total rank %d)" % (self.alpha.key(), self.complex.total_rank())
 
     def to_json(self) -> dict:
+        """The frame for :func:`reporting.canonical_json`, which writes each
+        differential, an IntMatrix here, as the list of its rows."""
         c = self.complex
         return {
             "alpha": self.alpha.key(),
             "degrees": {str(d): c.rank(d) for d in c.support},
             "labels": {str(d): list(c.labels(d)) for d in c.support},
-            "differentials": {str(d): c.diff(d).to_lists() for d in c.support if c.rank(d - 1)},
+            "differentials": {str(d): c.diff(d) for d in c.support if c.rank(d - 1)},
         }
 
 
@@ -207,13 +209,13 @@ def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
                         out = grid[row + e] = [0] * n_cols
                     out[col + e] += sign
                 continue
-            for i, mrow in enumerate(m.data, row):
-                out = grid[i]
-                for e, v in enumerate(mrow, col):
-                    if v:
-                        if out is None:
-                            out = grid[i] = [0] * n_cols
-                        out[e] += sign * v
+            for i, nz in enumerate(m.row_nonzeros(), row):
+                if nz:
+                    out = grid[i]
+                    if out is None:
+                        out = grid[i] = [0] * n_cols
+                    for e, v in nz:
+                        out[col + e] += sign * v
     zero = (0,) * n_cols
     return IntMatrix._trusted(n_rows, n_cols, tuple(zero if out is None else tuple(out) for out in grid))
 

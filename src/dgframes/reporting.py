@@ -8,6 +8,8 @@ from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
+from .exact_linalg import IntMatrix
+
 
 @dataclass(frozen=True)
 class CheckItem:
@@ -57,66 +59,97 @@ class Report:
 
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for the JSON trees the
-    CLI emits: dicts with str keys, lists, tuples, str, int, bool and None.
-    Anything else, floats and non-str keys included, raises TypeError.
+    CLI emits: dicts with str keys, lists, tuples, str, int, bool and None,
+    and :class:`IntMatrix`, written as the list of its rows.  Anything else,
+    floats and non-str keys included, raises TypeError.
 
     With ``indent`` set, ``json`` on CPython 3.11 falls back to its
     pure-Python encoder, which yields one chunk per list item; here strings
-    still go through the C escaper.  A list of ints is written from the
-    cached text of an all-zero list of its length and indent, sliced around
-    the nonzeros that ``compress`` finds, so a mostly-zero matrix row costs
-    Python work per nonzero, not per entry."""
-    return _encode(obj, "\n")
+    still go through the C escaper, and every chunk goes to one list that is
+    joined once, so no text is copied once per nesting level.  A row of ints
+    is written as slices of the cached text of an all-zero row of its length
+    and indent, with only its nonzeros in between, so a mostly-zero matrix
+    row costs Python work per nonzero, not per entry.  A matrix row's
+    nonzeros come from :meth:`IntMatrix.row_nonzeros`, and its entries need
+    no type test: an IntMatrix holds only ints."""
+    out: List[str] = []
+    _encode(obj, "\n", out)
+    return "".join(out)
 
 
 _INT_ONLY = {int}
 
 
-def _encode(obj, newline: str) -> str:
+def _encode(obj, newline: str, out: List[str]) -> None:
+    """Append the chunks of ``obj``, written at the indent of ``newline``, to ``out``."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        # sorted() or the escaper raises TypeError on a key that is not a str
-        items = [encode_basestring_ascii(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for k in sorted(obj):  # sorted() or the escaper raises TypeError on a key that is not a str
+            out += (head, encode_basestring_ascii(k), ": ")
+            _encode(obj[k], inner, out)
+            head = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, IntMatrix):
+        if not obj.rows:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for nz in obj.row_nonzeros():
+            out.append(head)
+            _int_list(obj.cols, nz, inner, out)
+            head = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        sep = "," + inner
-        if set(map(type, obj)) == _INT_ONLY:  # type(), not isinstance: bools take the general path
-            body = _int_items(obj, sep)
+            out.append("[]")
+        elif set(map(type, obj)) == _INT_ONLY:  # type(), not isinstance: bools take the general path
+            n = len(obj)
+            _int_list(n, zip(compress(range(n), obj), compress(obj, obj)), newline, out)
         else:
-            body = sep.join([_encode(v, inner) for v in obj])
-        return "[" + inner + body + newline + "]"
-    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+            inner = newline + "  "
+            head = "[" + inner
+            for v in obj:
+                out.append(head)
+                _encode(v, inner, out)
+                head = "," + inner
+            out.append(newline + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
-def _int_items(row, sep: str) -> str:
-    """``sep.join(map(int.__repr__, row))`` for a nonempty sequence of ints:
-    the zero text of its width, with each nonzero spliced in at its place."""
-    n = len(row)
+def _int_list(n: int, nonzeros, newline: str, out: List[str]) -> None:
+    """Append the JSON list of a row of n ints, given its (column, value)
+    nonzeros in column order: slices of the zero text of its width, with
+    each nonzero in its place."""
+    if not n:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    sep = "," + inner
     zeros = _zero_items(n, sep)
     step = len(sep) + 1  # every "0" is one character
-    parts = []
+    out += ("[", inner)
     at = 0
-    for k in compress(range(n), row):
+    for k, v in nonzeros:
         start = k * step
-        parts.append(zeros[at:start])
-        parts.append(int.__repr__(row[k]))
+        out += (zeros[at:start], int.__repr__(v))
         at = start + 1
-    parts.append(zeros[at:])
-    return "".join(parts)
+    out += (zeros[at:], newline, "]")
 
 
 @lru_cache(maxsize=256)  # bounded: one entry per row width and nesting depth seen

@@ -6,7 +6,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dgframes import cli
 from dgframes.cli import main
@@ -453,6 +453,29 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES | SPARSE_INT_ROWS | st.just('"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e'))
 def test_canonical_json_matches_json_dumps(tree):
     assert canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+INT_MATRIX_ROWS = st.tuples(st.integers(0, 5), st.integers(0, 40)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.sampled_from((0,) * 12 + (1, -1, 2**70, -(2**70))), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda data: IntMatrix(shape[0], shape[1], data))
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(INT_MATRIX_ROWS, st.lists(st.sampled_from(("list", "dict")), max_size=3))
+@example(IntMatrix.zeros(0, 4), ["list"])
+@example(IntMatrix.zeros(3, 0), ["dict", "list"])
+@example(IntMatrix(2, 40, [[0] * 39 + [2**70], [-1] + [0] * 39]), ["dict", "dict", "list"])
+def test_canonical_json_writes_an_int_matrix_as_its_rows(m, nesting):
+    """An IntMatrix, alone or nested 1-3 levels deep, is written as
+    ``json.dumps`` writes its list of rows at the same depth."""
+    tree, rows = m, m.to_lists()
+    for kind in nesting:
+        tree, rows = ([tree, 1], [rows, 1]) if kind == "list" else ({"m": tree}, {"m": rows})
+    assert canonical_json(tree) == json.dumps(rows, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [[0, False], (0, False, 1), [False, 0, True, 1]])

@@ -1,7 +1,8 @@
 """The two construction paths.
 
 Public constructors validate what they are given and coerce nothing: a value
-whose type is not ``int`` is refused, bools included.  Values the library
+whose type is not ``int`` is refused, bools included, and so is a complex
+name or label that is not a ``str``.  Values the library
 builds from valid parts take the ``_trusted`` constructors, which check
 nothing; the guard below rebuilds every such value through the checking
 constructor and requires the same value back, stored in exactly the
@@ -27,6 +28,11 @@ _NOT_INTS = {
     "matrix entry 1.5": lambda: IntMatrix(1, 1, [[1.5]]),
     "matrix entry '7'": lambda: IntMatrix(1, 1, [["7"]]),
     "matrix entry True": lambda: IntMatrix(1, 2, [[1, True]]),
+    "matrix rows True": lambda: IntMatrix(True, 1, [[1]]),
+    "matrix cols 1.0": lambda: IntMatrix(1, 1.0, [[1]]),
+    "zero matrix rows 2.0": lambda: IntMatrix.zeros(2.0, 1),
+    "zero matrix cols False": lambda: IntMatrix.zeros(1, False),
+    "identity size True": lambda: IntMatrix.identity(True),
     "order map value 0.9": lambda: OrderMap((0.9, 1), 1),
     "order map value False": lambda: OrderMap((0, False), 1),
     "order map codomain 1.0": lambda: OrderMap((0, 1), 1.0),
@@ -49,6 +55,20 @@ _NOT_INTS = {
 @pytest.mark.parametrize("build", list(_NOT_INTS.values()), ids=list(_NOT_INTS))
 def test_public_constructors_refuse_what_is_not_an_int(build):
     with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+_NOT_STRS = {
+    "complex name 5": lambda: ChainComplex(5, {0: 1}),
+    "complex name None": lambda: ChainComplex(None, {}),
+    "label 5": lambda: ChainComplex("x", {0: 1}, labels={0: [5]}),
+    "label b'a'": lambda: ChainComplex("x", {0: 2}, labels={0: ("e0", b"a")}),
+}
+
+
+@pytest.mark.parametrize("build", list(_NOT_STRS.values()), ids=list(_NOT_STRS))
+def test_complexes_refuse_names_and_labels_that_are_not_strs(build):
+    with pytest.raises(ValueError, match="must be a JSON string"):
         build()
 
 

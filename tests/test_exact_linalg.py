@@ -200,6 +200,52 @@ def test_matmul_against_the_triple_loop():
         assert b.transpose() @ a.transpose() == matmul(a, b).transpose()
 
 
+def _plain_row_scan(m):
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in m.data)
+
+
+def _cancelling_pair(rng, rows, inner, cols, density):
+    """(a, b) with a @ b zero only through cancellation: a = [x | x] and
+    b = [y; -y], with entries up to 2^70 and every product a[i, k] * b[k, j]
+    of the two halves cancelling."""
+    pool = (1, -1, 2, -3, 2**70, -(2**70))
+    x = [[rng.choice(pool) if rng.random() < density else 0 for _ in range(inner)] for _ in range(rows)]
+    y = [[rng.choice(pool) if rng.random() < density else 0 for _ in range(cols)] for _ in range(inner)]
+    a = IntMatrix(rows, 2 * inner, [row + row for row in x])
+    b = IntMatrix(2 * inner, cols, y + [[-v for v in row] for row in y])
+    return a, b
+
+
+def test_row_nonzeros_and_product_is_zero_against_plain_scans():
+    """The cached view equals a scan of every cell, and product_is_zero
+    agrees with the triple-loop product being zero, also when the product
+    vanishes only through cancellation or is nonzero only in its last row."""
+    rng = random.Random(37)
+    shapes = [(rng.randint(1, 40), rng.randint(1, 120), rng.randint(1, 120)) for _ in range(12)]
+    shapes += [(0, 7, 5), (6, 0, 5), (6, 7, 0), (0, 0, 3), (4, 0, 0)]
+    for rows, inner, cols in shapes:
+        density = rng.choice((0.02, 0.05, 0.1, 0.2))
+        a, b = _wide_sparse(rng, rows, inner, density), _wide_sparse(rng, inner, cols, density)
+        for m in (a, b):
+            assert m.row_nonzeros() == _plain_row_scan(m)
+            assert m.row_nonzeros() is m.row_nonzeros()
+        assert a.product_is_zero(b) == matmul(a, b).is_zero()
+        a, b = _cancelling_pair(rng, rows, (inner + 1) // 2, cols, density)
+        assert a.product_is_zero(b) and matmul(a, b).is_zero()
+        # one unit in the last row of a, against a nonzero row of b, breaks the
+        # cancellation in that row alone
+        hit = next((k for k, nz in enumerate(b.row_nonzeros()) if nz), None)
+        if rows and hit is not None:
+            data = a.to_lists()
+            data[-1][hit] += 1
+            a = IntMatrix(rows, a.cols, data)
+            product = matmul(a, b)
+            assert not product.is_zero() and not any(map(any, product.data[:-1]))
+            assert not a.product_is_zero(b)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        IntMatrix.zeros(2, 3).product_is_zero(IntMatrix.zeros(2, 3))
+
+
 def _snf_diagonal(m):
     s = snf(m).s
     return tuple(s[i, i] for i in range(min(m.rows, m.cols)) if s[i, i])

@@ -2,8 +2,9 @@
 
 ``check --max-len 3`` on ``random_simplex(Random(7), 3)`` decides its
 Maurer-Cartan, latching, last-vertex and homotopical identities column by
-column, so it never calls ``hom_differential``, calls ``@`` only in the d^2
-checks of the frames, and calls ``invariant_factors`` not at all.
+column, so it never calls ``hom_differential``, decides the d^2 checks of
+the frames with ``product_is_zero`` instead of ``@``, and calls
+``invariant_factors`` not at all.
 The counts are deterministic, so a change that brings back a dense path
 shows up here.  ``frame`` and ``recover`` are pinned the same way, and so
 are the calls of the checking constructors under ``check``, so that
@@ -38,15 +39,18 @@ def _count_calls(monkeypatch, counts, name, original):
             monkeypatch.setattr(module, name, counted)
 
 
-def _count_matmul(monkeypatch, counts):
-    counts["IntMatrix.__matmul__"] = 0
-    matmul = IntMatrix.__matmul__
+def _count_products(monkeypatch, counts):
+    """Count the calls of ``@`` and of ``product_is_zero``."""
+    for name in ("__matmul__", "product_is_zero"):
+        key = "IntMatrix." + name
+        counts[key] = 0
+        original = getattr(IntMatrix, name)
 
-    def counted_matmul(self, other):
-        counts["IntMatrix.__matmul__"] += 1
-        return matmul(self, other)
+        def counted(self, other, _original=original, _key=key):
+            counts[_key] += 1
+            return _original(self, other)
 
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+        monkeypatch.setattr(IntMatrix, name, counted)
 
 
 def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
@@ -55,11 +59,17 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
     counts = {}
     _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
     _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
-    _count_matmul(monkeypatch, counts)
+    _count_products(monkeypatch, counts)
     assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]) == 0
-    # at the commit before the column-wise deciders: 602, 207 and 4024;
-    # while the Maurer-Cartan suite formed its defects densely: 11, 0 and 140
-    assert counts == {"hom_differential": 0, "invariant_factors": 0, "IntMatrix.__matmul__": 130}
+    # at the commit before the column-wise deciders: 602, 207 and 4024 (all
+    # products by @); while the Maurer-Cartan suite formed its defects
+    # densely: 11, 0 and 140; while the d^2 checks multiplied by @: 0, 0 and 130
+    assert counts == {
+        "hom_differential": 0,
+        "invariant_factors": 0,
+        "IntMatrix.__matmul__": 0,
+        "IntMatrix.product_is_zero": 130,
+    }
 
 
 def test_check_validates_only_the_values_it_parses(monkeypatch, tmp_path):
@@ -107,23 +117,65 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
     _count_calls(monkeypatch, counts, "vector_to_graded_map", complexes.vector_to_graded_map)
     _count_calls(monkeypatch, counts, "solve", exact_linalg.solve)
-    _count_matmul(monkeypatch, counts)
+    _count_products(monkeypatch, counts)
     assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
     # at the commit before the systems were read from the mapping complex: 42, 86 and 467;
-    # while recovery also solved for the homotopy: 0, 3, 3 and 23
-    assert counts == {"hom_differential": 0, "vector_to_graded_map": 2, "solve": 2, "IntMatrix.__matmul__": 11}
+    # while recovery also solved for the homotopy: 0, 3, 3 and 23; while the
+    # d^2 checks multiplied by @: 0, 2, 2 and 11 = 2 + 9
+    assert counts == {
+        "hom_differential": 0,
+        "vector_to_graded_map": 2,
+        "solve": 2,
+        "IntMatrix.__matmul__": 2,
+        "IntMatrix.product_is_zero": 9,
+    }
+
+
+def _frame_argv(tmp_path):
+    """``frame`` on an 8-long alpha of the pinned 3-simplex."""
+    path = tmp_path / "r7n3.json"
+    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
+    return ["frame", "--input", str(path), "--alpha", "0,0,1,1,2,2,3,3", "--output", str(tmp_path / "out.json")]
 
 
 def test_frame_counts_its_products_and_factorizations(monkeypatch, tmp_path):
-    """``frame`` on an 8-long alpha multiplies only in the d^2 checks of the
-    complexes it builds and factors only the differentials whose homology it
-    reports.  Skipping zeros inside ``@`` and ``invariant_factors`` changes
-    what each call costs, not how many calls there are."""
-    path = tmp_path / "r7n3.json"
-    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
+    """``frame`` decides d^2 = 0 once per degree of the complex it builds,
+    forms no product, and factors only the differentials whose homology it
+    reports."""
+    argv = _frame_argv(tmp_path)
     counts = {}
     _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
-    _count_matmul(monkeypatch, counts)
-    argv = ["frame", "--input", str(path), "--alpha", "0,0,1,1,2,2,3,3", "--output", str(tmp_path / "out.json")]
+    _count_products(monkeypatch, counts)
     assert cli.main(argv) == 0
-    assert counts == {"invariant_factors": 9, "IntMatrix.__matmul__": 8}
+    # while the d^2 checks multiplied by @: 9, 8 and no product_is_zero
+    assert counts == {"invariant_factors": 9, "IntMatrix.__matmul__": 0, "IntMatrix.product_is_zero": 8}
+
+
+def test_frame_builds_each_differential_view_once(monkeypatch, tmp_path):
+    """The d^2 test, ``invariant_factors`` and the JSON writer of ``frame``
+    all read the nonzero view of the same 9 differentials, and each view is
+    built on its first read only."""
+    argv = _frame_argv(tmp_path)
+    built, reads, frames_built = [], [], []
+    original = IntMatrix.row_nonzeros
+
+    def counted(self):  # keeps every matrix alive, so that ids stay unique
+        reads.append(self)
+        if self._nonzeros is None:
+            built.append(self)
+        return original(self)
+
+    def kept(*args, _build=cli.build_frame_object, **kwargs):
+        frames_built.append(_build(*args, **kwargs))
+        return frames_built[-1]
+
+    monkeypatch.setattr(IntMatrix, "row_nonzeros", counted)
+    monkeypatch.setattr(cli, "build_frame_object", kept)
+    assert cli.main(argv) == 0
+    (c,) = [o.complex for o in frames_built]
+    diffs = {id(c.diff(d)) for d in c.support if c.rank(d - 1)}
+    built_ids = [id(m) for m in built]
+    assert len(diffs) == 9 and diffs <= set(built_ids)
+    assert len(built_ids) == len(set(built_ids))
+    # two per d^2 test, one per factorization, one per write
+    assert sum(id(m) in diffs for m in reads) == 2 * 8 + 9 + 9
