@@ -22,6 +22,7 @@ from .complexes import (
     HomologySummary,
     cone,
     hom_complex,
+    hom_complex_diff,
     hom_differential,
     homology,
     is_acyclic,
@@ -89,6 +90,7 @@ __all__ = [
     "enumerate_d_objects",
     "enumerate_order_maps",
     "hom_complex",
+    "hom_complex_diff",
     "hom_differential",
     "homology",
     "homotopy",

@@ -20,10 +20,11 @@ the ``name`` field is display metadata and never takes part in comparisons.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress
 from operator import add
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .exact_linalg import (
     IntMatrix,
@@ -595,11 +596,37 @@ def precompose_matrix(f: GradedMap, z: ChainComplex, n: int) -> IntMatrix:
     return IntMatrix.from_entries(len(index), len(columns), entries)
 
 
+def hom_complex_diff(x: ChainComplex, y: ChainComplex, n: int) -> IntMatrix:
+    """The matrix of the differential D : Map(X, Y)_n -> Map(X, Y)_{n-1},
+    D(f) = d_Y o f - (-1)^n f o d_X, in :func:`hom_basis` coordinates.
+
+    Only the two bases it maps between are built: this is one differential
+    of :func:`hom_complex` without the rest of the complex, its labels or
+    its d^2 check.  The elementary map (k, i, j) goes to the sum over l of
+    d_Y[l, j] (k, i, l) and the sum over i' of -(-1)^n d_X[i, i'] (k + 1, i', j);
+    the two sums never meet, since their source degrees differ.
+    """
+    columns = hom_basis(x, y, n)
+    index = {t: c for c, t in enumerate(hom_basis(x, y, n - 1))}
+    sign = -parity_sign(n)
+    entries = {}
+    for col, (k, i, j) in enumerate(columns):
+        for l, row in enumerate(y.diff(k + n).data):
+            v = row[j]
+            if v:
+                entries[(index[(k, i, l)], col)] = v
+        for i2, v in enumerate(x.diff(k + 1).data[i]):
+            if v:
+                entries[(index[(k + 1, i2, j)], col)] = sign * v
+    return IntMatrix.from_entries(len(index), len(columns), entries)
+
+
 def hom_complex(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     """The mapping complex with Map(X, Y)_n = prod_k Ab(X_k, Y_{k+n}).
 
-    Basis ordering in each degree follows :func:`hom_basis`; the differential
-    is the matrix of D(f) = d_Y o f - (-1)^n f o d_X on elementary maps.
+    Basis ordering in each degree follows :func:`hom_basis`; each
+    differential is :func:`hom_complex_diff`.  A caller that reads one
+    differential should call that function instead and skip the rest.
     """
     if not x.support or not y.support:
         return zero_complex("Hom(%s,%s)" % (x.name, y.name))
@@ -607,31 +634,12 @@ def hom_complex(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     hi = y.max_degree() - x.min_degree()
     bases = {n: hom_basis(x, y, n) for n in range(lo, hi + 1)}
     ranks = {n: len(b) for n, b in bases.items() if b}
-    index = {n: {t: c for c, t in enumerate(b)} for n, b in bases.items()}
     labels = {
         n: tuple("%d:%s>%s" % (k, x.label(k, i), y.label(k + n, j)) for (k, i, j) in b)
         for n, b in bases.items()
         if b
     }
-    diffs = {}
-    for n in ranks:
-        if not ranks.get(n - 1):
-            continue
-        entries = {}
-        sign = -parity_sign(n)
-        for col, (k, i, j) in enumerate(bases[n]):
-            dy = y.diff(k + n)
-            for l in range(y.rank(k + n - 1)):
-                v = dy[l, j]
-                if v:
-                    entries[(index[n - 1][(k, i, l)], col)] = entries.get((index[n - 1][(k, i, l)], col), 0) + v
-            dx = x.diff(k + 1)
-            for i2 in range(x.rank(k + 1)):
-                v = dx[i, i2]
-                if v:
-                    key = (index[n - 1][(k + 1, i2, j)], col)
-                    entries[key] = entries.get(key, 0) + sign * v
-        diffs[n] = IntMatrix.from_entries(ranks[n - 1], ranks[n], entries)
+    diffs = {n: hom_complex_diff(x, y, n) for n in ranks if ranks.get(n - 1)}
     return ChainComplex("Hom(%s,%s)" % (x.name, y.name), ranks, diffs, labels)
 
 
@@ -711,7 +719,7 @@ def is_nullhomotopic(f: GradedMap) -> Optional[GradedMap]:
     certified nonexistence over the integers.
     """
     x, y, r = f.source, f.target, f.degree
-    sol = solve(hom_complex(x, y).diff(r + 1), graded_map_to_vector(f))
+    sol = solve(hom_complex_diff(x, y, r + 1), graded_map_to_vector(f))
     return None if sol is None else vector_to_graded_map(x, y, r + 1, sol)
 
 
@@ -762,7 +770,7 @@ def random_complex(rng: random.Random, max_rank=3, max_width=4, min_degree=-1, m
 
 def random_chain_map(rng: random.Random, x: ChainComplex, y: ChainComplex, spread=1) -> GradedMap:
     """A random degree-0 cycle of the mapping complex, i.e. a chain map."""
-    m = hom_complex(x, y).diff(0)
+    m = hom_complex_diff(x, y, 0)
     vec = [0] * m.cols
     for v in kernel_basis(m):
         c = rng.randint(-spread, spread)

@@ -292,6 +292,10 @@ def _diagonalize(a, nr: int, nc: int) -> None:
     Every row operation acts on the whole row and every column operation on
     the whole column, so entries past column nc of the first nr rows record
     the row transform, and rows past nr record the column transform.
+
+    A step ends once the pivot's row and column are clear and the pivot
+    divides every trailing entry.  A pivot of 1 or -1 divides every integer,
+    so the step ends there without scanning the trailing entries.
     """
     t = 0
     while t < min(nr, nc):
@@ -343,9 +347,12 @@ def _diagonalize(a, nr: int, nc: int) -> None:
                 continue
             if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][j] for j in range(t + 1, nc)):
                 continue
-            # row and column are clear; enforce the divisibility chain
-            offender = None
+            # row and column are clear; enforce the divisibility chain, which
+            # a +-1 pivot meets already: x % 1 == x % -1 == 0 for every int
             d = a[t][t]
+            if d == 1 or d == -1:
+                break
+            offender = None
             for i in range(t + 1, nr):
                 for j in range(t + 1, nc):
                     if a[i][j] % d:
@@ -369,6 +376,9 @@ def snf(m: IntMatrix) -> SNFResult:
     submatrix, the entry of smallest nonzero absolute value, ties broken by
     lowest row index, then lowest column index.  :func:`solve` and
     :func:`kernel_basis` depend on this rule; :func:`invariant_factors` does not.
+    The hunt stops at the first +-1, which no later entry can replace.  Each
+    step ends once the pivot's row and column are clear and the pivot divides
+    every trailing entry; a +-1 pivot ends it without that scan.
     """
     nr, nc = m.rows, m.cols
     # [m | 1] above [1]: row operations reach u, column operations reach v

@@ -61,7 +61,7 @@ from .complexes import (
     differential_terms,
     first_defect,
     graded_map_to_vector,
-    hom_complex,
+    hom_complex_diff,
     homology,
     identity_term,
     is_acyclic,
@@ -565,7 +565,7 @@ def solve_retraction(iota: GradedMap) -> GradedMap:
         raise ValueError("the cone is not acyclic")
 
     pre = precompose_matrix(iota, x, 0)
-    dif = hom_complex(y, x).diff(0)
+    dif = hom_complex_diff(y, x, 0)
     rhs = list(graded_map_to_vector(GradedMap.identity(x))) + [0] * dif.rows
     sol = solve(block([[pre], [dif]]), rhs)
     if sol is None:
@@ -585,7 +585,7 @@ def split_acyclic_cofibration(iota: GradedMap):
     p = solve_retraction(iota)
     y = iota.target
     target = (iota @ p) - GradedMap.identity(y)
-    dif = hom_complex(y, y).diff(1)
+    dif = hom_complex_diff(y, y, 1)
     pre = precompose_matrix(iota, y, 1)
     rhs = list(graded_map_to_vector(target)) + [0] * pre.rows
     sol = solve(block([[dif], [pre]]), rhs)

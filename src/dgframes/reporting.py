@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .exact_linalg import IntMatrix
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
+    """One verdict of a check suite."""
+
     check: str
     location: str
     status: str  # "pass" | "fail"

@@ -116,7 +116,9 @@ def cylinder(f: GradedMap):
 
 def diagonalize_exhaustive(a, nr: int, nc: int) -> None:
     """``exact_linalg._diagonalize`` as it was before its pivot hunt stopped
-    at the first +-1: the hunt scans the whole trailing submatrix.  Reduces
+    at the first +-1 and before a step ended at a +-1 pivot without its
+    divisibility scan: the hunt scans the whole trailing submatrix, and every
+    step scans the trailing entries for one its pivot does not divide.  Reduces
     the leading nr x nc block of the row lists ``a`` to Smith form, in place,
     by the pivot rule documented on :func:`snf`.
 

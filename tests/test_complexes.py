@@ -9,6 +9,7 @@ from dgframes.complexes import (
     graded_map_to_vector,
     hom_basis,
     hom_complex,
+    hom_complex_diff,
     hom_differential,
     homology,
     is_acyclic,
@@ -372,6 +373,25 @@ def test_mapping_complex_matrices_match_the_probe():
                 assert precompose_matrix(iota, z, n) == _matrix_of(lambda g: g @ iota, y, z, n, x, z, n + r)
             for a, b in ((y, x), (y, y), (x, y)):
                 assert hom_complex(a, b).diff(n) == _matrix_of(hom_differential, a, b, n, a, b, n - 1)
+
+
+def test_hom_complex_diff_is_the_differential_of_hom_complex():
+    """One differential built alone equals the one of the whole mapping
+    complex, in every degree from one below the lowest to one above the
+    highest, the 0 x k and k x 0 ends and the empty complex included."""
+    rng = random.Random(37)
+    pairs = [(random_complex(rng, name="X"), random_complex(rng, name="Y")) for _ in range(40)]
+    pairs += [(zero_complex(), pairs[0][1]), (pairs[0][0], zero_complex())]
+    shapes = set()
+    for x, y in pairs:
+        h = hom_complex(x, y)
+        lo = y.min_degree() - x.max_degree()
+        hi = y.max_degree() - x.min_degree()
+        for n in range(lo - 1, hi + 2):
+            m = hom_complex_diff(x, y, n)
+            assert m == h.diff(n), (x, y, n)
+            shapes.add((m.rows > 0, m.cols > 0))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_is_nullhomotopic():

@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 
 from dgframes import exact_linalg
+from dgframes.complexes import hom_complex_diff, precompose_matrix
+from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import (
     IntMatrix,
     block,
@@ -15,6 +17,8 @@ from dgframes.exact_linalg import (
     solve,
     submatrix,
 )
+from dgframes.frames import build_frame_object, include_last
+from dgframes.simplicial import OrderMap
 
 from oracles import det, diagonalize_exhaustive, is_unimodular, matmul
 
@@ -278,10 +282,36 @@ def test_invariant_factors_against_sympy_and_snf():
             assert got == ()
 
 
+def _retraction_systems():
+    """The matrices ``recover`` solves for the retraction of the last-vertex
+    inclusion of a 1-simplex's cylinder frame (see solve_retraction), for
+    ten 1-simplices drawn in turn from one ``Random(5)``: the first is
+    ``random_simplex(Random(5), 1, max_rank=4)``, the largest system 158 x 104."""
+    rng = random.Random(5)
+    out = []
+    for _ in range(10):
+        iota = include_last(build_frame_object(random_simplex(rng, 1, max_rank=4), OrderMap((0, 1), 1)))
+        x, y = iota.source, iota.target
+        out.append(block([[precompose_matrix(iota, x, 0)], [hom_complex_diff(y, x, 0)]]))
+    return out
+
+
 def test_snf_pivot_hunt_stops_at_the_first_unit(monkeypatch):
-    """Stopping the pivot hunt at the first +-1 keeps the pivot rule, so
-    (s, u, v) is the same as with a hunt over the whole trailing submatrix."""
-    cases = _oracle_cases()
+    """Stopping the pivot hunt at the first +-1, and ending a step at a +-1
+    pivot without testing that it divides the trailing entries, keep the
+    pivot rule and every operation, so (s, u, v) is the same as with a hunt
+    over the whole trailing submatrix and a divisibility scan at every step.
+    The cases add the retraction systems of ``recover`` and matrices whose
+    pivots start out non-units ({+-2, +-3, 6}, units arise only as
+    remainders) or are often -1.  They stay at most 5 x 5: the transform
+    entries of a dense unit-free 6 x 7 matrix grow until snf stalls (ROADMAP
+    item 4)."""
+    cases = _oracle_cases() + _retraction_systems()
+    rng = random.Random(15)
+    for trial in range(120):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        pool = (2, -2, 3, -3, 6) if trial % 2 else (0, 0, -1, -1, 2, -3, 6)
+        cases.append(IntMatrix(rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]))
     fast = [snf(m) for m in cases]
     monkeypatch.setattr(exact_linalg, "_diagonalize", diagonalize_exhaustive)
     assert fast == [snf(m) for m in cases]

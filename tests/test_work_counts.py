@@ -110,24 +110,31 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     """``recover`` takes the block of its retraction system from the matrices
     of the mapping complexes, not by applying D and precomposition to every
     elementary map, and solves one system for the retraction and one for
-    the null-homotopy it reports, none for a splitting homotopy."""
+    the null-homotopy it reports, none for a splitting homotopy.  It builds
+    only the differential of the mapping complex that each system reads
+    (``hom_complex_diff``), never the whole complex with its labels and its
+    d^2 check (``hom_complex``)."""
     path = tmp_path / "r5n1.json"
     path.write_text(json.dumps(random_simplex(random.Random(5), 1, max_rank=4).to_json()))
     counts = {}
     _count_calls(monkeypatch, counts, "hom_differential", complexes.hom_differential)
+    _count_calls(monkeypatch, counts, "hom_complex", complexes.hom_complex)
     _count_calls(monkeypatch, counts, "vector_to_graded_map", complexes.vector_to_graded_map)
     _count_calls(monkeypatch, counts, "solve", exact_linalg.solve)
     _count_products(monkeypatch, counts)
     assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
     # at the commit before the systems were read from the mapping complex: 42, 86 and 467;
     # while recovery also solved for the homotopy: 0, 3, 3 and 23; while the
-    # d^2 checks multiplied by @: 0, 2, 2 and 11 = 2 + 9
+    # d^2 checks multiplied by @: 0, 2, 2 and 11 = 2 + 9; while the systems
+    # came from whole mapping complexes, product_is_zero was 9, since each
+    # complex's checked constructor tested d^2
     assert counts == {
         "hom_differential": 0,
+        "hom_complex": 0,
         "vector_to_graded_map": 2,
         "solve": 2,
         "IntMatrix.__matmul__": 2,
-        "IntMatrix.product_is_zero": 9,
+        "IntMatrix.product_is_zero": 6,
     }
 
 
