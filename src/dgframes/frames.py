@@ -37,12 +37,13 @@ act(alpha, act(sigma, s)) = act(sigma o alpha, s), and that identity is what
 the simplicial compatibility check compares.
 
 The module also provides the structure maps (basis inclusions along subset
-reindexing), latching data for the Reedy condition, the last-vertex
-inclusion/retraction/homotopy triple with the homotopy inverses it gives
-the structure maps of max-preserving morphisms, the homotopical and
-simplicial compatibility check suites, ``run_checks``, which assembles the
-whole suite, an integer splitting solver for acyclic cofibrations, and the
-recovery of a 1-simplex edge from its cylinder frame.
+reindexing, built on demand: a diagram holds frames only), latching data
+for the Reedy condition, the last-vertex inclusion/retraction/homotopy
+triple with the homotopy inverses it gives the structure maps of
+max-preserving morphisms, the homotopical and simplicial compatibility
+check suites, ``run_checks``, which assembles the whole suite, an integer
+splitting solver for acyclic cofibrations, and the recovery of a 1-simplex
+edge from its cylinder frame.
 """
 
 from __future__ import annotations
@@ -221,25 +222,22 @@ def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
 
 
 class FrameDiagram:
-    """All frame values over sequences with domain size <= max_len, with the
-    structure maps between them."""
+    """All frame values over sequences with domain size <= max_len, and no
+    structure map: :meth:`structure_map` builds one anew on each call."""
 
-    def __init__(self, simplex: NerveSimplex, max_len: int, objects, morphisms):
+    def __init__(self, simplex: NerveSimplex, max_len: int, objects):
         self.simplex = simplex
         self.max_len = max_len
         self.objects: Dict[OrderMap, FrameObject] = objects
-        self.morphisms: Dict[DMorphism, GradedMap] = morphisms
+
+    def structure_map(self, mor: DMorphism) -> GradedMap:
+        """The basis inclusion B(mor.src) -> B(mor.tgt) along mor.inj."""
+        return _structure_matrix(self.objects[mor.src], self.objects[mor.tgt], mor.inj)
 
 
 def build_frame_diagram(s: NerveSimplex, max_len: int = 3, check: bool = True) -> FrameDiagram:
-    objects = {}
-    for alpha in enumerate_d_objects(s.n, max_len):
-        objects[alpha] = build_frame_object(s, alpha, check=check)
-    morphisms = {}
-    for alpha in objects:
-        for mor in enumerate_inclusions(alpha):
-            morphisms[mor] = _structure_matrix(objects[mor.src], objects[mor.tgt], mor.inj)
-    return FrameDiagram(s, max_len, objects, morphisms)
+    objects = {alpha: build_frame_object(s, alpha, check=check) for alpha in enumerate_d_objects(s.n, max_len)}
+    return FrameDiagram(s, max_len, objects)
 
 
 def _structure_matrix(src: FrameObject, tgt: FrameObject, inj) -> GradedMap:
@@ -266,24 +264,15 @@ def latching_data(o: FrameObject):
     complementary span of the full-subset summand with the induced
     differential, carrying the labels of the source complex so that the
     expected literal equality coker == shift(X_{alpha(0)}, m) can be tested
-    directly.
+    directly.  ``incl`` and ``coker`` come from the Reedy check's builders.
 
     Both sub and coker are built without the d^2 check so that deliberately
     corrupted fixtures are reported by the check suite rather than raising.
     """
     c = o.complex
-    m = o.alpha.dom
     proper, full = _latching_spans(o)
-
-    def span_complex(name, idx, labels):
-        diffs = {d: submatrix(c.diff(d), idx[d - 1], cols) for d, cols in idx.items() if d - 1 in idx}
-        return ChainComplex._trusted(name % o.alpha.key(), {d: len(cols) for d, cols in idx.items()}, diffs, labels)
-
-    sub = span_complex("L(%s)", proper, {d: c.labels(d)[: len(cols)] for d, cols in proper.items()})
-    incl_mats = {d: _assemble(c.rank(d), len(cols), [(0, len(cols), [(0, 1, None)])]) for d, cols in proper.items()}
-    x = o.restriction.objects[0]
-    coker = span_complex("B/L(%s)", full, {d: x.labels(d - m) for d in full})
-    return sub, GradedMap._trusted(sub, c, 0, incl_mats), coker
+    sub = _span_complex(o, "L(%s)", proper, {d: c.labels(d)[: len(cols)] for d, cols in proper.items()})
+    return sub, GradedMap._trusted(sub, c, 0, _latching_inclusion(o, proper)), _latching_cokernel(o, full)
 
 
 def _latching_spans(o: FrameObject):
@@ -302,13 +291,30 @@ def _latching_spans(o: FrameObject):
     return proper, full
 
 
+def _span_complex(o: FrameObject, name: str, idx, labels) -> ChainComplex:
+    """The span ``idx`` of B per degree, with the differential restricted to it."""
+    c = o.complex
+    diffs = {d: submatrix(c.diff(d), idx[d - 1], cols) for d, cols in idx.items() if d - 1 in idx}
+    return ChainComplex._trusted(name % o.alpha.key(), {d: len(cols) for d, cols in idx.items()}, diffs, labels)
+
+
+def _latching_inclusion(o: FrameObject, proper) -> Dict[int, IntMatrix]:
+    """Per degree of the proper span, the matrix of its basis inclusion into B."""
+    return {d: _assemble(o.complex.rank(d), len(cols), [(0, len(cols), [(0, 1, None)])]) for d, cols in proper.items()}
+
+
+def _latching_cokernel(o: FrameObject, full) -> ChainComplex:
+    """The full-subset span, labelled like the shifted source X_{alpha(0)}[m]."""
+    x = o.restriction.objects[0]
+    return _span_complex(o, "B/L(%s)", full, {d: x.labels(d - o.alpha.dom) for d in full})
+
+
 def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
     """Per alpha: the proper-subset span is closed under the differential, its
     inclusion is degreewise split injective over the integers, and the
     complementary quotient equals shift(X_{alpha(0)}, m) literally."""
     report = Report()
     for alpha, o in diagram.objects.items():
-        sub, incl, coker = latching_data(o)
         proper, full = _latching_spans(o)
         ok_closed, wit_closed = True, None
         for d, cols in proper.items():
@@ -317,14 +323,10 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
                 break
         report.add("latching-closure", alpha.key(), ok_closed, wit_closed)
 
-        ok_split, wit_split = True, None
-        for d in sub.support:
-            if not _split_by_transpose(incl.mat(d)):
-                ok_split, wit_split = False, "inclusion is not split at degree %d" % d
-                break
-        report.add("latching-split", alpha.key(), ok_split, wit_split)
+        unsplit = next((d for d, m in _latching_inclusion(o, proper).items() if not _split_by_transpose(m)), None)
+        report.add("latching-split", alpha.key(), unsplit is None, _at(unsplit, "inclusion is not split"))
 
-        ok_coker = coker == shift(o.simplex.objects[alpha(0)], alpha.dom)
+        ok_coker = _latching_cokernel(o, full) == shift(o.simplex.objects[alpha(0)], alpha.dom)
         wit_coker = None if ok_coker else "quotient differs from the shifted source"
         report.add("latching-cokernel", alpha.key(), ok_coker, wit_coker)
     return report
@@ -465,34 +467,31 @@ def is_homotopical(diagram: FrameDiagram, last_vertex: Optional[Dict[OrderMap, L
     skipped.  A morphism with an endpoint frame whose d^2 is nonzero fails
     without a cone, since that cone is no complex.
 
-    A chain map passes on its homotopy-inverse certificate (see
+    Morphisms are visited by target in ``diagram.objects`` order, then in
+    :func:`enumerate_inclusions` order; each map is built, judged and
+    dropped.  A chain map passes on its homotopy-inverse certificate (see
     :func:`homotopy_inverse_certified`); only when that fails is its cone
     homology computed, so that a FAIL names the homology.  ``last_vertex``
     holds :func:`check_last_vertex` of every frame, computed here if absent."""
     if last_vertex is None:
         last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
     report = Report()
-    for mor, g in diagram.morphisms.items():
-        if not is_weak_equivalence_d(mor):
-            continue
+    for mor in (m for alpha in diagram.objects for m in enumerate_inclusions(alpha) if is_weak_equivalence_d(m)):
+        key = _morphism_key(mor)
         broken = next((a for a in (mor.src, mor.tgt) if diagram.objects[a].d2_defects), None)
         if broken is not None:
-            report.add(
-                "homotopical",
-                _morphism_key(mor),
-                False,
-                "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), diagram.objects[broken].d2_defects[0]),
-            )
+            degree = diagram.objects[broken].d2_defects[0]
+            report.add("homotopical", key, False, "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), degree))
             continue
+        g = diagram.structure_map(mor)
         if not g.is_cycle():
-            report.add("homotopical", _morphism_key(mor), False, "structure map is not a chain map")
-            continue
-        if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
-            report.add("homotopical", _morphism_key(mor), True)
-            continue
-        hom = homology(cone(g))
-        ok = hom.is_trivial()
-        report.add("homotopical", _morphism_key(mor), ok, None if ok else "cone homology: %s" % hom)
+            report.add("homotopical", key, False, "structure map is not a chain map")
+        elif homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
+            report.add("homotopical", key, True)
+        else:
+            hom = homology(cone(g))
+            ok = hom.is_trivial()
+            report.add("homotopical", key, ok, None if ok else "cone homology: %s" % hom)
     return report
 
 

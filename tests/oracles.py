@@ -12,13 +12,19 @@ read the validator's verdicts and witnesses off them; ``cycle_defect``,
 ``last_vertex_verdicts`` and ``certificate_identities`` decide the identities
 of the check suite by dense products, sums and scalings.  Both are the
 library's code from before it decided these identities column by column.
+``structure_maps`` builds every structure map of a diagram, and
+``homotopical_items`` is ``is_homotopical`` as it read when the diagram
+stored all of them.
 """
 
 from typing import Optional
 
-from dgframes.complexes import ChainComplex, GradedMap
+from dgframes.complexes import ChainComplex, GradedMap, cone, homology
 from dgframes.dg_nerve import NerveSimplex, increasing_sequences
 from dgframes.exact_linalg import IntMatrix, _col_sub, _col_swap, _row_sub, _row_swap, block
+from dgframes.frames import _morphism_key, check_last_vertex, homotopy_inverse_certified
+from dgframes.reporting import Report
+from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
 
 
 def cylinder(f: GradedMap):
@@ -335,3 +341,45 @@ def certificate_identities(g: GradedMap, src_j, src_r, tgt_j, tgt_r):
     """(g o j_src == j_tgt, r_tgt o g == r_src), the two literal identities of
     the homotopy-inverse certificate of g : B(src) -> B(tgt)."""
     return g @ src_j == tgt_j, tgt_r @ g == src_r
+
+
+# -- structure maps, all built at once --------------------------------------------
+
+
+def structure_maps(diagram) -> dict:
+    """Every structure map of the diagram keyed by its morphism, in the order
+    of the targets and then of ``enumerate_inclusions``, each built with
+    ``diagram.structure_map``."""
+    return {mor: diagram.structure_map(mor) for alpha in diagram.objects for mor in enumerate_inclusions(alpha)}
+
+
+def homotopical_items(diagram, last_vertex=None):
+    """The items of ``is_homotopical``, by its loop from when the diagram
+    stored every structure map: build them all, then judge the
+    max-preserving ones."""
+    morphisms = structure_maps(diagram)
+    if last_vertex is None:
+        last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
+    report = Report()
+    for mor, g in morphisms.items():
+        if not is_weak_equivalence_d(mor):
+            continue
+        broken = next((a for a in (mor.src, mor.tgt) if diagram.objects[a].d2_defects), None)
+        if broken is not None:
+            report.add(
+                "homotopical",
+                _morphism_key(mor),
+                False,
+                "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), diagram.objects[broken].d2_defects[0]),
+            )
+            continue
+        if not g.is_cycle():
+            report.add("homotopical", _morphism_key(mor), False, "structure map is not a chain map")
+            continue
+        if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
+            report.add("homotopical", _morphism_key(mor), True)
+            continue
+        hom = homology(cone(g))
+        ok = hom.is_trivial()
+        report.add("homotopical", _morphism_key(mor), ok, None if ok else "cone homology: %s" % hom)
+    return report.items

@@ -19,6 +19,8 @@ from dgframes.exact_linalg import IntMatrix
 from dgframes.frames import build_frame_diagram, last_vertex_data, latching_data
 from dgframes.simplicial import DMorphism, OrderMap, enumerate_d_objects, nonempty_subsets
 
+from oracles import structure_maps
+
 
 def _point():
     return ChainComplex("x", {0: 1})
@@ -104,7 +106,7 @@ def _simplices():
 @pytest.mark.parametrize("s", _simplices(), ids=["n0", "n1", "n2", "n3", "n3-perturbed"])
 def test_library_built_values_equal_their_checked_rebuild(s):
     diagram = build_frame_diagram(s, 2)
-    for g in diagram.morphisms.values():
+    for g in structure_maps(diagram).values():
         _assert_canonical_map(g)
     for alpha, o in diagram.objects.items():
         _assert_canonical_complex(o.complex)

@@ -52,7 +52,7 @@ from dgframes.simplicial import (
     is_weak_equivalence_d,
 )
 
-from oracles import cylinder, verify_mc_extension
+from oracles import cylinder, structure_maps, verify_mc_extension
 
 
 def point(name="pt", label="p"):
@@ -183,7 +183,7 @@ def _frame_case_payload(seed, n):
             }
         )
     diagram = build_frame_diagram(s, max_len=2)
-    structure = {frames._morphism_key(mor): g.to_json() for mor, g in diagram.morphisms.items()}
+    structure = {frames._morphism_key(mor): g.to_json() for mor, g in structure_maps(diagram).items()}
     return {"objects": objects, "structure_maps": structure}
 
 
@@ -246,12 +246,13 @@ def test_structure_maps_are_functorial_chain_maps():
     rng = random.Random(55)
     s = random_simplex(rng, 2)
     diagram = build_frame_diagram(s, max_len=2)
-    for mor, g in diagram.morphisms.items():
+    maps = structure_maps(diagram)
+    for mor, g in maps.items():
         assert g.is_cycle()
         assert g.degree == 0
     # identity morphisms act as the identity
     for alpha, o in diagram.objects.items():
-        ident = diagram.morphisms[DMorphism(alpha, alpha, tuple(range(alpha.dom + 1)))]
+        ident = maps[DMorphism(alpha, alpha, tuple(range(alpha.dom + 1)))]
         assert ident == GradedMap.identity(o.complex)
     # composition: subset of a subset
     tgt = OrderMap((0, 1, 2), 2)
@@ -259,8 +260,8 @@ def test_structure_maps_are_functorial_chain_maps():
     low = OrderMap((2,), 2)
     m1 = DMorphism(mid, tgt, (0, 2))
     m2 = DMorphism(low, mid, (1,))
-    lhs = diagram.morphisms[m1.compose(m2)]
-    rhs = diagram.morphisms[m1] @ diagram.morphisms[m2]
+    lhs = maps[m1.compose(m2)]
+    rhs = maps[m1] @ maps[m2]
     assert lhs == rhs
 
 
@@ -273,11 +274,12 @@ def test_structure_maps_restrict_to_cylinder_inclusions():
     diagram = build_frame_diagram(s, max_len=1)
     edge = OrderMap((0, 1), 1)
     cyl, in_src, in_tgt, _ = cylinder(f)
-    g0 = diagram.morphisms[DMorphism(OrderMap((0,), 1), edge, (0,))]
-    g1 = diagram.morphisms[DMorphism(OrderMap((1,), 1), edge, (1,))]
+    maps = structure_maps(diagram)
+    g0 = maps[DMorphism(OrderMap((0,), 1), edge, (0,))]
+    g1 = maps[DMorphism(OrderMap((1,), 1), edge, (1,))]
     assert g0 == in_src and g1 == in_tgt
     with pytest.raises(KeyError):
-        diagram.morphisms[DMorphism(OrderMap((0, 1), 2), OrderMap((0, 1, 2), 2), (0, 1))]
+        maps[DMorphism(OrderMap((0, 1), 2), OrderMap((0, 1, 2), 2), (0, 1))]
 
 
 # -- latching ------------------------------------------------------------------
@@ -372,10 +374,7 @@ def test_latching_split_is_the_transpose_identity(monkeypatch, rows, split):
     is split injective over Z, but not by its transpose, and fails."""
     x = point("x")
     diagram = build_frame_diagram(make_strict([], lone_object=x), max_len=0)
-    sub = ChainComplex("L", {0: 2})
-    incl = GradedMap(sub, ChainComplex("T", {0: 3}), 0, {0: IntMatrix.from_rows(rows)})
-    true_latching_data = frames.latching_data
-    monkeypatch.setattr(frames, "latching_data", lambda o: (sub, incl, true_latching_data(o)[2]))
+    monkeypatch.setattr(frames, "_latching_inclusion", lambda o, proper: {0: IntMatrix.from_rows(rows)})
     (item,) = [i for i in is_reedy_cofibrant(diagram).items if i.check == "latching-split"]
     assert (item.status, item.witness) == (("pass", None) if split else ("fail", "inclusion is not split at degree 0"))
 
@@ -472,16 +471,22 @@ def test_is_homotopical_skips_non_max_preserving_morphisms():
     assert any(loc.startswith("1->0,1") for loc in locations)
     assert not any(loc.startswith("0->0,1") for loc in locations)
     # sanity: that skipped map is indeed not an equivalence
-    src_incl = diagram.morphisms[DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))]
+    src_incl = structure_maps(diagram)[DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))]
     assert not is_acyclic(cone(src_incl))
 
 
-def test_is_homotopical_flags_a_tampered_structure_map():
+def _tamper(monkeypatch, diagram, mor, g):
+    """Make ``diagram.structure_map`` return g at mor and the true map elsewhere."""
+    true_map = diagram.structure_map
+    monkeypatch.setattr(diagram, "structure_map", lambda m: g if m == mor else true_map(m))
+
+
+def test_is_homotopical_flags_a_tampered_structure_map(monkeypatch):
     x = point("x")
     s = make_strict([GradedMap.identity(x)])
     diagram = build_frame_diagram(s, max_len=1)
     mor = DMorphism(OrderMap((1,), 1), OrderMap((0, 1), 1), (1,))
-    diagram.morphisms[mor] = diagram.morphisms[mor].scale(2)
+    _tamper(monkeypatch, diagram, mor, diagram.structure_map(mor).scale(2))
     report = is_homotopical(diagram)
     assert not report.ok
     assert any("1->0,1" in i.location for i in report.failures())
@@ -496,7 +501,7 @@ def test_is_homotopical_flags_a_tampered_structure_map():
         {1: IntMatrix.from_rows([[0], [0], [1]])},
     )
     assert not noncycle.is_cycle()
-    diagram2.morphisms[DMorphism(OrderMap((1,), 1), OrderMap((0, 1), 1), (1,))] = noncycle
+    _tamper(monkeypatch, diagram2, DMorphism(OrderMap((1,), 1), OrderMap((0, 1), 1), (1,)), noncycle)
     report = is_homotopical(diagram2)
     flagged = [i for i in report.failures() if "1->0,1" in i.location]
     assert flagged and flagged[0].witness == "structure map is not a chain map"
@@ -518,12 +523,14 @@ def test_is_homotopical_falls_back_to_cone_homology(monkeypatch):
 
     report = is_homotopical(diagram)
     assert report.ok, report.failures()
-    touching = [g for mor, g in diagram.morphisms.items() if is_weak_equivalence_d(mor) and bad in (mor.src, mor.tgt)]
+    maps = structure_maps(diagram)
+    touching = [g for mor, g in maps.items() if is_weak_equivalence_d(mor) and bad in (mor.src, mor.tgt)]
     assert len(touching) > 1
-    assert len(decided_by_cone) == len(touching) and all(a is b for a, b in zip(decided_by_cone, touching))
+    assert len(decided_by_cone) == len(touching) and all(a == b for a, b in zip(decided_by_cone, touching))
 
     mor = DMorphism(OrderMap((1,), 2), bad, (2,))
-    scaled = diagram.morphisms[mor] = diagram.morphisms[mor].scale(2)
+    scaled = maps[mor].scale(2)
+    _tamper(monkeypatch, diagram, mor, scaled)
     decided_by_cone.clear()
     flagged = [i for i in is_homotopical(diagram).failures() if i.location == "1->0,1,1[2]"]
     assert len(flagged) == 1 and flagged[0].witness.startswith("cone homology: ")

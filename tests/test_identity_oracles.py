@@ -7,10 +7,13 @@ structure map, and the three last-vertex items of each frame.  The diagrams
 are criterion 6's cross-section of the acceptance corpus at max-len 2 and
 criterion 8's simplices at max-len 3.  Tampered copies of the maps (scaled by
 2, an extra entry outside the image, an entry moved to another row, a flipped
-sign) must be judged alike too.
+sign) must be judged alike too.  ``is_homotopical``, which builds each
+structure map as it judges it, must give the items of the loop that built
+them all first.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +21,14 @@ import dgframes.frames as frames
 from dgframes.complexes import GradedMap, composite_equals, cycle_defect, hom_differential
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import IntMatrix
-from dgframes.frames import build_frame_diagram, check_last_vertex, homotopy_inverse_certified, last_vertex_data
-from dgframes.simplicial import is_weak_equivalence_d
+from dgframes.frames import (
+    build_frame_diagram,
+    check_last_vertex,
+    homotopy_inverse_certified,
+    is_homotopical,
+    last_vertex_data,
+)
+from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
 
 import oracles
 
@@ -97,7 +106,7 @@ def test_verdicts_equal_the_dense_oracle(criterion_06_diagrams, criterion_08_dia
                 assert cycle_defect(f) == oracles.cycle_defect(f)
                 non_cycles += cycle_defect(f) is not None
             frames_seen += 1
-        for mor, g in diagram.morphisms.items():
+        for mor, g in oracles.structure_maps(diagram).items():
             certified += _same_verdicts(g, last_vertex[mor.src], last_vertex[mor.tgt])
             maps_seen += 1
     assert (frames_seen, maps_seen) == (228, 1452)
@@ -112,13 +121,56 @@ def test_tampered_structure_maps_are_judged_alike(criterion_06_diagrams):
     tampered = caught = 0
     for diagram in criterion_06_diagrams:
         last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
-        for mor, g in diagram.morphisms.items():
+        for mor, g in oracles.structure_maps(diagram).items():
             if not is_weak_equivalence_d(mor):
                 continue
             for t in _tamperings(g):
                 caught += not (_same_verdicts(t, last_vertex[mor.src], last_vertex[mor.tgt]) and t.is_cycle())
                 tampered += 1
     assert (tampered, caught) == (1478, 1475)
+
+
+def test_homotopical_items_equal_the_build_all_loop(monkeypatch, criterion_06_diagrams):
+    """Check, location, status and witness of every ``homotopical`` item, in
+    order, against ``oracles.homotopical_items`` on criterion 6's diagrams:
+    as they are, with every max-preserving structure map tampered the k-th
+    way of ``_tamperings`` for each k, and with the last frame of each
+    diagram marked as having d^2 != 0 in its lowest degree."""
+    kinds = Counter()
+
+    def compare(diagram):
+        items = is_homotopical(diagram).items
+        assert items == oracles.homotopical_items(diagram)
+        kinds.update((i.status, (i.witness or "").split(":")[0].split(" B(")[0]) for i in items)
+
+    for diagram in criterion_06_diagrams:
+        compare(diagram)
+        true_map = diagram.structure_map
+        tampered = {
+            mor: _tamperings(true_map(mor))
+            for alpha in diagram.objects
+            for mor in enumerate_inclusions(alpha)
+            if is_weak_equivalence_d(mor)
+        }
+        for k in range(4):
+
+            def tamper(mor, k=k):
+                copies = tampered.get(mor, ())
+                return copies[k] if k < len(copies) else true_map(mor)
+
+            with monkeypatch.context() as m:
+                m.setattr(diagram, "structure_map", tamper)
+                compare(diagram)
+        o = diagram.objects[list(diagram.objects)[-1]]
+        with monkeypatch.context() as m:
+            m.setitem(vars(o), "d2_defects", [o.complex.support[0]])
+            compare(diagram)
+    assert kinds == {
+        ("pass", ""): 1119,
+        ("fail", "structure map is not a chain map"): 746,
+        ("fail", "cone homology"): 561,
+        ("fail", "endpoint"): 40,
+    }
 
 
 @pytest.mark.parametrize(
