@@ -54,7 +54,6 @@ from .frames import (
     is_homotopical,
     is_reedy_cofibrant,
     last_vertex_data,
-    latching_data,
     recover_map_from_cylinder,
     retraction,
     solve_retraction,
@@ -103,7 +102,6 @@ __all__ = [
     "is_weak_equivalence_d",
     "kernel_basis",
     "last_vertex_data",
-    "latching_data",
     "make_perturbed_2simplex",
     "make_strict",
     "random_chain_map",

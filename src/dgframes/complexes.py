@@ -178,7 +178,7 @@ class ChainComplex:
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping, check=True) -> "ChainComplex":
+    def from_json(cls, obj: Mapping) -> "ChainComplex":
         obj = json_object(obj, "complex")
         for field in ("name", "degrees"):
             if field not in obj:
@@ -190,7 +190,7 @@ class ChainComplex:
         for k, rows in json_object(obj.get("differentials", {}), "complex differentials").items():
             d = json_int_key(k, "differential degree")
             diffs[d] = json_matrix(rows, ranks.get(d - 1, 0), ranks.get(d, 0), "differential at degree %s" % k)
-        return cls(json_str(obj["name"], "complex name"), ranks, diffs, check=check)
+        return cls(json_str(obj["name"], "complex name"), ranks, diffs)
 
 
 def json_object(value, what: str) -> Mapping:

@@ -240,9 +240,12 @@ def act(sigma, s: NerveSimplex) -> NerveSimplex:
     precomposition of sequences, normalized through strict unitality whenever
     sigma collapses adjacent entries.  The result shares the strict
     unitality values of s, so equal restrictions hold the same unit and zero
-    maps.
+    maps.  An OrderMap must land in [n]; a bare sequence is checked against
+    [n] instead.
     """
-    if type(sigma) is OrderMap and sigma.cod == s.n:
+    if isinstance(sigma, OrderMap):
+        if sigma.cod != s.n:
+            raise ValueError("sigma has codomain [%d], not the simplex's [%d]" % (sigma.cod, s.n))
         values = sigma.values  # an OrderMap into [n] is valid by construction
     else:
         values = tuple(sigma.values) if hasattr(sigma, "values") else tuple(sigma)

@@ -139,17 +139,6 @@ class IntMatrix:
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)),
         )
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix._trusted(
-            self.rows,
-            self.cols,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)),
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
-
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix._trusted(self.rows, self.cols, tuple(tuple(c * v for v in row) for row in self.data))
 
@@ -194,9 +183,6 @@ class IntMatrix:
                 return False
         return True
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ((),) * self.cols)
-
     def _check_product(self, other: "IntMatrix"):
         if self.cols != other.rows:
             raise ValueError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
@@ -224,11 +210,6 @@ def mat_vec(m: IntMatrix, v: Sequence[int]) -> Vector:
     if len(v) != m.cols:
         raise ValueError("vector length %d does not match %d columns" % (len(v), m.cols))
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m.data)
-
-
-def submatrix(m: IntMatrix, rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
-    """The submatrix on the given row and column indices, in the given order."""
-    return IntMatrix._trusted(len(rows), len(cols), tuple(tuple(m.data[i][j] for j in cols) for i in rows))
 
 
 def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:

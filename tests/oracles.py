@@ -14,15 +14,26 @@ of the check suite by dense products, sums and scalings.  Both are the
 library's code from before it decided these identities column by column.
 ``structure_maps`` builds every structure map of a diagram, and
 ``homotopical_items`` is ``is_homotopical`` as it read when the diagram
-stored all of them.
+stored all of them.  ``latching_data`` builds the latching sub-complex, its
+inclusion and the cokernel of a frame, and ``reedy_items`` is
+``is_reedy_cofibrant`` as it read when it built the inclusion matrices and
+the cokernel complex; ``transpose`` and ``submatrix`` serve them.
 """
 
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
-from dgframes.complexes import ChainComplex, GradedMap, cone, homology
+from dgframes.complexes import ChainComplex, GradedMap, combination_is_zero, cone, homology, identity_term, shift
 from dgframes.dg_nerve import NerveSimplex, increasing_sequences
 from dgframes.exact_linalg import IntMatrix, _col_sub, _col_swap, _row_sub, _row_swap, block
-from dgframes.frames import _morphism_key, check_last_vertex, homotopy_inverse_certified
+from dgframes.frames import (
+    FrameDiagram,
+    FrameObject,
+    _assemble,
+    _at,
+    _morphism_key,
+    check_last_vertex,
+    homotopy_inverse_certified,
+)
 from dgframes.reporting import Report
 from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
 
@@ -383,3 +394,101 @@ def homotopical_items(diagram, last_vertex=None):
         ok = hom.is_trivial()
         report.add("homotopical", _morphism_key(mor), ok, None if ok else "cone homology: %s" % hom)
     return report.items
+
+
+# -- latching objects, built as complexes ------------------------------------------
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.cols, m.rows, zip(*m.data) if m.data else ((),) * m.cols)
+
+
+def submatrix(m: IntMatrix, rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
+    """The submatrix on the given row and column indices, in the given order."""
+    return IntMatrix(len(rows), len(cols), [[m.data[i][j] for j in cols] for i in rows])
+
+
+def latching_data(o: FrameObject):
+    """(sub, incl, coker) for the latching filtration of one frame value.
+
+    ``sub`` spans the summands of proper subsets (the image of the latching
+    map), ``incl`` is the evident basis inclusion, and ``coker`` is the
+    complementary span of the full-subset summand with the induced
+    differential, carrying the labels of the source complex so that the
+    expected literal equality coker == shift(X_{alpha(0)}, m) can be tested
+    directly.  ``incl`` and ``coker`` come from the helpers that
+    :func:`reedy_items` reads too.
+
+    Both sub and coker are built without the d^2 check so that deliberately
+    corrupted fixtures are reported by the check suite rather than raising.
+    """
+    c = o.complex
+    proper, full = _latching_spans(o)
+    sub = _span_complex(o, "L(%s)", proper, {d: c.labels(d)[: len(cols)] for d, cols in proper.items()})
+    return sub, GradedMap._trusted(sub, c, 0, _latching_inclusion(o, proper)), _latching_cokernel(o, full)
+
+
+def _latching_spans(o: FrameObject):
+    """(proper, full): per degree, the basis positions of the proper-subset
+    summands and those of the full-subset summand, which comes last in basis
+    order; degrees where a span is empty are left out."""
+    top = tuple(range(o.alpha.dom + 1))
+    proper, full = {}, {}
+    for d, spans in o.blocks.items():
+        rank = o.complex.rank(d)
+        start = spans[top][0] if top in spans else rank
+        if start:
+            proper[d] = range(start)
+        if start < rank:
+            full[d] = range(start, rank)
+    return proper, full
+
+
+def _span_complex(o: FrameObject, name: str, idx, labels) -> ChainComplex:
+    """The span ``idx`` of B per degree, with the differential restricted to it."""
+    c = o.complex
+    diffs = {d: submatrix(c.diff(d), idx[d - 1], cols) for d, cols in idx.items() if d - 1 in idx}
+    return ChainComplex._trusted(name % o.alpha.key(), {d: len(cols) for d, cols in idx.items()}, diffs, labels)
+
+
+def _latching_inclusion(o: FrameObject, proper) -> Dict[int, IntMatrix]:
+    """Per degree of the proper span, the matrix of its basis inclusion into B."""
+    return {d: _assemble(o.complex.rank(d), len(cols), [(0, len(cols), [(0, 1, None)])]) for d, cols in proper.items()}
+
+
+def _latching_cokernel(o: FrameObject, full) -> ChainComplex:
+    """The full-subset span, labelled like the shifted source X_{alpha(0)}[m]."""
+    x = o.restriction.objects[0]
+    return _span_complex(o, "B/L(%s)", full, {d: x.labels(d - o.alpha.dom) for d in full})
+
+
+def reedy_items(diagram: FrameDiagram):
+    """The items of ``is_reedy_cofibrant``, by its loop from when it built
+    each degree's inclusion matrix and the cokernel complex: per alpha, the
+    proper-subset span is closed under the differential, its inclusion is
+    degreewise split injective over the integers, and the complementary
+    quotient equals shift(X_{alpha(0)}, m) literally."""
+    report = Report()
+    for alpha, o in diagram.objects.items():
+        proper, full = _latching_spans(o)
+        ok_closed, wit_closed = True, None
+        for d, cols in proper.items():
+            if d - 1 in full and not submatrix(o.complex.diff(d), full[d - 1], cols).is_zero():
+                ok_closed, wit_closed = False, "differential leaves the latching span at degree %d" % d
+                break
+        report.add("latching-closure", alpha.key(), ok_closed, wit_closed)
+
+        unsplit = next((d for d, m in _latching_inclusion(o, proper).items() if not _split_by_transpose(m)), None)
+        report.add("latching-split", alpha.key(), unsplit is None, _at(unsplit, "inclusion is not split"))
+
+        ok_coker = _latching_cokernel(o, full) == shift(o.simplex.objects[alpha(0)], alpha.dom)
+        wit_coker = None if ok_coker else "quotient differs from the shifted source"
+        report.add("latching-cokernel", alpha.key(), ok_coker, wit_coker)
+    return report.items
+
+
+def _split_by_transpose(m: IntMatrix) -> bool:
+    """Whether m^T o m = id, decided like the last-vertex identities.  This
+    holds exactly when every column of m is +-e_i with distinct i, and then
+    m^T is a retraction of m."""
+    return combination_is_zero(m.cols, m.cols, ((1, transpose(m), m),) + identity_term(-1))

@@ -45,7 +45,6 @@ from dgframes.frames import (
     check_simplicial_compat,
     homotopy_inverse_certified,
     is_homotopical,
-    latching_data,
     last_vertex_data,
     recover_map_from_cylinder,
     split_acyclic_cofibration,
@@ -58,7 +57,7 @@ from dgframes.simplicial import (
     is_weak_equivalence_d,
 )
 
-from oracles import cylinder, structure_maps
+from oracles import cylinder, latching_data, structure_maps
 
 CORPUS_SIZE = 200
 

@@ -16,10 +16,10 @@ import pytest
 from dgframes.complexes import ChainComplex, GradedMap, shift
 from dgframes.dg_nerve import NerveSimplex, act, random_simplex
 from dgframes.exact_linalg import IntMatrix
-from dgframes.frames import build_frame_diagram, last_vertex_data, latching_data
+from dgframes.frames import build_frame_diagram, last_vertex_data
 from dgframes.simplicial import DMorphism, OrderMap, enumerate_d_objects, nonempty_subsets
 
-from oracles import structure_maps
+from oracles import latching_data, structure_maps
 
 
 def _point():

@@ -15,12 +15,11 @@ from dgframes.exact_linalg import (
     rank,
     snf,
     solve,
-    submatrix,
 )
 from dgframes.frames import build_frame_object, include_last
 from dgframes.simplicial import OrderMap
 
-from oracles import det, diagonalize_exhaustive, is_unimodular, matmul
+from oracles import det, diagonalize_exhaustive, is_unimodular, matmul, submatrix, transpose
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -32,7 +31,6 @@ def test_matrix_basics():
     assert m[0, 1] == 2 and m[1, 0] == 3
     assert (m + m.scale(-1)).is_zero()
     assert (m @ IntMatrix.identity(2)) == m
-    assert m.transpose().transpose() == m
     with pytest.raises(ValueError):
         IntMatrix(2, 2, [[1, 2], [3]])
     z = IntMatrix.zeros(0, 3)
@@ -201,7 +199,7 @@ def test_matmul_against_the_triple_loop():
         density = rng.choice((0.02, 0.05, 0.1, 0.2))
         a, b = _wide_sparse(rng, rows, inner, density), _wide_sparse(rng, inner, cols, density)
         assert a @ b == matmul(a, b)
-        assert b.transpose() @ a.transpose() == matmul(a, b).transpose()
+        assert transpose(b) @ transpose(a) == transpose(matmul(a, b))
 
 
 def _plain_row_scan(m):

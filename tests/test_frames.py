@@ -37,7 +37,6 @@ from dgframes.frames import (
     is_homotopical,
     is_reedy_cofibrant,
     last_vertex_data,
-    latching_data,
     recover_map_from_cylinder,
     retraction,
     solve_retraction,
@@ -52,7 +51,7 @@ from dgframes.simplicial import (
     is_weak_equivalence_d,
 )
 
-from oracles import cylinder, structure_maps, verify_mc_extension
+from oracles import cylinder, latching_data, structure_maps, verify_mc_extension
 
 
 def point(name="pt", label="p"):
@@ -357,26 +356,39 @@ def test_is_reedy_cofibrant_flags_a_tampered_frame():
     assert check_simplicial_compat(sigma, diagram).ok
 
 
-@pytest.mark.parametrize(
-    "rows,split",
-    [
-        ([[1, 0], [0, -1], [0, 0]], True),
-        ([[0, 0], [0, 1], [1, 0]], True),
-        ([[2, 0], [0, 1], [0, 0]], False),
-        ([[1, 0], [1, 0], [0, 1]], False),
-        ([[1, 1], [0, 0], [0, 1]], False),
-        ([[1, 1], [0, 1], [0, 0]], False),
-    ],
-)
-def test_latching_split_is_the_transpose_identity(monkeypatch, rows, split):
-    """latching-split holds exactly when incl^T o incl = id in every degree:
-    every column of the inclusion is +-e_i, the i distinct.  The last matrix
-    is split injective over Z, but not by its transpose, and fails."""
-    x = point("x")
-    diagram = build_frame_diagram(make_strict([], lone_object=x), max_len=0)
-    monkeypatch.setattr(frames, "_latching_inclusion", lambda o, proper: {0: IntMatrix.from_rows(rows)})
-    (item,) = [i for i in is_reedy_cofibrant(diagram).items if i.check == "latching-split"]
-    assert (item.status, item.witness) == (("pass", None) if split else ("fail", "inclusion is not split at degree 0"))
+# Layouts of the degree-1 blocks of B(<0,1>) over the identity of a complex
+# X in degrees 0 and 1, whose untouched blocks are (0,) at 0, (1,) at 1 and
+# the full block (0,1) at 2, each of width 1, in a basis of rank 3.  None
+# drops degree 1 from the layout.
+_LAYOUTS = {
+    "untouched": ({(0,): (0, 1), (1,): (1, 1), (0, 1): (2, 1)}, True),
+    "proper-blocks-swapped": ({(1,): (0, 1), (0,): (1, 1), (0, 1): (2, 1)}, True),
+    "column-shifted": ({(0,): (0, 1), (1,): (2, 1), (0, 1): (2, 1)}, False),
+    "blocks-overlap": ({(0,): (0, 1), (1,): (0, 1), (0, 1): (2, 1)}, False),
+    "widened-past-rank": ({(0,): (0, 1), (1,): (1, 1), (0, 1): (2, 2)}, False),
+    "full-block-first": ({(0, 1): (0, 1), (0,): (1, 1), (1,): (2, 1)}, False),
+    "degree-missing": (None, False),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_latching_split_reads_the_block_layout(layout):
+    """latching-split holds exactly when every degree's blocks, in their
+    stored order, tile the basis with no gap or overlap and the full
+    subset's block last: then the proper summands span the leading columns
+    and their inclusion is split by the coordinate projection.  The proper
+    blocks may come in either order, and a degree of the frame with no
+    layout fails."""
+    x = ChainComplex("X", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    diagram = build_frame_diagram(make_strict([GradedMap.identity(x)]), max_len=1)
+    alpha = OrderMap((0, 1), 1)
+    o = diagram.objects[alpha]
+    assert o.complex.rank(1) == 3 and o.blocks[1] == _LAYOUTS["untouched"][0]
+    spans, split = _LAYOUTS[layout]
+    blocks = {d: spans if d == 1 else b for d, b in o.blocks.items() if d != 1 or spans is not None}
+    diagram.objects[alpha] = frames.FrameObject(o.simplex, alpha, o.complex, blocks, o.restriction)
+    (item,) = [i for i in is_reedy_cofibrant(diagram).items if i.check == "latching-split" and i.location == "0,1"]
+    assert (item.status, item.witness) == (("pass", None) if split else ("fail", "inclusion is not split at degree 1"))
 
 
 # -- last-vertex data ----------------------------------------------------------

@@ -9,7 +9,10 @@ criterion 8's simplices at max-len 3.  Tampered copies of the maps (scaled by
 2, an extra entry outside the image, an entry moved to another row, a flipped
 sign) must be judged alike too.  ``is_homotopical``, which builds each
 structure map as it judges it, must give the items of the loop that built
-them all first.
+them all first, and ``is_reedy_cofibrant``, which reads each frame's block
+layout and differential in place, those of the loop that built the latching
+inclusion matrices and the cokernel complex, on criterion 2's frames as
+built and with one entry of a frame differential tampered.
 """
 
 import random
@@ -18,19 +21,30 @@ from collections import Counter
 import pytest
 
 import dgframes.frames as frames
-from dgframes.complexes import GradedMap, composite_equals, cycle_defect, hom_differential
+from dgframes.complexes import ChainComplex, GradedMap, composite_equals, cycle_defect, hom_differential
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import IntMatrix
 from dgframes.frames import (
+    FrameDiagram,
+    FrameObject,
     build_frame_diagram,
     check_last_vertex,
     homotopy_inverse_certified,
     is_homotopical,
+    is_reedy_cofibrant,
     last_vertex_data,
 )
 from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
 
 import oracles
+
+
+@pytest.fixture(scope="module")
+def criterion_02_diagrams():
+    """Criterion 2's frames: every sequence of domain size <= 2 over each
+    simplex of the acceptance corpus."""
+    rng = random.Random(0)
+    return [build_frame_diagram(random_simplex(rng, i % 4), 2) for i in range(200)]
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +206,53 @@ def test_tampered_last_vertex_maps_are_judged_alike(monkeypatch, criterion_08_di
                 assert cycle_defect(t) == oracles.cycle_defect(t)
                 seen.append(not lv.holds)
     assert (len(seen), sum(seen)) == (tampered, caught)
+
+
+def _tampered_blocks(o: FrameObject):
+    """Copies of the frame o with 1 added to one entry of its differential:
+    the first entry of the closure block (full rows, proper columns), then
+    that of the full block (full rows and columns), each in the lowest
+    degree where the block is nonempty."""
+    c = o.complex
+    proper, full = oracles._latching_spans(o)
+    out = []
+    for cols in (proper, full):
+        d = next((d for d in cols if d - 1 in full), None)
+        if d is not None:
+            rows = c.diff(d).to_lists()
+            rows[full[d - 1][0]][cols[d][0]] += 1
+            diffs = {**{e: c.diff(e) for e in c.support}, d: IntMatrix.from_rows(rows)}
+            labels = {e: c.labels(e) for e in c.support}
+            bad = ChainComplex(c.name, {e: c.rank(e) for e in c.support}, diffs, labels, check=False)
+            out.append(FrameObject(o.simplex, o.alpha, bad, o.blocks, o.restriction))
+    return out
+
+
+def test_reedy_items_equal_the_matrix_loop(criterion_02_diagrams):
+    """Check, location, status and witness of every Reedy item, in order,
+    against ``oracles.reedy_items`` on criterion 2's diagrams as built, and
+    on each frame with one entry of its closure block or of its full block
+    tampered.  A tampered closure entry fails ``latching-closure`` only, a
+    tampered full entry ``latching-cokernel`` only, and no layout is
+    touched, so ``latching-split`` always passes."""
+    kinds = Counter()
+    for diagram in criterion_02_diagrams:
+        items = is_reedy_cofibrant(diagram).items
+        assert items == oracles.reedy_items(diagram)
+        kinds.update((i.check, i.status) for i in items)
+        for alpha, o in diagram.objects.items():
+            for t in _tampered_blocks(o):
+                single = FrameDiagram(diagram.simplex, diagram.max_len, {alpha: t})
+                items = is_reedy_cofibrant(single).items
+                assert items == oracles.reedy_items(single)
+                kinds.update((i.check, i.status, "tampered") for i in items)
+    assert kinds == {
+        ("latching-closure", "pass"): 3250,
+        ("latching-split", "pass"): 3250,
+        ("latching-cokernel", "pass"): 3250,
+        ("latching-closure", "fail", "tampered"): 1015,
+        ("latching-closure", "pass", "tampered"): 1562,
+        ("latching-split", "pass", "tampered"): 2577,
+        ("latching-cokernel", "fail", "tampered"): 1562,
+        ("latching-cokernel", "pass", "tampered"): 1015,
+    }

@@ -203,6 +203,19 @@ def test_act_identity_and_degeneracy():
     assert act((0, 2), s) == face
 
 
+def test_act_refuses_an_order_map_into_another_codomain():
+    """An OrderMap must land in [n] for an n-simplex, even when its values
+    fit in [n]; the message names both codomains.  A bare sequence carries
+    no codomain and is only checked to stay in [n]."""
+    s = random_simplex(random.Random(36), 1)
+    with pytest.raises(ValueError, match=r"codomain \[5\], not the simplex's \[1\]"):
+        act(OrderMap((0, 1), 5), s)
+    with pytest.raises(ValueError, match=r"codomain \[0\], not the simplex's \[1\]"):
+        act(OrderMap((0, 0), 0), s)
+    assert act((0, 1), s) == act(OrderMap((0, 1), 1), s) == s
+    assert act((1, 1), s) == act(OrderMap((1, 1), 1), s)
+
+
 def test_act_looks_values_up_without_eval(monkeypatch):
     """act passes sequences that are valid by construction, so it looks them
     up without eval's checks; eval keeps them for outside callers."""

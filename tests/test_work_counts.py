@@ -9,8 +9,9 @@ The counts are deterministic, so a change that brings back a dense path
 shows up here.  ``frame`` and ``recover`` are pinned the same way, and so
 are the calls of the checking constructors under ``check``, so that
 validation of values the library builds itself does not creep back.  The
-structure maps and latching sub-complexes that ``check`` builds are counted
-too, and the memory peak of the whole suite is bounded.
+structure maps that ``check`` builds are counted too, as are the matrices
+its Reedy check assembles (none), and the memory peak of the whole suite is
+bounded.
 """
 
 import functools
@@ -27,14 +28,15 @@ from dgframes.exact_linalg import IntMatrix
 from dgframes.simplicial import DMorphism, OrderMap
 
 
-def _count_calls(monkeypatch, counts, name, original):
+def _count_calls(monkeypatch, counts, name, original, inside=None):
     """Rebind ``original`` wherever a dgframes module holds it as ``name``,
-    to a wrapper counting its calls in counts[name]."""
+    to a wrapper counting its calls in counts[name]; with ``inside``, only
+    the calls made while that list is nonempty."""
     counts[name] = 0
 
     @functools.wraps(original)
     def counted(*args, **kwargs):
-        counts[name] += 1
+        counts[name] += inside is None or bool(inside)
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -78,14 +80,25 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
 def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
     """``check --max-len 3`` on the pinned 3-simplex builds the structure
     map of each of its 384 max-preserving morphisms once, for the
-    homotopical check, and no other.  The Reedy check cuts no latching
-    sub-complex out of a frame differential: ``submatrix`` serves only the
-    closure test and the cokernel.  Every object of the pinned 3-simplex sits
-    in one degree, so each cokernel has no differential and the count is 0;
-    the 2-simplex drawn from seed 3 has objects in degrees 0 and 1."""
+    homotopical check, and no other.  The Reedy check reads each frame's
+    block layout and stored differential in place: it assembles no matrix
+    (``_assemble``) and decides no identity column by column
+    (``combination_is_zero``), neither there nor on the 2-simplex drawn from
+    seed 3, whose objects span two degrees."""
     counts = {}
     _count_calls(monkeypatch, counts, "_structure_matrix", frames._structure_matrix)
-    _count_calls(monkeypatch, counts, "submatrix", exact_linalg.submatrix)
+    inside = []
+
+    def reedy(diagram, _original=frames.is_reedy_cofibrant):
+        inside.append(True)
+        try:
+            return _original(diagram)
+        finally:
+            inside.pop()
+
+    _count_calls(monkeypatch, counts, "_assemble", frames._assemble, inside)
+    _count_calls(monkeypatch, counts, "combination_is_zero", complexes.combination_is_zero, inside)
+    monkeypatch.setattr(frames, "is_reedy_cofibrant", reedy)
     seen = []
     for name, s in (("r7n3", random_simplex(random.Random(7), 3)), ("r3n2", random_simplex(random.Random(3), 2))):
         path = tmp_path / (name + ".json")
@@ -94,10 +107,13 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
         assert cli.main(argv) == 0
         seen.append(dict(counts))
         counts.update(dict.fromkeys(counts, 0))
-    # while the diagram stored every structure map: 699 and 139 on r7n3,
-    # and 105 submatrix calls on r3n2
-    assert seen[0] == {"_structure_matrix": 384, "submatrix": 0}
-    assert seen[1]["submatrix"] == 34
+    # _assemble and combination_is_zero count the calls inside
+    # is_reedy_cofibrant only.  While the diagram stored every structure map:
+    # 699 _structure_matrix calls on r7n3; while the Reedy check built and
+    # tested an inclusion matrix per degree of each proper span: 207 and 102
+    # of each on r7n3 and r3n2
+    assert seen[0] == {"_structure_matrix": 384, "_assemble": 0, "combination_is_zero": 0}
+    assert (seen[1]["_assemble"], seen[1]["combination_is_zero"]) == (0, 0)
 
 
 def test_run_checks_memory_peak():
