@@ -64,25 +64,30 @@ def _metadata(args: argparse.Namespace) -> dict:
     return {"seed": args.seed, "max_len": args.max_len}
 
 
+def _report_payload(command: str, args: argparse.Namespace, report):
+    payload = {"command": command, "metadata": _metadata(args), "report": report.to_json(), "summary": report.summary()}
+    return payload, (0 if report.ok else 1)
+
+
+def _checked_frame(s: NerveSimplex, alpha: OrderMap):
+    """build_frame_object(s, alpha), refused as bad input when its d^2 != 0."""
+    o = build_frame_object(s, alpha)
+    if o.d2_defects:
+        raise ValueError("differential does not square to zero at degree %d" % o.d2_defects[0])
+    return o
+
+
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_validate(args: argparse.Namespace):
-    s = _load_simplex(args.input)
-    report = validate_maurer_cartan(s)
-    payload = {
-        "command": "validate",
-        "metadata": _metadata(args),
-        "report": report.to_json(),
-        "summary": report.summary(),
-    }
-    return payload, (0 if report.ok else 1)
+    return _report_payload("validate", args, validate_maurer_cartan(_load_simplex(args.input)))
 
 
 def cmd_frame(args: argparse.Namespace):
     s = _load_simplex(args.input)
     alpha = OrderMap.from_key(args.alpha, s.n)
-    o = build_frame_object(s, alpha)
+    o = _checked_frame(s, alpha)
     h = homology(o.complex)
     payload = {
         "command": "frame",
@@ -107,21 +112,14 @@ def cmd_homology(args: argparse.Namespace):
 
 
 def cmd_check(args: argparse.Namespace):
-    report = run_checks(_load_simplex(args.input), args.max_len)
-    payload = {
-        "command": "check",
-        "metadata": _metadata(args),
-        "report": report.to_json(),
-        "summary": report.summary(),
-    }
-    return payload, (0 if report.ok else 1)
+    return _report_payload("check", args, run_checks(_load_simplex(args.input), args.max_len))
 
 
 def cmd_recover(args: argparse.Namespace):
     s = _load_simplex(args.input)
     if s.n != 1:
         raise ValueError("recover expects a 1-simplex, got n=%d" % s.n)
-    o = build_frame_object(s, OrderMap((0, 1), 1))
+    o = _checked_frame(s, OrderMap((0, 1), 1))
     rec = recover_map_from_cylinder(o)
     difference = rec - s.eval((0, 1))
     witness = is_nullhomotopic(difference)

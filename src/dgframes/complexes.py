@@ -54,11 +54,11 @@ class ChainComplex:
     labels : optional mapping degree -> sequence of basis label strings
         (ValueError for any other type, as for ``name``); defaults to
         "e0", "e1", ...
-    check : verify d o d = 0 on construction (disable only to build
-        deliberately broken fixtures)
+
+    d o d = 0 is verified on construction; ``_trusted`` alone skips it.
     """
 
-    def __init__(self, name, ranks, diffs=None, labels=None, check=True):
+    def __init__(self, name, ranks, diffs=None, labels=None):
         self.name = json_str(name, "complex name")
         self._ranks: Dict[int, int] = {}
         for d, r in dict(ranks).items():
@@ -99,10 +99,9 @@ class ChainComplex:
                 if len(got) != r:
                     raise ValueError("degree %d has %d labels for rank %d" % (d, len(got), r))
                 self._labels[d] = got
-        if check:
-            bad = self.d_squared_defects()
-            if bad:
-                raise ValueError("differential does not square to zero at degree %d" % bad[0])
+        bad = self.d_squared_defects()
+        if bad:
+            raise ValueError("differential does not square to zero at degree %d" % bad[0])
 
     @classmethod
     def _trusted(cls, name: str, ranks: Dict[int, int], diffs: Dict[int, IntMatrix], labels) -> "ChainComplex":
@@ -333,9 +332,6 @@ class GradedMap:
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         return self + other.scale(-1)
-
-    def __neg__(self) -> "GradedMap":
-        return self.scale(-1)
 
     def scale(self, c: int) -> "GradedMap":
         return GradedMap._trusted(self.source, self.target, self.degree, {d: m.scale(c) for d, m in self._mats.items()})
@@ -745,9 +741,9 @@ def random_complex(rng: random.Random, max_rank=3, max_width=4, min_degree=-1, m
         r_from = ranks[d]
         r_to = ranks.get(d - 1, 0)
         if not r_from or not r_to:
-            prev = None if not r_from else IntMatrix.zeros(0, r_from)
+            prev = None
             continue
-        if prev is None or prev.rows == 0:
+        if prev is None:
             m = IntMatrix(r_to, r_from, [[rng.randint(-2, 2) for _ in range(r_from)] for _ in range(r_to)])
         else:
             kb = kernel_basis(prev)

@@ -176,16 +176,11 @@ class NerveSimplex:
         return cls(objects, maps)
 
 
-def increasing_sequences(n: int, min_len: int = 2):
-    """All strictly increasing sequences in [n] of length >= min_len, as a
-    new list."""
-    return list(_increasing_keys(n, min_len))
-
-
 @lru_cache(maxsize=32)
-def _increasing_keys(n: int, min_len: int = 2) -> tuple:
-    """increasing_sequences(n, min_len) as a shared tuple."""
-    return tuple(seq for size in range(min_len, n + 2) for seq in combinations(range(n + 1), size))
+def increasing_sequences(n: int) -> tuple:
+    """All strictly increasing sequences in [n] of length >= 2, by length
+    then lexicographically, as one tuple shared by every caller."""
+    return tuple(seq for size in range(2, n + 2) for seq in combinations(range(n + 1), size))
 
 
 def coherence_terms(s: NerveSimplex, seq: tuple, d: int) -> tuple:
@@ -219,7 +214,7 @@ def validate_maurer_cartan(s: NerveSimplex) -> Report:
     at the first degree where it is nonzero, and only that degree of the
     defect is formed."""
     report = Report()
-    for seq in increasing_sequences(s.n, min_len=2):
+    for seq in increasing_sequences(s.n):
         f = s._lookup(seq)
         x, y, r = f.source, f.target, f.degree - 1
         terms_at = partial(coherence_terms, s, seq)
@@ -233,30 +228,22 @@ def validate_maurer_cartan(s: NerveSimplex) -> Report:
     return report
 
 
-def act(sigma, s: NerveSimplex) -> NerveSimplex:
+def act(sigma: OrderMap, s: NerveSimplex) -> NerveSimplex:
     """Reindex a simplex along an order map sigma : [m] -> [n].
 
     Objects are pulled back by reindexing and the coherence maps by
     precomposition of sequences, normalized through strict unitality whenever
     sigma collapses adjacent entries.  The result shares the strict
     unitality values of s, so equal restrictions hold the same unit and zero
-    maps.  An OrderMap must land in [n]; a bare sequence is checked against
-    [n] instead.
+    maps.  sigma must land in [n].
     """
-    if isinstance(sigma, OrderMap):
-        if sigma.cod != s.n:
-            raise ValueError("sigma has codomain [%d], not the simplex's [%d]" % (sigma.cod, s.n))
-        values = sigma.values  # an OrderMap into [n] is valid by construction
-    else:
-        values = tuple(sigma.values) if hasattr(sigma, "values") else tuple(sigma)
-        if not values or any(b < a for a, b in zip(values, values[1:])):
-            raise ValueError("sigma must be a nondecreasing nonempty sequence")
-        if values[0] < 0 or values[-1] > s.n:
-            raise ValueError("sigma %r leaves [%d]" % (values, s.n))
+    if sigma.cod != s.n:
+        raise ValueError("sigma has codomain [%d], not the simplex's [%d]" % (sigma.cod, s.n))
+    values = sigma.values  # an OrderMap into [n] is valid by construction
     objects = tuple(s.objects[v] for v in values)
     # each image is nondecreasing and in [n], since values is and key increases
     image = values.__getitem__
-    maps = {key: s._lookup(tuple(map(image, key))) for key in _increasing_keys(len(values) - 1)}
+    maps = {key: s._lookup(tuple(map(image, key))) for key in increasing_sequences(len(values) - 1)}
     # valid by construction: s._lookup keeps the degree and endpoints of each key
     return NerveSimplex._trusted(objects, maps, s, values)
 

@@ -30,22 +30,19 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "data", "_nonzeros")
 
-    def __init__(self, rows: int, cols: int, data: Optional[Iterable[Iterable[int]]] = None):
+    def __init__(self, rows: int, cols: int, data: Iterable[Iterable[int]]):
         _check_shape(rows, cols)
         self.rows = rows
         self.cols = cols
         self._nonzeros = None
-        if data is None:
-            self.data = tuple((0,) * cols for _ in range(rows))
-        else:
-            packed = tuple(map(tuple, data))
-            if len(packed) != rows or any(len(r) != cols for r in packed):
-                raise ValueError("matrix data does not match declared shape %dx%d" % (rows, cols))
-            for row in packed:
-                for v in row:
-                    if type(v) is not int:
-                        raise ValueError("matrix entry must be an integer, got %r" % (v,))
-            self.data = packed
+        packed = tuple(map(tuple, data))
+        if len(packed) != rows or any(len(r) != cols for r in packed):
+            raise ValueError("matrix data does not match declared shape %dx%d" % (rows, cols))
+        for row in packed:
+            for v in row:
+                if type(v) is not int:
+                    raise ValueError("matrix entry must be an integer, got %r" % (v,))
+        self.data = packed
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
@@ -71,12 +68,11 @@ class IntMatrix:
         return _identity(n)
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+    def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
         data = [list(r) for r in data]
         if not data:
-            return cls(0, 0 if cols is None else cols)
-        width = len(data[0]) if cols is None else cols
-        return cls(len(data), width, data)
+            return cls.zeros(0, 0)
+        return cls(len(data), len(data[0]), data)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "IntMatrix":
@@ -325,8 +321,6 @@ def _diagonalize(a, nr: int, nc: int) -> None:
                         _col_swap(a, j, t)
                         dirty = True
             if dirty:
-                continue
-            if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][j] for j in range(t + 1, nc)):
                 continue
             # row and column are clear; enforce the divisibility chain, which
             # a +-1 pivot meets already: x % 1 == x % -1 == 0 for every int

@@ -14,7 +14,7 @@ where S_{>=j} = {s_j < ... < s_k} and f is evaluated through strict
 unitality on the (possibly degenerate) value sequence.  This is the unique
 differential making the tuple of summand inclusions a closed degree-0
 element of the twisted mapping complex; d^2 = 0 is equivalent to the
-Maurer-Cartan identity for f and is asserted on construction.
+Maurer-Cartan identity for f, and ``FrameObject.d2_defects`` reports it.
 
 The basis lists the summands in the order of nonempty_subsets (by size,
 then lexicographically), each in the basis order of its source, so the full
@@ -97,8 +97,7 @@ class FrameObject:
     act(alpha, simplex), all the complex was built from.
     """
 
-    def __init__(self, simplex: NerveSimplex, alpha: OrderMap, complex: ChainComplex, blocks, restriction):
-        self.simplex = simplex
+    def __init__(self, alpha: OrderMap, complex: ChainComplex, blocks, restriction: NerveSimplex):
         self.alpha = alpha
         self.complex = complex
         self.blocks: Dict[int, Dict[tuple, Tuple[int, int]]] = dict(blocks)
@@ -107,11 +106,11 @@ class FrameObject:
     @cached_property
     def d2_defects(self) -> List[int]:
         """Degrees where the differential does not square to zero (empty for
-        every frame of a valid simplex)."""
+        every frame of a valid simplex): the frame's one d^2 verdict."""
         return self.complex.d_squared_defects()
 
     def source_complex(self, subset) -> ChainComplex:
-        return self.simplex.objects[self.alpha(subset[0])]
+        return self.restriction.objects[subset[0]]
 
     def summand_inclusion(self, subset) -> GradedMap:
         """iota_S as a graded map X_{alpha(S[0])} -> B of degree len(S)-1."""
@@ -140,13 +139,12 @@ class FrameObject:
         }
 
 
-def build_frame_object(s: NerveSimplex, alpha: OrderMap, check: bool = True) -> FrameObject:
-    """Construct B(alpha) for a valid simplex from its restriction
-    act(alpha, s) alone, which the frame keeps; alpha only names it.
+def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
+    """Construct B(alpha) from the restriction act(alpha, s) alone, which the
+    frame keeps; alpha only names it.
 
-    With ``check`` the construction asserts d^2 = 0 (and therefore fails loudly
-    on an invalid simplex); the check suites disable it to report defects
-    instead of raising.
+    The frame is built for any simplex and never raises on d^2: an invalid
+    simplex gives a frame whose ``d2_defects`` name the failing degrees.
     """
     if alpha.cod != s.n:
         raise ValueError("alpha lands in [%d] but the simplex has dimension %d" % (alpha.cod, s.n))
@@ -188,10 +186,7 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap, check: bool = True) -> 
         diffs[d] = _assemble(len(labels[d - 1]), len(labels[d]), columns)
 
     cx = ChainComplex._trusted("B(%s)" % alpha.key(), {d: len(labs) for d, labs in labels.items()}, diffs, labels)
-    o = FrameObject(s, alpha, cx, blocks, r)
-    if check and o.d2_defects:
-        raise ValueError("differential does not square to zero at degree %d" % o.d2_defects[0])
-    return o
+    return FrameObject(alpha, cx, blocks, r)
 
 
 def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
@@ -237,8 +232,8 @@ class FrameDiagram:
         return _structure_matrix(self.objects[mor.src], self.objects[mor.tgt], mor.inj)
 
 
-def build_frame_diagram(s: NerveSimplex, max_len: int = 3, check: bool = True) -> FrameDiagram:
-    objects = {alpha: build_frame_object(s, alpha, check=check) for alpha in enumerate_d_objects(s.n, max_len)}
+def build_frame_diagram(s: NerveSimplex, max_len: int = 3) -> FrameDiagram:
+    objects = {alpha: build_frame_object(s, alpha) for alpha in enumerate_d_objects(s.n, max_len)}
     return FrameDiagram(s, max_len, objects)
 
 
@@ -267,7 +262,7 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
     inclusion, split by the projection.
     ``latching-closure``: diff(d) maps no proper column to a full row.
     ``latching-cokernel``: the full rows and columns equal
-    shift(X_{alpha(0)}, m) in ranks and matrices."""
+    shift(X_{alpha(0)}, m), X from diagram.simplex, in ranks and matrices."""
     report = Report()
     for alpha, o in diagram.objects.items():
         c = o.complex
@@ -283,7 +278,7 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
         unsplit = next((d for d in degrees if not _tiles(o.blocks.get(d, {}), top, c.rank(d))), None)
         report.add("latching-split", alpha.key(), unsplit is None, _at(unsplit, "inclusion is not split"))
 
-        x = shift(o.simplex.objects[alpha(0)], alpha.dom)
+        x = shift(diagram.simplex.objects[alpha(0)], alpha.dom)
         ranks = {d: c.rank(d) - s for d, s in start.items() if s < c.rank(d)}
         ok_coker = ranks == {d: x.rank(d) for d in x.support} and all(
             _full_rows(c, start, d, slice(start[d], None)) == x.diff(d).data
@@ -496,7 +491,7 @@ def run_checks(s: NerveSimplex, max_len: int) -> Report:
     last-vertex, homotopical, then simplicial compatibility along every face
     and every degeneracy of [n]."""
     report = validate_maurer_cartan(s)
-    diagram = build_frame_diagram(s, max_len, check=False)
+    diagram = build_frame_diagram(s, max_len)
     for alpha, o in diagram.objects.items():
         defects = o.d2_defects
         report.add("frame-d2", alpha.key(), not defects, _at(defects[0] if defects else None, "d^2 != 0"))
@@ -575,7 +570,7 @@ def recover_map_from_cylinder(o: FrameObject) -> GradedMap:
     :func:`solve_retraction`) and compose it with the source-end inclusion.
     The homotopy that completes the splitting is not needed, so it is not
     solved for."""
-    if o.simplex.n != 1 or o.alpha.values != (0, 1):
+    if o.alpha.cod != 1 or o.alpha.values != (0, 1):
         raise ValueError("recovery expects the frame at <0,1> of a 1-simplex")
     p = solve_retraction(include_last(o))
     return p @ o.summand_inclusion((0,))

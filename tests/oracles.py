@@ -288,10 +288,10 @@ def coherence_rhs(s: NerveSimplex, seq: tuple) -> GradedMap:
     acc = GradedMap.zero(s.objects[seq[0]], s.objects[seq[-1]], k - 2)
     for j in range(1, k):
         face = s.eval(seq[:j] + seq[j + 1 :])
-        acc = acc + (face if j % 2 == 0 else -face)
+        acc = acc + (face if j % 2 == 0 else face.scale(-1))
         comp = s.eval(seq[j:]) @ s.eval(seq[: j + 1])
         sign = -1 if ((j - 1) * k) % 2 else 1
-        acc = acc + (comp if sign == 1 else -comp)
+        acc = acc + (comp if sign == 1 else comp.scale(-1))
     return acc
 
 
@@ -304,7 +304,7 @@ def coherence_defect(s: NerveSimplex, seq) -> GradedMap:
 def maurer_cartan_items(s: NerveSimplex):
     """(location, ok, witness) of each item of validate_maurer_cartan."""
     out = []
-    for seq in increasing_sequences(s.n, min_len=2):
+    for seq in increasing_sequences(s.n):
         defect = coherence_defect(s, seq)
         witness = None
         if not defect.is_zero():
@@ -481,7 +481,7 @@ def reedy_items(diagram: FrameDiagram):
         unsplit = next((d for d, m in _latching_inclusion(o, proper).items() if not _split_by_transpose(m)), None)
         report.add("latching-split", alpha.key(), unsplit is None, _at(unsplit, "inclusion is not split"))
 
-        ok_coker = _latching_cokernel(o, full) == shift(o.simplex.objects[alpha(0)], alpha.dom)
+        ok_coker = _latching_cokernel(o, full) == shift(diagram.simplex.objects[alpha(0)], alpha.dom)
         wit_coker = None if ok_coker else "quotient differs from the shifted source"
         report.add("latching-cokernel", alpha.key(), ok_coker, wit_coker)
     return report.items

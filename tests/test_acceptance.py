@@ -76,14 +76,16 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def frame_sweep(corpus):
-    """Every frame value with domain size <= 2 over the corpus, built with the
-    d^2 check enabled; shared by criteria 2, 5 and 7."""
+    """Every frame value with domain size <= 2 over the corpus, each asserted
+    to have d^2 = 0; shared by criteria 2, 5 and 7."""
     sims, _ = corpus
     t0 = time.perf_counter()
     objs = []
     for idx, s in enumerate(sims):
         for alpha in enumerate_d_objects(s.n, 2):
-            objs.append((idx, alpha, build_frame_object(s, alpha, check=True)))
+            o = build_frame_object(s, alpha)
+            assert o.d2_defects == []
+            objs.append((idx, alpha, o))
     return objs, time.perf_counter() - t0
 
 
@@ -270,10 +272,11 @@ def test_criterion_06_certificate_implies_acyclic_cone(corpus):
     assert not homotopy_inverse_certified(g, last_vertex[counterexample.src], last_vertex[counterexample.tgt])
 
 
-def test_criterion_07_reedy_check(frame_sweep):
+def test_criterion_07_reedy_check(corpus, frame_sweep):
     """Every latching inclusion in criterion 2's sweep is degreewise split
     injective over Z and its cokernel equals shift(X_{alpha(0)}, m) in ranks,
     differentials and labels."""
+    sims, _ = corpus
     objs, _ = frame_sweep
     for idx, alpha, o in objs:
         sub, incl, coker = latching_data(o)
@@ -281,7 +284,7 @@ def test_criterion_07_reedy_check(frame_sweep):
             fac = invariant_factors(incl.mat(d))
             assert len(fac) == sub.rank(d)
             assert all(v == 1 for v in fac)
-        x = o.simplex.objects[alpha(0)]
+        x = sims[idx].objects[alpha(0)]
         assert coker == shift(x, alpha.dom)
     _announce(7, "latching inclusions split with shifted-source cokernels on %d frame values" % len(objs))
 

@@ -10,7 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from dgframes import cli
 from dgframes.cli import main
-from dgframes.complexes import ChainComplex, GradedMap, random_chain_map, random_complex
+from dgframes.complexes import (
+    ChainComplex,
+    GradedMap,
+    cycle_defect,
+    random_chain_map,
+    random_complex,
+    random_graded_map,
+)
 from dgframes.dg_nerve import NerveSimplex, make_perturbed_2simplex, make_strict, random_simplex
 from dgframes.exact_linalg import IntMatrix
 from dgframes.reporting import canonical_json
@@ -201,6 +208,40 @@ def test_check_reports_broken_frames_of_an_invalid_simplex(corrupt_simplex, caps
     broken = [item for item in failed if item["check"] == "homotopical"]
     assert broken and all(item["witness"].startswith("endpoint B(") for item in broken)
     assert any("endpoint B(0,1,2) has d^2 != 0" in item["witness"] for item in broken)
+
+
+@pytest.fixture
+def broken_edge(tmp_path):
+    """A 1-simplex whose edge is not a chain map, and the first degree of
+    its cylinder frame whose d^2 is nonzero: one above the first degree
+    where D(edge) != 0, where the edge's block leaves the cylinder's."""
+    rng = random.Random(18)
+    while True:
+        x, y = random_complex(rng, name="X"), random_complex(rng, name="Y")
+        f = random_graded_map(rng, x, y, 0)
+        if not f.is_cycle():
+            break
+    s = NerveSimplex([x, y], {(0, 1): f})
+    return write_json(tmp_path / "broken_edge.json", s.to_json()), cycle_defect(f) + 1
+
+
+@pytest.mark.parametrize("command", [["frame", "--alpha", "0,1"], ["recover"]])
+def test_frame_and_recover_refuse_a_frame_whose_d2_is_nonzero(broken_edge, capsys, command):
+    """A frame that does not square to zero is bad input for the commands
+    that print or solve on it: exit 2, one error line, nothing on stdout."""
+    path, degree = broken_edge
+    assert main([command[0], "--input", path, *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: differential does not square to zero at degree %d\n" % degree
+
+
+def test_a_broken_edge_spoils_only_the_frames_that_read_it(broken_edge, capsys):
+    """The frame at 0,0 never reads the edge, so it is printed; check
+    reports the broken frames as failures instead of refusing them."""
+    path, _ = broken_edge
+    assert main(["frame", "--input", path, "--alpha", "0,0"]) == 0
+    assert main(["check", "--input", path, "--max-len", "1"]) == 1
 
 
 @pytest.mark.parametrize("degrees", [[1, 2], "0:1", 3])

@@ -85,7 +85,7 @@ def test_public_constructors_keep_ints_as_given():
 
 
 def _assert_canonical_complex(x: ChainComplex):
-    assert ChainComplex(x.name, x._ranks, x._diffs, x._labels, check=False) == x
+    assert ChainComplex(x.name, x._ranks, x._diffs, x._labels) == x
     assert all(type(r) is int and r > 0 for r in x._ranks.values())
     assert set(x._diffs) == {d for d in x._ranks if d - 1 in x._ranks}
     assert set(x._labels) == set(x._ranks)

@@ -135,7 +135,8 @@ def test_frame_differential_squares_to_zero():
         for _ in range(3):
             s = random_simplex(rng, n)
             for alpha in enumerate_d_objects(n, 2):
-                o = build_frame_object(s, alpha)  # check=True raises on d^2 != 0
+                o = build_frame_object(s, alpha)
+                assert o.d2_defects == []
                 assert o.complex.d_squared_defects() == []
 
 
@@ -336,16 +337,15 @@ def test_is_reedy_cofibrant_flags_a_tampered_frame():
     rows = c.diff(2).to_lists()
     assert rows[2] == [-2]  # the (0,1)-generator block carries the shifted differential
     rows[2] = [5]
-    bad = ChainComplex(
+    bad = ChainComplex._trusted(
         c.name,
         {d: c.rank(d) for d in c.support},
         {1: c.diff(1), 2: IntMatrix.from_rows(rows)},
         {d: c.labels(d) for d in c.support},
-        check=False,
     )
     from dgframes.frames import FrameObject
 
-    diagram.objects[alpha] = FrameObject(s, alpha, bad, o.blocks, o.restriction)
+    diagram.objects[alpha] = FrameObject(alpha, bad, o.blocks, o.restriction)
     report = is_reedy_cofibrant(diagram)
     assert not report.ok
     failed = {(i.check, i.location) for i in report.failures()}
@@ -386,7 +386,7 @@ def test_latching_split_reads_the_block_layout(layout):
     assert o.complex.rank(1) == 3 and o.blocks[1] == _LAYOUTS["untouched"][0]
     spans, split = _LAYOUTS[layout]
     blocks = {d: spans if d == 1 else b for d, b in o.blocks.items() if d != 1 or spans is not None}
-    diagram.objects[alpha] = frames.FrameObject(o.simplex, alpha, o.complex, blocks, o.restriction)
+    diagram.objects[alpha] = frames.FrameObject(alpha, o.complex, blocks, o.restriction)
     (item,) = [i for i in is_reedy_cofibrant(diagram).items if i.check == "latching-split" and i.location == "0,1"]
     assert (item.status, item.witness) == (("pass", None) if split else ("fail", "inclusion is not split at degree 1"))
 
@@ -578,7 +578,7 @@ def _rebuilt_compat_verdicts(sigma, diagram):
     and compare it with the diagram's frame as a literal complex."""
     t = act(sigma, diagram.simplex)
     return [
-        build_frame_object(t, alpha, check=False).complex == diagram.objects[sigma.compose(alpha)].complex
+        build_frame_object(t, alpha).complex == diagram.objects[sigma.compose(alpha)].complex
         for alpha in enumerate_d_objects(sigma.dom, diagram.max_len)
     ]
 
@@ -600,7 +600,7 @@ def test_restriction_verdict_equals_the_rebuild_verdict():
     assert not validate_maurer_cartan(invalid).ok
     sims.append(invalid)
     for s in sims:
-        diagram = build_frame_diagram(s, max_len=2, check=False)
+        diagram = build_frame_diagram(s, max_len=2)
         for m in range(3):
             for sigma in enumerate_order_maps(s.n, m):
                 expected = _rebuilt_compat_verdicts(sigma, diagram)

@@ -221,10 +221,10 @@ def _tampered_blocks(o: FrameObject):
         if d is not None:
             rows = c.diff(d).to_lists()
             rows[full[d - 1][0]][cols[d][0]] += 1
-            diffs = {**{e: c.diff(e) for e in c.support}, d: IntMatrix.from_rows(rows)}
+            diffs = {**{e: c.diff(e) for e in c.support if c.rank(e - 1)}, d: IntMatrix.from_rows(rows)}
             labels = {e: c.labels(e) for e in c.support}
-            bad = ChainComplex(c.name, {e: c.rank(e) for e in c.support}, diffs, labels, check=False)
-            out.append(FrameObject(o.simplex, o.alpha, bad, o.blocks, o.restriction))
+            bad = ChainComplex._trusted(c.name, {e: c.rank(e) for e in c.support}, diffs, labels)
+            out.append(FrameObject(o.alpha, bad, o.blocks, o.restriction))
     return out
 
 
