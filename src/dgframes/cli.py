@@ -9,7 +9,8 @@ homology   homology table of a chain-complex JSON file
 recover    recover the edge of a 1-simplex from its cylinder frame
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 input error
-(unreadable file, malformed JSON, schema violation, bad flags).
+(unreadable file, malformed JSON, schema violation, bad flags, an --output
+path that cannot be written).
 
 Reports are emitted as canonical JSON (sorted keys, two-space indent, one
 trailing newline) or as plain text; with identical inputs, flags and seed the
@@ -229,10 +230,10 @@ def main(argv=None) -> int:
         if args.max_len < 0:
             raise ValueError("--max-len must be >= 0")
         payload, code = _HANDLERS[args.command](args)
+        _emit(payload, args)
     except (OSError, ValueError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
-    _emit(payload, args)
     return code
 
 

@@ -202,12 +202,6 @@ def _identity(n: int) -> IntMatrix:
     return IntMatrix._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def mat_vec(m: IntMatrix, v: Sequence[int]) -> Vector:
-    if len(v) != m.cols:
-        raise ValueError("vector length %d does not match %d columns" % (len(v), m.cols))
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.data)
-
-
 def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
     """Assemble a block matrix from a rectangular grid of blocks.
 
@@ -262,18 +256,29 @@ def _col_sub(a, i, j, q):
         row[i] -= q * row[j]
 
 
-def _diagonalize(a, nr: int, nc: int) -> None:
-    """Reduce the leading nr x nc block of the row lists ``a`` to Smith form,
-    in place, by the pivot rule documented on :func:`snf`.
+def _row_neg(a, i):
+    """row_i = -row_i"""
+    a[i] = [-x for x in a[i]]
 
-    Every row operation acts on the whole row and every column operation on
-    the whole column, so entries past column nc of the first nr rows record
-    the row transform, and rows past nr record the column transform.
+
+def _diagonalize(a, nr: int, nc: int) -> list:
+    """Reduce the leading nr x nc block of the row lists ``a`` to Smith form,
+    in place, by the pivot rule documented on :func:`snf`, and return the
+    record of its column operations.
+
+    Every row operation acts on the whole row, so entries past column nc
+    end up as u times what they held: appended identity columns record the
+    row transform u, and an appended right-hand side b becomes u @ b.  No
+    rows carry the column transform v; the returned record lists the column
+    operations oldest first, (j, t, None) for a swap of columns j and t and
+    (j, t, q) for col_j -= q * col_t.  Replayed in order on the identity, it
+    gives v.
 
     A step ends once the pivot's row and column are clear and the pivot
     divides every trailing entry.  A pivot of 1 or -1 divides every integer,
     so the step ends there without scanning the trailing entries.
     """
+    ops = []
     t = 0
     while t < min(nr, nc):
         # deterministic pivot hunt over the trailing submatrix; the first +-1
@@ -299,6 +304,7 @@ def _diagonalize(a, nr: int, nc: int) -> None:
             _row_swap(a, pi, t)
         if pj != t:
             _col_swap(a, pj, t)
+            ops.append((pj, t, None))
 
         while True:
             # clear the pivot column; nonzero remainders are strictly smaller
@@ -317,8 +323,10 @@ def _diagonalize(a, nr: int, nc: int) -> None:
                     q = a[t][j] // a[t][t]
                     if q:
                         _col_sub(a, j, t, q)
+                        ops.append((j, t, q))
                     if a[t][j]:
                         _col_swap(a, j, t)
+                        ops.append((j, t, None))
                         dirty = True
             if dirty:
                 continue
@@ -339,8 +347,9 @@ def _diagonalize(a, nr: int, nc: int) -> None:
                 break
             _row_sub(a, t, offender, -1)  # add the offending row to the pivot row
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+            _row_neg(a, t)
         t += 1
+    return ops
 
 
 def snf(m: IntMatrix) -> SNFResult:
@@ -354,14 +363,22 @@ def snf(m: IntMatrix) -> SNFResult:
     The hunt stops at the first +-1, which no later entry can replace.  Each
     step ends once the pivot's row and column are clear and the pivot divides
     every trailing entry; a +-1 pivot ends it without that scan.
+
+    The transforms serve :func:`kernel_basis` only: :func:`solve` runs the
+    same elimination and builds neither.
     """
     nr, nc = m.rows, m.cols
-    # [m | 1] above [1]: row operations reach u, column operations reach v
+    # [m | 1]: row operations reach u
     a = [list(row) + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.data)]
-    a.extend([1 if k == i else 0 for k in range(nc)] for i in range(nc))
-    _diagonalize(a, nr, nc)
+    ops = _diagonalize(a, nr, nc)
+    # v from the column record, kept as its list of columns
+    vcols = [[1 if k == i else 0 for k in range(nc)] for i in range(nc)]
+    for j, t, q in ops:
+        if q is None:
+            vcols[j], vcols[t] = vcols[t], vcols[j]
+        else:
+            vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[t])]
     # pack from the bottom up, releasing each working row once it is packed
-    v = [tuple(a.pop()) for _ in range(nc)]
     s, u = [], []
     while a:
         row = a.pop()
@@ -370,7 +387,7 @@ def snf(m: IntMatrix) -> SNFResult:
     return SNFResult(
         IntMatrix._trusted(nr, nc, tuple(reversed(s))),
         IntMatrix._trusted(nr, nr, tuple(reversed(u))),
-        IntMatrix._trusted(nc, nc, tuple(reversed(v))),
+        IntMatrix._trusted(nc, nc, tuple(zip(*vcols))),
     )
 
 
@@ -450,27 +467,34 @@ def solve(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of m @ x = b, or None if there is none.
 
     The solution is deterministic: it is the back-substitution through the
-    Smith decomposition with every free parameter set to zero.
+    Smith decomposition u @ m @ v = s of :func:`snf` with every free
+    parameter set to zero, x = v @ y where s @ y = u @ b.  Neither transform
+    is built: :func:`_diagonalize` runs on the rows of [m | b], so its row
+    operations carry b to u @ b, and its column record, replayed on y newest
+    first, forms v @ y.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length %d does not match %d rows" % (len(b), m.rows))
-    s, u, v = snf(m)
-    c = mat_vec(u, b)
-    y = [0] * m.cols
-    r = min(m.rows, m.cols)
-    for i in range(r):
-        d = s[i, i]
-        if d:
-            q, rem = divmod(c[i], d)
+    nc = m.cols
+    a = [list(row) + [c] for row, c in zip(m.data, b)]
+    ops = _diagonalize(a, m.rows, nc)
+    y = [0] * nc
+    for i, row in enumerate(a):
+        c = row[nc]
+        if i < nc and row[i]:
+            q, rem = divmod(c, row[i])
             if rem:
                 return None
             y[i] = q
-        elif c[i]:
+        elif c:
             return None
-    for i in range(r, m.rows):
-        if c[i]:
-            return None
-    return mat_vec(v, y)
+    # v is the product of the column operations, oldest on the left
+    for j, t, q in reversed(ops):
+        if q is None:
+            y[j], y[t] = y[t], y[j]
+        else:
+            y[t] -= q * y[j]
+    return tuple(y)
 
 
 def kernel_basis(m: IntMatrix) -> list:

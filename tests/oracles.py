@@ -4,7 +4,8 @@
 with, ``matmul`` is the schoolbook product, ``det`` and ``is_unimodular``
 check the Smith-form transforms,
 ``diagonalize_exhaustive`` is the Smith diagonalization with a pivot hunt
-over the whole trailing submatrix, and
+over the whole trailing submatrix, ``solve_via_snf`` is ``solve`` as it read
+when it ran ``snf`` and multiplied by both transforms through ``mat_vec``, and
 ``verify_mc_extension`` fills the top cochain of a simplex and tests its
 coherence identity.  ``hom_differential``, ``coherence_defect`` and
 ``maurer_cartan_items`` form D(f) and the Maurer-Cartan defect densely and
@@ -24,7 +25,7 @@ from typing import Dict, Optional, Sequence
 
 from dgframes.complexes import ChainComplex, GradedMap, combination_is_zero, cone, homology, identity_term, shift
 from dgframes.dg_nerve import NerveSimplex, increasing_sequences
-from dgframes.exact_linalg import IntMatrix, _col_sub, _col_swap, _row_sub, _row_swap, block
+from dgframes.exact_linalg import IntMatrix, Vector, _col_sub, _col_swap, _row_sub, _row_swap, block, snf
 from dgframes.frames import (
     FrameDiagram,
     FrameObject,
@@ -131,7 +132,7 @@ def cylinder(f: GradedMap):
     return cyl, in_src, in_tgt, proj
 
 
-def diagonalize_exhaustive(a, nr: int, nc: int) -> None:
+def diagonalize_exhaustive(a, nr: int, nc: int) -> list:
     """``exact_linalg._diagonalize`` as it was before its pivot hunt stopped
     at the first +-1 and before a step ended at a +-1 pivot without its
     divisibility scan: the hunt scans the whole trailing submatrix, and every
@@ -139,10 +140,11 @@ def diagonalize_exhaustive(a, nr: int, nc: int) -> None:
     the leading nr x nc block of the row lists ``a`` to Smith form, in place,
     by the pivot rule documented on :func:`snf`.
 
-    Every row operation acts on the whole row and every column operation on
-    the whole column, so entries past column nc of the first nr rows record
-    the row transform, and rows past nr record the column transform.
+    Every row operation acts on the whole row, so entries past column nc end
+    up as u times what they held.  Returns the record of the column
+    operations in the form ``_diagonalize`` returns it.
     """
+    ops = []
     t = 0
     while t < min(nr, nc):
         # deterministic pivot hunt over the trailing submatrix
@@ -161,6 +163,7 @@ def diagonalize_exhaustive(a, nr: int, nc: int) -> None:
             _row_swap(a, pi, t)
         if pj != t:
             _col_swap(a, pj, t)
+            ops.append((pj, t, None))
 
         while True:
             # clear the pivot column; nonzero remainders are strictly smaller
@@ -179,8 +182,10 @@ def diagonalize_exhaustive(a, nr: int, nc: int) -> None:
                     q = a[t][j] // a[t][t]
                     if q:
                         _col_sub(a, j, t, q)
+                        ops.append((j, t, q))
                     if a[t][j]:
                         _col_swap(a, j, t)
+                        ops.append((j, t, None))
                         dirty = True
             if dirty:
                 continue
@@ -202,6 +207,40 @@ def diagonalize_exhaustive(a, nr: int, nc: int) -> None:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
         t += 1
+    return ops
+
+
+def mat_vec(m: IntMatrix, v: Sequence[int]) -> Vector:
+    if len(v) != m.cols:
+        raise ValueError("vector length %d does not match %d columns" % (len(v), m.cols))
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.data)
+
+
+def solve_via_snf(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
+    """One integer solution x of m @ x = b, or None if there is none.
+
+    The solution is deterministic: it is the back-substitution through the
+    Smith decomposition with every free parameter set to zero.
+    """
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length %d does not match %d rows" % (len(b), m.rows))
+    s, u, v = snf(m)
+    c = mat_vec(u, b)
+    y = [0] * m.cols
+    r = min(m.rows, m.cols)
+    for i in range(r):
+        d = s[i, i]
+        if d:
+            q, rem = divmod(c[i], d)
+            if rem:
+                return None
+            y[i] = q
+        elif c[i]:
+            return None
+    for i in range(r, m.rows):
+        if c[i]:
+            return None
+    return mat_vec(v, y)
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -91,6 +91,16 @@ def test_exit_code_2_on_input_errors(tmp_path, valid_simplex, capsys):
     assert main(["frame", "--input", valid_simplex, "--alpha", "zebra"]) == 2
 
 
+@pytest.mark.parametrize("output", ["{tmp}", "{tmp}/missing/out.json"], ids=["directory", "missing-parent"])
+def test_an_unwritable_output_path_exits_2(valid_simplex, tmp_path, capsys, output):
+    """An --output path that cannot be written is bad input: one error line
+    on stderr, nothing on stdout, no traceback."""
+    assert main(["validate", "--input", valid_simplex, "--output", output.format(tmp=tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_argparse_errors_exit_2(valid_simplex):
     with pytest.raises(SystemExit) as e:
         main(["frame", "--input", valid_simplex])  # --alpha is required

@@ -23,11 +23,11 @@ from dgframes.complexes import (
     zero_complex,
 )
 from dgframes.dg_nerve import random_simplex
-from dgframes.exact_linalg import IntMatrix, block, mat_vec, solve
+from dgframes.exact_linalg import IntMatrix, block, solve
 from dgframes.frames import build_frame_object, include_last
 from dgframes.simplicial import OrderMap
 
-from oracles import cylinder, is_unimodular
+from oracles import cylinder, is_unimodular, mat_vec
 
 
 def two_step(scalar, name="X"):

@@ -4,22 +4,21 @@ from itertools import product
 import pytest
 
 from dgframes import exact_linalg
-from dgframes.complexes import hom_complex_diff, precompose_matrix
+from dgframes.complexes import GradedMap, graded_map_to_vector, hom_complex_diff, precompose_matrix
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import (
     IntMatrix,
     block,
     invariant_factors,
     kernel_basis,
-    mat_vec,
     rank,
     snf,
     solve,
 )
-from dgframes.frames import build_frame_object, include_last
+from dgframes.frames import build_frame_object, include_last, recover_map_from_cylinder
 from dgframes.simplicial import OrderMap
 
-from oracles import det, diagonalize_exhaustive, is_unimodular, matmul, submatrix, transpose
+from oracles import det, diagonalize_exhaustive, is_unimodular, mat_vec, matmul, solve_via_snf, submatrix, transpose
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -280,17 +279,36 @@ def test_invariant_factors_against_sympy_and_snf():
             assert got == ()
 
 
-def _retraction_systems():
-    """The matrices ``recover`` solves for the retraction of the last-vertex
-    inclusion of a 1-simplex's cylinder frame (see solve_retraction), for
-    ten 1-simplices drawn in turn from one ``Random(5)``: the first is
-    ``random_simplex(Random(5), 1, max_rank=4)``, the largest system 158 x 104."""
+def _recover_simplices():
+    """Ten 1-simplices drawn in turn from one ``Random(5)``: the first is
+    ``random_simplex(Random(5), 1, max_rank=4)``, the input of the pinned
+    ``recover`` case."""
     rng = random.Random(5)
+    return [random_simplex(rng, 1, max_rank=4) for _ in range(10)]
+
+
+def _retraction_systems():
+    """The systems (m, b) ``recover`` solves for the retraction of the
+    last-vertex inclusion of each cylinder frame of ``_recover_simplices``
+    (see solve_retraction); the largest m is 158 x 104."""
     out = []
-    for _ in range(10):
-        iota = include_last(build_frame_object(random_simplex(rng, 1, max_rank=4), OrderMap((0, 1), 1)))
+    for s in _recover_simplices():
+        iota = include_last(build_frame_object(s, OrderMap((0, 1), 1)))
         x, y = iota.source, iota.target
-        out.append(block([[precompose_matrix(iota, x, 0)], [hom_complex_diff(y, x, 0)]]))
+        dif = hom_complex_diff(y, x, 0)
+        rhs = graded_map_to_vector(GradedMap.identity(x)) + (0,) * dif.rows
+        out.append((block([[precompose_matrix(iota, x, 0)], [dif]]), rhs))
+    return out
+
+
+def _nullhomotopy_systems():
+    """The systems (m, b) ``recover`` solves for its witness that the
+    recovered map differs from the edge by a boundary (see
+    is_nullhomotopic), on the same simplices."""
+    out = []
+    for s in _recover_simplices():
+        f = recover_map_from_cylinder(build_frame_object(s, OrderMap((0, 1), 1))) - s.eval((0, 1))
+        out.append((hom_complex_diff(f.source, f.target, f.degree + 1), graded_map_to_vector(f)))
     return out
 
 
@@ -304,7 +322,7 @@ def test_snf_pivot_hunt_stops_at_the_first_unit(monkeypatch):
     remainders) or are often -1.  They stay at most 5 x 5: the transform
     entries of a dense unit-free 6 x 7 matrix grow until snf stalls (ROADMAP
     item 4)."""
-    cases = _oracle_cases() + _retraction_systems()
+    cases = _oracle_cases() + [m for m, _ in _retraction_systems()]
     rng = random.Random(15)
     for trial in range(120):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
@@ -313,6 +331,67 @@ def test_snf_pivot_hunt_stops_at_the_first_unit(monkeypatch):
     fast = [snf(m) for m in cases]
     monkeypatch.setattr(exact_linalg, "_diagonalize", diagonalize_exhaustive)
     assert fast == [snf(m) for m in cases]
+
+
+def _small_systems():
+    """240 seeded systems of at most 5 x 5 whose pivots start out non-units
+    ({+-2, +-3, 6}) or are often -1 ({0, -1, 2, -3, 6}); half the right-hand
+    sides are m @ x for a small x, the others arbitrary."""
+    rng = random.Random(19)
+    out = []
+    for trial in range(240):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        pool = (2, -2, 3, -3, 6) if trial % 2 else (0, -1, 2, -3, 6)
+        m = IntMatrix(rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)])
+        if trial % 4 < 2:
+            b = mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)])
+        else:
+            b = tuple(rng.randint(-6, 6) for _ in range(rows))
+        out.append((m, b))
+    return out
+
+
+def test_solve_equals_the_solve_through_both_smith_transforms(monkeypatch):
+    """solve runs the elimination of snf on [m | b] and replays its column
+    record on y instead of building u and v, with the same pivots and
+    operations, so it returns the same x as the solve through snf and both
+    transforms, or None with it.  The cases are the systems of ``recover``
+    with their real right-hand sides and with one entry changed, the empty
+    shapes and small seeded systems.  They make negative pivots, whose sign
+    flip must reach b, and offender-row steps, which add a row to the pivot
+    row; the two are counted on the row helpers."""
+    rng = random.Random(23)
+    cases = _retraction_systems() + _nullhomotopy_systems()
+    for m, b in [case for case in cases if case[1]]:
+        changed = list(b)
+        changed[rng.randrange(len(b))] += 1
+        cases.append((m, tuple(changed)))
+    cases += [
+        (IntMatrix.zeros(0, 3), ()),
+        (IntMatrix.zeros(3, 0), (0, 0, 0)),
+        (IntMatrix.zeros(3, 0), (0, 1, 0)),
+        (IntMatrix.zeros(0, 0), ()),
+    ]
+    cases += _small_systems()
+    steps = {"negative pivot": 0, "offender row": 0}
+
+    def row_neg(a, i, _original=exact_linalg._row_neg):
+        steps["negative pivot"] += 1
+        _original(a, i)
+
+    def row_sub(a, i, j, q, _original=exact_linalg._row_sub):
+        steps["offender row"] += i < j  # clearing subtracts the pivot row from a lower one
+        _original(a, i, j, q)
+
+    monkeypatch.setattr(exact_linalg, "_row_neg", row_neg)
+    monkeypatch.setattr(exact_linalg, "_row_sub", row_sub)
+    got = [solve(m, b) for m, b in cases]
+    monkeypatch.undo()
+    assert got == [solve_via_snf(m, b) for m, b in cases]
+    assert steps["negative pivot"] and steps["offender row"]
+    assert None in got and all(x is not None for x in got[:10])
+    for (m, b), x in zip(cases, got):
+        assert x is None or mat_vec(m, x) == tuple(b)
 
 
 def test_det_against_cofactor_expansion():

@@ -172,7 +172,8 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     the null-homotopy it reports, none for a splitting homotopy.  It builds
     only the differential of the mapping complex that each system reads
     (``hom_complex_diff``), never the whole complex with its labels and its
-    d^2 check (``hom_complex``)."""
+    d^2 check (``hom_complex``).  Neither solve runs ``snf``: each builds no
+    Smith transform."""
     path = tmp_path / "r5n1.json"
     path.write_text(json.dumps(random_simplex(random.Random(5), 1, max_rank=4).to_json()))
     counts = {}
@@ -180,8 +181,11 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     _count_calls(monkeypatch, counts, "hom_complex", complexes.hom_complex)
     _count_calls(monkeypatch, counts, "vector_to_graded_map", complexes.vector_to_graded_map)
     _count_calls(monkeypatch, counts, "solve", exact_linalg.solve)
+    _count_calls(monkeypatch, counts, "snf", exact_linalg.snf)
     _count_products(monkeypatch, counts)
     assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    # while each solve ran snf and multiplied by both of its transforms: 2
+    assert counts.pop("snf") == 0
     # at the commit before the systems were read from the mapping complex: 42, 86 and 467;
     # while recovery also solved for the homotopy: 0, 3, 3 and 23; while the
     # d^2 checks multiplied by @: 0, 2, 2 and 11 = 2 + 9; while the systems
