@@ -22,8 +22,6 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
-from operator import add
 from typing import Dict, Optional, Tuple
 
 from .exact_linalg import (
@@ -396,65 +394,62 @@ def hom_differential(f: GradedMap) -> GradedMap:
     return GradedMap(x, y, r - 1, mats)
 
 
-# -- identities decided column by column --------------------------------------
+# -- identities decided row by row --------------------------------------------
 #
 # An identity between graded maps, such as D(f) = 0 or f o g = h, is decided
-# one degree and one column at a time from the stored matrices: no product,
-# sum or scaled copy of a whole matrix is formed.  Column c of A o B is the
-# sum of the columns of A named by the nonzeros of column c of B, so a basis
-# inclusion B costs one gather per column.  Every matrix takes the same path,
-# whatever its entries.  combination_is_zero stops at the first nonzero
-# column; combination_matrix places every nonzero column in a matrix, to form
-# D(f) or a witness.
+# one degree and one row at a time from the row-nonzero views of the stored
+# matrices (IntMatrix.row_nonzeros): no product, sum or scaled copy of a whole
+# matrix is formed.  Row i of A o B is the sum of the rows of B named by the
+# nonzeros of row i of A, as in Gustavson's sparse product, so a basis
+# inclusion A costs one row of B per row.  Every matrix takes the same path,
+# whatever its entries.  combination_is_zero stops at the first nonzero row;
+# combination_matrix places every nonzero row in a matrix, to form D(f), and
+# the Maurer-Cartan validator reads its witness off the first nonzero row.
 
 
-def _nonzero_columns(height: int, width: int, terms):
-    """(col, column col as a list) for each nonzero column of the height x
-    width sum of the ``terms``, in column order.
+def nonzero_rows(height: int, terms):
+    """(i, row i as a {column: value} dict) for each nonzero row of the sum
+    of the ``terms``, which has ``height`` rows, in row order; the dict may
+    hold zeros besides its nonzero values.
 
     A term (c, A, B) of IntMatrix A and B stands for c * A o B, (c, None, B)
     for c * B, and (c, None, None), in a square sum, for c times the identity.
-    Column col of the sum adds, for each term, c * v times column k of A for
-    each nonzero v = B[k, col], c times column col of B, or c at row col; the
-    zeros of B are skipped."""
-    columns = [
-        (c, None if a is None else tuple(zip(*a.data)), None if b is None else (range(b.rows), zip(*b.data)))
-        for c, a, b in terms
-    ]
-    for col in range(width):
-        acc = None  # column col of the sum, None while it is zero
-        for c, a, b in columns:
+    Row i of the sum adds, for each term, c * u times row k of B for each
+    (k, u) in row i of A, c times row i of B, or c at column i."""
+    views = [(c, None if a is None else a.row_nonzeros(), None if b is None else b.row_nonzeros()) for c, a, b in terms]
+    for i in range(height):
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for c, a, b in views:
             if b is None:
-                if acc is None:
-                    acc = [0] * height
-                acc[col] += c
-                continue
-            rows, b_cols = b
-            b_col = next(b_cols)
-            if a is None:
-                part = b_col if c == 1 else map(c.__mul__, b_col)
-                acc = list(part) if acc is None else list(map(add, acc, part))
-                continue
-            for k in compress(rows, b_col):
-                v = c * b_col[k]
-                part = a[k] if v == 1 else map(v.__mul__, a[k])
-                acc = list(part) if acc is None else list(map(add, acc, part))
-        if acc is not None and any(acc):
-            yield col, acc
+                acc[i] = get(i, 0) + c
+            elif a is None:
+                for j, v in b[i]:
+                    acc[j] = get(j, 0) + c * v
+            else:
+                for k, u in a[i]:
+                    cu = c * u
+                    for j, v in b[k]:
+                        acc[j] = get(j, 0) + cu * v
+        if any(acc.values()):
+            yield i, acc
 
 
 def combination_is_zero(height: int, width: int, terms) -> bool:
-    """Whether the height x width sum of the ``terms`` (see _nonzero_columns)
-    is zero; the first nonzero column ends the test."""
-    return next(_nonzero_columns(height, width, terms), None) is None
+    """Whether the height x width sum of the ``terms`` (see nonzero_rows)
+    is zero; the first nonzero row ends the test."""
+    return next(nonzero_rows(height, terms), None) is None
 
 
 def combination_matrix(height: int, width: int, terms) -> IntMatrix:
-    """The height x width sum of the ``terms`` (see _nonzero_columns)."""
-    columns = [(0,) * height] * width
-    for col, acc in _nonzero_columns(height, width, terms):
-        columns[col] = acc
-    return IntMatrix._trusted(height, width, tuple(zip(*columns)) if width else ((),) * height)
+    """The height x width sum of the ``terms`` (see nonzero_rows)."""
+    data = [(0,) * width] * height
+    for i, acc in nonzero_rows(height, terms):
+        row = [0] * width
+        for j, v in acc.items():
+            row[j] = v
+        data[i] = tuple(row)
+    return IntMatrix._trusted(height, width, tuple(data))
 
 
 def first_defect(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> Optional[int]:

@@ -18,9 +18,9 @@ algebra of the path coalgebra.  Checking it on strictly increasing sequences
 suffices: on degenerate sequences it follows from strict unitality.
 
 ``coherence_terms`` writes the identity at one sequence and source degree as
-one list of terms, and the validator decides it with the column-wise decider
-that every other identity of the package goes through
-(``complexes.first_defect``); these signs appear nowhere else.
+one list of terms, and the validator decides it, and finds a failure's
+witness, with the row-wise decider that every other identity of the package
+goes through (``complexes.first_defect``); these signs appear nowhere else.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .complexes import (
     json_int_key,
     json_object,
     map_term,
+    nonzero_rows,
     parity_sign,
     random_chain_map,
     random_complex,
@@ -211,8 +212,8 @@ def validate_maurer_cartan(s: NerveSimplex) -> Report:
     length 2..n+1 (at length 2 the identity degenerates to the chain-map
     condition on the edge).  The report lists one item per sequence; a
     failure names the first nonzero entry, in row-major order, of the defect
-    at the first degree where it is nonzero, and only that degree of the
-    defect is formed."""
+    at the first degree where it is nonzero, read off the first nonzero row
+    that the decider yields there."""
     report = Report()
     for seq in increasing_sequences(s.n):
         f = s._lookup(seq)
@@ -221,9 +222,9 @@ def validate_maurer_cartan(s: NerveSimplex) -> Report:
         d = first_defect(x, y, r, terms_at)
         witness = None
         if d is not None:
-            m = combination_matrix(y.rank(d + r), x.rank(d), terms_at(d))
-            i, j = next((i, j) for i, row in enumerate(m.data) for j, v in enumerate(row) if v)
-            witness = "degree %d entry (%d,%d) = %d" % (d, i, j, m[i, j])
+            i, row = next(nonzero_rows(y.rank(d + r), terms_at(d)))
+            j = min(j for j, v in row.items() if v)
+            witness = "degree %d entry (%d,%d) = %d" % (d, i, j, row[j])
         report.add("maurer-cartan", _seq_key(seq), d is None, witness)
     return report
 

@@ -5,9 +5,11 @@ is used anywhere in the package.  A matrix is stored as dense rows, its one
 representation.  Matrices are immutable once constructed, so they can be
 shared freely between complexes and maps, and each caches one derived
 index on its rows: :meth:`IntMatrix.row_nonzeros`, the (column, value)
-pairs of every row, built on first use.  The d^2 test
-(:meth:`IntMatrix.product_is_zero`), :func:`invariant_factors`, the frame
-assembler and the JSON writer read it, so they pay per nonzero.
+pairs of every row.  The frame assembler (``frames._assemble``) hands each
+matrix out with its view already set; any other matrix builds it on first
+use.  The d^2 test (:meth:`IntMatrix.product_is_zero`),
+:func:`invariant_factors`, the identity deciders of ``complexes`` and the
+JSON writer read it, so they pay per nonzero.
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ class IntMatrix:
         self.data = packed
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
+    def _trusted(cls, rows: int, cols: int, data: tuple, nonzeros: Optional[tuple] = None) -> "IntMatrix":
         """Wrap ``data`` without checks: a tuple of ``rows`` tuples of ``cols``
-        Python ints.  For results computed here from valid matrices."""
+        Python ints, with ``nonzeros``, when given, as its :meth:`row_nonzeros`
+        view.  For results computed here from valid matrices."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
         m.data = data
-        m._nonzeros = None
+        m._nonzeros = nonzeros
         return m
 
     # -- constructors ----------------------------------------------------

@@ -190,32 +190,45 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
 
 
 def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
-    """The n_rows x n_cols matrix of a map given block by block.
+    """The n_rows x n_cols matrix of a map given block by block, handed out
+    with its row-nonzero view already set.
 
     ``columns`` lists (col, width, terms): on columns col .. col + width - 1
     the matrix is the sum, over (row, sign, block) in ``terms``, of sign times
     the block with its top row at ``row``, a block of None standing for the
     width x width identity.  Columns not listed are zero, and rows that no
-    block reaches share one zero row."""
-    grid: List[Optional[list]] = [None] * n_rows
+    block reaches share one zero row.  Each row reached is summed as a
+    {column: value} dict over the blocks' views, and gives its dense row and
+    its view, the sorted, zero-free (column, value) pairs."""
+    grid: List[Optional[dict]] = [None] * n_rows
     for col, width, terms in columns:
         for row, sign, m in terms:
             if m is None:
                 for e in range(width):
-                    out = grid[row + e]
-                    if out is None:
-                        out = grid[row + e] = [0] * n_cols
-                    out[col + e] += sign
+                    acc = grid[row + e]
+                    if acc is None:
+                        acc = grid[row + e] = {}
+                    acc[col + e] = acc.get(col + e, 0) + sign
                 continue
             for i, nz in enumerate(m.row_nonzeros(), row):
                 if nz:
-                    out = grid[i]
-                    if out is None:
-                        out = grid[i] = [0] * n_cols
+                    acc = grid[i]
+                    if acc is None:
+                        acc = grid[i] = {}
                     for e, v in nz:
-                        out[col + e] += sign * v
+                        acc[col + e] = acc.get(col + e, 0) + sign * v
     zero = (0,) * n_cols
-    return IntMatrix._trusted(n_rows, n_cols, tuple(zero if out is None else tuple(out) for out in grid))
+    data, view = [zero] * n_rows, [()] * n_rows
+    for i, acc in enumerate(grid):
+        if acc:
+            pairs = tuple(sorted(acc.items()))
+            if 0 in acc.values():  # a cancelled entry
+                pairs = tuple(p for p in pairs if p[1])
+            out = [0] * n_cols
+            for j, v in pairs:
+                out[j] = v
+            data[i], view[i] = tuple(out), pairs
+    return IntMatrix._trusted(n_rows, n_cols, tuple(data), tuple(view))
 
 
 class FrameDiagram:
@@ -383,9 +396,9 @@ class LastVertexCheck:
 def check_last_vertex(o: FrameObject) -> LastVertexCheck:
     """Check that j and r are chain maps, r o j = id and D(h) = j o r - id,
     naming the first failing identity and degree of each.  Each identity is
-    decided column by column from the stored entries (see
-    complexes.combination_is_zero); ValueError when the maps do not fit
-    together as X -> B -> X and B -> B of degree 1."""
+    decided row by row over the stored matrices' row views (see
+    complexes.nonzero_rows); ValueError when the maps do not fit together
+    as X -> B -> X and B -> B of degree 1."""
     j, r, h = last_vertex_data(o)
     b, x = o.complex, j.source
     ends = (j.target, r.source, r.target, h.source, h.target)
@@ -420,9 +433,9 @@ def homotopy_inverse_certified(g: GradedMap, src: LastVertexCheck, tgt: LastVert
     r_tgt o g = r_src give g o q = j_tgt r_tgt ~ id through h_tgt and
     q o g = j_src r_src ~ id through h_src, so the cone of g is acyclic.  The
     two identities hold for the structure map of every max-preserving
-    morphism; they are decided column by column, without forming either
-    composite.  The caller must already know that g is a chain map and that
-    both frames have d^2 = 0."""
+    morphism; they are decided row by row over the maps' row views, without
+    forming either composite.  The caller must already know that g is a
+    chain map and that both frames have d^2 = 0."""
     return src.holds and tgt.holds and composite_equals(g, src.j, tgt.j) and composite_equals(tgt.r, g, src.r)
 
 

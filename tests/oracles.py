@@ -13,6 +13,9 @@ read the validator's verdicts and witnesses off them; ``cycle_defect``,
 ``last_vertex_verdicts`` and ``certificate_identities`` decide the identities
 of the check suite by dense products, sums and scalings.  Both are the
 library's code from before it decided these identities column by column.
+``combination_is_zero`` and ``combination_matrix`` are the column-wise
+deciders, over ``_nonzero_columns``, that the library used before it decided
+them row by row over the row-nonzero views.
 ``structure_maps`` builds every structure map of a diagram, and
 ``homotopical_items`` is ``is_homotopical`` as it read when the diagram
 stored all of them.  ``latching_data`` builds the latching sub-complex, its
@@ -21,9 +24,11 @@ inclusion and the cokernel of a frame, and ``reedy_items`` is
 the cokernel complex; ``transpose`` and ``submatrix`` serve them.
 """
 
+from itertools import compress
+from operator import add
 from typing import Dict, Optional, Sequence
 
-from dgframes.complexes import ChainComplex, GradedMap, combination_is_zero, cone, homology, identity_term, shift
+from dgframes.complexes import ChainComplex, GradedMap, cone, homology, identity_term, shift
 from dgframes.dg_nerve import NerveSimplex, increasing_sequences
 from dgframes.exact_linalg import IntMatrix, Vector, _col_sub, _col_swap, _row_sub, _row_swap, block, snf
 from dgframes.frames import (
@@ -391,6 +396,58 @@ def certificate_identities(g: GradedMap, src_j, src_r, tgt_j, tgt_r):
     """(g o j_src == j_tgt, r_tgt o g == r_src), the two literal identities of
     the homotopy-inverse certificate of g : B(src) -> B(tgt)."""
     return g @ src_j == tgt_j, tgt_r @ g == src_r
+
+
+# -- the check-suite identities decided column by column -------------------------
+
+
+def _nonzero_columns(height: int, width: int, terms):
+    """(col, column col as a list) for each nonzero column of the height x
+    width sum of the ``terms``, in column order.
+
+    A term (c, A, B) of IntMatrix A and B stands for c * A o B, (c, None, B)
+    for c * B, and (c, None, None), in a square sum, for c times the identity.
+    Column col of the sum adds, for each term, c * v times column k of A for
+    each nonzero v = B[k, col], c times column col of B, or c at row col; the
+    zeros of B are skipped."""
+    columns = [
+        (c, None if a is None else tuple(zip(*a.data)), None if b is None else (range(b.rows), zip(*b.data)))
+        for c, a, b in terms
+    ]
+    for col in range(width):
+        acc = None  # column col of the sum, None while it is zero
+        for c, a, b in columns:
+            if b is None:
+                if acc is None:
+                    acc = [0] * height
+                acc[col] += c
+                continue
+            rows, b_cols = b
+            b_col = next(b_cols)
+            if a is None:
+                part = b_col if c == 1 else map(c.__mul__, b_col)
+                acc = list(part) if acc is None else list(map(add, acc, part))
+                continue
+            for k in compress(rows, b_col):
+                v = c * b_col[k]
+                part = a[k] if v == 1 else map(v.__mul__, a[k])
+                acc = list(part) if acc is None else list(map(add, acc, part))
+        if acc is not None and any(acc):
+            yield col, acc
+
+
+def combination_is_zero(height: int, width: int, terms) -> bool:
+    """Whether the height x width sum of the ``terms`` (see _nonzero_columns)
+    is zero; the first nonzero column ends the test."""
+    return next(_nonzero_columns(height, width, terms), None) is None
+
+
+def combination_matrix(height: int, width: int, terms) -> IntMatrix:
+    """The height x width sum of the ``terms`` (see _nonzero_columns)."""
+    columns = [(0,) * height] * width
+    for col, acc in _nonzero_columns(height, width, terms):
+        columns[col] = acc
+    return IntMatrix._trusted(height, width, tuple(zip(*columns)) if width else ((),) * height)
 
 
 # -- structure maps, all built at once --------------------------------------------

@@ -1,5 +1,5 @@
 """The Maurer-Cartan validator and ``hom_differential``, which now sum
-column-wise terms, against the dense defect they replaced, kept in
+terms row by row, against the dense defect they replaced, kept in
 ``oracles.py``.
 
 Every item of ``validate_maurer_cartan`` must carry the oracle's status and

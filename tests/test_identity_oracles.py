@@ -1,5 +1,6 @@
-"""The column-wise identity deciders of the check suite against the dense
-checks they replaced, kept in ``oracles.py``.
+"""The row-wise identity deciders of the check suite against the dense
+checks they replaced and against the column-wise deciders before them, all
+kept in ``oracles.py``.
 
 Every verdict and every witness degree must agree: the cycle test of each
 structure map and last-vertex map, the two certificate identities of each
@@ -12,7 +13,10 @@ structure map as it judges it, must give the items of the loop that built
 them all first, and ``is_reedy_cofibrant``, which reads each frame's block
 layout and differential in place, those of the loop that built the latching
 inclusion matrices and the cokernel complex, on criterion 2's frames as
-built and with one entry of a frame differential tampered.
+built and with one entry of a frame differential tampered.  The deciders
+read the row-nonzero view that ``_assemble`` hands out with each matrix, and
+the writer, ``==`` and ``block`` read its rows, so every assembled view must
+be the plain scan of its rows.
 """
 
 import random
@@ -21,7 +25,15 @@ from collections import Counter
 import pytest
 
 import dgframes.frames as frames
-from dgframes.complexes import ChainComplex, GradedMap, composite_equals, cycle_defect, hom_differential
+from dgframes.complexes import (
+    ChainComplex,
+    GradedMap,
+    combination_is_zero,
+    combination_matrix,
+    composite_equals,
+    cycle_defect,
+    hom_differential,
+)
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import IntMatrix
 from dgframes.frames import (
@@ -37,34 +49,44 @@ from dgframes.frames import (
 from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
 
 import oracles
+from test_exact_linalg import _plain_row_scan
 
 
-@pytest.fixture(scope="module")
-def criterion_02_diagrams():
-    """Criterion 2's frames: every sequence of domain size <= 2 over each
-    simplex of the acceptance corpus."""
+def _acceptance_corpus():
+    """The 200 simplices of the acceptance corpus."""
     rng = random.Random(0)
-    return [build_frame_diagram(random_simplex(rng, i % 4), 2) for i in range(200)]
+    return [random_simplex(rng, i % 4) for i in range(200)]
 
 
-@pytest.fixture(scope="module")
-def criterion_06_diagrams():
-    """Criterion 6's cross-section of the acceptance corpus, at max-len 2."""
-    rng = random.Random(0)
-    sims = [random_simplex(rng, i % 4) for i in range(200)]
-    return [build_frame_diagram(sims[i], 2) for i in range(0, 200, 21)]
-
-
-@pytest.fixture(scope="module")
-def criterion_08_diagrams():
-    """Criterion 8's strict and perturbed simplices, at max-len 3."""
+def _criterion_08_simplices():
+    """Criterion 8's strict and perturbed simplices."""
     rng = random.Random(800)
     sims = []
     for n in range(3):
         sims.append(random_simplex(rng, n, perturb=False))
         if n >= 2:
             sims.append(random_simplex(rng, n, perturb=True))
-    return [build_frame_diagram(s, 3) for s in sims]
+    return sims
+
+
+@pytest.fixture(scope="module")
+def criterion_02_diagrams():
+    """Criterion 2's frames: every sequence of domain size <= 2 over each
+    simplex of the acceptance corpus."""
+    return [build_frame_diagram(s, 2) for s in _acceptance_corpus()]
+
+
+@pytest.fixture(scope="module")
+def criterion_06_diagrams():
+    """Criterion 6's cross-section of the acceptance corpus, at max-len 2."""
+    sims = _acceptance_corpus()
+    return [build_frame_diagram(sims[i], 2) for i in range(0, 200, 21)]
+
+
+@pytest.fixture(scope="module")
+def criterion_08_diagrams():
+    """Criterion 8's strict and perturbed simplices, at max-len 3."""
+    return [build_frame_diagram(s, 3) for s in _criterion_08_simplices()]
 
 
 def _entry(f: GradedMap, d: int, i: int, c: int, v: int) -> GradedMap:
@@ -256,3 +278,91 @@ def test_reedy_items_equal_the_matrix_loop(criterion_02_diagrams):
         ("latching-cokernel", "fail", "tampered"): 1562,
         ("latching-cokernel", "pass", "tampered"): 1015,
     }
+
+
+def _random_matrix(rng, rows: int, cols: int) -> IntMatrix:
+    """A rows x cols matrix with entries in {1, -1, 2, -3} at a random
+    density, 0 included, so that some rows are zero."""
+    density = rng.choice((0.0, 0.3, 0.7))
+    data = [[rng.choice((1, -1, 2, -3)) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    return IntMatrix(rows, cols, data)
+
+
+def _random_terms(rng):
+    """(height, width, terms): products c * A o B, maps c * B and, in a
+    square sum, identities c * id, with c in {1, -1, 2, -2}; every third
+    list has each of its terms negated after it as well, so that its sum
+    cancels.  Every operand has a row, as every operand that the library
+    passes does: the column-wise decider reads no column of a 0-row B."""
+    height, width = rng.randint(1, 4), rng.randint(0, 4)
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        c = rng.choice((1, -1, 2, -2))
+        kind = rng.randrange(3 if height == width else 2)
+        if kind == 0:
+            inner = rng.randint(1, 3)
+            terms.append((c, _random_matrix(rng, height, inner), _random_matrix(rng, inner, width)))
+        elif kind == 1:
+            terms.append((c, None, _random_matrix(rng, height, width)))
+        else:
+            terms.append((c, None, None))
+    if rng.randrange(3) == 0:
+        terms += [(-c, a, b) for c, a, b in terms]
+        rng.shuffle(terms)
+    return height, width, tuple(terms)
+
+
+def test_row_decider_equals_the_column_decider():
+    """``combination_is_zero`` and ``combination_matrix`` give the verdict
+    and the matrix of the column-wise deciders they replaced on 400 seeded
+    term lists, of every kind of term, some of them cancelling."""
+    rng = random.Random(2020)
+    kinds, verdicts = Counter(), Counter()
+    for _ in range(400):
+        height, width, terms = _random_terms(rng)
+        m = combination_matrix(height, width, terms)
+        assert m == oracles.combination_matrix(height, width, terms)
+        assert (m.rows, m.cols) == (height, width)
+        verdict = combination_is_zero(height, width, terms)
+        assert verdict == oracles.combination_is_zero(height, width, terms) == m.is_zero()
+        verdicts[verdict, height * width > 0] += 1
+        kinds.update(("id" if b is None else "map" if a is None else "product", c) for c, a, b in terms)
+    assert set(kinds) == {(k, c) for k in ("id", "map", "product") for c in (1, -1, 2, -2)}
+    assert min(verdicts.values()) > 40
+
+
+def test_assembled_views_equal_plain_row_scans(monkeypatch):
+    """Every matrix ``_assemble`` returns while criterion 2's diagrams (of
+    which criterion 6's are every 21st) and criterion 8's are built, with
+    their structure maps and their j, r and h, carries a view equal to the
+    plain scan of its rows.  So do block lists with cancelling blocks,
+    columns listed out of order, and 0-row or 0-column shapes."""
+    assembled = 0
+
+    def checked(*args, _original=frames._assemble):
+        nonlocal assembled
+        m = _original(*args)
+        assert m._nonzeros is not None  # handed out, not built on a read
+        assert m.row_nonzeros() == _plain_row_scan(m)
+        assembled += 1
+        return m
+
+    monkeypatch.setattr(frames, "_assemble", checked)
+    diagrams = [build_frame_diagram(s, 2) for s in _acceptance_corpus()]
+    diagrams += [build_frame_diagram(s, 3) for s in _criterion_08_simplices()]
+    for diagram in diagrams:
+        oracles.structure_maps(diagram)
+        for o in diagram.objects.values():
+            last_vertex_data(o)
+    assert assembled > 10000
+
+    assemble = frames._assemble
+    m = IntMatrix(2, 2, [[1, -2], [0, 3]])
+    zero = IntMatrix.zeros(2, 3)
+    assert assemble(2, 3, [(0, 2, [(0, 1, None), (0, -1, None)])]) == zero
+    assert assemble(2, 3, [(1, 2, [(0, 1, m), (0, -1, m)])]) == zero
+    assert assemble(2, 3, [(1, 2, [(0, 1, m), (0, -1, None)])]) == IntMatrix(2, 3, [[0, 0, -2], [0, 0, 2]])
+    assert assemble(2, 3, [(2, 1, [(1, 1, None)]), (0, 2, [(0, 2, m)])]) == IntMatrix(2, 3, [[2, -4, 0], [0, 6, 1]])
+    assert assemble(2, 3, [(1, 1, [(0, 2, None)]), (0, 2, [(0, 1, m)])]) == IntMatrix(2, 3, [[1, 0, 0], [0, 3, 0]])
+    assert assemble(0, 3, [(0, 3, [])]) == IntMatrix.zeros(0, 3)
+    assert assemble(3, 0, []) == IntMatrix.zeros(3, 0)
