@@ -246,7 +246,8 @@ class GradedMap:
     rank_X(d) and rank_Y(d+r) are positive; ``mat`` returns a zero matrix of
     the right shape elsewhere.  The degree and the keys of ``mats`` must be
     ints.  Composition carries no sign; signs enter only through
-    :func:`differential_terms`.
+    :func:`differential_terms`.  Every reader goes through ``_mats``, so a
+    subclass may supply it on first read (``frames.Selection`` does).
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, degree: int, mats=None):
@@ -435,9 +436,9 @@ def nonzero_rows(height: int, terms):
             yield i, acc
 
 
-def combination_is_zero(height: int, width: int, terms) -> bool:
-    """Whether the height x width sum of the ``terms`` (see nonzero_rows)
-    is zero; the first nonzero row ends the test."""
+def combination_is_zero(height: int, terms) -> bool:
+    """Whether the sum of the ``terms`` (see nonzero_rows), which has
+    ``height`` rows, is zero; the first nonzero row ends the test."""
     return next(nonzero_rows(height, terms), None) is None
 
 
@@ -458,7 +459,7 @@ def first_defect(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> Optional
     where Y_{d+r} is 0, and every such sum is zero, are not visited."""
     for d in x.support:
         height = y.rank(d + r)
-        if height and not combination_is_zero(height, x.rank(d), terms_at(d)):
+        if height and not combination_is_zero(height, terms_at(d)):
             return d
     return None
 

@@ -37,15 +37,28 @@ act(alpha, act(sigma, s)) = act(sigma o alpha, s), and that identity is what
 the simplicial compatibility check compares.
 
 The module also provides the structure maps (basis inclusions along subset
-reindexing, built on demand: a diagram holds frames only), the Reedy check,
-which reads each frame's block layout and differential in place (the
-latching map is the coordinate inclusion of the proper-subset summands, so
-it forms no latching object), the last-vertex inclusion/retraction/homotopy
-triple with the homotopy inverses it gives the structure maps of
-max-preserving morphisms, the homotopical and simplicial compatibility
-check suites, ``run_checks``, which assembles the whole suite, an integer
-splitting solver for acyclic cofibrations, and the recovery of a 1-simplex
-edge from its cylinder frame.
+reindexing, built on demand as lazy selections: a diagram holds frames
+only), the Reedy check, which reads each frame's block layout and
+differential in place (the latching map is the coordinate inclusion of the
+proper-subset summands, so it forms no latching object), the last-vertex
+inclusion/retraction/homotopy triple with the homotopy inverses it gives the
+structure maps of max-preserving morphisms, the homotopical and simplicial
+compatibility check suites, ``run_checks``, which assembles the whole suite,
+an integer splitting solver for acyclic cofibrations, and the recovery of a
+1-simplex edge from its cylinder frame.
+
+The homotopical check proves the max-preserving structure maps weak
+equivalences on generators and composes the rest.  The generators are the
+identities and the max-preserving cofaces, the maps of codimension <= 1.
+Each is judged as a selection: its chain-map and certificate identities are
+read from its block positions and the stored row views of d, j and r, and no
+matrix of the map is assembled.  Every other max-preserving map psi factors
+as delta o psi', delta a coface, and passes when both factors passed by
+certificate and the composite is an identity of block layouts: its
+certificate identities then follow from theirs, since weak equivalences
+compose (2-out-of-3).  Any other map, a tampered one included, is judged
+directly on its matrices, falling back on cone homology, so each PASS rests
+on an exact identity and each FAIL keeps its witness.
 """
 
 from __future__ import annotations
@@ -108,6 +121,15 @@ class FrameObject:
         """Degrees where the differential does not square to zero (empty for
         every frame of a valid simplex): the frame's one d^2 verdict."""
         return self.complex.d_squared_defects()
+
+    @cached_property
+    def untiled_degree(self) -> Optional[int]:
+        """The first degree of the complex or of its layout whose blocks do
+        not tile [0, rank d) in stored order with the full subset's block
+        last, or None: the frame's one layout verdict."""
+        c, top = self.complex, tuple(range(self.alpha.dom + 1))
+        degrees = sorted({*c.support, *self.blocks})
+        return next((d for d in degrees if not _tiles(self.blocks.get(d, {}), top, c.rank(d))), None)
 
     def source_complex(self, subset) -> ChainComplex:
         return self.restriction.objects[subset[0]]
@@ -241,8 +263,9 @@ class FrameDiagram:
         self.objects: Dict[OrderMap, FrameObject] = objects
 
     def structure_map(self, mor: DMorphism) -> GradedMap:
-        """The basis inclusion B(mor.src) -> B(mor.tgt) along mor.inj."""
-        return _structure_matrix(self.objects[mor.src], self.objects[mor.tgt], mor.inj)
+        """The basis inclusion B(mor.src) -> B(mor.tgt) along mor.inj, as a
+        lazy :class:`Selection`."""
+        return Selection(self.objects[mor.src], self.objects[mor.tgt], mor.inj)
 
 
 def build_frame_diagram(s: NerveSimplex, max_len: int = 3) -> FrameDiagram:
@@ -250,13 +273,51 @@ def build_frame_diagram(s: NerveSimplex, max_len: int = 3) -> FrameDiagram:
     return FrameDiagram(s, max_len, objects)
 
 
-def _structure_matrix(src: FrameObject, tgt: FrameObject, inj) -> GradedMap:
+class Selection(GradedMap):
+    """The structure map B(beta) -> B(alpha) along the injection ``inj``: the
+    block of each subset S of [beta.dom] goes, as an identity, to the block
+    of inj(S).  The matrices are assembled on first read.
+
+    ``preimages()[d]`` lists, for each row of B(alpha)_d, the column of
+    B(beta)_d that the map sends there, None off its image.  It is built
+    from the blocks alone, and is None unless the blocks describe the map as
+    such a selection: both frames' blocks tile their bases
+    (``untiled_degree``), the image of each block is a block of the same
+    width, and the images go up as the blocks do.  It is not kept, so that a
+    selection kept as a factor holds no more than its frames and ``inj``."""
+
+    def __init__(self, src: FrameObject, tgt: FrameObject, inj: Tuple[int, ...]):
+        self.source, self.target, self.degree = src.complex, tgt.complex, 0
+        self.frames, self.inj = (src, tgt), inj
+
+    @cached_property
+    def _mats(self) -> Dict[int, IntMatrix]:
+        return _structure_matrices(*self.frames, self.inj)
+
+    def preimages(self) -> Optional[Dict[int, list]]:
+        src, tgt = self.frames
+        if src.untiled_degree is not None or tgt.untiled_degree is not None:
+            return None
+        c = tgt.complex
+        out = {d: [None] * c.rank(d) for d in c.support}
+        for d, spans in src.blocks.items():
+            rows, cols, last = tgt.blocks.get(d, {}), out.get(d), -1
+            for S, (col, width) in spans.items():
+                row, image_width = rows.get(tuple(map(self.inj.__getitem__, S)), (-1, 0))
+                if image_width != width or row <= last:
+                    return None
+                cols[row : row + width] = range(col, col + width)
+                last = row
+        return out
+
+
+def _structure_matrices(src: FrameObject, tgt: FrameObject, inj) -> Dict[int, IntMatrix]:
     mats = {}
     for d, spans in src.blocks.items():
         rows = tgt.blocks[d]
         columns = [(col, width, [(rows[tuple(inj[i] for i in S)][0], 1, None)]) for S, (col, width) in spans.items()]
         mats[d] = _assemble(tgt.complex.rank(d), src.complex.rank(d), columns)
-    return GradedMap._trusted(src.complex, tgt.complex, 0, mats)
+    return mats
 
 
 def _morphism_key(mor: DMorphism) -> str:
@@ -287,8 +348,7 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
         wit_closed = _at(unclosed, "differential leaves the latching span")
         report.add("latching-closure", alpha.key(), unclosed is None, wit_closed)
 
-        degrees = sorted({*c.support, *o.blocks})
-        unsplit = next((d for d in degrees if not _tiles(o.blocks.get(d, {}), top, c.rank(d))), None)
+        unsplit = o.untiled_degree
         report.add("latching-split", alpha.key(), unsplit is None, _at(unsplit, "inclusion is not split"))
 
         x = shift(diagram.simplex.objects[alpha(0)], alpha.dom)
@@ -448,32 +508,175 @@ def is_homotopical(diagram: FrameDiagram, last_vertex: Optional[Dict[OrderMap, L
     skipped.  A morphism with an endpoint frame whose d^2 is nonzero fails
     without a cone, since that cone is no complex.
 
-    Morphisms are visited by target in ``diagram.objects`` order, then in
-    :func:`enumerate_inclusions` order; each map is built, judged and
-    dropped.  A chain map passes on its homotopy-inverse certificate (see
-    :func:`homotopy_inverse_certified`); only when that fails is its cone
-    homology computed, so that a FAIL names the homology.  ``last_vertex``
-    holds :func:`check_last_vertex` of every frame, computed here if absent."""
+    Items come by target in ``diagram.objects`` order, then in
+    :func:`enumerate_inclusions` order, and each map is read once, through
+    ``diagram.structure_map``.  A PASS rests on one of three things:
+
+    * for a generator (codimension <= 1) read as a :class:`Selection`, its
+      chain-map and certificate identities (see
+      :func:`homotopy_inverse_certified`), read from its preimages and the
+      stored row views of d, j and r (:func:`_selection_certified`);
+    * for a composite psi = delta o psi' read as one, delta the coface that
+      misses the least index psi misses: both factors passed by certificate
+      (so the middle frame has d^2 = 0), and g_psi = g_delta o g_psi' as
+      layouts (:func:`_composes`).  Then g_psi is a chain map, and
+      g_psi o j = g_delta o j = j and r o g_psi = r o g_psi' = r: weak
+      equivalences compose (2-out-of-3);
+    * for any other map, or a selection whose route fails, the direct path:
+      the chain-map test and the certificate, decided row by row on the
+      map's matrices, and when those fail, cone homology, so that a FAIL
+      names the homology.
+
+    A target's cofaces come after the composites into it, so its generators
+    are tried on their route first; the direct path runs in item order.
+    ``last_vertex`` holds :func:`check_last_vertex` of every frame, computed
+    here if absent."""
     if last_vertex is None:
         last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
     report = Report()
-    for mor in (m for alpha in diagram.objects for m in enumerate_inclusions(alpha) if is_weak_equivalence_d(m)):
-        key = _morphism_key(mor)
-        broken = next((a for a in (mor.src, mor.tgt) if diagram.objects[a].d2_defects), None)
-        if broken is not None:
-            degree = diagram.objects[broken].d2_defects[0]
-            report.add("homotopical", key, False, "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), degree))
-            continue
-        g = diagram.structure_map(mor)
-        if not g.is_cycle():
-            report.add("homotopical", key, False, "structure map is not a chain map")
-        elif homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
-            report.add("homotopical", key, True)
-        else:
-            hom = homology(cone(g))
-            ok = hom.is_trivial()
-            report.add("homotopical", key, ok, None if ok else "cone homology: %s" % hom)
+    # (target, inj) -> the selection of each map passed by certificate whose
+    # blocks describe it; the factors of a composite into alpha end at alpha
+    # or at a frame one index shorter, so shorter targets are dropped
+    certified: Dict[Tuple[OrderMap, Tuple[int, ...]], Selection] = {}
+    dom = None
+    for alpha in diagram.objects:
+        if alpha.dom != dom:
+            dom = alpha.dom
+            certified = {key: g for key, g in certified.items() if key[0].dom >= dom - 1}
+        mors = [m for m in enumerate_inclusions(alpha) if is_weak_equivalence_d(m)]
+        maps: List[Optional[GradedMap]] = [None] * len(mors)
+        verdicts: List[Optional[Tuple[bool, Optional[str]]]] = [None] * len(mors)
+        for k, mor in enumerate(mors):
+            if len(mor.inj) >= dom and _broken_endpoint(diagram, mor) is None:
+                g = maps[k] = diagram.structure_map(mor)
+                src, tgt = last_vertex[mor.src], last_vertex[mor.tgt]
+                if type(g) is Selection and _selection_certified(g, src, tgt):
+                    certified[mor.tgt, mor.inj] = g
+                    verdicts[k] = True, None
+        for k, mor in enumerate(mors):
+            ok, witness = verdicts[k] or _homotopical_verdict(diagram, mor, maps[k], last_vertex, certified)
+            report.add("homotopical", _morphism_key(mor), ok, witness)
     return report
+
+
+def _broken_endpoint(diagram: FrameDiagram, mor: DMorphism) -> Optional[str]:
+    """The witness of an endpoint frame of mor with d^2 != 0, or None."""
+    broken = next((a for a in (mor.src, mor.tgt) if diagram.objects[a].d2_defects), None)
+    if broken is None:
+        return None
+    return "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), diagram.objects[broken].d2_defects[0])
+
+
+def _homotopical_verdict(
+    diagram: FrameDiagram, mor: DMorphism, g: Optional[GradedMap], last_vertex, certified
+) -> Tuple[bool, Optional[str]]:
+    """(status, witness) of the ``homotopical`` item of mor, whose map g is
+    read here unless it was read already, entering g in ``certified`` when it
+    is a selection passed by certificate."""
+    broken = _broken_endpoint(diagram, mor)
+    if broken is not None:
+        return False, broken
+    if g is None:
+        g = diagram.structure_map(mor)
+    if type(g) is Selection and len(mor.inj) < mor.tgt.dom and _composite_certified(mor, g, certified):
+        certified[mor.tgt, mor.inj] = g
+        return True, None
+    if not g.is_cycle():
+        return False, "structure map is not a chain map"
+    if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
+        if type(g) is Selection and g.preimages() is not None:
+            certified[mor.tgt, mor.inj] = g
+        return True, None
+    hom = homology(cone(g))
+    ok = hom.is_trivial()
+    return ok, None if ok else "cone homology: %s" % hom
+
+
+def _composite_certified(mor: DMorphism, g: Selection, certified) -> bool:
+    """Whether the selection g of mor, of codimension >= 2, passes by
+    2-out-of-3 (see :func:`is_homotopical`).  The middle frame has d^2 = 0:
+    both factors end there, and a map is certified only once its item has
+    found d^2 = 0 at both of its ends.  A composite that passes is a
+    selection its blocks describe, since its factors are."""
+    inj, alpha = mor.inj, mor.tgt
+    i = next(k for k, v in enumerate(inj) if k != v)  # the least index inj misses; i < alpha.dom
+    gamma = OrderMap._trusted(alpha.values[:i] + alpha.values[i + 1 :], alpha.cod)
+    first = certified.get((gamma, tuple(v - (v > i) for v in inj)))
+    second = certified.get((alpha, tuple(range(i)) + tuple(range(i + 1, alpha.dom + 1))))
+    return first is not None and second is not None and _composes(g, first, second)
+
+
+def _composes(g: Selection, first: Selection, second: Selection) -> bool:
+    """Whether g = second o first as a layout identity, read from indices
+    alone: first ends at the frame where second starts, g runs from first's
+    source frame to second's target frame, and inj_g = inj_second o inj_first.
+
+    Then each block S of g's source lands at the block of inj_g(S) both
+    ways, since every map places S by looking up its image among the blocks
+    of its target.  When the blocks describe first and second (see
+    ``Selection.preimages``), each keeps the width of every block, so the
+    identity blocks compose and g is their composite, matrix for matrix."""
+    (src, tgt), (first_src, mid), (mid_src, second_tgt) = g.frames, first.frames, second.frames
+    if first_src is not src or mid_src is not mid or second_tgt is not tgt:
+        return False
+    return tuple(map(second.inj.__getitem__, first.inj)) == g.inj
+
+
+def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
+    """Whether g : B(beta) -> B(alpha), a selection with ``preimages()``, is
+    a chain map with g o j_beta = j_alpha and r_alpha o g = r_beta, and both
+    frames' last-vertex identities hold: what the direct path decides with
+    ``is_cycle`` and :func:`homotopy_inverse_certified`, on the same row views
+    of d, j and r, but read through the preimages with no matrix of g.
+
+    With p = preimages()[d], row t of d_alpha o g is row t of d_alpha with each
+    column c renamed p[c] and dropped where p[c] is None, and row t of
+    g o d_beta is row p[t] of d_beta, or zero where p[t] is None.  r_alpha o g
+    is renamed the same way, and row t of g o j_beta is row p[t] of j_beta.
+    Since p keeps column order, each renamed row is a sorted, zero-free view
+    and is compared as a tuple.  False also when g has no preimages or the
+    maps do not fit together as the certificate reads them."""
+    b, a = g.source, g.target
+    j_src, r_src, j_tgt, r_tgt = src.j, src.r, tgt.j, tgt.r
+    x, y = j_src.source, r_src.target
+    if not (src.holds and tgt.holds) or any(m.degree for m in (j_src, r_src, j_tgt, r_tgt)):
+        return False
+    if not (j_src.target is b and r_src.source is b and j_tgt.target is a and r_tgt.source is a):
+        return False
+    if j_tgt.source is not x or r_tgt.target is not y:
+        return False
+    p = g.preimages()
+    if p is None:
+        return False
+    # every matrix read below is stored, each of its two ranks being positive
+    for d in b.support:
+        if a.rank(d - 1):
+            sources = b.diff(d).row_nonzeros() if b.rank(d - 1) else ()
+            wants = [() if i is None else sources[i] for i in p[d - 1]]
+            if not _renamed_rows_equal(a.diff(d).row_nonzeros(), p[d], wants):
+                return False
+    for d in x.support:
+        if a.rank(d):
+            have = j_src.mat(d).row_nonzeros() if b.rank(d) else ()
+            if tuple([() if i is None else have[i] for i in p[d]]) != j_tgt.mat(d).row_nonzeros():
+                return False
+    for d in b.support:
+        if y.rank(d) and not _renamed_rows_equal(r_tgt.mat(d).row_nonzeros(), p[d], r_src.mat(d).row_nonzeros()):
+            return False
+    return True
+
+
+def _renamed_rows_equal(rows, names: list, wants) -> bool:
+    """Whether each row of ``rows``, its (column, value) pairs kept where
+    ``names`` names the column and renamed by it, equals the matching row of
+    ``wants``."""
+    for row, want in zip(rows, wants):
+        if row:
+            if tuple([(names[j], v) for j, v in row if names[j] is not None]) != want:
+                return False
+        elif want:
+            return False
+    return True
 
 
 def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:

@@ -17,10 +17,18 @@ built and with one entry of a frame differential tampered.  The deciders
 read the row-nonzero view that ``_assemble`` hands out with each matrix, and
 the writer, ``==`` and ``block`` read its rows, so every assembled view must
 be the plain scan of its rows.
+
+``is_homotopical`` passes a generator on the stored views through its
+preimages and a composite by 2-out-of-3 over certified factors; the route
+must give the loop's items on ``random_simplex(Random(7), 2)`` at max-len 4
+and on criterion 8's diagrams, and keep off it every map through a frame
+with d^2 != 0 or with a tampered j or r, and every composite of a tampered
+coface.  The view decider must equal the direct one on each generator, with
+j, r or a frame differential tampered.
 """
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -39,6 +47,8 @@ from dgframes.exact_linalg import IntMatrix
 from dgframes.frames import (
     FrameDiagram,
     FrameObject,
+    LastVertexCheck,
+    Selection,
     build_frame_diagram,
     check_last_vertex,
     homotopy_inverse_certified,
@@ -46,7 +56,7 @@ from dgframes.frames import (
     is_reedy_cofibrant,
     last_vertex_data,
 )
-from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
+from dgframes.simplicial import OrderMap, enumerate_inclusions, is_weak_equivalence_d
 
 import oracles
 from test_exact_linalg import _plain_row_scan
@@ -230,6 +240,266 @@ def test_tampered_last_vertex_maps_are_judged_alike(monkeypatch, criterion_08_di
     assert (len(seen), sum(seen)) == (tampered, caught)
 
 
+@pytest.fixture(scope="module")
+def r7n2_diagram():
+    """``random_simplex(Random(7), 2)`` at max-len 4: composites of
+    codimension up to 4."""
+    return build_frame_diagram(random_simplex(random.Random(7), 2), 4)
+
+
+def _morphisms(diagram):
+    """(generators, composites): the max-preserving morphisms of the
+    diagram of codimension <= 1 and >= 2, in item order."""
+    mors = [m for alpha in diagram.objects for m in enumerate_inclusions(alpha) if is_weak_equivalence_d(m)]
+    return [m for m in mors if len(m.inj) >= m.tgt.dom], [m for m in mors if len(m.inj) < m.tgt.dom]
+
+
+def _log_route(monkeypatch):
+    """Lists that log each map judged on the route of ``is_homotopical`` as
+    (frames, verdict): the generators judged on views by (source, target)
+    frame, and the composites judged by 2-out-of-3 by (source, middle,
+    target) frame."""
+    views, composites = [], []
+
+    def selection_certified(g, src, tgt, _original=frames._selection_certified):
+        ok = _original(g, src, tgt)
+        views.append((g.frames, ok))
+        return ok
+
+    def composes(g, first, second, _original=frames._composes):
+        ok = _original(g, first, second)
+        composites.append(((*first.frames, second.frames[1]), ok))
+        return ok
+
+    monkeypatch.setattr(frames, "_selection_certified", selection_certified)
+    monkeypatch.setattr(frames, "_composes", composes)
+    return views, composites
+
+
+def _refuse_assembly(*args):
+    raise AssertionError("a structure map was assembled")
+
+
+def test_homotopical_route_equals_the_build_all_loop(monkeypatch, r7n2_diagram, criterion_08_diagrams):
+    """On diagrams as built, ``is_homotopical`` gives the items of
+    ``oracles.homotopical_items`` with no structure map assembled: it passes
+    every generator on its views and every composite, up to codimension 4,
+    by 2-out-of-3."""
+    views, composites = _log_route(monkeypatch)
+    counts = []
+    for diagram in [r7n2_diagram] + criterion_08_diagrams:
+        generators, composed = _morphisms(diagram)
+        views.clear()
+        composites.clear()
+        with monkeypatch.context() as m:
+            m.setattr(frames, "_structure_matrices", _refuse_assembly)
+            items = is_homotopical(diagram).items
+        assert items == oracles.homotopical_items(diagram)
+        assert [ok for _, ok in views] == [True] * len(generators)
+        assert [ok for _, ok in composites] == [True] * len(composed)
+        counts.append((len(generators), len(composed), max(m.tgt.dom - m.src.dom for m in composed)))
+    assert counts[0] == (210, 301, 4)
+    assert [sum(c[0] for c in counts[1:]), sum(c[1] for c in counts[1:])] == [260, 169]
+
+
+def test_homotopical_route_never_composes_through_a_broken_frame(monkeypatch):
+    """Each frame gamma in turn, marked as having d^2 != 0, fails the items
+    of the maps it starts or ends, and the composites whose factorization
+    runs through it as the middle frame are judged directly, and pass: no
+    map passes on the route through gamma, and the items are those of
+    ``oracles.homotopical_items``."""
+    diagram = build_frame_diagram(random_simplex(random.Random(7), 2), 3)
+    views, composites = _log_route(monkeypatch)
+    _, composed = _morphisms(diagram)
+    through = Counter()
+    for gamma, o in diagram.objects.items():
+        with monkeypatch.context() as m:
+            m.setitem(vars(o), "d2_defects", [o.complex.support[0]])
+            views.clear()
+            composites.clear()
+            items = is_homotopical(diagram).items
+            assert items == oracles.homotopical_items(diagram)
+        assert not any(o in ends for ends, ok in views + composites if ok)
+        status = {i.location: i.status for i in items}
+        for mor in composed:
+            i = next(k for k, v in enumerate(mor.inj) if k != v)
+            if mor.tgt.values[:i] + mor.tgt.values[i + 1 :] == gamma.values:
+                through[status[frames._morphism_key(mor)]] += 1
+    assert through == {"pass": 70}
+
+
+def test_tampered_maps_are_kept_off_the_route(monkeypatch, criterion_08_diagrams):
+    """With the maps of one group returned through ``diagram.structure_map``
+    as copies that are no selection, untampered (scaled by 1) or scaled by
+    2, the items are those of ``oracles.homotopical_items``, and only
+    composites of untouched certified maps pass on the route.  The groups are
+    the cofaces into the frames of each domain size, then the composites.  A
+    coface copy sends every composite with it as a factor to the direct path,
+    and the composites into longer frames that factor through a composite
+    so judged may still pass on the route, since a selection passed directly
+    by certificate is a factor too."""
+    views, composites = _log_route(monkeypatch)
+    seen = defaultdict(Counter)
+    for diagram in criterion_08_diagrams:
+        true_map = diagram.structure_map
+        generators, composed = _morphisms(diagram)
+        groups = {("cofaces", m): [g for g in generators if g.src != g.tgt and g.tgt.dom == m] for m in (1, 2, 3)}
+        groups["composites"] = composed
+        for group, mors in groups.items():
+            for c in (1, 2):
+                copies = {mor: true_map(mor).scale(c) for mor in mors}
+                with monkeypatch.context() as m:
+                    m.setattr(diagram, "structure_map", lambda mor: copies.get(mor) or true_map(mor))
+                    views.clear()
+                    composites.clear()
+                    items = is_homotopical(diagram).items
+                    assert items == oracles.homotopical_items(diagram)
+                assert all(ok for _, ok in views + composites)
+                seen[group, c] += Counter(views=len(views), composites=len(composites))
+                seen[group, c] += Counter(i.status for i in items)
+    # generators passed on their views, composites passed by 2-out-of-3 and
+    # items failed when the group is scaled by 2, of 429 items
+    table = {
+        ("cofaces", 1): (244, 144, 16),
+        ("cofaces", 2): (210, 36, 50),
+        ("cofaces", 3): (152, 25, 108),
+        "composites": (260, 0, 169),
+    }
+    for group, (on_views, composed, failed) in table.items():
+        for c, fails in ((1, 0), (2, failed)):
+            assert seen[group, c] == Counter({"views": on_views, "composites": composed, "pass": 429 - fails, "fail": fails})
+
+
+def test_composes_reads_a_layout_identity(r7n2_diagram):
+    """``_composes`` holds for the selections of psi, psi' and delta of each
+    composite psi = delta o psi', and fails when psi's selection runs along
+    another injection, when a factor is swapped for a map with other ends,
+    or when the factors come in the wrong order."""
+    diagram = r7n2_diagram
+    _, composed = _morphisms(diagram)
+    kinds = Counter()
+    for mor in composed:
+        alpha, i = mor.tgt, next(k for k, v in enumerate(mor.inj) if k != v)
+        gamma = OrderMap(alpha.values[:i] + alpha.values[i + 1 :], alpha.cod)
+        frame = diagram.objects
+        g = Selection(frame[mor.src], frame[alpha], mor.inj)
+        first = Selection(frame[mor.src], frame[gamma], tuple(v - (v > i) for v in mor.inj))
+        second = Selection(frame[gamma], frame[alpha], tuple(k for k in range(alpha.dom + 1) if k != i))
+        assert frames._composes(g, first, second)
+        assert not frames._composes(second, g, first)
+        others = [m.inj for m in enumerate_inclusions(alpha) if m.src == mor.src and m.inj != mor.inj]
+        for inj in others:
+            assert not frames._composes(Selection(frame[mor.src], frame[alpha], inj), first, second)
+        kinds["parallel"] += len(others)
+        shorter = OrderMap(alpha.values[1:], alpha.cod)
+        if shorter != gamma and shorter in frame:
+            assert not frames._composes(g, first, Selection(frame[shorter], frame[alpha], tuple(range(1, alpha.dom + 1))))
+            kinds["other middle"] += 1
+    assert kinds == {"parallel": 1007, "other middle": 34}
+
+
+def test_selection_preimages_need_blocks_that_describe_the_map(criterion_08_diagrams):
+    """A selection has preimages exactly when both frames' blocks tile their
+    bases and each block lands on a block of its width, in order.  Moving
+    the boundary between two adjacent source blocks by one column keeps the
+    tiling but breaks a width, swapping the images of two source blocks in
+    the target reverses their order, and shifting the last source block one
+    column on breaks the tiling: each leaves the map without preimages, and
+    so off the view route."""
+    broken = Counter()
+    for diagram in criterion_08_diagrams:
+        generators, _ = _morphisms(diagram)
+        for mor in generators:
+            src, tgt = diagram.objects[mor.src], diagram.objects[mor.tgt]
+            assert Selection(src, tgt, mor.inj).preimages() is not None
+            for kind, (b, a) in _relaid(src, tgt, mor.inj):
+                assert Selection(b, a, mor.inj).preimages() is None
+                broken[kind] += 1
+    assert broken == {"moved": 187, "swapped": 217, "shifted": 260}
+
+
+def _relaid(src: FrameObject, tgt: FrameObject, inj):
+    """(kind, (source, target)) with one frame's blocks relaid in one degree:
+    a boundary between two source blocks moved, the images along inj of two
+    source blocks of one width swapped in the target, the last source block
+    shifted one column on."""
+    def relaid(o, d, spans):
+        return FrameObject(o.alpha, o.complex, {**o.blocks, d: spans}, o.restriction)
+
+    for d, spans in src.blocks.items():
+        items = list(spans.items())
+        if len(items) >= 2 and items[0][1][1] > 1:
+            (s0, (c0, w0)), (s1, (c1, w1)) = items[:2]
+            yield "moved", (relaid(src, d, {s0: (c0, w0 - 1), s1: (c1 - 1, w1 + 1), **dict(items[2:])}), tgt)
+            break
+    for d, spans in src.blocks.items():
+        (s0, (_, w0)), (s1, (_, w1)) = (list(spans.items()) + [(None, (0, 0))] * 2)[:2]
+        if s1 is not None and w0 == w1:
+            t0, t1 = (tuple(inj[i] for i in S) for S in (s0, s1))
+            rows = {**tgt.blocks[d], t0: tgt.blocks[d][t1], t1: tgt.blocks[d][t0]}
+            yield "swapped", (src, relaid(tgt, d, dict(sorted(rows.items(), key=lambda item: item[1]))))
+            break
+    d, spans = next(iter(src.blocks.items()))
+    last, (col, width) = list(spans.items())[-1]
+    yield "shifted", (relaid(src, d, {**spans, last: (col + 1, width)}), tgt)
+
+
+@pytest.mark.parametrize("which", ["include_last", "retraction"])
+def test_tampered_last_vertex_maps_keep_their_frame_off_the_route(monkeypatch, which):
+    """With the j or the r of one frame tampered the k-th way of
+    ``_tamperings``, through ``frames.include_last`` or
+    ``frames.retraction``, no map that starts, ends or factors through that
+    frame passes on the route, though the route is tried, and the items are
+    those of ``oracles.homotopical_items``."""
+    diagram = build_frame_diagram(random_simplex(random.Random(7), 2), 3)
+    views, composites = _log_route(monkeypatch)
+    true_map = getattr(frames, which)
+    refused = 0
+    for alpha in (OrderMap((0, 2), 2), OrderMap((0, 1, 2), 2)):
+        o = diagram.objects[alpha]
+        for t in _tamperings(true_map(o)):
+            monkeypatch.setattr(frames, which, lambda x, o=o, t=t: t if x is o else true_map(x))
+            views.clear()
+            composites.clear()
+            assert is_homotopical(diagram).items == oracles.homotopical_items(diagram)
+            assert not any(o in ends for ends, ok in views + composites if ok)
+            refused += sum(o in ends for ends, _ in views)
+    assert refused > 0
+
+
+def _holding(lv):
+    """A last-vertex check with the j and r of lv and every identity held."""
+    return LastVertexCheck(lv.j, lv.r, tuple((check, None) for check, _ in lv.verdicts))
+
+
+def test_view_decider_equals_the_direct_decider(criterion_08_diagrams):
+    """``_selection_certified`` of each generator g equals ``is_cycle`` and
+    ``homotopy_inverse_certified`` of g's assembled matrices: with the
+    frames' own last-vertex checks, with each tampered j or r of the target
+    taken as if its identities held, and with either frame's differential
+    tampered at one entry (``_tampered_blocks``), its identities again
+    taken as held."""
+    verdicts = Counter()
+    for diagram in criterion_08_diagrams:
+        lv = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
+        for mor in _morphisms(diagram)[0]:
+            src, tgt = diagram.objects[mor.src], diagram.objects[mor.tgt]
+            j, r = lv[mor.tgt].j, lv[mor.tgt].r
+            src_lv = lv[mor.src]
+            cases = [(src, src_lv, tgt, lv[mor.tgt])]
+            cases += [(src, src_lv, tgt, _holding(LastVertexCheck(t, r, ()))) for t in _tamperings(j)]
+            cases += [(src, src_lv, tgt, _holding(LastVertexCheck(j, t, ()))) for t in _tamperings(r)]
+            cases += [(src, src_lv, bad, _holding(check_last_vertex(bad))) for bad in _tampered_blocks(tgt)]
+            cases += [(bad, _holding(check_last_vertex(bad)), tgt, lv[mor.tgt]) for bad in _tampered_blocks(src)]
+            for b, b_lv, a, a_lv in cases:
+                g = Selection(b, a, mor.inj)
+                assert g.preimages() is not None
+                ok = frames._selection_certified(g, b_lv, a_lv)
+                assert ok == (g.is_cycle() and homotopy_inverse_certified(g, b_lv, a_lv))
+                verdicts[ok] += 1
+    assert verdicts == {True: 536, False: 1867}
+
+
 def _tampered_blocks(o: FrameObject):
     """Copies of the frame o with 1 added to one entry of its differential:
     the first entry of the closure block (full rows, proper columns), then
@@ -323,7 +593,7 @@ def test_row_decider_equals_the_column_decider():
         m = combination_matrix(height, width, terms)
         assert m == oracles.combination_matrix(height, width, terms)
         assert (m.rows, m.cols) == (height, width)
-        verdict = combination_is_zero(height, width, terms)
+        verdict = combination_is_zero(height, terms)
         assert verdict == oracles.combination_is_zero(height, width, terms) == m.is_zero()
         verdicts[verdict, height * width > 0] += 1
         kinds.update(("id" if b is None else "map" if a is None else "product", c) for c, a, b in terms)
@@ -351,7 +621,8 @@ def test_assembled_views_equal_plain_row_scans(monkeypatch):
     diagrams = [build_frame_diagram(s, 2) for s in _acceptance_corpus()]
     diagrams += [build_frame_diagram(s, 3) for s in _criterion_08_simplices()]
     for diagram in diagrams:
-        oracles.structure_maps(diagram)
+        for g in oracles.structure_maps(diagram).values():
+            g.is_zero()  # a structure map is assembled on its first read
         for o in diagram.objects.values():
             last_vertex_data(o)
     assert assembled > 10000

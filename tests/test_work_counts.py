@@ -10,9 +10,10 @@ The counts are deterministic, so a change that brings back a dense path
 shows up here.  ``frame`` and ``recover`` are pinned the same way, and so
 are the calls of the checking constructors under ``check``, so that
 validation of values the library builds itself does not creep back.  The
-structure maps that ``check`` builds are counted too, as are the matrices
-its Reedy check assembles (none), and the memory peak of the whole suite is
-bounded.
+structure maps that ``check`` reads are counted too, with those it
+assembles (none), the generators it judges on the stored views and the
+composites it passes by 2-out-of-3, as are the matrices its Reedy check
+assembles (none), and the memory peak of the whole suite is bounded.
 """
 
 import functools
@@ -79,15 +80,32 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
 
 
 def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
-    """``check --max-len 3`` on the pinned 3-simplex builds the structure
-    map of each of its 384 max-preserving morphisms once, for the
-    homotopical check, and no other.  The Reedy check reads each frame's
-    block layout and stored differential in place: it assembles no matrix
+    """``check --max-len 3`` on the pinned 3-simplex reads the structure map
+    of each of its 384 max-preserving morphisms once, for the homotopical
+    check, and assembles none of them: the 224 generators (identities and
+    cofaces) are judged on the row views of d, j and r through their
+    preimages, and the other 160 maps pass as composites of certified
+    generators (2-out-of-3).  The Reedy check reads each frame's block
+    layout and stored differential in place: it assembles no matrix
     (``_assemble``) and decides no identity row by row
     (``combination_is_zero``), neither there nor on the 2-simplex drawn from
     seed 3, whose objects span two degrees."""
     counts = {}
-    _count_calls(monkeypatch, counts, "_structure_matrix", frames._structure_matrix)
+    _count_calls(monkeypatch, counts, "_structure_matrices", frames._structure_matrices)
+    _count_calls(monkeypatch, counts, "_selection_certified", frames._selection_certified)
+    counts["structure_map"] = counts["composites passed"] = 0
+
+    def structure_map(self, mor, _original=frames.FrameDiagram.structure_map):
+        counts["structure_map"] += 1
+        return _original(self, mor)
+
+    def composes(*args, _original=frames._composes):
+        passed = _original(*args)
+        counts["composites passed"] += passed
+        return passed
+
+    monkeypatch.setattr(frames.FrameDiagram, "structure_map", structure_map)
+    monkeypatch.setattr(frames, "_composes", composes)
     inside = []
 
     def reedy(diagram, _original=frames.is_reedy_cofibrant):
@@ -110,10 +128,18 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
         counts.update(dict.fromkeys(counts, 0))
     # _assemble and combination_is_zero count the calls inside
     # is_reedy_cofibrant only.  While the diagram stored every structure map:
-    # 699 _structure_matrix calls on r7n3; while the Reedy check built and
+    # 699 structure maps assembled on r7n3; while is_homotopical judged each
+    # map on its assembled matrices: 384; while the Reedy check built and
     # tested an inclusion matrix per degree of each proper span: 207 and 102
     # of each on r7n3 and r3n2
-    assert seen[0] == {"_structure_matrix": 384, "_assemble": 0, "combination_is_zero": 0}
+    assert seen[0] == {
+        "structure_map": 384,
+        "_structure_matrices": 0,
+        "_selection_certified": 224,
+        "composites passed": 160,
+        "_assemble": 0,
+        "combination_is_zero": 0,
+    }
     assert (seen[1]["_assemble"], seen[1]["combination_is_zero"]) == (0, 0)
 
 
