@@ -443,14 +443,11 @@ def combination_is_zero(height: int, terms) -> bool:
 
 
 def combination_matrix(height: int, width: int, terms) -> IntMatrix:
-    """The height x width sum of the ``terms`` (see nonzero_rows)."""
-    data = [(0,) * width] * height
+    """The height x width sum of the ``terms`` (see nonzero_rows), with its view set."""
+    rows: list = [None] * height
     for i, acc in nonzero_rows(height, terms):
-        row = [0] * width
-        for j, v in acc.items():
-            row[j] = v
-        data[i] = tuple(row)
-    return IntMatrix._trusted(height, width, tuple(data))
+        rows[i] = acc
+    return IntMatrix._from_row_dicts(width, rows)
 
 
 def first_defect(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> Optional[int]:
@@ -718,16 +715,16 @@ def is_nullhomotopic(f: GradedMap) -> Optional[GradedMap]:
 # -- randomized generators (exact, seeded; used by the test sweeps) ----------
 
 
-def random_complex(rng: random.Random, max_rank=3, max_width=4, min_degree=-1, max_degree=3, name=None):
-    """A random bounded free complex with an honestly random differential.
+def random_complex(rng: random.Random, max_rank=3, max_width=4, name=None):
+    """A random bounded free complex in degrees -1..3 with an honestly random differential.
 
     Differentials are built top down: each matrix has its columns drawn from
     the kernel lattice of the previous one, so d o d = 0 holds exactly while
     ranks, torsion and homology stay varied.
     """
-    lo = rng.randint(min_degree, max_degree - 1)
+    lo = rng.randint(-1, 2)
     width = rng.randint(1, max_width)
-    degrees = list(range(lo, min(lo + width, max_degree + 1)))
+    degrees = list(range(lo, min(lo + width, 4)))
     ranks = {d: rng.randint(0, max_rank) for d in degrees}
     if not any(ranks.values()):
         ranks[rng.choice(degrees)] = rng.randint(1, max_rank)
@@ -760,12 +757,12 @@ def random_complex(rng: random.Random, max_rank=3, max_width=4, min_degree=-1, m
     return ChainComplex(name, ranks, diffs)
 
 
-def random_chain_map(rng: random.Random, x: ChainComplex, y: ChainComplex, spread=1) -> GradedMap:
+def random_chain_map(rng: random.Random, x: ChainComplex, y: ChainComplex) -> GradedMap:
     """A random degree-0 cycle of the mapping complex, i.e. a chain map."""
     m = hom_complex_diff(x, y, 0)
     vec = [0] * m.cols
     for v in kernel_basis(m):
-        c = rng.randint(-spread, spread)
+        c = rng.randint(-1, 1)
         if c:
             for i in range(m.cols):
                 vec[i] += c * v[i]

@@ -5,11 +5,12 @@ is used anywhere in the package.  A matrix is stored as dense rows, its one
 representation.  Matrices are immutable once constructed, so they can be
 shared freely between complexes and maps, and each caches one derived
 index on its rows: :meth:`IntMatrix.row_nonzeros`, the (column, value)
-pairs of every row.  The frame assembler (``frames._assemble``) hands each
-matrix out with its view already set; any other matrix builds it on first
-use.  The d^2 test (:meth:`IntMatrix.product_is_zero`),
-:func:`invariant_factors`, the identity deciders of ``complexes`` and the
-JSON writer read it, so they pay per nonzero.
+pairs of every row.  ``IntMatrix._from_row_dicts`` alone writes it, for the
+sums that ``frames._assemble`` and ``complexes.combination_matrix`` form row
+by row; any other matrix builds it on first use.  The product ``@``, the d^2
+test (:meth:`IntMatrix.product_is_zero`), :func:`invariant_factors`, the
+identity deciders of ``complexes`` and the JSON writer read it, so they pay
+per nonzero.
 """
 
 from __future__ import annotations
@@ -47,15 +48,34 @@ class IntMatrix:
         self.data = packed
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, data: tuple, nonzeros: Optional[tuple] = None) -> "IntMatrix":
+    def _trusted(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
         """Wrap ``data`` without checks: a tuple of ``rows`` tuples of ``cols``
-        Python ints, with ``nonzeros``, when given, as its :meth:`row_nonzeros`
-        view.  For results computed here from valid matrices."""
+        Python ints.  For results computed here from valid matrices."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
         m.data = data
-        m._nonzeros = nonzeros
+        m._nonzeros = None
+        return m
+
+    @classmethod
+    def _from_row_dicts(cls, cols: int, rows: Sequence[Optional[dict]]) -> "IntMatrix":
+        """The matrix with one {column: value} dict of ints, or None, per
+        row, handed out with its :meth:`row_nonzeros` view set.  A dict may
+        hold zeros; None and empty rows share one zero row."""
+        zero = (0,) * cols
+        data, view = [zero] * len(rows), [()] * len(rows)
+        for i, acc in enumerate(rows):
+            if acc:
+                pairs = tuple(sorted(acc.items()))
+                if 0 in acc.values():  # a cancelled entry
+                    pairs = tuple(p for p in pairs if p[1])
+                out = [0] * cols
+                for j, v in pairs:
+                    out[j] = v
+                data[i], view[i] = tuple(out), pairs
+        m = cls._trusted(len(rows), cols, tuple(data))
+        m._nonzeros = tuple(view)
         return m
 
     # -- constructors ----------------------------------------------------
@@ -142,28 +162,18 @@ class IntMatrix:
         return IntMatrix._trusted(self.rows, self.cols, tuple(tuple(c * v for v in row) for row in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The product, with Python work per nonzero only: ``compress`` over a
-        range built once per call skips the zeros, in C, of each row of self
-        and of each row of other that those rows select.  It does not read
-        :meth:`row_nonzeros`: on the small factors ``recover`` multiplies,
-        building both views costs about twice this scan."""
+        """The product, row by row over the nonzeros of both factors
+        (:meth:`row_nonzeros`): row i is the sum of the rows of other named
+        by the nonzeros of row i of self, accumulated into a dense row."""
         self._check_product(other)
-        bdata = other.data
         width = other.cols
-        inner = range(self.cols)
-        outer = range(width)
-        bsparse: Dict[int, list] = {}  # nonzeros of the rows of other that are used
+        right = other.row_nonzeros()
         out = []
-        for arow in self.data:
+        for left in self.row_nonzeros():
             acc = [0] * width
-            for k in compress(inner, arow):
-                v = arow[k]
-                nz = bsparse.get(k)
-                if nz is None:
-                    brow = bdata[k]
-                    nz = bsparse[k] = [(j, brow[j]) for j in compress(outer, brow)]
-                for j, bv in nz:
-                    acc[j] += v * bv
+            for k, v in left:
+                for j, w in right[k]:
+                    acc[j] += v * w
             out.append(tuple(acc))
         return IntMatrix._trusted(self.rows, width, tuple(out))
 
@@ -381,15 +391,9 @@ def snf(m: IntMatrix) -> SNFResult:
             vcols[j], vcols[t] = vcols[t], vcols[j]
         else:
             vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[t])]
-    # pack from the bottom up, releasing each working row once it is packed
-    s, u = [], []
-    while a:
-        row = a.pop()
-        s.append(tuple(row[:nc]))
-        u.append(tuple(row[nc:]))
     return SNFResult(
-        IntMatrix._trusted(nr, nc, tuple(reversed(s))),
-        IntMatrix._trusted(nr, nr, tuple(reversed(u))),
+        IntMatrix._trusted(nr, nc, tuple(tuple(row[:nc]) for row in a)),
+        IntMatrix._trusted(nr, nr, tuple(tuple(row[nc:]) for row in a)),
         IntMatrix._trusted(nc, nc, tuple(zip(*vcols))),
     )
 

@@ -212,16 +212,14 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
 
 
 def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
-    """The n_rows x n_cols matrix of a map given block by block, handed out
-    with its row-nonzero view already set.
+    """The n_rows x n_cols matrix of a map given block by block.
 
     ``columns`` lists (col, width, terms): on columns col .. col + width - 1
     the matrix is the sum, over (row, sign, block) in ``terms``, of sign times
     the block with its top row at ``row``, a block of None standing for the
-    width x width identity.  Columns not listed are zero, and rows that no
-    block reaches share one zero row.  Each row reached is summed as a
-    {column: value} dict over the blocks' views, and gives its dense row and
-    its view, the sorted, zero-free (column, value) pairs."""
+    width x width identity.  Columns not listed are zero.  Each row reached
+    is summed as a {column: value} dict over the blocks' views, and
+    ``IntMatrix._from_row_dicts`` hands the matrix out with its view set."""
     grid: List[Optional[dict]] = [None] * n_rows
     for col, width, terms in columns:
         for row, sign, m in terms:
@@ -239,18 +237,7 @@ def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
                         acc = grid[i] = {}
                     for e, v in nz:
                         acc[col + e] = acc.get(col + e, 0) + sign * v
-    zero = (0,) * n_cols
-    data, view = [zero] * n_rows, [()] * n_rows
-    for i, acc in enumerate(grid):
-        if acc:
-            pairs = tuple(sorted(acc.items()))
-            if 0 in acc.values():  # a cancelled entry
-                pairs = tuple(p for p in pairs if p[1])
-            out = [0] * n_cols
-            for j, v in pairs:
-                out[j] = v
-            data[i], view[i] = tuple(out), pairs
-    return IntMatrix._trusted(n_rows, n_cols, tuple(data), tuple(view))
+    return IntMatrix._from_row_dicts(n_cols, grid)
 
 
 class FrameDiagram:
@@ -268,7 +255,7 @@ class FrameDiagram:
         return Selection(self.objects[mor.src], self.objects[mor.tgt], mor.inj)
 
 
-def build_frame_diagram(s: NerveSimplex, max_len: int = 3) -> FrameDiagram:
+def build_frame_diagram(s: NerveSimplex, max_len: int) -> FrameDiagram:
     objects = {alpha: build_frame_object(s, alpha) for alpha in enumerate_d_objects(s.n, max_len)}
     return FrameDiagram(s, max_len, objects)
 
@@ -535,19 +522,14 @@ def is_homotopical(diagram: FrameDiagram, last_vertex: Optional[Dict[OrderMap, L
         last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
     report = Report()
     # (target, inj) -> the selection of each map passed by certificate whose
-    # blocks describe it; the factors of a composite into alpha end at alpha
-    # or at a frame one index shorter, so shorter targets are dropped
+    # blocks describe it
     certified: Dict[Tuple[OrderMap, Tuple[int, ...]], Selection] = {}
-    dom = None
     for alpha in diagram.objects:
-        if alpha.dom != dom:
-            dom = alpha.dom
-            certified = {key: g for key, g in certified.items() if key[0].dom >= dom - 1}
         mors = [m for m in enumerate_inclusions(alpha) if is_weak_equivalence_d(m)]
         maps: List[Optional[GradedMap]] = [None] * len(mors)
         verdicts: List[Optional[Tuple[bool, Optional[str]]]] = [None] * len(mors)
         for k, mor in enumerate(mors):
-            if len(mor.inj) >= dom and _broken_endpoint(diagram, mor) is None:
+            if len(mor.inj) >= alpha.dom and _broken_endpoint(diagram, mor) is None:
                 g = maps[k] = diagram.structure_map(mor)
                 src, tgt = last_vertex[mor.src], last_vertex[mor.tgt]
                 if type(g) is Selection and _selection_certified(g, src, tgt):

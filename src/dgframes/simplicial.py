@@ -113,7 +113,7 @@ def enumerate_order_maps(n: int, m: int):
     return [OrderMap._trusted(v, n) for v in combinations_with_replacement(range(n + 1), m + 1)]
 
 
-def enumerate_d_objects(n: int, max_len: int = 3):
+def enumerate_d_objects(n: int, max_len: int):
     """All order maps [m] -> [n] with m <= max_len, shortest first, then
     lexicographically."""
     out = []

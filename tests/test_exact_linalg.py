@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dgframes import exact_linalg
+from dgframes import exact_linalg, frames
 from dgframes.complexes import GradedMap, graded_map_to_vector, hom_complex_diff, precompose_matrix
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import (
@@ -191,6 +191,9 @@ def _wide_sparse(rng, rows, cols, density):
 
 
 def test_matmul_against_the_triple_loop():
+    """``@`` reads the row views of both factors: those built on the read,
+    those that ``frames._assemble`` hands out, with a row cancelled in the
+    assembly, and products that vanish only through cancellation."""
     rng = random.Random(29)
     shapes = [(rng.randint(1, 40), rng.randint(1, 120), rng.randint(1, 120)) for _ in range(12)]
     shapes += [(0, 7, 5), (6, 0, 5), (6, 7, 0), (0, 0, 3), (4, 0, 0)]
@@ -199,6 +202,20 @@ def test_matmul_against_the_triple_loop():
         a, b = _wide_sparse(rng, rows, inner, density), _wide_sparse(rng, inner, cols, density)
         assert a @ b == matmul(a, b)
         assert transpose(b) @ transpose(a) == transpose(matmul(a, b))
+        a, b = _assembled(a), _assembled(b)
+        assert a._nonzeros is not None and b._nonzeros is not None
+        assert a @ b == matmul(a, b)
+        a, b = _cancelling_pair(rng, rows, (inner + 1) // 2, cols, density)
+        assert (a @ b).is_zero() and (a @ b) == matmul(a, b)
+
+
+def _assembled(m):
+    """m as ``frames._assemble`` hands it out, with its view set, less a copy
+    of its first row: that row cancels to zero in the assembly."""
+    top = IntMatrix(min(m.rows, 1), m.cols, m.data[:1])
+    out = frames._assemble(m.rows, m.cols, [(0, m.cols, [(0, 1, m), (0, -1, top)])])
+    assert out.data == ((0,) * m.cols,) * min(m.rows, 1) + m.data[1:]
+    return out
 
 
 def _plain_row_scan(m):

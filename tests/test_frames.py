@@ -140,6 +140,35 @@ def test_frame_differential_squares_to_zero():
                 assert o.complex.d_squared_defects() == []
 
 
+def test_frame_d2_fails_exactly_when_maurer_cartan_fails():
+    """The module docstring's equivalence, on broken input: one entry of one
+    nonzero coherence matrix of a seeded simplex changed by -1, +1 or +2
+    breaks d^2 = 0 on B(id_[n]) exactly when it breaks the Maurer-Cartan
+    identity.  Both outcomes occur."""
+    outcomes = set()
+    for i in range(120):
+        rng = random.Random(1000 + i)
+        n = 1 + i % 3
+        t = random_simplex(rng, n)
+        nonzero = [(key, d) for key, f in t.maps.items() for d, m in f._mats.items() if not m.is_zero()]
+        if not nonzero:
+            continue
+        key, d = rng.choice(nonzero)
+        f = t.maps[key]
+        m = f._mats[d]
+        entry = {(rng.randrange(m.rows), rng.randrange(m.cols)): rng.choice((-1, 1, 2))}
+        mats = dict(f._mats)
+        mats[d] = m + IntMatrix.from_entries(m.rows, m.cols, entry)
+        maps = dict(t.maps)
+        maps[key] = GradedMap(f.source, f.target, f.degree, mats)
+        t = NerveSimplex(t.objects, maps)
+        mc_fails = not validate_maurer_cartan(t).ok
+        d2_fails = bool(build_frame_object(t, OrderMap(tuple(range(n + 1)), n)).d2_defects)
+        assert mc_fails == d2_fails, (i, key, d, entry)
+        outcomes.add(mc_fails)
+    assert outcomes == {True, False}
+
+
 def test_build_frame_object_validation():
     rng = random.Random(53)
     s = random_simplex(rng, 1)

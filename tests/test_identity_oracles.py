@@ -606,7 +606,9 @@ def test_assembled_views_equal_plain_row_scans(monkeypatch):
     which criterion 6's are every 21st) and criterion 8's are built, with
     their structure maps and their j, r and h, carries a view equal to the
     plain scan of its rows.  So do block lists with cancelling blocks,
-    columns listed out of order, and 0-row or 0-column shapes."""
+    columns listed out of order, and 0-row or 0-column shapes, and the sums
+    of ``combination_matrix``, of 400 seeded term lists and of terms that
+    cancel in part of a row and in the whole of another."""
     assembled = 0
 
     def checked(*args, _original=frames._assemble):
@@ -637,3 +639,13 @@ def test_assembled_views_equal_plain_row_scans(monkeypatch):
     assert assemble(2, 3, [(1, 1, [(0, 2, None)]), (0, 2, [(0, 1, m)])]) == IntMatrix(2, 3, [[1, 0, 0], [0, 3, 0]])
     assert assemble(0, 3, [(0, 3, [])]) == IntMatrix.zeros(0, 3)
     assert assemble(3, 0, []) == IntMatrix.zeros(3, 0)
+
+    rng = random.Random(2020)
+    for _ in range(400):
+        m = combination_matrix(*_random_terms(rng))
+        assert m._nonzeros is not None
+        assert m.row_nonzeros() == _plain_row_scan(m)
+    a, b = IntMatrix(2, 3, [[1, 2, 0], [0, 1, 0]]), IntMatrix(2, 3, [[1, 0, 5], [0, 1, 0]])
+    m = combination_matrix(2, 3, [(1, None, a), (-1, None, b)])  # row 0 cancels in part, row 1 in full
+    assert m == IntMatrix(2, 3, [[0, 2, -5], [0, 0, 0]])
+    assert m._nonzeros == (((1, 2), (2, -5)), ())
