@@ -399,7 +399,7 @@ def hom_differential(f: GradedMap) -> GradedMap:
 #
 # An identity between graded maps, such as D(f) = 0 or f o g = h, is decided
 # one degree and one row at a time from the row-nonzero views of the stored
-# matrices (IntMatrix.row_nonzeros): no product, sum or scaled copy of a whole
+# matrices (IntMatrix.nonzeros): no product, sum or scaled copy of a whole
 # matrix is formed.  Row i of A o B is the sum of the rows of B named by the
 # nonzeros of row i of A, as in Gustavson's sparse product, so a basis
 # inclusion A costs one row of B per row.  Every matrix takes the same path,
@@ -417,7 +417,7 @@ def nonzero_rows(height: int, terms):
     for c * B, and (c, None, None), in a square sum, for c times the identity.
     Row i of the sum adds, for each term, c * u times row k of B for each
     (k, u) in row i of A, c times row i of B, or c at column i."""
-    views = [(c, None if a is None else a.row_nonzeros(), None if b is None else b.row_nonzeros()) for c, a, b in terms]
+    views = [(c, None if a is None else a.nonzeros, None if b is None else b.nonzeros) for c, a, b in terms]
     for i in range(height):
         acc: Dict[int, int] = {}
         get = acc.get
@@ -443,7 +443,7 @@ def combination_is_zero(height: int, terms) -> bool:
 
 
 def combination_matrix(height: int, width: int, terms) -> IntMatrix:
-    """The height x width sum of the ``terms`` (see nonzero_rows), with its view set."""
+    """The height x width sum of the ``terms`` (see nonzero_rows)."""
     rows: list = [None] * height
     for i, acc in nonzero_rows(height, terms):
         rows[i] = acc
@@ -579,9 +579,8 @@ def precompose_matrix(f: GradedMap, z: ChainComplex, n: int) -> IntMatrix:
     for col, (k, i, j) in enumerate(columns):
         m = f._mats.get(k - r)
         if m is not None:
-            for i2, v in enumerate(m.data[i]):
-                if v:
-                    entries[(index[(k - r, i2, j)], col)] = v
+            for i2, v in m.nonzeros[i]:
+                entries[(index[(k - r, i2, j)], col)] = v
     return IntMatrix.from_entries(len(index), len(columns), entries)
 
 
@@ -593,20 +592,25 @@ def hom_complex_diff(x: ChainComplex, y: ChainComplex, n: int) -> IntMatrix:
     of :func:`hom_complex` without the rest of the complex, its labels or
     its d^2 check.  The elementary map (k, i, j) goes to the sum over l of
     d_Y[l, j] (k, i, l) and the sum over i' of -(-1)^n d_X[i, i'] (k + 1, i', j);
-    the two sums never meet, since their source degrees differ.
+    the two sums never meet, since their source degrees differ.  The
+    columns of each d_Y are read off its view in one pass.
     """
     columns = hom_basis(x, y, n)
     index = {t: c for c, t in enumerate(hom_basis(x, y, n - 1))}
     sign = -parity_sign(n)
+    d_y_columns: Dict[int, Dict[int, list]] = {}
     entries = {}
     for col, (k, i, j) in enumerate(columns):
-        for l, row in enumerate(y.diff(k + n).data):
-            v = row[j]
-            if v:
-                entries[(index[(k, i, l)], col)] = v
-        for i2, v in enumerate(x.diff(k + 1).data[i]):
-            if v:
-                entries[(index[(k + 1, i2, j)], col)] = sign * v
+        by_column = d_y_columns.get(k)
+        if by_column is None:
+            by_column = d_y_columns[k] = {}
+            for l, row in enumerate(y.diff(k + n).nonzeros):
+                for c, v in row:
+                    by_column.setdefault(c, []).append((l, v))
+        for l, v in by_column.get(j, ()):
+            entries[(index[(k, i, l)], col)] = v
+        for i2, v in x.diff(k + 1).nonzeros[i]:
+            entries[(index[(k + 1, i2, j)], col)] = sign * v
     return IntMatrix.from_entries(len(index), len(columns), entries)
 
 

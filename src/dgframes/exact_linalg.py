@@ -1,43 +1,43 @@
 """Exact integer matrices, Smith normal form and integer linear solvers.
 
 Everything here runs on Python's arbitrary-precision ints; no floating point
-is used anywhere in the package.  A matrix is stored as dense rows, its one
-representation.  Matrices are immutable once constructed, so they can be
-shared freely between complexes and maps, and each caches one derived
-index on its rows: :meth:`IntMatrix.row_nonzeros`, the (column, value)
-pairs of every row.  ``IntMatrix._from_row_dicts`` alone writes it, for the
-sums that ``frames._assemble`` and ``complexes.combination_matrix`` form row
-by row; any other matrix builds it on first use.  The product ``@``, the d^2
-test (:meth:`IntMatrix.product_is_zero`), :func:`invariant_factors`, the
-identity deciders of ``complexes`` and the JSON writer read it, so they pay
-per nonzero.
+is used anywhere in the package.  A matrix is its row view, its one
+representation: :attr:`IntMatrix.nonzeros` holds, for each row, the tuple
+of its (column, value) pairs with value nonzero, in column order.  Matrices
+are immutable once constructed, so they can be shared freely between
+complexes and maps.  Every constructor and every operation here writes the
+view directly, and since it is canonical, ``==`` and ``hash`` read it.  No
+dense row is stored: :meth:`IntMatrix.to_lists` forms them on demand, for
+the JSON of a complex or map, ``repr`` and the working rows of :func:`snf`
+and :func:`solve`.  The product ``@``, the d^2 test
+(:meth:`IntMatrix.product_is_zero`), :func:`invariant_factors`, the
+identity deciders of ``complexes``, the frame assembler and the JSON writer
+read the view, so they pay per nonzero.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple  # tuple[int, ...], kept loose for 3.10 friendliness
 
 
 class IntMatrix:
-    """A rows x cols matrix of Python ints, stored as a tuple of row tuples.
+    """A rows x cols matrix of Python ints, stored as its row view ``nonzeros``.
 
     The explicit ``rows``/``cols`` fields keep degenerate shapes (0 x n and
     n x 0) well defined; such matrices show up constantly as differentials of
     bounded complexes.
     """
 
-    __slots__ = ("rows", "cols", "data", "_nonzeros")
+    __slots__ = ("rows", "cols", "nonzeros")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable[int]]):
+        """The matrix of the dense rows ``data``, checked against the shape."""
         _check_shape(rows, cols)
-        self.rows = rows
-        self.cols = cols
-        self._nonzeros = None
         packed = tuple(map(tuple, data))
         if len(packed) != rows or any(len(r) != cols for r in packed):
             raise ValueError("matrix data does not match declared shape %dx%d" % (rows, cols))
@@ -45,45 +45,40 @@ class IntMatrix:
             for v in row:
                 if type(v) is not int:
                     raise ValueError("matrix entry must be an integer, got %r" % (v,))
-        self.data = packed
+        self.rows = rows
+        self.cols = cols
+        self.nonzeros = _pack(cols, packed)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
-        """Wrap ``data`` without checks: a tuple of ``rows`` tuples of ``cols``
-        Python ints.  For results computed here from valid matrices."""
+    def _trusted(cls, rows: int, cols: int, nonzeros: tuple) -> "IntMatrix":
+        """Wrap a canonical row view without checks: ``rows`` tuples of
+        (column, value) pairs, columns increasing in [0, cols), values
+        nonzero Python ints.  For results computed here from valid matrices."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.data = data
-        m._nonzeros = None
+        m.nonzeros = nonzeros
         return m
 
     @classmethod
     def _from_row_dicts(cls, cols: int, rows: Sequence[Optional[dict]]) -> "IntMatrix":
         """The matrix with one {column: value} dict of ints, or None, per
-        row, handed out with its :meth:`row_nonzeros` view set.  A dict may
-        hold zeros; None and empty rows share one zero row."""
-        zero = (0,) * cols
-        data, view = [zero] * len(rows), [()] * len(rows)
+        row.  A dict may hold zeros, which the view drops."""
+        view = [()] * len(rows)
         for i, acc in enumerate(rows):
             if acc:
                 pairs = tuple(sorted(acc.items()))
                 if 0 in acc.values():  # a cancelled entry
                     pairs = tuple(p for p in pairs if p[1])
-                out = [0] * cols
-                for j, v in pairs:
-                    out[j] = v
-                data[i], view[i] = tuple(out), pairs
-        m = cls._trusted(len(rows), cols, tuple(data))
-        m._nonzeros = tuple(view)
-        return m
+                view[i] = pairs
+        return cls._trusted(len(rows), cols, tuple(view))
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         _check_shape(rows, cols)
-        return cls._trusted(rows, cols, ((0,) * cols,) * rows)
+        return cls._trusted(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -91,99 +86,83 @@ class IntMatrix:
         return _identity(n)
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
-        data = [list(r) for r in data]
-        if not data:
-            return cls.zeros(0, 0)
-        return cls(len(data), len(data[0]), data)
-
-    @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "IntMatrix":
-        """Build from a {(i, j): value} mapping of ints; unspecified entries are 0.
-        Rows without entries share one zero row."""
-        touched: Dict[int, list] = {}
+        """Build from a {(i, j): value} mapping of ints; unspecified entries are 0."""
+        grid: list = [{} for _ in range(rows)]
         for (i, j), v in entries.items():
-            row = touched.get(i)
-            if row is None:
-                row = touched[i] = [0] * cols
-            row[j] += v
-        data = [(0,) * cols] * rows
-        for i, row in touched.items():
-            data[i] = tuple(row)
-        return cls._trusted(rows, cols, tuple(data))
+            grid[i][j] = v
+        return cls._from_row_dicts(cols, grid)
 
     # -- basic protocol ---------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return dict(self.nonzeros[i]).get(j, 0)
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.nonzeros == other.nonzeros
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.nonzeros))
 
     def __repr__(self):
-        return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.data])
+        return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.to_lists())
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(self.nonzeros)
 
-    def to_lists(self):
-        return [list(r) for r in self.data]
-
-    def row_nonzeros(self) -> tuple:
-        """For each row, the tuple of its (column, value) pairs with value
-        nonzero, in column order.  Built on the first call and kept: the
-        matrix is immutable, so the view never goes stale."""
-        view = self._nonzeros
-        if view is None:
-            width = range(self.cols)
-            view = self._nonzeros = tuple([tuple(zip(compress(width, row), compress(row, row))) for row in self.data])
-        return view
+    def to_lists(self) -> list:
+        """The dense rows, as fresh lists."""
+        out = []
+        for nz in self.nonzeros:
+            row = [0] * self.cols
+            for j, v in nz:
+                row[j] = v
+            out.append(row)
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix._trusted(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)),
-        )
+        grid = []
+        for left, right in zip(self.nonzeros, other.nonzeros):
+            acc = dict(left)
+            for j, v in right:
+                acc[j] = acc.get(j, 0) + v
+            grid.append(acc)
+        return IntMatrix._from_row_dicts(self.cols, grid)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix._trusted(self.rows, self.cols, tuple(tuple(c * v for v in row) for row in self.data))
+        return IntMatrix._from_row_dicts(self.cols, [{j: c * v for j, v in nz} for nz in self.nonzeros])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The product, row by row over the nonzeros of both factors
-        (:meth:`row_nonzeros`): row i is the sum of the rows of other named
-        by the nonzeros of row i of self, accumulated into a dense row."""
+        """The product, row by row over the views of both factors, as in
+        Gustavson's sparse product: row i is the sum of the rows of other
+        named by the nonzeros of row i of self."""
         self._check_product(other)
-        width = other.cols
-        right = other.row_nonzeros()
-        out = []
-        for left in self.row_nonzeros():
-            acc = [0] * width
+        right = other.nonzeros
+        grid = []
+        for left in self.nonzeros:
+            acc: Dict[int, int] = {}
             for k, v in left:
                 for j, w in right[k]:
-                    acc[j] += v * w
-            out.append(tuple(acc))
-        return IntMatrix._trusted(self.rows, width, tuple(out))
+                    acc[j] = acc.get(j, 0) + v * w
+            grid.append(acc)
+        return IntMatrix._from_row_dicts(other.cols, grid)
 
     def product_is_zero(self, other: "IntMatrix") -> bool:
         """Whether self @ other is the zero matrix, decided row by row over
-        the nonzeros of both factors; stops at the first nonzero row and
-        forms no dense product."""
+        the views of both factors; stops at the first nonzero row and forms
+        no product."""
         self._check_product(other)
-        right = other.row_nonzeros()
-        for left in self.row_nonzeros():
+        right = other.nonzeros
+        for left in self.nonzeros:
             acc: Dict[int, int] = {}
             for k, v in left:
                 for j, w in right[k]:
@@ -209,10 +188,16 @@ def _check_shape(rows, cols) -> None:
             raise ValueError("matrix dimensions must be nonnegative")
 
 
+def _pack(cols: int, dense) -> tuple:
+    """The row view of the dense rows ``dense``, each of length ``cols``."""
+    width = range(cols)
+    return tuple([tuple(zip(compress(width, row), compress(row, row))) for row in dense])
+
+
 @lru_cache(maxsize=64, typed=True)  # typed: identity(True) must not hit the entry of 1
 def _identity(n: int) -> IntMatrix:
     _check_shape(n, n)
-    return IntMatrix._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return IntMatrix._trusted(n, n, tuple([((i, 1),) for i in range(n)]))
 
 
 def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
@@ -231,14 +216,15 @@ def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
         for b, w in zip(r, col_widths):
             if b.cols != w or b.rows != r[0].rows:
                 raise ValueError("inconsistent block shapes")
-    out = []
+    starts = tuple(accumulate(col_widths, initial=0))
+    view = []
     for r in grid:
         for i in range(r[0].rows):
             row: list = []
-            for b in r:
-                row.extend(b.data[i])
-            out.append(tuple(row))
-    return IntMatrix._trusted(sum(row_heights), sum(col_widths), tuple(out))
+            for b, col in zip(r, starts):
+                row += [(col + j, v) for j, v in b.nonzeros[i]]
+            view.append(tuple(row))
+    return IntMatrix._trusted(sum(row_heights), sum(col_widths), tuple(view))
 
 
 class SNFResult(NamedTuple):
@@ -382,7 +368,7 @@ def snf(m: IntMatrix) -> SNFResult:
     """
     nr, nc = m.rows, m.cols
     # [m | 1]: row operations reach u
-    a = [list(row) + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.data)]
+    a = [row + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.to_lists())]
     ops = _diagonalize(a, nr, nc)
     # v from the column record, kept as its list of columns
     vcols = [[1 if k == i else 0 for k in range(nc)] for i in range(nc)]
@@ -392,9 +378,9 @@ def snf(m: IntMatrix) -> SNFResult:
         else:
             vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[t])]
     return SNFResult(
-        IntMatrix._trusted(nr, nc, tuple(tuple(row[:nc]) for row in a)),
-        IntMatrix._trusted(nr, nr, tuple(tuple(row[nc:]) for row in a)),
-        IntMatrix._trusted(nc, nc, tuple(zip(*vcols))),
+        IntMatrix._trusted(nr, nc, _pack(nc, [row[:nc] for row in a])),
+        IntMatrix._trusted(nr, nr, _pack(nr, [row[nc:] for row in a])),
+        IntMatrix._trusted(nc, nc, _pack(nc, zip(*vcols))),
     )
 
 
@@ -411,12 +397,12 @@ def invariant_factors(m: IntMatrix) -> Vector:
     holds a unit.  Each unit pivot contributes a factor 1 and leaves the
     Schur complement with its row and column deleted, since 1 divides every
     later factor.  What is left, if anything, goes through the dense
-    diagonalization of :func:`snf` without transforms.  The sparse rows come
-    from :meth:`IntMatrix.row_nonzeros`.
+    diagonalization of :func:`snf` without transforms.  The sparse rows are
+    the matrix's view.
     """
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, set] = {}
-    for i, nz in enumerate(m.row_nonzeros()):
+    for i, nz in enumerate(m.nonzeros):
         if nz:
             rows[i] = dict(nz)
             for j, _ in nz:
@@ -483,7 +469,7 @@ def solve(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     if len(b) != m.rows:
         raise ValueError("right-hand side length %d does not match %d rows" % (len(b), m.rows))
     nc = m.cols
-    a = [list(row) + [c] for row, c in zip(m.data, b)]
+    a = [row + [c] for row, c in zip(m.to_lists(), b)]
     ops = _diagonalize(a, m.rows, nc)
     y = [0] * nc
     for i, row in enumerate(a):

@@ -219,7 +219,7 @@ def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
     the block with its top row at ``row``, a block of None standing for the
     width x width identity.  Columns not listed are zero.  Each row reached
     is summed as a {column: value} dict over the blocks' views, and
-    ``IntMatrix._from_row_dicts`` hands the matrix out with its view set."""
+    ``IntMatrix._from_row_dicts`` packs the dicts into the matrix's view."""
     grid: List[Optional[dict]] = [None] * n_rows
     for col, width, terms in columns:
         for row, sign, m in terms:
@@ -230,7 +230,7 @@ def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
                         acc = grid[row + e] = {}
                     acc[col + e] = acc.get(col + e, 0) + sign
                 continue
-            for i, nz in enumerate(m.row_nonzeros(), row):
+            for i, nz in enumerate(m.nonzeros, row):
                 if nz:
                     acc = grid[i]
                     if acc is None:
@@ -330,8 +330,9 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
         top = tuple(range(alpha.dom + 1))
         start = {d: spans[top][0] if top in spans else c.rank(d) for d, spans in o.blocks.items()}
 
-        closure = (d for d, s in start.items() if d - 1 in start and any(map(any, _full_rows(c, start, d, slice(s)))))
-        unclosed = next(closure, None)
+        # the view rows of diff(d) from start[d - 1] on, the full rows
+        full_rows = {d: c.diff(d).nonzeros[start[d - 1] :] for d in start if d - 1 in start}
+        unclosed = next((d for d, rows in full_rows.items() if any(r and r[0][0] < start[d] for r in rows)), None)
         wit_closed = _at(unclosed, "differential leaves the latching span")
         report.add("latching-closure", alpha.key(), unclosed is None, wit_closed)
 
@@ -341,18 +342,13 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
         x = shift(diagram.simplex.objects[alpha(0)], alpha.dom)
         ranks = {d: c.rank(d) - s for d, s in start.items() if s < c.rank(d)}
         ok_coker = ranks == {d: x.rank(d) for d in x.support} and all(
-            _full_rows(c, start, d, slice(start[d], None)) == x.diff(d).data
+            tuple([tuple([(j - start[d], v) for j, v in r if j >= start[d]]) for r in full_rows[d]]) == x.diff(d).nonzeros
             for d in ranks
             if d - 1 in ranks
         )
         wit_coker = None if ok_coker else "quotient differs from the shifted source"
         report.add("latching-cokernel", alpha.key(), ok_coker, wit_coker)
     return report
-
-
-def _full_rows(c: ChainComplex, start: Dict[int, int], d: int, cols: slice) -> tuple:
-    """The rows of diff(d) from start[d - 1] on, each cut to ``cols``."""
-    return tuple(row[cols] for row in c.diff(d).data[start[d - 1] :])
 
 
 def _tiles(spans: Dict[tuple, Tuple[int, int]], top: tuple, rank: int) -> bool:
@@ -633,17 +629,17 @@ def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexChec
     # every matrix read below is stored, each of its two ranks being positive
     for d in b.support:
         if a.rank(d - 1):
-            sources = b.diff(d).row_nonzeros() if b.rank(d - 1) else ()
+            sources = b.diff(d).nonzeros if b.rank(d - 1) else ()
             wants = [() if i is None else sources[i] for i in p[d - 1]]
-            if not _renamed_rows_equal(a.diff(d).row_nonzeros(), p[d], wants):
+            if not _renamed_rows_equal(a.diff(d).nonzeros, p[d], wants):
                 return False
     for d in x.support:
         if a.rank(d):
-            have = j_src.mat(d).row_nonzeros() if b.rank(d) else ()
-            if tuple([() if i is None else have[i] for i in p[d]]) != j_tgt.mat(d).row_nonzeros():
+            have = j_src.mat(d).nonzeros if b.rank(d) else ()
+            if tuple([() if i is None else have[i] for i in p[d]]) != j_tgt.mat(d).nonzeros:
                 return False
     for d in b.support:
-        if y.rank(d) and not _renamed_rows_equal(r_tgt.mat(d).row_nonzeros(), p[d], r_src.mat(d).row_nonzeros()):
+        if y.rank(d) and not _renamed_rows_equal(r_tgt.mat(d).nonzeros, p[d], r_src.mat(d).nonzeros):
             return False
     return True
 

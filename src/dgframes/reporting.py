@@ -70,7 +70,7 @@ def canonical_json(obj) -> str:
     is written as slices of the cached text of an all-zero row of its length
     and indent, with only its nonzeros in between, so a mostly-zero matrix
     row costs Python work per nonzero, not per entry.  A matrix row's
-    nonzeros come from :meth:`IntMatrix.row_nonzeros`, and its entries need
+    nonzeros come from :attr:`IntMatrix.nonzeros`, and its entries need
     no type test: an IntMatrix holds only ints."""
     out: List[str] = []
     _encode(obj, "\n", out)
@@ -109,7 +109,7 @@ def _encode(obj, newline: str, out: List[str]) -> None:
             return
         inner = newline + "  "
         head = "[" + inner
-        for nz in obj.row_nonzeros():
+        for nz in obj.nonzeros:
             out.append(head)
             _int_list(obj.cols, nz, inner, out)
             head = "," + inner

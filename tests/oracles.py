@@ -1,7 +1,8 @@
 """Independent oracles that only the tests use.
 
-``cylinder`` is the mapping cylinder that criterion 3 compares the edge frame
-with, ``matmul`` is the schoolbook product, ``det`` and ``is_unimodular``
+``from_rows`` builds a matrix from its dense rows, reading the shape off
+them.  ``cylinder`` is the mapping cylinder that criterion 3 compares the edge
+frame with, ``matmul`` is the schoolbook product, ``det`` and ``is_unimodular``
 check the Smith-form transforms,
 ``diagonalize_exhaustive`` is the Smith diagonalization with a pivot hunt
 over the whole trailing submatrix, ``solve_via_snf`` is ``solve`` as it read
@@ -42,6 +43,15 @@ from dgframes.frames import (
 )
 from dgframes.reporting import Report
 from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
+
+
+def from_rows(data: Sequence[Sequence[int]]) -> IntMatrix:
+    """The matrix of the dense rows ``data``, its width read off the first
+    row; the 0 x 0 matrix for no rows."""
+    data = [list(r) for r in data]
+    if not data:
+        return IntMatrix.zeros(0, 0)
+    return IntMatrix(len(data), len(data[0]), data)
 
 
 def cylinder(f: GradedMap):
@@ -218,7 +228,7 @@ def diagonalize_exhaustive(a, nr: int, nc: int) -> list:
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> Vector:
     if len(v) != m.cols:
         raise ValueError("vector length %d does not match %d columns" % (len(v), m.cols))
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.data)
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.to_lists())
 
 
 def solve_via_snf(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
@@ -252,11 +262,12 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The product by the triple loop over every cell, zeros included."""
     if a.cols != b.rows:
         raise ValueError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    left, right = a.to_lists(), b.to_lists()
     out = [[0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
         for j in range(b.cols):
             for k in range(a.cols):
-                out[i][j] += a[i, k] * b[k, j]
+                out[i][j] += left[i][k] * right[k][j]
     return IntMatrix(a.rows, b.cols, out)
 
 
@@ -267,7 +278,7 @@ def det(m: IntMatrix) -> int:
     n = m.rows
     if n == 0:
         return 1
-    a = [list(row) for row in m.data]
+    a = m.to_lists()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -411,7 +422,11 @@ def _nonzero_columns(height: int, width: int, terms):
     each nonzero v = B[k, col], c times column col of B, or c at row col; the
     zeros of B are skipped."""
     columns = [
-        (c, None if a is None else tuple(zip(*a.data)), None if b is None else (range(b.rows), zip(*b.data)))
+        (
+            c,
+            None if a is None else tuple(zip(*a.to_lists())),
+            None if b is None else (range(b.rows), zip(*b.to_lists())),
+        )
         for c, a, b in terms
     ]
     for col in range(width):
@@ -447,7 +462,7 @@ def combination_matrix(height: int, width: int, terms) -> IntMatrix:
     columns = [(0,) * height] * width
     for col, acc in _nonzero_columns(height, width, terms):
         columns[col] = acc
-    return IntMatrix._trusted(height, width, tuple(zip(*columns)) if width else ((),) * height)
+    return IntMatrix(height, width, zip(*columns) if width else ((),) * height)
 
 
 # -- structure maps, all built at once --------------------------------------------
@@ -496,12 +511,13 @@ def homotopical_items(diagram, last_vertex=None):
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(m.cols, m.rows, zip(*m.data) if m.data else ((),) * m.cols)
+    return IntMatrix(m.cols, m.rows, zip(*m.to_lists()) if m.rows else ((),) * m.cols)
 
 
 def submatrix(m: IntMatrix, rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
     """The submatrix on the given row and column indices, in the given order."""
-    return IntMatrix(len(rows), len(cols), [[m.data[i][j] for j in cols] for i in rows])
+    dense = m.to_lists()
+    return IntMatrix(len(rows), len(cols), [[dense[i][j] for j in cols] for i in rows])
 
 
 def latching_data(o: FrameObject):

@@ -57,7 +57,7 @@ from dgframes.simplicial import (
     is_weak_equivalence_d,
 )
 
-from oracles import cylinder, latching_data, structure_maps
+from oracles import cylinder, from_rows, latching_data, structure_maps
 
 CORPUS_SIZE = 200
 
@@ -233,7 +233,7 @@ def test_criterion_06_homotopical_check(corpus):
 
     x = ChainComplex("x", {0: 1}, {}, {0: ("p",)})
     y = ChainComplex("y", {0: 1}, {}, {0: ("q",)})
-    times2 = GradedMap(x, y, 0, {0: IntMatrix.from_rows([[2]])})
+    times2 = GradedMap(x, y, 0, {0: from_rows([[2]])})
     diagram = build_frame_diagram(make_strict([times2]), 1)
     counterexample = DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))
     assert not is_weak_equivalence_d(counterexample)
@@ -265,7 +265,7 @@ def test_criterion_06_certificate_implies_acyclic_cone(corpus):
 
     x = ChainComplex("x", {0: 1}, {}, {0: ("p",)})
     y = ChainComplex("y", {0: 1}, {}, {0: ("q",)})
-    diagram = build_frame_diagram(make_strict([GradedMap(x, y, 0, {0: IntMatrix.from_rows([[2]])})]), 1)
+    diagram = build_frame_diagram(make_strict([GradedMap(x, y, 0, {0: from_rows([[2]])})]), 1)
     last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
     counterexample = DMorphism(OrderMap((0,), 1), OrderMap((0, 1), 1), (0,))
     g = structure_maps(diagram)[counterexample]

@@ -22,10 +22,12 @@ from dgframes.dg_nerve import NerveSimplex, make_perturbed_2simplex, make_strict
 from dgframes.exact_linalg import IntMatrix
 from dgframes.reporting import canonical_json
 
+from oracles import from_rows
+
 
 def two_step(scalar, name="W"):
     return ChainComplex(
-        name, {0: 1, 1: 1}, {1: IntMatrix.from_rows([[scalar]])}, {0: ("e0",), 1: ("e1",)}
+        name, {0: 1, 1: 1}, {1: from_rows([[scalar]])}, {0: ("e0",), 1: ("e1",)}
     )
 
 
@@ -37,7 +39,7 @@ def write_json(path, obj):
 @pytest.fixture
 def valid_simplex(tmp_path):
     w = two_step(2)
-    e = GradedMap(w, w, 1, {0: IntMatrix.from_rows([[1]])})
+    e = GradedMap(w, w, 1, {0: from_rows([[1]])})
     s = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
     return write_json(tmp_path / "valid.json", s.to_json())
 
@@ -45,7 +47,7 @@ def valid_simplex(tmp_path):
 @pytest.fixture
 def corrupt_simplex(tmp_path):
     w = two_step(2)
-    e = GradedMap(w, w, 1, {0: IntMatrix.from_rows([[1]])})
+    e = GradedMap(w, w, 1, {0: from_rows([[1]])})
     s = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
     tampered = dict(s.maps)
     tampered[(0, 1, 2)] = e.scale(2)  # D(e) != 0, so the identity at 0,1,2 breaks
@@ -161,7 +163,7 @@ def test_check_command(valid_simplex, corrupt_simplex, capsys):
 def test_recover_command(tmp_path, capsys):
     x = ChainComplex("X", {0: 2}, {}, {0: ("x0", "x1")})
     y = ChainComplex("Y", {0: 2}, {}, {0: ("y0", "y1")})
-    g = GradedMap(x, y, 0, {0: IntMatrix.from_rows([[2, 1], [0, 3]])})
+    g = GradedMap(x, y, 0, {0: from_rows([[2, 1], [0, 3]])})
     path = write_json(tmp_path / "edge.json", make_strict([g]).to_json())
     code = main(["recover", "--input", path])
     assert code == 0
@@ -425,8 +427,8 @@ def test_frame_and_check_output_is_pinned(tmp_path, capsys, seed, n, command):
 
 def torsion_complex():
     """H_0 = Z + Z/2, H_1 = Z/3; the name needs JSON escapes."""
-    d1 = IntMatrix.from_rows([[2, 0], [0, 0]])
-    d2 = IntMatrix.from_rows([[0], [3]])
+    d1 = from_rows([[2, 0], [0, 0]])
+    d2 = from_rows([[0], [3]])
     return ChainComplex('Té∂ "q"\\', {0: 2, 1: 2, 2: 1}, {1: d1, 2: d2})
 
 

@@ -27,7 +27,7 @@ from dgframes.exact_linalg import IntMatrix, block, solve
 from dgframes.frames import build_frame_object, include_last
 from dgframes.simplicial import OrderMap
 
-from oracles import cylinder, is_unimodular, mat_vec
+from oracles import cylinder, from_rows, is_unimodular, mat_vec
 
 
 def two_step(scalar, name="X"):
@@ -35,7 +35,7 @@ def two_step(scalar, name="X"):
     return ChainComplex(
         name,
         {0: 1, 1: 1},
-        {1: IntMatrix.from_rows([[scalar]])},
+        {1: from_rows([[scalar]])},
         {0: ("e0",), 1: ("e1",)},
     )
 
@@ -53,7 +53,7 @@ def test_complex_validation():
         ChainComplex(
             "bad",
             {0: 1, 1: 1, 2: 1},
-            {1: IntMatrix.from_rows([[2]]), 2: IntMatrix.from_rows([[2]])},
+            {1: from_rows([[2]]), 2: from_rows([[2]])},
             {0: ("a",), 1: ("b",), 2: ("c",)},
         )
     with pytest.raises(ValueError):
@@ -69,10 +69,10 @@ def test_hom_differential_hand_oracle():
     # X: Z --2--> Z in degrees 1,0; f degree 0 with f_0 = 1, f_1 = 0.
     # (D f)_1 = d compose f_1 - f_0 compose d = 0 - 1*2 = -2.
     x = two_step(2)
-    f = GradedMap(x, x, 0, {0: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[0]])})
+    f = GradedMap(x, x, 0, {0: from_rows([[1]]), 1: from_rows([[0]])})
     df = hom_differential(f)
     assert df.degree == -1
-    assert df.mat(1) == IntMatrix.from_rows([[-2]])
+    assert df.mat(1) == from_rows([[-2]])
     assert df.mat(0).is_zero()
 
 
@@ -130,9 +130,9 @@ def test_shift():
     x = two_step(2)
     s = shift(x, 1)
     assert s.support == (1, 2)
-    assert s.diff(2) == IntMatrix.from_rows([[-2]])  # odd shift flips the sign
+    assert s.diff(2) == from_rows([[-2]])  # odd shift flips the sign
     assert s.labels(1) == ("e0",)
-    assert shift(x, 2).diff(3) == IntMatrix.from_rows([[2]])
+    assert shift(x, 2).diff(3) == from_rows([[2]])
     assert shift(shift(x, 1), -1) == x
     assert shift(x, 0) == x
 
@@ -145,11 +145,11 @@ def test_cone_examples():
     hz = homology(cone(zero))
     # cone of zero = X[1] (+) X
     assert hz.group(0) == "Z/2" and hz.group(1) == "Z/2"
-    times2 = GradedMap(point("a"), point("b"), 0, {0: IntMatrix.from_rows([[2]])})
+    times2 = GradedMap(point("a"), point("b"), 0, {0: from_rows([[2]])})
     h2 = homology(cone(times2))
     assert h2.group(0) == "Z/2" and h2.group(1) == "0"
     with pytest.raises(ValueError):
-        cone(GradedMap(x, x, 0, {0: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[0]])}))
+        cone(GradedMap(x, x, 0, {0: from_rows([[1]]), 1: from_rows([[0]])}))
 
 
 def test_cone_labels():
@@ -231,7 +231,7 @@ def test_homology_examples():
     assert h.group(0) == "Z" and h.group(1) == "Z"
     assert homology(zero_complex()).is_trivial()
     x = ChainComplex(
-        "tor", {0: 1, 1: 2}, {1: IntMatrix.from_rows([[2, 3]])}, {0: ("a",), 1: ("b", "c")}
+        "tor", {0: 1, 1: 2}, {1: from_rows([[2, 3]])}, {0: ("a",), 1: ("b", "c")}
     )
     h = homology(x)
     assert h.group(0) == "0" and h.group(1) == "Z"
@@ -278,7 +278,7 @@ def _inverse_unimodular(u):
 
 def test_is_weak_equivalence_examples():
     x = point("x")
-    times2 = GradedMap(x, point("y"), 0, {0: IntMatrix.from_rows([[2]])})
+    times2 = GradedMap(x, point("y"), 0, {0: from_rows([[2]])})
     assert not is_acyclic(cone(times2))
     assert is_acyclic(cone(GradedMap.identity(x)))
     rng = random.Random(18)
@@ -421,7 +421,7 @@ def test_is_nullhomotopic_outside_the_hom_support():
             assert hom_differential(witness) == f
     # Map(P0, P0) and Map(P0, P1) are a single Z with no differential
     assert is_nullhomotopic(GradedMap.identity(pt0)) is None
-    assert is_nullhomotopic(GradedMap(pt0, pt1, 1, {0: IntMatrix.from_rows([[3]])})) is None
+    assert is_nullhomotopic(GradedMap(pt0, pt1, 1, {0: from_rows([[3]])})) is None
     rng = random.Random(23)
     for _ in range(12):
         x = random_complex(rng, max_width=2, name="X")

@@ -75,7 +75,7 @@ def test_complexes_refuse_names_and_labels_that_are_not_strs(build):
 
 
 def test_public_constructors_keep_ints_as_given():
-    assert IntMatrix(1, 2, [[7, -1]]).data == ((7, -1),)
+    assert IntMatrix(1, 2, [[7, -1]]).nonzeros == (((0, 7), (1, -1)),)
     assert OrderMap((0, 1), 1).values == (0, 1)
     assert ChainComplex("x", {0: 2}).rank(0) == 2
     x = _point()

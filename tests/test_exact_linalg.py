@@ -18,7 +18,17 @@ from dgframes.exact_linalg import (
 from dgframes.frames import build_frame_object, include_last, recover_map_from_cylinder
 from dgframes.simplicial import OrderMap
 
-from oracles import det, diagonalize_exhaustive, is_unimodular, mat_vec, matmul, solve_via_snf, submatrix, transpose
+from oracles import (
+    det,
+    diagonalize_exhaustive,
+    from_rows,
+    is_unimodular,
+    mat_vec,
+    matmul,
+    solve_via_snf,
+    submatrix,
+    transpose,
+)
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -26,7 +36,7 @@ def rand_matrix(rng, rows, cols, lo=-5, hi=5):
 
 
 def test_matrix_basics():
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    m = from_rows([[1, 2], [3, 4]])
     assert m[0, 1] == 2 and m[1, 0] == 3
     assert (m + m.scale(-1)).is_zero()
     assert (m @ IntMatrix.identity(2)) == m
@@ -37,14 +47,14 @@ def test_matrix_basics():
 
 
 def test_block_and_submatrix():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    a = from_rows([[1, 2], [3, 4]])
     b = IntMatrix.identity(2)
     m = block([[a, b], [b, a]])
     assert m.rows == 4 and m.cols == 4
     assert m[0, 2] == 1 and m[3, 1] == 1 and m[2, 2] == 1 and m[3, 3] == 4
     assert submatrix(m, [0, 1], [0, 1]) == a
     assert submatrix(m, [2, 3], [2, 3]) == a
-    assert submatrix(m, [3, 2], [0, 1]) == IntMatrix.from_rows([[0, 1], [1, 0]])
+    assert submatrix(m, [3, 2], [0, 1]) == from_rows([[0, 1], [1, 0]])
 
 
 def test_snf_identity_and_zero():
@@ -56,9 +66,9 @@ def test_snf_identity_and_zero():
 
 def test_snf_hand_oracle():
     # [[2,4],[6,8]]: gcd of entries 2, det = -8, so the factors are 2 and 8/2 = 4
-    s, u, v = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    assert s == IntMatrix.from_rows([[2, 0], [0, 4]])
-    assert u @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ v == s
+    s, u, v = snf(from_rows([[2, 4], [6, 8]]))
+    assert s == from_rows([[2, 0], [0, 4]])
+    assert u @ from_rows([[2, 4], [6, 8]]) @ v == s
 
 
 def test_snf_properties_random():
@@ -88,8 +98,8 @@ def test_snf_deterministic():
 
 def test_solve_examples():
     assert solve(IntMatrix.identity(3), (5, -2, 7)) == (5, -2, 7)
-    assert solve(IntMatrix.from_rows([[2]]), (3,)) is None
-    x = solve(IntMatrix.from_rows([[2, 1]]), (5,))
+    assert solve(from_rows([[2]]), (3,)) is None
+    x = solve(from_rows([[2, 1]]), (5,))
     assert x is not None and 2 * x[0] + x[1] == 5
     with pytest.raises(ValueError):
         solve(IntMatrix.identity(2), (1, 2, 3))
@@ -115,7 +125,7 @@ def test_kernel_examples():
     assert kernel_basis(IntMatrix.identity(3)) == []
     z = kernel_basis(IntMatrix.zeros(2, 2))
     assert len(z) == 2
-    kb = kernel_basis(IntMatrix.from_rows([[1, 1]]))
+    kb = kernel_basis(from_rows([[1, 1]]))
     assert len(kb) == 1 and tuple(kb[0]) in ((1, -1), (-1, 1))
 
 
@@ -143,10 +153,10 @@ def test_kernel_lattice_random():
 
 
 def test_invariant_factors_and_rank():
-    m = IntMatrix.from_rows([[2, 0], [0, 0]])
+    m = from_rows([[2, 0], [0, 0]])
     assert invariant_factors(m) == (2,)
     assert rank(m) == 1
-    assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
+    assert invariant_factors(from_rows([[2, 4], [6, 8]])) == (2, 4)
 
 
 def _oracle_cases():
@@ -190,9 +200,83 @@ def _wide_sparse(rng, rows, cols, density):
     return IntMatrix(rows, cols, data)
 
 
+def _is_canonical(m):
+    """Whether m's view has one row per matrix row, each a tuple of
+    (column, value) pairs with columns increasing in [0, cols) and values
+    nonzero ints."""
+    return len(m.nonzeros) == m.rows and all(
+        type(row) is tuple
+        and all(type(p) is tuple and len(p) == 2 and type(p[1]) is int and p[1] for p in row)
+        and all(0 <= j < m.cols for j, _ in row)
+        and all(a[0] < b[0] for a, b in zip(row, row[1:]))
+        for row in m.nonzeros
+    )
+
+
+def _dense_product(a, b, cols):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)] for row in a]
+
+
+def test_every_way_to_make_a_matrix_writes_a_canonical_view():
+    """Each constructor and operation writes a canonical view whose dense
+    rows equal a dense oracle, with entries read by ``m[i, j]`` and
+    ``is_zero`` agreeing.  Equality rests on that view, so ``==`` and
+    ``hash`` agree with dense equality, between matrices made in different
+    ways and with the matrix built anew from the oracle's rows."""
+    rng = random.Random(41)
+    pool = (0, 0, 0, 1, -1, 2, -3, 2**70, -(2**70))
+    for _ in range(40):
+        r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        x = [[rng.choice(pool) for _ in range(k)] for _ in range(r)]
+        y = [[-v if rng.random() < 0.5 else rng.choice(pool) for v in row] for row in x]  # x + y cancels in part
+        z = [[rng.choice(pool) for _ in range(c)] for _ in range(k)]
+        a, b, e = IntMatrix(r, k, x), IntMatrix(r, k, y), IntMatrix(k, c, z)
+        x_plus_y = [[v + w for v, w in zip(rx, ry)] for rx, ry in zip(x, y)]
+        entries = {(i, j): v for i, row in enumerate(x) for j, v in enumerate(row) if rng.random() < 0.5}
+        sums = [{j: v + w for j, (v, w) in enumerate(zip(rx, ry)) if v or w} or None for rx, ry in zip(x, y)]
+        t = rng.choice((0, 1, -1, 3, 2**70))
+        zero = [[0] * c for _ in range(r)]
+        made = [
+            (a, x),
+            (b, y),
+            (e, z),
+            (IntMatrix.zeros(r, c), zero),
+            (IntMatrix.identity(k), [[int(i == j) for j in range(k)] for i in range(k)]),
+            (IntMatrix.from_entries(r, k, entries), [[entries.get((i, j), 0) for j in range(k)] for i in range(r)]),
+            (IntMatrix._from_row_dicts(k, sums), x_plus_y),
+            (a + b, x_plus_y),
+            (a.scale(t), [[t * v for v in row] for row in x]),
+            (a @ e, _dense_product(x, z, c)),
+            (block([[a, a]]), [row + row for row in x]),
+            (block([[e], [e.scale(-1)]]), z + [[-v for v in row] for row in z]),
+            (block([[a, a]]) @ block([[e], [e.scale(-1)]]), zero),  # cancels in every row
+            (
+                block([[a, IntMatrix.zeros(r, c)], [IntMatrix.zeros(k, k), e]]),
+                [row + [0] * c for row in x] + [[0] * k + row for row in z],
+            ),
+        ]
+        small = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(k)] for _ in range(r)]
+        s, u, v = snf(IntMatrix(r, k, small))
+        assert _dense_product(_dense_product(u.to_lists(), small, k), v.to_lists(), k) == s.to_lists()
+        assert all(not s[i, j] for i in range(r) for j in range(k) if i != j)
+        made += [(s, s.to_lists()), (u, u.to_lists()), (v, v.to_lists())]
+        for m, want in made:
+            assert _is_canonical(m)
+            assert m.to_lists() == want and m.rows == len(want)
+            assert all(m[i, j] == want[i][j] for i in range(m.rows) for j in range(m.cols))
+            assert m.is_zero() == (not any(map(any, want)))
+            twin = IntMatrix(m.rows, m.cols, want)
+            assert twin == m and hash(twin) == hash(m)
+        for (m, want), (n, other) in product(made, repeat=2):
+            same = (m.rows, m.cols) == (n.rows, n.cols) and want == other
+            assert (m == n) == same
+            if same:
+                assert hash(m) == hash(n)
+
+
 def test_matmul_against_the_triple_loop():
-    """``@`` reads the row views of both factors: those built on the read,
-    those that ``frames._assemble`` hands out, with a row cancelled in the
+    """``@`` reads the row views of both factors: those packed from dense
+    rows, those that ``frames._assemble`` sums, with a row cancelled in the
     assembly, and products that vanish only through cancellation."""
     rng = random.Random(29)
     shapes = [(rng.randint(1, 40), rng.randint(1, 120), rng.randint(1, 120)) for _ in range(12)]
@@ -203,23 +287,25 @@ def test_matmul_against_the_triple_loop():
         assert a @ b == matmul(a, b)
         assert transpose(b) @ transpose(a) == transpose(matmul(a, b))
         a, b = _assembled(a), _assembled(b)
-        assert a._nonzeros is not None and b._nonzeros is not None
         assert a @ b == matmul(a, b)
         a, b = _cancelling_pair(rng, rows, (inner + 1) // 2, cols, density)
         assert (a @ b).is_zero() and (a @ b) == matmul(a, b)
 
 
 def _assembled(m):
-    """m as ``frames._assemble`` hands it out, with its view set, less a copy
-    of its first row: that row cancels to zero in the assembly."""
-    top = IntMatrix(min(m.rows, 1), m.cols, m.data[:1])
+    """m as ``frames._assemble`` sums it, less a copy of its first row: that
+    row cancels to zero in the assembly."""
+    dense = m.to_lists()
+    top = IntMatrix(min(m.rows, 1), m.cols, dense[:1])
     out = frames._assemble(m.rows, m.cols, [(0, m.cols, [(0, 1, m), (0, -1, top)])])
-    assert out.data == ((0,) * m.cols,) * min(m.rows, 1) + m.data[1:]
+    assert out.to_lists() == [[0] * m.cols] * min(m.rows, 1) + dense[1:]
     return out
 
 
 def _plain_row_scan(m):
-    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in m.data)
+    """The view of m's dense rows; it equals ``m.nonzeros`` exactly when
+    that view is canonical."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in m.to_lists())
 
 
 def _cancelling_pair(rng, rows, inner, cols, density):
@@ -234,31 +320,28 @@ def _cancelling_pair(rng, rows, inner, cols, density):
     return a, b
 
 
-def test_row_nonzeros_and_product_is_zero_against_plain_scans():
-    """The cached view equals a scan of every cell, and product_is_zero
-    agrees with the triple-loop product being zero, also when the product
-    vanishes only through cancellation or is nonzero only in its last row."""
+def test_product_is_zero_against_the_triple_loop():
+    """product_is_zero agrees with the triple-loop product being zero, also
+    when the product vanishes only through cancellation or is nonzero only
+    in its last row."""
     rng = random.Random(37)
     shapes = [(rng.randint(1, 40), rng.randint(1, 120), rng.randint(1, 120)) for _ in range(12)]
     shapes += [(0, 7, 5), (6, 0, 5), (6, 7, 0), (0, 0, 3), (4, 0, 0)]
     for rows, inner, cols in shapes:
         density = rng.choice((0.02, 0.05, 0.1, 0.2))
         a, b = _wide_sparse(rng, rows, inner, density), _wide_sparse(rng, inner, cols, density)
-        for m in (a, b):
-            assert m.row_nonzeros() == _plain_row_scan(m)
-            assert m.row_nonzeros() is m.row_nonzeros()
         assert a.product_is_zero(b) == matmul(a, b).is_zero()
         a, b = _cancelling_pair(rng, rows, (inner + 1) // 2, cols, density)
         assert a.product_is_zero(b) and matmul(a, b).is_zero()
         # one unit in the last row of a, against a nonzero row of b, breaks the
         # cancellation in that row alone
-        hit = next((k for k, nz in enumerate(b.row_nonzeros()) if nz), None)
+        hit = next((k for k, nz in enumerate(b.nonzeros) if nz), None)
         if rows and hit is not None:
             data = a.to_lists()
             data[-1][hit] += 1
             a = IntMatrix(rows, a.cols, data)
             product = matmul(a, b)
-            assert not product.is_zero() and not any(map(any, product.data[:-1]))
+            assert not product.is_zero() and not any(map(any, product.to_lists()[:-1]))
             assert not a.product_is_zero(b)
     with pytest.raises(ValueError, match="cannot multiply"):
         IntMatrix.zeros(2, 3).product_is_zero(IntMatrix.zeros(2, 3))
@@ -430,6 +513,6 @@ def test_det_against_cofactor_expansion():
 
 def test_is_unimodular():
     assert is_unimodular(IntMatrix.identity(4))
-    assert is_unimodular(IntMatrix.from_rows([[1, 5], [0, -1]]))
-    assert not is_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
-    assert not is_unimodular(IntMatrix.from_rows([[1, 0]]))
+    assert is_unimodular(from_rows([[1, 5], [0, -1]]))
+    assert not is_unimodular(from_rows([[2, 0], [0, 1]]))
+    assert not is_unimodular(from_rows([[1, 0]]))

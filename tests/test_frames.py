@@ -51,7 +51,7 @@ from dgframes.simplicial import (
     is_weak_equivalence_d,
 )
 
-from oracles import cylinder, latching_data, structure_maps, verify_mc_extension
+from oracles import cylinder, from_rows, latching_data, structure_maps, verify_mc_extension
 
 
 def point(name="pt", label="p"):
@@ -357,7 +357,7 @@ def test_is_reedy_cofibrant_flags_a_tampered_frame():
     """Corrupt the full-subset block of one frame differential; the quotient
     no longer equals the shifted source and the cokernel check must fail at
     that sequence.  The two other checks are insensitive to this block."""
-    x = ChainComplex("X", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    x = ChainComplex("X", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
     s = make_strict([], lone_object=x)
     diagram = build_frame_diagram(s, max_len=1)
     alpha = OrderMap((0, 0), 0)
@@ -369,7 +369,7 @@ def test_is_reedy_cofibrant_flags_a_tampered_frame():
     bad = ChainComplex._trusted(
         c.name,
         {d: c.rank(d) for d in c.support},
-        {1: c.diff(1), 2: IntMatrix.from_rows(rows)},
+        {1: c.diff(1), 2: from_rows(rows)},
         {d: c.labels(d) for d in c.support},
     )
     from dgframes.frames import FrameObject
@@ -408,7 +408,7 @@ def test_latching_split_reads_the_block_layout(layout):
     and their inclusion is split by the coordinate projection.  The proper
     blocks may come in either order, and a degree of the frame with no
     layout fails."""
-    x = ChainComplex("X", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    x = ChainComplex("X", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
     diagram = build_frame_diagram(make_strict([GradedMap.identity(x)]), max_len=1)
     alpha = OrderMap((0, 1), 1)
     o = diagram.objects[alpha]
@@ -471,7 +471,7 @@ def test_check_last_vertex_names_the_failing_identity_and_degree(monkeypatch):
 
     monkeypatch.setattr(frames, "homotopy", true_homotopy)
     # r sends "0|b" to 2b: then r o d("0,1|b") = r(-"0|b" + "1|b") = -b
-    bent = true_retraction(o) + GradedMap(o.complex, x, 0, {2: IntMatrix.from_rows([[1, 0, 0]])})
+    bent = true_retraction(o) + GradedMap(o.complex, x, 0, {2: from_rows([[1, 0, 0]])})
     monkeypatch.setattr(frames, "retraction", lambda f: bent)
     lv = check_last_vertex(o)
     assert not lv.holds
@@ -503,7 +503,7 @@ def test_is_homotopical_skips_non_max_preserving_morphisms():
     not a quasi-isomorphism -- and carries no requirement.  The checker must
     skip it and pass, while still covering the max-preserving inclusions."""
     x = point("x")
-    times2 = GradedMap(x, point("y"), 0, {0: IntMatrix.from_rows([[2]])})
+    times2 = GradedMap(x, point("y"), 0, {0: from_rows([[2]])})
     s = make_strict([times2])
     diagram = build_frame_diagram(s, max_len=1)
     report = is_homotopical(diagram)
@@ -539,7 +539,7 @@ def test_is_homotopical_flags_a_tampered_structure_map(monkeypatch):
         diagram2.objects[OrderMap((1,), 1)].complex,
         diagram2.objects[OrderMap((0, 1), 1)].complex,
         0,
-        {1: IntMatrix.from_rows([[0], [0], [1]])},
+        {1: from_rows([[0], [0], [1]])},
     )
     assert not noncycle.is_cycle()
     _tamper(monkeypatch, diagram2, DMorphism(OrderMap((1,), 1), OrderMap((0, 1), 1), (1,)), noncycle)
@@ -622,8 +622,8 @@ def test_restriction_verdict_equals_the_rebuild_verdict():
         sims.append(random_simplex(rng, n, perturb=False))
         if n >= 2:
             sims.append(random_simplex(rng, n, perturb=True))
-    w = ChainComplex("W", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
-    e = GradedMap(w, w, 1, {0: IntMatrix.from_rows([[1]])})
+    w = ChainComplex("W", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    e = GradedMap(w, w, 1, {0: from_rows([[1]])})
     valid = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
     invalid = NerveSimplex(valid.objects, {**valid.maps, (0, 1, 2): e.scale(2)})
     assert not validate_maurer_cartan(invalid).ok
@@ -640,7 +640,7 @@ def test_restriction_verdict_equals_the_rebuild_verdict():
 def test_simplicial_compat_fails_on_a_swapped_frame():
     """Swap the frame at <0,1> for the frame of another simplex on the same
     objects: exactly the items landing on it fail, with ``frames differ``."""
-    x = ChainComplex("X", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    x = ChainComplex("X", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
     s = make_strict([GradedMap.identity(x)])
     other = make_strict([GradedMap.identity(x).scale(-1)])
     edge = OrderMap((0, 1), 1)
@@ -686,7 +686,7 @@ def test_split_cylinder_inclusion():
 def test_split_summand_inclusion():
     rng = random.Random(67)
     x = random_complex(rng, name="X")
-    acyclic = ChainComplex("D", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[1]])}, {0: ("a",), 1: ("b",)})
+    acyclic = ChainComplex("D", {0: 1, 1: 1}, {1: from_rows([[1]])}, {0: ("a",), 1: ("b",)})
     total, incl = direct_sum(x, acyclic)
     p, h = split_acyclic_cofibration(incl)
     assert p @ incl == GradedMap.identity(x)
@@ -740,9 +740,9 @@ def test_solve_retraction_rejects_what_the_split_rejects():
     pt = point()
     rng = random.Random(68)
     x = random_complex(rng, name="X")
-    w = ChainComplex("W", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
-    times2 = GradedMap(pt, point("q"), 0, {0: IntMatrix.from_rows([[2]])})
-    noncycle = GradedMap(w, w, 0, {0: IntMatrix.from_rows([[1]])})
+    w = ChainComplex("W", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    times2 = GradedMap(pt, point("q"), 0, {0: from_rows([[2]])})
+    noncycle = GradedMap(w, w, 0, {0: from_rows([[1]])})
     assert not noncycle.is_cycle()
     bad = [
         ("the map is not degreewise split injective at degree 0", times2),
@@ -759,7 +759,7 @@ def test_solve_retraction_rejects_what_the_split_rejects():
 
 def test_split_rejects_bad_inputs():
     pt = point()
-    times2 = GradedMap(pt, point("q"), 0, {0: IntMatrix.from_rows([[2]])})
+    times2 = GradedMap(pt, point("q"), 0, {0: from_rows([[2]])})
     with pytest.raises(ValueError):
         split_acyclic_cofibration(times2)  # not degreewise split injective
     total, incl = direct_sum(pt, point("q", "q"))
@@ -769,8 +769,8 @@ def test_split_rejects_bad_inputs():
     x = random_complex(rng, name="X")
     with pytest.raises(ValueError):
         split_acyclic_cofibration(random_graded_map(rng, x, x, 1))  # degree 1
-    w = ChainComplex("W", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
-    noncycle = GradedMap(w, w, 0, {0: IntMatrix.from_rows([[1]])})
+    w = ChainComplex("W", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    noncycle = GradedMap(w, w, 0, {0: from_rows([[1]])})
     assert not noncycle.is_cycle()
     with pytest.raises(ValueError):
         split_acyclic_cofibration(noncycle)
@@ -781,7 +781,7 @@ def test_recover_edge_exactly_in_degree_zero():
     differ: it must return the edge itself."""
     x = ChainComplex("X", {0: 2}, {}, {0: ("x0", "x1")})
     y = ChainComplex("Y", {0: 2}, {}, {0: ("y0", "y1")})
-    g = GradedMap(x, y, 0, {0: IntMatrix.from_rows([[2, 1], [0, 3]])})
+    g = GradedMap(x, y, 0, {0: from_rows([[2, 1], [0, 3]])})
     s = make_strict([g])
     o = build_frame_object(s, OrderMap((0, 1), 1))
     assert recover_map_from_cylinder(o) == g
@@ -823,8 +823,8 @@ def test_verify_mc_extension():
     assert verify_mc_extension(strict_partial, GradedMap.zero(x, z, 1))
     # a candidate that misses the coherence identity is rejected; build over a
     # complex whose hom differential is visibly nonzero in degree 1
-    w = ChainComplex("W", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
-    e = GradedMap(w, w, 1, {0: IntMatrix.from_rows([[1]])})  # e0 -> e1
+    w = ChainComplex("W", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    e = GradedMap(w, w, 1, {0: from_rows([[1]])})  # e0 -> e1
     assert not hom_differential(e).is_zero()
     wfull = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
     wpartial = NerveSimplex(wfull.objects, {k: v for k, v in wfull.maps.items() if k != (0, 1, 2)})

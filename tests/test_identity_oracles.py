@@ -13,10 +13,10 @@ structure map as it judges it, must give the items of the loop that built
 them all first, and ``is_reedy_cofibrant``, which reads each frame's block
 layout and differential in place, those of the loop that built the latching
 inclusion matrices and the cokernel complex, on criterion 2's frames as
-built and with one entry of a frame differential tampered.  The deciders
-read the row-nonzero view that ``_assemble`` hands out with each matrix, and
-the writer, ``==`` and ``block`` read its rows, so every assembled view must
-be the plain scan of its rows.
+built and with one entry of a frame differential tampered.  The deciders,
+the writer, ``==`` and ``block`` read the row view that ``_assemble`` sums
+for each matrix, so every assembled view must be canonical: the plain scan
+of its dense rows.
 
 ``is_homotopical`` passes a generator on the stored views through its
 preimages and a composite by 2-out-of-3 over certified factors; the route
@@ -111,12 +111,12 @@ def _tamperings(f: GradedMap):
     entry with its sign flipped."""
     out = [f.scale(2)]
     spots = [
-        (d, i) for d in f.source.support if f.source.rank(d) for i, row in enumerate(f.mat(d).data) if not any(row)
+        (d, i) for d in f.source.support if f.source.rank(d) for i, row in enumerate(f.mat(d).nonzeros) if not row
     ]
     if spots:
         out.append(_entry(f, *spots[0], 0, 1))
     first = [
-        (d, i, c, v) for d in f.source.support for i, row in enumerate(f.mat(d).data) for c, v in enumerate(row) if v
+        (d, i, c, v) for d in f.source.support for i, row in enumerate(f.mat(d).nonzeros) for c, v in row
     ]
     if first:
         d, i, c, v = first[0]
@@ -513,7 +513,7 @@ def _tampered_blocks(o: FrameObject):
         if d is not None:
             rows = c.diff(d).to_lists()
             rows[full[d - 1][0]][cols[d][0]] += 1
-            diffs = {**{e: c.diff(e) for e in c.support if c.rank(e - 1)}, d: IntMatrix.from_rows(rows)}
+            diffs = {**{e: c.diff(e) for e in c.support if c.rank(e - 1)}, d: oracles.from_rows(rows)}
             labels = {e: c.labels(e) for e in c.support}
             bad = ChainComplex._trusted(c.name, {e: c.rank(e) for e in c.support}, diffs, labels)
             out.append(FrameObject(o.alpha, bad, o.blocks, o.restriction))
@@ -604,8 +604,8 @@ def test_row_decider_equals_the_column_decider():
 def test_assembled_views_equal_plain_row_scans(monkeypatch):
     """Every matrix ``_assemble`` returns while criterion 2's diagrams (of
     which criterion 6's are every 21st) and criterion 8's are built, with
-    their structure maps and their j, r and h, carries a view equal to the
-    plain scan of its rows.  So do block lists with cancelling blocks,
+    their structure maps and their j, r and h, carries a canonical view: one
+    equal to the plain scan of its dense rows.  So do block lists with cancelling blocks,
     columns listed out of order, and 0-row or 0-column shapes, and the sums
     of ``combination_matrix``, of 400 seeded term lists and of terms that
     cancel in part of a row and in the whole of another."""
@@ -614,8 +614,7 @@ def test_assembled_views_equal_plain_row_scans(monkeypatch):
     def checked(*args, _original=frames._assemble):
         nonlocal assembled
         m = _original(*args)
-        assert m._nonzeros is not None  # handed out, not built on a read
-        assert m.row_nonzeros() == _plain_row_scan(m)
+        assert m.nonzeros == _plain_row_scan(m)
         assembled += 1
         return m
 
@@ -643,9 +642,8 @@ def test_assembled_views_equal_plain_row_scans(monkeypatch):
     rng = random.Random(2020)
     for _ in range(400):
         m = combination_matrix(*_random_terms(rng))
-        assert m._nonzeros is not None
-        assert m.row_nonzeros() == _plain_row_scan(m)
+        assert m.nonzeros == _plain_row_scan(m)
     a, b = IntMatrix(2, 3, [[1, 2, 0], [0, 1, 0]]), IntMatrix(2, 3, [[1, 0, 5], [0, 1, 0]])
     m = combination_matrix(2, 3, [(1, None, a), (-1, None, b)])  # row 0 cancels in part, row 1 in full
     assert m == IntMatrix(2, 3, [[0, 2, -5], [0, 0, 0]])
-    assert m._nonzeros == (((1, 2), (2, -5)), ())
+    assert m.nonzeros == (((1, 2), (2, -5)), ())

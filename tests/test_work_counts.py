@@ -2,8 +2,7 @@
 
 ``check --max-len 3`` on ``random_simplex(Random(7), 3)`` decides its
 Maurer-Cartan, last-vertex and homotopical identities row by row over the
-row-nonzero views that ``_assemble`` hands out with each matrix, so it
-builds few views on a read and never calls ``hom_differential``, decides
+row views of its matrices, so it never calls ``hom_differential``, decides
 the d^2 checks of the frames with ``product_is_zero`` instead of ``@``, and
 calls ``invariant_factors`` not at all.
 The counts are deterministic, so a change that brings back a dense path
@@ -247,57 +246,3 @@ def test_frame_counts_its_products_and_factorizations(monkeypatch, tmp_path):
     # while the d^2 checks multiplied by @: 9, 8 and no product_is_zero
     assert counts == {"invariant_factors": 9, "IntMatrix.__matmul__": 0, "IntMatrix.product_is_zero": 8}
 
-
-def test_frame_builds_each_differential_view_once(monkeypatch, tmp_path):
-    """The d^2 test, ``invariant_factors`` and the JSON writer of ``frame``
-    all read the nonzero view of the same 9 differentials, and none of those
-    views is built on a read: ``_assemble`` hands each differential out with
-    its view."""
-    argv = _frame_argv(tmp_path)
-    built, reads, frames_built = [], [], []
-    original = IntMatrix.row_nonzeros
-
-    def counted(self):  # keeps every matrix alive, so that ids stay unique
-        reads.append(self)
-        if self._nonzeros is None:
-            built.append(self)
-        return original(self)
-
-    def kept(*args, _build=cli.build_frame_object, **kwargs):
-        frames_built.append(_build(*args, **kwargs))
-        return frames_built[-1]
-
-    monkeypatch.setattr(IntMatrix, "row_nonzeros", counted)
-    monkeypatch.setattr(cli, "build_frame_object", kept)
-    assert cli.main(argv) == 0
-    (c,) = [o.complex for o in frames_built]
-    diffs = {id(c.diff(d)) for d in c.support if c.rank(d - 1)}
-    built_ids = [id(m) for m in built]
-    # while the views were built on first read: diffs <= set(built_ids)
-    assert len(diffs) == 9 and not diffs & set(built_ids)
-    assert len(built_ids) == len(set(built_ids))
-    # two per d^2 test, one per factorization, one per write
-    assert sum(id(m) in diffs for m in reads) == 2 * 8 + 9 + 9
-
-
-def test_check_builds_few_views_on_a_read(monkeypatch, tmp_path):
-    """``check --max-len 3`` on the pinned 3-simplex builds a row-nonzero
-    view on a read only for the few matrices that ``_assemble`` did not
-    hand out with theirs: those of the parsed input and the shared
-    identities of strict unitality, each one once.  The identities are
-    cached across calls, so the cache is emptied first."""
-    exact_linalg._identity.cache_clear()
-    path = tmp_path / "r7n3.json"
-    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
-    built = []
-    original = IntMatrix.row_nonzeros
-
-    def counted(self):  # keeps every matrix alive, so that ids stay unique
-        if self._nonzeros is None:
-            built.append(self)
-        return original(self)
-
-    monkeypatch.setattr(IntMatrix, "row_nonzeros", counted)
-    assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]) == 0
-    # while _assemble built no view and the deciders read columns: 193
-    assert len(built) == len({id(m) for m in built}) == 6
