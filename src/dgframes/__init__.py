@@ -37,7 +37,7 @@ from .dg_nerve import (
     NerveSimplex,
     act,
     coherence_defect,
-    make_perturbed_2simplex,
+    gauge,
     make_strict,
     random_simplex,
     validate_maurer_cartan,
@@ -88,6 +88,7 @@ __all__ = [
     "cone",
     "enumerate_d_objects",
     "enumerate_order_maps",
+    "gauge",
     "hom_complex",
     "hom_complex_diff",
     "hom_differential",
@@ -102,7 +103,6 @@ __all__ = [
     "is_weak_equivalence_d",
     "kernel_basis",
     "last_vertex_data",
-    "make_perturbed_2simplex",
     "make_strict",
     "random_chain_map",
     "random_complex",

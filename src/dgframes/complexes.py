@@ -390,9 +390,7 @@ class GradedMap:
 def hom_differential(f: GradedMap) -> GradedMap:
     """D(f) = d_Y o f - (-1)^{|f|} f o d_X, a graded map of degree |f| - 1,
     formed from :func:`differential_terms`."""
-    x, y, r = f.source, f.target, f.degree
-    mats = {d: combination_matrix(y.rank(d + r - 1), x.rank(d), differential_terms(f, d)) for d in x.support}
-    return GradedMap(x, y, r - 1, mats)
+    return combination_map(f.source, f.target, f.degree - 1, lambda d: differential_terms(f, d))
 
 
 # -- identities decided row by row --------------------------------------------
@@ -448,6 +446,12 @@ def combination_matrix(height: int, width: int, terms) -> IntMatrix:
     for i, acc in nonzero_rows(height, terms):
         rows[i] = acc
     return IntMatrix._from_row_dicts(width, rows)
+
+
+def combination_map(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> GradedMap:
+    """The degree-r graded map x -> y whose matrix at each degree d of x is
+    the sum of the terms_at(d) (see nonzero_rows)."""
+    return GradedMap(x, y, r, {d: combination_matrix(y.rank(d + r), x.rank(d), terms_at(d)) for d in x.support})
 
 
 def first_defect(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> Optional[int]:

@@ -7,20 +7,26 @@ family to all nondecreasing sequences:
 
     f(<i,i>) = id,    f(<i_0..i_k>) = 0  for k >= 2 with a repeated adjacent entry.
 
-The family is a simplex exactly when every sequence satisfies the coherence
-identity
+The family is a simplex exactly when it solves the Maurer-Cartan equation
 
-    -D(f(a)) = sum_{j=1..k-1} (-1)^j f(inner face_j a)
-             + sum_{j=1..k-1} (-1)^{(j-1)k} f(<a_j..a_k>) o f(<a_0..a_j>),
+    D(f) + δf + f⌣f = 0
 
-equivalently the Maurer-Cartan equation D(f) + f*f = 0 in the convolution
-algebra of the path coalgebra.  Checking it on strictly increasing sequences
-suffices: on degenerate sequences it follows from strict unitality.
+at every sequence a = <a_0..a_k>, where D is the hom differential taken value
+by value, δ is the inner-face sum and ⌣ the split product of the convolution
+algebra of the path coalgebra:
 
-``coherence_terms`` writes the identity at one sequence and source degree as
-one list of terms, and the validator decides it, and finds a failure's
-witness, with the row-wise decider that every other identity of the package
-goes through (``complexes.first_defect``); these signs appear nowhere else.
+    (δf)(a)  = sum_{j=1..k-1} (-1)^j f(<a_0..a_k> without a_j),
+    (p⌣q)(a) = sum_{j=1..k-1} (-1)^{(j-1)k} p(<a_j..a_k>) o q(<a_0..a_j>).
+
+Checking it on strictly increasing sequences suffices: on degenerate
+sequences it follows from strict unitality.
+
+``twisting_terms`` is the one loop that writes these two signs.
+``coherence_terms`` reads it to write the equation at one sequence and source
+degree as one list of terms, and the validator decides it, and finds a
+failure's witness, with the row-wise decider that every other identity of the
+package goes through (``complexes.first_defect``).  ``gauge`` reads it to
+deform a simplex by homotopies on its edges.
 """
 
 from __future__ import annotations
@@ -33,11 +39,10 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .complexes import (
     ChainComplex,
     GradedMap,
-    combination_matrix,
+    combination_map,
     composite_term,
     differential_terms,
     first_defect,
-    hom_differential,
     json_int,
     json_int_key,
     json_object,
@@ -47,6 +52,7 @@ from .complexes import (
     random_chain_map,
     random_complex,
     random_graded_map,
+    zero_complex,
 )
 from .reporting import Report
 from .simplicial import OrderMap
@@ -184,17 +190,26 @@ def increasing_sequences(n: int) -> tuple:
     return tuple(seq for size in range(2, n + 2) for seq in combinations(range(n + 1), size))
 
 
-def coherence_terms(s: NerveSimplex, seq: tuple, d: int) -> tuple:
-    """The coherence identity at the nondecreasing sequence seq, source degree
-    d, as terms of combination_is_zero: D(f(seq)) + sum_j (-1)^j f(face_j) +
-    sum_j (-1)^{(j-1)k} f(seq[j:]) o f(seq[:j+1]), for j = 1..k-1."""
-    f = s._lookup
+def twisting_terms(seq: tuple, d: int, c: int, face, pairs) -> tuple:
+    """c * (δface + sum of p⌣q over (p, q) in pairs) at seq, source degree d,
+    as terms of combination_is_zero: c * (-1)^j face(seq without seq[j]) and
+    c * (-1)^{(j-1)k} p(seq[j:]) o q(seq[:j+1]) for j = 1..k-1, k = len(seq) - 1,
+    where face, p and q map sequences to graded maps.  The module's one
+    writing of these signs."""
     k = len(seq) - 1
-    terms = differential_terms(f(seq), d)
+    terms = ()
     for j in range(1, k):
-        terms += map_term(parity_sign(j), f(seq[:j] + seq[j + 1 :]), d)
-        terms += composite_term(parity_sign((j - 1) * k), f(seq[j:]), f(seq[: j + 1]), d)
+        terms += map_term(c * parity_sign(j), face(seq[:j] + seq[j + 1 :]), d)
+        for p, q in pairs:
+            terms += composite_term(c * parity_sign((j - 1) * k), p(seq[j:]), q(seq[: j + 1]), d)
     return terms
+
+
+def coherence_terms(s: NerveSimplex, seq: tuple, d: int) -> tuple:
+    """The Maurer-Cartan equation D(f) + δf + f⌣f = 0 at the nondecreasing
+    sequence seq, source degree d, as terms of combination_is_zero."""
+    f = s._lookup
+    return differential_terms(f(seq), d) + twisting_terms(seq, d, 1, f, ((f, f),))
 
 
 def coherence_defect(s: NerveSimplex, seq) -> GradedMap:
@@ -202,9 +217,7 @@ def coherence_defect(s: NerveSimplex, seq) -> GradedMap:
     exactly when the coherence identity holds at seq."""
     seq = tuple(seq)
     f = s.eval(seq)
-    x, y, r = f.source, f.target, f.degree - 1
-    mats = {d: combination_matrix(y.rank(d + r), x.rank(d), coherence_terms(s, seq, d)) for d in x.support}
-    return GradedMap(x, y, r, mats)
+    return combination_map(f.source, f.target, f.degree - 1, partial(coherence_terms, s, seq))
 
 
 def validate_maurer_cartan(s: NerveSimplex) -> Report:
@@ -279,80 +292,59 @@ def make_strict(maps: Sequence[GradedMap], lone_object: Optional[ChainComplex] =
     return NerveSimplex(objects, table)
 
 
-def make_perturbed_2simplex(f: GradedMap, g: GradedMap, h: GradedMap) -> NerveSimplex:
-    """A 2-simplex witnessing g o f only up to the homotopy h:
-    the long edge is g o f + D(h) and the triangle is filled by h."""
-    if g.source != f.target:
-        raise ValueError("g must compose with f")
-    if h.degree != 1 or h.source != f.source or h.target != g.target:
-        raise ValueError("h must be a degree-1 map from the source of f to the target of g")
-    long_edge = (g @ f) + hom_differential(h)
-    return NerveSimplex(
-        [f.source, f.target, g.target],
-        {(0, 1): f, (1, 2): g, (0, 2): long_edge, (0, 1, 2): h},
-    )
+def gauge(s: NerveSimplex, u: Mapping[tuple, GradedMap]) -> NerveSimplex:
+    """The first-order gauge transform f + D(u) - δu - (u⌣f + f⌣u) of the
+    simplex f = s, each value one combination_map of those terms.
+
+    u maps edges (i, j) of [n] to degree-1 maps X_i -> X_j and vanishes on
+    every other sequence.  The formula solves the Maurer-Cartan equation
+    exactly when no two maps of u compose, so u may hold no two edges with
+    a[1] <= b[0]; ValueError for such a pair, and for an edge outside [n] or
+    a value of the wrong degree or endpoints."""
+    objects, n = s.objects, s.n
+    for edge, h in u.items():
+        if tuple(map(type, edge)) != (int, int) or not 0 <= edge[0] < edge[1] <= n:
+            raise ValueError("u maps edges (i, j) of [%d], not %r" % (n, edge))
+        if h.degree != 1 or h.source != objects[edge[0]] or h.target != objects[edge[1]]:
+            raise ValueError("u at %r is not a degree-1 map X_%d -> X_%d" % (edge, edge[0], edge[1]))
+    if any(a[1] <= b[0] for a in u for b in u):
+        raise ValueError("two edges of u chain, so the first-order transform is not exact")
+    f, nothing = s._lookup, GradedMap.zero(zero_complex(), zero_complex())  # stores no matrix, so adds no term
+
+    def v(seq):  # u, zero off its edges
+        return u.get(seq, nothing)
+
+    def terms_at(seq, d):
+        return map_term(1, f(seq), d) + differential_terms(v(seq), d) + twisting_terms(seq, d, -1, v, ((v, f), (f, v)))
+
+    maps = {
+        seq: combination_map(objects[seq[0]], objects[seq[-1]], len(seq) - 2, partial(terms_at, seq))
+        for seq in increasing_sequences(n)
+    }
+    return NerveSimplex(objects, maps)
 
 
 # -- seeded generators for the randomized sweeps ------------------------------
 
 
 def random_simplex(rng: random.Random, n: int, max_rank=3, max_width=4, perturb=True) -> NerveSimplex:
-    """A random valid n-simplex, n <= 3.
-
-    Strict simplices are built from random chain maps; for n = 2 and n = 3 a
-    perturbation by random homotopies is applied, with the compensating
-    corrections that keep every coherence identity exact.  The result is
-    revalidated before it is returned.
-    """
+    """A random valid n-simplex, n <= 3: the strict simplex of random chain
+    maps, and with perturb its gauge transform f + D(u) - δu - (u⌣f + f⌣u)
+    (see gauge) by random degree-1 maps u drawn on every edge of span >= 2,
+    by span, then by first vertex: (0,2) for n = 2; (0,2), (1,3), (0,3) for
+    n = 3.  That transform is exact only while no two edges of u chain,
+    which first fails at n = 4, on (0,2) and (2,4); hence n <= 3.  The
+    result is revalidated before it is returned."""
     if n < 0 or n > 3:
         raise ValueError("random simplices are generated for 0 <= n <= 3")
-    objects = [
-        random_complex(rng, max_rank=max_rank, max_width=max_width, name="X%d" % i)
-        for i in range(n + 1)
-    ]
+    objects = [random_complex(rng, max_rank=max_rank, max_width=max_width, name="X%d" % i) for i in range(n + 1)]
     chain_maps = [random_chain_map(rng, objects[i], objects[i + 1]) for i in range(n)]
-    if n == 0:
-        return make_strict([], lone_object=objects[0])
-    s = make_strict(chain_maps)
-    if not perturb or n == 1:
+    s = make_strict(chain_maps, lone_object=objects[0])
+    if not perturb:
         return s
-    if n == 2:
-        h = random_graded_map(rng, objects[0], objects[2], 1)
-        out = make_perturbed_2simplex(chain_maps[0], chain_maps[1], h)
-    else:
-        out = _perturbed_3simplex(rng, objects, chain_maps)
+    edges = [(i, i + span) for span in range(2, n + 1) for i in range(n + 1 - span)]
+    out = gauge(s, {e: random_graded_map(rng, objects[e[0]], objects[e[1]], 1) for e in edges})
     report = validate_maurer_cartan(out)
     if not report.ok:
-        raise AssertionError("generator produced an invalid simplex: %r" % report.failures()[0])
+        raise AssertionError("generator produced an invalid simplex: %r" % (report.failures()[0],))
     return out
-
-
-def _perturbed_3simplex(rng: random.Random, objects, maps) -> NerveSimplex:
-    """Strict 3-simplex deformed by three independent homotopies.
-
-    h1 fills <0,1,2> (pushing D(h1) onto the edge <0,2> and -f(<2,3>) o h1
-    onto <0,2,3>), h2 fills <1,2,3> (pushing D(h2) onto <1,3> and
-    -h2 o f(<0,1>) onto <0,1,3>), and h3 shifts <0,1,3> and <0,2,3> together
-    while pushing D(h3) onto <0,3>.  Each deformation preserves every
-    coherence identity, which the caller revalidates anyway.
-    """
-    f1, f2, f3 = maps
-    x0, x1, x2, x3 = objects
-    h1 = random_graded_map(rng, x0, x2, 1)
-    h2 = random_graded_map(rng, x1, x3, 1)
-    h3 = random_graded_map(rng, x0, x3, 1)
-    zero03 = GradedMap.zero(x0, x3, 1)
-    table = {
-        (0, 1): f1,
-        (1, 2): f2,
-        (2, 3): f3,
-        (0, 2): (f2 @ f1) + hom_differential(h1),
-        (1, 3): (f3 @ f2) + hom_differential(h2),
-        (0, 3): (f3 @ f2 @ f1) + hom_differential(h3),
-        (0, 1, 2): h1,
-        (1, 2, 3): h2,
-        (0, 1, 3): (zero03 - (h2 @ f1)) + h3,
-        (0, 2, 3): (zero03 - (f3 @ h1)) + h3,
-        (0, 1, 2, 3): GradedMap.zero(x0, x3, 2),
-    }
-    return NerveSimplex(objects, table)

@@ -97,6 +97,8 @@ class IntMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("entry (%r, %r) lies outside a %dx%d matrix" % (i, j, self.rows, self.cols))
         return dict(self.nonzeros[i]).get(j, 0)
 
     def __eq__(self, other):

@@ -14,11 +14,12 @@ from dgframes.complexes import (
     ChainComplex,
     GradedMap,
     cycle_defect,
+    hom_differential,
     random_chain_map,
     random_complex,
     random_graded_map,
 )
-from dgframes.dg_nerve import NerveSimplex, make_perturbed_2simplex, make_strict, random_simplex
+from dgframes.dg_nerve import NerveSimplex, gauge, make_strict, random_simplex
 from dgframes.exact_linalg import IntMatrix
 from dgframes.reporting import canonical_json
 
@@ -40,7 +41,7 @@ def write_json(path, obj):
 def valid_simplex(tmp_path):
     w = two_step(2)
     e = GradedMap(w, w, 1, {0: from_rows([[1]])})
-    s = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
+    s = gauge(make_strict([GradedMap.identity(w), GradedMap.identity(w)]), {(0, 2): e})
     return write_json(tmp_path / "valid.json", s.to_json())
 
 
@@ -48,11 +49,20 @@ def valid_simplex(tmp_path):
 def corrupt_simplex(tmp_path):
     w = two_step(2)
     e = GradedMap(w, w, 1, {0: from_rows([[1]])})
-    s = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
+    s = gauge(make_strict([GradedMap.identity(w), GradedMap.identity(w)]), {(0, 2): e})
     tampered = dict(s.maps)
     tampered[(0, 1, 2)] = e.scale(2)  # D(e) != 0, so the identity at 0,1,2 breaks
     bad = NerveSimplex(list(s.objects), tampered)
     return write_json(tmp_path / "corrupt.json", bad.to_json())
+
+
+def test_the_fixture_simplex_is_the_perturbed_2simplex():
+    """The fixtures' simplex has long edge g o f + D(e) and triangle e."""
+    w = two_step(2)
+    f = g = GradedMap.identity(w)
+    e = GradedMap(w, w, 1, {0: from_rows([[1]])})
+    s = gauge(make_strict([f, g]), {(0, 2): e})
+    assert s.maps == {(0, 1): f, (1, 2): g, (0, 2): (g @ f) + hom_differential(e), (0, 1, 2): e}
 
 
 def test_validate_passes(valid_simplex, capsys):

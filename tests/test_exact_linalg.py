@@ -38,6 +38,9 @@ def rand_matrix(rng, rows, cols, lo=-5, hi=5):
 def test_matrix_basics():
     m = from_rows([[1, 2], [3, 4]])
     assert m[0, 1] == 2 and m[1, 0] == 3
+    for ij in ((0, 5), (0, -1), (-1, 0), (2, 0), (0, 2)):
+        with pytest.raises(IndexError):
+            m[ij]
     assert (m + m.scale(-1)).is_zero()
     assert (m @ IntMatrix.identity(2)) == m
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from dgframes.complexes import (
 from dgframes.dg_nerve import (
     NerveSimplex,
     act,
-    make_perturbed_2simplex,
+    gauge,
     make_strict,
     random_simplex,
     validate_maurer_cartan,
@@ -624,7 +624,7 @@ def test_restriction_verdict_equals_the_rebuild_verdict():
             sims.append(random_simplex(rng, n, perturb=True))
     w = ChainComplex("W", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
     e = GradedMap(w, w, 1, {0: from_rows([[1]])})
-    valid = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
+    valid = gauge(make_strict([GradedMap.identity(w), GradedMap.identity(w)]), {(0, 2): e})
     invalid = NerveSimplex(valid.objects, {**valid.maps, (0, 1, 2): e.scale(2)})
     assert not validate_maurer_cartan(invalid).ok
     sims.append(invalid)
@@ -814,7 +814,7 @@ def test_verify_mc_extension():
     f = random_chain_map(rng, x, y)
     gmap = random_chain_map(rng, y, z)
     h = random_graded_map(rng, x, z, 1)
-    full = make_perturbed_2simplex(f, gmap, h)
+    full = gauge(make_strict([f, gmap]), {(0, 2): h})
     partial = NerveSimplex(full.objects, {k: v for k, v in full.maps.items() if k != (0, 1, 2)})
     assert verify_mc_extension(partial, h)
     assert verify_mc_extension(partial, h + hom_differential(random_graded_map(rng, x, z, 2)))
@@ -826,7 +826,7 @@ def test_verify_mc_extension():
     w = ChainComplex("W", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
     e = GradedMap(w, w, 1, {0: from_rows([[1]])})  # e0 -> e1
     assert not hom_differential(e).is_zero()
-    wfull = make_perturbed_2simplex(GradedMap.identity(w), GradedMap.identity(w), e)
+    wfull = gauge(make_strict([GradedMap.identity(w), GradedMap.identity(w)]), {(0, 2): e})
     wpartial = NerveSimplex(wfull.objects, {k: v for k, v in wfull.maps.items() if k != (0, 1, 2)})
     assert verify_mc_extension(wpartial, e)
     assert not verify_mc_extension(wpartial, e.scale(2))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dgframes import dg_nerve
 from dgframes.complexes import (
     ChainComplex,
     GradedMap,
@@ -15,13 +16,14 @@ from dgframes.dg_nerve import (
     NerveSimplex,
     act,
     coherence_defect,
+    gauge,
     increasing_sequences,
-    make_perturbed_2simplex,
     make_strict,
     random_simplex,
     validate_maurer_cartan,
 )
 from dgframes.exact_linalg import IntMatrix
+from dgframes.reporting import Report
 from dgframes.simplicial import OrderMap, enumerate_order_maps
 
 
@@ -99,19 +101,65 @@ def test_make_strict():
         make_strict([bad])
 
 
-def test_make_perturbed_2simplex():
+def test_gauge_builds_the_perturbed_2simplex():
     rng = random.Random(33)
     for _ in range(10):
         f, g = strict_pair(rng)
         h = random_graded_map(rng, f.source, g.target, 1)
-        s = make_perturbed_2simplex(f, g, h)
+        s = gauge(make_strict([f, g]), {(0, 2): h})
+        assert s.maps[(0, 1)] == f and s.maps[(1, 2)] == g
         assert s.maps[(0, 2)] == (g @ f) + hom_differential(h)
         assert s.maps[(0, 1, 2)] == h
         assert validate_maurer_cartan(s).ok
-    with pytest.raises(ValueError):
-        make_perturbed_2simplex(f, g, random_graded_map(rng, f.source, g.target, 0))
-    with pytest.raises(ValueError):
-        make_perturbed_2simplex(g, f, h)
+
+
+def test_gauge_of_a_strict_3simplex_is_the_hand_derived_deformation():
+    """u on (0,2), (1,3) and (0,3) moves the edges by D(u), fills the two
+    triangles through those edges and shifts <0,1,3> and <0,2,3> by the
+    composites of u with the strict edges."""
+    rng = random.Random(36)
+    checked = 0
+    while checked < 5:
+        x = [random_complex(rng, name="X%d" % i) for i in range(4)]
+        f1, f2, f3 = (random_chain_map(rng, x[i], x[i + 1]) for i in range(3))
+        h1, h2, h3 = (random_graded_map(rng, x[i], x[j], 1) for i, j in ((0, 2), (1, 3), (0, 3)))
+        if (f3 @ h1).is_zero() or (h2 @ f1).is_zero():
+            continue  # a draw where the u⌣f and f⌣u terms vanish shows neither
+        checked += 1
+        s = gauge(make_strict([f1, f2, f3]), {(0, 2): h1, (1, 3): h2, (0, 3): h3})
+        assert s.maps == {
+            (0, 1): f1,
+            (1, 2): f2,
+            (2, 3): f3,
+            (0, 2): (f2 @ f1) + hom_differential(h1),
+            (1, 3): (f3 @ f2) + hom_differential(h2),
+            (0, 3): (f3 @ f2 @ f1) + hom_differential(h3),
+            (0, 1, 2): h1,
+            (1, 2, 3): h2,
+            (0, 1, 3): h3 - (h2 @ f1),
+            (0, 2, 3): h3 - (f3 @ h1),
+            (0, 1, 2, 3): GradedMap.zero(x[0], x[3], 2),
+        }
+        assert validate_maurer_cartan(s).ok
+
+
+def test_gauge_refuses_what_the_first_order_formula_cannot_carry():
+    rng = random.Random(37)
+    x = [random_complex(rng, name="X%d" % i) for i in range(5)]
+    s = make_strict([random_chain_map(rng, x[i], x[i + 1]) for i in range(4)])
+    assert gauge(s, {}) == s
+    ok = random_graded_map(rng, x[0], x[2], 1)
+    assert validate_maurer_cartan(gauge(s, {(0, 2): ok, (1, 3): random_graded_map(rng, x[1], x[3], 1)})).ok
+    for u in (
+        {(0, 2): ok, (2, 4): random_graded_map(rng, x[2], x[4], 1)},  # the two edges chain
+        {(0, 2): random_graded_map(rng, x[0], x[2], 0)},  # degree 0
+        {(0, 2): random_graded_map(rng, x[0], x[3], 1)},  # wrong endpoints
+        {(0, 5): ok},  # leaves [4]
+        {(2, 0): ok},  # not increasing
+        {(0, 1, 2): ok},  # not an edge
+    ):
+        with pytest.raises(ValueError):
+            gauge(s, u)
 
 
 def test_random_simplices_validate():
@@ -126,6 +174,14 @@ def test_random_simplices_validate():
     for key in strict.cochain_keys():
         if len(key) > 2:
             assert strict.maps[key].is_zero()
+
+
+def test_random_simplex_names_the_failure_of_an_invalid_draw(monkeypatch):
+    failing = Report()
+    failing.add("maurer-cartan", "0,1,2", False, "degree 0 entry (0,0) = 1")
+    monkeypatch.setattr(dg_nerve, "validate_maurer_cartan", lambda s: failing)
+    with pytest.raises(AssertionError, match="0,1,2"):
+        random_simplex(random.Random(0), 2)
 
 
 def test_validator_report_shape():
