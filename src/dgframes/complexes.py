@@ -61,9 +61,7 @@ class ChainComplex:
         self._ranks: Dict[int, int] = {}
         for d, r in dict(ranks).items():
             json_int(d, "complex degree")
-            if json_int(r, "rank at degree %d" % d) < 0:
-                raise ValueError("negative rank in degree %d" % d)
-            if r:
+            if json_rank(r, d):
                 self._ranks[d] = r
         diffs = dict(diffs) if diffs else {}
         for d in diffs:
@@ -182,7 +180,8 @@ class ChainComplex:
                 raise ValueError("complex is missing the %r field" % field)
         ranks = {}
         for k, v in json_object(obj["degrees"], "complex degrees").items():
-            ranks[json_int_key(k, "complex degree")] = json_int(v, "rank at degree %s" % k)
+            d = json_int_key(k, "complex degree")
+            ranks[d] = json_rank(v, d)
         diffs = {}
         for k, rows in json_object(obj.get("differentials", {}), "complex differentials").items():
             d = json_int_key(k, "differential degree")
@@ -201,6 +200,13 @@ def json_int(value, what: str) -> int:
     """``value`` if it is a JSON integer (not a bool, float or string), else ValueError."""
     if type(value) is not int:
         raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def json_rank(value, d: int) -> int:
+    """``value`` if it is a JSON integer >= 0, the rank at degree d, else ValueError."""
+    if json_int(value, "rank at degree %d" % d) < 0:
+        raise ValueError("negative rank in degree %d" % d)
     return value
 
 
@@ -228,6 +234,8 @@ def json_matrix(rows, n_rows: int, n_cols: int, what: str) -> IntMatrix:
     """An IntMatrix from a JSON list of integer rows of the declared shape."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("%s must be a list of rows" % what)
+    if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
+        raise ValueError("%s must be %dx%d, got row lengths %s" % (what, n_rows, n_cols, [len(r) for r in rows]))
     for row in rows:
         for v in row:
             if type(v) is not int:
@@ -499,17 +507,6 @@ def cycle_defect(f: GradedMap) -> Optional[int]:
     """The first degree where D(f) != 0, or None when f is a cycle.  Unlike
     hom_differential, this forms no matrix of D(f)."""
     return first_defect(f.source, f.target, f.degree - 1, lambda d: differential_terms(f, d))
-
-
-def composite_equals(f: GradedMap, g: GradedMap, h: GradedMap) -> bool:
-    """Whether f o g == h, as GradedMap.__eq__ decides it, without forming
-    f o g.  ValueError when f o g is not defined, as for ``f @ g``."""
-    if g.target is not f.source and g.target != f.source:
-        raise ValueError("composition endpoints do not match")
-    # tuples compare their items by identity first, then by ==
-    if f.degree + g.degree != h.degree or (g.source, f.target) != (h.source, h.target):
-        return False
-    return first_defect(h.source, h.target, h.degree, lambda d: composite_term(1, f, g, d) + map_term(-1, h, d)) is None
 
 
 def shift(x: ChainComplex, n: int) -> ChainComplex:

@@ -79,8 +79,7 @@ class NerveSimplex:
                 raise ValueError("map key %r is not strictly increasing" % (key,))
             if key[0] < 0 or key[-1] > n:
                 raise ValueError("map key %r leaves [%d]" % (key, n))
-            if f.degree != len(key) - 2:
-                raise ValueError("map at %r has degree %d, expected %d" % (key, f.degree, len(key) - 2))
+            _check_degree(key, f.degree)
             if f.source != self.objects[key[0]] or f.target != self.objects[key[-1]]:
                 raise ValueError("map at %r has wrong endpoints" % (key,))
             self.maps[key] = f
@@ -179,8 +178,16 @@ class NerveSimplex:
             key = tuple(json_int_key(p, "a part of map key %r" % key_text) for p in key_text.split(","))
             if len(key) < 2 or any(b <= a for a, b in zip(key, key[1:])) or key[0] < 0 or key[-1] >= len(objects):
                 raise ValueError("map key %r is not a strictly increasing sequence in range" % key_text)
+            if type(json_object(mobj, "graded map").get("degree")) is int:
+                _check_degree(key, mobj["degree"])  # before the matrices, whose shapes it sets
             maps[key] = GradedMap.from_json(mobj, objects[key[0]], objects[key[-1]])
         return cls(objects, maps)
+
+
+def _check_degree(key: tuple, degree: int) -> None:
+    """ValueError unless ``degree`` is len(key) - 2, the degree of a map at key."""
+    if degree != len(key) - 2:
+        raise ValueError("map at %r has degree %d, expected %d" % (key, degree, len(key) - 2))
 
 
 @lru_cache(maxsize=32)

@@ -47,18 +47,19 @@ compatibility check suites, ``run_checks``, which assembles the whole suite,
 an integer splitting solver for acyclic cofibrations, and the recovery of a
 1-simplex edge from its cylinder frame.
 
-The homotopical check proves the max-preserving structure maps weak
-equivalences on generators and composes the rest.  The generators are the
-identities and the max-preserving cofaces, the maps of codimension <= 1.
-Each is judged as a selection: its chain-map and certificate identities are
-read from its block positions and the stored row views of d, j and r, and no
-matrix of the map is assembled.  Every other max-preserving map psi factors
-as delta o psi', delta a coface, and passes when both factors passed by
-certificate and the composite is an identity of block layouts: its
-certificate identities then follow from theirs, since weak equivalences
-compose (2-out-of-3).  Any other map, a tampered one included, is judged
-directly on its matrices, falling back on cone homology, so each PASS rests
-on an exact identity and each FAIL keeps its witness.
+The homotopical check reads only its frames: their d^2 and last-vertex
+verdicts, which each frame keeps, and their blocks.  It judges each
+max-preserving structure map on one path.  A selection of codimension >= 2
+factors as delta o psi', delta a coface, and passes when both factors passed
+and the composite is an identity of block layouts: its certificate
+identities then follow from theirs, since weak equivalences compose
+(2-out-of-3).  Any other selection, the generators (the identities and the
+max-preserving cofaces, of codimension <= 1) included, passes on its own
+certificate: its chain-map identity and g o j = j, r o g = r, read from its
+block positions and the stored row views of d, j and r, with no matrix of
+the map assembled.  A map that is no selection, or fails both, gets the
+chain-map test and cone homology, so each PASS rests on an exact identity
+and each FAIL keeps its witness.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import (
     ChainComplex,
     GradedMap,
-    composite_equals,
     composite_term,
     cone,
     cycle_defect,
@@ -130,6 +130,11 @@ class FrameObject:
         c, top = self.complex, tuple(range(self.alpha.dom + 1))
         degrees = sorted({*c.support, *self.blocks})
         return next((d for d in degrees if not _tiles(self.blocks.get(d, {}), top, c.rank(d))), None)
+
+    @cached_property
+    def last_vertex(self) -> LastVertexCheck:
+        """:func:`check_last_vertex` of the frame: its one last-vertex verdict."""
+        return check_last_vertex(self)
 
     def source_complex(self, subset) -> ChainComplex:
         return self.restriction.objects[subset[0]]
@@ -271,7 +276,10 @@ class Selection(GradedMap):
     such a selection: both frames' blocks tile their bases
     (``untiled_degree``), the image of each block is a block of the same
     width, and the images go up as the blocks do.  It is not kept, so that a
-    selection kept as a factor holds no more than its frames and ``inj``."""
+    selection kept as a factor holds no more than its frames and ``inj``.
+    The homotopical check reads a selection through its preimages alone; it
+    assembles the matrices only for one without preimages, for its chain-map
+    test and cone."""
 
     def __init__(self, src: FrameObject, tgt: FrameObject, inj: Tuple[int, ...]):
         self.source, self.target, self.degree = src.complex, tgt.complex, 0
@@ -468,24 +476,10 @@ def _at(degree: Optional[int], what: str) -> Optional[str]:
     return None if degree is None else "%s at degree %d" % (what, degree)
 
 
-def homotopy_inverse_certified(g: GradedMap, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
-    """Whether q = j_src o r_tgt is a homotopy inverse of the chain map
-    g : B(beta) -> B(alpha), by literal identities.
-
-    Given the last-vertex identities at both ends, g o j_src = j_tgt and
-    r_tgt o g = r_src give g o q = j_tgt r_tgt ~ id through h_tgt and
-    q o g = j_src r_src ~ id through h_src, so the cone of g is acyclic.  The
-    two identities hold for the structure map of every max-preserving
-    morphism; they are decided row by row over the maps' row views, without
-    forming either composite.  The caller must already know that g is a
-    chain map and that both frames have d^2 = 0."""
-    return src.holds and tgt.holds and composite_equals(g, src.j, tgt.j) and composite_equals(tgt.r, g, src.r)
-
-
 # -- check suites --------------------------------------------------------------
 
 
-def is_homotopical(diagram: FrameDiagram, last_vertex: Optional[Dict[OrderMap, LastVertexCheck]] = None) -> Report:
+def is_homotopical(diagram: FrameDiagram) -> Report:
     """Every max-preserving morphism must have a structure map whose cone is
     acyclic.  Non-max-preserving morphisms carry no requirement and are
     skipped.  A morphism with an endpoint frame whose d^2 is nonzero fails
@@ -493,78 +487,67 @@ def is_homotopical(diagram: FrameDiagram, last_vertex: Optional[Dict[OrderMap, L
 
     Items come by target in ``diagram.objects`` order, then in
     :func:`enumerate_inclusions` order, and each map is read once, through
-    ``diagram.structure_map``.  A PASS rests on one of three things:
+    ``diagram.structure_map``, and judged on one path.  A PASS rests on one
+    of three things:
 
-    * for a generator (codimension <= 1) read as a :class:`Selection`, its
-      chain-map and certificate identities (see
-      :func:`homotopy_inverse_certified`), read from its preimages and the
-      stored row views of d, j and r (:func:`_selection_certified`);
-    * for a composite psi = delta o psi' read as one, delta the coface that
-      misses the least index psi misses: both factors passed by certificate
-      (so the middle frame has d^2 = 0), and g_psi = g_delta o g_psi' as
-      layouts (:func:`_composes`).  Then g_psi is a chain map, and
-      g_psi o j = g_delta o j = j and r o g_psi = r o g_psi' = r: weak
-      equivalences compose (2-out-of-3);
-    * for any other map, or a selection whose route fails, the direct path:
-      the chain-map test and the certificate, decided row by row on the
-      map's matrices, and when those fail, cone homology, so that a FAIL
-      names the homology.
+    * for a :class:`Selection` psi = delta o psi' of codimension >= 2, delta
+      the coface that misses the least index psi misses: both factors
+      passed as selections (so the middle frame has d^2 = 0), and
+      g_psi = g_delta o g_psi' as layouts (:func:`_composes`).  Then g_psi
+      is a chain map, and g_psi o j = g_delta o j = j and
+      r o g_psi = r o g_psi' = r: weak equivalences compose (2-out-of-3);
+    * for any other selection, its own certificate: it is a chain map with
+      g o j = j and r o g = r, and both frames' last-vertex identities
+      hold, so that j_src o r_tgt is a homotopy inverse.  These identities
+      are read from its preimages and the stored row views of d, j and r
+      (:func:`_selection_certified`), with no matrix of the map;
+    * for any other map, or a selection that passes neither way, the
+      chain-map test and then cone homology, so that a FAIL names the
+      homology.
 
-    A target's cofaces come after the composites into it, so its generators
-    are tried on their route first; the direct path runs in item order.
-    ``last_vertex`` holds :func:`check_last_vertex` of every frame, computed
-    here if absent."""
-    if last_vertex is None:
-        last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
+    A target's generators (codimension <= 1) are tried as selections
+    before the composites into it, which pass over them; the other maps
+    are judged in item order."""
     report = Report()
-    # (target, inj) -> the selection of each map passed by certificate whose
-    # blocks describe it
+    # (target, inj) -> the selection of each map passed as a selection
     certified: Dict[Tuple[OrderMap, Tuple[int, ...]], Selection] = {}
     for alpha in diagram.objects:
         mors = [m for m in enumerate_inclusions(alpha) if is_weak_equivalence_d(m)]
-        maps: List[Optional[GradedMap]] = [None] * len(mors)
-        verdicts: List[Optional[Tuple[bool, Optional[str]]]] = [None] * len(mors)
-        for k, mor in enumerate(mors):
-            if len(mor.inj) >= alpha.dom and _broken_endpoint(diagram, mor) is None:
-                g = maps[k] = diagram.structure_map(mor)
-                src, tgt = last_vertex[mor.src], last_vertex[mor.tgt]
-                if type(g) is Selection and _selection_certified(g, src, tgt):
-                    certified[mor.tgt, mor.inj] = g
-                    verdicts[k] = True, None
-        for k, mor in enumerate(mors):
-            ok, witness = verdicts[k] or _homotopical_verdict(diagram, mor, maps[k], last_vertex, certified)
-            report.add("homotopical", _morphism_key(mor), ok, witness)
+        # the generators first: the composites into alpha pass over them
+        routed = {m: _route(diagram, m, certified) for m in mors if len(m.inj) >= alpha.dom}
+        for mor in mors:
+            g, verdict = routed.get(mor) or _route(diagram, mor, certified)
+            report.add("homotopical", _morphism_key(mor), *(verdict or _homotopical_verdict(g)))
     return report
 
 
-def _broken_endpoint(diagram: FrameDiagram, mor: DMorphism) -> Optional[str]:
-    """The witness of an endpoint frame of mor with d^2 != 0, or None."""
+def _route(diagram: FrameDiagram, mor: DMorphism, certified) -> tuple:
+    """(g, verdict): the map g of mor, None when an endpoint frame has
+    d^2 != 0, and the (status, witness) of its item when that fails it or
+    when g passes as a selection, by 2-out-of-3
+    (:func:`_composite_certified`) or else on its own certificate, which
+    enters g in ``certified``; else None."""
     broken = next((a for a in (mor.src, mor.tgt) if diagram.objects[a].d2_defects), None)
-    if broken is None:
-        return None
-    return "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), diagram.objects[broken].d2_defects[0])
-
-
-def _homotopical_verdict(
-    diagram: FrameDiagram, mor: DMorphism, g: Optional[GradedMap], last_vertex, certified
-) -> Tuple[bool, Optional[str]]:
-    """(status, witness) of the ``homotopical`` item of mor, whose map g is
-    read here unless it was read already, entering g in ``certified`` when it
-    is a selection passed by certificate."""
-    broken = _broken_endpoint(diagram, mor)
     if broken is not None:
-        return False, broken
-    if g is None:
-        g = diagram.structure_map(mor)
-    if type(g) is Selection and len(mor.inj) < mor.tgt.dom and _composite_certified(mor, g, certified):
+        witness = "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), diagram.objects[broken].d2_defects[0])
+        return None, (False, witness)
+    g = diagram.structure_map(mor)
+    src, tgt = diagram.objects[mor.src], diagram.objects[mor.tgt]
+    if type(g) is Selection and (
+        len(mor.inj) < mor.tgt.dom
+        and _composite_certified(mor, g, certified)
+        or _selection_certified(g, src.last_vertex, tgt.last_vertex)
+    ):
         certified[mor.tgt, mor.inj] = g
-        return True, None
+        return g, (True, None)
+    return g, None
+
+
+def _homotopical_verdict(g: GradedMap) -> Tuple[bool, Optional[str]]:
+    """(status, witness) of the ``homotopical`` item of a map g that did
+    not pass as a selection: the chain-map test, then cone homology."""
     if not g.is_cycle():
         return False, "structure map is not a chain map"
-    if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
-        if type(g) is Selection and g.preimages() is not None:
-            certified[mor.tgt, mor.inj] = g
-        return True, None
     hom = homology(cone(g))
     ok = hom.is_trivial()
     return ok, None if ok else "cone homology: %s" % hom
@@ -603,9 +586,11 @@ def _composes(g: Selection, first: Selection, second: Selection) -> bool:
 def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
     """Whether g : B(beta) -> B(alpha), a selection with ``preimages()``, is
     a chain map with g o j_beta = j_alpha and r_alpha o g = r_beta, and both
-    frames' last-vertex identities hold: what the direct path decides with
-    ``is_cycle`` and :func:`homotopy_inverse_certified`, on the same row views
-    of d, j and r, but read through the preimages with no matrix of g.
+    frames' last-vertex identities hold.  Then q = j_beta o r_alpha is a
+    homotopy inverse of g: g o q = j_alpha r_alpha ~ id through h_alpha and
+    q o g = j_beta r_beta ~ id through h_beta, so the cone of g is acyclic.
+    The identities are decided on the stored row views of d, j and r, read
+    through the preimages with no matrix of g.
 
     With p = preimages()[d], row t of d_alpha o g is row t of d_alpha with each
     column c renamed p[c] and dropped where p[c] is None, and row t of
@@ -690,11 +675,10 @@ def run_checks(s: NerveSimplex, max_len: int) -> Report:
         defects = o.d2_defects
         report.add("frame-d2", alpha.key(), not defects, _at(defects[0] if defects else None, "d^2 != 0"))
     report.extend(is_reedy_cofibrant(diagram))
-    last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
-    for alpha, lv in last_vertex.items():
-        for check, witness in lv.verdicts:
+    for alpha, o in diagram.objects.items():
+        for check, witness in o.last_vertex.verdicts:
             report.add(check, alpha.key(), witness is None, witness)
-    report.extend(is_homotopical(diagram, last_vertex))
+    report.extend(is_homotopical(diagram))
     n = s.n
     faces = [tuple(v for v in range(n + 1) if v != i) for i in range(n + 1)] if n else []
     degeneracies = [tuple(sorted([*range(n + 1), i])) for i in range(n + 1)]

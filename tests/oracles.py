@@ -16,7 +16,11 @@ of the check suite by dense products, sums and scalings.  Both are the
 library's code from before it decided these identities column by column.
 ``combination_is_zero`` and ``combination_matrix`` are the column-wise
 deciders, over ``_nonzero_columns``, that the library used before it decided
-them row by row over the row-nonzero views.
+them row by row over the row-nonzero views.  ``composite_equals`` and
+``homotopy_inverse_certified`` decide the homotopy-inverse certificate of a
+structure map row by row on its assembled matrices, as ``is_homotopical``
+did before it judged every selection on the stored row views; they are the
+reference for that view route.
 ``structure_maps`` builds every structure map of a diagram, and
 ``homotopical_items`` is ``is_homotopical`` as it read when the diagram
 stored all of them.  ``latching_data`` builds the latching sub-complex, its
@@ -29,17 +33,27 @@ from itertools import compress
 from operator import add
 from typing import Dict, Optional, Sequence
 
-from dgframes.complexes import ChainComplex, GradedMap, cone, homology, identity_term, shift
+from dgframes.complexes import (
+    ChainComplex,
+    GradedMap,
+    composite_term,
+    cone,
+    first_defect,
+    homology,
+    identity_term,
+    map_term,
+    shift,
+)
 from dgframes.dg_nerve import NerveSimplex, increasing_sequences
 from dgframes.exact_linalg import IntMatrix, Vector, _col_sub, _col_swap, _row_sub, _row_swap, block, snf
 from dgframes.frames import (
     FrameDiagram,
     FrameObject,
+    LastVertexCheck,
     _assemble,
     _at,
     _morphism_key,
     check_last_vertex,
-    homotopy_inverse_certified,
 )
 from dgframes.reporting import Report
 from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
@@ -401,6 +415,31 @@ def last_vertex_verdicts(j: GradedMap, r: GradedMap, h: GradedMap, b: ChainCompl
     section = _nonzero_at((r @ j) - GradedMap.identity(j.source), "r o j != id")
     htpy = _nonzero_at(hom_differential(h) - ((j @ r) - GradedMap.identity(b)), "D(h) != j o r - id")
     return (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
+
+
+def composite_equals(f: GradedMap, g: GradedMap, h: GradedMap) -> bool:
+    """Whether f o g == h, as GradedMap.__eq__ decides it, without forming
+    f o g.  ValueError when f o g is not defined, as for ``f @ g``."""
+    if g.target is not f.source and g.target != f.source:
+        raise ValueError("composition endpoints do not match")
+    # tuples compare their items by identity first, then by ==
+    if f.degree + g.degree != h.degree or (g.source, f.target) != (h.source, h.target):
+        return False
+    return first_defect(h.source, h.target, h.degree, lambda d: composite_term(1, f, g, d) + map_term(-1, h, d)) is None
+
+
+def homotopy_inverse_certified(g: GradedMap, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
+    """Whether q = j_src o r_tgt is a homotopy inverse of the chain map
+    g : B(beta) -> B(alpha), by literal identities.
+
+    Given the last-vertex identities at both ends, g o j_src = j_tgt and
+    r_tgt o g = r_src give g o q = j_tgt r_tgt ~ id through h_tgt and
+    q o g = j_src r_src ~ id through h_src, so the cone of g is acyclic.  The
+    two identities hold for the structure map of every max-preserving
+    morphism; they are decided row by row over the maps' row views, without
+    forming either composite.  The caller must already know that g is a
+    chain map and that both frames have d^2 = 0."""
+    return src.holds and tgt.holds and composite_equals(g, src.j, tgt.j) and composite_equals(tgt.r, g, src.r)
 
 
 def certificate_identities(g: GradedMap, src_j, src_r, tgt_j, tgt_r):

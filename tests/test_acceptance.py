@@ -43,7 +43,6 @@ from dgframes.frames import (
     build_frame_object,
     check_last_vertex,
     check_simplicial_compat,
-    homotopy_inverse_certified,
     is_homotopical,
     last_vertex_data,
     recover_map_from_cylinder,
@@ -57,7 +56,7 @@ from dgframes.simplicial import (
     is_weak_equivalence_d,
 )
 
-from oracles import cylinder, from_rows, latching_data, structure_maps
+from oracles import cylinder, from_rows, homotopy_inverse_certified, latching_data, structure_maps
 
 CORPUS_SIZE = 200
 

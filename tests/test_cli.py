@@ -301,6 +301,40 @@ def test_non_string_names_exit_2(valid_simplex, tmp_path, capsys, field):
     assert "must be a JSON string" in capsys.readouterr().err
 
 
+def _declared_degree(key, degree):
+    """``random_simplex(Random(3), 2)`` with the map at ``key`` declaring ``degree``."""
+    obj = random_simplex(random.Random(3), 2).to_json()
+    obj["maps"][key]["degree"] = degree
+    return obj
+
+
+PARSE_ERRORS = {
+    "negative rank": ("homology", {"name": "x", "degrees": {"0": -1, "1": 1}}, "negative rank in degree 0"),
+    "negative rank under a differential": (
+        "homology",
+        {"name": "x", "degrees": {"0": -1, "1": 1}, "differentials": {"1": [[5]]}},
+        "negative rank in degree 0",
+    ),
+    "edge of degree 1": ("validate", _declared_degree("0,1", 1), "map at (0, 1) has degree 1, expected 0"),
+    "triangle of degree 0": ("validate", _declared_degree("0,1,2", 0), "map at (0, 1, 2) has degree 0, expected 1"),
+    "differential row too wide": (
+        "homology",
+        {"name": "x", "degrees": {"0": 1, "1": 1}, "differentials": {"1": [[5, 1]]}},
+        "differential at degree 1 must be 1x1, got row lengths [2]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_name_their_cause(tmp_path, capsys, case):
+    """A negative rank, a map of the wrong declared degree and a matrix of
+    the wrong shape are refused with their own message, not with the shape
+    error of a matrix read under the bad value: exit 2, nothing on stdout."""
+    command, obj, message = PARSE_ERRORS[case]
+    assert main([command, "--input", write_json(tmp_path / "in.json", obj)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 # Each spelling names the same integer as ``t`` but is not its canonical text.
 NON_CANONICAL = {
     "leading zero": lambda t: "0" + t,
