@@ -66,7 +66,7 @@ def _metadata(args: argparse.Namespace) -> dict:
 
 
 def _report_payload(command: str, args: argparse.Namespace, report):
-    payload = {"command": command, "metadata": _metadata(args), "report": report.to_json(), "summary": report.summary()}
+    payload = {"command": command, "metadata": _metadata(args), "report": report.items, "summary": report.summary()}
     return payload, (0 if report.ok else 1)
 
 
@@ -162,10 +162,10 @@ def _render_text(payload: dict) -> str:
         lines.append("exact_match: %s" % payload["exact_match"])
     if "report" in payload:
         for item in payload["report"]:
-            mark = "PASS" if item["status"] == "pass" else "FAIL"
-            line = "%s %s @ %s" % (mark, item["check"], item["location"])
-            if "witness" in item:
-                line += "  (%s)" % item["witness"]
+            mark = "PASS" if item.status == "pass" else "FAIL"
+            line = "%s %s @ %s" % (mark, item.check, item.location)
+            if item.witness is not None:
+                line += "  (%s)" % item.witness
             lines.append(line)
         s = payload["summary"]
         lines.append("summary: %d pass, %d fail" % (s["pass"], s["fail"]))

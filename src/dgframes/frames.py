@@ -34,7 +34,8 @@ objects X_{alpha(i)} and the cochains on the alpha-images of increasing
 sequences.  Naturality under reindexing, B_{act(sigma, s)}(alpha) =
 B_s(sigma o alpha), therefore follows from the nerve identity
 act(alpha, act(sigma, s)) = act(sigma o alpha, s), and that identity is what
-the simplicial compatibility check compares.
+the simplicial compatibility check compares, field by field, against a table
+of act(sigma, s)'s values with one entry per value sequence.
 
 The module also provides the structure maps (basis inclusions along subset
 reindexing, built on demand as lazy selections: a diagram holds frames
@@ -48,23 +49,25 @@ an integer splitting solver for acyclic cofibrations, and the recovery of a
 1-simplex edge from its cylinder frame.
 
 The homotopical check reads only its frames: their d^2 and last-vertex
-verdicts, which each frame keeps, and their blocks.  It judges each
-max-preserving structure map on one path.  A selection of codimension >= 2
-factors as delta o psi', delta a coface, and passes when both factors passed
-and the composite is an identity of block layouts: its certificate
-identities then follow from theirs, since weak equivalences compose
-(2-out-of-3).  Any other selection, the generators (the identities and the
-max-preserving cofaces, of codimension <= 1) included, passes on its own
-certificate: its chain-map identity and g o j = j, r o g = r, read from its
-block positions and the stored row views of d, j and r, with no matrix of
-the map assembled.  A map that is no selection, or fails both, gets the
-chain-map test and cone homology, so each PASS rests on an exact identity
-and each FAIL keeps its witness.
+verdicts, which each frame keeps, and their blocks.  It enumerates only the
+max-preserving structure maps and judges each on one path.  A selection of
+codimension >= 2 factors as delta o psi', delta a coface, and passes when
+both factors passed and the composite is an identity of block layouts: its
+certificate identities then follow from theirs, since weak equivalences
+compose (2-out-of-3).  Any other selection, the generators (the identities
+and the max-preserving cofaces, of codimension <= 1) included, passes on its
+own certificate: its chain-map identity and g o j = j, r o g = r, read from
+its block positions and the stored row views of d, j and r, with no matrix
+of the map assembled; an identity map holds them as written and reads no
+row.  A map that is no selection, or fails both, gets the chain-map test and
+cone homology, so each PASS rests on an exact identity and each FAIL keeps
+its witness.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
@@ -85,17 +88,10 @@ from .complexes import (
     shift,
     vector_to_graded_map,
 )
-from .dg_nerve import NerveSimplex, act, validate_maurer_cartan
+from .dg_nerve import NerveSimplex, act, increasing_sequences, validate_maurer_cartan
 from .exact_linalg import IntMatrix, block, invariant_factors, solve
 from .reporting import Report
-from .simplicial import (
-    DMorphism,
-    OrderMap,
-    enumerate_d_objects,
-    enumerate_inclusions,
-    is_weak_equivalence_d,
-    nonempty_subsets,
-)
+from .simplicial import DMorphism, OrderMap, enumerate_d_objects, nonempty_subsets
 
 
 class FrameObject:
@@ -482,11 +478,14 @@ def _at(degree: Optional[int], what: str) -> Optional[str]:
 def is_homotopical(diagram: FrameDiagram) -> Report:
     """Every max-preserving morphism must have a structure map whose cone is
     acyclic.  Non-max-preserving morphisms carry no requirement and are
-    skipped.  A morphism with an endpoint frame whose d^2 is nonzero fails
-    without a cone, since that cone is no complex.
+    not enumerated.  A morphism with an endpoint frame whose d^2 is nonzero
+    fails without a cone, since that cone is no complex.
 
-    Items come by target in ``diagram.objects`` order, then in
-    :func:`enumerate_inclusions` order, and each map is read once, through
+    Items come by target alpha in ``diagram.objects`` order, then one per
+    subset of [alpha.dom] that holds the last index a: {a}, then S u {a}
+    for each nonempty S in ``nonempty_subsets(a - 1)``, which is by size
+    then lexicographically, the order :func:`enumerate_inclusions` gives
+    them among all morphisms into alpha.  Each map is read once, through
     ``diagram.structure_map``, and judged on one path.  A PASS rests on one
     of three things:
 
@@ -512,7 +511,9 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     # (target, inj) -> the selection of each map passed as a selection
     certified: Dict[Tuple[OrderMap, Tuple[int, ...]], Selection] = {}
     for alpha in diagram.objects:
-        mors = [m for m in enumerate_inclusions(alpha) if is_weak_equivalence_d(m)]
+        a, at = alpha.dom, alpha.values.__getitem__
+        subsets = [(a,)] + [S + (a,) for S in nonempty_subsets(a - 1)]
+        mors = [DMorphism._trusted(OrderMap._trusted(tuple(map(at, S)), alpha.cod), alpha, S) for S in subsets]
         # the generators first: the composites into alpha pass over them
         routed = {m: _route(diagram, m, certified) for m in mors if len(m.inj) >= alpha.dom}
         for mor in mors:
@@ -598,7 +599,13 @@ def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexChec
     is renamed the same way, and row t of g o j_beta is row p[t] of j_beta.
     Since p keeps column order, each renamed row is a sorted, zero-free view
     and is compared as a tuple.  False also when g has no preimages or the
-    maps do not fit together as the certificate reads them."""
+    maps do not fit together as the certificate reads them.
+
+    An identity map, one frame to itself along the identity injection, with
+    one last-vertex check for both ends (``src is tgt``) and a frame whose
+    blocks tile, is the identity matrix: D(g) = 0, g o j = j and r o g = r
+    hold as written, so it passes once the fit checks do, with no preimages
+    built and no row read."""
     b, a = g.source, g.target
     j_src, r_src, j_tgt, r_tgt = src.j, src.r, tgt.j, tgt.r
     x, y = j_src.source, r_src.target
@@ -608,6 +615,9 @@ def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexChec
         return False
     if j_tgt.source is not x or r_tgt.target is not y:
         return False
+    (frame, other), inj = g.frames, g.inj
+    if src is tgt and frame is other and inj == tuple(range(len(inj))) and frame.untiled_degree is None:
+        return True  # g is the identity matrix: D(g) = 0, g o j = j and r o g = r as written
     p = g.preimages()
     if p is None:
         return False
@@ -648,19 +658,37 @@ def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:
     labels, same matrices).
 
     An item passes exactly when the restriction act(alpha, t) equals the
-    stored frame's ``restriction`` (see the module docstring).  A frame is an
-    injective function of its restriction, so this decides equality of the
-    frames, provided each stored complex is build_frame_object of its own
-    restriction.  The check trusts that and does not read the stored
-    complexes: a frame built by hand with an intact restriction but a
-    tampered complex passes here.  The Reedy and homotopical suites read the
-    stored complexes."""
+    stored frame's ``restriction`` (see the module docstring), field by
+    field: its objects are t's objects at the values v of alpha, and its
+    maps, keyed by the increasing sequences of [alpha.dom], are t's values at
+    the subsequences of v.  The value sequences v are walked in
+    :func:`enumerate_d_objects` order, shortest first, and each is looked up
+    in t once, into a table that every longer v reads: every proper
+    subsequence of v is shorter, so it is already there.  The frame at
+    sigma o alpha is found by its key in ``diagram.objects``.
+
+    A frame is an injective function of its restriction, so this decides
+    equality of the frames, provided each stored complex is
+    build_frame_object of its own restriction.  The check trusts that and
+    does not read the stored complexes: a frame built by hand with an intact
+    restriction but a tampered complex passes here.  The Reedy and
+    homotopical suites read the stored complexes."""
     t = act(sigma, diagram.simplex)
+    by_values = {alpha.values: o for alpha, o in diagram.objects.items()}
+    image, objects = sigma.values.__getitem__, t.objects.__getitem__
+    table = {}  # value sequence of length >= 2 -> t's value there
     report = Report()
-    for alpha in enumerate_d_objects(sigma.dom, diagram.max_len):
-        ok = act(alpha, t) == diagram.objects[sigma.compose(alpha)].restriction
-        wit = None if ok else "frames differ"
-        report.add("simplicial-compat", "sigma=%s alpha=%s" % (sigma.key(), alpha.key()), ok, wit)
+    prefix = "sigma=%s alpha=" % sigma.key()
+    for m in range(diagram.max_len + 1):
+        keys = increasing_sequences(m)
+        for v in combinations_with_replacement(range(sigma.dom + 1), m + 1):
+            if m:
+                table[v] = t._lookup(v)
+            stored = by_values[tuple(map(image, v))].restriction
+            ok = stored.objects == tuple(map(objects, v)) and stored.maps == dict(
+                zip(keys, [table[w] for k in range(2, m + 2) for w in combinations(v, k)])
+            )
+            report.add("simplicial-compat", prefix + ",".join(map(str, v)), ok, None if ok else "frames differ")
     return report
 
 

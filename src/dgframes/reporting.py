@@ -18,12 +18,6 @@ class CheckItem(NamedTuple):
     status: str  # "pass" | "fail"
     witness: Optional[str] = None
 
-    def to_json(self) -> dict:
-        obj = {"check": self.check, "location": self.location, "status": self.status}
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        return obj
-
 
 class Report:
     """An ordered list of check items; ordering is construction order and is
@@ -45,9 +39,6 @@ class Report:
     def failures(self) -> List[CheckItem]:
         return [i for i in self.items if i.status != "pass"]
 
-    def to_json(self) -> list:
-        return [i.to_json() for i in self.items]
-
     def summary(self) -> dict:
         fails = len(self.failures())
         return {"pass": len(self.items) - fails, "fail": fails}
@@ -60,8 +51,11 @@ class Report:
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for the JSON trees the
     CLI emits: dicts with str keys, lists, tuples, str, int, bool and None,
-    and :class:`IntMatrix`, written as the list of its rows.  Anything else,
-    floats and non-str keys included, raises TypeError.
+    :class:`IntMatrix`, written as the list of its rows, and
+    :class:`CheckItem`, written as the dict of its fields, keys sorted, with
+    no ``witness`` key when the witness is None.  Anything else, floats and
+    non-str keys included, raises TypeError, as does a CheckItem field that
+    is no str (a witness may be None).
 
     With ``indent`` set, ``json`` on CPython 3.11 falls back to its
     pure-Python encoder, which yields one chunk per list item; here strings
@@ -71,7 +65,9 @@ def canonical_json(obj) -> str:
     and indent, with only its nonzeros in between, so a mostly-zero matrix
     row costs Python work per nonzero, not per entry.  A matrix row's
     nonzeros come from :attr:`IntMatrix.nonzeros`, and its entries need
-    no type test: an IntMatrix holds only ints."""
+    no type test: an IntMatrix holds only ints.  A report item is written
+    from one template of its fixed text per indent, with its str fields in
+    between, and builds no dict."""
     out: List[str] = []
     _encode(obj, "\n", out)
     return "".join(out)
@@ -114,6 +110,13 @@ def _encode(obj, newline: str, out: List[str]) -> None:
             _int_list(obj.cols, nz, inner, out)
             head = "," + inner
         out.append(newline + "]")
+    elif type(obj) is CheckItem:
+        head, location, status, witness, end = _item_chunks(newline)
+        out += (head, encode_basestring_ascii(obj.check), location, encode_basestring_ascii(obj.location))
+        out += (status, encode_basestring_ascii(obj.status))
+        if obj.witness is not None:
+            out += (witness, encode_basestring_ascii(obj.witness))
+        out.append(end)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -150,6 +153,15 @@ def _int_list(n: int, nonzeros, newline: str, out: List[str]) -> None:
         out += (zeros[at:start], int.__repr__(v))
         at = start + 1
     out += (zeros[at:], newline, "]")
+
+
+@lru_cache(maxsize=16)  # bounded: one entry per nesting depth seen
+def _item_chunks(newline: str) -> tuple:
+    """The fixed text of a :class:`CheckItem` written at the indent of
+    ``newline``: the text before each of its four values, and its end."""
+    inner = newline + "  "
+    sep = "," + inner
+    return ("{" + inner + '"check": ', sep + '"location": ', sep + '"status": ', sep + '"witness": ', newline + "}")
 
 
 @lru_cache(maxsize=256)  # bounded: one entry per row width and nesting depth seen

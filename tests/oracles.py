@@ -27,6 +27,9 @@ stored all of them.  ``latching_data`` builds the latching sub-complex, its
 inclusion and the cokernel of a frame, and ``reedy_items`` is
 ``is_reedy_cofibrant`` as it read when it built the inclusion matrices and
 the cokernel complex; ``transpose`` and ``submatrix`` serve them.
+``simplicial_compat_items`` is ``check_simplicial_compat`` as it read when
+it built the restriction act(alpha, t) of every item and compared it with
+the stored one as a simplex.
 """
 
 from itertools import compress
@@ -44,7 +47,7 @@ from dgframes.complexes import (
     map_term,
     shift,
 )
-from dgframes.dg_nerve import NerveSimplex, increasing_sequences
+from dgframes.dg_nerve import NerveSimplex, act, increasing_sequences
 from dgframes.exact_linalg import IntMatrix, Vector, _col_sub, _col_swap, _row_sub, _row_swap, block, snf
 from dgframes.frames import (
     FrameDiagram,
@@ -56,7 +59,7 @@ from dgframes.frames import (
     check_last_vertex,
 )
 from dgframes.reporting import Report
-from dgframes.simplicial import enumerate_inclusions, is_weak_equivalence_d
+from dgframes.simplicial import OrderMap, enumerate_d_objects, enumerate_inclusions, is_weak_equivalence_d
 
 
 def from_rows(data: Sequence[Sequence[int]]) -> IntMatrix:
@@ -543,6 +546,21 @@ def homotopical_items(diagram, last_vertex=None):
         hom = homology(cone(g))
         ok = hom.is_trivial()
         report.add("homotopical", _morphism_key(mor), ok, None if ok else "cone homology: %s" % hom)
+    return report.items
+
+
+# -- simplicial compatibility, one restriction per item ----------------------------
+
+
+def simplicial_compat_items(sigma: OrderMap, diagram: FrameDiagram):
+    """The items of ``check_simplicial_compat``, by its loop from when it
+    built act(alpha, t) once per item."""
+    t = act(sigma, diagram.simplex)
+    report = Report()
+    for alpha in enumerate_d_objects(sigma.dom, diagram.max_len):
+        ok = act(alpha, t) == diagram.objects[sigma.compose(alpha)].restriction
+        wit = None if ok else "frames differ"
+        report.add("simplicial-compat", "sigma=%s alpha=%s" % (sigma.key(), alpha.key()), ok, wit)
     return report.items
 
 

@@ -21,7 +21,7 @@ from dgframes.complexes import (
 )
 from dgframes.dg_nerve import NerveSimplex, gauge, make_strict, random_simplex
 from dgframes.exact_linalg import IntMatrix
-from dgframes.reporting import canonical_json
+from dgframes.reporting import CheckItem, canonical_json
 
 from oracles import from_rows
 
@@ -509,6 +509,38 @@ def test_more_command_outputs_are_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_CASE_STDOUT[case]
 
 
+def corrupted_simplex(seed=3, n=2, key="0,1,2"):
+    """random_simplex(Random(seed), n) with 1 added to the first entry of
+    the lowest-degree matrix of its cochain at ``key``."""
+    obj = random_simplex(random.Random(seed), n).to_json()
+    mats = obj["maps"][key]["matrices"]
+    mats[min(mats, key=int)][0][0] += 1
+    return NerveSimplex.from_json(obj)
+
+
+# Reports with failed items and their witnesses; each case exits 1.
+FAILING_PINNED_CASES = {
+    "check-corrupted": (corrupted_simplex, ["check", "--max-len", "2"]),
+    "check-corrupted-text": (corrupted_simplex, ["check", "--max-len", "2", "--format", "text"]),
+}
+
+# sha256 of the stdout of each case, recorded before report items were
+# written from one template.
+FAILING_PINNED_CASE_STDOUT = {
+    "check-corrupted": "adf7f5fe6570fae44b64f604a547dda2d5b18334237f8bea38c23b64a733288a",
+    "check-corrupted-text": "cec642cab1a5dc6481546b18484d3739aa32159c9ef1afad905672b92f97aab8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_PINNED_CASES))
+def test_failing_check_outputs_are_pinned(tmp_path, capsys, case):
+    build, argv = FAILING_PINNED_CASES[case]
+    path = write_json(tmp_path / "input.json", build().to_json())
+    assert main(argv + ["--input", path]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAILING_PINNED_CASE_STDOUT[case]
+
+
 def test_a_failed_parse_leaves_the_reused_parser_intact(valid_simplex, capsys):
     """The parser is built once per process; an argparse error on one call
     must not change what later calls print."""
@@ -550,6 +582,29 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES | SPARSE_INT_ROWS | st.just('"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e'))
 def test_canonical_json_matches_json_dumps(tree):
     assert canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+REPORT_TEXT = st.text() | st.just('"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e')
+CHECK_ITEMS = st.builds(
+    CheckItem,
+    st.sampled_from(("maurer-cartan", "homotopical")),
+    REPORT_TEXT,
+    st.sampled_from(("pass", "fail")),
+    st.none() | REPORT_TEXT,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(CHECK_ITEMS, max_size=4), st.sampled_from(("list", "dict")))
+def test_canonical_json_writes_a_check_item_as_its_dict(items, nesting):
+    """A CheckItem is written as ``json.dumps`` writes the dict of its
+    fields, without the ``witness`` key when the witness is None, in a
+    payload as the CLI nests it and one level deeper."""
+    dicts = [{k: v for k, v in item._asdict().items() if v is not None} for item in items]
+    tree, expected = {"report": items, "summary": {"pass": 1}}, {"report": dicts, "summary": {"pass": 1}}
+    if nesting == "list":
+        tree, expected = [tree, items], [expected, dicts]
+    assert canonical_json(tree) == json.dumps(expected, sort_keys=True, indent=2)
 
 
 INT_MATRIX_ROWS = st.tuples(st.integers(0, 5), st.integers(0, 40)).flatmap(

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 
@@ -21,6 +22,7 @@ from dgframes.dg_nerve import (
     NerveSimplex,
     act,
     gauge,
+    increasing_sequences,
     make_strict,
     random_simplex,
     validate_maurer_cartan,
@@ -51,7 +53,14 @@ from dgframes.simplicial import (
     is_weak_equivalence_d,
 )
 
-from oracles import cylinder, from_rows, latching_data, structure_maps, verify_mc_extension
+from oracles import (
+    cylinder,
+    from_rows,
+    latching_data,
+    simplicial_compat_items,
+    structure_maps,
+    verify_mc_extension,
+)
 
 
 def point(name="pt", label="p"):
@@ -656,6 +665,61 @@ def test_simplicial_compat_fails_on_a_swapped_frame():
             failed.extend(check_simplicial_compat(sigma, diagram).failures())
     assert landing == len(failed) > 1
     assert all(i.witness == "frames differ" for i in failed)
+
+
+def _compat_failures(diagram, sigmas):
+    """Assert that check_simplicial_compat gives the per-item loop's items
+    along each sigma; return the number of failed items."""
+    failed = 0
+    for sigma in sigmas:
+        items = check_simplicial_compat(sigma, diagram).items
+        assert items == simplicial_compat_items(sigma, diagram), sigma.key()
+        failed += sum(i.status == "fail" for i in items)
+    return failed
+
+
+def _reindexings(n, max_dom):
+    return [sigma for m in range(max_dom + 1) for sigma in enumerate_order_maps(n, m)]
+
+
+def test_simplicial_compat_equals_the_per_item_restriction_loop():
+    """The table walk gives the items (location, status, witness) of the loop
+    that built act(alpha, t) for each item, along every order map into [n]
+    with domain size <= n + 2, on seeded n = 0..3 diagrams at max-len 1-3
+    and on the swapped-frame diagram of the test above."""
+    rng = random.Random(2600)
+    for n in range(4):
+        s = random_simplex(rng, n)
+        for max_len in (1, 2, 3):
+            assert _compat_failures(build_frame_diagram(s, max_len), _reindexings(n, n + 1)) == 0
+    x = ChainComplex("X", {0: 1, 1: 1}, {1: from_rows([[2]])}, {0: ("e0",), 1: ("e1",)})
+    edge = OrderMap((0, 1), 1)
+    diagram = build_frame_diagram(make_strict([GradedMap.identity(x)]), max_len=2)
+    diagram.objects[edge] = build_frame_object(make_strict([GradedMap.identity(x).scale(-1)]), edge)
+    assert _compat_failures(diagram, _reindexings(1, 3)) > 1
+
+
+@pytest.mark.parametrize("tamper", ["negated map", "dropped key", "extra key", "swapped object"])
+def test_simplicial_compat_equals_the_loop_on_a_tampered_restriction(tamper):
+    """One stored restriction of a seeded 2-simplex's diagram tampered: a map
+    scaled by -1, a key dropped, a key added, or an object swapped for
+    another.  The items landing on it fail, as in the per-item loop."""
+    s = random_simplex(random.Random(9), 2)
+    diagram = build_frame_diagram(s, max_len=2)
+    o = diagram.objects[OrderMap((0, 1, 2), 2)]
+    r = o.restriction
+    key = next(k for k in increasing_sequences(2) if not r.maps[k].is_zero())
+    t = o.restriction = copy.copy(r)
+    if tamper == "negated map":
+        t.maps = {**r.maps, key: r.maps[key].scale(-1)}
+    elif tamper == "dropped key":
+        t.maps = {k: f for k, f in r.maps.items() if k != key}
+    elif tamper == "extra key":
+        t.maps = {**r.maps, (0, 3): r.maps[key]}
+    else:
+        t.objects = (r.objects[1],) + r.objects[1:]
+    assert t != r
+    assert _compat_failures(diagram, _reindexings(2, 3)) > 0
 
 
 # -- splitting, recovery, extension ---------------------------------------------

@@ -13,6 +13,8 @@ structure maps that ``check`` reads are counted too, with those it
 assembles (none), the generators it judges on the stored views and the
 composites it passes by 2-out-of-3, as are the matrices its Reedy check
 assembles (none), and the memory peak of the whole suite is bounded.
+So are the restrictions ``check`` takes, the morphisms it enumerates, the
+preimages it builds and the items it reports.
 """
 
 import functools
@@ -22,7 +24,7 @@ import sys
 import tracemalloc
 
 import dgframes
-from dgframes import cli, complexes, exact_linalg, frames
+from dgframes import cli, complexes, dg_nerve, exact_linalg, frames, simplicial
 from dgframes.complexes import ChainComplex, GradedMap
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import IntMatrix
@@ -140,6 +142,41 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
         "combination_is_zero": 0,
     }
     assert (seen[1]["_assemble"], seen[1]["combination_is_zero"]) == (0, 0)
+
+
+def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
+    """``check --max-len 3`` on the pinned 3-simplex restricts the simplex
+    once per frame and once per reindexing sigma, 69 + 8 times, and reads
+    every other restriction that simplicial-compat compares from one table
+    per sigma; it enumerates only the max-preserving morphisms, with no
+    ``enumerate_inclusions``; and of the 224 generators it certifies on
+    their own views, it builds preimages for all but the 69 identity maps.
+    Its report holds 1514 items."""
+    path = tmp_path / "r7n3.json"
+    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
+    counts = {}
+    _count_calls(monkeypatch, counts, "act", dg_nerve.act)
+    _count_calls(monkeypatch, counts, "enumerate_inclusions", simplicial.enumerate_inclusions)
+    _count_calls(monkeypatch, counts, "_selection_certified", frames._selection_certified)
+    counts["Selection.preimages"] = 0
+
+    def preimages(self, _original=frames.Selection.preimages):
+        counts["Selection.preimages"] += 1
+        return _original(self)
+
+    monkeypatch.setattr(frames.Selection, "preimages", preimages)
+    out = tmp_path / "out.json"
+    assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(out)]) == 0
+    counts["report items"] = len(json.loads(out.read_text())["report"])
+    # while simplicial-compat restricted t along every alpha, is_homotopical
+    # filtered all inclusions and identity maps were scanned: 713, 69 and 224
+    assert counts == {
+        "act": 77,
+        "enumerate_inclusions": 0,
+        "_selection_certified": 224,
+        "Selection.preimages": 155,
+        "report items": 1514,
+    }
 
 
 def test_run_checks_memory_peak():
