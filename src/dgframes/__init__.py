@@ -65,7 +65,6 @@ from .simplicial import (
     OrderMap,
     enumerate_d_objects,
     enumerate_order_maps,
-    is_weak_equivalence_d,
 )
 
 __all__ = [
@@ -100,7 +99,6 @@ __all__ = [
     "is_homotopical",
     "is_nullhomotopic",
     "is_reedy_cofibrant",
-    "is_weak_equivalence_d",
     "kernel_basis",
     "last_vertex_data",
     "make_strict",

@@ -27,6 +27,8 @@ from typing import Dict, Optional, Tuple
 from .exact_linalg import (
     IntMatrix,
     block,
+    combination_is_zero,
+    combination_matrix,
     invariant_factors,
     kernel_basis,
     solve,
@@ -401,64 +403,9 @@ def hom_differential(f: GradedMap) -> GradedMap:
     return combination_map(f.source, f.target, f.degree - 1, lambda d: differential_terms(f, d))
 
 
-# -- identities decided row by row --------------------------------------------
-#
-# An identity between graded maps, such as D(f) = 0 or f o g = h, is decided
-# one degree and one row at a time from the row-nonzero views of the stored
-# matrices (IntMatrix.nonzeros): no product, sum or scaled copy of a whole
-# matrix is formed.  Row i of A o B is the sum of the rows of B named by the
-# nonzeros of row i of A, as in Gustavson's sparse product, so a basis
-# inclusion A costs one row of B per row.  Every matrix takes the same path,
-# whatever its entries.  combination_is_zero stops at the first nonzero row;
-# combination_matrix places every nonzero row in a matrix, to form D(f), and
-# the Maurer-Cartan validator reads its witness off the first nonzero row.
-
-
-def nonzero_rows(height: int, terms):
-    """(i, row i as a {column: value} dict) for each nonzero row of the sum
-    of the ``terms``, which has ``height`` rows, in row order; the dict may
-    hold zeros besides its nonzero values.
-
-    A term (c, A, B) of IntMatrix A and B stands for c * A o B, (c, None, B)
-    for c * B, and (c, None, None), in a square sum, for c times the identity.
-    Row i of the sum adds, for each term, c * u times row k of B for each
-    (k, u) in row i of A, c times row i of B, or c at column i."""
-    views = [(c, None if a is None else a.nonzeros, None if b is None else b.nonzeros) for c, a, b in terms]
-    for i in range(height):
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for c, a, b in views:
-            if b is None:
-                acc[i] = get(i, 0) + c
-            elif a is None:
-                for j, v in b[i]:
-                    acc[j] = get(j, 0) + c * v
-            else:
-                for k, u in a[i]:
-                    cu = c * u
-                    for j, v in b[k]:
-                        acc[j] = get(j, 0) + cu * v
-        if any(acc.values()):
-            yield i, acc
-
-
-def combination_is_zero(height: int, terms) -> bool:
-    """Whether the sum of the ``terms`` (see nonzero_rows), which has
-    ``height`` rows, is zero; the first nonzero row ends the test."""
-    return next(nonzero_rows(height, terms), None) is None
-
-
-def combination_matrix(height: int, width: int, terms) -> IntMatrix:
-    """The height x width sum of the ``terms`` (see nonzero_rows)."""
-    rows: list = [None] * height
-    for i, acc in nonzero_rows(height, terms):
-        rows[i] = acc
-    return IntMatrix._from_row_dicts(width, rows)
-
-
 def combination_map(x: ChainComplex, y: ChainComplex, r: int, terms_at) -> GradedMap:
     """The degree-r graded map x -> y whose matrix at each degree d of x is
-    the sum of the terms_at(d) (see nonzero_rows)."""
+    the sum of the terms_at(d) (see exact_linalg.nonzero_rows)."""
     return GradedMap(x, y, r, {d: combination_matrix(y.rank(d + r), x.rank(d), terms_at(d)) for d in x.support})
 
 

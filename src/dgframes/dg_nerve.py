@@ -47,13 +47,13 @@ from .complexes import (
     json_int_key,
     json_object,
     map_term,
-    nonzero_rows,
     parity_sign,
     random_chain_map,
     random_complex,
     random_graded_map,
     zero_complex,
 )
+from .exact_linalg import nonzero_rows
 from .reporting import Report
 from .simplicial import OrderMap
 

@@ -8,11 +8,19 @@ are immutable once constructed, so they can be shared freely between
 complexes and maps.  Every constructor and every operation here writes the
 view directly, and since it is canonical, ``==`` and ``hash`` read it.  No
 dense row is stored: :meth:`IntMatrix.to_lists` forms them on demand, for
-the JSON of a complex or map, ``repr`` and the working rows of :func:`snf`
-and :func:`solve`.  The product ``@``, the d^2 test
-(:meth:`IntMatrix.product_is_zero`), :func:`invariant_factors`, the
-identity deciders of ``complexes``, the frame assembler and the JSON writer
-read the view, so they pay per nonzero.
+the JSON of a complex or map, ``repr`` and the working rows of the Smith
+elimination.
+
+Each result is formed one way.  Every sum, scaled copy and product of
+matrices, ``+``, :meth:`IntMatrix.scale` and ``@`` here and the identity
+deciders of ``complexes`` and ``dg_nerve``, is a sum of terms computed row
+by row by the one kernel :func:`nonzero_rows`; only the d^2 test
+(:meth:`IntMatrix.product_is_zero`) keeps a loop of its own.  The dense
+Smith elimination is the one routine :func:`_diagonalize`, and every use
+of its column transform v, in :func:`solve`, :func:`kernel_basis` and
+:func:`snf`, is the one replay :func:`_apply_v` of its column record.
+:func:`invariant_factors`, the frame assembler and the JSON writer read
+the view too, so they pay per nonzero.
 """
 
 from __future__ import annotations
@@ -132,31 +140,16 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        grid = []
-        for left, right in zip(self.nonzeros, other.nonzeros):
-            acc = dict(left)
-            for j, v in right:
-                acc[j] = acc.get(j, 0) + v
-            grid.append(acc)
-        return IntMatrix._from_row_dicts(self.cols, grid)
+        return combination_matrix(self.rows, self.cols, ((1, None, self), (1, None, other)))
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix._from_row_dicts(self.cols, [{j: c * v for j, v in nz} for nz in self.nonzeros])
+        return combination_matrix(self.rows, self.cols, ((c, None, self),))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The product, row by row over the views of both factors, as in
-        Gustavson's sparse product: row i is the sum of the rows of other
-        named by the nonzeros of row i of self."""
+        """The product, row by row over the views of both factors (see
+        nonzero_rows)."""
         self._check_product(other)
-        right = other.nonzeros
-        grid = []
-        for left in self.nonzeros:
-            acc: Dict[int, int] = {}
-            for k, v in left:
-                for j, w in right[k]:
-                    acc[j] = acc.get(j, 0) + v * w
-            grid.append(acc)
-        return IntMatrix._from_row_dicts(other.cols, grid)
+        return combination_matrix(self.rows, other.cols, ((1, self, other),))
 
     def product_is_zero(self, other: "IntMatrix") -> bool:
         """Whether self @ other is the zero matrix, decided row by row over
@@ -229,6 +222,62 @@ def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
     return IntMatrix._trusted(sum(row_heights), sum(col_widths), tuple(view))
 
 
+# -- identities decided row by row --------------------------------------------
+#
+# An identity between graded maps, such as D(f) = 0 or f o g = h, is decided
+# one degree and one row at a time from the row-nonzero views of the stored
+# matrices (IntMatrix.nonzeros): no product, sum or scaled copy of a whole
+# matrix is formed.  Row i of A o B is the sum of the rows of B named by the
+# nonzeros of row i of A, as in Gustavson's sparse product, so a basis
+# inclusion A costs one row of B per row.  Every matrix takes the same path,
+# whatever its entries.  combination_is_zero stops at the first nonzero row;
+# combination_matrix places every nonzero row in a matrix, to form D(f),
+# IntMatrix's @, + and scale, and the Maurer-Cartan validator reads its
+# witness off the first nonzero row.
+
+
+def nonzero_rows(height: int, terms):
+    """(i, row i as a {column: value} dict) for each nonzero row of the sum
+    of the ``terms``, which has ``height`` rows, in row order; the dict may
+    hold zeros besides its nonzero values.
+
+    A term (c, A, B) of IntMatrix A and B stands for c * A o B, (c, None, B)
+    for c * B, and (c, None, None), in a square sum, for c times the identity.
+    Row i of the sum adds, for each term, c * u times row k of B for each
+    (k, u) in row i of A, c times row i of B, or c at column i."""
+    views = [(c, None if a is None else a.nonzeros, None if b is None else b.nonzeros) for c, a, b in terms]
+    for i in range(height):
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for c, a, b in views:
+            if b is None:
+                acc[i] = get(i, 0) + c
+            elif a is None:
+                for j, v in b[i]:
+                    acc[j] = get(j, 0) + c * v
+            else:
+                for k, u in a[i]:
+                    cu = c * u
+                    for j, v in b[k]:
+                        acc[j] = get(j, 0) + cu * v
+        if any(acc.values()):
+            yield i, acc
+
+
+def combination_is_zero(height: int, terms) -> bool:
+    """Whether the sum of the ``terms`` (see nonzero_rows), which has
+    ``height`` rows, is zero; the first nonzero row ends the test."""
+    return next(nonzero_rows(height, terms), None) is None
+
+
+def combination_matrix(height: int, width: int, terms) -> IntMatrix:
+    """The height x width sum of the ``terms`` (see nonzero_rows)."""
+    rows: list = [None] * height
+    for i, acc in nonzero_rows(height, terms):
+        rows[i] = acc
+    return IntMatrix._from_row_dicts(width, rows)
+
+
 class SNFResult(NamedTuple):
     s: IntMatrix
     u: IntMatrix
@@ -272,8 +321,8 @@ def _diagonalize(a, nr: int, nc: int) -> list:
     row transform u, and an appended right-hand side b becomes u @ b.  No
     rows carry the column transform v; the returned record lists the column
     operations oldest first, (j, t, None) for a swap of columns j and t and
-    (j, t, q) for col_j -= q * col_t.  Replayed in order on the identity, it
-    gives v.
+    (j, t, q) for col_j -= q * col_t.  :func:`_apply_v` replays it on a
+    vector y to form v @ y.
 
     A step ends once the pivot's row and column are clear and the pivot
     divides every trailing entry.  A pivot of 1 or -1 divides every integer,
@@ -365,25 +414,33 @@ def snf(m: IntMatrix) -> SNFResult:
     step ends once the pivot's row and column are clear and the pivot divides
     every trailing entry; a +-1 pivot ends it without that scan.
 
-    The transforms serve :func:`kernel_basis` only: :func:`solve` runs the
-    same elimination and builds neither.
+    No library code calls it: :func:`solve` and :func:`kernel_basis` run
+    :func:`_diagonalize` themselves and build no transform.  It stays in
+    the package only because the benchmark's tracer names it, and the tests
+    require every traced name to resolve.
     """
     nr, nc = m.rows, m.cols
     # [m | 1]: row operations reach u
     a = [row + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.to_lists())]
     ops = _diagonalize(a, nr, nc)
-    # v from the column record, kept as its list of columns
-    vcols = [[1 if k == i else 0 for k in range(nc)] for i in range(nc)]
-    for j, t, q in ops:
-        if q is None:
-            vcols[j], vcols[t] = vcols[t], vcols[j]
-        else:
-            vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[t])]
+    vcols = [_apply_v(ops, [int(k == i) for k in range(nc)]) for i in range(nc)]
     return SNFResult(
         IntMatrix._trusted(nr, nc, _pack(nc, [row[:nc] for row in a])),
         IntMatrix._trusted(nr, nr, _pack(nr, [row[nc:] for row in a])),
         IntMatrix._trusted(nc, nc, _pack(nc, zip(*vcols))),
     )
+
+
+def _apply_v(ops, y: list) -> list:
+    """v @ y, in place in ``y``, for the column transform v whose record
+    ``ops`` :func:`_diagonalize` returned: v is the product of the column
+    operations, oldest on the left, so they act on y newest first."""
+    for j, t, q in reversed(ops):
+        if q is None:
+            y[j], y[t] = y[t], y[j]
+        else:
+            y[t] -= q * y[j]
+    return y
 
 
 def invariant_factors(m: IntMatrix) -> Vector:
@@ -483,13 +540,7 @@ def solve(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
             y[i] = q
         elif c:
             return None
-    # v is the product of the column operations, oldest on the left
-    for j, t, q in reversed(ops):
-        if q is None:
-            y[j], y[t] = y[t], y[j]
-        else:
-            y[t] -= q * y[j]
-    return tuple(y)
+    return tuple(_apply_v(ops, y))
 
 
 def kernel_basis(m: IntMatrix) -> list:
@@ -497,8 +548,13 @@ def kernel_basis(m: IntMatrix) -> list:
 
     The columns of v matched with zero diagonal entries of the Smith form are
     a basis of the full kernel lattice (not merely a finite-index sublattice),
-    since v is unimodular.
+    since v is unimodular.  Only those columns are needed: :func:`_diagonalize`
+    runs on m's rows alone, r counts the nonzero diagonal entries, and the
+    column record is replayed on the unit vectors e_r .. e_{nc-1}.  The pivot
+    hunt reads only m's columns, so v is the one of :func:`snf`.
     """
-    s, _u, v = snf(m)
-    r = sum(1 for i in range(min(m.rows, m.cols)) if s[i, i])
-    return [tuple(v[i, j] for i in range(m.cols)) for j in range(r, m.cols)]
+    nc = m.cols
+    a = m.to_lists()
+    ops = _diagonalize(a, m.rows, nc)
+    r = sum(1 for t in range(min(m.rows, nc)) if a[t][t])
+    return [tuple(_apply_v(ops, [int(k == j) for k in range(nc)])) for j in range(r, nc)]

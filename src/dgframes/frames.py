@@ -444,7 +444,7 @@ def check_last_vertex(o: FrameObject) -> LastVertexCheck:
     """Check that j and r are chain maps, r o j = id and D(h) = j o r - id,
     naming the first failing identity and degree of each.  Each identity is
     decided row by row over the stored matrices' row views (see
-    complexes.nonzero_rows); ValueError when the maps do not fit together
+    exact_linalg.nonzero_rows); ValueError when the maps do not fit together
     as X -> B -> X and B -> B of degree 1."""
     j, r, h = last_vertex_data(o)
     b, x = o.complex, j.source

@@ -102,12 +102,6 @@ class DMorphism:
         return DMorphism._trusted(other.src, self.tgt, tuple(self.inj[i] for i in other.inj))
 
 
-def is_weak_equivalence_d(m: DMorphism) -> bool:
-    """True when the injection carries the last index of the source to the
-    last index of the target."""
-    return m.inj[-1] == m.tgt.dom
-
-
 def enumerate_order_maps(n: int, m: int):
     """All order maps [m] -> [n] in lexicographic order."""
     return [OrderMap._trusted(v, n) for v in combinations_with_replacement(range(n + 1), m + 1)]

@@ -5,8 +5,11 @@ them.  ``cylinder`` is the mapping cylinder that criterion 3 compares the edge
 frame with, ``matmul`` is the schoolbook product, ``det`` and ``is_unimodular``
 check the Smith-form transforms,
 ``diagonalize_exhaustive`` is the Smith diagonalization with a pivot hunt
-over the whole trailing submatrix, ``solve_via_snf`` is ``solve`` as it read
-when it ran ``snf`` and multiplied by both transforms through ``mat_vec``, and
+over the whole trailing submatrix, ``snf_forward`` is ``snf`` as it read
+when it replayed its column record forward on the identity,
+``kernel_basis_via_snf`` is ``kernel_basis`` as it read when it read v off
+that ``snf``, ``solve_via_snf`` is ``solve`` as it read when it ran that
+``snf`` and multiplied by both transforms through ``mat_vec``, and
 ``verify_mc_extension`` fills the top cochain of a simplex and tests its
 coherence identity.  ``hom_differential``, ``coherence_defect`` and
 ``maurer_cartan_items`` form D(f) and the Maurer-Cartan defect densely and
@@ -21,7 +24,9 @@ them row by row over the row-nonzero views.  ``composite_equals`` and
 structure map row by row on its assembled matrices, as ``is_homotopical``
 did before it judged every selection on the stored row views; they are the
 reference for that view route.
-``structure_maps`` builds every structure map of a diagram, and
+``is_weak_equivalence_d`` tells the max-preserving morphisms of the
+direct category; ``structure_maps`` builds every structure map of a
+diagram, and
 ``homotopical_items`` is ``is_homotopical`` as it read when the diagram
 stored all of them.  ``latching_data`` builds the latching sub-complex, its
 inclusion and the cokernel of a frame, and ``reedy_items`` is
@@ -48,7 +53,18 @@ from dgframes.complexes import (
     shift,
 )
 from dgframes.dg_nerve import NerveSimplex, act, increasing_sequences
-from dgframes.exact_linalg import IntMatrix, Vector, _col_sub, _col_swap, _row_sub, _row_swap, block, snf
+from dgframes.exact_linalg import (
+    IntMatrix,
+    SNFResult,
+    Vector,
+    _col_sub,
+    _col_swap,
+    _diagonalize,
+    _pack,
+    _row_sub,
+    _row_swap,
+    block,
+)
 from dgframes.frames import (
     FrameDiagram,
     FrameObject,
@@ -59,7 +75,7 @@ from dgframes.frames import (
     check_last_vertex,
 )
 from dgframes.reporting import Report
-from dgframes.simplicial import OrderMap, enumerate_d_objects, enumerate_inclusions, is_weak_equivalence_d
+from dgframes.simplicial import DMorphism, OrderMap, enumerate_d_objects, enumerate_inclusions
 
 
 def from_rows(data: Sequence[Sequence[int]]) -> IntMatrix:
@@ -256,7 +272,7 @@ def solve_via_snf(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length %d does not match %d rows" % (len(b), m.rows))
-    s, u, v = snf(m)
+    s, u, v = snf_forward(m)
     c = mat_vec(u, b)
     y = [0] * m.cols
     r = min(m.rows, m.cols)
@@ -273,6 +289,37 @@ def solve_via_snf(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
         if c[i]:
             return None
     return mat_vec(v, y)
+
+
+def snf_forward(m: IntMatrix) -> SNFResult:
+    """``exact_linalg.snf`` as it read before it formed v through
+    ``_apply_v``: it replays the column record forward, oldest operation
+    first, on the columns of the identity."""
+    nr, nc = m.rows, m.cols
+    # [m | 1]: row operations reach u
+    a = [row + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.to_lists())]
+    ops = _diagonalize(a, nr, nc)
+    # v from the column record, kept as its list of columns
+    vcols = [[1 if k == i else 0 for k in range(nc)] for i in range(nc)]
+    for j, t, q in ops:
+        if q is None:
+            vcols[j], vcols[t] = vcols[t], vcols[j]
+        else:
+            vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[t])]
+    return SNFResult(
+        IntMatrix._trusted(nr, nc, _pack(nc, [row[:nc] for row in a])),
+        IntMatrix._trusted(nr, nr, _pack(nr, [row[nc:] for row in a])),
+        IntMatrix._trusted(nc, nc, _pack(nc, zip(*vcols))),
+    )
+
+
+def kernel_basis_via_snf(m: IntMatrix) -> list:
+    """``exact_linalg.kernel_basis`` as it read when it ran ``snf``, with
+    both transforms, and read the kernel off the columns of v matched with
+    zero diagonal entries of the Smith form."""
+    s, _u, v = snf_forward(m)
+    r = sum(1 for i in range(min(m.rows, m.cols)) if s[i, i])
+    return [tuple(v[i, j] for i in range(m.cols)) for j in range(r, m.cols)]
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -508,6 +555,12 @@ def combination_matrix(height: int, width: int, terms) -> IntMatrix:
 
 
 # -- structure maps, all built at once --------------------------------------------
+
+
+def is_weak_equivalence_d(m: DMorphism) -> bool:
+    """True when the injection carries the last index of the source to the
+    last index of the target."""
+    return m.inj[-1] == m.tgt.dom
 
 
 def structure_maps(diagram) -> dict:

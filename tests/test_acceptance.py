@@ -53,10 +53,16 @@ from dgframes.simplicial import (
     OrderMap,
     enumerate_d_objects,
     enumerate_order_maps,
-    is_weak_equivalence_d,
 )
 
-from oracles import cylinder, from_rows, homotopy_inverse_certified, latching_data, structure_maps
+from oracles import (
+    cylinder,
+    from_rows,
+    homotopy_inverse_certified,
+    is_weak_equivalence_d,
+    latching_data,
+    structure_maps,
+)
 
 CORPUS_SIZE = 200
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from dgframes import exact_linalg, frames
-from dgframes.complexes import GradedMap, graded_map_to_vector, hom_complex_diff, precompose_matrix
+from dgframes.complexes import ChainComplex, GradedMap, graded_map_to_vector, hom_complex_diff, precompose_matrix
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import (
     IntMatrix,
@@ -23,8 +23,10 @@ from oracles import (
     diagonalize_exhaustive,
     from_rows,
     is_unimodular,
+    kernel_basis_via_snf,
     mat_vec,
     matmul,
+    snf_forward,
     solve_via_snf,
     submatrix,
     transpose,
@@ -155,6 +157,42 @@ def test_kernel_lattice_random():
                     assert mat_vec(m, cand) != tuple([0] * rows)
 
 
+# dense 7 x 7 torsion matrix: the row transform u of its Smith form grows
+# entries of over 4300 digits, while v stays small
+DENSE_TORSION_7X7 = (
+    (-4, -2, 6, 3, 3, 0, 2),
+    (-4, 2, 6, 6, -4, 2, -4),
+    (-2, 2, 0, 6, 3, 9, 0),
+    (0, 6, 0, -2, 3, 3, 6),
+    (-2, -4, 2, 0, -4, 9, -2),
+    (0, -4, 0, 0, 0, -2, 3),
+    (9, -4, 0, -2, -4, 0, 0),
+)
+
+
+def test_kernel_basis_and_snf_equal_the_forward_replay_through_snf():
+    """kernel_basis eliminates m's rows alone and replays the column record
+    on unit vectors, and snf forms v by that replay too; both equal the
+    snf that replayed the record forward on the identity, and the
+    kernel_basis read off its v, on 3000 seeded matrices of at most 7 x 7,
+    0-row and 0-column shapes among them, on the dense 7 x 7 torsion matrix
+    (kernel_basis only: the oracle's u dominates its time) and on its top 6
+    rows."""
+    rng = random.Random(27)
+    pool = (0, 0, 1, -1, 2, -3)
+    cases = []
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        cases.append(IntMatrix(rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]))
+    cases.append(IntMatrix(6, 7, DENSE_TORSION_7X7[:6]))
+    assert [snf(m) for m in cases] == [snf_forward(m) for m in cases]
+    cases.append(IntMatrix(7, 7, DENSE_TORSION_7X7))
+    got = [kernel_basis(m) for m in cases]
+    assert got == [kernel_basis_via_snf(m) for m in cases]
+    assert got[-1] == [] and len(got[-2]) == 1
+    assert sum(map(len, got)) > 3000
+
+
 def test_invariant_factors_and_rank():
     m = from_rows([[2, 0], [0, 0]])
     assert invariant_factors(m) == (2,)
@@ -239,6 +277,9 @@ def test_every_way_to_make_a_matrix_writes_a_canonical_view():
         sums = [{j: v + w for j, (v, w) in enumerate(zip(rx, ry)) if v or w} or None for rx, ry in zip(x, y)]
         t = rng.choice((0, 1, -1, 3, 2**70))
         zero = [[0] * c for _ in range(r)]
+        x_minus_y = [[v - w for v, w in zip(rx, ry)] for rx, ry in zip(x, y)]
+        src, tgt = ChainComplex("src", {0: k}), ChainComplex("tgt", {0: r})
+        f_minus_g = (GradedMap(src, tgt, 0, {0: a}) - GradedMap(src, tgt, 0, {0: b})).mat(0)
         made = [
             (a, x),
             (b, y),
@@ -250,6 +291,14 @@ def test_every_way_to_make_a_matrix_writes_a_canonical_view():
             (a + b, x_plus_y),
             (a.scale(t), [[t * v for v in row] for row in x]),
             (a @ e, _dense_product(x, z, c)),
+            (a + b.scale(-1), x_minus_y),
+            (f_minus_g, x_minus_y),
+            (a + a.scale(-1), [[0] * k for _ in range(r)]),  # every row cancels
+            (a.scale(0), [[0] * k for _ in range(r)]),
+            (a.scale(t) + a.scale(-t), [[0] * k for _ in range(r)]),
+            (IntMatrix.zeros(r, 0) @ IntMatrix.zeros(0, c), zero),  # n x 0 by 0 x n
+            (IntMatrix.zeros(0, r) @ a, []),
+            (a @ IntMatrix.zeros(k, 0), [[] for _ in range(r)]),
             (block([[a, a]]), [row + row for row in x]),
             (block([[e], [e.scale(-1)]]), z + [[-v for v in row] for row in z]),
             (block([[a, a]]) @ block([[e], [e.scale(-1)]]), zero),  # cancels in every row
@@ -280,7 +329,10 @@ def test_every_way_to_make_a_matrix_writes_a_canonical_view():
 def test_matmul_against_the_triple_loop():
     """``@`` reads the row views of both factors: those packed from dense
     rows, those that ``frames._assemble`` sums, with a row cancelled in the
-    assembly, and products that vanish only through cancellation."""
+    assembly, and products that vanish only through cancellation.  Sums,
+    differences and scaled copies of the products, which take the same row
+    kernel, equal the triple loop's entry by entry, also where every row
+    cancels."""
     rng = random.Random(29)
     shapes = [(rng.randint(1, 40), rng.randint(1, 120), rng.randint(1, 120)) for _ in range(12)]
     shapes += [(0, 7, 5), (6, 0, 5), (6, 7, 0), (0, 0, 3), (4, 0, 0)]
@@ -289,6 +341,11 @@ def test_matmul_against_the_triple_loop():
         a, b = _wide_sparse(rng, rows, inner, density), _wide_sparse(rng, inner, cols, density)
         assert a @ b == matmul(a, b)
         assert transpose(b) @ transpose(a) == transpose(matmul(a, b))
+        dense = matmul(a, b).to_lists()
+        t = rng.choice((-1, 2, -(2**70)))
+        assert a.scale(t) @ b == IntMatrix(rows, cols, [[t * v for v in row] for row in dense])
+        assert a @ b + (a @ b).scale(t) == IntMatrix(rows, cols, [[(1 + t) * v for v in row] for row in dense])
+        assert (a @ b + matmul(a, b).scale(-1)).is_zero()
         a, b = _assembled(a), _assembled(b)
         assert a @ b == matmul(a, b)
         a, b = _cancelling_pair(rng, rows, (inner + 1) // 2, cols, density)

@@ -50,12 +50,12 @@ from dgframes.simplicial import (
     OrderMap,
     enumerate_d_objects,
     enumerate_order_maps,
-    is_weak_equivalence_d,
 )
 
 from oracles import (
     cylinder,
     from_rows,
+    is_weak_equivalence_d,
     latching_data,
     simplicial_compat_items,
     structure_maps,

@@ -38,8 +38,6 @@ import dgframes.frames as frames
 from dgframes.complexes import (
     ChainComplex,
     GradedMap,
-    combination_is_zero,
-    combination_matrix,
     cycle_defect,
     hom_differential,
     random_chain_map,
@@ -47,7 +45,7 @@ from dgframes.complexes import (
     random_graded_map,
 )
 from dgframes.dg_nerve import gauge, make_strict, random_simplex
-from dgframes.exact_linalg import IntMatrix
+from dgframes.exact_linalg import IntMatrix, combination_is_zero, combination_matrix
 from dgframes.frames import (
     FrameDiagram,
     FrameObject,
@@ -60,10 +58,10 @@ from dgframes.frames import (
     last_vertex_data,
     run_checks,
 )
-from dgframes.simplicial import OrderMap, enumerate_inclusions, is_weak_equivalence_d
+from dgframes.simplicial import OrderMap, enumerate_inclusions
 
 import oracles
-from oracles import composite_equals, homotopy_inverse_certified
+from oracles import composite_equals, homotopy_inverse_certified, is_weak_equivalence_d
 from test_exact_linalg import _plain_row_scan
 
 

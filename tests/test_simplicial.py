@@ -8,9 +8,10 @@ from dgframes.simplicial import (
     enumerate_d_objects,
     enumerate_inclusions,
     enumerate_order_maps,
-    is_weak_equivalence_d,
     nonempty_subsets,
 )
+
+from oracles import is_weak_equivalence_d
 
 
 def morphisms_between(src, tgt):
