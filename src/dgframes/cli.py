@@ -8,6 +8,14 @@ check      run the full identity suite over the truncated diagram
 homology   homology table of a chain-complex JSON file
 recover    recover the edge of a 1-simplex from its cylinder frame
 
+``frame`` and ``recover`` read the frame's homotopy type off its
+last-vertex verdict, through one guard (``frames.last_vertex_equivalence``)
+that refuses as bad input a frame whose d^2 != 0 or whose last-vertex
+identities fail: j : X_{alpha(m)} -> B(alpha) is then a chain homotopy
+equivalence.  So ``frame`` reports H(B(alpha)) as the homology of
+X_{alpha(m)}, and ``recover`` solves for a retraction of j without
+re-proving that j is split or that its cone is acyclic.
+
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 input error
 (unreadable file, malformed JSON, schema violation, bad flags, an --output
 path that cannot be written).
@@ -27,7 +35,7 @@ import sys
 
 from .complexes import ChainComplex, homology, is_nullhomotopic
 from .dg_nerve import NerveSimplex, increasing_sequences, validate_maurer_cartan
-from .frames import build_frame_object, recover_map_from_cylinder, run_checks
+from .frames import build_frame_object, last_vertex_equivalence, recover_map_from_cylinder, run_checks
 from .reporting import canonical_json
 from .simplicial import OrderMap
 
@@ -70,14 +78,6 @@ def _report_payload(command: str, args: argparse.Namespace, report):
     return payload, (0 if report.ok else 1)
 
 
-def _checked_frame(s: NerveSimplex, alpha: OrderMap):
-    """build_frame_object(s, alpha), refused as bad input when its d^2 != 0."""
-    o = build_frame_object(s, alpha)
-    if o.d2_defects:
-        raise ValueError("differential does not square to zero at degree %d" % o.d2_defects[0])
-    return o
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -86,10 +86,13 @@ def cmd_validate(args: argparse.Namespace):
 
 
 def cmd_frame(args: argparse.Namespace):
+    """B(alpha) and its homology, which is that of X_{alpha(m)}: the frame's
+    last-vertex verdict proves j : X_{alpha(m)} -> B(alpha) a homotopy
+    equivalence, so only X's differentials are factored."""
     s = _load_simplex(args.input)
     alpha = OrderMap.from_key(args.alpha, s.n)
-    o = _checked_frame(s, alpha)
-    h = homology(o.complex)
+    o = build_frame_object(s, alpha)
+    h = homology(last_vertex_equivalence(o).j.source)
     payload = {
         "command": "frame",
         "metadata": _metadata(args),
@@ -120,8 +123,7 @@ def cmd_recover(args: argparse.Namespace):
     s = _load_simplex(args.input)
     if s.n != 1:
         raise ValueError("recover expects a 1-simplex, got n=%d" % s.n)
-    o = _checked_frame(s, OrderMap((0, 1), 1))
-    rec = recover_map_from_cylinder(o)
+    rec = recover_map_from_cylinder(build_frame_object(s, OrderMap((0, 1), 1)))
     difference = rec - s.eval((0, 1))
     witness = is_nullhomotopic(difference)
     payload = {

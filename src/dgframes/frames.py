@@ -62,6 +62,16 @@ of the map assembled; an identity map holds them as written and reads no
 row.  A map that is no selection, or fails both, gets the chain-map test and
 cone homology, so each PASS rests on an exact identity and each FAIL keeps
 its witness.
+
+The last-vertex verdict also fixes a frame's homotopy type: with d^2 = 0,
+D(j) = D(r) = 0, r o j = id and D(h) = j o r - id, the inclusion
+j : X_{alpha(m)} -> B(alpha) is a chain homotopy equivalence with inverse r.
+``last_vertex_equivalence`` returns the verdict only when it holds.  The
+``frame`` command reads H(B(alpha)) off X_{alpha(m)} through it, and
+``recover_map_from_cylinder`` reads from it the preconditions of its
+retraction solve (j a chain map, split by r, with acyclic cone), which
+``solve_retraction`` proves on its own, by invariant factors and cone
+homology, for any other map.
 """
 
 from __future__ import annotations
@@ -466,6 +476,22 @@ def check_last_vertex(o: FrameObject) -> LastVertexCheck:
     )
 
 
+def last_vertex_equivalence(o: FrameObject) -> LastVertexCheck:
+    """The frame's last-vertex verdict, when it proves that j : X_{alpha(m)}
+    -> B(alpha) is a chain homotopy equivalence: d^2 = 0 on B, D(j) = D(r) =
+    0, r o j = id and D(h) = j o r - id.  Then H(B) is H(X_{alpha(m)}), read
+    off ``.j.source``, and cone(j) is acyclic.  Otherwise ValueError names
+    the first degree where d^2 != 0 or else the first failing last-vertex
+    identity."""
+    if o.d2_defects:
+        raise ValueError("differential does not square to zero at degree %d" % o.d2_defects[0])
+    lv = o.last_vertex
+    if not lv.holds:
+        check, witness = next(v for v in lv.verdicts if v[1] is not None)
+        raise ValueError("B(%s) fails %s: %s" % (o.alpha.key(), check, witness))
+    return lv
+
+
 def _at(degree: Optional[int], what: str) -> Optional[str]:
     """None when an identity holds (degree None), else ``what`` with the
     first degree where it fails."""
@@ -723,20 +749,29 @@ def solve_retraction(iota: GradedMap) -> GradedMap:
     acyclic cone.
 
     Returns p with p o iota = id and D(p) = 0, found by one exact integer
-    linear solve whose blocks are the matrix of precomposition with iota and
-    the differential of the mapping complex Map(Y, X) in degree 0.  Inputs
-    violating the preconditions raise ValueError.
+    linear solve (:func:`_retraction_system`).  The preconditions are
+    proved here first: iota is a chain map of degree 0 (its D(iota) is
+    zero), its invariant factors are all 1 in every degree, and cone(iota)
+    has trivial homology.  Inputs violating them raise ValueError.
     """
     if iota.degree != 0 or not iota.is_cycle():
         raise ValueError("expected a chain map of degree 0")
-    x, y = iota.source, iota.target
+    x = iota.source
     for d in x.support:
         fac = invariant_factors(iota.mat(d))
         if len(fac) != x.rank(d) or any(v != 1 for v in fac):
             raise ValueError("the map is not degreewise split injective at degree %d" % d)
     if not is_acyclic(cone(iota)):
         raise ValueError("the cone is not acyclic")
+    return _retraction_system(iota)
 
+
+def _retraction_system(iota: GradedMap) -> GradedMap:
+    """p with p o iota = id and D(p) = 0 for a chain map iota : X -> Y whose
+    splitting preconditions the caller has proved, from one exact integer
+    linear solve whose blocks are the matrix of precomposition with iota and
+    the differential of the mapping complex Map(Y, X) in degree 0."""
+    x, y = iota.source, iota.target
     pre = precompose_matrix(iota, x, 0)
     dif = hom_complex_diff(y, x, 0)
     rhs = list(graded_map_to_vector(GradedMap.identity(x))) + [0] * dif.rows
@@ -772,11 +807,17 @@ def split_acyclic_cofibration(iota: GradedMap):
 
 def recover_map_from_cylinder(o: FrameObject) -> GradedMap:
     """Recover the edge of a 1-simplex from its cylinder frame, up to homotopy:
-    solve for a retraction p of the last-vertex inclusion (see
-    :func:`solve_retraction`) and compose it with the source-end inclusion.
-    The homotopy that completes the splitting is not needed, so it is not
-    solved for."""
+    solve for a retraction p of the last-vertex inclusion j and compose it
+    with the source-end inclusion.
+
+    The preconditions of the solve rest on the frame's last-vertex verdict
+    (:func:`last_vertex_equivalence`), not on :func:`solve_retraction`'s own
+    checks: D(j) = 0 makes j a chain map, r o j = id splits it in every
+    degree, and with D(h) = j o r - id, j is a homotopy equivalence, so its
+    cone is acyclic.  A frame that fails the verdict raises ValueError.  The
+    homotopy that completes the splitting is not needed, so it is not solved
+    for."""
     if o.alpha.cod != 1 or o.alpha.values != (0, 1):
         raise ValueError("recovery expects the frame at <0,1> of a 1-simplex")
-    p = solve_retraction(include_last(o))
+    p = _retraction_system(last_vertex_equivalence(o).j)
     return p @ o.summand_inclusion((0,))

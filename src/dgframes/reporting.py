@@ -67,7 +67,8 @@ def canonical_json(obj) -> str:
     nonzeros come from :attr:`IntMatrix.nonzeros`, and its entries need
     no type test: an IntMatrix holds only ints.  A report item is written
     from one template of its fixed text per indent, with its str fields in
-    between, and builds no dict."""
+    between, and builds no dict; in a list, the list's own loop writes it,
+    with none of the other type tests ahead of it."""
     out: List[str] = []
     _encode(obj, "\n", out)
     return "".join(out)
@@ -111,24 +112,23 @@ def _encode(obj, newline: str, out: List[str]) -> None:
             head = "," + inner
         out.append(newline + "]")
     elif type(obj) is CheckItem:
-        head, location, status, witness, end = _item_chunks(newline)
-        out += (head, encode_basestring_ascii(obj.check), location, encode_basestring_ascii(obj.location))
-        out += (status, encode_basestring_ascii(obj.status))
-        if obj.witness is not None:
-            out += (witness, encode_basestring_ascii(obj.witness))
-        out.append(end)
+        _check_item(obj, _item_chunks(newline), out)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-        elif set(map(type, obj)) == _INT_ONLY:  # type(), not isinstance: bools take the general path
+        elif type(obj[0]) is int and set(map(type, obj)) == _INT_ONLY:  # type(): bools take the general path
             n = len(obj)
             _int_list(n, zip(compress(range(n), obj), compress(obj, obj)), newline, out)
         else:
             inner = newline + "  "
             head = "[" + inner
+            chunks = _item_chunks(inner)
             for v in obj:
                 out.append(head)
-                _encode(v, inner, out)
+                if type(v) is CheckItem:  # a report item skips the type tests of _encode
+                    _check_item(v, chunks, out)
+                else:
+                    _encode(v, inner, out)
                 head = "," + inner
             out.append(newline + "]")
     else:
@@ -153,6 +153,17 @@ def _int_list(n: int, nonzeros, newline: str, out: List[str]) -> None:
         out += (zeros[at:start], int.__repr__(v))
         at = start + 1
     out += (zeros[at:], newline, "]")
+
+
+def _check_item(item: CheckItem, chunks: tuple, out: List[str]) -> None:
+    """Append the chunks of a report item, given the :func:`_item_chunks`
+    of its indent."""
+    head, location, status, witness, end = chunks
+    out += (head, encode_basestring_ascii(item.check), location, encode_basestring_ascii(item.location))
+    out += (status, encode_basestring_ascii(item.status))
+    if item.witness is not None:
+        out += (witness, encode_basestring_ascii(item.witness))
+    out.append(end)
 
 
 @lru_cache(maxsize=16)  # bounded: one entry per nesting depth seen

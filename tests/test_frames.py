@@ -1,9 +1,11 @@
 import copy
 import hashlib
+import json
 import random
 
 import pytest
 
+from dgframes import cli
 from dgframes.complexes import (
     ChainComplex,
     GradedMap,
@@ -867,6 +869,79 @@ def test_recover_edge_up_to_homotopy():
     s2 = random_simplex(rng, 2)
     with pytest.raises(ValueError):
         recover_map_from_cylinder(build_frame_object(s2, OrderMap((0, 1), 2)))
+
+
+# -- frame and recover read the last-vertex equivalence --------------------------
+
+
+def _frame_cases(case):
+    """(simplex, alphas): seeds 0-2 of each n with every alpha of domain size
+    <= 3, degenerate ones included, or the 8-long alpha of the benchmark's
+    frame workload on random_simplex(Random(7), 3)."""
+    if case == "r7n3-wide":
+        return [(random_simplex(random.Random(7), 3), [OrderMap((0, 0, 1, 1, 2, 2, 3, 3), 3)])]
+    n = int(case[1:])
+    return [(random_simplex(random.Random(seed), n), list(enumerate_d_objects(n, 3))) for seed in range(3)]
+
+
+@pytest.mark.parametrize("case", ["n0", "n1", "n2", "n3", "r7n3-wide"])
+def test_frame_reports_the_homology_of_its_frame(tmp_path, case):
+    """The homology that ``dgframes frame`` prints, read off X_{alpha(m)}
+    through the last-vertex equivalence, equals the homology of B(alpha)
+    itself, factored differential by differential."""
+    out = tmp_path / "frame.txt"
+    for s, alphas in _frame_cases(case):
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps(s.to_json()))
+        for alpha in alphas:
+            argv = ["frame", "--input", str(path), "--alpha", alpha.key(), "--format", "text", "--output", str(out)]
+            assert cli.main(argv) == 0
+            printed = dict(line[2:].split(" = ", 1) for line in out.read_text().splitlines() if line.startswith("H_"))
+            h = homology(build_frame_object(s, alpha).complex)
+            assert printed == {str(d): h.group(d) for d in h.degrees()}, alpha.key()
+
+
+def test_recover_solves_the_checked_retraction_system():
+    """On 1-simplices, the recovery read off the last-vertex verdict equals
+    the one whose retraction re-proves its preconditions."""
+    sims = [random_simplex(random.Random(seed), 1) for seed in range(10)]
+    for s in sims + [random_simplex(random.Random(5), 1, max_rank=4)]:
+        o = build_frame_object(s, OrderMap((0, 1), 1))
+        assert recover_map_from_cylinder(o) == solve_retraction(include_last(o)) @ o.summand_inclusion((0,))
+
+
+# d_1 of B(<0,1>) over the identity of Z in degree 0, the columns of the
+# basis "0|p", "1|p" and the one row "0,1|p": built as [[-1], [1]], and each
+# tampering with the identity it breaks.  [[-2], [2]] also leaves H_0(B)
+# = Z + Z/2, so the checked solve refuses it for its cone; [[-1], [2]] keeps
+# H(B) = Z and j a quasi-isomorphism, and there the checked solve returns
+# the retraction (2, 1) and a recovered edge of 2, not 1.
+_TAMPERED_CYLINDERS = {
+    "scaled": ([[-2], [2]], "last-vertex-homotopy: D(h) != j o r - id at degree 0"),
+    "bent": ([[-1], [2]], "last-vertex-chain: D(r) != 0 at degree 1"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(_TAMPERED_CYLINDERS))
+def test_recover_and_the_equivalence_refuse_a_frame_that_fails_last_vertex(tamper):
+    """A cylinder frame built by hand with its differential tampered, d^2 = 0
+    kept: recovery and last_vertex_equivalence raise ValueError naming the
+    failing identity.  (A frame with d^2 != 0 is refused for that first; see
+    test_cli's test_frame_and_recover_refuse_a_frame_whose_d2_is_nonzero.)"""
+    x = ChainComplex("X", {0: 1}, {}, {0: ("p",)})
+    alpha = OrderMap((0, 1), 1)
+    o = build_frame_object(make_strict([GradedMap.identity(x)]), alpha)
+    c = o.complex
+    assert c.diff(1).to_lists() == [[-1], [1]]
+    rows, failure = _TAMPERED_CYLINDERS[tamper]
+    bad = ChainComplex._trusted(c.name, {0: 2, 1: 1}, {1: from_rows(rows)}, {d: c.labels(d) for d in c.support})
+    tampered = frames.FrameObject(alpha, bad, o.blocks, o.restriction)
+    assert not tampered.d2_defects
+    for call in (recover_map_from_cylinder, frames.last_vertex_equivalence):
+        with pytest.raises(ValueError) as err:
+            call(tampered)
+        assert str(err.value) == "B(0,1) fails " + failure
+    assert frames.last_vertex_equivalence(o) is o.last_vertex
 
 
 def test_verify_mc_extension():

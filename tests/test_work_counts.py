@@ -239,7 +239,8 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     only the differential of the mapping complex that each system reads
     (``hom_complex_diff``), never the whole complex with its labels and its
     d^2 check (``hom_complex``).  Neither solve runs ``snf``: each builds no
-    Smith transform."""
+    Smith transform.  The retraction's preconditions are read off the
+    frame's last-vertex verdict, so no cone is built."""
     path = tmp_path / "r5n1.json"
     path.write_text(json.dumps(random_simplex(random.Random(5), 1, max_rank=4).to_json()))
     counts = {}
@@ -248,6 +249,7 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     _count_calls(monkeypatch, counts, "vector_to_graded_map", complexes.vector_to_graded_map)
     _count_calls(monkeypatch, counts, "solve", exact_linalg.solve)
     _count_calls(monkeypatch, counts, "snf", exact_linalg.snf)
+    _count_calls(monkeypatch, counts, "cone", complexes.cone)
     _count_products(monkeypatch, counts)
     assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
     # while each solve ran snf and multiplied by both of its transforms: 2
@@ -256,14 +258,18 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     # while recovery also solved for the homotopy: 0, 3, 3 and 23; while the
     # d^2 checks multiplied by @: 0, 2, 2 and 11 = 2 + 9; while the systems
     # came from whole mapping complexes, product_is_zero was 9, since each
-    # complex's checked constructor tested d^2
+    # complex's checked constructor tested d^2; while the retraction system's
+    # preconditions were re-proved on cone(j) instead of read off the frame's
+    # last-vertex verdict: 1 cone and product_is_zero 6, the cone's checked
+    # constructor testing its d^2
     assert counts == {
         "hom_differential": 0,
         "hom_complex": 0,
         "vector_to_graded_map": 2,
         "solve": 2,
+        "cone": 0,
         "IntMatrix.__matmul__": 2,
-        "IntMatrix.product_is_zero": 6,
+        "IntMatrix.product_is_zero": 3,
     }
 
 
@@ -289,13 +295,22 @@ def _frame_argv(tmp_path):
 
 def test_frame_counts_its_products_and_factorizations(monkeypatch, tmp_path):
     """``frame`` decides d^2 = 0 once per degree of the complex it builds,
-    forms no product, and factors only the differentials whose homology it
-    reports."""
+    forms no product, checks the frame's last-vertex identities once, and
+    factors only the differentials of X_{alpha(m)}, whose homology it
+    reports through the last-vertex equivalence; this X has none to factor."""
     argv = _frame_argv(tmp_path)
     counts = {}
     _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
+    _count_calls(monkeypatch, counts, "check_last_vertex", frames.check_last_vertex)
     _count_products(monkeypatch, counts)
     assert cli.main(argv) == 0
-    # while the d^2 checks multiplied by @: 9, 8 and no product_is_zero
-    assert counts == {"invariant_factors": 9, "IntMatrix.__matmul__": 0, "IntMatrix.product_is_zero": 8}
+    # while the d^2 checks multiplied by @: 9, 8 and no product_is_zero; while
+    # frame factored the differentials of B(alpha) itself: 9 invariant_factors
+    # and no check_last_vertex
+    assert counts == {
+        "invariant_factors": 0,
+        "check_last_vertex": 1,
+        "IntMatrix.__matmul__": 0,
+        "IntMatrix.product_is_zero": 8,
+    }
 
