@@ -8,19 +8,19 @@ are immutable once constructed, so they can be shared freely between
 complexes and maps.  Every constructor and every operation here writes the
 view directly, and since it is canonical, ``==`` and ``hash`` read it.  No
 dense row is stored: :meth:`IntMatrix.to_lists` forms them on demand, for
-the JSON of a complex or map, ``repr`` and the working rows of the Smith
-elimination.
+the JSON of a complex or map and ``repr``.
 
 Each result is formed one way.  Every sum, scaled copy and product of
 matrices, ``+``, :meth:`IntMatrix.scale` and ``@`` here and the identity
 deciders of ``complexes`` and ``dg_nerve``, is a sum of terms computed row
 by row by the one kernel :func:`nonzero_rows`; only the d^2 test
-(:meth:`IntMatrix.product_is_zero`) keeps a loop of its own.  The dense
-Smith elimination is the one routine :func:`_diagonalize`, and every use
-of its column transform v, in :func:`solve`, :func:`kernel_basis` and
-:func:`snf`, is the one replay :func:`_apply_v` of its column record.
-:func:`invariant_factors`, the frame assembler and the JSON writer read
-the view too, so they pay per nonzero.
+(:meth:`IntMatrix.product_is_zero`) keeps a loop of its own.  The Smith
+elimination is the one routine :func:`_diagonalize`, on sparse rows, one
+{column: value} dict per row built from the view, so it too pays per
+nonzero; every use of its column transform v, in :func:`solve`,
+:func:`kernel_basis` and :func:`snf`, is the one replay :func:`_apply_v`
+of its column record.  :func:`invariant_factors`, the frame assembler and
+the JSON writer read the view too.
 """
 
 from __future__ import annotations
@@ -284,122 +284,186 @@ class SNFResult(NamedTuple):
     v: IntMatrix
 
 
-def _row_swap(a, i, j):
-    a[i], a[j] = a[j], a[i]
+def _diagonalize(a: list, nr: int, nc: int) -> list:
+    """Reduce the leading nr x nc block of the sparse rows ``a`` to Smith
+    form, in place, by the pivot rule documented on :func:`snf`, and return
+    the record of its column operations.
 
-
-def _col_swap(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _row_sub(a, i, j, q):
-    """row_i -= q * row_j"""
-    ri, rj = a[i], a[j]
-    for k in range(len(ri)):
-        ri[k] -= q * rj[k]
-
-
-def _col_sub(a, i, j, q):
-    """col_i -= q * col_j"""
-    for row in a:
-        row[i] -= q * row[j]
-
-
-def _row_neg(a, i):
-    """row_i = -row_i"""
-    a[i] = [-x for x in a[i]]
-
-
-def _diagonalize(a, nr: int, nc: int) -> list:
-    """Reduce the leading nr x nc block of the row lists ``a`` to Smith form,
-    in place, by the pivot rule documented on :func:`snf`, and return the
-    record of its column operations.
-
-    Every row operation acts on the whole row, so entries past column nc
-    end up as u times what they held: appended identity columns record the
-    row transform u, and an appended right-hand side b becomes u @ b.  No
-    rows carry the column transform v; the returned record lists the column
-    operations oldest first, (j, t, None) for a swap of columns j and t and
-    (j, t, q) for col_j -= q * col_t.  :func:`_apply_v` replays it on a
-    vector y to form v @ y.
+    Each row of ``a`` is a {column: value} dict of its nonzero entries, and
+    stays one: an entry that cancels is deleted.  An index from each column
+    below nc to the set of positions of the rows that hold it lets a column
+    operation visit only those rows.  Every row operation acts on the whole
+    row, so entries at columns nc and past end up as u times what they held:
+    appended identity columns record the row transform u, and an appended
+    right-hand side b becomes u @ b.  No rows carry the column transform v;
+    the returned record lists the column operations oldest first, (j, t,
+    None) for a swap of columns j and t and (j, t, q) for col_j -= q * col_t.
+    :func:`_apply_v` replays it on a vector y to form v @ y.
 
     A step ends once the pivot's row and column are clear and the pivot
     divides every trailing entry.  A pivot of 1 or -1 divides every integer,
     so the step ends there without scanning the trailing entries.
+
+    The row and column operations, their quotients and the record are, one
+    for one, those of the same elimination on dense rows; only the zeros go
+    unvisited.  At step t, the rows from t on hold no column below t, so
+    each of their entries below nc lies in the trailing submatrix.
     """
+    cols = [set() for _ in range(nc)]
+    for i, row in enumerate(a):
+        for j in row:
+            if j < nc:
+                cols[j].add(i)
     ops = []
     t = 0
-    while t < min(nr, nc):
-        # deterministic pivot hunt over the trailing submatrix; the first +-1
-        # met in row-major order wins, since only a smaller value replaces it
-        pivot = None
-        best = None
+    stop = min(nr, nc)
+    while t < stop:
+        # pivot hunt over the trailing rows: the least |v|, then the lowest
+        # row, then the lowest column; the first row holding a +-1 ends it,
+        # since no later entry can replace one
+        best = 0
         for i in range(t, nr):
             row = a[i]
-            for j in range(t, nc):
-                if row[j]:
-                    val = abs(row[j])
-                    if best is None or val < best:
-                        best = val
-                        pivot = (i, j)
-                        if val == 1:
-                            break
-            if best == 1:
-                break
-        if pivot is None:
+            if not row:
+                continue
+            low = 0
+            for j, v in row.items():
+                if j < nc:
+                    if v < 0:
+                        v = -v
+                    if not low or v < low or (v == low and j < lj):
+                        low, lj = v, j
+            if low and (not best or low < best):
+                best, pi, pj = low, i, lj
+                if best == 1:
+                    break
+        if not best:
             break
-        pi, pj = pivot
         if pi != t:
-            _row_swap(a, pi, t)
+            _swap_rows(a, cols, nc, pi, t)
         if pj != t:
-            _col_swap(a, pj, t)
+            _swap_cols(a, cols, pj, t)
             ops.append((pj, t, None))
 
+        pivot_row = a[t]
         while True:
             # clear the pivot column; nonzero remainders are strictly smaller
-            # than the pivot, so swapping them up makes progress
+            # than the pivot, so swapping them up makes progress.  Visiting a
+            # row changes no row below it, so the rows to visit are read once.
             dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
+            held = cols[t]
+            if len(held) > 1:  # the least of them is row t, the pivot's
+                for i in sorted(held):
+                    if i == t:
+                        continue
+                    row = a[i]
+                    q = row[t] // pivot_row[t]
                     if q:
-                        _row_sub(a, i, t, q)
-                    if a[i][t]:
-                        _row_swap(a, i, t)
+                        _sub_row(a, cols, nc, i, t, q)
+                    if t in row:
+                        _swap_rows(a, cols, nc, i, t)
+                        pivot_row = row
                         dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        _col_sub(a, j, t, q)
-                        ops.append((j, t, q))
-                    if a[t][j]:
-                        _col_swap(a, j, t)
-                        ops.append((j, t, None))
-                        dirty = True
+            for j in sorted(pivot_row):  # t first, then the block, then nc on
+                if j == t:
+                    continue
+                if j >= nc:
+                    break
+                q = pivot_row[j] // pivot_row[t]
+                if q:
+                    _sub_col(a, cols, j, t, q)
+                    ops.append((j, t, q))
+                if j in pivot_row:
+                    _swap_cols(a, cols, j, t)
+                    ops.append((j, t, None))
+                    dirty = True
             if dirty:
                 continue
             # row and column are clear; enforce the divisibility chain, which
             # a +-1 pivot meets already: x % 1 == x % -1 == 0 for every int
-            d = a[t][t]
+            d = pivot_row[t]
             if d == 1 or d == -1:
                 break
-            offender = None
             for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % d:
-                        offender = i
-                        break
-                if offender is not None:
+                if any(v % d for j, v in a[i].items() if j < nc):
+                    _sub_row(a, cols, nc, t, i, -1)  # add the offending row to the pivot row
                     break
-            if offender is None:
+            else:  # no offender: the pivot divides every trailing entry
                 break
-            _row_sub(a, t, offender, -1)  # add the offending row to the pivot row
-        if a[t][t] < 0:
-            _row_neg(a, t)
+        if pivot_row[t] < 0:
+            _negate_row(pivot_row)
         t += 1
     return ops
+
+
+def _swap_rows(a, cols, nc, i, t):
+    """Swap rows i and t, and move them in the index of each column that
+    only one of them holds."""
+    ri, rt = a[i], a[t]
+    for j in ri:
+        if j < nc and j not in rt:
+            held = cols[j]
+            held.discard(i)
+            held.add(t)
+    for j in rt:
+        if j < nc and j not in ri:
+            held = cols[j]
+            held.discard(t)
+            held.add(i)
+    a[i], a[t] = rt, ri
+
+
+def _sub_row(a, cols, nc, i, k, q):
+    """row_i -= q * row_k, for q nonzero, keeping the index.  An entry that
+    cancels held q times row k's, so it is there to delete."""
+    ri = a[i]
+    for j, v in a[k].items():
+        nv = ri.get(j, 0) - q * v
+        if nv:
+            if j < nc and j not in ri:
+                cols[j].add(i)
+            ri[j] = nv
+        else:
+            del ri[j]
+            if j < nc:
+                cols[j].discard(i)
+
+
+def _sub_col(a, cols, j, k, q):
+    """col_j -= q * col_k, for q nonzero, over the rows that hold column k."""
+    held = cols[j]
+    for i in cols[k]:
+        row = a[i]
+        nv = row.get(j, 0) - q * row[k]
+        if nv:
+            row[j] = nv
+            held.add(i)
+        else:
+            del row[j]
+            held.discard(i)
+
+
+def _swap_cols(a, cols, j, k):
+    """Swap columns j and k over the rows that hold either, and their
+    index entries."""
+    held_j, held_k = cols[j], cols[k]
+    for i in held_j:
+        row = a[i]
+        if i in held_k:
+            row[j], row[k] = row[k], row[j]
+        else:
+            row[k] = row.pop(j)
+    for i in held_k:
+        if i not in held_j:
+            row = a[i]
+            row[j] = row.pop(k)
+    cols[j], cols[k] = held_k, held_j
+
+
+def _negate_row(row):
+    """row = -row, in place; the columns it holds stay the same."""
+    for j in row:
+        row[j] = -row[j]
 
 
 def snf(m: IntMatrix) -> SNFResult:
@@ -414,6 +478,11 @@ def snf(m: IntMatrix) -> SNFResult:
     step ends once the pivot's row and column are clear and the pivot divides
     every trailing entry; a +-1 pivot ends it without that scan.
 
+    The elimination runs on the sparse rows of [m | 1], built from m's view
+    with the identity at columns nc and past, so its row operations carry
+    the identity to u; s and u are read off the rows, and v is the replay
+    of the column record on the unit vectors.
+
     No library code calls it: :func:`solve` and :func:`kernel_basis` run
     :func:`_diagonalize` themselves and build no transform.  It stays in
     the package only because the benchmark's tracer names it, and the tests
@@ -421,12 +490,14 @@ def snf(m: IntMatrix) -> SNFResult:
     """
     nr, nc = m.rows, m.cols
     # [m | 1]: row operations reach u
-    a = [row + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.to_lists())]
+    a = [dict(nz) for nz in m.nonzeros]
+    for i, row in enumerate(a):
+        row[nc + i] = 1
     ops = _diagonalize(a, nr, nc)
     vcols = [_apply_v(ops, [int(k == i) for k in range(nc)]) for i in range(nc)]
     return SNFResult(
-        IntMatrix._trusted(nr, nc, _pack(nc, [row[:nc] for row in a])),
-        IntMatrix._trusted(nr, nr, _pack(nr, [row[nc:] for row in a])),
+        IntMatrix._from_row_dicts(nc, [{j: v for j, v in row.items() if j < nc} for row in a]),
+        IntMatrix._from_row_dicts(nr, [{j - nc: v for j, v in row.items() if j >= nc} for row in a]),
         IntMatrix._trusted(nc, nc, _pack(nc, zip(*vcols))),
     )
 
@@ -455,9 +526,10 @@ def invariant_factors(m: IntMatrix) -> Vector:
     popped, and a row changed by an elimination is pushed again while it
     holds a unit.  Each unit pivot contributes a factor 1 and leaves the
     Schur complement with its row and column deleted, since 1 divides every
-    later factor.  What is left, if anything, goes through the dense
-    diagonalization of :func:`snf` without transforms.  The sparse rows are
-    the matrix's view.
+    later factor.  What is left, if anything, goes through the Smith
+    elimination :func:`_diagonalize` without transforms: its rows are the
+    remainder's row dicts, with the live columns renumbered 0, 1, ... in
+    order.  The sparse rows start as the matrix's view.
     """
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, set] = {}
@@ -498,10 +570,10 @@ def invariant_factors(m: IntMatrix) -> Vector:
         units += 1
     rest: tuple = ()
     if rows:
-        live = sorted(j for j, held in cols.items() if held)
-        a = [[r.get(j, 0) for j in live] for r in rows.values()]
-        _diagonalize(a, len(a), len(live))
-        rest = tuple(a[t][t] for t in range(min(len(a), len(live))) if a[t][t])
+        renumber = {j: k for k, j in enumerate(sorted(j for j, held in cols.items() if held))}
+        a = [{renumber[j]: v for j, v in r.items()} for r in rows.values()]
+        _diagonalize(a, len(a), len(renumber))
+        rest = tuple(a[t][t] for t in range(min(len(a), len(renumber))) if t in a[t])
     return (1,) * units + rest
 
 
@@ -521,19 +593,22 @@ def solve(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     The solution is deterministic: it is the back-substitution through the
     Smith decomposition u @ m @ v = s of :func:`snf` with every free
     parameter set to zero, x = v @ y where s @ y = u @ b.  Neither transform
-    is built: :func:`_diagonalize` runs on the rows of [m | b], so its row
-    operations carry b to u @ b, and its column record, replayed on y newest
-    first, forms v @ y.
+    is built: :func:`_diagonalize` runs on the sparse rows of [m | b], built
+    from m's view with b at column nc, so its row operations carry b to
+    u @ b, and its column record, replayed on y newest first, forms v @ y.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length %d does not match %d rows" % (len(b), m.rows))
     nc = m.cols
-    a = [row + [c] for row, c in zip(m.to_lists(), b)]
+    a = [dict(nz) for nz in m.nonzeros]
+    for row, c in zip(a, b):
+        if c:
+            row[nc] = c
     ops = _diagonalize(a, m.rows, nc)
     y = [0] * nc
     for i, row in enumerate(a):
-        c = row[nc]
-        if i < nc and row[i]:
+        c = row.get(nc, 0)
+        if i < nc and i in row:
             q, rem = divmod(c, row[i])
             if rem:
                 return None
@@ -549,12 +624,13 @@ def kernel_basis(m: IntMatrix) -> list:
     The columns of v matched with zero diagonal entries of the Smith form are
     a basis of the full kernel lattice (not merely a finite-index sublattice),
     since v is unimodular.  Only those columns are needed: :func:`_diagonalize`
-    runs on m's rows alone, r counts the nonzero diagonal entries, and the
-    column record is replayed on the unit vectors e_r .. e_{nc-1}.  The pivot
-    hunt reads only m's columns, so v is the one of :func:`snf`.
+    runs on the sparse rows of m's view alone, r counts the nonzero diagonal
+    entries, and the column record is replayed on the unit vectors
+    e_r .. e_{nc-1}.  The pivot hunt reads only m's columns, so v is the one
+    of :func:`snf`.
     """
     nc = m.cols
-    a = m.to_lists()
+    a = [dict(nz) for nz in m.nonzeros]
     ops = _diagonalize(a, m.rows, nc)
-    r = sum(1 for t in range(min(m.rows, nc)) if a[t][t])
+    r = sum(1 for t in range(min(m.rows, nc)) if t in a[t])
     return [tuple(_apply_v(ops, [int(k == j) for k in range(nc)])) for j in range(r, nc)]

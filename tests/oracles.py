@@ -4,14 +4,17 @@
 them.  ``cylinder`` is the mapping cylinder that criterion 3 compares the edge
 frame with, ``matmul`` is the schoolbook product, ``det`` and ``is_unimodular``
 check the Smith-form transforms,
-``diagonalize_exhaustive`` is the Smith diagonalization with a pivot hunt
-over the whole trailing submatrix, ``snf_forward`` is ``snf`` as it read
-when it replayed its column record forward on the identity,
+``_diagonalize`` is the Smith elimination on dense row lists, with its
+five row and column helpers, as the library ran it before it eliminated on
+sparse rows; ``diagonalize_exhaustive`` is that diagonalization with a
+pivot hunt over the whole trailing submatrix.  ``snf_forward`` is ``snf``
+as it read when it replayed its column record forward on the identity,
+over the dense elimination,
 ``kernel_basis_via_snf`` is ``kernel_basis`` as it read when it read v off
 that ``snf``, ``solve_via_snf`` is ``solve`` as it read when it ran that
-``snf`` and multiplied by both transforms through ``mat_vec``, and
-``verify_mc_extension`` fills the top cochain of a simplex and tests its
-coherence identity.  ``hom_differential``, ``coherence_defect`` and
+``snf`` and multiplied by both transforms through ``mat_vec``; none of
+them runs the library's elimination.  ``verify_mc_extension`` fills the
+top cochain of a simplex and tests its coherence identity.  ``hom_differential``, ``coherence_defect`` and
 ``maurer_cartan_items`` form D(f) and the Maurer-Cartan defect densely and
 read the validator's verdicts and witnesses off them; ``cycle_defect``,
 ``last_vertex_verdicts`` and ``certificate_identities`` decide the identities
@@ -57,12 +60,7 @@ from dgframes.exact_linalg import (
     IntMatrix,
     SNFResult,
     Vector,
-    _col_sub,
-    _col_swap,
-    _diagonalize,
     _pack,
-    _row_sub,
-    _row_swap,
     block,
 )
 from dgframes.frames import (
@@ -180,6 +178,124 @@ def cylinder(f: GradedMap):
     return cyl, in_src, in_tgt, proj
 
 
+def _row_swap(a, i, j):
+    a[i], a[j] = a[j], a[i]
+
+
+def _col_swap(a, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+
+
+def _row_sub(a, i, j, q):
+    """row_i -= q * row_j"""
+    ri, rj = a[i], a[j]
+    for k in range(len(ri)):
+        ri[k] -= q * rj[k]
+
+
+def _col_sub(a, i, j, q):
+    """col_i -= q * col_j"""
+    for row in a:
+        row[i] -= q * row[j]
+
+
+def _row_neg(a, i):
+    """row_i = -row_i"""
+    a[i] = [-x for x in a[i]]
+
+
+def _diagonalize(a, nr: int, nc: int) -> list:
+    """Reduce the leading nr x nc block of the row lists ``a`` to Smith form,
+    in place, by the pivot rule documented on :func:`snf`, and return the
+    record of its column operations.
+
+    Every row operation acts on the whole row, so entries past column nc
+    end up as u times what they held: appended identity columns record the
+    row transform u, and an appended right-hand side b becomes u @ b.  No
+    rows carry the column transform v; the returned record lists the column
+    operations oldest first, (j, t, None) for a swap of columns j and t and
+    (j, t, q) for col_j -= q * col_t.  :func:`_apply_v` replays it on a
+    vector y to form v @ y.
+
+    A step ends once the pivot's row and column are clear and the pivot
+    divides every trailing entry.  A pivot of 1 or -1 divides every integer,
+    so the step ends there without scanning the trailing entries.
+    """
+    ops = []
+    t = 0
+    while t < min(nr, nc):
+        # deterministic pivot hunt over the trailing submatrix; the first +-1
+        # met in row-major order wins, since only a smaller value replaces it
+        pivot = None
+        best = None
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                if row[j]:
+                    val = abs(row[j])
+                    if best is None or val < best:
+                        best = val
+                        pivot = (i, j)
+                        if val == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            _row_swap(a, pi, t)
+        if pj != t:
+            _col_swap(a, pj, t)
+            ops.append((pj, t, None))
+
+        while True:
+            # clear the pivot column; nonzero remainders are strictly smaller
+            # than the pivot, so swapping them up makes progress
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        _row_sub(a, i, t, q)
+                    if a[i][t]:
+                        _row_swap(a, i, t)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        _col_sub(a, j, t, q)
+                        ops.append((j, t, q))
+                    if a[t][j]:
+                        _col_swap(a, j, t)
+                        ops.append((j, t, None))
+                        dirty = True
+            if dirty:
+                continue
+            # row and column are clear; enforce the divisibility chain, which
+            # a +-1 pivot meets already: x % 1 == x % -1 == 0 for every int
+            d = a[t][t]
+            if d == 1 or d == -1:
+                break
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % d:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _row_sub(a, t, offender, -1)  # add the offending row to the pivot row
+        if a[t][t] < 0:
+            _row_neg(a, t)
+        t += 1
+    return ops
+
+
 def diagonalize_exhaustive(a, nr: int, nc: int) -> list:
     """``exact_linalg._diagonalize`` as it was before its pivot hunt stopped
     at the first +-1 and before a step ended at a +-1 pivot without its
@@ -293,8 +409,9 @@ def solve_via_snf(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
 
 def snf_forward(m: IntMatrix) -> SNFResult:
     """``exact_linalg.snf`` as it read before it formed v through
-    ``_apply_v``: it replays the column record forward, oldest operation
-    first, on the columns of the identity."""
+    ``_apply_v`` and before it eliminated on sparse rows: ``_diagonalize``
+    runs on the dense rows of [m | 1], and the column record is replayed
+    forward, oldest operation first, on the columns of the identity."""
     nr, nc = m.rows, m.cols
     # [m | 1]: row operations reach u
     a = [row + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.to_lists())]

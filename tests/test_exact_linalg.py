@@ -18,6 +18,7 @@ from dgframes.exact_linalg import (
 from dgframes.frames import build_frame_object, include_last, recover_map_from_cylinder
 from dgframes.simplicial import OrderMap
 
+import oracles
 from oracles import (
     det,
     diagonalize_exhaustive,
@@ -447,12 +448,13 @@ def _recover_simplices():
     return [random_simplex(rng, 1, max_rank=4) for _ in range(10)]
 
 
-def _retraction_systems():
+def _retraction_systems(simplices):
     """The systems (m, b) ``recover`` solves for the retraction of the
-    last-vertex inclusion of each cylinder frame of ``_recover_simplices``
-    (see solve_retraction); the largest m is 158 x 104."""
+    last-vertex inclusion of the cylinder frame of each 1-simplex (see
+    solve_retraction); on ``_recover_simplices`` the largest m is
+    158 x 104."""
     out = []
-    for s in _recover_simplices():
+    for s in simplices:
         iota = include_last(build_frame_object(s, OrderMap((0, 1), 1)))
         x, y = iota.source, iota.target
         dif = hom_complex_diff(y, x, 0)
@@ -461,12 +463,12 @@ def _retraction_systems():
     return out
 
 
-def _nullhomotopy_systems():
+def _nullhomotopy_systems(simplices):
     """The systems (m, b) ``recover`` solves for its witness that the
-    recovered map differs from the edge by a boundary (see
-    is_nullhomotopic), on the same simplices."""
+    recovered map differs from the edge of each 1-simplex by a boundary
+    (see is_nullhomotopic)."""
     out = []
-    for s in _recover_simplices():
+    for s in simplices:
         f = recover_map_from_cylinder(build_frame_object(s, OrderMap((0, 1), 1))) - s.eval((0, 1))
         out.append((hom_complex_diff(f.source, f.target, f.degree + 1), graded_map_to_vector(f)))
     return out
@@ -481,16 +483,17 @@ def test_snf_pivot_hunt_stops_at_the_first_unit(monkeypatch):
     pivots start out non-units ({+-2, +-3, 6}, units arise only as
     remainders) or are often -1.  They stay at most 5 x 5: the transform
     entries of a dense unit-free 6 x 7 matrix grow until snf stalls (ROADMAP
-    item 4)."""
-    cases = _oracle_cases() + [m for m, _ in _retraction_systems()]
+    item 7).  The library's snf, on sparse rows, is compared with the dense
+    oracle route ``snf_forward`` run with the exhaustive hunt."""
+    cases = _oracle_cases() + [m for m, _ in _retraction_systems(_recover_simplices())]
     rng = random.Random(15)
     for trial in range(120):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         pool = (2, -2, 3, -3, 6) if trial % 2 else (0, 0, -1, -1, 2, -3, 6)
         cases.append(IntMatrix(rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]))
     fast = [snf(m) for m in cases]
-    monkeypatch.setattr(exact_linalg, "_diagonalize", diagonalize_exhaustive)
-    assert fast == [snf(m) for m in cases]
+    monkeypatch.setattr(oracles, "_diagonalize", diagonalize_exhaustive)
+    assert fast == [snf_forward(m) for m in cases]
 
 
 def _small_systems():
@@ -511,6 +514,114 @@ def _small_systems():
     return out
 
 
+def _count_steps(monkeypatch):
+    """Wrap the helpers of ``exact_linalg._diagonalize`` to count four kinds
+    of step, and return the live counts: negative pivots (the pivot row
+    negated), offender rows (a lower row added to the pivot row), and row
+    and column swaps that bring a remainder up to the pivot.
+
+    Every operation of step t names t as its least index.  A step's pivot
+    swaps come before its first subtraction; every remainder swap comes
+    after one, since the pivot's row and column hold no smaller entry until
+    a subtraction leaves one.  So a swap counts as a remainder swap once
+    its step has subtracted."""
+    steps = dict.fromkeys(("negative pivot", "offender row", "row remainder swap", "column remainder swap"), 0)
+    state = {"t": None, "subtracted": False}
+
+    def at(t, subtracting=False):
+        if state["t"] != t:
+            state.update(t=t, subtracted=False)
+        seen = state["subtracted"]
+        state["subtracted"] = seen or subtracting
+        return seen
+
+    def diagonalize(a, nr, nc, _original=exact_linalg._diagonalize):
+        state.update(t=None, subtracted=False)
+        return _original(a, nr, nc)
+
+    def swap_rows(a, cols, nc, i, t, _original=exact_linalg._swap_rows):
+        steps["row remainder swap"] += at(t)
+        _original(a, cols, nc, i, t)
+
+    def sub_row(a, cols, nc, i, k, q, _original=exact_linalg._sub_row):
+        at(min(i, k), True)
+        steps["offender row"] += i < k  # clearing subtracts the pivot row from a lower one
+        _original(a, cols, nc, i, k, q)
+
+    def sub_col(a, cols, j, k, q, _original=exact_linalg._sub_col):
+        at(k, True)
+        _original(a, cols, j, k, q)
+
+    def swap_cols(a, cols, j, k, _original=exact_linalg._swap_cols):
+        steps["column remainder swap"] += at(k)
+        _original(a, cols, j, k)
+
+    def negate_row(row, _original=exact_linalg._negate_row):
+        steps["negative pivot"] += 1
+        _original(row)
+
+    for name, wrapper in (
+        ("_diagonalize", diagonalize),
+        ("_swap_rows", swap_rows),
+        ("_sub_row", sub_row),
+        ("_sub_col", sub_col),
+        ("_swap_cols", swap_cols),
+        ("_negate_row", negate_row),
+    ):
+        monkeypatch.setattr(exact_linalg, name, wrapper)
+    return steps
+
+
+def _replay_cases():
+    """(dense rows, nr, nc) for the exact-replay test: 3000 seeded matrices
+    drawn from a torsion-only or a +-1-heavy pool, alone, as [m | b] or as
+    [m | 1]; the 0-row and 0-column shapes; the retraction and
+    null-homotopy systems of ``random_simplex(Random(s), 1, max_rank=4)``
+    for s in 0..39, as [m | b]; and the dense 7 x 7 torsion matrix.  The
+    +-1-heavy matrices are at most 7 x 7, the torsion-only ones at most
+    5 x 5: the entries of a dense unit-free 7 x 7, or of u @ b on a 6 x 7,
+    grow until either elimination stalls (ROADMAP item 7)."""
+    rng = random.Random(43)
+    pools = ((0, 0, 0, 2, -2, 3, -4, 6, -9), (0, 0, 0, 1, -1, 1, -1, 2, -3))
+    cases = []
+    for trial in range(3000):
+        top = (5, 7)[trial % 2]
+        nr, nc = rng.randint(0, top), rng.randint(0, top)
+        pool = pools[trial % 2]
+        rows = [[rng.choice(pool) for _ in range(nc)] for _ in range(nr)]
+        extra = (trial // 2) % 3
+        if extra == 1:
+            rows = [row + [rng.randint(-6, 6)] for row in rows]
+        elif extra == 2:
+            rows = [row + [int(k == i) for k in range(nr)] for i, row in enumerate(rows)]
+        cases.append((rows, nr, nc))
+    for n in range(1, 8):
+        cases += [([], 0, n), ([[] for _ in range(n)], n, 0), ([[k - 3] for k in range(n)], n, 0)]
+        cases.append(([[int(k == i) for k in range(n)] for i in range(n)], n, 0))
+    simplices = [random_simplex(random.Random(seed), 1, max_rank=4) for seed in range(40)]
+    for m, b in _retraction_systems(simplices) + _nullhomotopy_systems(simplices):
+        cases.append(([row + [c] for row, c in zip(m.to_lists(), b)], m.rows, m.cols))
+    cases.append(([list(row) for row in DENSE_TORSION_7X7], 7, 7))
+    return cases
+
+
+def test_sparse_elimination_replays_the_dense_one(monkeypatch):
+    """``exact_linalg._diagonalize`` on sparse rows returns the column record
+    of the dense elimination kept in ``tests/oracles.py``, operation for
+    operation, and leaves the same rows, made dense: the Smith form, with
+    u @ b or u in the columns past nc.  The cases make every kind of step
+    that can differ between the two: negative pivots, offender rows, and
+    remainders swapped up from below the pivot and from right of it."""
+    steps = _count_steps(monkeypatch)
+    for dense, nr, nc in _replay_cases():
+        width = len(dense[0]) if dense else nc
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        ops = exact_linalg._diagonalize(sparse, nr, nc)
+        assert ops == oracles._diagonalize(dense, nr, nc)
+        assert [[row.get(j, 0) for j in range(width)] for row in sparse] == dense
+    assert all(steps.values()), steps
+
+
 def test_solve_equals_the_solve_through_both_smith_transforms(monkeypatch):
     """solve runs the elimination of snf on [m | b] and replays its column
     record on y instead of building u and v, with the same pivots and
@@ -519,9 +630,11 @@ def test_solve_equals_the_solve_through_both_smith_transforms(monkeypatch):
     with their real right-hand sides and with one entry changed, the empty
     shapes and small seeded systems.  They make negative pivots, whose sign
     flip must reach b, and offender-row steps, which add a row to the pivot
-    row; the two are counted on the row helpers."""
+    row; the two are counted on the helpers of the elimination (see
+    _count_steps)."""
     rng = random.Random(23)
-    cases = _retraction_systems() + _nullhomotopy_systems()
+    simplices = _recover_simplices()
+    cases = _retraction_systems(simplices) + _nullhomotopy_systems(simplices)
     for m, b in [case for case in cases if case[1]]:
         changed = list(b)
         changed[rng.randrange(len(b))] += 1
@@ -533,18 +646,7 @@ def test_solve_equals_the_solve_through_both_smith_transforms(monkeypatch):
         (IntMatrix.zeros(0, 0), ()),
     ]
     cases += _small_systems()
-    steps = {"negative pivot": 0, "offender row": 0}
-
-    def row_neg(a, i, _original=exact_linalg._row_neg):
-        steps["negative pivot"] += 1
-        _original(a, i)
-
-    def row_sub(a, i, j, q, _original=exact_linalg._row_sub):
-        steps["offender row"] += i < j  # clearing subtracts the pivot row from a lower one
-        _original(a, i, j, q)
-
-    monkeypatch.setattr(exact_linalg, "_row_neg", row_neg)
-    monkeypatch.setattr(exact_linalg, "_row_sub", row_sub)
+    steps = _count_steps(monkeypatch)
     got = [solve(m, b) for m, b in cases]
     monkeypatch.undo()
     assert got == [solve_via_snf(m, b) for m, b in cases]

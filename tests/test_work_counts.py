@@ -239,8 +239,11 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     only the differential of the mapping complex that each system reads
     (``hom_complex_diff``), never the whole complex with its labels and its
     d^2 check (``hom_complex``).  Neither solve runs ``snf``: each builds no
-    Smith transform.  The retraction's preconditions are read off the
-    frame's last-vertex verdict, so no cone is built."""
+    Smith transform.  Neither makes dense rows (``IntMatrix.to_lists``):
+    each eliminates on sparse rows built from the matrix's view, and the
+    JSON writer forms dense rows only for the matrices of the recovered map
+    and the witness, which hold none here.  The retraction's preconditions
+    are read off the frame's last-vertex verdict, so no cone is built."""
     path = tmp_path / "r5n1.json"
     path.write_text(json.dumps(random_simplex(random.Random(5), 1, max_rank=4).to_json()))
     counts = {}
@@ -251,6 +254,14 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     _count_calls(monkeypatch, counts, "snf", exact_linalg.snf)
     _count_calls(monkeypatch, counts, "cone", complexes.cone)
     _count_products(monkeypatch, counts)
+    counts["IntMatrix.to_lists"] = 0
+    to_lists = IntMatrix.to_lists
+
+    def counted_to_lists(self):
+        counts["IntMatrix.to_lists"] += 1
+        return to_lists(self)
+
+    monkeypatch.setattr(IntMatrix, "to_lists", counted_to_lists)
     assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
     # while each solve ran snf and multiplied by both of its transforms: 2
     assert counts.pop("snf") == 0
@@ -261,7 +272,8 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     # complex's checked constructor tested d^2; while the retraction system's
     # preconditions were re-proved on cone(j) instead of read off the frame's
     # last-vertex verdict: 1 cone and product_is_zero 6, the cone's checked
-    # constructor testing its d^2
+    # constructor testing its d^2; while each solve eliminated on dense rows:
+    # to_lists 2, one dense copy of m per solve
     assert counts == {
         "hom_differential": 0,
         "hom_complex": 0,
@@ -270,6 +282,7 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
         "cone": 0,
         "IntMatrix.__matmul__": 2,
         "IntMatrix.product_is_zero": 3,
+        "IntMatrix.to_lists": 0,
     }
 
 
