@@ -32,9 +32,10 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from .complexes import ChainComplex, homology, is_nullhomotopic
-from .dg_nerve import NerveSimplex, increasing_sequences, validate_maurer_cartan
+from .dg_nerve import NerveSimplex, validate_maurer_cartan
 from .frames import build_frame_object, last_vertex_equivalence, recover_map_from_cylinder, run_checks
 from .reporting import canonical_json
 from .simplicial import OrderMap
@@ -60,12 +61,17 @@ def _load_json(path: str):
 
 
 def _load_simplex(path: str) -> NerveSimplex:
+    """The complete simplex at path.  An incomplete one is refused by the
+    count of its missing keys, naming the first few: there can be about
+    2^(n+1) of them."""
     s = NerveSimplex.from_json(_load_json(path))
-    if not s.is_complete():
-        missing = [
-            ",".join(str(v) for v in seq) for seq in increasing_sequences(s.n) if seq not in s.maps
-        ]
-        raise ValueError("simplex is missing cochains at: %s" % "; ".join(missing))
+    missing = s.missing_count()
+    if missing:
+        named = [",".join(map(str, seq)) for seq in islice(s.missing_keys(), 4)]
+        more = missing - len(named)
+        if more:
+            named.append("and %s more" % (more if more.bit_length() <= 64 else "over 2^%d" % (more.bit_length() - 1)))
+        raise ValueError("simplex is missing cochains at: %s" % "; ".join(named))
     return s
 
 

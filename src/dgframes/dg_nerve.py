@@ -109,8 +109,19 @@ class NerveSimplex:
     def cochain_keys(self):
         return sorted(self.maps, key=lambda k: (len(k), k))
 
+    def missing_count(self) -> int:
+        """How many strictly increasing sequences in [n] of length >= 2 have
+        no map: the keys are distinct such sequences, so a count decides it,
+        with no sequence formed."""
+        return 2 ** (self.n + 1) - self.n - 2 - len(self.maps)
+
     def is_complete(self) -> bool:
-        return all(key in self.maps for key in increasing_sequences(self.n))
+        return not self.missing_count()
+
+    def missing_keys(self):
+        """The sequences with no map, lazily, in the order of
+        :func:`increasing_sequences`."""
+        return (key for key in _increasing(self.n) if key not in self.maps)
 
     def eval(self, seq) -> GradedMap:
         """Value on any nondecreasing sequence, via strict unitality."""
@@ -190,11 +201,16 @@ def _check_degree(key: tuple, degree: int) -> None:
         raise ValueError("map at %r has degree %d, expected %d" % (key, degree, len(key) - 2))
 
 
+def _increasing(n: int):
+    """The strictly increasing sequences in [n] of length >= 2, lazily, by
+    length then lexicographically."""
+    return (seq for size in range(2, n + 2) for seq in combinations(range(n + 1), size))
+
+
 @lru_cache(maxsize=32)
 def increasing_sequences(n: int) -> tuple:
-    """All strictly increasing sequences in [n] of length >= 2, by length
-    then lexicographically, as one tuple shared by every caller."""
-    return tuple(seq for size in range(2, n + 2) for seq in combinations(range(n + 1), size))
+    """All of ``_increasing(n)``, as one tuple shared by every caller."""
+    return tuple(_increasing(n))
 
 
 def twisting_terms(seq: tuple, d: int, c: int, face, pairs) -> tuple:

@@ -17,16 +17,16 @@ by row by the one kernel :func:`nonzero_rows`; only the d^2 test
 (:meth:`IntMatrix.product_is_zero`) keeps a loop of its own.  The Smith
 elimination is the one routine :func:`_diagonalize`, on sparse rows, one
 {column: value} dict per row built from the view, so it too pays per
-nonzero; every use of its column transform v, in :func:`solve`,
+nonzero.  :func:`invariant_factors` and :func:`rank` read its diagonal,
+and every use of its column transform v, in :func:`solve`,
 :func:`kernel_basis` and :func:`snf`, is the one replay :func:`_apply_v`
-of its column record.  :func:`invariant_factors`, the frame assembler and
-the JSON writer read the view too.
+of its column record.  The frame assembler and the JSON writer read the
+view too.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
@@ -473,7 +473,8 @@ def snf(m: IntMatrix) -> SNFResult:
     are unimodular.  Pivot selection is deterministic: among the remaining
     submatrix, the entry of smallest nonzero absolute value, ties broken by
     lowest row index, then lowest column index.  :func:`solve` and
-    :func:`kernel_basis` depend on this rule; :func:`invariant_factors` does not.
+    :func:`kernel_basis` depend on this rule; the invariant factors, which
+    are unique, do not, though :func:`invariant_factors` runs it too.
     The hunt stops at the first +-1, which no later entry can replace.  Each
     step ends once the pivot's row and column are clear and the pivot divides
     every trailing entry; a +-1 pivot ends it without that scan.
@@ -517,69 +518,14 @@ def _apply_v(ops, y: list) -> list:
 def invariant_factors(m: IntMatrix) -> Vector:
     """The nonzero diagonal of the Smith form, in divisibility order.
 
-    The invariant factors are unique, so they are found by any sequence of
-    unimodular row and column operations, in any order and without building
-    transforms.  On sparse rows, +-1 pivots go first: the row with the fewest
-    nonzeros that holds one (the lowest index among those), then its unit
-    column with the fewest nonzeros.  A heap keyed by (row length, row index)
-    finds that row; an entry that no longer describes its row is skipped when
-    popped, and a row changed by an elimination is pushed again while it
-    holds a unit.  Each unit pivot contributes a factor 1 and leaves the
-    Schur complement with its row and column deleted, since 1 divides every
-    later factor.  What is left, if anything, goes through the Smith
-    elimination :func:`_diagonalize` without transforms: its rows are the
-    remainder's row dicts, with the live columns renumbered 0, 1, ... in
-    order.  The sparse rows start as the matrix's view.
+    The Smith elimination :func:`_diagonalize` runs on the sparse rows of
+    m's view alone, with no transform, and leaves the factors on the
+    leading diagonal.  Invariant factors are unique, so they do not depend
+    on its pivot rule.
     """
-    rows: Dict[int, Dict[int, int]] = {}
-    cols: Dict[int, set] = {}
-    for i, nz in enumerate(m.nonzeros):
-        if nz:
-            rows[i] = dict(nz)
-            for j, _ in nz:
-                cols.setdefault(j, set()).add(i)
-    heap = [(len(r), i) for i, r in rows.items() if _holds_unit(r)]
-    heapify(heap)
-    units = 0
-    while heap:
-        length, best = heappop(heap)
-        prow = rows.get(best)
-        if prow is None or len(prow) != length or not _holds_unit(prow):
-            continue
-        del rows[best]
-        for j in prow:
-            cols[j].discard(best)
-        q = min((j for j, v in prow.items() if v == 1 or v == -1), key=lambda j: len(cols[j]))
-        unit = prow.pop(q)
-        for i in cols.pop(q):
-            r = rows[i]
-            c = r.pop(q) * unit  # unit is its own inverse
-            for j, v in prow.items():
-                nv = r.get(j, 0) - c * v
-                if nv:
-                    if j not in r:
-                        cols[j].add(i)
-                    r[j] = nv
-                else:
-                    del r[j]
-                    cols[j].discard(i)
-            if not r:
-                del rows[i]
-            elif _holds_unit(r):
-                heappush(heap, (len(r), i))
-        units += 1
-    rest: tuple = ()
-    if rows:
-        renumber = {j: k for k, j in enumerate(sorted(j for j, held in cols.items() if held))}
-        a = [{renumber[j]: v for j, v in r.items()} for r in rows.values()]
-        _diagonalize(a, len(a), len(renumber))
-        rest = tuple(a[t][t] for t in range(min(len(a), len(renumber))) if t in a[t])
-    return (1,) * units + rest
-
-
-def _holds_unit(row: Dict[int, int]) -> bool:
-    values = row.values()
-    return 1 in values or -1 in values
+    a = [dict(nz) for nz in m.nonzeros]
+    _diagonalize(a, m.rows, m.cols)
+    return tuple(a[t][t] for t in range(min(m.rows, m.cols)) if t in a[t])
 
 
 def rank(m: IntMatrix) -> int:

@@ -12,8 +12,10 @@ as it read when it replayed its column record forward on the identity,
 over the dense elimination,
 ``kernel_basis_via_snf`` is ``kernel_basis`` as it read when it read v off
 that ``snf``, ``solve_via_snf`` is ``solve`` as it read when it ran that
-``snf`` and multiplied by both transforms through ``mat_vec``; none of
-them runs the library's elimination.  ``verify_mc_extension`` fills the
+``snf`` and multiplied by both transforms through ``mat_vec``, and
+``invariant_factors_unit_first`` is ``invariant_factors`` as it read when it
+cleared +-1 pivots first, sparsest row first, before a Smith elimination
+of the remainder; none of them runs the library's elimination.  ``verify_mc_extension`` fills the
 top cochain of a simplex and tests its coherence identity.  ``hom_differential``, ``coherence_defect`` and
 ``maurer_cartan_items`` form D(f) and the Maurer-Cartan defect densely and
 read the validator's verdicts and witnesses off them; ``cycle_defect``,
@@ -40,6 +42,7 @@ it built the restriction act(alpha, t) of every item and compared it with
 the stored one as a simplex.
 """
 
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import add
 from typing import Dict, Optional, Sequence
@@ -437,6 +440,79 @@ def kernel_basis_via_snf(m: IntMatrix) -> list:
     s, _u, v = snf_forward(m)
     r = sum(1 for i in range(min(m.rows, m.cols)) if s[i, i])
     return [tuple(v[i, j] for i in range(m.cols)) for j in range(r, m.cols)]
+
+
+def invariant_factors_unit_first(m: IntMatrix) -> Vector:
+    """The nonzero diagonal of the Smith form, in divisibility order.
+
+    The invariant factors are unique, so they are found by any sequence of
+    unimodular row and column operations, in any order and without building
+    transforms.  On sparse rows, +-1 pivots go first: the row with the fewest
+    nonzeros that holds one (the lowest index among those), then its unit
+    column with the fewest nonzeros.  A heap keyed by (row length, row index)
+    finds that row; an entry that no longer describes its row is skipped when
+    popped, and a row changed by an elimination is pushed again while it
+    holds a unit.  Each unit pivot contributes a factor 1 and leaves the
+    Schur complement with its row and column deleted, since 1 divides every
+    later factor.  What is left, if anything, goes through the Smith
+    elimination ``_diagonalize`` without transforms: its rows are the
+    remainder's rows, over the live columns in order.  The sparse rows start
+    as the matrix's view.
+
+    ``exact_linalg.invariant_factors`` as it read before it became one call
+    of the library's elimination, except that the remainder goes through
+    the dense ``_diagonalize`` here as dense rows, not through the library's
+    sparse one as row dicts renumbered 0, 1, ...
+    """
+    rows: Dict[int, Dict[int, int]] = {}
+    cols: Dict[int, set] = {}
+    for i, nz in enumerate(m.nonzeros):
+        if nz:
+            rows[i] = dict(nz)
+            for j, _ in nz:
+                cols.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in rows.items() if _holds_unit(r)]
+    heapify(heap)
+    units = 0
+    while heap:
+        length, best = heappop(heap)
+        prow = rows.get(best)
+        if prow is None or len(prow) != length or not _holds_unit(prow):
+            continue
+        del rows[best]
+        for j in prow:
+            cols[j].discard(best)
+        q = min((j for j, v in prow.items() if v == 1 or v == -1), key=lambda j: len(cols[j]))
+        unit = prow.pop(q)
+        for i in cols.pop(q):
+            r = rows[i]
+            c = r.pop(q) * unit  # unit is its own inverse
+            for j, v in prow.items():
+                nv = r.get(j, 0) - c * v
+                if nv:
+                    if j not in r:
+                        cols[j].add(i)
+                    r[j] = nv
+                else:
+                    del r[j]
+                    cols[j].discard(i)
+            if not r:
+                del rows[i]
+            elif _holds_unit(r):
+                heappush(heap, (len(r), i))
+        units += 1
+    rest: tuple = ()
+    if rows:
+        live = sorted(j for j, held in cols.items() if held)
+        a = [[r.get(j, 0) for j in live] for r in rows.values()]
+        _diagonalize(a, len(a), len(live))
+        rest = tuple(a[t][t] for t in range(min(len(a), len(live))) if a[t][t])
+    return (1,) * units + rest
+
+
+def _holds_unit(row: Dict[int, int]) -> bool:
+    values = row.values()
+    return 1 in values or -1 in values
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

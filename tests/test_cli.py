@@ -3,6 +3,9 @@ import hashlib
 import json
 import os
 import random
+import resource
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -21,7 +24,9 @@ from dgframes.complexes import (
 )
 from dgframes.dg_nerve import NerveSimplex, gauge, make_strict, random_simplex
 from dgframes.exact_linalg import IntMatrix
+from dgframes.frames import build_frame_object
 from dgframes.reporting import CheckItem, canonical_json
+from dgframes.simplicial import OrderMap
 
 from oracles import from_rows
 
@@ -101,6 +106,45 @@ def test_exit_code_2_on_input_errors(tmp_path, valid_simplex, capsys):
     assert main(["validate", "--input", valid_simplex, "--max-len", "-1"]) == 2
     assert main(["frame", "--input", valid_simplex, "--alpha", "0,5"]) == 2
     assert main(["frame", "--input", valid_simplex, "--alpha", "zebra"]) == 2
+
+
+def _capped_run(argv, limit=1 << 30, timeout=20):
+    """Run ``python -m dgframes`` with argv in a child process whose address
+    space is capped at ``limit`` bytes, so that a runaway input cannot take
+    the test runner down with it.  The child writes no bytecode next to the
+    sources."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "dgframes"] + argv,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        timeout=timeout,
+    )
+
+
+def _empty_simplex(tmp_path, n):
+    """n + 1 empty objects and no map."""
+    doc = {"n": n, "objects": [{"name": "X%d" % i, "degrees": {}} for i in range(n + 1)], "maps": {}}
+    return write_json(tmp_path / ("incomplete-%d.json" % n), doc)
+
+
+def test_an_incomplete_simplex_with_many_objects_exits_2(tmp_path, capsys):
+    """41 objects and no map leave 2^41 - 42 cochains missing.  Each command
+    that loads a simplex refuses it by that count, and names only the first
+    few missing keys: exit 2 and one short line on stderr, under a 1-GiB
+    memory cap, where forming every key ran out of memory (exit 1).  A
+    count past 64 bits is given by its power of 2."""
+    path = _empty_simplex(tmp_path, 40)
+    for command in (["validate"], ["check"], ["frame", "--alpha", "0,1"], ["recover"]):
+        done = _capped_run(command + ["--input", path])
+        assert done.returncode == 2, (command, done.stderr[-300:])
+        assert done.stdout == b"" and len(done.stderr) < 1024
+        assert done.stderr == b"error: simplex is missing cochains at: 0,1; 0,2; 0,3; 0,4; and 2199023255506 more\n"
+    assert main(["validate", "--input", _empty_simplex(tmp_path, 70)]) == 2
+    assert capsys.readouterr().err == "error: simplex is missing cochains at: 0,1; 0,2; 0,3; 0,4; and over 2^70 more\n"
 
 
 @pytest.mark.parametrize("output", ["{tmp}", "{tmp}/missing/out.json"], ids=["directory", "missing-parent"])
@@ -479,6 +523,12 @@ def torsion_complex():
 PINNED_CASES = {
     "validate": (lambda: random_simplex(random.Random(6), 2), ["validate"]),
     "homology-torsion": (torsion_complex, ["homology", "--seed", "-3"]),
+    # 7 large sparse +-1-heavy differentials with torsion, the largest
+    # 175 x 139 with 738 nonzeros: H_2 = Z/2, H_3 = Z
+    "homology-frame-r105n3": (
+        lambda: build_frame_object(random_simplex(random.Random(105), 3), OrderMap((0, 0, 1, 1, 2, 2, 3, 3), 3)).complex,
+        ["homology"],
+    ),
     "recover": (lambda: random_simplex(random.Random(5), 1, max_rank=4), ["recover"]),
     # its report holds no matrix; these two rest on nontrivial solves: a
     # 71 x 55 retraction system, and a recovered map that differs from the
@@ -495,10 +545,12 @@ PINNED_CASES = {
 # json.dumps(..., indent=2) in the CLI; the two check-deep cases were recorded
 # before simplicial-compat compared restrictions instead of rebuilding frames;
 # the two recover cases of Random(3) and Random(20) were recorded while the
-# Smith elimination ran on dense rows.
+# Smith elimination ran on dense rows; homology-frame-r105n3 was recorded
+# while invariant_factors cleared +-1 pivots first, sparsest row first.
 PINNED_CASE_STDOUT = {
     "validate": "ab22d3289de446b0ea77622ae916eca0c3b90ae0db3ea4bba20e0cee20e04fff",
     "homology-torsion": "d83ae9befd3a50f9bf6627567e444c8fc54d6ddddf95828fc1a2bd6999a4f0bf",
+    "homology-frame-r105n3": "13ee0b7d389a4447454e42fb83ad854eff76372e912e028551cf356ffffc8d0d",
     "recover": "e2ec3a51b16363a13731ff44793a7420182cab1ea88417dfae4e18e361cf4813",
     "recover-r3n1": "45f19a09b286c6975f0a89f8e3bd3b967302d27843074033b122129da4a9742f",
     "recover-r20n1": "8cc50f5353fb334fcb97f36a2eddab8b6205889788713abba145ef669825e147",

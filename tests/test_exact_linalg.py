@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from dgframes import exact_linalg, frames
-from dgframes.complexes import ChainComplex, GradedMap, graded_map_to_vector, hom_complex_diff, precompose_matrix
+from dgframes.complexes import ChainComplex, GradedMap, cone, graded_map_to_vector, hom_complex_diff, precompose_matrix
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import (
     IntMatrix,
@@ -16,13 +16,14 @@ from dgframes.exact_linalg import (
     solve,
 )
 from dgframes.frames import build_frame_object, include_last, recover_map_from_cylinder
-from dgframes.simplicial import OrderMap
+from dgframes.simplicial import DMorphism, OrderMap
 
 import oracles
 from oracles import (
     det,
     diagonalize_exhaustive,
     from_rows,
+    invariant_factors_unit_first,
     is_unimodular,
     kernel_basis_via_snf,
     mat_vec,
@@ -409,20 +410,55 @@ def test_product_is_zero_against_the_triple_loop():
 
 
 def _snf_diagonal(m):
-    s = snf(m).s
+    """The nonzero diagonal of the oracle's Smith form, which runs the dense
+    elimination, not the library's."""
+    s = snf_forward(m).s
     return tuple(s[i, i] for i in range(min(m.rows, m.cols)) if s[i, i])
 
 
 def test_invariant_factors_of_wide_sparse_matrices_against_snf():
-    """Densities stop at 5% and no shape is square: a 40 x 40 at 5% of these
-    entries, or at 10% of small ones, leaves the dense diagonalization of
-    either function with entries of hundreds of bits, and it does not end
-    within a minute."""
+    """Against the dense oracle Smith form and the unit-first elimination,
+    neither of which runs the library's.  Densities stop at 5% and no shape
+    is square: a 40 x 40 at 5% of these entries, or at 10% of small ones,
+    leaves a Smith elimination with entries of hundreds of bits, and it
+    does not end within a minute."""
     rng = random.Random(31)
     for density in (0.02, 0.05):
         for rows, cols in [(40, 120), (30, 90), (12, 120), (120, 20), (0, 9), (9, 0)]:
             m = _wide_sparse(rng, rows, cols, density)
-            assert invariant_factors(m) == _snf_diagonal(m), m
+            got = invariant_factors(m)
+            assert got == _snf_diagonal(m), m
+            assert got == invariant_factors_unit_first(m), m
+
+
+def _differentials(x):
+    return [x.diff(d) for d in x.support if x.rank(d - 1)]
+
+
+def test_invariant_factors_of_frame_and_cone_differentials():
+    """The large sparse +-1-heavy matrices the commands factor: every
+    differential of the 8-long frames of ``random_simplex(Random(s), 3)``
+    for s in 7 and 105 (up to 175 x 139), of every frame of
+    ``random_simplex(Random(7), 3)`` at max-len 3, and of the cones of the
+    generators (the identity and the max-preserving cofaces) into the six
+    last of those frames."""
+    alpha8 = OrderMap((0, 0, 1, 1, 2, 2, 3, 3), 3)
+    cases = []
+    for seed in (7, 105):
+        cases += _differentials(build_frame_object(random_simplex(random.Random(seed), 3), alpha8).complex)
+    diagram = frames.build_frame_diagram(random_simplex(random.Random(7), 3), 3)
+    for o in diagram.objects.values():
+        cases += _differentials(o.complex)
+    for alpha in list(diagram.objects)[-6:]:
+        a = alpha.dom
+        for inj in [tuple(range(a + 1))] + [tuple(i for i in range(a + 1) if i != k) for k in range(a)]:
+            src = OrderMap(tuple(alpha.values[i] for i in inj), alpha.cod)
+            cases += _differentials(cone(diagram.structure_map(DMorphism(src, alpha, inj))))
+    assert len(cases) == 290 and max(m.rows for m in cases) == 175
+    for m in cases:
+        got = invariant_factors(m)
+        assert got == _snf_diagonal(m), m
+        assert got == invariant_factors_unit_first(m), m
 
 
 def test_invariant_factors_against_sympy_and_snf():
@@ -432,6 +468,7 @@ def test_invariant_factors_against_sympy_and_snf():
     for m in _oracle_cases():
         got = invariant_factors(m)
         assert got == _snf_diagonal(m)
+        assert got == invariant_factors_unit_first(m)
         assert rank(m) == len(got)
         if m.rows and m.cols:
             expected = tuple(int(v) for v in sympy_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ) if v)

@@ -15,7 +15,8 @@ composites it passes by 2-out-of-3, as are the matrices its Reedy check
 assembles (none), and the memory peak of the whole suite is bounded.
 So are the restrictions ``check`` takes, the morphisms it enumerates, the
 preimages it builds and the items it reports.
-Drawing the pinned 3-simplex forms no Smith transform.
+Drawing the pinned 3-simplex forms no Smith transform, and ``homology`` runs
+one Smith elimination per differential.
 """
 
 import functools
@@ -327,3 +328,18 @@ def test_frame_counts_its_products_and_factorizations(monkeypatch, tmp_path):
         "IntMatrix.product_is_zero": 8,
     }
 
+
+def test_homology_runs_one_smith_elimination_per_differential(monkeypatch, tmp_path):
+    """``homology`` of the 8-long frame B(0,0,1,1,2,2,3,3) of
+    ``random_simplex(Random(105), 3)`` factors each of its 7 differentials,
+    the largest 175 x 139, by one Smith elimination and nothing else."""
+    x = frames.build_frame_object(random_simplex(random.Random(105), 3), OrderMap((0, 0, 1, 1, 2, 2, 3, 3), 3)).complex
+    path = tmp_path / "b-r105n3.json"
+    path.write_text(json.dumps(x.to_json()))
+    counts = {}
+    _count_calls(monkeypatch, counts, "invariant_factors", exact_linalg.invariant_factors)
+    _count_calls(monkeypatch, counts, "_diagonalize", exact_linalg._diagonalize)
+    assert cli.main(["homology", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    # while invariant_factors cleared +-1 pivots first: 7 and 1, the unit
+    # pivots clearing every differential but one
+    assert counts == {"invariant_factors": 7, "_diagonalize": 7}
