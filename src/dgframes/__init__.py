@@ -14,107 +14,13 @@ The package implements, with exact integer arithmetic throughout:
   cofibrations and edge recovery from cylinder frames (``frames``),
 * Smith normal form and integer linear solvers (``exact_linalg``), and a
   deterministic JSON command line (``cli``).
+
+The package root exports two names, ``NerveSimplex`` and
+``validate_maurer_cartan``; everything else is imported from its module.
 """
 
-from .complexes import (
-    ChainComplex,
-    GradedMap,
-    HomologySummary,
-    cone,
-    hom_complex,
-    hom_complex_diff,
-    hom_differential,
-    homology,
-    is_acyclic,
-    is_nullhomotopic,
-    random_chain_map,
-    random_complex,
-    random_graded_map,
-    shift,
-    zero_complex,
-)
-from .dg_nerve import (
-    NerveSimplex,
-    act,
-    coherence_defect,
-    gauge,
-    make_strict,
-    random_simplex,
-    validate_maurer_cartan,
-)
-from .exact_linalg import IntMatrix, invariant_factors, kernel_basis, snf, solve
-from .frames import (
-    FrameDiagram,
-    FrameObject,
-    build_frame_diagram,
-    build_frame_object,
-    check_simplicial_compat,
-    include_last,
-    homotopy,
-    is_homotopical,
-    is_reedy_cofibrant,
-    last_vertex_data,
-    recover_map_from_cylinder,
-    retraction,
-    solve_retraction,
-    split_acyclic_cofibration,
-)
-from .reporting import CheckItem, Report
-from .simplicial import (
-    DMorphism,
-    OrderMap,
-    enumerate_d_objects,
-    enumerate_order_maps,
-)
+from .dg_nerve import NerveSimplex, validate_maurer_cartan
 
-__all__ = [
-    "ChainComplex",
-    "CheckItem",
-    "DMorphism",
-    "FrameDiagram",
-    "FrameObject",
-    "GradedMap",
-    "HomologySummary",
-    "IntMatrix",
-    "NerveSimplex",
-    "OrderMap",
-    "Report",
-    "act",
-    "build_frame_diagram",
-    "build_frame_object",
-    "check_simplicial_compat",
-    "coherence_defect",
-    "cone",
-    "enumerate_d_objects",
-    "enumerate_order_maps",
-    "gauge",
-    "hom_complex",
-    "hom_complex_diff",
-    "hom_differential",
-    "homology",
-    "homotopy",
-    "include_last",
-    "invariant_factors",
-    "is_acyclic",
-    "is_homotopical",
-    "is_nullhomotopic",
-    "is_reedy_cofibrant",
-    "kernel_basis",
-    "last_vertex_data",
-    "make_strict",
-    "random_chain_map",
-    "random_complex",
-    "random_graded_map",
-    "random_simplex",
-    "recover_map_from_cylinder",
-    "retraction",
-    "shift",
-    "snf",
-    "solve",
-    "solve_retraction",
-    "split_acyclic_cofibration",
-    "validate_maurer_cartan",
-    "zero_complex",
-]
+__all__ = ["NerveSimplex", "validate_maurer_cartan"]
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .complexes import ChainComplex, homology, is_nullhomotopic
 from .dg_nerve import NerveSimplex, validate_maurer_cartan
 from .frames import build_frame_object, last_vertex_equivalence, recover_map_from_cylinder, run_checks
 from .reporting import canonical_json
-from .simplicial import OrderMap
+from .simplicial import OrderMap, seq_key
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -67,7 +67,7 @@ def _load_simplex(path: str) -> NerveSimplex:
     s = NerveSimplex.from_json(_load_json(path))
     missing = s.missing_count()
     if missing:
-        named = [",".join(map(str, seq)) for seq in islice(s.missing_keys(), 4)]
+        named = [seq_key(seq) for seq in islice(s.missing_keys(), 4)]
         more = missing - len(named)
         if more:
             named.append("and %s more" % (more if more.bit_length() <= 64 else "over 2^%d" % (more.bit_length() - 1)))

@@ -5,11 +5,14 @@ Complexes are homologically graded: the differential lowers degree by one, and
 Graded maps of degree r store one matrix per degree, ``mat(d)`` having shape
 rank_target(d+r) x rank_source(d).
 
-Sign conventions used throughout the package:
+Sign conventions, and the function that writes each:
 
-* differential of a graded map:  D(f) = d_Y o f - (-1)^{|f|} f o d_X
-* shifted complex:               d_{X[n]} = (-1)^n d_X
-* tensor-style evaluation:       (f (x) g)(x (x) y) = (-1)^{|x||g|} f(x) (x) g(y)
+* differential of a graded map:  D(f) = d_Y o f - (-1)^{|f|} f o d_X, the sign
+  of f o d_X given by :func:`hom_sign`, which :func:`differential_terms` and
+  :func:`hom_complex_diff` read;
+* shifted complex:               d_{X[n]} = (-1)^n d_X, in :func:`shift`;
+* the face and split signs of the dg nerve and its frames:
+  ``dg_nerve.twisting_signs``.
 
 Every such sign is :func:`parity_sign` of its exponent.
 
@@ -38,6 +41,12 @@ from .exact_linalg import (
 def parity_sign(e: int) -> int:
     """(-1)^e."""
     return -1 if e % 2 else 1
+
+
+def hom_sign(n: int) -> int:
+    """-(-1)^n, the sign of f o d_X in D(f) = d_Y o f - (-1)^{|f|} f o d_X
+    for f of degree n."""
+    return -parity_sign(n)
 
 
 class ChainComplex:
@@ -445,9 +454,7 @@ def differential_terms(f: GradedMap, d: int) -> tuple:
     """D(f) = d_Y o f - (-1)^|f| f o d_X at source degree d, as terms of
     combination_is_zero."""
     x, y, r = f.source, f.target, f.degree
-    return _product(1, y._diffs.get(d + r), f._mats.get(d)) + _product(
-        -parity_sign(r), f._mats.get(d - 1), x._diffs.get(d)
-    )
+    return _product(1, y._diffs.get(d + r), f._mats.get(d)) + _product(hom_sign(r), f._mats.get(d - 1), x._diffs.get(d))
 
 
 def cycle_defect(f: GradedMap) -> Optional[int]:
@@ -545,7 +552,7 @@ def hom_complex_diff(x: ChainComplex, y: ChainComplex, n: int) -> IntMatrix:
     """
     columns = hom_basis(x, y, n)
     index = {t: c for c, t in enumerate(hom_basis(x, y, n - 1))}
-    sign = -parity_sign(n)
+    sign = hom_sign(n)
     d_y_columns: Dict[int, Dict[int, list]] = {}
     entries = {}
     for col, (k, i, j) in enumerate(columns):

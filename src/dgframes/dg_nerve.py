@@ -21,7 +21,8 @@ algebra of the path coalgebra:
 Checking it on strictly increasing sequences suffices: on degenerate
 sequences it follows from strict unitality.
 
-``twisting_terms`` is the one loop that writes these two signs.
+``twisting_signs`` is the one table of these two signs, which the frame
+differential reads too, and ``twisting_terms`` the one loop over it.
 ``coherence_terms`` reads it to write the equation at one sequence and source
 degree as one list of terms, and the validator decides it, and finds a
 failure's witness, with the row-wise decider that every other identity of the
@@ -44,7 +45,6 @@ from .complexes import (
     differential_terms,
     first_defect,
     json_int,
-    json_int_key,
     json_object,
     map_term,
     parity_sign,
@@ -55,11 +55,7 @@ from .complexes import (
 )
 from .exact_linalg import nonzero_rows
 from .reporting import Report
-from .simplicial import OrderMap
-
-
-def _seq_key(seq) -> str:
-    return ",".join(str(v) for v in seq)
+from .simplicial import OrderMap, parse_seq_key, seq_key
 
 
 class NerveSimplex:
@@ -170,7 +166,7 @@ class NerveSimplex:
         return {
             "n": self.n,
             "objects": [x.to_json() for x in self.objects],
-            "maps": {_seq_key(k): self.maps[k].to_json() for k in self.cochain_keys()},
+            "maps": {seq_key(k): self.maps[k].to_json() for k in self.cochain_keys()},
         }
 
     @classmethod
@@ -186,7 +182,7 @@ class NerveSimplex:
             raise ValueError("simplex declares n=%s but carries %d objects" % (obj["n"], len(objects)))
         maps = {}
         for key_text, mobj in json_object(obj["maps"], "simplex maps").items():
-            key = tuple(json_int_key(p, "a part of map key %r" % key_text) for p in key_text.split(","))
+            key = parse_seq_key(key_text, "a part of map key %r" % key_text)
             if len(key) < 2 or any(b <= a for a, b in zip(key, key[1:])) or key[0] < 0 or key[-1] >= len(objects):
                 raise ValueError("map key %r is not a strictly increasing sequence in range" % key_text)
             if type(json_object(mobj, "graded map").get("degree")) is int:
@@ -213,18 +209,28 @@ def increasing_sequences(n: int) -> tuple:
     return tuple(_increasing(n))
 
 
+@lru_cache(maxsize=None)
+def twisting_signs(k: int) -> tuple:
+    """(j, (-1)^j, (-1)^{(j-1)k}) for j = 1..k: the face and split signs at
+    a sequence <a_0..a_k>, the package's one writing of them.  The frame
+    differential of ``frames.build_frame_object`` reads every row; the
+    Maurer-Cartan sum reads j <= k - 1, since its split at j = k would need
+    a value on the length-1 sequence <a_k>, which in the frame is the
+    summand inclusion."""
+    return tuple((j, parity_sign(j), parity_sign((j - 1) * k)) for j in range(1, k + 1))
+
+
 def twisting_terms(seq: tuple, d: int, c: int, face, pairs) -> tuple:
     """c * (δface + sum of p⌣q over (p, q) in pairs) at seq, source degree d,
     as terms of combination_is_zero: c * (-1)^j face(seq without seq[j]) and
     c * (-1)^{(j-1)k} p(seq[j:]) o q(seq[:j+1]) for j = 1..k-1, k = len(seq) - 1,
-    where face, p and q map sequences to graded maps.  The module's one
-    writing of these signs."""
-    k = len(seq) - 1
+    where face, p and q map sequences to graded maps, with the signs of
+    :func:`twisting_signs`."""
     terms = ()
-    for j in range(1, k):
-        terms += map_term(c * parity_sign(j), face(seq[:j] + seq[j + 1 :]), d)
+    for j, face_sign, split_sign in twisting_signs(len(seq) - 1)[:-1]:
+        terms += map_term(c * face_sign, face(seq[:j] + seq[j + 1 :]), d)
         for p, q in pairs:
-            terms += composite_term(c * parity_sign((j - 1) * k), p(seq[j:]), q(seq[: j + 1]), d)
+            terms += composite_term(c * split_sign, p(seq[j:]), q(seq[: j + 1]), d)
     return terms
 
 
@@ -261,7 +267,7 @@ def validate_maurer_cartan(s: NerveSimplex) -> Report:
             i, row = next(nonzero_rows(y.rank(d + r), terms_at(d)))
             j = min(j for j, v in row.items() if v)
             witness = "degree %d entry (%d,%d) = %d" % (d, i, j, row[j])
-        report.add("maurer-cartan", _seq_key(seq), d is None, witness)
+        report.add("maurer-cartan", seq_key(seq), d is None, witness)
     return report
 
 

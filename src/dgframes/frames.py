@@ -15,19 +15,24 @@ unitality on the (possibly degenerate) value sequence.  This is the unique
 differential making the tuple of summand inclusions a closed degree-0
 element of the twisted mapping complex; d^2 = 0 is equivalent to the
 Maurer-Cartan identity for f, and ``FrameObject.d2_defects`` reports it.
+That is why the face sign (-1)^j and the split sign (-1)^{k(j-1)} are the dg
+nerve's own (Lurie, Higher Algebra, Prop. 1.3.1.10): the differential reads
+them from ``dg_nerve.twisting_signs``, the table the Maurer-Cartan validator
+reads, and its (-1)^k is the shift sign of X[k] (``complexes.shift``).
 
 The basis lists the summands in the order of nonempty_subsets (by size,
 then lexicographically), each in the basis order of its source, so the full
 subset [m] comes last.  ``FrameObject.blocks`` records this layout, and a
-basis element of the S summand is labelled "s_0,...,s_k|<its source label>".
+basis element of the S summand is labelled "s_0,...,s_k|<its source label>",
+the prefix written by ``simplicial.seq_key``.
 A singleton alpha produces X_{alpha(0)} itself, labels included.
 
 Every map here between frames and their summands is a sum of signed blocks
 between summands: the differential, the summand inclusions, the structure
 maps, and the last-vertex retraction and homotopy.  Each is described per
 column subset as a list of (row offset, sign, block) and put together by one
-assembler; every sign is (-1)^e of an exponent e, written ``parity_sign(e)``
-as everywhere in the package.
+assembler; every other sign is (-1)^e of an exponent e, written
+``parity_sign(e)`` as everywhere in the package.
 
 B(alpha) reads the simplex only through its restriction act(alpha, s): the
 objects X_{alpha(i)} and the cochains on the alpha-images of increasing
@@ -98,10 +103,10 @@ from .complexes import (
     shift,
     vector_to_graded_map,
 )
-from .dg_nerve import NerveSimplex, act, increasing_sequences, validate_maurer_cartan
+from .dg_nerve import NerveSimplex, act, increasing_sequences, twisting_signs, validate_maurer_cartan
 from .exact_linalg import IntMatrix, block, invariant_factors, solve
 from .reporting import Report
-from .simplicial import DMorphism, OrderMap, enumerate_d_objects, nonempty_subsets
+from .simplicial import DMorphism, OrderMap, enumerate_d_objects, nonempty_subsets, seq_key
 
 
 class FrameObject:
@@ -184,9 +189,7 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
     r = act(alpha, s)
     lone = alpha.dom == 0
     # one entry per subset S: (S, its shift k, X_{alpha(S[0])}, its label prefix)
-    summands = [
-        (S, len(S) - 1, r.objects[S[0]], ",".join(map(str, S)) + "|") for S in nonempty_subsets(alpha.dom)
-    ]
+    summands = [(S, len(S) - 1, r.objects[S[0]], seq_key(S) + "|") for S in nonempty_subsets(alpha.dom)]
     degrees = sorted({t + k for _, k, x, _ in summands for t in x.support})
 
     blocks: Dict[int, Dict[tuple, Tuple[int, int]]] = {}
@@ -211,10 +214,10 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
             k = len(S) - 1
             ds = d - k
             terms = [(rows[S][0], parity_sign(k), r.objects[S[0]].diff(ds))] if S in rows else []
-            for j in range(1, k + 1):
-                terms.append((rows[S[:j] + S[j + 1 :]][0], parity_sign(j), None))
+            for j, face_sign, split_sign in twisting_signs(k):
+                terms.append((rows[S[:j] + S[j + 1 :]][0], face_sign, None))
                 if S[j:] in rows:
-                    terms.append((rows[S[j:]][0], parity_sign(k * (j - 1)), r.maps[S[: j + 1]].mat(ds)))
+                    terms.append((rows[S[j:]][0], split_sign, r.maps[S[: j + 1]].mat(ds)))
             columns.append((col, width, terms))
         diffs[d] = _assemble(len(labels[d - 1]), len(labels[d]), columns)
 
@@ -322,7 +325,7 @@ def _structure_matrices(src: FrameObject, tgt: FrameObject, inj) -> Dict[int, In
 
 
 def _morphism_key(mor: DMorphism) -> str:
-    return "%s->%s[%s]" % (mor.src.key(), mor.tgt.key(), ",".join(str(i) for i in mor.inj))
+    return "%s->%s[%s]" % (mor.src.key(), mor.tgt.key(), seq_key(mor.inj))
 
 
 # -- the Reedy condition -------------------------------------------------------
@@ -714,7 +717,7 @@ def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:
             ok = stored.objects == tuple(map(objects, v)) and stored.maps == dict(
                 zip(keys, [table[w] for k in range(2, m + 2) for w in combinations(v, k)])
             )
-            report.add("simplicial-compat", prefix + ",".join(map(str, v)), ok, None if ok else "frames differ")
+            report.add("simplicial-compat", prefix + seq_key(v), ok, None if ok else "frames differ")
     return report
 
 

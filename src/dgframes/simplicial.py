@@ -1,7 +1,10 @@
 """Order maps and the direct index category of sequences.
 
 Conventions.  An order map [m] -> [n] is a nondecreasing tuple of m+1 values
-in 0..n, serialized as "v0,v1,...".
+in 0..n, serialized as "v0,v1,...".  That text is the package's one format
+for a sequence of ints: :func:`seq_key` is its one writer and
+:func:`parse_seq_key` its one parser, for order maps, the map keys of a
+simplex and the labels of reports and frames alike.
 """
 
 from __future__ import annotations
@@ -11,6 +14,18 @@ from itertools import combinations, combinations_with_replacement
 from typing import Tuple
 
 from .complexes import json_int, json_int_key
+
+
+def seq_key(values) -> str:
+    """The ints ``values`` written "v0,v1,..."."""
+    return ",".join(map(str, values))
+
+
+def parse_seq_key(text: str, what: str) -> Tuple[int, ...]:
+    """The ints that :func:`seq_key` wrote as ``text``; ValueError, naming
+    ``what``, for a part that is not a canonical decimal integer
+    (``complexes.json_int_key``), an empty part included."""
+    return tuple(json_int_key(p, what) for p in text.split(","))
 
 
 @dataclass(frozen=True)
@@ -52,10 +67,10 @@ class OrderMap:
         return OrderMap._trusted(tuple(self.values[v] for v in other.values), self.cod)
 
     def key(self) -> str:
-        """The values joined by commas, formed once per map."""
+        """seq_key of the values, formed once per map."""
         key = self.__dict__.get("_key")
         if key is None:
-            key = self.__dict__["_key"] = ",".join(map(str, self.values))
+            key = self.__dict__["_key"] = seq_key(self.values)
         return key
 
     def __str__(self):
@@ -63,7 +78,7 @@ class OrderMap:
 
     @classmethod
     def from_key(cls, text: str, cod: int) -> "OrderMap":
-        return cls(tuple(json_int_key(p, "sequence entry") for p in text.split(",")), cod)
+        return cls(parse_seq_key(text, "sequence entry"), cod)
 
 
 @dataclass(frozen=True)

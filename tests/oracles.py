@@ -11,8 +11,8 @@ pivot hunt over the whole trailing submatrix.  ``snf_forward`` is ``snf``
 as it read when it replayed its column record forward on the identity,
 over the dense elimination,
 ``kernel_basis_via_snf`` is ``kernel_basis`` as it read when it read v off
-that ``snf``, ``solve_via_snf`` is ``solve`` as it read when it ran that
-``snf`` and multiplied by both transforms through ``mat_vec``, and
+that ``snf``, forming v alone, ``solve_via_snf`` is ``solve`` as it read
+when it ran that ``snf`` and multiplied by both transforms through ``mat_vec``, and
 ``invariant_factors_unit_first`` is ``invariant_factors`` as it read when it
 cleared +-1 pivots first, sparsest row first, before a Smith elimination
 of the remainder; none of them runs the library's elimination.  ``verify_mc_extension`` fills the
@@ -418,14 +418,7 @@ def snf_forward(m: IntMatrix) -> SNFResult:
     nr, nc = m.rows, m.cols
     # [m | 1]: row operations reach u
     a = [row + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m.to_lists())]
-    ops = _diagonalize(a, nr, nc)
-    # v from the column record, kept as its list of columns
-    vcols = [[1 if k == i else 0 for k in range(nc)] for i in range(nc)]
-    for j, t, q in ops:
-        if q is None:
-            vcols[j], vcols[t] = vcols[t], vcols[j]
-        else:
-            vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[t])]
+    vcols = _v_columns(_diagonalize(a, nr, nc), nc)
     return SNFResult(
         IntMatrix._trusted(nr, nc, _pack(nc, [row[:nc] for row in a])),
         IntMatrix._trusted(nr, nr, _pack(nr, [row[nc:] for row in a])),
@@ -433,13 +426,30 @@ def snf_forward(m: IntMatrix) -> SNFResult:
     )
 
 
+def _v_columns(ops, nc: int) -> list:
+    """The columns of v, the column record ``ops`` of :func:`_diagonalize`
+    replayed forward, oldest operation first, on the columns of the nc x nc
+    identity."""
+    vcols = [[1 if k == i else 0 for k in range(nc)] for i in range(nc)]
+    for j, t, q in ops:
+        if q is None:
+            vcols[j], vcols[t] = vcols[t], vcols[j]
+        else:
+            vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[t])]
+    return vcols
+
+
 def kernel_basis_via_snf(m: IntMatrix) -> list:
-    """``exact_linalg.kernel_basis`` as it read when it ran ``snf``, with
-    both transforms, and read the kernel off the columns of v matched with
-    zero diagonal entries of the Smith form."""
-    s, _u, v = snf_forward(m)
-    r = sum(1 for i in range(min(m.rows, m.cols)) if s[i, i])
-    return [tuple(v[i, j] for i in range(m.cols)) for j in range(r, m.cols)]
+    """``exact_linalg.kernel_basis`` as it read when it ran ``snf`` and read
+    the kernel off the columns of v matched with zero diagonal entries of
+    the Smith form.  It forms only what that reads: ``_diagonalize`` runs on
+    the dense rows of m alone, with no u, and v is formed as in
+    :func:`snf_forward`."""
+    nr, nc = m.rows, m.cols
+    a = m.to_lists()
+    vcols = _v_columns(_diagonalize(a, nr, nc), nc)
+    r = sum(1 for i in range(min(nr, nc)) if a[i][i])
+    return [tuple(col) for col in vcols[r:]]
 
 
 def invariant_factors_unit_first(m: IntMatrix) -> Vector:

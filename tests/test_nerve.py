@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from dgframes import dg_nerve
+from dgframes import dg_nerve, frames
 from dgframes.complexes import (
     ChainComplex,
     GradedMap,
     hom_basis,
     hom_differential,
+    hom_sign,
     random_chain_map,
     random_complex,
     random_graded_map,
@@ -20,6 +21,7 @@ from dgframes.dg_nerve import (
     increasing_sequences,
     make_strict,
     random_simplex,
+    twisting_signs,
     validate_maurer_cartan,
 )
 from dgframes.exact_linalg import IntMatrix
@@ -319,3 +321,24 @@ def test_json_roundtrip():
     obj["maps"]["not-a-key"] = list(obj["maps"].values())[0]
     with pytest.raises(ValueError):
         NerveSimplex.from_json(obj)
+
+
+def test_the_twisting_sign_table_equals_its_formula():
+    for k in range(9):
+        assert twisting_signs(k) == tuple((j, (-1) ** j, (-1) ** ((j - 1) * k)) for j in range(1, k + 1))
+
+
+def test_the_sign_of_f_o_d_in_d_of_f_equals_its_formula():
+    assert [hom_sign(n) for n in range(-3, 4)] == [-((-1) ** n) for n in range(-3, 4)]
+
+
+def test_the_frame_differential_and_the_validator_read_one_sign_table():
+    assert frames.twisting_signs is twisting_signs
+    s = random_simplex(random.Random(7), 3)
+    twisting_signs.cache_clear()
+    frames.build_frame_object(s, OrderMap((0, 1, 2, 3), 3))
+    built = twisting_signs.cache_info()
+    assert built.currsize == 4  # one table per subset size, k = 0..3
+    assert validate_maurer_cartan(s).ok  # sequences of k = 1..3: every table read is a hit
+    after = twisting_signs.cache_info()
+    assert (after.misses, after.currsize) == (built.misses, built.currsize) and after.hits > built.hits

@@ -1,7 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dgframes.complexes import zero_complex
+from dgframes.dg_nerve import NerveSimplex
 from dgframes.simplicial import (
     DMorphism,
     OrderMap,
@@ -9,6 +12,8 @@ from dgframes.simplicial import (
     enumerate_inclusions,
     enumerate_order_maps,
     nonempty_subsets,
+    parse_seq_key,
+    seq_key,
 )
 
 from oracles import is_weak_equivalence_d
@@ -53,6 +58,27 @@ def test_order_map_compose_and_key():
         OrderMap.from_key("3", 2).compose(a)  # from_key checks the codomain bound first
     with pytest.raises(ValueError):
         OrderMap.from_key("5", 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(), min_size=1).map(tuple))
+def test_a_sequence_key_parses_back_to_its_ints(values):
+    assert parse_seq_key(seq_key(values), "entry") == values
+
+
+# (key text, the part named in the message)
+NONCANONICAL_KEYS = [("00", "00"), ("+1", "+1"), ("-0", "-0"), (" 1", " 1"), ("1_0", "1_0"), ("", ""), ("1,,2", "")]
+
+
+@pytest.mark.parametrize("text, part", NONCANONICAL_KEYS)
+def test_noncanonical_sequence_keys_are_refused_as_order_maps_and_as_map_keys(text, part):
+    with pytest.raises(ValueError) as got:
+        OrderMap.from_key(text, 3)
+    assert str(got.value) == "sequence entry must be a canonical decimal integer, got %r" % part
+    obj = {"n": 2, "objects": [zero_complex().to_json()] * 3, "maps": {text: {"degree": 0, "matrices": {}}}}
+    with pytest.raises(ValueError) as got:
+        NerveSimplex.from_json(obj)
+    assert str(got.value) == "a part of map key %r must be a canonical decimal integer, got %r" % (text, part)
 
 
 def test_dmorphism_validation_and_compose():
