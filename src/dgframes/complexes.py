@@ -10,7 +10,8 @@ Sign conventions, and the function that writes each:
 * differential of a graded map:  D(f) = d_Y o f - (-1)^{|f|} f o d_X, the sign
   of f o d_X given by :func:`hom_sign`, which :func:`differential_terms` and
   :func:`hom_complex_diff` read;
-* shifted complex:               d_{X[n]} = (-1)^n d_X, in :func:`shift`;
+* shifted complex:               d_{X[n]} = (-1)^n d_X, the sign given by
+  :func:`shift_sign`, which :func:`shift` and the frame differential read;
 * the face and split signs of the dg nerve and its frames:
   ``dg_nerve.twisting_signs``.
 
@@ -41,6 +42,11 @@ from .exact_linalg import (
 def parity_sign(e: int) -> int:
     """(-1)^e."""
     return -1 if e % 2 else 1
+
+
+def shift_sign(n: int) -> int:
+    """(-1)^n, the sign of d_X in d_{X[n]} = (-1)^n d_X."""
+    return parity_sign(n)
 
 
 def hom_sign(n: int) -> int:
@@ -465,7 +471,7 @@ def cycle_defect(f: GradedMap) -> Optional[int]:
 
 def shift(x: ChainComplex, n: int) -> ChainComplex:
     """The n-fold shift X[n] with rank_d = rank_X(d - n) and d = (-1)^n d_X."""
-    sgn = parity_sign(n)
+    sgn = shift_sign(n)
     return ChainComplex._trusted(
         "%s[%d]" % (x.name, n),
         {d + n: r for d, r in x._ranks.items()},
@@ -530,9 +536,9 @@ def precompose_matrix(f: GradedMap, z: ChainComplex, n: int) -> IntMatrix:
     x, y, r = f.source, f.target, f.degree
     columns = hom_basis(y, z, n)
     index = {t: c for c, t in enumerate(hom_basis(x, z, n + r))}
-    entries = {}
+    entries, mats = {}, f._mats
     for col, (k, i, j) in enumerate(columns):
-        m = f._mats.get(k - r)
+        m = mats.get(k - r)
         if m is not None:
             for i2, v in m.nonzeros[i]:
                 entries[(index[(k - r, i2, j)], col)] = v

@@ -20,7 +20,10 @@ top cochain of a simplex and tests its coherence identity.  ``hom_differential``
 ``maurer_cartan_items`` form D(f) and the Maurer-Cartan defect densely and
 read the validator's verdicts and witnesses off them; ``cycle_defect``,
 ``last_vertex_verdicts`` and ``certificate_identities`` decide the identities
-of the check suite by dense products, sums and scalings.  Both are the
+of the check suite by dense products, sums and scalings;
+``summand_inclusion_matrices`` and ``homotopy_matrices`` write the matrices
+of a summand inclusion and of the last-vertex homotopy into dense rows, as
+the library built them before they were selections.  Both are the
 library's code from before it decided these identities column by column.
 ``combination_is_zero`` and ``combination_matrix`` are the column-wise
 deciders, over ``_nonzero_columns``, that the library used before it decided
@@ -33,7 +36,7 @@ reference for that view route.
 direct category; ``structure_maps`` builds every structure map of a
 diagram, and
 ``homotopical_items`` is ``is_homotopical`` as it read when the diagram
-stored all of them.  ``latching_data`` builds the latching sub-complex, its
+stored all of them, each item located by ``morphism_key``.  ``latching_data`` builds the latching sub-complex, its
 inclusion and the cokernel of a frame, and ``reedy_items`` is
 ``is_reedy_cofibrant`` as it read when it built the inclusion matrices and
 the cokernel complex; ``transpose`` and ``submatrix`` serve them.
@@ -72,11 +75,10 @@ from dgframes.frames import (
     LastVertexCheck,
     _assemble,
     _at,
-    _morphism_key,
     check_last_vertex,
 )
 from dgframes.reporting import Report
-from dgframes.simplicial import DMorphism, OrderMap, enumerate_d_objects, enumerate_inclusions
+from dgframes.simplicial import DMorphism, OrderMap, enumerate_d_objects, enumerate_inclusions, seq_key
 
 
 def from_rows(data: Sequence[Sequence[int]]) -> IntMatrix:
@@ -670,6 +672,39 @@ def last_vertex_verdicts(j: GradedMap, r: GradedMap, h: GradedMap, b: ChainCompl
     return (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
 
 
+def summand_inclusion_matrices(o: FrameObject, subset) -> Dict[int, IntMatrix]:
+    """The matrices of iota_S : X_{alpha(S[0])} -> B(alpha), written entry
+    by entry into dense rows from the frame's blocks, as
+    ``FrameObject.summand_inclusion`` built them before it was a selection."""
+    x, k = o.source_complex(subset), len(subset) - 1
+    mats = {}
+    for t in x.support:
+        rows = [[0] * x.rank(t) for _ in range(o.complex.rank(t + k))]
+        first = o.blocks[t + k][subset][0]
+        for e in range(x.rank(t)):
+            rows[first + e][e] = 1
+        mats[t] = IntMatrix(len(rows), x.rank(t), rows)
+    return mats
+
+
+def homotopy_matrices(o: FrameObject) -> Dict[int, IntMatrix]:
+    """The matrices of the last-vertex homotopy h : B -> B, written entry by
+    entry into dense rows: the S block, a not in S, goes to the S u {a}
+    block with sign (-1)^(|S|-1), as ``frames.homotopy`` built them before
+    h was a selection."""
+    a, b, mats = o.alpha.dom, o.complex, {}
+    for d, spans in o.blocks.items():
+        if d + 1 in o.blocks:
+            rows = [[0] * b.rank(d) for _ in range(b.rank(d + 1))]
+            for S, (col, width) in spans.items():
+                if a not in S:
+                    first = o.blocks[d + 1][S + (a,)][0]
+                    for e in range(width):
+                        rows[first + e][col + e] = (-1) ** (len(S) - 1)
+            mats[d] = IntMatrix(b.rank(d + 1), b.rank(d), rows)
+    return mats
+
+
 def composite_equals(f: GradedMap, g: GradedMap, h: GradedMap) -> bool:
     """Whether f o g == h, as GradedMap.__eq__ decides it, without forming
     f o g.  ValueError when f o g is not defined, as for ``f @ g``."""
@@ -760,6 +795,11 @@ def combination_matrix(height: int, width: int, terms) -> IntMatrix:
 # -- structure maps, all built at once --------------------------------------------
 
 
+def morphism_key(mor: DMorphism) -> str:
+    """The location of the ``homotopical`` item of mor, "beta->alpha[inj]"."""
+    return "%s->%s[%s]" % (mor.src.key(), mor.tgt.key(), seq_key(mor.inj))
+
+
 def is_weak_equivalence_d(m: DMorphism) -> bool:
     """True when the injection carries the last index of the source to the
     last index of the target."""
@@ -788,20 +828,20 @@ def homotopical_items(diagram, last_vertex=None):
         if broken is not None:
             report.add(
                 "homotopical",
-                _morphism_key(mor),
+                morphism_key(mor),
                 False,
                 "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.key(), diagram.objects[broken].d2_defects[0]),
             )
             continue
         if not g.is_cycle():
-            report.add("homotopical", _morphism_key(mor), False, "structure map is not a chain map")
+            report.add("homotopical", morphism_key(mor), False, "structure map is not a chain map")
             continue
         if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
-            report.add("homotopical", _morphism_key(mor), True)
+            report.add("homotopical", morphism_key(mor), True)
             continue
         hom = homology(cone(g))
         ok = hom.is_trivial()
-        report.add("homotopical", _morphism_key(mor), ok, None if ok else "cone homology: %s" % hom)
+        report.add("homotopical", morphism_key(mor), ok, None if ok else "cone homology: %s" % hom)
     return report.items
 
 

@@ -9,6 +9,7 @@ constructor and requires the same value back, stored in exactly the
 canonical degrees.
 """
 
+import functools
 import random
 
 import pytest
@@ -98,13 +99,16 @@ def _assert_canonical_map(f: GradedMap):
         assert (m.rows, m.cols) == (f.target.rank(d + f.degree), f.source.rank(d))
 
 
+@functools.lru_cache(maxsize=None)
 def _simplices():
+    """Drawn when the first test reads them, not at collection."""
     rng = random.Random(13)
     return [random_simplex(rng, n, perturb=False) for n in range(4)] + [random_simplex(rng, 3)]
 
 
-@pytest.mark.parametrize("s", _simplices(), ids=["n0", "n1", "n2", "n3", "n3-perturbed"])
-def test_library_built_values_equal_their_checked_rebuild(s):
+@pytest.mark.parametrize("i", range(5), ids=["n0", "n1", "n2", "n3", "n3-perturbed"])
+def test_library_built_values_equal_their_checked_rebuild(i):
+    s = _simplices()[i]
     diagram = build_frame_diagram(s, 2)
     for g in structure_maps(diagram).values():
         _assert_canonical_map(g)

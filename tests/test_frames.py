@@ -59,6 +59,7 @@ from oracles import (
     from_rows,
     is_weak_equivalence_d,
     latching_data,
+    morphism_key,
     simplicial_compat_items,
     structure_maps,
     verify_mc_extension,
@@ -223,7 +224,7 @@ def _frame_case_payload(seed, n):
             }
         )
     diagram = build_frame_diagram(s, max_len=2)
-    structure = {frames._morphism_key(mor): g.to_json() for mor, g in structure_maps(diagram).items()}
+    structure = {morphism_key(mor): g.to_json() for mor, g in structure_maps(diagram).items()}
     return {"objects": objects, "structure_maps": structure}
 
 

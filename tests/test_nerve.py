@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dgframes import dg_nerve, frames
+from dgframes import complexes, dg_nerve, frames
 from dgframes.complexes import (
     ChainComplex,
     GradedMap,
@@ -12,6 +12,7 @@ from dgframes.complexes import (
     random_chain_map,
     random_complex,
     random_graded_map,
+    shift_sign,
 )
 from dgframes.dg_nerve import (
     NerveSimplex,
@@ -330,6 +331,26 @@ def test_the_twisting_sign_table_equals_its_formula():
 
 def test_the_sign_of_f_o_d_in_d_of_f_equals_its_formula():
     assert [hom_sign(n) for n in range(-3, 4)] == [-((-1) ** n) for n in range(-3, 4)]
+
+
+def test_the_frame_differential_and_shift_read_one_shift_sign(monkeypatch):
+    """The shift sign equals (-1)^n.  The d_X terms of the frame
+    differential and ``shift`` read it from one helper: on a simplex whose
+    objects have nonzero differentials, flipping it for the frame alone
+    breaks ``latching-cokernel``, which compares a frame's full block with
+    the shifted source, and flipping it for both keeps the item."""
+    assert [shift_sign(n) for n in range(-3, 4)] == [(-1) ** n for n in range(-3, 4)]
+    s = random_simplex(random.Random(3), 2)
+
+    def cokernel_failures():
+        items = frames.is_reedy_cofibrant(frames.build_frame_diagram(s, 2)).items
+        return sum(i.check == "latching-cokernel" and i.status == "fail" for i in items)
+
+    assert cokernel_failures() == 0
+    monkeypatch.setattr(frames, "shift_sign", lambda n: -((-1) ** n))
+    assert cokernel_failures() > 0
+    monkeypatch.setattr(complexes, "shift_sign", lambda n: -((-1) ** n))
+    assert cokernel_failures() == 0
 
 
 def test_the_frame_differential_and_the_validator_read_one_sign_table():
