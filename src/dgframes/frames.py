@@ -29,44 +29,45 @@ the prefix written by ``simplicial.seq_key``.
 A singleton alpha produces X_{alpha(0)} itself, labels included.
 
 Every map here between frames and their summands is a sum of signed blocks
-between summands.  The differential and the last-vertex retraction r are
-described per column subset as lists of (row offset, sign, block) and put
-together by one assembler.  The summand inclusions, the last-vertex
-inclusion j among them, the structure maps and the last-vertex homotopy h
-only move blocks: each is a lazy :class:`Selection`, which the checks read
-through its preimages, and whose matrices the assembler forms only when
-something reads them (``recover``'s solve, or a fallback path).  r's sign
-(-1)^k and h's (-1)^{|S|-1} are each written once, in :func:`retraction`
-and :func:`homotopy`, and the checks take h's from its placements.  Every
-sign is (-1)^e of an exponent e, written ``parity_sign(e)``.
+between summands: the differential, the summand inclusions, the structure
+maps, and the last-vertex retraction and homotopy.  Each is described per
+column subset as a list of (row offset, sign, block) and put together by one
+assembler.  The retraction's sign (-1)^k and the homotopy's (-1)^{|S|-1}
+are each written once, in :func:`retraction` and :func:`homotopy`; every
+other sign is (-1)^e of an exponent e, written ``parity_sign(e)`` as
+everywhere in the package.
 
 B(alpha) reads the simplex only through its restriction act(alpha, s), so
 naturality under reindexing, B_{act(sigma, s)}(alpha) = B_s(sigma o alpha),
 follows from the nerve identity act(alpha, act(sigma, s)) = act(sigma o
 alpha, s), which the simplicial compatibility check compares.
 
-The module also provides the Reedy check, which reads each frame's block
-layout and differential in place, the last-vertex identities of a frame,
-the homotopical check, which judges each max-preserving structure map on
-one path (2-out-of-3 over certified factors, its own certificate, or cone
-homology; see :func:`is_homotopical`), ``run_checks``, which assembles the
-whole suite, an integer splitting solver for acyclic cofibrations, and the
-recovery of a 1-simplex edge from its cylinder frame.
+The module also provides the structure maps (basis inclusions along subset
+reindexing, built on demand as lazy selections: a diagram holds frames
+only), the Reedy check, which reads each frame's block layout and
+differential in place (the latching map is the coordinate inclusion of the
+proper-subset summands, so it forms no latching object), the last-vertex
+identities of a frame, the homotopical check, which judges each
+max-preserving structure map on one path (2-out-of-3 over certified
+factors, its own certificate, or cone homology; see :func:`is_homotopical`),
+``run_checks``, which assembles the whole suite, an integer splitting solver
+for acyclic cofibrations, and the recovery of a 1-simplex edge from its
+cylinder frame.
 
-The last-vertex identities are read off the stored row views of d and r
-renamed through the preimages of j and h (:func:`check_last_vertex`).
-With d^2 = 0 they make j : X_{alpha(m)} -> B(alpha) a chain homotopy
-equivalence with inverse r, and ``last_vertex_equivalence`` returns the
-verdict only then: the ``frame`` command reads H(B(alpha)) off
-X_{alpha(m)} through it, and ``recover_map_from_cylinder`` the
-preconditions of its retraction solve, which ``solve_retraction`` proves
-on its own, by invariant factors and cone homology, for any other map.
+:func:`check_last_vertex` decides the last-vertex identities row by row
+over the row views of d and of the assembled j, r and h.  With d^2 = 0 they
+make j : X_{alpha(m)} -> B(alpha) a chain homotopy equivalence with inverse
+r, and ``last_vertex_equivalence`` returns the verdict only then: the
+``frame`` command reads H(B(alpha)) off X_{alpha(m)} through it, and
+``recover_map_from_cylinder`` the preconditions of its retraction solve,
+which ``solve_retraction`` proves on its own, by invariant factors and cone
+homology, for any other map.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
@@ -136,13 +137,16 @@ class FrameObject:
         return self.restriction.objects[subset[0]]
 
     def summand_inclusion(self, subset) -> GradedMap:
-        """iota_S as a graded map X_{alpha(S[0])} -> B of degree len(S)-1, a
-        :class:`Selection`."""
+        """iota_S as a graded map X_{alpha(S[0])} -> B of degree len(S)-1."""
         subset = tuple(subset)
         k = len(subset) - 1
         x = self.source_complex(subset)
-        placements = {t: ((0, self.blocks[t + k][subset][0], x.rank(t), 1),) for t in x.support}
-        return Selection.placed(x, self.complex, k, placements)
+        mats = {}
+        for t in x.support:
+            width = x.rank(t)
+            row = self.blocks[t + k][subset][0]
+            mats[t] = _assemble(self.complex.rank(t + k), width, [(0, width, [(row, 1, None)])])
+        return GradedMap._trusted(x, self.complex, k, mats)
 
     def __repr__(self):
         return "FrameObject(alpha=%s, total rank %d)" % (self.alpha.key(), self.complex.total_rank())
@@ -257,60 +261,30 @@ def build_frame_diagram(s: NerveSimplex, max_len: int) -> FrameDiagram:
 
 
 class Selection(GradedMap):
-    """A map that sends blocks of basis vectors to blocks, each as the
-    identity times a sign: ``placements[d]`` lists (col, row, width, sign),
-    in column order, for columns col .. col + width - 1 of the source in
-    degree d going to rows row .. row + width - 1 of the target in degree
-    d + degree.  The matrices are formed on first read: by the block
-    assembler, or for given placements with preimages one entry per row.
-    ``Selection(src, tgt, inj)`` is the structure map B(beta) -> B(alpha),
-    which sends the block of each subset S of [beta.dom] to that of inj(S);
-    it holds no more than its frames and ``inj``.  :meth:`placed` holds
-    given placements, and their preimages: the summand inclusions, j among
-    them, and h.
+    """The structure map B(beta) -> B(alpha) along the injection ``inj``: the
+    block of each subset S of [beta.dom] goes, as an identity, to the block
+    of inj(S).  The matrices are assembled on first read.
 
-    ``preimages()`` is (names, signs): ``names[d]`` lists, for each target
-    row in degree d + degree, the source column sent there, None off the
-    image, for each degree d of the source (of the target, for a structure
-    map), and ``signs[d]`` each row's sign where one is -1.  It is None
-    unless the blocks describe the map as such: they lie in the ranks, rows
-    go up with columns, none overlap, and for a structure map both frames'
-    blocks tile (``untiled_degree``) and each block lands on a block of its
-    width.  The checks read a selection through its preimages alone."""
-
-    frames = inj = None
+    ``preimages()[d]`` lists, for each row of B(alpha)_d, the column of
+    B(beta)_d that the map sends there, None off its image.  It is built
+    from the blocks alone, and is None unless the blocks describe the map as
+    such a selection: both frames' blocks tile their bases
+    (``untiled_degree``), the image of each block is a block of the same
+    width, and the images go up as the blocks do.  It is not kept, so that a
+    selection kept as a factor holds no more than its frames and ``inj``.
+    The homotopical check reads a selection through its preimages alone; it
+    assembles the matrices only for one without preimages, for its chain-map
+    test and cone."""
 
     def __init__(self, src: FrameObject, tgt: FrameObject, inj: Tuple[int, ...]):
         self.source, self.target, self.degree = src.complex, tgt.complex, 0
         self.frames, self.inj = (src, tgt), inj
 
-    @classmethod
-    def placed(cls, source: ChainComplex, target: ChainComplex, degree: int, placements) -> "Selection":
-        f = cls.__new__(cls)
-        f.source, f.target, f.degree, f.placements = source, target, degree, placements
-        f._preimages = _preimages_of_placements(f)
-        return f
-
     @cached_property
     def _mats(self) -> Dict[int, IntMatrix]:
-        if self.frames is not None:
-            return _structure_matrices(*self.frames, self.inj)
-        if self._preimages is None:  # placements that overlap or leave the ranks add up
-            rows, cols = self.target.rank, self.source.rank
-            return {
-                d: _assemble(rows(d + self.degree), cols(d), [(c, w, [(r, s, None)]) for c, r, w, s in placed])
-                for d, placed in self.placements.items()
-            }
-        (names, signs), mats = self._preimages, {}
-        for d, cols in names.items():
-            if cols:
-                view = [() if c is None else ((c, s),) for c, s in zip(cols, signs.get(d) or repeat(1))]
-                mats[d] = IntMatrix._trusted(len(cols), self.source.rank(d), tuple(view))
-        return mats
+        return _structure_matrices(*self.frames, self.inj)
 
-    def preimages(self) -> Optional[tuple]:
-        if self.frames is None:
-            return self._preimages
+    def preimages(self) -> Optional[Dict[int, list]]:
         src, tgt = self.frames
         if src.untiled_degree is not None or tgt.untiled_degree is not None:
             return None
@@ -324,38 +298,21 @@ class Selection(GradedMap):
                     return None
                 cols[row : row + width] = range(col, col + width)
                 last = row
-        return out, {}
-
-
-def _preimages_of_placements(f: Selection) -> Optional[tuple]:
-    """``preimages()`` of a selection with given placements, which keeps it."""
-    names = {d: [None] * f.target.rank(d + f.degree) for d in f.source.support}
-    signs: Dict[int, list] = {}
-    for d, placed in f.placements.items():
-        cols, widths, col_end, row_end = names.get(d), f.source.rank(d), 0, 0
-        for col, row, width, sign in placed:
-            if cols is None or col < col_end or row < row_end or sign not in (1, -1):
-                return None
-            col_end, row_end = col + width, row + width
-            if row_end > len(cols) or col_end > widths:
-                return None
-            cols[row:row_end] = range(col, col_end)
-            if sign == -1:
-                signs[d] = flips = signs.get(d) or [1] * len(cols)
-                flips[row:row_end] = [-1] * width
-    return names, signs
+        return out
 
 
 @lru_cache(maxsize=None)
 def _subset_images(inj: Tuple[int, ...]) -> Dict[tuple, tuple]:
+    """inj(S) for each nonempty subset S of the domain of inj."""
     return {S: tuple(map(inj.__getitem__, S)) for S in nonempty_subsets(len(inj) - 1)}
 
 
 def _structure_matrices(src: FrameObject, tgt: FrameObject, inj) -> Dict[int, IntMatrix]:
     mats = {}
+    image = _subset_images(inj)
     for d, spans in src.blocks.items():
         rows = tgt.blocks[d]
-        columns = [(col, width, [(rows[tuple(inj[i] for i in S)][0], 1, None)]) for S, (col, width) in spans.items()]
+        columns = [(col, width, [(rows[image[S]][0], 1, None)]) for S, (col, width) in spans.items()]
         mats[d] = _assemble(tgt.complex.rank(d), src.complex.rank(d), columns)
     return mats
 
@@ -448,24 +405,24 @@ def retraction(o: FrameObject) -> GradedMap:
 
 
 def homotopy(o: FrameObject) -> GradedMap:
-    """The degree-1 map h : B -> B with D(h) = include_last o retraction - id,
-    a :class:`Selection`.
+    """The degree-1 map h : B -> B with D(h) = include_last o retraction - id.
 
     It sends the S summand to the S u {a} summand, as the identity of
     X_{alpha(s_0)} with sign (-1)^{|S|-1}, when a is not in S, and to zero
     otherwise.
     """
-    a, blocks = o.alpha.dom, o.blocks
-    placements = {}
-    for d, spans in blocks.items():
-        above = blocks.get(d + 1)
-        if above is not None:
-            placements[d] = [
-                (col, above[S + (a,)][0], width, parity_sign(len(S) - 1))
-                for S, (col, width) in spans.items()
-                if S[-1] != a
-            ]
-    return Selection.placed(o.complex, o.complex, 1, placements)
+    a = o.alpha.dom
+    mats = {}
+    for d, spans in o.blocks.items():
+        if d + 1 not in o.blocks:
+            continue
+        columns = [
+            (col, width, [(o.blocks[d + 1][S + (a,)][0], parity_sign(len(S) - 1), None)])
+            for S, (col, width) in spans.items()
+            if S[-1] != a
+        ]
+        mats[d] = _assemble(o.complex.rank(d + 1), o.complex.rank(d), columns)
+    return GradedMap._trusted(o.complex, o.complex, 1, mats)
 
 
 def last_vertex_data(o: FrameObject):
@@ -487,69 +444,28 @@ class LastVertexCheck:
 
 def check_last_vertex(o: FrameObject) -> LastVertexCheck:
     """Check that j and r are chain maps, r o j = id and D(h) = j o r - id,
-    naming the first failing identity and degree of each; ValueError when
-    the maps do not fit together as X -> B -> X and B -> B of degree 1.
-
-    When j and h are selections with preimages, as the frame's are, the
-    identities are read off the stored row views of d and r renamed through
-    the preimages (:func:`_renamed_rows_equal`), with no matrix of j or h:
-    D(j) = 0 as :func:`_chain_defect` reads it, r o j = id as the rows of r
-    renamed, and D(h) = j o r - id by :func:`_homotopy_defect`.  Any other
-    j or h is decided row by row over the matrices' row views (see
-    exact_linalg.nonzero_rows)."""
+    naming the first failing identity and degree of each.  Each identity is
+    decided row by row over the stored matrices' row views (see
+    exact_linalg.nonzero_rows); ValueError when the maps do not fit together
+    as X -> B -> X and B -> B of degree 1."""
     j, r, h = last_vertex_data(o)
     b, x = o.complex, j.source
     ends = (j.target, r.source, r.target, h.source, h.target)
     if ends != (b, b, x, b, b) or (j.degree, r.degree, h.degree) != (0, 0, 1):
         raise ValueError("the last-vertex maps of B(%s) do not fit together" % o.alpha.key())
-    jp, hp = _placed_preimages(j), _placed_preimages(h)
-    if jp is None or jp[1] or hp is None:
-        chain = cycle_defect(j)
-        section = first_defect(x, x, 0, lambda d: composite_term(1, r, j, d) + identity_term(-1))
-        htpy = first_defect(b, b, 0, lambda d: differential_terms(h, d) + composite_term(-1, j, r, d) + identity_term(1))
-    else:
-        names = jp[0]
-        chain, htpy = _chain_defect(x, b, names), _homotopy_defect(b, j, r, h)
-        ones = IntMatrix.identity
-        section = next(
-            (d for d in x.support if not _renamed_rows_equal(r.mat(d).nonzeros, names[d], ones(x.rank(d)).nonzeros)), None
-        )
-    verdicts = (
-        ("last-vertex-chain", _at(chain, "D(j) != 0") or _at(cycle_defect(r), "D(r) != 0")),
-        ("last-vertex-section", _at(section, "r o j != id")),
-        ("last-vertex-homotopy", _at(htpy, "D(h) != j o r - id")),
+    chain = _at(cycle_defect(j), "D(j) != 0") or _at(cycle_defect(r), "D(r) != 0")
+
+    def section_terms(d):
+        return composite_term(1, r, j, d) + identity_term(-1)
+
+    def homotopy_terms(d):
+        return differential_terms(h, d) + composite_term(-1, j, r, d) + identity_term(1)
+
+    section = _at(first_defect(x, x, 0, section_terms), "r o j != id")
+    htpy = _at(first_defect(b, b, 0, homotopy_terms), "D(h) != j o r - id")
+    return LastVertexCheck(
+        j, r, (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
     )
-    return LastVertexCheck(j, r, verdicts)
-
-
-def _homotopy_defect(b: ChainComplex, j: Selection, r: GradedMap, h: Selection) -> Optional[int]:
-    """The first degree d of B where d_B o h != j o r - id - h o d_B, for
-    selections j and h with preimages, or None.  Row t of the left side is
-    row t of d_B(d + 1) renamed through h; of the right side, -e_t where
-    neither j nor h sends a row to t, else the sum, in one dict, of -e_t,
-    the row of r that j sends to t and minus that of d_B(d) that h sends."""
-    names, signs = h._preimages
-    for d in b.support:
-        n = b.rank(d)
-        wants = [((t, -1),) for t in range(n)]
-        for c0, m, placed in ((1, r.mat, j.placements.get(d, ())), (-1, b.diff, h.placements.get(d - 1, ()))):
-            for col, row, width, sign in placed:
-                rows, cs = m(d).nonzeros, c0 * sign
-                for e in range(width):
-                    acc = wants[row + e]
-                    if type(acc) is tuple:
-                        acc = wants[row + e] = dict(acc)
-                    for c, v in rows[col + e]:
-                        acc[c] = acc.get(c, 0) + cs * v
-        above = b._diffs.get(d + 1)
-        if not _renamed_rows_equal(((),) * n if above is None else above.nonzeros, names.get(d), wants, signs.get(d)):
-            return d
-    return None
-
-
-def _placed_preimages(f: GradedMap) -> Optional[tuple]:
-    """f's preimages if it is a selection with placements that has them."""
-    return f._preimages if type(f) is Selection and f.frames is None else None
 
 
 def last_vertex_equivalence(o: FrameObject) -> LastVertexCheck:
@@ -579,25 +495,38 @@ def _at(degree: Optional[int], what: str) -> Optional[str]:
 
 def is_homotopical(diagram: FrameDiagram) -> Report:
     """Every max-preserving morphism must have a structure map whose cone is
-    acyclic; the others carry no requirement and are not enumerated.
+    acyclic.  Non-max-preserving morphisms carry no requirement and are
+    not enumerated.  A morphism with an endpoint frame whose d^2 is nonzero
+    fails without a cone, since that cone is no complex.
 
     Items come by target alpha in ``diagram.objects`` order, then one per
-    subset of [alpha.dom] that holds the last index a, walked as index
-    tuples: {a}, then S u {a} for each S in ``nonempty_subsets(a - 1)``, the
-    order :func:`enumerate_inclusions` gives them among all morphisms into
-    alpha.  The source frame is found by its value tuple, and each map read
-    once, through ``diagram.structure_map``.  A map with an endpoint frame
-    whose d^2 is nonzero fails without a cone, since that cone is no
-    complex.  Otherwise a PASS rests on one of three things: for a
-    :class:`Selection` of codimension >= 2, psi = delta o psi' with delta
-    the coface that misses the least index psi misses, both factors passed
-    as selections and g_psi = g_delta o g_psi' as layouts
-    (:func:`_composes`), so weak equivalences compose (2-out-of-3); for any
-    other selection, its own certificate (:func:`_selection_certified`); for
-    any other map, or a selection that passes neither way, the chain-map
-    test and then cone homology, so that a FAIL names the homology.  A
-    target's generators (codimension <= 1) are tried before the composites
-    into it, which pass over them."""
+    subset of [alpha.dom] that holds the last index a: {a}, then S u {a}
+    for each nonempty S in ``nonempty_subsets(a - 1)``, which is by size
+    then lexicographically, the order :func:`enumerate_inclusions` gives
+    them among all morphisms into alpha.  Each map is read once, through
+    ``diagram.structure_map``, and judged on one path.  The subsets are
+    walked as index tuples: each source frame is found by its value tuple
+    and each item's location is written once from them.  A PASS rests on
+    one of three things:
+
+    * for a :class:`Selection` psi = delta o psi' of codimension >= 2, delta
+      the coface that misses the least index psi misses: both factors
+      passed as selections (so the middle frame has d^2 = 0), and
+      g_psi = g_delta o g_psi' as layouts (:func:`_composes`).  Then g_psi
+      is a chain map, and g_psi o j = g_delta o j = j and
+      r o g_psi = r o g_psi' = r: weak equivalences compose (2-out-of-3);
+    * for any other selection, its own certificate: it is a chain map with
+      g o j = j and r o g = r, and both frames' last-vertex identities
+      hold, so that j_src o r_tgt is a homotopy inverse.  These identities
+      are read from its preimages and the stored row views of d, j and r
+      (:func:`_selection_certified`), with no matrix of the map;
+    * for any other map, or a selection that passes neither way, the
+      chain-map test and then cone homology, so that a FAIL names the
+      homology.
+
+    A target's generators (codimension <= 1) are tried as selections
+    before the composites into it, which pass over them; the other maps
+    are judged in item order."""
     report = Report()
     by_values = {alpha.values: o for alpha, o in diagram.objects.items()}
     # (target values, inj) -> the selection of each map passed as a selection
@@ -689,19 +618,26 @@ def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexChec
     frames' last-vertex identities hold.  Then q = j_beta o r_alpha is a
     homotopy inverse of g: g o q = j_alpha r_alpha ~ id through h_alpha and
     q o g = j_beta r_beta ~ id through h_beta, so the cone of g is acyclic.
-    No matrix of g is read: D(g) = 0 as :func:`_chain_defect` reads it,
-    r_alpha o g = r_beta on the rows of r_alpha renamed through g's
-    preimages p, and, when both j are selections with preimages q and no
-    sign, g o j_beta = j_alpha as the index identity q_beta[p[t]] =
-    q_alpha[t]; otherwise row t of g o j_beta is row p[t] of j_beta.  False
-    also when g has no preimages or the maps do not fit together.  An
-    identity map, one frame to itself along the identity injection, with
-    one last-vertex check for both ends and blocks that tile, is the
-    identity matrix, so it passes once the fit checks do."""
+    The identities are decided on the stored row views of d, j and r, read
+    through the preimages with no matrix of g.
+
+    With p = preimages()[d], row t of d_alpha o g is row t of d_alpha with each
+    column c renamed p[c] and dropped where p[c] is None, and row t of
+    g o d_beta is row p[t] of d_beta, or zero where p[t] is None.  r_alpha o g
+    is renamed the same way, and row t of g o j_beta is row p[t] of j_beta.
+    Since p keeps column order, each renamed row is a sorted, zero-free view
+    and is compared as a tuple.  False also when g has no preimages or the
+    maps do not fit together as the certificate reads them.
+
+    An identity map, one frame to itself along the identity injection, with
+    one last-vertex check for both ends (``src is tgt``) and a frame whose
+    blocks tile, is the identity matrix: D(g) = 0, g o j = j and r o g = r
+    hold as written, so it passes once the fit checks do, with no preimages
+    built and no row read."""
     b, a = g.source, g.target
     j_src, r_src, j_tgt, r_tgt = src.j, src.r, tgt.j, tgt.r
     x, y = j_src.source, r_src.target
-    if not (src.holds and tgt.holds) or j_src.degree or r_src.degree or j_tgt.degree or r_tgt.degree:
+    if not (src.holds and tgt.holds) or any(m.degree for m in (j_src, r_src, j_tgt, r_tgt)):
         return False
     if not (j_src.target is b and r_src.source is b and j_tgt.target is a and r_tgt.source is a):
         return False
@@ -711,58 +647,35 @@ def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexChec
     if src is tgt and frame is other and inj == tuple(range(len(inj))) and frame.untiled_degree is None:
         return True  # g is the identity matrix: D(g) = 0, g o j = j and r o g = r as written
     p = g.preimages()
-    if p is None or _chain_defect(b, a, p[0]) is not None:
+    if p is None:
         return False
-    p, q_src, q_tgt = p[0], _placed_preimages(j_src), _placed_preimages(j_tgt)
-    if q_src and q_tgt and not (q_src[1] or q_tgt[1]):
-        (q_src, _), (q_tgt, _) = q_src, q_tgt
-        if any(a.rank(d) and [None if i is None else q_src[d][i] for i in p[d]] != q_tgt[d] for d in x.support):
-            return False
-    else:
-        for d in x.support:
-            have = j_src.mat(d).nonzeros if b.rank(d) else ()
-            if a.rank(d) and tuple([() if i is None else have[i] for i in p[d]]) != j_tgt.mat(d).nonzeros:
+    # every matrix read below is stored, each of its two ranks being positive
+    for d in b.support:
+        if a.rank(d - 1):
+            sources = b.diff(d).nonzeros if b.rank(d - 1) else ()
+            wants = [() if i is None else sources[i] for i in p[d - 1]]
+            if not _renamed_rows_equal(a.diff(d).nonzeros, p[d], wants):
                 return False
-    renamed = _renamed_rows_equal
-    return all(not y.rank(d) or renamed(r_tgt.mat(d).nonzeros, p[d], r_src.mat(d).nonzeros) for d in b.support)
-
-
-def _chain_defect(x: ChainComplex, y: ChainComplex, names: Dict[int, list]) -> Optional[int]:
-    """The first degree d of x where d_y o f != f o d_x, for a degree-0
-    selection f : x -> y with preimages ``names`` and no sign, or None: row
-    t of d_y o f is row t of d_y renamed through names[d], and of f o d_x
-    the row of d_x that f sends to t."""
     for d in x.support:
-        if y.rank(d - 1):
-            below, above = x._diffs.get(d), names.get(d - 1)
-            below = () if below is None else below.nonzeros
-            wants = ((),) * y.rank(d - 1) if above is None else [() if i is None else below[i] for i in above]
-            if not _renamed_rows_equal(y.diff(d).nonzeros, names.get(d), wants):
-                return d
-    return None
+        if a.rank(d):
+            have = j_src.mat(d).nonzeros if b.rank(d) else ()
+            if tuple([() if i is None else have[i] for i in p[d]]) != j_tgt.mat(d).nonzeros:
+                return False
+    for d in b.support:
+        if y.rank(d) and not _renamed_rows_equal(r_tgt.mat(d).nonzeros, p[d], r_src.mat(d).nonzeros):
+            return False
+    return True
 
 
-def _renamed_rows_equal(rows, names: Optional[list], wants, signs: Optional[list] = None) -> bool:
+def _renamed_rows_equal(rows, names: list, wants) -> bool:
     """Whether each row of ``rows``, its (column, value) pairs kept where
-    ``names`` names the column and renamed by it, each value times the
-    column's sign in ``signs`` when given, equals the matching row of
-    ``wants``.  A want that several terms reach may be a {column: value}
-    dict of their sum, which the renamed row must cancel."""
+    ``names`` names the column and renamed by it, equals the matching row of
+    ``wants``."""
     for row, want in zip(rows, wants):
         if row:
-            got = []
-            for j, v in row:
-                n = names[j]
-                if n is not None:
-                    got.append((n, v if signs is None else signs[j] * v))
-            if tuple(got) != want:
-                if type(want) is not dict:
-                    return False
-                for n, v in got:
-                    want[n] = want.get(n, 0) - v
-                if any(want.values()):
-                    return False
-        elif want and (type(want) is not dict or any(want.values())):
+            if tuple([(names[j], v) for j, v in row if names[j] is not None]) != want:
+                return False
+        elif want:
             return False
     return True
 

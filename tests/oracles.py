@@ -20,11 +20,11 @@ top cochain of a simplex and tests its coherence identity.  ``hom_differential``
 ``maurer_cartan_items`` form D(f) and the Maurer-Cartan defect densely and
 read the validator's verdicts and witnesses off them; ``cycle_defect``,
 ``last_vertex_verdicts`` and ``certificate_identities`` decide the identities
-of the check suite by dense products, sums and scalings;
-``summand_inclusion_matrices`` and ``homotopy_matrices`` write the matrices
-of a summand inclusion and of the last-vertex homotopy into dense rows, as
-the library built them before they were selections.  Both are the
+of the check suite by dense products, sums and scalings.  Both are the
 library's code from before it decided these identities column by column.
+``summand_inclusion_matrices`` and ``homotopy_matrices`` write the matrices
+of a summand inclusion and of the last-vertex homotopy into dense rows,
+entry by entry, as a reference for the block assembler.
 ``combination_is_zero`` and ``combination_matrix`` are the column-wise
 deciders, over ``_nonzero_columns``, that the library used before it decided
 them row by row over the row-nonzero views.  ``composite_equals`` and
@@ -36,8 +36,9 @@ reference for that view route.
 direct category; ``structure_maps`` builds every structure map of a
 diagram, and
 ``homotopical_items`` is ``is_homotopical`` as it read when the diagram
-stored all of them, each item located by ``morphism_key``.  ``latching_data`` builds the latching sub-complex, its
-inclusion and the cokernel of a frame, and ``reedy_items`` is
+stored all of them, each item located by ``morphism_key``.
+``latching_data`` builds the latching sub-complex, its inclusion and the
+cokernel of a frame, and ``reedy_items`` is
 ``is_reedy_cofibrant`` as it read when it built the inclusion matrices and
 the cokernel complex; ``transpose`` and ``submatrix`` serve them.
 ``simplicial_compat_items`` is ``check_simplicial_compat`` as it read when
@@ -674,8 +675,7 @@ def last_vertex_verdicts(j: GradedMap, r: GradedMap, h: GradedMap, b: ChainCompl
 
 def summand_inclusion_matrices(o: FrameObject, subset) -> Dict[int, IntMatrix]:
     """The matrices of iota_S : X_{alpha(S[0])} -> B(alpha), written entry
-    by entry into dense rows from the frame's blocks, as
-    ``FrameObject.summand_inclusion`` built them before it was a selection."""
+    by entry into dense rows from the frame's blocks."""
     x, k = o.source_complex(subset), len(subset) - 1
     mats = {}
     for t in x.support:
@@ -690,8 +690,7 @@ def summand_inclusion_matrices(o: FrameObject, subset) -> Dict[int, IntMatrix]:
 def homotopy_matrices(o: FrameObject) -> Dict[int, IntMatrix]:
     """The matrices of the last-vertex homotopy h : B -> B, written entry by
     entry into dense rows: the S block, a not in S, goes to the S u {a}
-    block with sign (-1)^(|S|-1), as ``frames.homotopy`` built them before
-    h was a selection."""
+    block with sign (-1)^(|S|-1)."""
     a, b, mats = o.alpha.dom, o.complex, {}
     for d, spans in o.blocks.items():
         if d + 1 in o.blocks:

@@ -559,9 +559,7 @@ PINNED_CASES = {
 # before simplicial-compat compared restrictions instead of rebuilding frames;
 # the two recover cases of Random(3) and Random(20) were recorded while the
 # Smith elimination ran on dense rows; homology-frame-r105n3 was recorded
-# while invariant_factors cleared +-1 pivots first, sparsest row first;
-# check-deep-r6n2 was recorded while check assembled the last-vertex
-# inclusion and homotopy as matrices.
+# while invariant_factors cleared +-1 pivots first, sparsest row first.
 PINNED_CASE_STDOUT = {
     "validate": "ab22d3289de446b0ea77622ae916eca0c3b90ae0db3ea4bba20e0cee20e04fff",
     "homology-torsion": "d83ae9befd3a50f9bf6627567e444c8fc54d6ddddf95828fc1a2bd6999a4f0bf",

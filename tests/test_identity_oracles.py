@@ -28,11 +28,10 @@ decider must equal the direct one, ``oracles.homotopy_inverse_certified`` on
 the assembled matrices, on each generator, with j, r or a frame
 differential tampered.
 
-The last-vertex inclusion j and homotopy h are selections too: their
-assembled matrices must equal those the dense builders of ``oracles.py``
-write, and the last-vertex verdicts read through their preimages must equal
-the generic decider's and the dense oracle's on every frame of criteria 6
-and 8 and on every single-entry change of a frame differential of
+The summand inclusions, the last-vertex inclusion j among them, and the
+homotopy h that the block assembler builds must have the matrices the dense
+builders of ``oracles.py`` write, and the last-vertex verdicts must equal
+the dense oracle's on every single-entry change of a frame differential of
 ``random_simplex(Random(7), 3)`` at max-len 3.
 """
 
@@ -156,7 +155,6 @@ def test_verdicts_equal_the_dense_oracle(criterion_06_diagrams, criterion_08_dia
         for alpha, o in diagram.objects.items():
             lv = last_vertex[alpha] = check_last_vertex(o)
             j, r, h = last_vertex_data(o)
-            assert j.preimages() is not None and h.preimages() is not None  # decided on the selection path
             assert lv.verdicts == oracles.last_vertex_verdicts(j, r, h, o.complex)
             assert lv.holds
             for f in (j, r, h):
@@ -171,34 +169,18 @@ def test_verdicts_equal_the_dense_oracle(criterion_06_diagrams, criterion_08_dia
     assert non_cycles > 100 and 0 < certified < maps_seen
 
 
-def test_selections_assemble_the_matrices_of_the_dense_builders(criterion_06_diagrams, criterion_08_diagrams):
+def test_block_builders_equal_the_dense_builders(criterion_06_diagrams, criterion_08_diagrams):
     """Every summand inclusion of each frame of criteria 6 and 8, j among
-    them, and its last-vertex homotopy h are selections with preimages,
-    whose matrices, formed on first read, equal those the dense builders
-    write entry by entry.  So do those of h when one degree's blocks are
-    listed out of order, which leaves it without preimages."""
-    seen = relaid = 0
+    them, and its last-vertex homotopy h, signs included, have the matrices
+    that the dense builders write entry by entry."""
+    seen = 0
     for diagram in criterion_06_diagrams + criterion_08_diagrams:
         for alpha, o in diagram.objects.items():
             maps = [(o.summand_inclusion(S), oracles.summand_inclusion_matrices(o, S)) for S in nonempty_subsets(alpha.dom)]
             for f, mats in maps + [(frames.homotopy(o), oracles.homotopy_matrices(o))]:
-                assert type(f) is Selection and f.preimages() is not None
                 assert f._mats == mats
                 seen += 1
-            # blocks listed out of order in one degree: h has no preimages, and the block assembler forms its matrices
-            moved = [d for d, spans in o.blocks.items() if d + 1 in o.blocks and sum(alpha.dom not in S for S in spans) > 1]
-            if moved:
-                spans = dict(reversed(o.blocks[moved[0]].items()))
-                o = FrameObject(alpha, o.complex, {**o.blocks, moved[0]: spans}, o.restriction)
-                h = frames.homotopy(o)
-                assert h.preimages() is None and h._mats == oracles.homotopy_matrices(o)
-                relaid += 1
-    assert (seen, relaid) == (1680, 128)
-
-
-def _plain(f: GradedMap) -> GradedMap:
-    """f's matrices as a map that is no selection."""
-    return GradedMap._trusted(f.source, f.target, f.degree, f._mats)
+    assert seen == 1680
 
 
 def _mutated_differentials(o: FrameObject):
@@ -220,29 +202,21 @@ def _mutated_differentials(o: FrameObject):
             yield FrameObject(o.alpha, ChainComplex._trusted(c.name, c._ranks, diffs, c._labels), o.blocks, o.restriction)
 
 
-def test_mutated_frame_differentials_get_the_oracle_last_vertex_verdicts(monkeypatch):
+def test_mutated_frame_differentials_get_the_oracle_last_vertex_verdicts():
     """For every single-entry change of each frame differential of
     ``random_simplex(Random(7), 3)`` at max-len 3 (``_mutated_differentials``),
-    the last-vertex verdicts read through the preimages of j and h equal
-    those of the generic decider, given the same j and h as maps that are no
-    selections, and those of ``oracles.last_vertex_verdicts`` on their
-    assembled matrices, witnesses included."""
+    the last-vertex verdicts equal those of ``oracles.last_vertex_verdicts``
+    on the assembled matrices of j, r and h, witnesses included."""
     diagram = build_frame_diagram(random_simplex(random.Random(7), 3), 3)
-    true_j, true_h = frames.include_last, frames.homotopy
     failed = Counter()
     for o in diagram.objects.values():
         for bad in _mutated_differentials(o):
             j, r, h = last_vertex_data(bad)
-            assert j.preimages() is not None and h.preimages() is not None
-            on_preimages = check_last_vertex(bad).verdicts
-            with monkeypatch.context() as m:
-                m.setattr(frames, "include_last", lambda f: _plain(true_j(f)))
-                m.setattr(frames, "homotopy", lambda f: _plain(true_h(f)))
-                generic = check_last_vertex(bad).verdicts
-            assert on_preimages == generic == oracles.last_vertex_verdicts(j, r, h, bad.complex)
-            failed.update(check for check, witness in on_preimages if witness is not None)
+            verdicts = check_last_vertex(bad).verdicts
+            assert verdicts == oracles.last_vertex_verdicts(j, r, h, bad.complex)
+            failed.update(check for check, witness in verdicts if witness is not None)
             failed["mutations"] += 1
-            failed["caught"] += any(witness is not None for _, witness in on_preimages)
+            failed["caught"] += any(witness is not None for _, witness in verdicts)
     # r o j = id reads no differential, so no change breaks it
     assert failed == {"mutations": 561, "caught": 559, "last-vertex-chain": 147, "last-vertex-homotopy": 545}
 

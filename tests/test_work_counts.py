@@ -15,8 +15,7 @@ composites it passes by 2-out-of-3, as are the matrices its Reedy check
 assembles (none), and the memory peak of the whole suite is bounded.
 So are the restrictions ``check`` takes, the morphisms it enumerates, the
 preimages it builds and the items it reports, and the last-vertex maps it
-builds and assembles: ``check`` assembles no matrix of j or h, and
-``recover`` those of j once.
+builds: j, r and h once per frame, under ``check`` and ``recover``.
 Drawing the pinned 3-simplex forms no Smith transform, and ``homology`` runs
 one Smith elimination per differential.
 """
@@ -148,76 +147,25 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
     assert (seen[1]["_assemble"], seen[1]["combination_is_zero"]) == (0, 0)
 
 
-def _record_assembled_selections(monkeypatch):
-    """A list that logs each selection with given placements (the summand
-    inclusions, j among them, and h) whose matrices are assembled."""
-    assembled = []
-    original = frames.Selection.__dict__["_mats"].func
-
-    def mats(self):
-        if self.frames is None:
-            assembled.append(self)
-        return original(self)
-
-    prop = functools.cached_property(mats)
-    prop.__set_name__(frames.Selection, "_mats")
-    monkeypatch.setattr(frames.Selection, "_mats", prop)
-    return assembled
-
-
-def _record_results(monkeypatch, name):
-    """A list that logs each map ``frames.<name>`` returns."""
-    results = []
-    original = getattr(frames, name)
-    monkeypatch.setattr(frames, name, lambda o: results.append(original(o)) or results[-1])
-    return results
-
-
-def test_check_decides_the_last_vertex_identities_on_preimages(monkeypatch, tmp_path):
+def test_check_and_recover_build_each_last_vertex_map_once(monkeypatch, tmp_path):
     """``check --max-len 3`` on the pinned 3-simplex builds j, r and h once
-    per frame (69 frames) and decides D(j) = 0, r o j = id and
-    D(h) = j o r - id on the preimages of j and h: it assembles no matrix of
-    j or h, only those of r, once per frame.  It reads the structure map of
-    each of its 384 max-preserving morphisms once and assembles none."""
-    path = tmp_path / "r7n3.json"
-    path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
-    assembled = _record_assembled_selections(monkeypatch)
-    js, hs = _record_results(monkeypatch, "include_last"), _record_results(monkeypatch, "homotopy")
-    counts = {}
-    _count_calls(monkeypatch, counts, "retraction", frames.retraction)
-    _count_calls(monkeypatch, counts, "_structure_matrices", frames._structure_matrices)
-    counts["structure_map"] = 0
-
-    def structure_map(self, mor, _original=frames.FrameDiagram.structure_map):
-        counts["structure_map"] += 1
-        return _original(self, mor)
-
-    monkeypatch.setattr(frames.FrameDiagram, "structure_map", structure_map)
-    assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]) == 0
-    # while j and h were built as matrices: 69 of each assembled
-    assert (len(js), len(hs), assembled) == (69, 69, [])
-    assert all(type(f) is frames.Selection for f in js + hs)
-    assert counts == {"retraction": 69, "_structure_matrices": 0, "structure_map": 384}
-
-
-def test_recover_assembles_j_once(monkeypatch, tmp_path):
-    """``recover`` decides the cylinder frame's last-vertex identities on
-    the preimages of j and h, and assembles the matrices of j once, for its
-    retraction solve: h never, and the source-end inclusion once, for the
-    recovered composite."""
-    path = tmp_path / "r5n1.json"
-    path.write_text(json.dumps(random_simplex(random.Random(5), 1, max_rank=4).to_json()))
-    assembled = _record_assembled_selections(monkeypatch)
-    inclusions = {}
-
-    def summand_inclusion(self, subset, _original=frames.FrameObject.summand_inclusion):
-        inclusions[tuple(subset)] = _original(self, subset)
-        return inclusions[tuple(subset)]
-
-    monkeypatch.setattr(frames.FrameObject, "summand_inclusion", summand_inclusion)
-    assert cli.main(["recover", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
-    # j is the inclusion of the last singleton {1}, the source end that of {0}
-    assert list(map(id, assembled)) == [id(inclusions[1,]), id(inclusions[0,])]
+    per frame (69 frames), and ``recover`` once for its cylinder frame: the
+    frame keeps its last-vertex check, and every later reader takes j and r
+    from there."""
+    cases = (
+        ("r7n3", random_simplex(random.Random(7), 3), ["check", "--max-len", "3"]),
+        ("r5n1", random_simplex(random.Random(5), 1, max_rank=4), ["recover"]),
+    )
+    counts, seen = {}, []
+    for name in ("include_last", "retraction", "homotopy"):
+        _count_calls(monkeypatch, counts, name, getattr(frames, name))
+    for name, s, command in cases:
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(s.to_json()))
+        assert cli.main(command + ["--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+        seen.append(dict(counts))
+        counts.update(dict.fromkeys(counts, 0))
+    assert seen == [dict.fromkeys(counts, 69), dict.fromkeys(counts, 1)]
 
 
 def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
