@@ -112,6 +112,8 @@ class ChainComplex:
                 if len(got) != r:
                     raise ValueError("degree %d has %d labels for rank %d" % (d, len(got), r))
                 self._labels[d] = got
+        # the degrees of positive rank in order, sorted once: nothing changes _ranks after construction
+        self.support: Tuple[int, ...] = tuple(sorted(self._ranks))
         bad = self.d_squared_defects()
         if bad:
             raise ValueError("differential does not square to zero at degree %d" % bad[0])
@@ -124,14 +126,10 @@ class ChainComplex:
         rank(d) strings for every degree of ``ranks``.  d^2 is not checked.
         For complexes built here from valid parts."""
         x = cls.__new__(cls)
-        x.name, x._ranks, x._diffs, x._labels = name, ranks, diffs, labels
+        x.name, x._ranks, x._diffs, x._labels, x.support = name, ranks, diffs, labels, tuple(sorted(ranks))
         return x
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def support(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._ranks))
 
     def rank(self, d: int) -> int:
         return self._ranks.get(d, 0)

@@ -23,45 +23,38 @@ own (Lurie, Higher Algebra, Prop. 1.3.1.10), read from
 
 The basis lists the summands in the order of nonempty_subsets (by size,
 then lexicographically), each in the basis order of its source, so the full
-subset [m] comes last.  ``FrameObject.blocks`` records this layout, and a
-basis element of the S summand is labelled "s_0,...,s_k|<its source label>",
-the prefix written by ``simplicial.seq_key``.
-A singleton alpha produces X_{alpha(0)} itself, labels included.
+subset [m] comes last.  A basis element of the S summand is labelled
+"s_0,...,s_k|<its source label>", the prefix written by
+``simplicial.seq_key``; a singleton alpha produces X_{alpha(0)} itself,
+labels included.
+
+The builder, the last-vertex maps j, r and h, and the structure maps
+address this lattice by index, through one cached plan per m,
+``_lattice(m)``: per subset its shift, the index of S u {m} and the indices
+and signs of its twisting terms.  A frame stores one layout,
+``FrameObject.layout``, keyed by subset index; ``blocks`` is that layout
+keyed by subsets, derived when read.
 
 Every map here between frames and their summands is a sum of signed blocks
-between summands: the differential, the summand inclusions, the structure
-maps, and the last-vertex retraction and homotopy.  Each is described per
-column subset as a list of (row offset, sign, block) and put together by one
-assembler.  The retraction's sign (-1)^k and the homotopy's (-1)^{|S|-1}
-are each written once, in :func:`retraction` and :func:`homotopy`; every
-other sign is (-1)^e of an exponent e, written ``parity_sign(e)`` as
-everywhere in the package.
+between summands, described per column subset as a list of (row offset,
+sign, block) and put together by one assembler.  The retraction's sign
+(-1)^k and the homotopy's (-1)^{|S|-1} are each written once, in
+:func:`retraction` and :func:`homotopy`; every other sign is (-1)^e of an
+exponent e, written ``parity_sign(e)`` as everywhere in the package.
 
 B(alpha) reads the simplex only through its restriction act(alpha, s), so
 naturality under reindexing, B_{act(sigma, s)}(alpha) = B_s(sigma o alpha),
 follows from the nerve identity act(alpha, act(sigma, s)) = act(sigma o
 alpha, s), which the simplicial compatibility check compares.
 
-The module also provides the structure maps (basis inclusions along subset
-reindexing, built on demand as lazy selections: a diagram holds frames
-only), the Reedy check, which reads each frame's block layout and
-differential in place (the latching map is the coordinate inclusion of the
-proper-subset summands, so it forms no latching object), the last-vertex
-identities of a frame, the homotopical check, which judges each
-max-preserving structure map on one path (2-out-of-3 over certified
-factors, its own certificate, or cone homology; see :func:`is_homotopical`),
-``run_checks``, which assembles the whole suite, an integer splitting solver
-for acyclic cofibrations, and the recovery of a 1-simplex edge from its
-cylinder frame.
-
-:func:`check_last_vertex` decides the last-vertex identities row by row
-over the row views of d and of the assembled j, r and h.  With d^2 = 0 they
-make j : X_{alpha(m)} -> B(alpha) a chain homotopy equivalence with inverse
-r, and ``last_vertex_equivalence`` returns the verdict only then: the
-``frame`` command reads H(B(alpha)) off X_{alpha(m)} through it, and
-``recover_map_from_cylinder`` the preconditions of its retraction solve,
-which ``solve_retraction`` proves on its own, by invariant factors and cone
-homology, for any other map.
+The module also provides the structure maps (lazy selections: a diagram
+holds frames only), the Reedy check, read in place from each frame's layout
+and differential, the last-vertex identities, with which
+``last_vertex_equivalence`` proves j : X_{alpha(m)} -> B(alpha) a homotopy
+equivalence for ``frame`` and ``recover``, the homotopical check
+(:func:`is_homotopical`), ``run_checks``, which assembles the whole suite,
+an integer splitting solver for acyclic cofibrations, and the recovery of a
+1-simplex edge from its cylinder frame.
 """
 
 from __future__ import annotations
@@ -98,20 +91,26 @@ from .simplicial import DMorphism, OrderMap, enumerate_d_objects, nonempty_subse
 class FrameObject:
     """One value B(alpha), with its block layout.
 
-    ``blocks[d]`` maps each subset S (an increasing tuple of indices in
-    [alpha.dom]) whose summand X_{alpha(S[0])}[len(S) - 1] is nonzero in
+    ``layout[d]`` maps the ``_lattice`` index of each subset S of
+    [alpha.dom] whose summand X_{alpha(S[0])}[len(S) - 1] is nonzero in
     degree d to (first column, width), in basis order: the blocks are
     contiguous and cover [0, rank d), the full subset's block last (the
     Reedy check reads this layout), and the width is the rank of
-    X_{alpha(S[0])} in degree d - (len(S) - 1).  ``restriction`` is
-    act(alpha, simplex), all the complex was built from.
+    X_{alpha(S[0])} in degree d - (len(S) - 1).  ``blocks`` is the layout
+    keyed by S, derived when read; a frame built by hand is given it and
+    keeps it by index, in its given order.  ``restriction`` is act(alpha,
+    simplex), all the complex was built from.
     """
 
     def __init__(self, alpha: OrderMap, complex: ChainComplex, blocks, restriction: NerveSimplex):
-        self.alpha = alpha
-        self.complex = complex
-        self.blocks: Dict[int, Dict[tuple, Tuple[int, int]]] = dict(blocks)
-        self.restriction = restriction
+        index = _lattice(alpha.dom)[0].index
+        self.alpha, self.complex, self.restriction = alpha, complex, restriction
+        self.layout = {d: dict(zip(map(index, spans), spans.values())) for d, spans in blocks.items()}
+
+    @property
+    def blocks(self) -> Dict[int, Dict[tuple, Tuple[int, int]]]:
+        at = _lattice(self.alpha.dom)[0].__getitem__
+        return {d: dict(zip(map(at, spans), spans.values())) for d, spans in self.layout.items()}
 
     @cached_property
     def d2_defects(self) -> List[int]:
@@ -124,9 +123,9 @@ class FrameObject:
         """The first degree of the complex or of its layout whose blocks do
         not tile [0, rank d) in stored order with the full subset's block
         last, or None: the frame's one layout verdict."""
-        c, top = self.complex, tuple(range(self.alpha.dom + 1))
-        degrees = sorted({*c.support, *self.blocks})
-        return next((d for d in degrees if not _tiles(self.blocks.get(d, {}), top, c.rank(d))), None)
+        c, top = self.complex, 2 ** (self.alpha.dom + 1) - 2  # the index of [m], the last subset
+        degrees = sorted({*c.support, *self.layout})
+        return next((d for d in degrees if not _tiles(self.layout.get(d, {}), top, c.rank(d))), None)
 
     @cached_property
     def last_vertex(self) -> LastVertexCheck:
@@ -139,12 +138,11 @@ class FrameObject:
     def summand_inclusion(self, subset) -> GradedMap:
         """iota_S as a graded map X_{alpha(S[0])} -> B of degree len(S)-1."""
         subset = tuple(subset)
-        k = len(subset) - 1
+        i, k = _lattice(self.alpha.dom)[0].index(subset), len(subset) - 1
         x = self.source_complex(subset)
         mats = {}
         for t in x.support:
-            width = x.rank(t)
-            row = self.blocks[t + k][subset][0]
+            width, row = x.rank(t), self.layout[t + k][i][0]
             mats[t] = _assemble(self.complex.rank(t + k), width, [(0, width, [(row, 1, None)])])
         return GradedMap._trusted(x, self.complex, k, mats)
 
@@ -163,6 +161,27 @@ class FrameObject:
         }
 
 
+@lru_cache(maxsize=16)
+def _lattice(m: int) -> tuple:
+    """(subsets, prefixes, plan) of the subset lattice of [m]: the nonempty
+    subsets S in ``nonempty_subsets`` order (the m + 1 singletons first, [m]
+    last), their label prefixes seq_key(S) + "|", and per S one flat int
+    tuple (k, S[0], up, ...): k = |S| - 1, up the index of S u {m} (-1 when
+    m is in S), then per (j, face sign, split sign) of ``twisting_signs(k)``
+    the index of S[:j] + S[j+1:], the face sign, the index of S[j:], the
+    split sign, and the position of S[:j+1] in ``increasing_sequences(m)``,
+    which lists the subsets of size >= 2 in this order."""
+    subsets = tuple(nonempty_subsets(m))
+    index = {S: i for i, S in enumerate(subsets)}
+    plan = []
+    for S in subsets:
+        row = [len(S) - 1, S[0], index.get(S + (m,), -1)]
+        for j, face_sign, split_sign in twisting_signs(len(S) - 1):
+            row += (index[S[:j] + S[j + 1 :]], face_sign, index[S[j:]], split_sign, index[S[: j + 1]] - m - 1)
+        plan.append(tuple(row))
+    return subsets, tuple(seq_key(S) + "|" for S in subsets), tuple(plan)
+
+
 def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
     """Construct B(alpha) from the restriction act(alpha, s) alone, which the
     frame keeps; alpha only names it.
@@ -172,72 +191,79 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
     """
     if alpha.cod != s.n:
         raise ValueError("alpha lands in [%d] but the simplex has dimension %d" % (alpha.cod, s.n))
-    r = act(alpha, s)
-    lone = alpha.dom == 0
-    # one entry per subset S: (S, its shift k, X_{alpha(S[0])}, its label prefix)
-    summands = [(S, len(S) - 1, r.objects[S[0]], seq_key(S) + "|") for S in nonempty_subsets(alpha.dom)]
-    degrees = sorted({t + k for _, k, x, _ in summands for t in x.support})
-
-    blocks: Dict[int, Dict[tuple, Tuple[int, int]]] = {}
-    labels: Dict[int, tuple] = {}
-    for d in degrees:
-        spans = blocks[d] = {}
-        labs: List[str] = []
-        for S, k, x, prefix in summands:
-            width = x.rank(d - k)
-            if width:
-                spans[S] = (len(labs), width)
-                labs.extend(x.labels(d - k) if lone else [prefix + lab for lab in x.labels(d - k)])
-        labels[d] = tuple(labs)
+    r, m = act(alpha, s), alpha.dom
+    _, prefixes, plan = _lattice(m)
+    objects, signs = r.objects, [shift_sign(k) for k in range(m + 1)]
+    maps = tuple(map(r.maps.__getitem__, increasing_sequences(m)))
+    # the summands of shift k start at S[0] = 0..m-k
+    degrees = sorted({t + k for k in range(m + 1) for x in objects[: m + 1 - k] for t in x.support})
+    layout: Dict[int, Dict[int, Tuple[int, int]]] = {d: {} for d in degrees}
+    labels: Dict[int, List[str]] = {d: [] for d in degrees}
+    for i, row in enumerate(plan):
+        x, k = objects[row[1]], row[0]
+        for t in x.support:
+            labs, here = labels[t + k], x.labels(t)
+            layout[t + k][i] = (len(labs), len(here))
+            labs.extend([prefixes[i] + lab for lab in here] if m else here)
+    labels = {d: tuple(labs) for d, labs in labels.items()}
 
     diffs = {}
-    for d in degrees:
-        rows = blocks.get(d - 1)
-        if rows is None:
-            continue
-        columns = []
-        for S, (col, width) in blocks[d].items():
-            k = len(S) - 1
-            ds = d - k
-            terms = [(rows[S][0], shift_sign(k), r.objects[S[0]].diff(ds))] if S in rows else []
-            for j, face_sign, split_sign in twisting_signs(k):
-                terms.append((rows[S[:j] + S[j + 1 :]][0], face_sign, None))
-                if S[j:] in rows:
-                    terms.append((rows[S[j:]][0], split_sign, r.maps[S[: j + 1]].mat(ds)))
+    for d in [d for d in degrees if d - 1 in layout]:
+        rows, columns = layout[d - 1], []
+        for i, (col, width) in layout[d].items():
+            row = plan[i]
+            k, x = row[0], objects[row[1]]
+            terms = [(rows[i][0], signs[k], x.diff(d - k))] if i in rows else []
+            for face, face_sign, suffix, split_sign, f in zip(*[iter(row[3:])] * 5):
+                terms.append((rows[face][0], face_sign, None))
+                if suffix in rows:
+                    terms.append((rows[suffix][0], split_sign, maps[f].mat(d - k)))
             columns.append((col, width, terms))
         diffs[d] = _assemble(len(labels[d - 1]), len(labels[d]), columns)
 
     cx = ChainComplex._trusted("B(%s)" % alpha.key(), {d: len(labs) for d, labs in labels.items()}, diffs, labels)
-    return FrameObject(alpha, cx, blocks, r)
+    o = FrameObject(alpha, cx, {}, r)
+    o.layout = layout
+    return o
 
 
 def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
     """The n_rows x n_cols matrix of a map given block by block.
 
     ``columns`` lists (col, width, terms): on columns col .. col + width - 1
-    the matrix is the sum, over (row, sign, block) in ``terms``, of sign times
-    the block with its top row at ``row``, a block of None standing for the
-    width x width identity.  Columns not listed are zero.  Each row reached
-    is summed as a {column: value} dict over the blocks' views, and
-    ``IntMatrix._from_row_dicts`` packs the dicts into the matrix's view."""
-    grid: List[Optional[dict]] = [None] * n_rows
+    the matrix is the sum, over (row, sign, block) in ``terms``, of sign (a
+    nonzero int) times the block with its top row at ``row``, a block of None
+    standing for the width x width identity.  Columns not listed are zero.
+    Each row collects the pairs of the blocks' views in the order given; a
+    row where they do not go up by column (blocks overlap or come out of
+    order) is then summed, cleared of zeros and sorted."""
+    grid: List[Optional[list]] = [None] * n_rows
+    unsorted = set()
     for col, width, terms in columns:
         for row, sign, m in terms:
             if m is None:
                 for e in range(width):
                     acc = grid[row + e]
                     if acc is None:
-                        acc = grid[row + e] = {}
-                    acc[col + e] = acc.get(col + e, 0) + sign
+                        acc = grid[row + e] = []
+                    elif acc[-1][0] >= col + e:
+                        unsorted.add(row + e)
+                    acc.append((col + e, sign))
                 continue
             for i, nz in enumerate(m.nonzeros, row):
                 if nz:
                     acc = grid[i]
                     if acc is None:
-                        acc = grid[i] = {}
-                    for e, v in nz:
-                        acc[col + e] = acc.get(col + e, 0) + sign * v
-    return IntMatrix._from_row_dicts(n_cols, grid)
+                        acc = grid[i] = []
+                    elif acc[-1][0] >= col + nz[0][0]:
+                        unsorted.add(i)
+                    acc += [(col + e, sign * v) for e, v in nz]
+    for i in unsorted:
+        sums: Dict[int, int] = {}
+        for c, v in grid[i]:
+            sums[c] = sums.get(c, 0) + v
+        grid[i] = sorted(p for p in sums.items() if p[1])
+    return IntMatrix._trusted(n_rows, n_cols, tuple([tuple(p) if p else () for p in grid]))
 
 
 class FrameDiagram:
@@ -245,9 +271,7 @@ class FrameDiagram:
     structure map: :meth:`structure_map` builds one anew on each call."""
 
     def __init__(self, simplex: NerveSimplex, max_len: int, objects):
-        self.simplex = simplex
-        self.max_len = max_len
-        self.objects: Dict[OrderMap, FrameObject] = objects
+        self.simplex, self.max_len, self.objects = simplex, max_len, objects
 
     def structure_map(self, mor: DMorphism) -> GradedMap:
         """The basis inclusion B(mor.src) -> B(mor.tgt) along mor.inj, as a
@@ -267,7 +291,8 @@ class Selection(GradedMap):
 
     ``preimages()[d]`` lists, for each row of B(alpha)_d, the column of
     B(beta)_d that the map sends there, None off its image.  It is built
-    from the blocks alone, and is None unless the blocks describe the map as
+    from the layouts alone, each subset's image read by index from
+    ``_images``, and is None unless the blocks describe the map as
     such a selection: both frames' blocks tile their bases
     (``untiled_degree``), the image of each block is a block of the same
     width, and the images go up as the blocks do.  It is not kept, so that a
@@ -289,11 +314,11 @@ class Selection(GradedMap):
         if src.untiled_degree is not None or tgt.untiled_degree is not None:
             return None
         out = {d: [None] * n for d, n in tgt.complex._ranks.items()}
-        image = _subset_images(self.inj)
-        for d, spans in src.blocks.items():
-            rows, cols, last = tgt.blocks.get(d, {}), out.get(d), -1
-            for S, (col, width) in spans.items():
-                row, image_width = rows.get(image[S], (-1, 0))
+        image = _images(self.inj, tgt.alpha.dom)
+        for d, spans in src.layout.items():
+            rows, cols, last = tgt.layout.get(d, {}), out.get(d), -1
+            for i, (col, width) in spans.items():
+                row, image_width = rows.get(image[i], (-1, 0))
                 if image_width != width or row <= last:
                     return None
                 cols[row : row + width] = range(col, col + width)
@@ -301,18 +326,19 @@ class Selection(GradedMap):
         return out
 
 
-@lru_cache(maxsize=None)
-def _subset_images(inj: Tuple[int, ...]) -> Dict[tuple, tuple]:
-    """inj(S) for each nonempty subset S of the domain of inj."""
-    return {S: tuple(map(inj.__getitem__, S)) for S in nonempty_subsets(len(inj) - 1)}
+@lru_cache(maxsize=256)
+def _images(inj: Tuple[int, ...], m: int) -> Tuple[int, ...]:
+    """Per ``_lattice`` index of a subset S of [len(inj) - 1], that of inj(S) in [m]."""
+    index = dict(zip(_lattice(m)[0], range(2 ** (m + 1))))
+    return tuple(index[tuple(map(inj.__getitem__, S))] for S in _lattice(len(inj) - 1)[0])
 
 
 def _structure_matrices(src: FrameObject, tgt: FrameObject, inj) -> Dict[int, IntMatrix]:
     mats = {}
-    image = _subset_images(inj)
-    for d, spans in src.blocks.items():
-        rows = tgt.blocks[d]
-        columns = [(col, width, [(rows[image[S]][0], 1, None)]) for S, (col, width) in spans.items()]
+    image = _images(inj, tgt.alpha.dom)
+    for d, spans in src.layout.items():
+        rows = tgt.layout[d]
+        columns = [(col, width, [(rows[image[i]][0], 1, None)]) for i, (col, width) in spans.items()]
         mats[d] = _assemble(tgt.complex.rank(d), src.complex.rank(d), columns)
     return mats
 
@@ -332,18 +358,15 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
     shift(X_{alpha(0)}, m), X from diagram.simplex, in ranks and matrices."""
     report = Report()
     for alpha, o in diagram.objects.items():
-        c = o.complex
-        top = tuple(range(alpha.dom + 1))
-        start = {d: spans[top][0] if top in spans else c.rank(d) for d, spans in o.blocks.items()}
+        c, key, top = o.complex, alpha.key(), 2 ** (alpha.dom + 1) - 2  # top: the index of [m]
+        start = {d: spans[top][0] if top in spans else c.rank(d) for d, spans in o.layout.items()}
 
         # the view rows of diff(d) from start[d - 1] on, the full rows
         full_rows = {d: c.diff(d).nonzeros[start[d - 1] :] for d in start if d - 1 in start}
         unclosed = next((d for d, rows in full_rows.items() if any(r and r[0][0] < start[d] for r in rows)), None)
-        wit_closed = _at(unclosed, "differential leaves the latching span")
-        report.add("latching-closure", alpha.key(), unclosed is None, wit_closed)
+        report.add("latching-closure", key, unclosed is None, _at(unclosed, "differential leaves the latching span"))
 
-        unsplit = o.untiled_degree
-        report.add("latching-split", alpha.key(), unsplit is None, _at(unsplit, "inclusion is not split"))
+        report.add("latching-split", key, o.untiled_degree is None, _at(o.untiled_degree, "inclusion is not split"))
 
         x = shift(diagram.simplex.objects[alpha(0)], alpha.dom)
         ranks = {d: c.rank(d) - s for d, s in start.items() if s < c.rank(d)}
@@ -352,12 +375,11 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
             for d in ranks
             if d - 1 in ranks
         )
-        wit_coker = None if ok_coker else "quotient differs from the shifted source"
-        report.add("latching-cokernel", alpha.key(), ok_coker, wit_coker)
+        report.add("latching-cokernel", key, ok_coker, None if ok_coker else "quotient differs from the shifted source")
     return report
 
 
-def _tiles(spans: Dict[tuple, Tuple[int, int]], top: tuple, rank: int) -> bool:
+def _tiles(spans: Dict[int, Tuple[int, int]], top: int, rank: int) -> bool:
     """Whether the (first column, width) blocks of ``spans``, in their
     order, cover [0, rank) with no gap or overlap, the block of ``top``
     (when present) last."""
@@ -386,20 +408,18 @@ def retraction(o: FrameObject) -> GradedMap:
     unitality makes this the identity on the {a} summand and zero on every
     other summand containing a.
     """
-    a = o.alpha.dom
-    r = o.restriction
-    tgt = r.objects[a]
+    a, r = o.alpha.dom, o.restriction
+    tgt, plan = r.objects[a], _lattice(a)[2]
+    maps = tuple(map(r.maps.__getitem__, increasing_sequences(a)))
     mats = {}
-    for d, spans in o.blocks.items():
-        if not tgt.rank(d):
-            continue
+    for d in [d for d in o.layout if tgt.rank(d)]:
         columns = []
-        for S, (col, width) in spans.items():
-            if S == (a,):
+        for i, (col, width) in o.layout[d].items():
+            k, _, up = plan[i][:3]
+            if i == a:  # the singleton {a}
                 columns.append((col, width, [(0, 1, None)]))
-            elif S[-1] != a:
-                k = len(S) - 1
-                columns.append((col, width, [(0, parity_sign(k), r.maps[S + (a,)].mat(d - k))]))
+            elif up >= 0:
+                columns.append((col, width, [(0, parity_sign(k), maps[up - a - 1].mat(d - k))]))
         mats[d] = _assemble(tgt.rank(d), o.complex.rank(d), columns)
     return GradedMap._trusted(o.complex, tgt, 0, mats)
 
@@ -411,15 +431,14 @@ def homotopy(o: FrameObject) -> GradedMap:
     X_{alpha(s_0)} with sign (-1)^{|S|-1}, when a is not in S, and to zero
     otherwise.
     """
-    a = o.alpha.dom
+    plan = _lattice(o.alpha.dom)[2]
     mats = {}
-    for d, spans in o.blocks.items():
-        if d + 1 not in o.blocks:
-            continue
+    for d in [d for d in o.layout if d + 1 in o.layout]:
+        above = o.layout[d + 1]
         columns = [
-            (col, width, [(o.blocks[d + 1][S + (a,)][0], parity_sign(len(S) - 1), None)])
-            for S, (col, width) in spans.items()
-            if S[-1] != a
+            (col, width, [(above[plan[i][2]][0], parity_sign(plan[i][0]), None)])
+            for i, (col, width) in o.layout[d].items()
+            if plan[i][2] >= 0
         ]
         mats[d] = _assemble(o.complex.rank(d + 1), o.complex.rank(d), columns)
     return GradedMap._trusted(o.complex, o.complex, 1, mats)
@@ -505,8 +524,9 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     then lexicographically, the order :func:`enumerate_inclusions` gives
     them among all morphisms into alpha.  Each map is read once, through
     ``diagram.structure_map``, and judged on one path.  The subsets are
-    walked as index tuples: each source frame is found by its value tuple
-    and each item's location is written once from them.  A PASS rests on
+    walked as index tuples, read off ``_lattice(a)`` with their label
+    prefixes: each source frame is found by its value tuple and each item's
+    location is written once from them.  A PASS rests on
     one of three things:
 
     * for a :class:`Selection` psi = delta o psi' of codimension >= 2, delta
@@ -533,10 +553,9 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     certified: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Selection] = {}
     for alpha, tgt in diagram.objects.items():
         a, at, key = alpha.dom, alpha.values.__getitem__, alpha.key()
-        items = []
-        for inj, inj_key in _max_preserving(a):
-            src = by_values[tuple(map(at, inj))]
-            items.append((DMorphism._trusted(src.alpha, alpha, inj), src, inj_key))
+        # the subsets of [a] that hold a, those with no S u {a}, in item order
+        held = [(S, prefix[:-1], by_values[tuple(map(at, S))]) for S, prefix, row in zip(*_lattice(a)) if row[2] < 0]
+        items = [(DMorphism._trusted(src.alpha, alpha, S), src, inj_key) for S, inj_key, src in held]
         # the generators first: the composites into alpha pass over them
         routed = {mor.inj: _route(diagram, mor, src, tgt, certified) for mor, src, _ in items if len(mor.inj) >= a}
         for mor, src, inj_key in items:
@@ -544,12 +563,6 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
             location = "%s->%s[%s]" % (src.alpha.key(), key, inj_key)
             report.add("homotopical", location, *(verdict or _homotopical_verdict(g)))
     return report
-
-
-@lru_cache(maxsize=None)
-def _max_preserving(a: int) -> tuple:
-    """(S, seq_key(S)) for each subset S of [a] that holds a, in item order."""
-    return tuple((S, seq_key(S)) for S in [(a,)] + [T + (a,) for T in nonempty_subsets(a - 1)])
 
 
 def _route(diagram: FrameDiagram, mor: DMorphism, src: FrameObject, tgt: FrameObject, certified) -> tuple:
@@ -821,5 +834,4 @@ def recover_map_from_cylinder(o: FrameObject) -> GradedMap:
     for."""
     if o.alpha.cod != 1 or o.alpha.values != (0, 1):
         raise ValueError("recovery expects the frame at <0,1> of a 1-simplex")
-    p = _retraction_system(last_vertex_equivalence(o).j)
-    return p @ o.summand_inclusion((0,))
+    return _retraction_system(last_vertex_equivalence(o).j) @ o.summand_inclusion((0,))

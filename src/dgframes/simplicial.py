@@ -125,10 +125,7 @@ def enumerate_order_maps(n: int, m: int):
 def enumerate_d_objects(n: int, max_len: int):
     """All order maps [m] -> [n] with m <= max_len, shortest first, then
     lexicographically."""
-    out = []
-    for m in range(max_len + 1):
-        out.extend(enumerate_order_maps(n, m))
-    return out
+    return [alpha for m in range(max_len + 1) for alpha in enumerate_order_maps(n, m)]
 
 
 def enumerate_inclusions(alpha: OrderMap):
@@ -143,7 +140,4 @@ def enumerate_inclusions(alpha: OrderMap):
 
 def nonempty_subsets(m: int):
     """Nonempty subsets of {0..m} as increasing tuples, by size then lex."""
-    out = []
-    for size in range(1, m + 2):
-        out.extend(combinations(range(m + 1), size))
-    return out
+    return [S for size in range(1, m + 2) for S in combinations(range(m + 1), size)]

@@ -34,7 +34,8 @@ did before it judged every selection on the stored row views; they are the
 reference for that view route.
 ``is_weak_equivalence_d`` tells the max-preserving morphisms of the
 direct category; ``structure_maps`` builds every structure map of a
-diagram, and
+diagram; ``selection_preimages`` is ``Selection.preimages`` as it read when
+it looked each subset up by its tuple, over the frames' ``blocks``; and
 ``homotopical_items`` is ``is_homotopical`` as it read when the diagram
 stored all of them, each item located by ``morphism_key``.
 ``latching_data`` builds the latching sub-complex, its inclusion and the
@@ -810,6 +811,43 @@ def structure_maps(diagram) -> dict:
     of the targets and then of ``enumerate_inclusions``, each built with
     ``diagram.structure_map``."""
     return {mor: diagram.structure_map(mor) for alpha in diagram.objects for mor in enumerate_inclusions(alpha)}
+
+
+def selection_preimages(src: FrameObject, tgt: FrameObject, inj) -> Optional[Dict[int, list]]:
+    """``Selection.preimages`` of the selection along ``inj`` as it read
+    when it looked each subset up by its tuple: per degree, for each row of
+    tgt the column of src that the block of S sends there, the block of S
+    going to the block of inj(S), None off the image; None when a frame's
+    blocks do not tile its basis in stored order with the full subset last
+    (``_tiled``), or a block has no image block of its width in the order of
+    the blocks."""
+    if not (_tiled(src) and _tiled(tgt)):
+        return None
+    out = {d: [None] * tgt.complex.rank(d) for d in tgt.complex.support}
+    for d, spans in src.blocks.items():
+        rows, last = tgt.blocks.get(d, {}), -1
+        for S, (col, width) in spans.items():
+            row, image_width = rows.get(tuple(inj[i] for i in S), (-1, 0))
+            if image_width != width or row <= last:
+                return None
+            out[d][row : row + width] = range(col, col + width)
+            last = row
+    return out
+
+
+def _tiled(o: FrameObject) -> bool:
+    """Whether in every degree of the frame's complex or of its blocks, the
+    blocks in stored order cover the basis end to end, the full subset's
+    block, when there is one, last."""
+    top = tuple(range(o.alpha.dom + 1))
+    for d in set(o.complex.support) | set(o.blocks):
+        spans = o.blocks.get(d, {})
+        ends = [0] + [col + width for col, width in spans.values()]
+        if [col for col, _ in spans.values()] != ends[:-1] or ends[-1] != o.complex.rank(d):
+            return False
+        if any(width <= 0 for _, width in spans.values()) or (top in spans and list(spans)[-1] != top):
+            return False
+    return True
 
 
 def homotopical_items(diagram, last_vertex=None):

@@ -546,6 +546,10 @@ PINNED_CASES = {
     "recover-r3n1": (lambda: random_simplex(random.Random(3), 1, max_rank=4), ["recover"]),
     "recover-r20n1": (lambda: random_simplex(random.Random(20), 1, max_rank=4), ["recover"]),
     "frame-wide": (lambda: random_simplex(random.Random(7), 3), ["frame", "--alpha", "0,0,1,1,2,2,3,3"]),
+    "frame-wide-r105n3": (lambda: random_simplex(random.Random(105), 3), ["frame", "--alpha", "0,0,1,1,2,2,3,3"]),
+    "frame-wide-r108n3": (lambda: random_simplex(random.Random(108), 3), ["frame", "--alpha", "0,0,1,1,2,2,3,3"]),
+    # m = 8, past every benchmark workload: 511 summands, 4.4 MB of output
+    "frame-m8": (lambda: random_simplex(random.Random(7), 3), ["frame", "--alpha", "0,0,0,1,1,2,2,3,3"]),
     "check-text": (lambda: random_simplex(random.Random(6), 2), ["check", "--max-len", "1", "--format", "text"]),
     "check-deep": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "3"]),
     # objects in degrees -1 and 2 only: the last-vertex homotopy maps into
@@ -559,7 +563,9 @@ PINNED_CASES = {
 # before simplicial-compat compared restrictions instead of rebuilding frames;
 # the two recover cases of Random(3) and Random(20) were recorded while the
 # Smith elimination ran on dense rows; homology-frame-r105n3 was recorded
-# while invariant_factors cleared +-1 pivots first, sparsest row first.
+# while invariant_factors cleared +-1 pivots first, sparsest row first; the
+# three frame cases after frame-wide were recorded while the frame builder
+# looked each summand up by its subset tuple.
 PINNED_CASE_STDOUT = {
     "validate": "ab22d3289de446b0ea77622ae916eca0c3b90ae0db3ea4bba20e0cee20e04fff",
     "homology-torsion": "d83ae9befd3a50f9bf6627567e444c8fc54d6ddddf95828fc1a2bd6999a4f0bf",
@@ -568,6 +574,9 @@ PINNED_CASE_STDOUT = {
     "recover-r3n1": "45f19a09b286c6975f0a89f8e3bd3b967302d27843074033b122129da4a9742f",
     "recover-r20n1": "8cc50f5353fb334fcb97f36a2eddab8b6205889788713abba145ef669825e147",
     "frame-wide": "802253759d1a47f2201f44cf3a7be3adfe2316b3ae9758f3e72b10e52864c11d",
+    "frame-wide-r105n3": "a39d167020cf5fb618df15901e89302a41283dab1d41b08142ee235d937780ec",
+    "frame-wide-r108n3": "c161c2758ab5cf5c94aaf630bbf8e434f767d6d0401738aacba0fafe0bdb5f09",
+    "frame-m8": "9d09779c270fa5a83f0ac550b6bb18b05d887ca0c950332ba20c74f3679cbc25",
     "check-text": "b4ea22029115a2fc1d8e85ed5c91e286b0a83e221f8e4e55e05147c7f45cc1f8",
     "check-deep": "9ffbc12ab0e13c1b3b7e801371e89b5c7fcc1d1610048c26e9d262af05554113",
     "check-deep-r6n2": "53a68260d362b367156acc30a6ba8ada4405fa87bf4a73d0b528be0b6155f473",

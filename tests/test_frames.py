@@ -280,6 +280,33 @@ def test_summand_inclusions_assemble_the_basis():
         assert col == o.complex.rank(d)
 
 
+def test_the_subset_plan_equals_the_tuple_formulas():
+    """Every entry of the plan ``frames._lattice(m)``, m = 0..8, equals the
+    tuple formula it stands for: the subsets in ``nonempty_subsets`` order,
+    the label prefix "s_0,...,s_k|", the shift k = |S| - 1, S[0], the index
+    of S + (m,) (-1 when m is in S), and per j = 1..k the indices of
+    S[:j] + S[j+1:] and S[j:], the signs (-1)^j and (-1)^{(j-1)k}, and the
+    position of S[:j+1] in ``increasing_sequences(m)``.  The plan cache is
+    bounded."""
+    from dgframes.simplicial import nonempty_subsets
+
+    assert frames._lattice.cache_info().maxsize is not None
+    for m in range(9):
+        subsets, prefixes, plan = frames._lattice(m)
+        assert list(subsets) == nonempty_subsets(m) and len(prefixes) == len(plan) == len(subsets)
+        index = {S: i for i, S in enumerate(subsets)}
+        keys = increasing_sequences(m)
+        for S, prefix, row in zip(subsets, prefixes, plan):
+            k = len(S) - 1
+            assert prefix == ",".join(map(str, S)) + "|"
+            assert row[:3] == (k, S[0], -1 if m in S else index[S + (m,)]) and len(row) == 3 + 5 * k
+            for j in range(1, k + 1):
+                face, face_sign, suffix, split_sign, position = row[5 * j - 2 : 5 * j + 3]
+                assert subsets[face] == S[:j] + S[j + 1 :] and subsets[suffix] == S[j:]
+                assert (face_sign, split_sign) == ((-1) ** j, (-1) ** ((j - 1) * k))
+                assert keys[position] == S[: j + 1]
+
+
 # -- structure maps ------------------------------------------------------------
 
 

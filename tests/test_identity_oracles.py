@@ -26,7 +26,9 @@ frame with d^2 != 0 or with a tampered j or r, and pass every composite of
 a tampered coface on its own views, assembling no matrix of it.  The view
 decider must equal the direct one, ``oracles.homotopy_inverse_certified`` on
 the assembled matrices, on each generator, with j, r or a frame
-differential tampered.
+differential tampered.  The preimages a selection reads by subset index
+must equal ``oracles.selection_preimages``, which looks each subset up by
+its tuple, on each generator, as built and with one frame's blocks relaid.
 
 The summand inclusions, the last-vertex inclusion j among them, and the
 homotopy h that the block assembler builds must have the matrices the dense
@@ -560,6 +562,28 @@ def test_selection_preimages_need_blocks_that_describe_the_map(criterion_08_diag
                 assert Selection(b, a, mor.inj).preimages() is None
                 broken[kind] += 1
     assert broken == {"moved": 187, "swapped": 217, "shifted": 260}
+
+
+def test_selection_preimages_equal_the_tuple_keyed_oracle(criterion_06_diagrams, criterion_08_diagrams):
+    """For every generator that ``is_homotopical`` builds on criteria 6 and
+    8, and for the relaid frames of ``_relaid`` on criterion 8, the
+    preimages that ``Selection`` reads by subset index equal
+    ``oracles.selection_preimages``, which looks each subset up by its
+    tuple among the frames' ``blocks``."""
+    seen = Counter()
+    for diagram in criterion_06_diagrams + criterion_08_diagrams:
+        for mor in _morphisms(diagram)[0]:
+            g = diagram.structure_map(mor)
+            want = oracles.selection_preimages(*g.frames, mor.inj)
+            assert want is not None and g.preimages() == want
+            seen["built"] += 1
+    for diagram in criterion_08_diagrams:
+        for mor in _morphisms(diagram)[0]:
+            src, tgt = diagram.objects[mor.src], diagram.objects[mor.tgt]
+            for kind, (b, a) in _relaid(src, tgt, mor.inj):
+                assert Selection(b, a, mor.inj).preimages() == oracles.selection_preimages(b, a, mor.inj)
+                seen[kind] += 1
+    assert seen == {"built": 596, "moved": 187, "swapped": 217, "shifted": 260}
 
 
 def _relaid(src: FrameObject, tgt: FrameObject, inj):

@@ -354,12 +354,21 @@ def test_the_frame_differential_and_shift_read_one_shift_sign(monkeypatch):
 
 
 def test_the_frame_differential_and_the_validator_read_one_sign_table():
+    """The frame differential reads its signs off the subset plan
+    ``frames._lattice``, which copies them from ``twisting_signs``: with both
+    caches cleared, one build reads the table once per subset size, the
+    plan's signs are the table's entries, and the validator reads the same
+    tables."""
     assert frames.twisting_signs is twisting_signs
     s = random_simplex(random.Random(7), 3)
     twisting_signs.cache_clear()
+    frames._lattice.cache_clear()
     frames.build_frame_object(s, OrderMap((0, 1, 2, 3), 3))
     built = twisting_signs.cache_info()
     assert built.currsize == 4  # one table per subset size, k = 0..3
     assert validate_maurer_cartan(s).ok  # sequences of k = 1..3: every table read is a hit
     after = twisting_signs.cache_info()
     assert (after.misses, after.currsize) == (built.misses, built.currsize) and after.hits > built.hits
+    for row in frames._lattice(3)[2]:  # (k, S[0], up, then per j: face, face sign, suffix, split sign, map)
+        assert row[4::5] == tuple(face for _, face, _ in twisting_signs(row[0]))
+        assert row[6::5] == tuple(split for _, _, split in twisting_signs(row[0]))
