@@ -31,9 +31,8 @@ labels included.
 The builder, the last-vertex maps j, r and h, and the structure maps
 address this lattice by index, through one cached plan per m,
 ``_lattice(m)``: per subset its shift, the index of S u {m} and the indices
-and signs of its twisting terms.  A frame stores one layout,
-``FrameObject.layout``, keyed by subset index; ``blocks`` is that layout
-keyed by subsets, derived when read.
+and signs of its twisting terms.  A frame has one layout,
+``FrameObject.layout``, keyed by subset index.
 
 Every map here between frames and their summands is a sum of signed blocks
 between summands, described per column subset as a list of (row offset,
@@ -96,21 +95,13 @@ class FrameObject:
     degree d to (first column, width), in basis order: the blocks are
     contiguous and cover [0, rank d), the full subset's block last (the
     Reedy check reads this layout), and the width is the rank of
-    X_{alpha(S[0])} in degree d - (len(S) - 1).  ``blocks`` is the layout
-    keyed by S, derived when read; a frame built by hand is given it and
-    keeps it by index, in its given order.  ``restriction`` is act(alpha,
+    X_{alpha(S[0])} in degree d - (len(S) - 1).  The frame keeps the
+    layout it is given, in its given order.  ``restriction`` is act(alpha,
     simplex), all the complex was built from.
     """
 
-    def __init__(self, alpha: OrderMap, complex: ChainComplex, blocks, restriction: NerveSimplex):
-        index = _lattice(alpha.dom)[0].index
-        self.alpha, self.complex, self.restriction = alpha, complex, restriction
-        self.layout = {d: dict(zip(map(index, spans), spans.values())) for d, spans in blocks.items()}
-
-    @property
-    def blocks(self) -> Dict[int, Dict[tuple, Tuple[int, int]]]:
-        at = _lattice(self.alpha.dom)[0].__getitem__
-        return {d: dict(zip(map(at, spans), spans.values())) for d, spans in self.layout.items()}
+    def __init__(self, alpha: OrderMap, complex: ChainComplex, layout, restriction: NerveSimplex):
+        self.alpha, self.complex, self.layout, self.restriction = alpha, complex, layout, restriction
 
     @cached_property
     def d2_defects(self) -> List[int]:
@@ -222,9 +213,7 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
         diffs[d] = _assemble(len(labels[d - 1]), len(labels[d]), columns)
 
     cx = ChainComplex._trusted("B(%s)" % alpha.key(), {d: len(labs) for d, labs in labels.items()}, diffs, labels)
-    o = FrameObject(alpha, cx, {}, r)
-    o.layout = layout
-    return o
+    return FrameObject(alpha, cx, layout, r)
 
 
 def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
@@ -450,14 +439,16 @@ def last_vertex_data(o: FrameObject):
 
 
 class LastVertexCheck:
-    """A frame's last-vertex inclusion j and retraction r, and one
-    (check, witness) pair per last-vertex identity, the witness None when the
-    identity holds.  The homotopy h is checked but not kept."""
+    """A frame's last-vertex inclusion j and one (check, witness) pair per
+    last-vertex identity, the witness None when the identity holds.  The
+    retraction r and the homotopy h are checked but not kept: when the
+    identities hold, j is a homotopy equivalence, and the homotopical
+    certificate reads j alone."""
 
-    __slots__ = ("j", "r", "verdicts", "holds")
+    __slots__ = ("j", "verdicts", "holds")
 
-    def __init__(self, j: GradedMap, r: GradedMap, verdicts: Tuple[Tuple[str, Optional[str]], ...]):
-        self.j, self.r, self.verdicts = j, r, verdicts
+    def __init__(self, j: GradedMap, verdicts: Tuple[Tuple[str, Optional[str]], ...]):
+        self.j, self.verdicts = j, verdicts
         self.holds = all(w is None for _, w in verdicts)
 
 
@@ -482,9 +473,8 @@ def check_last_vertex(o: FrameObject) -> LastVertexCheck:
 
     section = _at(first_defect(x, x, 0, section_terms), "r o j != id")
     htpy = _at(first_defect(b, b, 0, homotopy_terms), "D(h) != j o r - id")
-    return LastVertexCheck(
-        j, r, (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
-    )
+    verdicts = (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
+    return LastVertexCheck(j, verdicts)
 
 
 def last_vertex_equivalence(o: FrameObject) -> LastVertexCheck:
@@ -533,13 +523,13 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
       the coface that misses the least index psi misses: both factors
       passed as selections (so the middle frame has d^2 = 0), and
       g_psi = g_delta o g_psi' as layouts (:func:`_composes`).  Then g_psi
-      is a chain map, and g_psi o j = g_delta o j = j and
-      r o g_psi = r o g_psi' = r: weak equivalences compose (2-out-of-3);
+      is a composite of homotopy equivalences, so it is one too: weak
+      equivalences compose (2-out-of-3);
     * for any other selection, its own certificate: it is a chain map with
-      g o j = j and r o g = r, and both frames' last-vertex identities
-      hold, so that j_src o r_tgt is a homotopy inverse.  These identities
-      are read from its preimages and the stored row views of d, j and r
-      (:func:`_selection_certified`), with no matrix of the map;
+      g o j_src = j_tgt, and both frames' last-vertex identities hold, so
+      that g is homotopic to j_tgt o r_src, a homotopy equivalence.  These
+      identities are read from its preimages and the stored row views of d
+      and j (:func:`_selection_certified`), with no matrix of the map;
     * for any other map, or a selection that passes neither way, the
       chain-map test and then cone homology, so that a FAIL names the
       homology.
@@ -627,38 +617,38 @@ def _composes(g: Selection, first: Selection, second: Selection) -> bool:
 
 def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
     """Whether g : B(beta) -> B(alpha), a selection with ``preimages()``, is
-    a chain map with g o j_beta = j_alpha and r_alpha o g = r_beta, and both
-    frames' last-vertex identities hold.  Then q = j_beta o r_alpha is a
-    homotopy inverse of g: g o q = j_alpha r_alpha ~ id through h_alpha and
-    q o g = j_beta r_beta ~ id through h_beta, so the cone of g is acyclic.
-    The identities are decided on the stored row views of d, j and r, read
-    through the preimages with no matrix of g.
+    a chain map with g o j_beta = j_alpha, and both frames' last-vertex
+    identities hold.  Those make j_beta and j_alpha homotopy equivalences,
+    with r_beta a homotopy inverse of j_beta.  Then g ~ g o j_beta o r_beta
+    = j_alpha o r_beta through g o h_beta, a composite of homotopy
+    equivalences, so g is one too and its cone is acyclic.  No identity of
+    r is read: r enters the argument, not the test.  The identities are
+    decided on the stored row views of d and j, read through the preimages
+    with no matrix of g.
 
     With p = preimages()[d], row t of d_alpha o g is row t of d_alpha with each
     column c renamed p[c] and dropped where p[c] is None, and row t of
-    g o d_beta is row p[t] of d_beta, or zero where p[t] is None.  r_alpha o g
-    is renamed the same way, and row t of g o j_beta is row p[t] of j_beta.
-    Since p keeps column order, each renamed row is a sorted, zero-free view
-    and is compared as a tuple.  False also when g has no preimages or the
-    maps do not fit together as the certificate reads them.
+    g o d_beta is row p[t] of d_beta, or zero where p[t] is None; row t of
+    g o j_beta is row p[t] of j_beta.  Since p keeps column order, each
+    renamed row is a sorted, zero-free view and is compared as a tuple.
+    False also when g has no preimages or the maps do not fit together as
+    the certificate reads them.
 
     An identity map, one frame to itself along the identity injection, with
     one last-vertex check for both ends (``src is tgt``) and a frame whose
-    blocks tile, is the identity matrix: D(g) = 0, g o j = j and r o g = r
-    hold as written, so it passes once the fit checks do, with no preimages
-    built and no row read."""
+    blocks tile, is the identity matrix: D(g) = 0 and g o j = j hold as
+    written, so it passes once the fit checks do, with no preimages built
+    and no row read."""
     b, a = g.source, g.target
-    j_src, r_src, j_tgt, r_tgt = src.j, src.r, tgt.j, tgt.r
-    x, y = j_src.source, r_src.target
-    if not (src.holds and tgt.holds) or any(m.degree for m in (j_src, r_src, j_tgt, r_tgt)):
+    j_src, j_tgt = src.j, tgt.j
+    x = j_src.source
+    if not (src.holds and tgt.holds) or j_src.degree or j_tgt.degree:
         return False
-    if not (j_src.target is b and r_src.source is b and j_tgt.target is a and r_tgt.source is a):
-        return False
-    if j_tgt.source is not x or r_tgt.target is not y:
+    if not (j_src.target is b and j_tgt.target is a and j_tgt.source is x):
         return False
     (frame, other), inj = g.frames, g.inj
     if src is tgt and frame is other and inj == tuple(range(len(inj))) and frame.untiled_degree is None:
-        return True  # g is the identity matrix: D(g) = 0, g o j = j and r o g = r as written
+        return True  # g is the identity matrix: D(g) = 0 and g o j = j as written
     p = g.preimages()
     if p is None:
         return False
@@ -674,9 +664,6 @@ def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexChec
             have = j_src.mat(d).nonzeros if b.rank(d) else ()
             if tuple([() if i is None else have[i] for i in p[d]]) != j_tgt.mat(d).nonzeros:
                 return False
-    for d in b.support:
-        if y.rank(d) and not _renamed_rows_equal(r_tgt.mat(d).nonzeros, p[d], r_src.mat(d).nonzeros):
-            return False
     return True
 
 

@@ -22,16 +22,21 @@ read the validator's verdicts and witnesses off them; ``cycle_defect``,
 ``last_vertex_verdicts`` and ``certificate_identities`` decide the identities
 of the check suite by dense products, sums and scalings.  Both are the
 library's code from before it decided these identities column by column.
-``summand_inclusion_matrices`` and ``homotopy_matrices`` write the matrices
-of a summand inclusion and of the last-vertex homotopy into dense rows,
-entry by entry, as a reference for the block assembler.
+``blocks`` reads a frame's layout keyed by subsets, and
+``frame_by_hand`` builds a frame from another one's alpha and restriction
+with a given complex or subset-keyed layout: every frame a test builds by
+hand comes from it.  ``summand_inclusion_matrices`` and
+``homotopy_matrices`` write the matrices of a summand inclusion and of the
+last-vertex homotopy into dense rows, entry by entry, as a reference for
+the block assembler.
 ``combination_is_zero`` and ``combination_matrix`` are the column-wise
 deciders, over ``_nonzero_columns``, that the library used before it decided
 them row by row over the row-nonzero views.  ``composite_equals`` and
-``homotopy_inverse_certified`` decide the homotopy-inverse certificate of a
-structure map row by row on its assembled matrices, as ``is_homotopical``
-did before it judged every selection on the stored row views; they are the
-reference for that view route.
+``homotopy_inverse_certified`` decide the certificate of a structure map,
+g o j_src = j_tgt with both frames' last-vertex identities held, row by row
+on its assembled matrices, as ``is_homotopical`` did before it judged every
+selection on the stored row views; they are the reference for that view
+route.  ``tamperings`` lists tampered copies of a map.
 ``is_weak_equivalence_d`` tells the max-preserving morphisms of the
 direct category; ``structure_maps`` builds every structure map of a
 diagram; ``selection_preimages`` is ``Selection.preimages`` as it read when
@@ -80,7 +85,14 @@ from dgframes.frames import (
     check_last_vertex,
 )
 from dgframes.reporting import Report
-from dgframes.simplicial import DMorphism, OrderMap, enumerate_d_objects, enumerate_inclusions, seq_key
+from dgframes.simplicial import (
+    DMorphism,
+    OrderMap,
+    enumerate_d_objects,
+    enumerate_inclusions,
+    nonempty_subsets,
+    seq_key,
+)
 
 
 def from_rows(data: Sequence[Sequence[int]]) -> IntMatrix:
@@ -674,14 +686,31 @@ def last_vertex_verdicts(j: GradedMap, r: GradedMap, h: GradedMap, b: ChainCompl
     return (("last-vertex-chain", chain), ("last-vertex-section", section), ("last-vertex-homotopy", htpy))
 
 
+def blocks(o: FrameObject) -> Dict[int, dict]:
+    """The frame's layout keyed by subsets: per degree, each block's subset
+    S of [alpha.dom] mapped to its (first column, width), in stored order.
+    ``FrameObject.layout`` keys S by its position in ``nonempty_subsets``."""
+    subsets = list(nonempty_subsets(o.alpha.dom))
+    return {d: {subsets[i]: span for i, span in spans.items()} for d, spans in o.layout.items()}
+
+
+def frame_by_hand(o: FrameObject, complex: Optional[ChainComplex] = None, spans=None) -> FrameObject:
+    """A frame built by hand from o: its alpha and restriction, with the
+    given complex and the given subset-keyed layout (see :func:`blocks`),
+    kept in its given order, each o's own when None."""
+    index = list(nonempty_subsets(o.alpha.dom)).index
+    layout = o.layout if spans is None else {d: {index(S): v for S, v in b.items()} for d, b in spans.items()}
+    return FrameObject(o.alpha, o.complex if complex is None else complex, layout, o.restriction)
+
+
 def summand_inclusion_matrices(o: FrameObject, subset) -> Dict[int, IntMatrix]:
     """The matrices of iota_S : X_{alpha(S[0])} -> B(alpha), written entry
     by entry into dense rows from the frame's blocks."""
-    x, k = o.source_complex(subset), len(subset) - 1
+    x, k, layout = o.source_complex(subset), len(subset) - 1, blocks(o)
     mats = {}
     for t in x.support:
         rows = [[0] * x.rank(t) for _ in range(o.complex.rank(t + k))]
-        first = o.blocks[t + k][subset][0]
+        first = layout[t + k][subset][0]
         for e in range(x.rank(t)):
             rows[first + e][e] = 1
         mats[t] = IntMatrix(len(rows), x.rank(t), rows)
@@ -692,13 +721,13 @@ def homotopy_matrices(o: FrameObject) -> Dict[int, IntMatrix]:
     """The matrices of the last-vertex homotopy h : B -> B, written entry by
     entry into dense rows: the S block, a not in S, goes to the S u {a}
     block with sign (-1)^(|S|-1)."""
-    a, b, mats = o.alpha.dom, o.complex, {}
-    for d, spans in o.blocks.items():
-        if d + 1 in o.blocks:
+    a, b, layout, mats = o.alpha.dom, o.complex, blocks(o), {}
+    for d, spans in layout.items():
+        if d + 1 in layout:
             rows = [[0] * b.rank(d) for _ in range(b.rank(d + 1))]
             for S, (col, width) in spans.items():
                 if a not in S:
-                    first = o.blocks[d + 1][S + (a,)][0]
+                    first = layout[d + 1][S + (a,)][0]
                     for e in range(width):
                         rows[first + e][col + e] = (-1) ** (len(S) - 1)
             mats[d] = IntMatrix(b.rank(d + 1), b.rank(d), rows)
@@ -717,23 +746,53 @@ def composite_equals(f: GradedMap, g: GradedMap, h: GradedMap) -> bool:
 
 
 def homotopy_inverse_certified(g: GradedMap, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
-    """Whether q = j_src o r_tgt is a homotopy inverse of the chain map
-    g : B(beta) -> B(alpha), by literal identities.
+    """Whether the chain map g : B(beta) -> B(alpha) is a homotopy
+    equivalence by the certificate's literal identity.
 
-    Given the last-vertex identities at both ends, g o j_src = j_tgt and
-    r_tgt o g = r_src give g o q = j_tgt r_tgt ~ id through h_tgt and
-    q o g = j_src r_src ~ id through h_src, so the cone of g is acyclic.  The
-    two identities hold for the structure map of every max-preserving
-    morphism; they are decided row by row over the maps' row views, without
-    forming either composite.  The caller must already know that g is a
-    chain map and that both frames have d^2 = 0."""
-    return src.holds and tgt.holds and composite_equals(g, src.j, tgt.j) and composite_equals(tgt.r, g, src.r)
+    Given the last-vertex identities at both ends, j_src and j_tgt are
+    homotopy equivalences, r_src a homotopy inverse of j_src.  Then
+    g o j_src = j_tgt gives g ~ g o j_src o r_src = j_tgt o r_src through
+    g o h_src, a composite of homotopy equivalences, so the cone of g is
+    acyclic.  The identity holds for the structure map of every
+    max-preserving morphism; it is decided row by row over the maps' row
+    views, without forming the composite.  The caller must already know
+    that g is a chain map and that both frames have d^2 = 0."""
+    return src.holds and tgt.holds and composite_equals(g, src.j, tgt.j)
 
 
-def certificate_identities(g: GradedMap, src_j, src_r, tgt_j, tgt_r):
-    """(g o j_src == j_tgt, r_tgt o g == r_src), the two literal identities of
-    the homotopy-inverse certificate of g : B(src) -> B(tgt)."""
-    return g @ src_j == tgt_j, tgt_r @ g == src_r
+def certificate_identities(g: GradedMap, src_j: GradedMap, tgt_j: GradedMap) -> tuple:
+    """(g o j_src == j_tgt,), the one literal identity of the certificate of
+    g : B(src) -> B(tgt), by a dense product; r_tgt o g == r_src is not
+    part of it."""
+    return (g @ src_j == tgt_j,)
+
+
+def _entry(f: GradedMap, d: int, i: int, c: int, v: int) -> GradedMap:
+    """f plus v at entry (i, c) of its degree-d matrix."""
+    rows = f.target.rank(d + f.degree)
+    return f + GradedMap(f.source, f.target, f.degree, {d: IntMatrix.from_entries(rows, f.source.rank(d), {(i, c): v})})
+
+
+def tamperings(f: GradedMap):
+    """Tampered copies of f: scaled by 2, an extra entry in the first row
+    outside the image, its first nonzero entry moved to the next row, and that
+    entry with its sign flipped."""
+    out = [f.scale(2)]
+    spots = [
+        (d, i) for d in f.source.support if f.source.rank(d) for i, row in enumerate(f.mat(d).nonzeros) if not row
+    ]
+    if spots:
+        out.append(_entry(f, *spots[0], 0, 1))
+    first = [
+        (d, i, c, v) for d in f.source.support for i, row in enumerate(f.mat(d).nonzeros) for c, v in row
+    ]
+    if first:
+        d, i, c, v = first[0]
+        rows = f.target.rank(d + f.degree)
+        if rows > 1:
+            out.append(_entry(_entry(f, d, i, c, -v), d, (i + 1) % rows, c, v))
+        out.append(_entry(f, d, i, c, -2 * v))
+    return out
 
 
 # -- the check-suite identities decided column by column -------------------------
@@ -824,8 +883,9 @@ def selection_preimages(src: FrameObject, tgt: FrameObject, inj) -> Optional[Dic
     if not (_tiled(src) and _tiled(tgt)):
         return None
     out = {d: [None] * tgt.complex.rank(d) for d in tgt.complex.support}
-    for d, spans in src.blocks.items():
-        rows, last = tgt.blocks.get(d, {}), -1
+    targets = blocks(tgt)
+    for d, spans in blocks(src).items():
+        rows, last = targets.get(d, {}), -1
         for S, (col, width) in spans.items():
             row, image_width = rows.get(tuple(inj[i] for i in S), (-1, 0))
             if image_width != width or row <= last:
@@ -840,8 +900,9 @@ def _tiled(o: FrameObject) -> bool:
     blocks in stored order cover the basis end to end, the full subset's
     block, when there is one, last."""
     top = tuple(range(o.alpha.dom + 1))
-    for d in set(o.complex.support) | set(o.blocks):
-        spans = o.blocks.get(d, {})
+    layout = blocks(o)
+    for d in set(o.complex.support) | set(layout):
+        spans = layout.get(d, {})
         ends = [0] + [col + width for col, width in spans.values()]
         if [col for col, _ in spans.values()] != ends[:-1] or ends[-1] != o.complex.rank(d):
             return False
@@ -936,7 +997,7 @@ def _latching_spans(o: FrameObject):
     order; degrees where a span is empty are left out."""
     top = tuple(range(o.alpha.dom + 1))
     proper, full = {}, {}
-    for d, spans in o.blocks.items():
+    for d, spans in blocks(o).items():
         rank = o.complex.rank(d)
         start = spans[top][0] if top in spans else rank
         if start:

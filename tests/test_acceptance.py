@@ -62,6 +62,7 @@ from oracles import (
     is_weak_equivalence_d,
     latching_data,
     structure_maps,
+    tamperings,
 )
 
 CORPUS_SIZE = 200
@@ -253,20 +254,31 @@ def test_criterion_06_homotopical_check(corpus):
 
 
 def test_criterion_06_certificate_implies_acyclic_cone(corpus):
-    """Cone homology as the oracle of the homotopy-inverse certificate that
-    ``is_homotopical`` passes on: over criterion 6's cross-section, every
-    structure map the certificate accepts has an acyclic cone, and it accepts
-    every max-preserving one.  The multiplication-by-2 non-example is not
+    """Cone homology as the oracle of the certificate that
+    ``is_homotopical`` passes on, a chain map g with g o j = j between
+    frames whose last-vertex identities hold: over criterion 6's
+    cross-section, every structure map the certificate accepts has an
+    acyclic cone, and it accepts every max-preserving one.  So does every
+    tampered copy (``tamperings``) of a max-preserving map that it accepts;
+    three of them are accepted.  The multiplication-by-2 non-example is not
     accepted."""
     sims, _ = corpus
+    tampered_accepted = 0
     for idx in range(0, CORPUS_SIZE, 21):
         diagram = build_frame_diagram(sims[idx], 2)
         last_vertex = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
         for mor, g in structure_maps(diagram).items():
-            if homotopy_inverse_certified(g, last_vertex[mor.src], last_vertex[mor.tgt]):
+            lv = last_vertex[mor.src], last_vertex[mor.tgt]
+            if homotopy_inverse_certified(g, *lv):
                 assert is_acyclic(cone(g)), (idx, mor)
             else:
                 assert not is_weak_equivalence_d(mor), (idx, mor)
+            if is_weak_equivalence_d(mor):
+                for t in tamperings(g):
+                    if t.is_cycle() and homotopy_inverse_certified(t, *lv):
+                        assert is_acyclic(cone(t)), (idx, mor)
+                        tampered_accepted += 1
+    assert tampered_accepted == 3
 
     x = ChainComplex("x", {0: 1}, {}, {0: ("p",)})
     y = ChainComplex("y", {0: 1}, {}, {0: ("q",)})

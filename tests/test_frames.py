@@ -55,7 +55,9 @@ from dgframes.simplicial import (
 )
 
 from oracles import (
+    blocks,
     cylinder,
+    frame_by_hand,
     from_rows,
     is_weak_equivalence_d,
     latching_data,
@@ -266,8 +268,9 @@ def test_summand_inclusions_assemble_the_basis():
     # the layout: per degree, one block per summand of positive rank, in
     # subset order, contiguous over [0, rank), each as wide as its source in
     # that degree and labelled with its subset
-    assert sorted(o.blocks) == list(o.complex.support)
-    for d, spans in o.blocks.items():
+    layout = blocks(o)
+    assert sorted(layout) == list(o.complex.support)
+    for d, spans in layout.items():
         ranks = {S: o.source_complex(S).rank(d - (len(S) - 1)) for S in nonempty_subsets(alpha.dom)}
         assert list(spans) == [S for S, rank in ranks.items() if rank]
         col = 0
@@ -411,9 +414,7 @@ def test_is_reedy_cofibrant_flags_a_tampered_frame():
         {1: c.diff(1), 2: from_rows(rows)},
         {d: c.labels(d) for d in c.support},
     )
-    from dgframes.frames import FrameObject
-
-    diagram.objects[alpha] = FrameObject(alpha, bad, o.blocks, o.restriction)
+    diagram.objects[alpha] = frame_by_hand(o, bad)
     report = is_reedy_cofibrant(diagram)
     assert not report.ok
     failed = {(i.check, i.location) for i in report.failures()}
@@ -451,10 +452,10 @@ def test_latching_split_reads_the_block_layout(layout):
     diagram = build_frame_diagram(make_strict([GradedMap.identity(x)]), max_len=1)
     alpha = OrderMap((0, 1), 1)
     o = diagram.objects[alpha]
-    assert o.complex.rank(1) == 3 and o.blocks[1] == _LAYOUTS["untouched"][0]
+    assert o.complex.rank(1) == 3 and blocks(o)[1] == _LAYOUTS["untouched"][0]
     spans, split = _LAYOUTS[layout]
-    blocks = {d: spans if d == 1 else b for d, b in o.blocks.items() if d != 1 or spans is not None}
-    diagram.objects[alpha] = frames.FrameObject(alpha, o.complex, blocks, o.restriction)
+    relaid = {d: spans if d == 1 else b for d, b in blocks(o).items() if d != 1 or spans is not None}
+    diagram.objects[alpha] = frame_by_hand(o, spans=relaid)
     (item,) = [i for i in is_reedy_cofibrant(diagram).items if i.check == "latching-split" and i.location == "0,1"]
     assert (item.status, item.witness) == (("pass", None) if split else ("fail", "inclusion is not split at degree 1"))
 
@@ -963,7 +964,7 @@ def test_recover_and_the_equivalence_refuse_a_frame_that_fails_last_vertex(tampe
     assert c.diff(1).to_lists() == [[-1], [1]]
     rows, failure = _TAMPERED_CYLINDERS[tamper]
     bad = ChainComplex._trusted(c.name, {0: 2, 1: 1}, {1: from_rows(rows)}, {d: c.labels(d) for d in c.support})
-    tampered = frames.FrameObject(alpha, bad, o.blocks, o.restriction)
+    tampered = frame_by_hand(o, bad)
     assert not tampered.d2_defects
     for call in (recover_map_from_cylinder, frames.last_vertex_equivalence):
         with pytest.raises(ValueError) as err:

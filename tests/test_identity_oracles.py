@@ -3,10 +3,10 @@ checks they replaced and against the column-wise deciders before them, all
 kept in ``oracles.py``.
 
 Every verdict and every witness degree must agree: the cycle test of each
-structure map and last-vertex map, the two certificate identities of each
-structure map, and the three last-vertex items of each frame.  The diagrams
-are criterion 6's cross-section of the acceptance corpus at max-len 2 and
-criterion 8's simplices at max-len 3.  Tampered copies of the maps (scaled by
+structure map and last-vertex map, the certificate identity g o j = j of
+each structure map, and the three last-vertex items of each frame.  The
+diagrams are criterion 6's cross-section of the acceptance corpus at
+max-len 2 and criterion 8's simplices at max-len 3.  Tampered copies of the maps (scaled by
 2, an extra entry outside the image, an entry moved to another row, a flipped
 sign) must be judged alike too.  ``is_homotopical``, which builds each
 structure map as it judges it, must give the items of the loop that built
@@ -25,10 +25,10 @@ max-len 4 and on criterion 8's diagrams, keep off it every map through a
 frame with d^2 != 0 or with a tampered j or r, and pass every composite of
 a tampered coface on its own views, assembling no matrix of it.  The view
 decider must equal the direct one, ``oracles.homotopy_inverse_certified`` on
-the assembled matrices, on each generator, with j, r or a frame
-differential tampered.  The preimages a selection reads by subset index
-must equal ``oracles.selection_preimages``, which looks each subset up by
-its tuple, on each generator, as built and with one frame's blocks relaid.
+the assembled matrices, on each generator, with j or a frame differential
+tampered.  The preimages a selection reads by subset index must equal
+``oracles.selection_preimages``, which looks each subset up by its tuple,
+on each generator, as built and with one frame's blocks relaid.
 
 The summand inclusions, the last-vertex inclusion j among them, and the
 homotopy h that the block assembler builds must have the matrices the dense
@@ -110,41 +110,13 @@ def criterion_08_diagrams():
     return [build_frame_diagram(s, 3) for s in _criterion_08_simplices()]
 
 
-def _entry(f: GradedMap, d: int, i: int, c: int, v: int) -> GradedMap:
-    """f plus v at entry (i, c) of its degree-d matrix."""
-    rows = f.target.rank(d + f.degree)
-    return f + GradedMap(f.source, f.target, f.degree, {d: IntMatrix.from_entries(rows, f.source.rank(d), {(i, c): v})})
-
-
-def _tamperings(f: GradedMap):
-    """Tampered copies of f: scaled by 2, an extra entry in the first row
-    outside the image, its first nonzero entry moved to the next row, and that
-    entry with its sign flipped."""
-    out = [f.scale(2)]
-    spots = [
-        (d, i) for d in f.source.support if f.source.rank(d) for i, row in enumerate(f.mat(d).nonzeros) if not row
-    ]
-    if spots:
-        out.append(_entry(f, *spots[0], 0, 1))
-    first = [
-        (d, i, c, v) for d in f.source.support for i, row in enumerate(f.mat(d).nonzeros) for c, v in row
-    ]
-    if first:
-        d, i, c, v = first[0]
-        rows = f.target.rank(d + f.degree)
-        if rows > 1:
-            out.append(_entry(_entry(f, d, i, c, -v), d, (i + 1) % rows, c, v))
-        out.append(_entry(f, d, i, c, -2 * v))
-    return out
-
-
 def _same_verdicts(g: GradedMap, src, tgt) -> bool:
     """Compare the cycle test and the certificate of g : B(src) -> B(tgt)
     with the oracle; return whether g is certified."""
     assert cycle_defect(g) == oracles.cycle_defect(g)
     assert g.is_cycle() == hom_differential(g).is_zero()
-    identities = (composite_equals(g, src.j, tgt.j), composite_equals(tgt.r, g, src.r))
-    assert identities == oracles.certificate_identities(g, src.j, src.r, tgt.j, tgt.r)
+    identities = (composite_equals(g, src.j, tgt.j),)
+    assert identities == oracles.certificate_identities(g, src.j, tgt.j)
     certified = homotopy_inverse_certified(g, src, tgt)
     assert certified == (src.holds and tgt.holds and all(identities))
     return certified
@@ -201,7 +173,7 @@ def _mutated_differentials(o: FrameObject):
             changed = [list(row) for row in rows]
             changed[i][j] = v
             diffs = {**c._diffs, d: IntMatrix(m.rows, m.cols, changed)}
-            yield FrameObject(o.alpha, ChainComplex._trusted(c.name, c._ranks, diffs, c._labels), o.blocks, o.restriction)
+            yield oracles.frame_by_hand(o, ChainComplex._trusted(c.name, c._ranks, diffs, c._labels))
 
 
 def test_mutated_frame_differentials_get_the_oracle_last_vertex_verdicts():
@@ -233,7 +205,7 @@ def test_tampered_structure_maps_are_judged_alike(criterion_06_diagrams):
         for mor, g in oracles.structure_maps(diagram).items():
             if not is_weak_equivalence_d(mor):
                 continue
-            for t in _tamperings(g):
+            for t in oracles.tamperings(g):
                 caught += not (_same_verdicts(t, last_vertex[mor.src], last_vertex[mor.tgt]) and t.is_cycle())
                 tampered += 1
     assert (tampered, caught) == (1478, 1475)
@@ -243,7 +215,7 @@ def test_homotopical_items_equal_the_build_all_loop(monkeypatch, criterion_06_di
     """Check, location, status and witness of every ``homotopical`` item, in
     order, against ``oracles.homotopical_items`` on criterion 6's diagrams:
     as they are, with every max-preserving structure map tampered the k-th
-    way of ``_tamperings`` for each k, and with the last frame of each
+    way of ``oracles.tamperings`` for each k, and with the last frame of each
     diagram marked as having d^2 != 0 in its lowest degree."""
     kinds = Counter()
 
@@ -256,7 +228,7 @@ def test_homotopical_items_equal_the_build_all_loop(monkeypatch, criterion_06_di
         compare(diagram)
         true_map = diagram.structure_map
         tampered = {
-            mor: _tamperings(true_map(mor))
+            mor: oracles.tamperings(true_map(mor))
             for alpha in diagram.objects
             for mor in enumerate_inclusions(alpha)
             if is_weak_equivalence_d(mor)
@@ -294,7 +266,7 @@ def test_tampered_last_vertex_maps_are_judged_alike(monkeypatch, criterion_08_di
     seen = []
     for diagram in criterion_08_diagrams:
         for o in diagram.objects.values():
-            for t in _tamperings(true_map(o)):
+            for t in oracles.tamperings(true_map(o)):
                 monkeypatch.setattr(frames, which, lambda _o, t=t: t)
                 lv = check_last_vertex(o)
                 assert lv.verdicts == oracles.last_vertex_verdicts(*last_vertex_data(o), o.complex)
@@ -509,9 +481,9 @@ def test_a_selection_without_preimages_is_judged_by_cone_homology(monkeypatch):
     diagram = build_frame_diagram(random_simplex(random.Random(7), 2), 3)
     alpha = OrderMap((0, 1, 2), 2)
     o = diagram.objects[alpha]
-    d, spans = next((d, spans) for d, spans in o.blocks.items() if len(spans) > 1)
-    blocks = {**o.blocks, d: dict(reversed(spans.items()))}
-    diagram.objects[alpha] = FrameObject(alpha, o.complex, blocks, o.restriction)
+    blocks = oracles.blocks(o)
+    d, spans = next((d, spans) for d, spans in blocks.items() if len(spans) > 1)
+    diagram.objects[alpha] = oracles.frame_by_hand(o, spans={**blocks, d: dict(reversed(spans.items()))})
     maps = oracles.structure_maps(diagram)
     monkeypatch.setattr(diagram, "structure_map", maps.__getitem__)
     expected = oracles.homotopical_items(diagram)
@@ -592,22 +564,23 @@ def _relaid(src: FrameObject, tgt: FrameObject, inj):
     source blocks of one width swapped in the target, the last source block
     shifted one column on."""
     def relaid(o, d, spans):
-        return FrameObject(o.alpha, o.complex, {**o.blocks, d: spans}, o.restriction)
+        return oracles.frame_by_hand(o, spans={**oracles.blocks(o), d: spans})
 
-    for d, spans in src.blocks.items():
+    src_blocks, tgt_blocks = oracles.blocks(src), oracles.blocks(tgt)
+    for d, spans in src_blocks.items():
         items = list(spans.items())
         if len(items) >= 2 and items[0][1][1] > 1:
             (s0, (c0, w0)), (s1, (c1, w1)) = items[:2]
             yield "moved", (relaid(src, d, {s0: (c0, w0 - 1), s1: (c1 - 1, w1 + 1), **dict(items[2:])}), tgt)
             break
-    for d, spans in src.blocks.items():
+    for d, spans in src_blocks.items():
         (s0, (_, w0)), (s1, (_, w1)) = (list(spans.items()) + [(None, (0, 0))] * 2)[:2]
         if s1 is not None and w0 == w1:
             t0, t1 = (tuple(inj[i] for i in S) for S in (s0, s1))
-            rows = {**tgt.blocks[d], t0: tgt.blocks[d][t1], t1: tgt.blocks[d][t0]}
+            rows = {**tgt_blocks[d], t0: tgt_blocks[d][t1], t1: tgt_blocks[d][t0]}
             yield "swapped", (src, relaid(tgt, d, dict(sorted(rows.items(), key=lambda item: item[1]))))
             break
-    d, spans = next(iter(src.blocks.items()))
+    d, spans = next(iter(src_blocks.items()))
     last, (col, width) = list(spans.items())[-1]
     yield "shifted", (relaid(src, d, {**spans, last: (col + 1, width)}), tgt)
 
@@ -615,7 +588,7 @@ def _relaid(src: FrameObject, tgt: FrameObject, inj):
 @pytest.mark.parametrize("which", ["include_last", "retraction"])
 def test_tampered_last_vertex_maps_keep_their_frame_off_the_route(monkeypatch, which):
     """With the j or the r of one frame tampered the k-th way of
-    ``_tamperings``, through ``frames.include_last`` or
+    ``oracles.tamperings``, through ``frames.include_last`` or
     ``frames.retraction``, no map that starts or ends at that frame passes
     on the route, though the route is tried, none passes by 2-out-of-3
     through it, and the items are those of ``oracles.homotopical_items``.
@@ -626,10 +599,10 @@ def test_tampered_last_vertex_maps_keep_their_frame_off_the_route(monkeypatch, w
     true_map = getattr(frames, which)
     refused = 0
     for alpha in (OrderMap((0, 2), 2), OrderMap((0, 1, 2), 2)):
-        for k in range(len(_tamperings(true_map(build_frame_diagram(s, 3).objects[alpha])))):
+        for k in range(len(oracles.tamperings(true_map(build_frame_diagram(s, 3).objects[alpha])))):
             diagram = build_frame_diagram(s, 3)
             o = diagram.objects[alpha]
-            t = _tamperings(true_map(o))[k]
+            t = oracles.tamperings(true_map(o))[k]
             monkeypatch.setattr(frames, which, lambda x, o=o, t=t: t if x is o else true_map(x))
             views.clear()
             composites.clear()
@@ -640,27 +613,26 @@ def test_tampered_last_vertex_maps_keep_their_frame_off_the_route(monkeypatch, w
 
 
 def _holding(lv):
-    """A last-vertex check with the j and r of lv and every identity held."""
-    return LastVertexCheck(lv.j, lv.r, tuple((check, None) for check, _ in lv.verdicts))
+    """A last-vertex check with the j of lv and every identity held."""
+    return LastVertexCheck(lv.j, tuple((check, None) for check, _ in lv.verdicts))
 
 
 def test_view_decider_equals_the_direct_decider(criterion_08_diagrams):
     """``_selection_certified`` of each generator g equals ``is_cycle`` and
     ``homotopy_inverse_certified`` of g's assembled matrices: with the
-    frames' own last-vertex checks, with each tampered j or r of the target
+    frames' own last-vertex checks, with each tampered j of the target
     taken as if its identities held, and with either frame's differential
     tampered at one entry (``_tampered_blocks``), its identities again
-    taken as held."""
+    taken as held.  A last-vertex check keeps no r, so no tampered r is
+    among the cases."""
     verdicts = Counter()
     for diagram in criterion_08_diagrams:
         lv = {alpha: check_last_vertex(o) for alpha, o in diagram.objects.items()}
         for mor in _morphisms(diagram)[0]:
             src, tgt = diagram.objects[mor.src], diagram.objects[mor.tgt]
-            j, r = lv[mor.tgt].j, lv[mor.tgt].r
             src_lv = lv[mor.src]
             cases = [(src, src_lv, tgt, lv[mor.tgt])]
-            cases += [(src, src_lv, tgt, _holding(LastVertexCheck(t, r, ()))) for t in _tamperings(j)]
-            cases += [(src, src_lv, tgt, _holding(LastVertexCheck(j, t, ()))) for t in _tamperings(r)]
+            cases += [(src, src_lv, tgt, LastVertexCheck(t, ())) for t in oracles.tamperings(lv[mor.tgt].j)]
             cases += [(src, src_lv, bad, _holding(check_last_vertex(bad))) for bad in _tampered_blocks(tgt)]
             cases += [(bad, _holding(check_last_vertex(bad)), tgt, lv[mor.tgt]) for bad in _tampered_blocks(src)]
             for b, b_lv, a, a_lv in cases:
@@ -669,7 +641,7 @@ def test_view_decider_equals_the_direct_decider(criterion_08_diagrams):
                 ok = frames._selection_certified(g, b_lv, a_lv)
                 assert ok == (g.is_cycle() and homotopy_inverse_certified(g, b_lv, a_lv))
                 verdicts[ok] += 1
-    assert verdicts == {True: 536, False: 1867}
+    assert verdicts == {True: 452, False: 1306}
 
 
 def _tampered_blocks(o: FrameObject):
@@ -688,7 +660,7 @@ def _tampered_blocks(o: FrameObject):
             diffs = {**{e: c.diff(e) for e in c.support if c.rank(e - 1)}, d: oracles.from_rows(rows)}
             labels = {e: c.labels(e) for e in c.support}
             bad = ChainComplex._trusted(c.name, {e: c.rank(e) for e in c.support}, diffs, labels)
-            out.append(FrameObject(o.alpha, bad, o.blocks, o.restriction))
+            out.append(oracles.frame_by_hand(o, bad))
     return out
 
 
