@@ -21,13 +21,18 @@ algebra of the path coalgebra:
 Checking it on strictly increasing sequences suffices: on degenerate
 sequences it follows from strict unitality.
 
-``twisting_signs`` is the one table of these two signs, which the frame
-differential reads too, and ``twisting_terms`` the one loop over it.
-``coherence_terms`` reads it to write the equation at one sequence and source
-degree as one list of terms, and the validator decides it, and finds a
+``twisting_signs`` is the one table of these two signs, and
+``twisting_plan(m)`` the package's one derivation of the twisting terms: per
+nonempty subset S of [m], addressed by its index in ``nonempty_subsets``
+order, the indices of its faces, suffixes and prefixes beside their signs.
+The frame differential of ``frames.build_frame_object`` reads every row of
+it, and ``twisting_terms`` reads a row as the terms δf + f⌣f, over a tuple
+of cochains indexed like the plan's subsets (``NerveSimplex.cochains``).
+``coherence_terms`` adds D(f) to write the equation at one sequence and
+source degree as one list of terms, and the validator decides it, and finds a
 failure's witness, with the row-wise decider that every other identity of the
-package goes through (``complexes.first_defect``).  ``gauge`` reads it to
-deform a simplex by homotopies on its edges.
+package goes through (``complexes.first_defect``).  ``gauge`` reads the same
+rows to deform a simplex by homotopies on its edges.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .complexes import (
 )
 from .exact_linalg import nonzero_rows
 from .reporting import Report
-from .simplicial import OrderMap, parse_seq_key, seq_key
+from .simplicial import OrderMap, nonempty_subsets, parse_seq_key, seq_key
 
 
 class NerveSimplex:
@@ -105,6 +110,14 @@ class NerveSimplex:
     def cochain_keys(self):
         return sorted(self.maps, key=lambda k: (len(k), k))
 
+    def cochains(self) -> tuple:
+        """The maps indexed like the subsets of ``twisting_plan(n)``, None at
+        the singletons, which carry none; ValueError naming the first
+        missing key of an incomplete simplex."""
+        if self.missing_count():
+            raise ValueError("no cochain stored at %s" % (next(self.missing_keys()),))
+        return tuple(map(self.maps.get, twisting_plan(self.n)[0]))
+
     def missing_count(self) -> int:
         """How many strictly increasing sequences in [n] of length >= 2 have
         no map: the keys are distinct such sequences, so a count decides it,
@@ -117,7 +130,7 @@ class NerveSimplex:
     def missing_keys(self):
         """The sequences with no map, lazily, in the order of
         :func:`increasing_sequences`."""
-        return (key for key in _increasing(self.n) if key not in self.maps)
+        return (k for size in range(2, self.n + 2) for k in combinations(range(self.n + 1), size) if k not in self.maps)
 
     def eval(self, seq) -> GradedMap:
         """Value on any nondecreasing sequence, via strict unitality."""
@@ -197,56 +210,76 @@ def _check_degree(key: tuple, degree: int) -> None:
         raise ValueError("map at %r has degree %d, expected %d" % (key, degree, len(key) - 2))
 
 
-def _increasing(n: int):
-    """The strictly increasing sequences in [n] of length >= 2, lazily, by
-    length then lexicographically."""
-    return (seq for size in range(2, n + 2) for seq in combinations(range(n + 1), size))
-
-
-@lru_cache(maxsize=32)
 def increasing_sequences(n: int) -> tuple:
-    """All of ``_increasing(n)``, as one tuple shared by every caller."""
-    return tuple(_increasing(n))
+    """The strictly increasing sequences in [n] of length >= 2, by length
+    then lexicographically: the subsets of ``twisting_plan(n)`` past the
+    n + 1 singletons."""
+    return twisting_plan(n)[0][n + 1 :]
 
 
 @lru_cache(maxsize=None)
 def twisting_signs(k: int) -> tuple:
     """(j, (-1)^j, (-1)^{(j-1)k}) for j = 1..k: the face and split signs at
-    a sequence <a_0..a_k>, the package's one writing of them.  The frame
-    differential of ``frames.build_frame_object`` reads every row; the
-    Maurer-Cartan sum reads j <= k - 1, since its split at j = k would need
-    a value on the length-1 sequence <a_k>, which in the frame is the
-    summand inclusion."""
+    a sequence <a_0..a_k>, the package's one writing of them."""
     return tuple((j, parity_sign(j), parity_sign((j - 1) * k)) for j in range(1, k + 1))
 
 
-def twisting_terms(seq: tuple, d: int, c: int, face, pairs) -> tuple:
-    """c * (δface + sum of p⌣q over (p, q) in pairs) at seq, source degree d,
-    as terms of combination_is_zero: c * (-1)^j face(seq without seq[j]) and
-    c * (-1)^{(j-1)k} p(seq[j:]) o q(seq[:j+1]) for j = 1..k-1, k = len(seq) - 1,
-    where face, p and q map sequences to graded maps, with the signs of
-    :func:`twisting_signs`."""
+@lru_cache(maxsize=16)
+def twisting_plan(m: int) -> tuple:
+    """(subsets, prefixes, rows, index) of the subset lattice of [m], the
+    package's one derivation of the twisting terms.  ``subsets`` lists the
+    nonempty subsets S in ``nonempty_subsets`` order (the m + 1 singletons
+    first, [m] last), ``prefixes`` their label prefixes seq_key(S) + "|",
+    and ``index`` maps each subset to its position.  ``rows`` holds per S
+    one flat int tuple (k, S[0], up, ...): k = |S| - 1, up the index of
+    S u {m} (-1 when m is in S), then per (j, face sign, split sign) of
+    ``twisting_signs(k)`` five entries: the index of the face
+    S[:j] + S[j+1:], the face sign, the index of the suffix S[j:], the split
+    sign and the index of the prefix S[:j+1].  The frame differential reads
+    every j; the Maurer-Cartan sum reads j <= k - 1, since its split at
+    j = k would need a value on the length-1 sequence <s_k>, which in the
+    frame is the summand inclusion.  That last prefix is S itself."""
+    subsets = tuple(nonempty_subsets(m))
+    index = {S: i for i, S in enumerate(subsets)}
+    rows = []
+    for S in subsets:
+        row = [len(S) - 1, S[0], index.get(S + (m,), -1)]
+        for j, face_sign, split_sign in twisting_signs(len(S) - 1):
+            row += (index[S[:j] + S[j + 1 :]], face_sign, index[S[j:]], split_sign, index[S[: j + 1]])
+        rows.append(tuple(row))
+    return subsets, tuple(seq_key(S) + "|" for S in subsets), tuple(rows), index
+
+
+def twisting_terms(row: tuple, d: int, c: int, face: tuple, pairs) -> tuple:
+    """c * (δface + sum of p⌣q over (p, q) in pairs) at the subset S of the
+    plan row ``row``, source degree d, as terms of combination_is_zero:
+    c * (-1)^j face(S without s_j) and c * (-1)^{(j-1)k} p(S[j:]) o q(S[:j+1])
+    for j = 1..k-1, where face, p and q are tuples of graded maps indexed like
+    the plan's subsets."""
     terms = ()
-    for j, face_sign, split_sign in twisting_signs(len(seq) - 1)[:-1]:
-        terms += map_term(c * face_sign, face(seq[:j] + seq[j + 1 :]), d)
+    for f, face_sign, suffix, split_sign, prefix in zip(*[iter(row[3:-5])] * 5):
+        terms += map_term(c * face_sign, face[f], d)
         for p, q in pairs:
-            terms += composite_term(c * split_sign, p(seq[j:]), q(seq[: j + 1]), d)
+            terms += composite_term(c * split_sign, p[suffix], q[prefix], d)
     return terms
 
 
-def coherence_terms(s: NerveSimplex, seq: tuple, d: int) -> tuple:
-    """The Maurer-Cartan equation D(f) + δf + f⌣f = 0 at the nondecreasing
-    sequence seq, source degree d, as terms of combination_is_zero."""
-    f = s._lookup
-    return differential_terms(f(seq), d) + twisting_terms(seq, d, 1, f, ((f, f),))
+def coherence_terms(f: tuple, row: tuple, d: int) -> tuple:
+    """The Maurer-Cartan equation D(f) + δf + f⌣f = 0 at the subset S of the
+    plan row ``row``, source degree d, as terms of combination_is_zero, f
+    indexed like the plan's subsets.  S is the row's last prefix."""
+    return differential_terms(f[row[-1]], d) + twisting_terms(row, d, 1, f, ((f, f),))
 
 
 def coherence_defect(s: NerveSimplex, seq) -> GradedMap:
-    """The sum of coherence_terms, a graded map of degree len(seq) - 3; zero
-    exactly when the coherence identity holds at seq."""
+    """The sum of coherence_terms at the nondecreasing sequence seq, a
+    graded map of degree len(seq) - 3; zero exactly when the coherence
+    identity holds at seq.  It is the sum at [k], k = len(seq) - 1, of
+    act(seq, s), whose values are those of s at the subsequences of seq."""
     seq = tuple(seq)
     f = s.eval(seq)
-    return combination_map(f.source, f.target, f.degree - 1, partial(coherence_terms, s, seq))
+    terms = partial(coherence_terms, act(OrderMap(seq, s.n), s).cochains(), twisting_plan(len(seq) - 1)[2][-1])
+    return combination_map(f.source, f.target, f.degree - 1, terms)
 
 
 def validate_maurer_cartan(s: NerveSimplex) -> Report:
@@ -257,17 +290,18 @@ def validate_maurer_cartan(s: NerveSimplex) -> Report:
     at the first degree where it is nonzero, read off the first nonzero row
     that the decider yields there."""
     report = Report()
-    for seq in increasing_sequences(s.n):
-        f = s._lookup(seq)
-        x, y, r = f.source, f.target, f.degree - 1
-        terms_at = partial(coherence_terms, s, seq)
+    f = s.cochains()
+    subsets, _, rows, _ = twisting_plan(s.n)
+    for pos in range(s.n + 1, len(subsets)):
+        x, y, r = f[pos].source, f[pos].target, f[pos].degree - 1
+        terms_at = partial(coherence_terms, f, rows[pos])
         d = first_defect(x, y, r, terms_at)
         witness = None
         if d is not None:
             i, row = next(nonzero_rows(y.rank(d + r), terms_at(d)))
             j = min(j for j, v in row.items() if v)
             witness = "degree %d entry (%d,%d) = %d" % (d, i, j, row[j])
-        report.add("maurer-cartan", seq_key(seq), d is None, witness)
+        report.add("maurer-cartan", seq_key(subsets[pos]), d is None, witness)
     return report
 
 
@@ -338,17 +372,16 @@ def gauge(s: NerveSimplex, u: Mapping[tuple, GradedMap]) -> NerveSimplex:
             raise ValueError("u at %r is not a degree-1 map X_%d -> X_%d" % (edge, edge[0], edge[1]))
     if any(a[1] <= b[0] for a in u for b in u):
         raise ValueError("two edges of u chain, so the first-order transform is not exact")
-    f, nothing = s._lookup, GradedMap.zero(zero_complex(), zero_complex())  # stores no matrix, so adds no term
+    f, nothing = s.cochains(), GradedMap.zero(zero_complex(), zero_complex())  # stores no matrix, so adds no term
+    subsets, _, rows, _ = twisting_plan(n)
+    v = tuple(u.get(S, nothing) for S in subsets)  # u, zero off its edges
 
-    def v(seq):  # u, zero off its edges
-        return u.get(seq, nothing)
-
-    def terms_at(seq, d):
-        return map_term(1, f(seq), d) + differential_terms(v(seq), d) + twisting_terms(seq, d, -1, v, ((v, f), (f, v)))
+    def terms_at(i, d):
+        return map_term(1, f[i], d) + differential_terms(v[i], d) + twisting_terms(rows[i], d, -1, v, ((v, f), (f, v)))
 
     maps = {
-        seq: combination_map(objects[seq[0]], objects[seq[-1]], len(seq) - 2, partial(terms_at, seq))
-        for seq in increasing_sequences(n)
+        seq: combination_map(objects[seq[0]], objects[seq[-1]], len(seq) - 2, partial(terms_at, i))
+        for i, seq in enumerate(subsets[n + 1 :], n + 1)
     }
     return NerveSimplex(objects, maps)
 

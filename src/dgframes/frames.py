@@ -29,10 +29,11 @@ subset [m] comes last.  A basis element of the S summand is labelled
 labels included.
 
 The builder, the last-vertex maps j, r and h, and the structure maps
-address this lattice by index, through one cached plan per m,
-``_lattice(m)``: per subset its shift, the index of S u {m} and the indices
-and signs of its twisting terms.  A frame has one layout,
-``FrameObject.layout``, keyed by subset index.
+address this lattice by index, through the plan that the Maurer-Cartan
+validator reads too, ``dg_nerve.twisting_plan(m)``: per subset its shift,
+the index of S u {m} and the indices and signs of its twisting terms, the
+prefix S[:j+1] by its index into the restriction's ``cochains()``.  A frame
+has one layout, ``FrameObject.layout``, keyed by subset index.
 
 Every map here between frames and their summands is a sum of signed blocks
 between summands, described per column subset as a list of (row offset,
@@ -81,16 +82,16 @@ from .complexes import (
     shift_sign,
     vector_to_graded_map,
 )
-from .dg_nerve import NerveSimplex, act, increasing_sequences, twisting_signs, validate_maurer_cartan
+from .dg_nerve import NerveSimplex, act, increasing_sequences, twisting_plan, validate_maurer_cartan
 from .exact_linalg import IntMatrix, block, invariant_factors, solve
 from .reporting import Report
-from .simplicial import DMorphism, OrderMap, enumerate_d_objects, nonempty_subsets, seq_key
+from .simplicial import DMorphism, OrderMap, enumerate_d_objects, seq_key
 
 
 class FrameObject:
     """One value B(alpha), with its block layout.
 
-    ``layout[d]`` maps the ``_lattice`` index of each subset S of
+    ``layout[d]`` maps the ``twisting_plan`` index of each subset S of
     [alpha.dom] whose summand X_{alpha(S[0])}[len(S) - 1] is nonzero in
     degree d to (first column, width), in basis order: the blocks are
     contiguous and cover [0, rank d), the full subset's block last (the
@@ -129,7 +130,7 @@ class FrameObject:
     def summand_inclusion(self, subset) -> GradedMap:
         """iota_S as a graded map X_{alpha(S[0])} -> B of degree len(S)-1."""
         subset = tuple(subset)
-        i, k = _lattice(self.alpha.dom)[0].index(subset), len(subset) - 1
+        i, k = twisting_plan(self.alpha.dom)[3][subset], len(subset) - 1
         x = self.source_complex(subset)
         mats = {}
         for t in x.support:
@@ -152,27 +153,6 @@ class FrameObject:
         }
 
 
-@lru_cache(maxsize=16)
-def _lattice(m: int) -> tuple:
-    """(subsets, prefixes, plan) of the subset lattice of [m]: the nonempty
-    subsets S in ``nonempty_subsets`` order (the m + 1 singletons first, [m]
-    last), their label prefixes seq_key(S) + "|", and per S one flat int
-    tuple (k, S[0], up, ...): k = |S| - 1, up the index of S u {m} (-1 when
-    m is in S), then per (j, face sign, split sign) of ``twisting_signs(k)``
-    the index of S[:j] + S[j+1:], the face sign, the index of S[j:], the
-    split sign, and the position of S[:j+1] in ``increasing_sequences(m)``,
-    which lists the subsets of size >= 2 in this order."""
-    subsets = tuple(nonempty_subsets(m))
-    index = {S: i for i, S in enumerate(subsets)}
-    plan = []
-    for S in subsets:
-        row = [len(S) - 1, S[0], index.get(S + (m,), -1)]
-        for j, face_sign, split_sign in twisting_signs(len(S) - 1):
-            row += (index[S[:j] + S[j + 1 :]], face_sign, index[S[j:]], split_sign, index[S[: j + 1]] - m - 1)
-        plan.append(tuple(row))
-    return subsets, tuple(seq_key(S) + "|" for S in subsets), tuple(plan)
-
-
 def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
     """Construct B(alpha) from the restriction act(alpha, s) alone, which the
     frame keeps; alpha only names it.
@@ -183,9 +163,8 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
     if alpha.cod != s.n:
         raise ValueError("alpha lands in [%d] but the simplex has dimension %d" % (alpha.cod, s.n))
     r, m = act(alpha, s), alpha.dom
-    _, prefixes, plan = _lattice(m)
-    objects, signs = r.objects, [shift_sign(k) for k in range(m + 1)]
-    maps = tuple(map(r.maps.__getitem__, increasing_sequences(m)))
+    _, prefixes, plan, _ = twisting_plan(m)
+    objects, signs, maps = r.objects, [shift_sign(k) for k in range(m + 1)], r.cochains()
     # the summands of shift k start at S[0] = 0..m-k
     degrees = sorted({t + k for k in range(m + 1) for x in objects[: m + 1 - k] for t in x.support})
     layout: Dict[int, Dict[int, Tuple[int, int]]] = {d: {} for d in degrees}
@@ -205,10 +184,10 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
             row = plan[i]
             k, x = row[0], objects[row[1]]
             terms = [(rows[i][0], signs[k], x.diff(d - k))] if i in rows else []
-            for face, face_sign, suffix, split_sign, f in zip(*[iter(row[3:])] * 5):
+            for face, face_sign, suffix, split_sign, prefix in zip(*[iter(row[3:])] * 5):
                 terms.append((rows[face][0], face_sign, None))
                 if suffix in rows:
-                    terms.append((rows[suffix][0], split_sign, maps[f].mat(d - k)))
+                    terms.append((rows[suffix][0], split_sign, maps[prefix].mat(d - k)))
             columns.append((col, width, terms))
         diffs[d] = _assemble(len(labels[d - 1]), len(labels[d]), columns)
 
@@ -317,9 +296,9 @@ class Selection(GradedMap):
 
 @lru_cache(maxsize=256)
 def _images(inj: Tuple[int, ...], m: int) -> Tuple[int, ...]:
-    """Per ``_lattice`` index of a subset S of [len(inj) - 1], that of inj(S) in [m]."""
-    index = dict(zip(_lattice(m)[0], range(2 ** (m + 1))))
-    return tuple(index[tuple(map(inj.__getitem__, S))] for S in _lattice(len(inj) - 1)[0])
+    """Per ``twisting_plan`` index of a subset S of [len(inj) - 1], that of inj(S) in [m]."""
+    index = twisting_plan(m)[3]
+    return tuple(index[tuple(map(inj.__getitem__, S))] for S in twisting_plan(len(inj) - 1)[0])
 
 
 def _structure_matrices(src: FrameObject, tgt: FrameObject, inj) -> Dict[int, IntMatrix]:
@@ -398,8 +377,7 @@ def retraction(o: FrameObject) -> GradedMap:
     other summand containing a.
     """
     a, r = o.alpha.dom, o.restriction
-    tgt, plan = r.objects[a], _lattice(a)[2]
-    maps = tuple(map(r.maps.__getitem__, increasing_sequences(a)))
+    tgt, plan, maps = r.objects[a], twisting_plan(a)[2], r.cochains()
     mats = {}
     for d in [d for d in o.layout if tgt.rank(d)]:
         columns = []
@@ -408,7 +386,7 @@ def retraction(o: FrameObject) -> GradedMap:
             if i == a:  # the singleton {a}
                 columns.append((col, width, [(0, 1, None)]))
             elif up >= 0:
-                columns.append((col, width, [(0, parity_sign(k), maps[up - a - 1].mat(d - k))]))
+                columns.append((col, width, [(0, parity_sign(k), maps[up].mat(d - k))]))
         mats[d] = _assemble(tgt.rank(d), o.complex.rank(d), columns)
     return GradedMap._trusted(o.complex, tgt, 0, mats)
 
@@ -420,7 +398,7 @@ def homotopy(o: FrameObject) -> GradedMap:
     X_{alpha(s_0)} with sign (-1)^{|S|-1}, when a is not in S, and to zero
     otherwise.
     """
-    plan = _lattice(o.alpha.dom)[2]
+    plan = twisting_plan(o.alpha.dom)[2]
     mats = {}
     for d in [d for d in o.layout if d + 1 in o.layout]:
         above = o.layout[d + 1]
@@ -514,7 +492,7 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     then lexicographically, the order :func:`enumerate_inclusions` gives
     them among all morphisms into alpha.  Each map is read once, through
     ``diagram.structure_map``, and judged on one path.  The subsets are
-    walked as index tuples, read off ``_lattice(a)`` with their label
+    walked as index tuples, read off ``twisting_plan(a)`` with their label
     prefixes: each source frame is found by its value tuple and each item's
     location is written once from them.  A PASS rests on
     one of three things:
@@ -544,7 +522,7 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     for alpha, tgt in diagram.objects.items():
         a, at, key = alpha.dom, alpha.values.__getitem__, alpha.key()
         # the subsets of [a] that hold a, those with no S u {a}, in item order
-        held = [(S, prefix[:-1], by_values[tuple(map(at, S))]) for S, prefix, row in zip(*_lattice(a)) if row[2] < 0]
+        held = [(S, p[:-1], by_values[tuple(map(at, S))]) for S, p, row in zip(*twisting_plan(a)[:3]) if row[2] < 0]
         items = [(DMorphism._trusted(src.alpha, alpha, S), src, inj_key) for S, inj_key, src in held]
         # the generators first: the composites into alpha pass over them
         routed = {mor.inj: _route(diagram, mor, src, tgt, certified) for mor, src, _ in items if len(mor.inj) >= a}

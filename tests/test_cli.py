@@ -346,6 +346,13 @@ def test_non_string_names_exit_2(valid_simplex, tmp_path, capsys, field):
     assert "must be a JSON string" in capsys.readouterr().err
 
 
+def _keyed_edge(key):
+    """``random_simplex(Random(5), 1)`` with its one map moved to ``key``."""
+    obj = random_simplex(random.Random(5), 1).to_json()
+    obj["maps"] = {key: obj["maps"]["0,1"]}
+    return obj
+
+
 def _declared_degree(key, degree):
     """``random_simplex(Random(3), 2)`` with the map at ``key`` declaring ``degree``."""
     obj = random_simplex(random.Random(3), 2).to_json()
@@ -372,6 +379,26 @@ PARSE_ERRORS = {
         "homology",
         lambda: {"name": "x", "degrees": {"0": 1, "1": 1}, "differentials": {"1": [[5, 1]]}},
         "differential at degree 1 must be 1x1, got row lengths [2]",
+    ),
+    "decreasing map key": (
+        "validate",
+        lambda: _keyed_edge("1,0"),
+        "map key '1,0' is not a strictly increasing sequence in range",
+    ),
+    "repeated map key entry": (
+        "validate",
+        lambda: _keyed_edge("0,0"),
+        "map key '0,0' is not a strictly increasing sequence in range",
+    ),
+    "map key outside [n]": (
+        "validate",
+        lambda: _keyed_edge("0,5"),
+        "map key '0,5' is not a strictly increasing sequence in range",
+    ),
+    "objects not a list": (
+        "validate",
+        lambda: dict(random_simplex(random.Random(5), 1).to_json(), objects={}),
+        "simplex objects must be a JSON list",
     ),
 }
 
@@ -556,6 +583,19 @@ PINNED_CASES = {
     # degrees that hold no block
     "check-deep-r6n2": (lambda: random_simplex(random.Random(6), 2), ["check", "--max-len", "3"]),
     "check-deep-text": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "3", "--format", "text"]),
+    "check-max-len-4": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "4"]),
+    "check-max-len-5": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "5"]),
+    "frame-wide-text": (
+        lambda: random_simplex(random.Random(7), 3),
+        ["frame", "--alpha", "0,0,1,1,2,2,3,3", "--format", "text"],
+    ),
+    # a name, nontrivial homology with torsion, and trivial homology
+    "homology-torsion-text": (torsion_complex, ["homology", "--seed", "-3", "--format", "text"]),
+    "homology-acyclic-text": (
+        lambda: ChainComplex("acyclic", {0: 1, 1: 1}, {1: from_rows([[1]])}),
+        ["homology", "--format", "text"],
+    ),
+    "recover-r20n1-text": (lambda: random_simplex(random.Random(20), 1, max_rank=4), ["recover", "--format", "text"]),
 }
 
 # sha256 of the stdout of each case, recorded before the JSON writer replaced
@@ -565,7 +605,10 @@ PINNED_CASES = {
 # Smith elimination ran on dense rows; homology-frame-r105n3 was recorded
 # while invariant_factors cleared +-1 pivots first, sparsest row first; the
 # three frame cases after frame-wide were recorded while the frame builder
-# looked each summand up by its subset tuple.
+# looked each summand up by its subset tuple; the three homology and recover
+# text cases were recorded while the Maurer-Cartan sum and the frame
+# differential derived their twisting terms apart; frame-wide-text and the
+# check cases at max-len 4 and 5 repeat pins of the CI workflow.
 PINNED_CASE_STDOUT = {
     "validate": "ab22d3289de446b0ea77622ae916eca0c3b90ae0db3ea4bba20e0cee20e04fff",
     "homology-torsion": "d83ae9befd3a50f9bf6627567e444c8fc54d6ddddf95828fc1a2bd6999a4f0bf",
@@ -581,6 +624,12 @@ PINNED_CASE_STDOUT = {
     "check-deep": "9ffbc12ab0e13c1b3b7e801371e89b5c7fcc1d1610048c26e9d262af05554113",
     "check-deep-r6n2": "53a68260d362b367156acc30a6ba8ada4405fa87bf4a73d0b528be0b6155f473",
     "check-deep-text": "a1a16a685f4f4b6c0475ba7535dc7f298f91efd3400662e9ee702a7defa3af91",
+    "check-max-len-4": "5e737a25ba5179f4448bd2c84cc87c1bd47b592b366b42e802009b993f8381e0",
+    "check-max-len-5": "42900d2871ff603472c895239d20c4df0c6ac7feac3824ac61fd57b83526c785",
+    "frame-wide-text": "6c28c2e9b531534cf5cd5dc42659825a1b9c6dacf2638afe5f52494c7a911e30",
+    "homology-torsion-text": "dfdbb4380b48c8df5e3e8b27992540ae64636c8c8bc47354d0df564c5f2e62da",
+    "homology-acyclic-text": "6c62f3a732328d89050202c441c340e27ce674777bf96d66e484213e153c29a1",
+    "recover-r20n1-text": "1875eb5f10229c4041fc0735f5ce890d072ebe655b66979bfd15d56b1d06ca4b",
 }
 
 
@@ -679,16 +728,23 @@ CHECK_ITEMS = st.builds(
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(CHECK_ITEMS, max_size=4), st.sampled_from(("list", "dict")))
-def test_canonical_json_writes_a_check_item_as_its_dict(items, nesting):
+@given(st.lists(CHECK_ITEMS, max_size=4), st.sampled_from(("list", "dict")), CHECK_ITEMS)
+def test_canonical_json_writes_a_check_item_as_its_dict(items, nesting, lone):
     """A CheckItem is written as ``json.dumps`` writes the dict of its
     fields, without the ``witness`` key when the witness is None, in a
-    payload as the CLI nests it and one level deeper."""
-    dicts = [{k: v for k, v in item._asdict().items() if v is not None} for item in items]
-    tree, expected = {"report": items, "summary": {"pass": 1}}, {"report": dicts, "summary": {"pass": 1}}
+    payload as the CLI nests it and one level deeper, as a dict value and
+    at top level."""
+
+    def as_dict(item):
+        return {k: v for k, v in item._asdict().items() if v is not None}
+
+    dicts = [as_dict(item) for item in items]
+    tree = {"report": items, "summary": {"pass": 1}, "item": lone}
+    expected = {"report": dicts, "summary": {"pass": 1}, "item": as_dict(lone)}
     if nesting == "list":
         tree, expected = [tree, items], [expected, dicts]
     assert canonical_json(tree) == json.dumps(expected, sort_keys=True, indent=2)
+    assert canonical_json(lone) == json.dumps(as_dict(lone), sort_keys=True, indent=2)
 
 
 INT_MATRIX_ROWS = st.tuples(st.integers(0, 5), st.integers(0, 40)).flatmap(

@@ -27,6 +27,7 @@ from dgframes.dg_nerve import (
     increasing_sequences,
     make_strict,
     random_simplex,
+    twisting_plan,
     validate_maurer_cartan,
 )
 from dgframes.exact_linalg import IntMatrix, block
@@ -284,30 +285,31 @@ def test_summand_inclusions_assemble_the_basis():
 
 
 def test_the_subset_plan_equals_the_tuple_formulas():
-    """Every entry of the plan ``frames._lattice(m)``, m = 0..8, equals the
+    """Every entry of the plan ``twisting_plan(m)``, m = 0..8, equals the
     tuple formula it stands for: the subsets in ``nonempty_subsets`` order,
     the label prefix "s_0,...,s_k|", the shift k = |S| - 1, S[0], the index
     of S + (m,) (-1 when m is in S), and per j = 1..k the indices of
-    S[:j] + S[j+1:] and S[j:], the signs (-1)^j and (-1)^{(j-1)k}, and the
-    position of S[:j+1] in ``increasing_sequences(m)``.  The plan cache is
-    bounded."""
+    S[:j] + S[j+1:], S[j:] and S[:j+1] and the signs (-1)^j and
+    (-1)^{(j-1)k}; its index maps each subset to its position, and
+    ``increasing_sequences(m)`` lists the subsets past the singletons.  The
+    plan cache is bounded."""
     from dgframes.simplicial import nonempty_subsets
 
-    assert frames._lattice.cache_info().maxsize is not None
+    assert twisting_plan.cache_info().maxsize is not None
     for m in range(9):
-        subsets, prefixes, plan = frames._lattice(m)
+        subsets, prefixes, plan, index = twisting_plan(m)
         assert list(subsets) == nonempty_subsets(m) and len(prefixes) == len(plan) == len(subsets)
-        index = {S: i for i, S in enumerate(subsets)}
-        keys = increasing_sequences(m)
+        assert index == {S: i for i, S in enumerate(subsets)}
+        assert increasing_sequences(m) == subsets[m + 1 :]
         for S, prefix, row in zip(subsets, prefixes, plan):
             k = len(S) - 1
             assert prefix == ",".join(map(str, S)) + "|"
             assert row[:3] == (k, S[0], -1 if m in S else index[S + (m,)]) and len(row) == 3 + 5 * k
             for j in range(1, k + 1):
-                face, face_sign, suffix, split_sign, position = row[5 * j - 2 : 5 * j + 3]
+                face, face_sign, suffix, split_sign, prefix_index = row[5 * j - 2 : 5 * j + 3]
                 assert subsets[face] == S[:j] + S[j + 1 :] and subsets[suffix] == S[j:]
                 assert (face_sign, split_sign) == ((-1) ** j, (-1) ** ((j - 1) * k))
-                assert keys[position] == S[: j + 1]
+                assert subsets[prefix_index] == S[: j + 1]
 
 
 # -- structure maps ------------------------------------------------------------
@@ -485,6 +487,34 @@ def test_last_vertex_on_a_singleton():
     assert j == GradedMap.identity(o.complex)
     assert r == GradedMap.identity(o.complex)
     assert h.is_zero()
+
+
+def test_check_last_vertex_refuses_maps_that_do_not_fit(monkeypatch):
+    """A j into another frame's complex does not fit as X -> B -> X:
+    ValueError, before any identity is decided."""
+    s = random_simplex(random.Random(61), 2)
+    o, other = build_frame_object(s, OrderMap((0, 1), 2)), build_frame_object(s, OrderMap((0, 1, 2), 2))
+    _, r, h = last_vertex_data(o)
+    monkeypatch.setattr(frames, "last_vertex_data", lambda f: (include_last(other), r, h))
+    with pytest.raises(ValueError, match="do not fit together"):
+        check_last_vertex(o)
+
+
+def test_the_certificate_refuses_a_j_into_another_frame():
+    """``_selection_certified`` passes a selection on the last-vertex checks
+    of its own frames, and refuses it when either j ends in the complex of
+    another frame, even one built anew from the same restriction, whose rows
+    it would read alike."""
+    s = random_simplex(random.Random(61), 2)
+    diagram = build_frame_diagram(s, 2)
+    beta, alpha = OrderMap((1, 2), 2), OrderMap((0, 1, 2), 2)
+    g = diagram.structure_map(DMorphism(beta, alpha, (1, 2)))
+    src, tgt = diagram.objects[beta].last_vertex, diagram.objects[alpha].last_vertex
+    assert frames._selection_certified(g, src, tgt)
+    anew = {o: check_last_vertex(build_frame_object(s, o)) for o in (beta, alpha)}
+    for src_lv, tgt_lv in ((anew[beta], tgt), (src, anew[alpha])):
+        assert src_lv.holds and tgt_lv.holds
+        assert not frames._selection_certified(g, src_lv, tgt_lv)
 
 
 def test_check_last_vertex_names_the_failing_identity_and_degree(monkeypatch):

@@ -1,4 +1,8 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +26,7 @@ from dgframes.dg_nerve import (
     increasing_sequences,
     make_strict,
     random_simplex,
+    twisting_plan,
     twisting_signs,
     validate_maurer_cartan,
 )
@@ -81,6 +86,30 @@ def test_eval_strict_unitality():
     with pytest.raises(ValueError):
         partial.eval((0, 1))
     assert not partial.is_complete()
+
+
+def test_the_validator_refuses_an_incomplete_simplex_by_its_count():
+    """41 objects and no map: ``validate_maurer_cartan`` raises ValueError
+    naming the first missing key, found from the count of the missing keys,
+    in a child process whose address space is capped at 1 GiB, where forming
+    the 2^41 - 42 sequences first ran out of memory."""
+    code = (
+        "from dgframes.complexes import ChainComplex\n"
+        "from dgframes.dg_nerve import NerveSimplex, validate_maurer_cartan\n"
+        "try:\n"
+        "    validate_maurer_cartan(NerveSimplex([ChainComplex('X', {})] * 41, {}))\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src, limit = os.path.dirname(os.path.dirname(dg_nerve.__file__)), 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        timeout=20,
+    )
+    assert (done.returncode, done.stdout) == (0, b"no cochain stored at (0, 1)\n"), done.stderr[-300:]
 
 
 def test_make_strict():
@@ -354,21 +383,25 @@ def test_the_frame_differential_and_shift_read_one_shift_sign(monkeypatch):
 
 
 def test_the_frame_differential_and_the_validator_read_one_sign_table():
-    """The frame differential reads its signs off the subset plan
-    ``frames._lattice``, which copies them from ``twisting_signs``: with both
-    caches cleared, one build reads the table once per subset size, the
-    plan's signs are the table's entries, and the validator reads the same
-    tables."""
-    assert frames.twisting_signs is twisting_signs
+    """The frame differential and the validator read their terms off one
+    plan, ``twisting_plan``, which copies its signs from ``twisting_signs``:
+    with both caches cleared, one build reads the table once per subset
+    size, the plan's signs are the table's entries, and the validator, run
+    after the frames of a diagram are built, makes only cache hits on the
+    plan."""
+    assert frames.twisting_plan is twisting_plan
     s = random_simplex(random.Random(7), 3)
     twisting_signs.cache_clear()
-    frames._lattice.cache_clear()
+    twisting_plan.cache_clear()
     frames.build_frame_object(s, OrderMap((0, 1, 2, 3), 3))
     built = twisting_signs.cache_info()
     assert built.currsize == 4  # one table per subset size, k = 0..3
-    assert validate_maurer_cartan(s).ok  # sequences of k = 1..3: every table read is a hit
-    after = twisting_signs.cache_info()
-    assert (after.misses, after.currsize) == (built.misses, built.currsize) and after.hits > built.hits
-    for row in frames._lattice(3)[2]:  # (k, S[0], up, then per j: face, face sign, suffix, split sign, map)
+    frames.build_frame_diagram(s, 3)
+    planned = twisting_plan.cache_info()
+    assert validate_maurer_cartan(s).ok  # sequences of k = 1..3: every plan read is a hit
+    after = twisting_plan.cache_info()
+    assert (after.misses, after.currsize) == (planned.misses, planned.currsize) and after.hits > planned.hits
+    assert twisting_signs.cache_info().misses == built.misses
+    for row in twisting_plan(3)[2]:  # (k, S[0], up, then per j: face, face sign, suffix, split sign, prefix)
         assert row[4::5] == tuple(face for _, face, _ in twisting_signs(row[0]))
         assert row[6::5] == tuple(split for _, _, split in twisting_signs(row[0]))
