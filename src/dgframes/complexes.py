@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 from .exact_linalg import (
     IntMatrix,
-    block,
+    _assemble,
     combination_is_zero,
     combination_matrix,
     invariant_factors,
@@ -481,9 +481,10 @@ def shift(x: ChainComplex, n: int) -> ChainComplex:
 def cone(f: GradedMap) -> ChainComplex:
     """Mapping cone of a chain map: Cone(f)_d = X_{d-1} (+) Y_d.
 
-    The differential is the block matrix [[-d_X, 0], [-f, d_Y]].  Basis labels
-    are "s|<x label>" for the suspended source part and "t|<y label>" for the
-    target part.
+    The differential is the block matrix [[-d_X, 0], [-f, d_Y]], assembled
+    by ``exact_linalg._assemble`` with sign -1 on the blocks of its X_{d-1}
+    columns.  Basis labels are "s|<x label>" for the suspended source part
+    and "t|<y label>" for the target part.
     """
     if f.degree != 0:
         raise ValueError("cone needs a degree-0 map")
@@ -497,12 +498,9 @@ def cone(f: GradedMap) -> ChainComplex:
     for d in degrees:
         labels[d] = tuple("s|%s" % s for s in x.labels(d - 1)) + tuple("t|%s" % s for s in y.labels(d))
         if ranks.get(d - 1, 0) and ranks[d]:
-            diffs[d] = block(
-                [
-                    [x.diff(d - 1).scale(-1), IntMatrix.zeros(x.rank(d - 2), y.rank(d))],
-                    [f.mat(d - 1).scale(-1), y.diff(d)],
-                ]
-            )
+            below, width = x.rank(d - 2), x.rank(d - 1)  # X_{d-2} rows, X_{d-1} columns
+            source = (0, width, [(0, -1, x.diff(d - 1)), (below, -1, f.mat(d - 1))])  # -d_X over -f
+            diffs[d] = _assemble(ranks[d - 1], ranks[d], [source, (width, y.rank(d), [(below, 1, y.diff(d))])])
     return ChainComplex("Cone(%s->%s)" % (x.name, y.name), ranks, diffs, labels)
 
 

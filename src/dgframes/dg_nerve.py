@@ -124,9 +124,6 @@ class NerveSimplex:
         with no sequence formed."""
         return 2 ** (self.n + 1) - self.n - 2 - len(self.maps)
 
-    def is_complete(self) -> bool:
-        return not self.missing_count()
-
     def missing_keys(self):
         """The sequences with no map, lazily, in the order of
         :func:`increasing_sequences`."""

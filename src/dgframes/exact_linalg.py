@@ -13,21 +13,28 @@ the JSON of a complex or map and ``repr``.
 Each result is formed one way.  Every sum, scaled copy and product of
 matrices, ``+``, :meth:`IntMatrix.scale` and ``@`` here and the identity
 deciders of ``complexes`` and ``dg_nerve``, is a sum of terms computed row
-by row by the one kernel :func:`nonzero_rows`; only the d^2 test
-(:meth:`IntMatrix.product_is_zero`) keeps a loop of its own.  The Smith
-elimination is the one routine :func:`_diagonalize`, on sparse rows, one
-{column: value} dict per row built from the view, so it too pays per
-nonzero.  :func:`invariant_factors` and :func:`rank` read its diagonal,
-and every use of its column transform v, in :func:`solve`,
+by row by the one kernel :func:`nonzero_rows`.  Other tests walk the
+views with loops of their own: the d^2 test
+(:meth:`IntMatrix.product_is_zero`), the renamed-row comparisons of d and
+of j in the homotopical certificate (``frames._renamed_rows_equal`` and
+``frames._selection_certified``) and the Reedy items, which read a
+frame's stored differential in place (``frames.is_reedy_cofibrant``).
+Every block matrix, a sum of signed blocks at row and column offsets, is
+put together by the one assembler :func:`_assemble`: the frame
+differentials and the frames' maps, the differential of a cone and the
+stacked systems of the splitting solver.
+The Smith elimination is the one routine :func:`_diagonalize`, on sparse
+rows, one {column: value} dict per row built from the view, so it too
+pays per nonzero.  :func:`invariant_factors` and :func:`rank` read its
+diagonal, and every use of its column transform v, in :func:`solve`,
 :func:`kernel_basis` and :func:`snf`, is the one replay :func:`_apply_v`
-of its column record.  The frame assembler and the JSON writer read the
-view too.
+of its column record.  The JSON writer reads the view too.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple  # tuple[int, ...], kept loose for 3.10 friendliness
@@ -195,31 +202,43 @@ def _identity(n: int) -> IntMatrix:
     return IntMatrix._trusted(n, n, tuple([((i, 1),) for i in range(n)]))
 
 
-def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
-    """Assemble a block matrix from a rectangular grid of blocks.
+def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
+    """The n_rows x n_cols matrix of a map given block by block.
 
-    Blocks in the same grid row must agree in row count, blocks in the same
-    grid column in column count; zero-sized blocks are fine.
-    """
-    if not grid:
-        return IntMatrix.zeros(0, 0)
-    row_heights = [r[0].rows for r in grid]
-    col_widths = [b.cols for b in grid[0]]
-    for r in grid:
-        if len(r) != len(col_widths):
-            raise ValueError("ragged block grid")
-        for b, w in zip(r, col_widths):
-            if b.cols != w or b.rows != r[0].rows:
-                raise ValueError("inconsistent block shapes")
-    starts = tuple(accumulate(col_widths, initial=0))
-    view = []
-    for r in grid:
-        for i in range(r[0].rows):
-            row: list = []
-            for b, col in zip(r, starts):
-                row += [(col + j, v) for j, v in b.nonzeros[i]]
-            view.append(tuple(row))
-    return IntMatrix._trusted(sum(row_heights), sum(col_widths), tuple(view))
+    ``columns`` lists (col, width, terms): on columns col .. col + width - 1
+    the matrix is the sum, over (row, sign, block) in ``terms``, of sign (a
+    nonzero int) times the block with its top row at ``row``, a block of None
+    standing for the width x width identity.  Columns not listed are zero.
+    Each row collects the pairs of the blocks' views in the order given; a
+    row where they do not go up by column (blocks overlap or come out of
+    order) is then summed, cleared of zeros and sorted."""
+    grid: list = [None] * n_rows
+    unsorted = set()
+    for col, width, terms in columns:
+        for row, sign, m in terms:
+            if m is None:
+                for e in range(width):
+                    acc = grid[row + e]
+                    if acc is None:
+                        acc = grid[row + e] = []
+                    elif acc[-1][0] >= col + e:
+                        unsorted.add(row + e)
+                    acc.append((col + e, sign))
+                continue
+            for i, nz in enumerate(m.nonzeros, row):
+                if nz:
+                    acc = grid[i]
+                    if acc is None:
+                        acc = grid[i] = []
+                    elif acc[-1][0] >= col + nz[0][0]:
+                        unsorted.add(i)
+                    acc += [(col + e, sign * v) for e, v in nz]
+    for i in unsorted:
+        sums: Dict[int, int] = {}
+        for c, v in grid[i]:
+            sums[c] = sums.get(c, 0) + v
+        grid[i] = sorted(p for p in sums.items() if p[1])
+    return IntMatrix._trusted(n_rows, n_cols, tuple([tuple(p) if p else () for p in grid]))
 
 
 # -- identities decided row by row --------------------------------------------

@@ -37,10 +37,15 @@ has one layout, ``FrameObject.layout``, keyed by subset index.
 
 Every map here between frames and their summands is a sum of signed blocks
 between summands, described per column subset as a list of (row offset,
-sign, block) and put together by one assembler.  The retraction's sign
-(-1)^k and the homotopy's (-1)^{|S|-1} are each written once, in
-:func:`retraction` and :func:`homotopy`; every other sign is (-1)^e of an
-exponent e, written ``parity_sign(e)`` as everywhere in the package.
+sign, block) and put together by the package's one block assembler,
+``exact_linalg._assemble``.  The maps that look a block up by its subset,
+the summand inclusions, the homotopy and the structure maps, read it
+through ``FrameObject.span``: on a frame built by hand whose layout lacks
+that block, they raise ValueError naming the frame, the subset and the
+degree.  The retraction's sign (-1)^k and the homotopy's (-1)^{|S|-1} are
+each written once, in :func:`retraction` and :func:`homotopy`; every other
+sign is (-1)^e of an exponent e, written ``parity_sign(e)`` as everywhere
+in the package.
 
 B(alpha) reads the simplex only through its restriction act(alpha, s), so
 naturality under reindexing, B_{act(sigma, s)}(alpha) = B_s(sigma o alpha),
@@ -53,8 +58,10 @@ and differential, the last-vertex identities, with which
 ``last_vertex_equivalence`` proves j : X_{alpha(m)} -> B(alpha) a homotopy
 equivalence for ``frame`` and ``recover``, the homotopical check
 (:func:`is_homotopical`), ``run_checks``, which assembles the whole suite,
-an integer splitting solver for acyclic cofibrations, and the recovery of a
-1-simplex edge from its cylinder frame.
+an integer splitting solver for acyclic cofibrations
+(:func:`split_acyclic_cofibration`, which proves its preconditions itself,
+and :func:`_retraction_system`, the solve it shares with ``recover``), and
+the recovery of a 1-simplex edge from its cylinder frame.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ from .complexes import (
     vector_to_graded_map,
 )
 from .dg_nerve import NerveSimplex, act, increasing_sequences, twisting_plan, validate_maurer_cartan
-from .exact_linalg import IntMatrix, block, invariant_factors, solve
+from .exact_linalg import IntMatrix, _assemble, invariant_factors, solve
 from .reporting import Report
 from .simplicial import DMorphism, OrderMap, enumerate_d_objects, seq_key
 
@@ -127,6 +134,16 @@ class FrameObject:
     def source_complex(self, subset) -> ChainComplex:
         return self.restriction.objects[subset[0]]
 
+    def span(self, i: int, d: int) -> Tuple[int, int]:
+        """(first column, width) of the block of the subset of index i in
+        degree d; ValueError, naming the frame, the subset and the degree,
+        when the layout holds no such block, as a frame built by hand may."""
+        try:
+            return self.layout[d][i]
+        except KeyError:
+            subset = seq_key(twisting_plan(self.alpha.dom)[0][i])
+            raise ValueError("B(%s) has no block of the subset {%s} in degree %d" % (self.alpha.key(), subset, d)) from None
+
     def summand_inclusion(self, subset) -> GradedMap:
         """iota_S as a graded map X_{alpha(S[0])} -> B of degree len(S)-1."""
         subset = tuple(subset)
@@ -134,7 +151,7 @@ class FrameObject:
         x = self.source_complex(subset)
         mats = {}
         for t in x.support:
-            width, row = x.rank(t), self.layout[t + k][i][0]
+            width, row = x.rank(t), self.span(i, t + k)[0]
             mats[t] = _assemble(self.complex.rank(t + k), width, [(0, width, [(row, 1, None)])])
         return GradedMap._trusted(x, self.complex, k, mats)
 
@@ -193,45 +210,6 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
 
     cx = ChainComplex._trusted("B(%s)" % alpha.key(), {d: len(labs) for d, labs in labels.items()}, diffs, labels)
     return FrameObject(alpha, cx, layout, r)
-
-
-def _assemble(n_rows: int, n_cols: int, columns) -> IntMatrix:
-    """The n_rows x n_cols matrix of a map given block by block.
-
-    ``columns`` lists (col, width, terms): on columns col .. col + width - 1
-    the matrix is the sum, over (row, sign, block) in ``terms``, of sign (a
-    nonzero int) times the block with its top row at ``row``, a block of None
-    standing for the width x width identity.  Columns not listed are zero.
-    Each row collects the pairs of the blocks' views in the order given; a
-    row where they do not go up by column (blocks overlap or come out of
-    order) is then summed, cleared of zeros and sorted."""
-    grid: List[Optional[list]] = [None] * n_rows
-    unsorted = set()
-    for col, width, terms in columns:
-        for row, sign, m in terms:
-            if m is None:
-                for e in range(width):
-                    acc = grid[row + e]
-                    if acc is None:
-                        acc = grid[row + e] = []
-                    elif acc[-1][0] >= col + e:
-                        unsorted.add(row + e)
-                    acc.append((col + e, sign))
-                continue
-            for i, nz in enumerate(m.nonzeros, row):
-                if nz:
-                    acc = grid[i]
-                    if acc is None:
-                        acc = grid[i] = []
-                    elif acc[-1][0] >= col + nz[0][0]:
-                        unsorted.add(i)
-                    acc += [(col + e, sign * v) for e, v in nz]
-    for i in unsorted:
-        sums: Dict[int, int] = {}
-        for c, v in grid[i]:
-            sums[c] = sums.get(c, 0) + v
-        grid[i] = sorted(p for p in sums.items() if p[1])
-    return IntMatrix._trusted(n_rows, n_cols, tuple([tuple(p) if p else () for p in grid]))
 
 
 class FrameDiagram:
@@ -305,8 +283,7 @@ def _structure_matrices(src: FrameObject, tgt: FrameObject, inj) -> Dict[int, In
     mats = {}
     image = _images(inj, tgt.alpha.dom)
     for d, spans in src.layout.items():
-        rows = tgt.layout[d]
-        columns = [(col, width, [(rows[image[i]][0], 1, None)]) for i, (col, width) in spans.items()]
+        columns = [(col, width, [(tgt.span(image[i], d)[0], 1, None)]) for i, (col, width) in spans.items()]
         mats[d] = _assemble(tgt.complex.rank(d), src.complex.rank(d), columns)
     return mats
 
@@ -401,9 +378,8 @@ def homotopy(o: FrameObject) -> GradedMap:
     plan = twisting_plan(o.alpha.dom)[2]
     mats = {}
     for d in [d for d in o.layout if d + 1 in o.layout]:
-        above = o.layout[d + 1]
         columns = [
-            (col, width, [(above[plan[i][2]][0], parity_sign(plan[i][0]), None)])
+            (col, width, [(o.span(plan[i][2], d + 1)[0], parity_sign(plan[i][0]), None)])
             for i, (col, width) in o.layout[d].items()
             if plan[i][2] >= 0
         ]
@@ -724,28 +700,6 @@ def run_checks(s: NerveSimplex, max_len: int) -> Report:
 # -- splitting of acyclic cofibrations -----------------------------------------
 
 
-def solve_retraction(iota: GradedMap) -> GradedMap:
-    """A chain retraction of a degreewise split injective chain map with
-    acyclic cone.
-
-    Returns p with p o iota = id and D(p) = 0, found by one exact integer
-    linear solve (:func:`_retraction_system`).  The preconditions are
-    proved here first: iota is a chain map of degree 0 (its D(iota) is
-    zero), its invariant factors are all 1 in every degree, and cone(iota)
-    has trivial homology.  Inputs violating them raise ValueError.
-    """
-    if iota.degree != 0 or not iota.is_cycle():
-        raise ValueError("expected a chain map of degree 0")
-    x = iota.source
-    for d in x.support:
-        fac = invariant_factors(iota.mat(d))
-        if len(fac) != x.rank(d) or any(v != 1 for v in fac):
-            raise ValueError("the map is not degreewise split injective at degree %d" % d)
-    if not is_acyclic(cone(iota)):
-        raise ValueError("the cone is not acyclic")
-    return _retraction_system(iota)
-
-
 def _retraction_system(iota: GradedMap) -> GradedMap:
     """p with p o iota = id and D(p) = 0 for a chain map iota : X -> Y whose
     splitting preconditions the caller has proved, from one exact integer
@@ -755,7 +709,7 @@ def _retraction_system(iota: GradedMap) -> GradedMap:
     pre = precompose_matrix(iota, x, 0)
     dif = hom_complex_diff(y, x, 0)
     rhs = list(graded_map_to_vector(GradedMap.identity(x))) + [0] * dif.rows
-    sol = solve(block([[pre], [dif]]), rhs)
+    sol = solve(_assemble(pre.rows + dif.rows, pre.cols, [(0, pre.cols, [(0, 1, pre), (pre.rows, 1, dif)])]), rhs)
     if sol is None:
         raise ValueError("no integer chain retraction exists")
     return vector_to_graded_map(y, x, 0, sol)
@@ -764,19 +718,30 @@ def _retraction_system(iota: GradedMap) -> GradedMap:
 def split_acyclic_cofibration(iota: GradedMap):
     """Split a degreewise split injective chain map with acyclic cone.
 
-    Returns (p, h) with p = :func:`solve_retraction` of iota, and h with
-    D(h) = iota o p - id and h o iota = 0, found by a second exact integer
-    linear solve whose blocks are the differential of the mapping complex
-    Map(Y, Y) in degree 1 and the matrix of precomposition with iota.
-    Inputs violating the preconditions raise ValueError.
+    Returns (p, h): p with p o iota = id and D(p) = 0, from the solve of
+    :func:`_retraction_system`, and h with D(h) = iota o p - id and
+    h o iota = 0, from a second exact integer linear solve whose blocks are
+    the differential of the mapping complex Map(Y, Y) in degree 1 and the
+    matrix of precomposition with iota.  The preconditions are proved here
+    first: iota is a chain map of degree 0 (its D(iota) is zero), its
+    invariant factors are all 1 in every degree, and cone(iota) has trivial
+    homology.  Inputs violating them raise ValueError.
     """
-    p = solve_retraction(iota)
-    y = iota.target
+    if iota.degree != 0 or not iota.is_cycle():
+        raise ValueError("expected a chain map of degree 0")
+    x, y = iota.source, iota.target
+    for d in x.support:
+        fac = invariant_factors(iota.mat(d))
+        if len(fac) != x.rank(d) or any(v != 1 for v in fac):
+            raise ValueError("the map is not degreewise split injective at degree %d" % d)
+    if not is_acyclic(cone(iota)):
+        raise ValueError("the cone is not acyclic")
+    p = _retraction_system(iota)
     target = (iota @ p) - GradedMap.identity(y)
     dif = hom_complex_diff(y, y, 1)
     pre = precompose_matrix(iota, y, 1)
     rhs = list(graded_map_to_vector(target)) + [0] * pre.rows
-    sol = solve(block([[dif], [pre]]), rhs)
+    sol = solve(_assemble(dif.rows + pre.rows, dif.cols, [(0, dif.cols, [(0, 1, dif), (dif.rows, 1, pre)])]), rhs)
     if sol is None:
         raise ValueError("no integer homotopy exists")
     return p, vector_to_graded_map(y, y, 1, sol)
@@ -791,12 +756,12 @@ def recover_map_from_cylinder(o: FrameObject) -> GradedMap:
     with the source-end inclusion.
 
     The preconditions of the solve rest on the frame's last-vertex verdict
-    (:func:`last_vertex_equivalence`), not on :func:`solve_retraction`'s own
-    checks: D(j) = 0 makes j a chain map, r o j = id splits it in every
-    degree, and with D(h) = j o r - id, j is a homotopy equivalence, so its
-    cone is acyclic.  A frame that fails the verdict raises ValueError.  The
-    homotopy that completes the splitting is not needed, so it is not solved
-    for."""
+    (:func:`last_vertex_equivalence`), not on the checks of
+    :func:`split_acyclic_cofibration`: D(j) = 0 makes j a chain map,
+    r o j = id splits it in every degree, and with D(h) = j o r - id, j is
+    a homotopy equivalence, so its cone is acyclic.  A frame that fails the
+    verdict raises ValueError.  The homotopy that completes the splitting is
+    not needed, so it is not solved for."""
     if o.alpha.cod != 1 or o.alpha.values != (0, 1):
         raise ValueError("recovery expects the frame at <0,1> of a 1-simplex")
     return _retraction_system(last_vertex_equivalence(o).j) @ o.summand_inclusion((0,))

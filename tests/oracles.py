@@ -1,7 +1,12 @@
 """Independent oracles that only the tests use.
 
 ``from_rows`` builds a matrix from its dense rows, reading the shape off
-them.  ``cylinder`` is the mapping cylinder that criterion 3 compares the edge
+them.  ``block`` assembles a rectangular grid of blocks, as
+``exact_linalg.block`` did before the library kept one block assembler,
+``exact_linalg._assemble``; the tests build direct sums and stacked
+systems with it.  ``cone_differential`` writes the differential of a
+mapping cone, [[-d_X, 0], [-f, d_Y]], into dense rows entry by entry.
+``cylinder`` is the mapping cylinder that criterion 3 compares the edge
 frame with, ``matmul`` is the schoolbook product, ``det`` and ``is_unimodular``
 check the Smith-form transforms,
 ``_diagonalize`` is the Smith elimination on dense row lists, with its
@@ -53,7 +58,7 @@ the stored one as a simplex.
 """
 
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import accumulate, compress
 from operator import add
 from typing import Dict, Optional, Sequence
 
@@ -73,14 +78,13 @@ from dgframes.exact_linalg import (
     IntMatrix,
     SNFResult,
     Vector,
+    _assemble,
     _pack,
-    block,
 )
 from dgframes.frames import (
     FrameDiagram,
     FrameObject,
     LastVertexCheck,
-    _assemble,
     _at,
     check_last_vertex,
 )
@@ -102,6 +106,43 @@ def from_rows(data: Sequence[Sequence[int]]) -> IntMatrix:
     if not data:
         return IntMatrix.zeros(0, 0)
     return IntMatrix(len(data), len(data[0]), data)
+
+
+def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
+    """Assemble a block matrix from a rectangular grid of blocks.
+
+    Blocks in the same grid row must agree in row count, blocks in the same
+    grid column in column count; zero-sized blocks are fine.
+    """
+    if not grid:
+        return IntMatrix.zeros(0, 0)
+    row_heights = [r[0].rows for r in grid]
+    col_widths = [b.cols for b in grid[0]]
+    for r in grid:
+        if len(r) != len(col_widths):
+            raise ValueError("ragged block grid")
+        for b, w in zip(r, col_widths):
+            if b.cols != w or b.rows != r[0].rows:
+                raise ValueError("inconsistent block shapes")
+    starts = tuple(accumulate(col_widths, initial=0))
+    view = []
+    for r in grid:
+        for i in range(r[0].rows):
+            row: list = []
+            for b, col in zip(r, starts):
+                row += [(col + j, v) for j, v in b.nonzeros[i]]
+            view.append(tuple(row))
+    return IntMatrix._trusted(sum(row_heights), sum(col_widths), tuple(view))
+
+
+def cone_differential(f: GradedMap, d: int) -> list:
+    """The dense rows of the differential of cone(f) in degree d, written
+    entry by entry: [[-d_X, 0], [-f, d_Y]] from X_{d-1} (+) Y_d to
+    X_{d-2} (+) Y_{d-1}."""
+    x, y = f.source, f.target
+    top = [[-v for v in row] + [0] * y.rank(d) for row in x.diff(d - 1).to_lists()]
+    bottom = [[-v for v in fr] + yr for fr, yr in zip(f.mat(d - 1).to_lists(), y.diff(d).to_lists())]
+    return top + bottom
 
 
 def cylinder(f: GradedMap):

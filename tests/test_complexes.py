@@ -23,11 +23,11 @@ from dgframes.complexes import (
     zero_complex,
 )
 from dgframes.dg_nerve import random_simplex
-from dgframes.exact_linalg import IntMatrix, block, solve
+from dgframes.exact_linalg import IntMatrix, solve
 from dgframes.frames import build_frame_object, include_last
 from dgframes.simplicial import OrderMap
 
-from oracles import cylinder, from_rows, is_unimodular, mat_vec
+from oracles import block, cone_differential, cylinder, from_rows, is_unimodular, mat_vec
 
 
 def two_step(scalar, name="X"):
@@ -158,6 +158,44 @@ def test_cone_labels():
     c = cone(GradedMap.zero(x, y, 0))
     assert c.labels(0) == ("t|p",)
     assert c.labels(1) == ("s|p",)
+
+
+def _cone_cases():
+    """The maps whose cones the tests here judge: the examples, the
+    mapping-cylinder maps of the draws of Random(14) and Random(18) with the
+    chain maps they are built on, and the chain maps of Random(19)."""
+    x = two_step(2)
+    maps = [GradedMap.identity(x), GradedMap.zero(x, x, 0), GradedMap(point("a"), point("b"), 0, {0: from_rows([[2]])})]
+    for seed, draws in ((14, 25), (18, 15)):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            a = random_complex(rng, name="A")
+            b = random_complex(rng, name="B")
+            f = random_chain_map(rng, a, b)
+            maps += [f, *cylinder(f)[1:]]
+    rng, drawn = random.Random(19), 0
+    while drawn < 25:
+        a = random_complex(rng, max_rank=2, max_width=3, name="X")
+        b = random_complex(rng, max_rank=2, max_width=3, name="Y")
+        if a.total_rank() + b.total_rank() > 8:
+            continue
+        maps.append(random_chain_map(rng, a, b))
+        drawn += 1
+    return maps
+
+
+def test_cone_differential_is_the_dense_block_matrix():
+    """In every degree, the differential of cone(f) equals [[-d_X, 0],
+    [-f, d_Y]] entry for entry, as ``oracles.cone_differential`` writes it
+    into dense rows, on the maps of :func:`_cone_cases`.  Many of those
+    degrees have a nonzero f block, so its sign is pinned too."""
+    with_f = 0
+    for f in _cone_cases():
+        c = cone(f)
+        for d in c.support:
+            assert c.diff(d).to_lists() == cone_differential(f, d), (f, d)
+            with_f += not f.mat(d - 1).is_zero()
+    assert with_f > 100
 
 
 def test_cylinder_shape_and_identities():

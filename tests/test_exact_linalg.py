@@ -8,7 +8,7 @@ from dgframes.complexes import ChainComplex, GradedMap, cone, graded_map_to_vect
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import (
     IntMatrix,
-    block,
+    _assemble,
     invariant_factors,
     kernel_basis,
     rank,
@@ -20,6 +20,7 @@ from dgframes.simplicial import DMorphism, OrderMap
 
 import oracles
 from oracles import (
+    block,
     det,
     diagonalize_exhaustive,
     from_rows,
@@ -282,6 +283,8 @@ def test_every_way_to_make_a_matrix_writes_a_canonical_view():
         x_minus_y = [[v - w for v, w in zip(rx, ry)] for rx, ry in zip(x, y)]
         src, tgt = ChainComplex("src", {0: k}), ChainComplex("tgt", {0: r})
         f_minus_g = (GradedMap(src, tgt, 0, {0: a}) - GradedMap(src, tgt, 0, {0: b})).mat(0)
+        side_by_side = _assemble(r, 2 * k, [(0, k, [(0, 1, a)]), (k, k, [(0, 1, a)])])  # [a, a]
+        stacked = _assemble(2 * k, c, [(0, c, [(0, 1, e), (k, -1, e)])])  # [e; -e]
         made = [
             (a, x),
             (b, y),
@@ -301,11 +304,11 @@ def test_every_way_to_make_a_matrix_writes_a_canonical_view():
             (IntMatrix.zeros(r, 0) @ IntMatrix.zeros(0, c), zero),  # n x 0 by 0 x n
             (IntMatrix.zeros(0, r) @ a, []),
             (a @ IntMatrix.zeros(k, 0), [[] for _ in range(r)]),
-            (block([[a, a]]), [row + row for row in x]),
-            (block([[e], [e.scale(-1)]]), z + [[-v for v in row] for row in z]),
-            (block([[a, a]]) @ block([[e], [e.scale(-1)]]), zero),  # cancels in every row
+            (side_by_side, [row + row for row in x]),
+            (stacked, z + [[-v for v in row] for row in z]),
+            (side_by_side @ stacked, zero),  # cancels in every row
             (
-                block([[a, IntMatrix.zeros(r, c)], [IntMatrix.zeros(k, k), e]]),
+                _assemble(r + k, k + c, [(0, k, [(0, 1, a)]), (k, c, [(r, 1, e)])]),
                 [row + [0] * c for row in x] + [[0] * k + row for row in z],
             ),
         ]
@@ -330,7 +333,7 @@ def test_every_way_to_make_a_matrix_writes_a_canonical_view():
 
 def test_matmul_against_the_triple_loop():
     """``@`` reads the row views of both factors: those packed from dense
-    rows, those that ``frames._assemble`` sums, with a row cancelled in the
+    rows, those that ``_assemble`` sums, with a row cancelled in the
     assembly, and products that vanish only through cancellation.  Sums,
     differences and scaled copies of the products, which take the same row
     kernel, equal the triple loop's entry by entry, also where every row
@@ -355,11 +358,11 @@ def test_matmul_against_the_triple_loop():
 
 
 def _assembled(m):
-    """m as ``frames._assemble`` sums it, less a copy of its first row: that
+    """m as ``_assemble`` sums it, less a copy of its first row: that
     row cancels to zero in the assembly."""
     dense = m.to_lists()
     top = IntMatrix(min(m.rows, 1), m.cols, dense[:1])
-    out = frames._assemble(m.rows, m.cols, [(0, m.cols, [(0, 1, m), (0, -1, top)])])
+    out = _assemble(m.rows, m.cols, [(0, m.cols, [(0, 1, m), (0, -1, top)])])
     assert out.to_lists() == [[0] * m.cols] * min(m.rows, 1) + dense[1:]
     return out
 
@@ -488,7 +491,7 @@ def _recover_simplices():
 def _retraction_systems(simplices):
     """The systems (m, b) ``recover`` solves for the retraction of the
     last-vertex inclusion of the cylinder frame of each 1-simplex (see
-    solve_retraction); on ``_recover_simplices`` the largest m is
+    ``frames._retraction_system``); on ``_recover_simplices`` the largest m is
     158 x 104."""
     out = []
     for s in simplices:

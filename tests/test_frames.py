@@ -30,7 +30,7 @@ from dgframes.dg_nerve import (
     twisting_plan,
     validate_maurer_cartan,
 )
-from dgframes.exact_linalg import IntMatrix, block
+from dgframes.exact_linalg import IntMatrix
 import dgframes.frames as frames
 from dgframes.frames import (
     build_frame_diagram,
@@ -44,7 +44,6 @@ from dgframes.frames import (
     last_vertex_data,
     recover_map_from_cylinder,
     retraction,
-    solve_retraction,
     split_acyclic_cofibration,
 )
 from dgframes.reporting import canonical_json
@@ -56,6 +55,7 @@ from dgframes.simplicial import (
 )
 
 from oracles import (
+    block,
     blocks,
     cylinder,
     frame_by_hand,
@@ -500,6 +500,50 @@ def test_check_last_vertex_refuses_maps_that_do_not_fit(monkeypatch):
         check_last_vertex(o)
 
 
+def test_a_frame_missing_a_block_raises_a_value_error_that_names_it():
+    """The frame at 0 of random_simplex(Random(7), 2), built by hand without
+    its {0} block in degree 1: check_last_vertex and is_homotopical raise
+    ValueError naming B(0), the subset and the degree, as ``latching-split``
+    fails that frame, where they raised a bare KeyError from the layout.
+    Every single-block drop from a frame of the 2-simplices of seeds 7, 105
+    and 3 at max-len 2 either passes both calls or raises that error for the
+    dropped block."""
+    s = random_simplex(random.Random(7), 2)
+    diagram = build_frame_diagram(s, 2)
+    alpha = OrderMap((0,), 2)
+    o = frame_by_hand(diagram.objects[alpha], spans={1: {}})  # its one block dropped
+    dropped = frames.FrameDiagram(s, 2, {**diagram.objects, alpha: o})
+    assert "latching-split" in {i.check for i in is_reedy_cofibrant(dropped).failures()}
+    for call in (lambda: check_last_vertex(o), lambda: is_homotopical(dropped)):
+        with pytest.raises(ValueError, match=r"^B\(0\) has no block of the subset \{0\} in degree 1$"):
+            call()
+
+    raised = {"check_last_vertex": 0, "is_homotopical": 0}
+    drops = 0
+    for seed in (7, 105, 3):
+        s = random_simplex(random.Random(seed), 2)
+        diagram = build_frame_diagram(s, 2)
+        for alpha, o in diagram.objects.items():
+            layout = blocks(o)
+            for d, spans in layout.items():
+                for S in spans:
+                    drops += 1
+                    dropped = frame_by_hand(o, spans={**layout, d: {T: v for T, v in spans.items() if T != S}})
+                    objects = {**diagram.objects, alpha: dropped}
+                    want = "B(%s) has no block of the subset {%s} in degree %d" % (alpha.key(), ",".join(map(str, S)), d)
+                    for name, call in (
+                        ("check_last_vertex", lambda: check_last_vertex(dropped)),
+                        ("is_homotopical", lambda: is_homotopical(frames.FrameDiagram(s, 2, objects))),
+                    ):
+                        try:
+                            call()
+                        except ValueError as err:
+                            assert str(err) == want, (name, want)
+                            raised[name] += 1
+    assert drops == 416
+    assert raised == {"check_last_vertex": 254, "is_homotopical": 345}
+
+
 def test_the_certificate_refuses_a_j_into_another_frame():
     """``_selection_certified`` passes a selection on the last-vertex checks
     of its own frames, and refuses it when either j ends in the complex of
@@ -833,35 +877,25 @@ def _split_inputs():
     return inclusions
 
 
-def _split_case_payload():
-    """(p, h) of split_acyclic_cofibration on :func:`_split_inputs`."""
-    return [[m.to_json() for m in split_acyclic_cofibration(iota)] for iota in _split_inputs()]
-
-
 def test_split_output_is_pinned():
     """p and h are one solution each of systems that can have many.  The
     ``recover`` report prints only p, so this digest is what pins h.  It was
     recorded while the systems were still assembled by probing with unit
-    vectors."""
-    payload = canonical_json(_split_case_payload())
-    assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+    vectors.  On each input, p is a chain map and a left inverse of iota."""
+    payload = []
+    for iota in _split_inputs():
+        p, h = split_acyclic_cofibration(iota)
+        assert p @ iota == GradedMap.identity(iota.source)
+        assert hom_differential(p).is_zero()
+        payload.append([p.to_json(), h.to_json()])
+    assert hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest() == (
         "b6d961471ad35ecf45480acb07bce580401e003116fac4cdf93e630ec3c7d557"
     )
 
 
-def test_solve_retraction_is_the_retraction_of_the_split():
-    """On the pinned splitting inputs, the retraction alone is the p of
-    split_acyclic_cofibration, a chain map and a left inverse of iota."""
-    for iota in _split_inputs():
-        p = solve_retraction(iota)
-        assert p == split_acyclic_cofibration(iota)[0]
-        assert p @ iota == GradedMap.identity(iota.source)
-        assert hom_differential(p).is_zero()
-
-
-def test_solve_retraction_rejects_what_the_split_rejects():
-    """The inputs of test_split_rejects_bad_inputs: both functions raise the
-    same ValueError on each."""
+def test_split_names_the_precondition_each_bad_input_fails():
+    """The inputs of test_split_rejects_bad_inputs: the split raises a
+    ValueError that names the failed precondition on each."""
     pt = point()
     rng = random.Random(68)
     x = random_complex(rng, name="X")
@@ -876,10 +910,9 @@ def test_solve_retraction_rejects_what_the_split_rejects():
         ("expected a chain map of degree 0", noncycle),
     ]
     for message, iota in bad:
-        for split in (solve_retraction, split_acyclic_cofibration):
-            with pytest.raises(ValueError) as err:
-                split(iota)
-            assert str(err.value) == message, (split.__name__, message)
+        with pytest.raises(ValueError) as err:
+            split_acyclic_cofibration(iota)
+        assert str(err.value) == message
 
 
 def test_split_rejects_bad_inputs():
@@ -966,7 +999,7 @@ def test_recover_solves_the_checked_retraction_system():
     sims = [random_simplex(random.Random(seed), 1) for seed in range(10)]
     for s in sims + [random_simplex(random.Random(5), 1, max_rank=4)]:
         o = build_frame_object(s, OrderMap((0, 1), 1))
-        assert recover_map_from_cylinder(o) == solve_retraction(include_last(o)) @ o.summand_inclusion((0,))
+        assert recover_map_from_cylinder(o) == split_acyclic_cofibration(include_last(o))[0] @ o.summand_inclusion((0,))
 
 
 # d_1 of B(<0,1>) over the identity of Z in degree 0, the columns of the

@@ -14,9 +14,9 @@ them all first, and ``is_reedy_cofibrant``, which reads each frame's block
 layout and differential in place, those of the loop that built the latching
 inclusion matrices and the cokernel complex, on criterion 2's frames as
 built and with one entry of a frame differential tampered.  The deciders,
-the writer, ``==`` and ``block`` read the row view that ``_assemble`` sums
-for each matrix, so every assembled view must be canonical: the plain scan
-of its dense rows.
+the writer and ``==`` read the row view that ``_assemble`` sums for each
+matrix, so every assembled view must be canonical: the plain scan of its
+dense rows.
 
 ``is_homotopical`` passes a composite selection by 2-out-of-3 over certified
 factors and any other selection on the stored views through its preimages;

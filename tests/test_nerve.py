@@ -70,7 +70,7 @@ def test_eval_strict_unitality():
     rng = random.Random(31)
     f, g = strict_pair(rng)
     s = make_strict([f, g])
-    assert s.n == 2 and s.is_complete()
+    assert s.n == 2 and not s.missing_count()
     assert s.eval((1, 1)) == GradedMap.identity(f.target)
     degen = s.eval((0, 0, 1))
     assert degen.is_zero() and degen.degree == 1
@@ -85,7 +85,7 @@ def test_eval_strict_unitality():
     partial = NerveSimplex([f.source, f.target], {})
     with pytest.raises(ValueError):
         partial.eval((0, 1))
-    assert not partial.is_complete()
+    assert partial.missing_count()
 
 
 def test_the_validator_refuses_an_incomplete_simplex_by_its_count():
@@ -120,7 +120,7 @@ def test_make_strict():
     assert s.maps[(0, 1, 2)].is_zero()
     assert validate_maurer_cartan(s).ok
     lone = make_strict([], lone_object=f.source)
-    assert lone.n == 0 and lone.is_complete()
+    assert lone.n == 0 and not lone.missing_count()
     assert validate_maurer_cartan(lone).ok
     with pytest.raises(ValueError):
         make_strict([])
@@ -199,7 +199,7 @@ def test_random_simplices_validate():
     for n in range(4):
         for _ in range(4):
             s = random_simplex(rng, n)
-            assert s.n == n and s.is_complete()
+            assert s.n == n and not s.missing_count()
             report = validate_maurer_cartan(s)
             assert report.ok, report.failures()
     strict = random_simplex(rng, 3, perturb=False)
