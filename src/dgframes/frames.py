@@ -50,7 +50,15 @@ in the package.
 B(alpha) reads the simplex only through its restriction act(alpha, s), so
 naturality under reindexing, B_{act(sigma, s)}(alpha) = B_s(sigma o alpha),
 follows from the nerve identity act(alpha, act(sigma, s)) = act(sigma o
-alpha, s), which the simplicial compatibility check compares.
+alpha, s), which the simplicial compatibility check compares.  So does the
+sub-frame lemma: for a max-preserving injection psi, B(alpha o psi) is the
+sub-complex of B(alpha) on the summands of the subsets of psi([m]).  A
+diagram that ``build_frame_diagram`` made records each frame with its
+extension's; ``run_checks`` decides the last-vertex identities on the
+longest frames, and ``is_homotopical`` passes the items between proven
+frames, by the lemma.  The trust boundary is that of
+``check_simplicial_compat``: a recorded frame is build_frame_object of its
+restriction.  A frame set into a diagram by hand is judged on its own.
 
 The module also provides the structure maps (lazy selections: a diagram
 holds frames only), the Reedy check, read in place from each frame's layout
@@ -214,20 +222,47 @@ def build_frame_object(s: NerveSimplex, alpha: OrderMap) -> FrameObject:
 
 class FrameDiagram:
     """All frame values over sequences with domain size <= max_len, and no
-    structure map: :meth:`structure_map` builds one anew on each call."""
+    structure map: :meth:`structure_map` builds one anew on each call.
+
+    ``recorded`` is empty unless :func:`build_frame_diagram` made the
+    diagram; then it maps each alpha to the frame built there and the frame
+    of its extension alpha', alpha's values with the last one repeated up
+    to domain max_len (alpha itself when longest)."""
 
     def __init__(self, simplex: NerveSimplex, max_len: int, objects):
         self.simplex, self.max_len, self.objects = simplex, max_len, objects
+        self.recorded: Dict[OrderMap, Tuple[FrameObject, FrameObject]] = {}
 
     def structure_map(self, mor: DMorphism) -> GradedMap:
         """The basis inclusion B(mor.src) -> B(mor.tgt) along mor.inj, as a
         lazy :class:`Selection`."""
         return Selection(self.objects[mor.src], self.objects[mor.tgt], mor.inj)
 
+    def last_vertex_verdicts(self, alpha: OrderMap) -> Tuple[Tuple[str, Optional[str]], ...]:
+        """The frame's three last-vertex (check, witness) pairs.  A recorded
+        frame whose recorded extension has d^2 = 0 and passes all three reads
+        them off it, by the sub-frame lemma; any other frame decides its own,
+        so a witness is always its frame's own."""
+        o, ext = self.recorded.get(alpha, (None, None))
+        lemma = o is self.objects[alpha] and self.objects.get(ext.alpha) is ext and not ext.d2_defects
+        return (ext if lemma and ext.last_vertex.holds else self.objects[alpha]).last_vertex.verdicts
+
+    def proven(self, alpha: OrderMap) -> bool:
+        """Whether the frame at alpha is the recorded one, with d^2 = 0 and
+        its last-vertex verdicts holding: the premise on which
+        :func:`is_homotopical` passes an item by the sub-frame lemma."""
+        o = self.objects[alpha]
+        ok = self.recorded.get(alpha, (None,))[0] is o and not o.d2_defects
+        return ok and all(w is None for _, w in self.last_vertex_verdicts(alpha))
+
 
 def build_frame_diagram(s: NerveSimplex, max_len: int) -> FrameDiagram:
     objects = {alpha: build_frame_object(s, alpha) for alpha in enumerate_d_objects(s.n, max_len)}
-    return FrameDiagram(s, max_len, objects)
+    diagram = FrameDiagram(s, max_len, objects)
+    longest = {alpha.values: o for alpha, o in objects.items() if alpha.dom == max_len}
+    for alpha, o in objects.items():
+        diagram.recorded[alpha] = (o, longest[alpha.values + alpha.values[-1:] * (max_len - alpha.dom)])
+    return diagram
 
 
 class Selection(GradedMap):
@@ -471,9 +506,13 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     walked as index tuples, read off ``twisting_plan(a)`` with their label
     prefixes: each source frame is found by its value tuple and each item's
     location is written once from them.  A PASS rests on
-    one of three things:
+    one of four things:
 
-    * for a :class:`Selection` psi = delta o psi' of codimension >= 2, delta
+    * for a :class:`Selection` along the item's injection between its two
+      frames, both :meth:`FrameDiagram.proven`, the sub-frame lemma (see
+      the module docstring): g includes B(beta) in B(alpha) as a
+      sub-complex, so D(g) = 0 and g o j = j;
+    * for any other selection psi = delta o psi' of codimension >= 2, delta
       the coface that misses the least index psi misses: both factors
       passed as selections (so the middle frame has d^2 = 0), and
       g_psi = g_delta o g_psi' as layouts (:func:`_composes`).  Then g_psi
@@ -493,6 +532,7 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     are judged in item order."""
     report = Report()
     by_values = {alpha.values: o for alpha, o in diagram.objects.items()}
+    proven = {o for alpha, o in diagram.objects.items() if diagram.proven(alpha)}
     # (target values, inj) -> the selection of each map passed as a selection
     certified: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Selection] = {}
     for alpha, tgt in diagram.objects.items():
@@ -501,18 +541,19 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
         held = [(S, p[:-1], by_values[tuple(map(at, S))]) for S, p, row in zip(*twisting_plan(a)[:3]) if row[2] < 0]
         items = [(DMorphism._trusted(src.alpha, alpha, S), src, inj_key) for S, inj_key, src in held]
         # the generators first: the composites into alpha pass over them
-        routed = {mor.inj: _route(diagram, mor, src, tgt, certified) for mor, src, _ in items if len(mor.inj) >= a}
+        routed = {mor.inj: _route(diagram, mor, src, tgt, certified, proven) for mor, src, _ in items if len(mor.inj) >= a}
         for mor, src, inj_key in items:
-            g, verdict = routed.get(mor.inj) or _route(diagram, mor, src, tgt, certified)
+            g, verdict = routed.get(mor.inj) or _route(diagram, mor, src, tgt, certified, proven)
             location = "%s->%s[%s]" % (src.alpha.key(), key, inj_key)
             report.add("homotopical", location, *(verdict or _homotopical_verdict(g)))
     return report
 
 
-def _route(diagram: FrameDiagram, mor: DMorphism, src: FrameObject, tgt: FrameObject, certified) -> tuple:
+def _route(diagram: FrameDiagram, mor: DMorphism, src: FrameObject, tgt: FrameObject, certified, proven) -> tuple:
     """(g, verdict): the map g of mor, from frame src to frame tgt, None
     when an endpoint frame has d^2 != 0, and the (status, witness) of its
-    item when that fails it or when g passes as a selection, by 2-out-of-3
+    item when that fails it or when g passes as a selection, by the
+    sub-frame lemma (both frames in ``proven``), by 2-out-of-3
     (:func:`_composite_certified`) or else on its own certificate, which
     enters g in ``certified``; else None."""
     broken = src if src.d2_defects else tgt if tgt.d2_defects else None
@@ -521,7 +562,8 @@ def _route(diagram: FrameDiagram, mor: DMorphism, src: FrameObject, tgt: FrameOb
         return None, (False, witness)
     g = diagram.structure_map(mor)
     if type(g) is Selection and (
-        len(mor.inj) < mor.tgt.dom
+        g.frames[0] is src and g.frames[1] is tgt and g.inj == mor.inj and src in proven and tgt in proven
+        or len(mor.inj) < mor.tgt.dom
         and _composite_certified(mor, g, certified)
         or _selection_certified(g, src.last_vertex, tgt.last_vertex)
     ):
@@ -685,8 +727,8 @@ def run_checks(s: NerveSimplex, max_len: int) -> Report:
         defects = o.d2_defects
         report.add("frame-d2", alpha.key(), not defects, _at(defects[0] if defects else None, "d^2 != 0"))
     report.extend(is_reedy_cofibrant(diagram))
-    for alpha, o in diagram.objects.items():
-        for check, witness in o.last_vertex.verdicts:
+    for alpha in diagram.objects:
+        for check, witness in diagram.last_vertex_verdicts(alpha):
             report.add(check, alpha.key(), witness is None, witness)
     report.extend(is_homotopical(diagram))
     n = s.n

@@ -674,6 +674,36 @@ def test_failing_check_outputs_are_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAILING_PINNED_CASE_STDOUT[case]
 
 
+HAND_BUILT_TOP_CELL = os.path.join(os.path.dirname(__file__), "hand_built_top_cell.json")
+
+
+def hand_built_top_cell() -> NerveSimplex:
+    """The committed 3-simplex whose only nonzero higher cell is its top
+    cell: every X_i is Z in degrees 0 and 2 with d = 0, every edge is the
+    identity, every triangle is zero, and f(0,1,2,3) is 5 from degree 0 to
+    degree 2.  Seeded draws leave that cell zero, so it alone reaches the
+    split sign of the frame differential at j = k >= 3 and the retraction's
+    (-1)^k at k >= 2."""
+    with open(HAND_BUILT_TOP_CELL, encoding="utf-8") as fh:
+        return NerveSimplex.from_json(json.load(fh))
+
+
+# sha256 of the stdout of `check --max-len L` on the hand-built top cell.  A
+# report whose items all pass names no object of its simplex, so these equal
+# the check-deep and check-max-len-4 pins of random_simplex(Random(7), 3).
+HAND_BUILT_TOP_CELL_STDOUT = {
+    3: "9ffbc12ab0e13c1b3b7e801371e89b5c7fcc1d1610048c26e9d262af05554113",
+    4: "5e737a25ba5179f4448bd2c84cc87c1bd47b592b366b42e802009b993f8381e0",
+}
+
+
+@pytest.mark.parametrize("max_len", sorted(HAND_BUILT_TOP_CELL_STDOUT))
+def test_the_hand_built_top_cell_check_is_pinned(capsys, max_len):
+    assert main(["check", "--input", HAND_BUILT_TOP_CELL, "--max-len", str(max_len)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HAND_BUILT_TOP_CELL_STDOUT[max_len]
+
+
 def test_a_failed_parse_leaves_the_reused_parser_intact(valid_simplex, capsys):
     """The parser is built once per process; an argparse error on one call
     must not change what later calls print."""

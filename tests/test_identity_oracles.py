@@ -18,6 +18,7 @@ the writer and ``==`` read the row view that ``_assemble`` sums for each
 matrix, so every assembled view must be canonical: the plain scan of its
 dense rows.
 
+On a diagram assembled by hand, where the sub-frame lemma passes nothing,
 ``is_homotopical`` passes a composite selection by 2-out-of-3 over certified
 factors and any other selection on the stored views through its preimages;
 the route must give the loop's items on ``random_simplex(Random(7), 2)`` at
@@ -29,6 +30,11 @@ the assembled matrices, on each generator, with j or a frame differential
 tampered.  The preimages a selection reads by subset index must equal
 ``oracles.selection_preimages``, which looks each subset up by its tuple,
 on each generator, as built and with one frame's blocks relaid.
+
+On a diagram as built, ``is_homotopical`` passes the items between proven
+frames by the sub-frame lemma; it must give the oracle's items both as
+built and on the hand-assembled copy, and each shorter frame must be the
+sub-complex of its recorded extension that the lemma names.
 
 The summand inclusions, the last-vertex inclusion j among them, and the
 homotopy h that the block assembler builds must have the matrices the dense
@@ -66,10 +72,11 @@ from dgframes.frames import (
     last_vertex_data,
     run_checks,
 )
-from dgframes.simplicial import OrderMap, enumerate_inclusions, nonempty_subsets
+from dgframes.simplicial import OrderMap, enumerate_inclusions, nonempty_subsets, seq_key
 
 import oracles
-from oracles import composite_equals, homotopy_inverse_certified, is_weak_equivalence_d
+from oracles import composite_equals, homotopy_inverse_certified, is_weak_equivalence_d, submatrix
+from test_cli import corrupted_simplex, hand_built_top_cell
 from test_exact_linalg import _plain_row_scan
 
 
@@ -289,6 +296,13 @@ def _morphisms(diagram):
     return [m for m in mors if len(m.inj) >= m.tgt.dom], [m for m in mors if len(m.inj) < m.tgt.dom]
 
 
+def by_hand(diagram):
+    """A copy of a built diagram assembled by hand: the same frames, none of
+    them recorded, so ``is_homotopical`` judges every item off the sub-frame
+    lemma, on the certificate route or by cone homology."""
+    return FrameDiagram(diagram.simplex, diagram.max_len, dict(diagram.objects))
+
+
 def _log_route(monkeypatch):
     """Lists that log each map judged on the route of ``is_homotopical`` as
     (frames, verdict): the generators judged on views by (source, target)
@@ -315,14 +329,91 @@ def _refuse_assembly(*args):
     raise AssertionError("a structure map was assembled")
 
 
+def test_both_homotopical_routes_give_the_oracle_items(monkeypatch, criterion_06_diagrams, criterion_08_diagrams):
+    """``is_homotopical`` gives the items of ``oracles.homotopical_items`` on
+    each diagram as built, where the sub-frame lemma passes the items of
+    proven frames, and on its hand-assembled copy, where every item takes
+    the certificate route or cone homology: on criteria 6 and 8, on the
+    corrupted ``random_simplex(Random(3), 2)`` at max-len 2, whose broken
+    frames fail their items, and on the hand-built top cell at max-len 3.
+    As built, no item reaches the certificate: those the lemma does not pass
+    have an endpoint with d^2 != 0."""
+    extra = [build_frame_diagram(corrupted_simplex(), 2), build_frame_diagram(hand_built_top_cell(), 3)]
+    seen = Counter()
+
+    def selection_certified(*args, _original=frames._selection_certified):
+        seen[route] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(frames, "_selection_certified", selection_certified)
+    for diagram in criterion_06_diagrams + criterion_08_diagrams + extra:
+        want = oracles.homotopical_items(diagram)
+        for route, d in (("as built", diagram), ("by hand", by_hand(diagram))):
+            assert is_homotopical(d).items == want
+        seen.update(i.status for i in want)
+    assert seen == {"pass": 1275, "fail": 4, "by hand": 862}
+
+
+def test_a_shorter_frame_is_the_sub_complex_of_its_extension(criterion_06_diagrams, criterion_08_diagrams):
+    """The sub-frame lemma, as ``build_frame_diagram`` records it: each
+    frame B(alpha) with alpha of domain m < L = max_len is the sub-complex
+    of its recorded extension B(alpha'), alpha' = alpha with its last value
+    repeated up to domain L, on the summands of the subsets of psi([m]),
+    psi = (0, ..., m - 1, L).  Ranks and matrices are equal, the columns
+    of B(alpha') in that span have no entry off it, and labels are equal up
+    to renaming each subset S by psi(S).  Checked on criteria 6 and 8, the
+    corrupted ``random_simplex(Random(3), 2)`` at max-len 2 and the
+    hand-built top cell at max-len 4."""
+    extra = [build_frame_diagram(corrupted_simplex(), 2), build_frame_diagram(hand_built_top_cell(), 4)]
+    seen = Counter()
+    for diagram in criterion_06_diagrams + criterion_08_diagrams + extra:
+        top = diagram.max_len
+        for alpha, o in diagram.objects.items():
+            m, values = alpha.dom, alpha.values
+            recorded, ext = diagram.recorded[alpha]
+            assert recorded is o and ext is diagram.objects[ext.alpha]
+            assert ext.alpha.values == values + values[-1:] * (top - m)
+            if m == top:
+                assert ext is o
+                continue
+            psi = tuple(range(m)) + (top,)
+            outer, inner = oracles.blocks(ext), oracles.blocks(o)
+            spans = {}
+            for d, blocks in inner.items():
+                images = {tuple(psi[i] for i in S): span for S, span in blocks.items()}
+                assert set(images) == {T for T in outer.get(d, {}) if set(T) <= set(psi)}
+                assert all(outer[d][T][1] == width for T, (_, width) in images.items())
+                spans[d] = [c for T, (_, width) in images.items() for c in range(outer[d][T][0], outer[d][T][0] + width)]
+            b, c = ext.complex, o.complex
+            assert {d: len(s) for d, s in spans.items()} == {d: c.rank(d) for d in c.support}
+            for d in c.support:
+                assert [_renamed(label, psi, m) for label in c.labels(d)] == [b.labels(d)[i] for i in spans[d]]
+                if d - 1 in spans:
+                    rows = spans[d - 1]
+                    assert submatrix(b.diff(d), rows, spans[d]) == c.diff(d)
+                    off = [i for i in range(b.rank(d - 1)) if i not in set(rows)]
+                    assert submatrix(b.diff(d), off, spans[d]).is_zero()
+            seen[m] += 1
+    assert seen == {0: 39, 1: 76, 2: 45, 3: 35}
+
+
+def _renamed(label: str, psi: tuple, m: int) -> str:
+    """A label of B(alpha) with its subset S renamed psi(S), as in
+    B(alpha'); a frame of domain 0 writes no subset, its S being {0}."""
+    if not m:
+        return "%d|%s" % (psi[0], label)
+    subset, rest = label.split("|", 1)
+    return seq_key([psi[int(i)] for i in subset.split(",")]) + "|" + rest
+
+
 def test_homotopical_route_equals_the_build_all_loop(monkeypatch, r7n2_diagram, criterion_08_diagrams):
-    """On diagrams as built, ``is_homotopical`` gives the items of
-    ``oracles.homotopical_items`` with no structure map assembled: it passes
-    every generator on its views and every composite, up to codimension 4,
-    by 2-out-of-3."""
+    """On hand-assembled copies of diagrams as built (``by_hand``),
+    ``is_homotopical`` gives the items of ``oracles.homotopical_items`` with
+    no structure map assembled: it passes every generator on its views and
+    every composite, up to codimension 4, by 2-out-of-3."""
     views, composites = _log_route(monkeypatch)
     counts = []
-    for diagram in [r7n2_diagram] + criterion_08_diagrams:
+    for diagram in map(by_hand, [r7n2_diagram] + criterion_08_diagrams):
         generators, composed = _morphisms(diagram)
         views.clear()
         composites.clear()
@@ -338,12 +429,12 @@ def test_homotopical_route_equals_the_build_all_loop(monkeypatch, r7n2_diagram, 
 
 
 def test_homotopical_route_never_composes_through_a_broken_frame(monkeypatch):
-    """Each frame gamma in turn, marked as having d^2 != 0, fails the items
-    of the maps it starts or ends, and the composites whose factorization
-    runs through it as the middle frame are judged directly, and pass: no
-    map passes on the route through gamma, and the items are those of
-    ``oracles.homotopical_items``."""
-    diagram = build_frame_diagram(random_simplex(random.Random(7), 2), 3)
+    """In a hand-assembled copy of a diagram, each frame gamma in turn,
+    marked as having d^2 != 0, fails the items of the maps it starts or
+    ends, and the composites whose factorization runs through it as the
+    middle frame are judged directly, and pass: no map passes on the route
+    through gamma, and the items are those of ``oracles.homotopical_items``."""
+    diagram = by_hand(build_frame_diagram(random_simplex(random.Random(7), 2), 3))
     views, composites = _log_route(monkeypatch)
     _, composed = _morphisms(diagram)
     through = Counter()
@@ -364,9 +455,10 @@ def test_homotopical_route_never_composes_through_a_broken_frame(monkeypatch):
 
 
 def test_tampered_maps_are_kept_off_the_route(monkeypatch, criterion_08_diagrams):
-    """With the maps of one group returned through ``diagram.structure_map``
-    as copies that are no selection, untampered (scaled by 1) or scaled by
-    2, the items are those of ``oracles.homotopical_items``, and only
+    """In hand-assembled copies of criterion 8's diagrams, with the maps of
+    one group returned through ``diagram.structure_map`` as copies that are
+    no selection, untampered (scaled by 1) or scaled by 2, the items are
+    those of ``oracles.homotopical_items``, and only
     composites of untouched certified maps pass by 2-out-of-3.  The groups
     are the cofaces into the frames of each domain size, then the
     composites.  A composite with a coface copy as a factor passes on its
@@ -374,7 +466,7 @@ def test_tampered_maps_are_kept_off_the_route(monkeypatch, criterion_08_diagrams
     frames, which may pass by 2-out-of-3 again."""
     views, composites = _log_route(monkeypatch)
     seen = defaultdict(Counter)
-    for diagram in criterion_08_diagrams:
+    for diagram in map(by_hand, criterion_08_diagrams):
         true_map = diagram.structure_map
         generators, composed = _morphisms(diagram)
         groups = {("cofaces", m): [g for g in generators if g.src != g.tgt and g.tgt.dom == m] for m in (1, 2, 3)}
@@ -441,13 +533,14 @@ def _record_cones(monkeypatch):
 
 
 def test_a_composite_of_a_copied_coface_passes_on_its_own_views(monkeypatch):
-    """With every coface into the frames of domain size 3 returned through
-    ``diagram.structure_map`` as a copy that is no selection, no composite
-    into those frames can pass by 2-out-of-3, since its coface factor is
-    such a copy: each passes on its own views instead.  The items are those
+    """In a hand-assembled copy of a diagram, with every coface into the
+    frames of domain size 3 returned through ``diagram.structure_map`` as a
+    copy that is no selection, no composite into those frames can pass by
+    2-out-of-3, since its coface factor is such a copy: each passes on its
+    own views instead.  The items are those
     of ``oracles.homotopical_items``, no structure map is assembled, and the
     only cones are those of the copies."""
-    diagram = build_frame_diagram(random_simplex(random.Random(7), 2), 3)
+    diagram = by_hand(build_frame_diagram(random_simplex(random.Random(7), 2), 3))
     generators, composed = _morphisms(diagram)
     true_map = diagram.structure_map
     copies = {mor: true_map(mor).scale(1) for mor in generators if mor.src != mor.tgt and mor.tgt.dom == 2}
@@ -592,15 +685,15 @@ def test_tampered_last_vertex_maps_keep_their_frame_off_the_route(monkeypatch, w
     ``frames.retraction``, no map that starts or ends at that frame passes
     on the route, though the route is tried, none passes by 2-out-of-3
     through it, and the items are those of ``oracles.homotopical_items``.
-    Each tampering gets a diagram of its own, since a frame keeps its
-    last-vertex verdict."""
+    Each tampering gets a hand-assembled diagram of its own, since a frame
+    keeps its last-vertex verdict."""
     s = random_simplex(random.Random(7), 2)
     views, composites = _log_route(monkeypatch)
     true_map = getattr(frames, which)
     refused = 0
     for alpha in (OrderMap((0, 2), 2), OrderMap((0, 1, 2), 2)):
         for k in range(len(oracles.tamperings(true_map(build_frame_diagram(s, 3).objects[alpha])))):
-            diagram = build_frame_diagram(s, 3)
+            diagram = by_hand(build_frame_diagram(s, 3))
             o = diagram.objects[alpha]
             t = oracles.tamperings(true_map(o))[k]
             monkeypatch.setattr(frames, which, lambda x, o=o, t=t: t if x is o else true_map(x))

@@ -10,12 +10,13 @@ shows up here.  ``frame`` and ``recover`` are pinned the same way, and so
 are the calls of the checking constructors under ``check``, so that
 validation of values the library builds itself does not creep back.  The
 structure maps that ``check`` reads are counted too, with those it
-assembles (none), the generators it judges on the stored views and the
-composites it passes by 2-out-of-3, as are the matrices its Reedy check
+assembles (none) and those it judges off the sub-frame lemma, on the stored
+views or by 2-out-of-3 (none), as are the matrices its Reedy check
 assembles (none), and the memory peak of the whole suite is bounded.
 So are the restrictions ``check`` takes, the morphisms it enumerates, the
-preimages it builds and the items it reports, and the last-vertex maps it
-builds: j, r and h once per frame, under ``check`` and ``recover``.
+preimages it builds (none) and the items it reports, and the last-vertex
+maps it builds: j, r and h once per longest frame under ``check``, and
+once under ``recover``.
 Drawing the pinned 3-simplex forms no Smith transform, and ``homology`` runs
 one Smith elimination per differential.
 """
@@ -86,10 +87,9 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
 def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
     """``check --max-len 3`` on the pinned 3-simplex reads the structure map
     of each of its 384 max-preserving morphisms once, for the homotopical
-    check, and assembles none of them: the 224 generators (identities and
-    cofaces) are judged on the row views of d, j and r through their
-    preimages, and the other 160 maps pass as composites of certified
-    generators (2-out-of-3).  The Reedy check reads each frame's block
+    check, and assembles none of them: each is a selection between two
+    recorded frames whose verdicts hold, so it passes by the sub-frame
+    lemma, and none is judged on its views or by 2-out-of-3.  The Reedy check reads each frame's block
     layout and stored differential in place: it assembles no matrix
     (``_assemble``) and decides no identity row by row
     (``combination_is_zero``), neither there nor on the 2-simplex drawn from
@@ -135,12 +135,13 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
     # 699 structure maps assembled on r7n3; while is_homotopical judged each
     # map on its assembled matrices: 384; while the Reedy check built and
     # tested an inclusion matrix per degree of each proper span: 207 and 102
-    # of each on r7n3 and r3n2
+    # of each on r7n3 and r3n2; while every item was judged off the sub-frame
+    # lemma, 224 generators on their views and 160 composites by 2-out-of-3
     assert seen[0] == {
         "structure_map": 384,
         "_structure_matrices": 0,
-        "_selection_certified": 224,
-        "composites passed": 160,
+        "_selection_certified": 0,
+        "composites passed": 0,
         "_assemble": 0,
         "combination_is_zero": 0,
     }
@@ -149,9 +150,10 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
 
 def test_check_and_recover_build_each_last_vertex_map_once(monkeypatch, tmp_path):
     """``check --max-len 3`` on the pinned 3-simplex builds j, r and h once
-    per frame (69 frames), and ``recover`` once for its cylinder frame: the
-    frame keeps its last-vertex check, and every later reader takes j and r
-    from there."""
+    per longest frame (35 of its 69 frames; each shorter frame reads its
+    verdicts off its extension's by the sub-frame lemma), and ``recover``
+    once for its cylinder frame: the frame keeps its last-vertex check, and
+    every later reader takes j and r from there."""
     cases = (
         ("r7n3", random_simplex(random.Random(7), 3), ["check", "--max-len", "3"]),
         ("r5n1", random_simplex(random.Random(5), 1, max_rank=4), ["recover"]),
@@ -165,7 +167,8 @@ def test_check_and_recover_build_each_last_vertex_map_once(monkeypatch, tmp_path
         assert cli.main(command + ["--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
         seen.append(dict(counts))
         counts.update(dict.fromkeys(counts, 0))
-    assert seen == [dict.fromkeys(counts, 69), dict.fromkeys(counts, 1)]
+    # while every frame decided its own last-vertex items: 69 under check
+    assert seen == [dict.fromkeys(counts, 35), dict.fromkeys(counts, 1)]
 
 
 def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
@@ -173,9 +176,9 @@ def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
     once per frame and once per reindexing sigma, 69 + 8 times, and reads
     every other restriction that simplicial-compat compares from one table
     per sigma; it enumerates only the max-preserving morphisms, with no
-    ``enumerate_inclusions``; and of the 224 generators it certifies on
-    their own views, it builds preimages for all but the 69 identity maps.
-    Its report holds 1514 items."""
+    ``enumerate_inclusions``; and it passes every item by the sub-frame
+    lemma, so it certifies no generator on its views and builds no
+    preimages.  Its report holds 1514 items."""
     path = tmp_path / "r7n3.json"
     path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
     counts = {}
@@ -193,12 +196,13 @@ def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
     assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(out)]) == 0
     counts["report items"] = len(json.loads(out.read_text())["report"])
     # while simplicial-compat restricted t along every alpha, is_homotopical
-    # filtered all inclusions and identity maps were scanned: 713, 69 and 224
+    # filtered all inclusions and identity maps were scanned: 713, 69 and 224;
+    # while every item was judged off the sub-frame lemma: 224 and 155
     assert counts == {
         "act": 77,
         "enumerate_inclusions": 0,
-        "_selection_certified": 224,
-        "Selection.preimages": 155,
+        "_selection_certified": 0,
+        "Selection.preimages": 0,
         "report items": 1514,
     }
 
