@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Dict, Optional, Tuple
 
 from .exact_linalg import (
@@ -274,9 +275,7 @@ class GradedMap:
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, degree: int, mats=None):
-        self.source = source
-        self.target = target
-        self.degree = json_int(degree, "graded map degree")
+        self.source, self.target, self.degree = source, target, json_int(degree, "graded map degree")
         given = dict(mats) if mats else {}
         for d in given:
             json_int(d, "matrix degree")
@@ -345,12 +344,8 @@ class GradedMap:
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         self._compatible(other)
-        return GradedMap._trusted(
-            self.source,
-            self.target,
-            self.degree,
-            {d: self.mat(d) + other.mat(d) for d in set(self._mats) | set(other._mats)},
-        )
+        mats = {d: self.mat(d) + other.mat(d) for d in set(self._mats) | set(other._mats)}
+        return GradedMap._trusted(self.source, self.target, self.degree, mats)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         return self + other.scale(-1)
@@ -493,8 +488,7 @@ def cone(f: GradedMap) -> ChainComplex:
     x, y = f.source, f.target
     degrees = sorted({d + 1 for d in x.support} | set(y.support))
     ranks = {d: x.rank(d - 1) + y.rank(d) for d in degrees}
-    diffs = {}
-    labels = {}
+    diffs, labels = {}, {}
     for d in degrees:
         labels[d] = tuple("s|%s" % s for s in x.labels(d - 1)) + tuple("t|%s" % s for s in y.labels(d))
         if ranks.get(d - 1, 0) and ranks[d]:
@@ -514,15 +508,7 @@ def hom_basis(x: ChainComplex, y: ChainComplex, n: int):
     to basis element j of Y_{k+n}; ordering is by source degree, then source
     index, then target index.
     """
-    out = []
-    for k in x.support:
-        r_to = y.rank(k + n)
-        if not r_to:
-            continue
-        for i in range(x.rank(k)):
-            for j in range(r_to):
-                out.append((k, i, j))
-    return out
+    return list(chain.from_iterable(product((k,), range(x.rank(k)), range(y.rank(k + n))) for k in x.support))
 
 
 def precompose_matrix(f: GradedMap, z: ChainComplex, n: int) -> IntMatrix:
@@ -580,25 +566,16 @@ def hom_complex(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     """
     if not x.support or not y.support:
         return zero_complex("Hom(%s,%s)" % (x.name, y.name))
-    lo = y.min_degree() - x.max_degree()
-    hi = y.max_degree() - x.min_degree()
-    bases = {n: hom_basis(x, y, n) for n in range(lo, hi + 1)}
+    bases = {n: hom_basis(x, y, n) for n in range(y.min_degree() - x.max_degree(), y.max_degree() - x.min_degree() + 1)}
     ranks = {n: len(b) for n, b in bases.items() if b}
-    labels = {
-        n: tuple("%d:%s>%s" % (k, x.label(k, i), y.label(k + n, j)) for (k, i, j) in b)
-        for n, b in bases.items()
-        if b
-    }
+    labels = {n: tuple("%d:%s>%s" % (k, x.label(k, i), y.label(k + n, j)) for k, i, j in bases[n]) for n in ranks}
     diffs = {n: hom_complex_diff(x, y, n) for n in ranks if ranks.get(n - 1)}
     return ChainComplex("Hom(%s,%s)" % (x.name, y.name), ranks, diffs, labels)
 
 
 def graded_map_to_vector(f: GradedMap):
     """Coordinates of f in the hom_basis ordering of its total degree."""
-    out = []
-    for (k, i, j) in hom_basis(f.source, f.target, f.degree):
-        out.append(f.mat(k)[j, i])
-    return tuple(out)
+    return tuple([f.mat(k)[j, i] for k, i, j in hom_basis(f.source, f.target, f.degree)])
 
 
 def vector_to_graded_map(x: ChainComplex, y: ChainComplex, n: int, vec) -> GradedMap:
@@ -644,8 +621,7 @@ def homology(x: ChainComplex) -> HomologySummary:
     """Betti numbers and torsion from the invariant factors of the differentials,
     one factor list per differential: its length is the rank of the differential."""
     factors = {d: invariant_factors(x.diff(d)) for d in x.support if x.rank(d - 1)}
-    betti = {}
-    torsion = {}
+    betti, torsion = {}, {}
     for d in x.support:
         inv_in = factors.get(d + 1, ())
         b = x.rank(d) - len(factors.get(d, ())) - len(inv_in)
@@ -692,8 +668,7 @@ def random_complex(rng: random.Random, max_rank=3, max_width=4, name=None):
     diffs = {}
     prev: Optional[IntMatrix] = None  # differential leaving the degree below
     for d in sorted(ranks):
-        r_from = ranks[d]
-        r_to = ranks.get(d - 1, 0)
+        r_from, r_to = ranks[d], ranks.get(d - 1, 0)
         if not r_from or not r_to:
             prev = None
             continue

@@ -161,11 +161,7 @@ class NerveSimplex:
         return zero
 
     def __eq__(self, other):
-        return (
-            isinstance(other, NerveSimplex)
-            and self.objects == other.objects
-            and self.maps == other.maps
-        )
+        return isinstance(other, NerveSimplex) and self.objects == other.objects and self.maps == other.maps
 
     __hash__ = None
 

@@ -60,9 +60,7 @@ class IntMatrix:
             for v in row:
                 if type(v) is not int:
                     raise ValueError("matrix entry must be an integer, got %r" % (v,))
-        self.rows = rows
-        self.cols = cols
-        self.nonzeros = _pack(cols, packed)
+        self.rows, self.cols, self.nonzeros = rows, cols, _pack(cols, packed)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, nonzeros: tuple) -> "IntMatrix":
@@ -70,9 +68,7 @@ class IntMatrix:
         (column, value) pairs, columns increasing in [0, cols), values
         nonzero Python ints.  For results computed here from valid matrices."""
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.nonzeros = nonzeros
+        m.rows, m.cols, m.nonzeros = rows, cols, nonzeros
         return m
 
     @classmethod

@@ -32,9 +32,13 @@ tampered.  The preimages a selection reads by subset index must equal
 on each generator, as built and with one frame's blocks relaid.
 
 On a diagram as built, ``is_homotopical`` passes the items between proven
-frames by the sub-frame lemma; it must give the oracle's items both as
-built and on the hand-assembled copy, and each shorter frame must be the
-sub-complex of its recorded extension that the lemma names.
+frames by the sub-frame lemma, by index; it must give the oracle's items
+both as built and on the hand-assembled copy, and each shorter frame must
+be the sub-complex of its recorded extension that the lemma names.  Each
+shorter frame is a view into its extension's frame, and what it reads
+there through its index map (layout, ranks, labels, matrices, and the rows
+the Reedy check reads) and its restriction must equal build_frame_object
+of its alpha.
 
 The summand inclusions, the last-vertex inclusion j among them, and the
 homotopy h that the block assembler builds must have the matrices the dense
@@ -63,9 +67,11 @@ from dgframes.exact_linalg import IntMatrix, combination_is_zero, combination_ma
 from dgframes.frames import (
     FrameDiagram,
     FrameObject,
+    FrameView,
     LastVertexCheck,
     Selection,
     build_frame_diagram,
+    build_frame_object,
     check_last_vertex,
     is_homotopical,
     is_reedy_cofibrant,
@@ -395,6 +401,55 @@ def test_a_shorter_frame_is_the_sub_complex_of_its_extension(criterion_06_diagra
                     assert submatrix(b.diff(d), off, spans[d]).is_zero()
             seen[m] += 1
     assert seen == {0: 39, 1: 76, 2: 45, 3: 35}
+
+
+def test_every_view_reads_the_frame_of_its_alpha(criterion_06_diagrams, criterion_08_diagrams):
+    """Each shorter frame of a diagram as built is a :class:`FrameView` into
+    the frame of its recorded extension B(alpha'), and equals
+    build_frame_object of its alpha: the same layout, in the same order, the
+    same ranks and restriction, and, read off B(alpha') through the index
+    map ``columns``, the same labels (each subset S renamed psi(S)) and
+    matrices, and, while the extension is lean, the same rows of each
+    differential through ``rows``, which the Reedy check reads.  Checked on
+    criteria 6 and 8, on the diagrams of every pinned ``check`` report (the
+    corrupted ``random_simplex(Random(3), 2)`` at max-len 2 and 3 among them,
+    whose view B(0,1,2) at max-len 3 has an extension with d^2 != 0), and on
+    the hand-built top cell at max-len 4.  A longest frame is its own
+    extension and is build_frame_object's."""
+    pins = [
+        (random_simplex(random.Random(6), 2), (1, 3)),
+        (random_simplex(random.Random(7), 3), (3, 4, 5)),
+        (corrupted_simplex(), (2, 3)),
+        (hand_built_top_cell(), (3, 4)),
+    ]
+    extra = [build_frame_diagram(s, max_len) for s, lengths in pins for max_len in lengths]
+    seen = Counter()
+    for diagram in criterion_06_diagrams + criterion_08_diagrams + extra:
+        top = diagram.max_len
+        for alpha, o in diagram.objects.items():
+            m, (recorded, ext) = alpha.dom, diagram.recorded[alpha]
+            assert recorded is o and ext is diagram.objects[ext.alpha]
+            if m == top:
+                assert type(o) is FrameObject and ext is o
+                seen["longest"] += 1
+                continue
+            assert type(o) is FrameView and o.ext is ext
+            built, psi = build_frame_object(diagram.simplex, alpha), tuple(range(m)) + (top,)
+            assert [(d, list(spans.items())) for d, spans in o.layout.items()] == [
+                (d, list(spans.items())) for d, spans in built.layout.items()
+            ]
+            assert (o.restriction.objects, o.restriction.maps) == (built.restriction.objects, built.restriction.maps)
+            b, c = ext.complex, built.complex
+            assert o.ranks == c._ranks and list(o.columns) == list(c.support)
+            for d, names in o.columns.items():
+                assert list(names.values()) == list(range(c.rank(d)))
+                assert [_renamed(label, psi, m) for label in c.labels(d)] == [b.labels(d)[i] for i in names]
+                if d - 1 in o.columns:
+                    assert submatrix(b.diff(d), list(o.columns[d - 1]), list(names)) == c.diff(d)
+                    if o.lean:
+                        assert o.rows(d, 0) == c.diff(d).nonzeros
+            seen["lean" if o.lean else "failing extension"] += 1
+    assert seen == {"longest": 423, "lean": 497, "failing extension": 1}
 
 
 def _renamed(label: str, psi: tuple, m: int) -> str:

@@ -9,10 +9,13 @@ The counts are deterministic, so a change that brings back a dense path
 shows up here.  ``frame`` and ``recover`` are pinned the same way, and so
 are the calls of the checking constructors under ``check``, so that
 validation of values the library builds itself does not creep back.  The
-structure maps that ``check`` reads are counted too, with those it
-assembles (none) and those it judges off the sub-frame lemma, on the stored
-views or by 2-out-of-3 (none), as are the matrices its Reedy check
-assembles (none), and the memory peak of the whole suite is bounded.
+frames that ``check`` builds are counted (the longest ones, and a shorter
+one only where a failing extension asks for its own witnesses), and so are
+the structure maps it reads (none, every item passing by the sub-frame
+lemma, by index), with those it assembles (none) and those it judges off
+the lemma, on the stored views or by 2-out-of-3 (none), as are the
+matrices its Reedy check assembles (none), and the memory peak of the
+whole suite is bounded.
 So are the restrictions ``check`` takes, the morphisms it enumerates, the
 preimages it builds (none) and the items it reports, and the last-vertex
 maps it builds: j, r and h once per longest frame under ``check``, and
@@ -33,6 +36,7 @@ from dgframes.complexes import ChainComplex, GradedMap
 from dgframes.dg_nerve import random_simplex
 from dgframes.exact_linalg import IntMatrix
 from dgframes.simplicial import DMorphism, OrderMap
+from test_cli import corrupted_simplex
 
 
 def _count_calls(monkeypatch, counts, name, original, inside=None):
@@ -75,21 +79,22 @@ def test_check_makes_no_dense_identity_products(monkeypatch, tmp_path):
     assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]) == 0
     # at the commit before the column-wise deciders: 602, 207 and 4024 (all
     # products by @); while the Maurer-Cartan suite formed its defects
-    # densely: 11, 0 and 140; while the d^2 checks multiplied by @: 0, 0 and 130
+    # densely: 11, 0 and 140; while the d^2 checks multiplied by @: 0, 0 and
+    # 130; while every shorter frame was built and decided its own d^2: 130
     assert counts == {
         "hom_differential": 0,
         "invariant_factors": 0,
         "IntMatrix.__matmul__": 0,
-        "IntMatrix.product_is_zero": 130,
+        "IntMatrix.product_is_zero": 97,
     }
 
 
 def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
-    """``check --max-len 3`` on the pinned 3-simplex reads the structure map
-    of each of its 384 max-preserving morphisms once, for the homotopical
-    check, and assembles none of them: each is a selection between two
-    recorded frames whose verdicts hold, so it passes by the sub-frame
-    lemma, and none is judged on its views or by 2-out-of-3.  The Reedy check reads each frame's block
+    """``check --max-len 3`` on the pinned 3-simplex reads no structure map
+    of its 384 max-preserving morphisms, and assembles none: each runs
+    between two recorded frames whose verdicts hold, so it passes by the
+    sub-frame lemma, by index, and none is judged on its views or by
+    2-out-of-3.  The Reedy check reads each frame's block
     layout and stored differential in place: it assembles no matrix
     (``_assemble``) and decides no identity row by row
     (``combination_is_zero``), neither there nor on the 2-simplex drawn from
@@ -136,9 +141,10 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
     # map on its assembled matrices: 384; while the Reedy check built and
     # tested an inclusion matrix per degree of each proper span: 207 and 102
     # of each on r7n3 and r3n2; while every item was judged off the sub-frame
-    # lemma, 224 generators on their views and 160 composites by 2-out-of-3
+    # lemma, 224 generators on their views and 160 composites by 2-out-of-3;
+    # while the lemma read each item's selection: 384 structure maps
     assert seen[0] == {
-        "structure_map": 384,
+        "structure_map": 0,
         "_structure_matrices": 0,
         "_selection_certified": 0,
         "composites passed": 0,
@@ -169,6 +175,62 @@ def test_check_and_recover_build_each_last_vertex_map_once(monkeypatch, tmp_path
         counts.update(dict.fromkeys(counts, 0))
     # while every frame decided its own last-vertex items: 69 under check
     assert seen == [dict.fromkeys(counts, 35), dict.fromkeys(counts, 1)]
+
+
+def _count_builds(monkeypatch):
+    """The alphas of the ``build_frame_object`` calls, in call order."""
+    built = []
+
+    def build(s, alpha, _original=frames.build_frame_object):
+        built.append(alpha)
+        return _original(s, alpha)
+
+    monkeypatch.setattr(frames, "build_frame_object", build)
+    return built
+
+
+def test_check_builds_only_the_longest_frames(monkeypatch, tmp_path):
+    """``check --max-len 3`` on the pinned 3-simplex builds the 35 frames of
+    domain 3 and no shorter frame's complex: each of the 34 shorter frames
+    is a view into its extension's frame, whose d^2, last-vertex verdicts
+    and Reedy rows it reads there.  On the 2-simplex drawn from seed 6 at
+    max-len 3 likewise, 15 of 34."""
+    built = _count_builds(monkeypatch)
+    seen = []
+    for name, s in (("r7n3", random_simplex(random.Random(7), 3)), ("r6n2", random_simplex(random.Random(6), 2))):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(s.to_json()))
+        argv = ["check", "--input", str(path), "--max-len", "3", "--output", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 0
+        seen.append((len(built), {alpha.dom for alpha in built}))
+        built.clear()
+    # while every frame was built: 69 and 34
+    assert seen == [(35, {3}), (15, {3})]
+
+
+def test_a_failing_check_builds_the_frames_of_its_witnesses(monkeypatch, tmp_path):
+    """On the corrupted ``random_simplex(Random(3), 2)``, whose one broken
+    frame at max-len 2 is B(0,1,2), ``check`` builds at max-len 2 only the
+    10 longest frames, B(0,1,2) among them: no shorter frame has an
+    extension that fails.  At max-len 3 it builds the 15 longest and
+    B(0,1,2), a view whose extension B(0,1,2,2) has d^2 != 0, so that
+    B(0,1,2) gives its own witnesses.  Every frame with a failing
+    ``frame-d2`` or last-vertex item is one that was built."""
+    path = tmp_path / "r3n2-corrupted.json"
+    path.write_text(json.dumps(corrupted_simplex().to_json()))
+    built = _count_builds(monkeypatch)
+    seen = []
+    for max_len in (2, 3):
+        out = tmp_path / "out.json"
+        assert cli.main(["check", "--input", str(path), "--max-len", str(max_len), "--output", str(out)]) == 1
+        items = json.loads(out.read_text())["report"]
+        failing = {i["location"] for i in items if i["status"] == "fail" and i["check"].startswith(("frame-d2", "last-vertex"))}
+        keys = [alpha.key() for alpha in built]
+        assert failing <= set(keys) and len(set(keys)) == len(keys)
+        seen.append((len(keys), [k for k in keys if k.count(",") < max_len], sorted(failing)))
+        built.clear()
+    # while every frame was built: 19 and 34
+    assert seen == [(10, [], ["0,1,2"]), (16, ["0,1,2"], ["0,0,1,2", "0,1,1,2", "0,1,2", "0,1,2,2"])]
 
 
 def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
