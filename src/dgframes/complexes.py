@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, product
 from typing import Dict, Optional, Tuple
 
 from .exact_linalg import (
@@ -508,7 +507,15 @@ def hom_basis(x: ChainComplex, y: ChainComplex, n: int):
     to basis element j of Y_{k+n}; ordering is by source degree, then source
     index, then target index.
     """
-    return list(chain.from_iterable(product((k,), range(x.rank(k)), range(y.rank(k + n))) for k in x.support))
+    out = []
+    for k in x.support:
+        r_to = y.rank(k + n)
+        if not r_to:
+            continue
+        for i in range(x.rank(k)):
+            for j in range(r_to):
+                out.append((k, i, j))
+    return out
 
 
 def precompose_matrix(f: GradedMap, z: ChainComplex, n: int) -> IntMatrix:
@@ -642,9 +649,12 @@ def is_nullhomotopic(f: GradedMap) -> Optional[GradedMap]:
 
     This is an exact integer linear solve against the differential of the
     mapping complex, so a returned witness is exact and the None answer is a
-    certified nonexistence over the integers.
+    certified nonexistence over the integers.  A zero f needs no solve: its
+    witness is the zero map, since D(0) = 0.
     """
     x, y, r = f.source, f.target, f.degree
+    if f.is_zero():
+        return GradedMap.zero(x, y, r + 1)
     sol = solve(hom_complex_diff(x, y, r + 1), graded_map_to_vector(f))
     return None if sol is None else vector_to_graded_map(x, y, r + 1, sol)
 

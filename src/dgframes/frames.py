@@ -76,12 +76,19 @@ an integer splitting solver for acyclic cofibrations
 (:func:`split_acyclic_cofibration`, which proves its preconditions itself,
 and :func:`_retraction_system`, the solve it shares with ``recover``), and
 the recovery of a 1-simplex edge from its cylinder frame.
+
+The bookkeeping families read tables built once instead of rebuilding the
+same values per item or frame: simplicial compatibility walks the value
+sequences of one (domain, max_len) in :func:`_compat_walk`, the Reedy
+check forms each shifted source once per (alpha(0), m), and
+``is_homotopical`` reads the subsets that hold the last index, with their
+injection keys, from :func:`_held_subsets` of each domain.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
@@ -288,7 +295,7 @@ class FrameView(FrameObject):
         if not self.lean:
             return super().rows(d, lo)
         ext_rows, names = self.ext.complex.diff(d).nonzeros, self.columns.get(d, {})
-        return tuple(tuple([(names[c], v) for c, v in ext_rows[r] if c in names]) for r in list(self.columns[d - 1])[lo:])
+        return tuple(tuple([(names[c], v) for c, v in ext_rows[r] if c in names]) for r in islice(self.columns[d - 1], lo, None))
 
 
 class FrameDiagram:
@@ -402,8 +409,11 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
     inclusion, split by the projection.
     ``latching-closure``: diff(d) maps no proper column to a full row.
     ``latching-cokernel``: the full rows and columns equal
-    shift(X_{alpha(0)}, m), X from diagram.simplex, in ranks and matrices."""
-    report = Report()
+    shift(X_{alpha(0)}, m), X from diagram.simplex, in ranks and matrices.
+    That quotient depends on (alpha(0), m) alone, so each one is formed once,
+    into a table of its ranks and its differential that every frame with
+    that pair reads."""
+    report, quotients = Report(), {}
     for alpha, o in diagram.objects.items():
         rank, key, top = o.ranks.get, alpha.key(), 2 ** (alpha.dom + 1) - 2  # top: the index of [m]
         start = {d: spans[top][0] if top in spans else rank(d, 0) for d, spans in o.layout.items()}
@@ -415,10 +425,14 @@ def is_reedy_cofibrant(diagram: FrameDiagram) -> Report:
 
         report.add("latching-split", key, o.untiled_degree is None, _at(o.untiled_degree, "inclusion is not split"))
 
-        x = shift(diagram.simplex.objects[alpha(0)], alpha.dom)
+        pair = alpha(0), alpha.dom
+        if pair not in quotients:
+            x = shift(diagram.simplex.objects[alpha(0)], alpha.dom)
+            quotients[pair] = ({d: x.rank(d) for d in x.support}, x.diff)
+        want, diff = quotients[pair]
         ranks = {d: rank(d, 0) - s for d, s in start.items() if s < rank(d, 0)}
-        ok_coker = ranks == {d: x.rank(d) for d in x.support} and all(
-            tuple([tuple([(j - start[d], v) for j, v in r if j >= start[d]]) for r in full_rows[d]]) == x.diff(d).nonzeros
+        ok_coker = ranks == want and all(
+            tuple([tuple([(j - start[d], v) for j, v in r if j >= start[d]]) for r in full_rows[d]]) == diff(d).nonzeros
             for d in ranks
             if d - 1 in ranks
         )
@@ -609,28 +623,32 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     certified: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Selection] = {}
     for alpha, tgt in diagram.objects.items():
         a, at, key = alpha.dom, alpha.values.__getitem__, alpha.key()
-        # the subsets of [a] that hold a, those with no S u {a}, in item order
-        held = [(S, p[:-1], by_values[tuple(map(at, S))]) for S, p, row in zip(*twisting_plan(a)[:3]) if row[2] < 0]
-        # the generators first: the composites into alpha pass over them
-        routed = {S: _route(diagram, alpha, S, src, certified, proven) for S, _, src in held if len(S) >= a}
+        held = [(S, inj_key, by_values[tuple(map(at, S))]) for S, inj_key in _held_subsets(a)]
+        lemma = proven if tgt in proven else ()  # the sources of the items that pass by the sub-frame lemma
+        # the other generators first: the composites into alpha pass over them
+        routed = {S: _route(diagram, alpha, S, src, certified) for S, _, src in held if len(S) >= a and src not in lemma}
         for S, inj_key, src in held:
-            g, verdict = routed.get(S) or _route(diagram, alpha, S, src, certified, proven)
+            g, verdict = (None, (True, None)) if src in lemma else routed.get(S) or _route(diagram, alpha, S, src, certified)
             report.add("homotopical", "%s->%s[%s]" % (src.alpha.key(), key, inj_key), *(verdict or _homotopical_verdict(g)))
     return report
 
 
-def _route(diagram: FrameDiagram, alpha: OrderMap, S: tuple, src: FrameObject, certified, proven) -> tuple:
-    """(g, verdict) of the item of the morphism mor from src's alpha to
-    alpha along S: its map g, None when the item needs none, and the
-    (status, witness) of the item when it passes by the sub-frame lemma,
-    both frames in ``proven``, with no morphism or map built; when an
+@lru_cache(maxsize=16)
+def _held_subsets(a: int) -> tuple:
+    """The subsets S of [a] that hold a, those with no S u {a}, in item
+    order, each with its injection key seq_key(S): one table per domain."""
+    return tuple((S, p[:-1]) for S, p, row in zip(*twisting_plan(a)[:3]) if row[2] < 0)
+
+
+def _route(diagram: FrameDiagram, alpha: OrderMap, S: tuple, src: FrameObject, certified) -> tuple:
+    """(g, verdict) of an item off the sub-frame lemma, that of the
+    morphism mor from src's alpha to alpha along S: its map g, None when
+    the item needs none, and the (status, witness) of the item when an
     endpoint frame has d^2 != 0, which fails it; when g passes as a
     selection by 2-out-of-3 (:func:`_composite_certified`) or else on its
     own certificate, which enters g in ``certified``; or when a ValueError
     is raised on the way, its message the witness; else None."""
     tgt = diagram.objects[alpha]
-    if src in proven and tgt in proven:
-        return None, (True, None)
     broken = src if src.d2_defects else tgt if tgt.d2_defects else None
     if broken is not None:
         return None, (False, "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.alpha.key(), broken.d2_defects[0]))
@@ -752,11 +770,14 @@ def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:
     stored frame's ``restriction`` (see the module docstring), field by
     field: its objects are t's objects at the values v of alpha, and its
     maps, keyed by the increasing sequences of [alpha.dom], are t's values at
-    the subsequences of v.  The value sequences v are walked in
-    :func:`enumerate_d_objects` order, shortest first, and each is looked up
-    in t once, into a table that every longer v reads: every proper
-    subsequence of v is shorter, so it is already there.  The frame at
-    sigma o alpha is found by its key in ``diagram.objects``.
+    the subsequences of v.  The items follow :func:`_compat_walk`, the value
+    sequences v of [sigma.dom] shortest first, in :func:`enumerate_d_objects`
+    order.  t is looked up once per v, into a list by walk position, and
+    each item reads its wanted maps from that list at the positions of its
+    subsequences, which the walk lists.  The stored restriction is found by
+    the values of sigma o alpha in one table per call, and its maps equal
+    the wanted ones exactly when they have as many keys and hold the wanted
+    map at each key: t's values are never None, so a missing key fails.
 
     A frame is an injective function of its restriction, so this decides
     equality of the frames, provided each stored complex is
@@ -765,22 +786,38 @@ def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:
     restriction but a tampered complex passes here.  The Reedy and
     homotopical suites read the stored complexes."""
     t = act(sigma, diagram.simplex)
-    by_values = {alpha.values: o for alpha, o in diagram.objects.items()}
-    image, objects = sigma.values.__getitem__, t.objects.__getitem__
-    table = {}  # value sequence of length >= 2 -> t's value there
-    report = Report()
-    prefix = "sigma=%s alpha=" % sigma.key()
-    for m in range(diagram.max_len + 1):
-        keys = increasing_sequences(m)
-        for v in combinations_with_replacement(range(sigma.dom + 1), m + 1):
-            if m:
-                table[v] = t._lookup(v)
-            stored = by_values[tuple(map(image, v))].restriction
-            ok = stored.objects == tuple(map(objects, v)) and stored.maps == dict(
-                zip(keys, [table[w] for k in range(2, m + 2) for w in combinations(v, k)])
-            )
-            report.add("simplicial-compat", prefix + seq_key(v), ok, None if ok else "frames differ")
+    restrictions = {alpha.values: o.restriction for alpha, o in diagram.objects.items()}
+    image, objects, lookup = sigma.values.__getitem__, t.objects.__getitem__, t._lookup
+    walk = _compat_walk(sigma.dom, diagram.max_len)
+    wanted = [lookup(v) if len(v) > 1 else None for v, _, _, _ in walk].__getitem__  # t's value at each v
+    report, prefix = Report(), "sigma=%s alpha=" % sigma.key()
+    for v, loc, keys, at in walk:
+        stored = restrictions[tuple(map(image, v))]
+        maps = stored.maps
+        ok = (
+            stored.objects == tuple(map(objects, v))
+            and len(maps) == len(keys)
+            and tuple(map(maps.get, keys)) == tuple(map(wanted, at))
+        )
+        report.add("simplicial-compat", prefix + loc, ok, None if ok else "frames differ")
     return report
+
+
+@lru_cache(maxsize=32)
+def _compat_walk(dom: int, max_len: int) -> tuple:
+    """The value sequences v in [dom] of length <= max_len + 1, shortest
+    first, then lexicographically, each as (v, seq_key(v), keys, at): keys
+    the increasing sequences of [len(v) - 1], the keys of a restriction
+    along v, and at the walk positions of the subsequences of v that they
+    pick, in order.  Each subsequence is shorter than v or v itself, so it
+    is already in the walk."""
+    walk, position = [], {}
+    for m in range(max_len + 1):
+        keys = increasing_sequences(m)
+        for v in combinations_with_replacement(range(dom + 1), m + 1):
+            position[v] = len(walk)
+            walk.append((v, seq_key(v), keys, tuple(position[tuple(map(v.__getitem__, k))] for k in keys)))
+    return tuple(walk)
 
 
 def run_checks(s: NerveSimplex, max_len: int) -> Report:

@@ -585,6 +585,12 @@ PINNED_CASES = {
     "check-deep-text": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "3", "--format", "text"]),
     "check-max-len-4": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "4"]),
     "check-max-len-5": (lambda: random_simplex(random.Random(7), 3), ["check", "--max-len", "5"]),
+    # the smallest reindexing domains: a 0-simplex, whose only sigma is the
+    # degeneracy (0,0), and a 1-simplex
+    "check-n0-max-len-2": (lambda: random_simplex(random.Random(11), 0), ["check", "--max-len", "2"]),
+    "check-n0-max-len-3": (lambda: random_simplex(random.Random(11), 0), ["check", "--max-len", "3"]),
+    "check-n1-max-len-2": (lambda: random_simplex(random.Random(12), 1), ["check", "--max-len", "2"]),
+    "check-n1-max-len-3": (lambda: random_simplex(random.Random(12), 1), ["check", "--max-len", "3"]),
     "frame-wide-text": (
         lambda: random_simplex(random.Random(7), 3),
         ["frame", "--alpha", "0,0,1,1,2,2,3,3", "--format", "text"],
@@ -608,7 +614,9 @@ PINNED_CASES = {
 # looked each summand up by its subset tuple; the three homology and recover
 # text cases were recorded while the Maurer-Cartan sum and the frame
 # differential derived their twisting terms apart; frame-wide-text and the
-# check cases at max-len 4 and 5 repeat pins of the CI workflow.
+# check cases at max-len 4 and 5 repeat pins of the CI workflow; the four
+# check cases on a 0-simplex and a 1-simplex were recorded while
+# simplicial-compat built one dict of wanted maps per item.
 PINNED_CASE_STDOUT = {
     "validate": "ab22d3289de446b0ea77622ae916eca0c3b90ae0db3ea4bba20e0cee20e04fff",
     "homology-torsion": "d83ae9befd3a50f9bf6627567e444c8fc54d6ddddf95828fc1a2bd6999a4f0bf",
@@ -626,6 +634,10 @@ PINNED_CASE_STDOUT = {
     "check-deep-text": "a1a16a685f4f4b6c0475ba7535dc7f298f91efd3400662e9ee702a7defa3af91",
     "check-max-len-4": "5e737a25ba5179f4448bd2c84cc87c1bd47b592b366b42e802009b993f8381e0",
     "check-max-len-5": "42900d2871ff603472c895239d20c4df0c6ac7feac3824ac61fd57b83526c785",
+    "check-n0-max-len-2": "f8622c3359f75559fc139a222af2c3590cbbd7590fcc06e2fbdbe4c3ff067025",
+    "check-n0-max-len-3": "04fdf17b85cc61cae21cb3114ddb2cc26a8399d25ad133352d6a03462fdee66f",
+    "check-n1-max-len-2": "a5b11ee0f1837fda21539b0690be1216c0e2656a994338c25e6e246ca524f782",
+    "check-n1-max-len-3": "1bb622d89d2359ed1cbca9bd99cc1cd0e59964c3c92649dbb37235a92d3cdf0e",
     "frame-wide-text": "6c28c2e9b531534cf5cd5dc42659825a1b9c6dacf2638afe5f52494c7a911e30",
     "homology-torsion-text": "dfdbb4380b48c8df5e3e8b27992540ae64636c8c8bc47354d0df564c5f2e62da",
     "homology-acyclic-text": "6c62f3a732328d89050202c441c340e27ce674777bf96d66e484213e153c29a1",

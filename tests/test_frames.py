@@ -813,11 +813,13 @@ def test_simplicial_compat_equals_the_per_item_restriction_loop():
     assert _compat_failures(diagram, _reindexings(1, 3)) > 1
 
 
-@pytest.mark.parametrize("tamper", ["negated map", "dropped key", "extra key", "swapped object"])
+@pytest.mark.parametrize("tamper", ["negated map", "dropped key", "extra key", "swapped object", "reordered keys"])
 def test_simplicial_compat_equals_the_loop_on_a_tampered_restriction(tamper):
     """One stored restriction of a seeded 2-simplex's diagram tampered: a map
     scaled by -1, a key dropped, a key added, or an object swapped for
-    another.  The items landing on it fail, as in the per-item loop."""
+    another.  The items landing on it fail, as in the per-item loop.  The
+    same maps inserted in another key order are the same restriction, as
+    dict equality has it: every item passes."""
     s = random_simplex(random.Random(9), 2)
     diagram = build_frame_diagram(s, max_len=2)
     o = diagram.objects[OrderMap((0, 1, 2), 2)]
@@ -830,6 +832,11 @@ def test_simplicial_compat_equals_the_loop_on_a_tampered_restriction(tamper):
         t.maps = {k: f for k, f in r.maps.items() if k != key}
     elif tamper == "extra key":
         t.maps = {**r.maps, (0, 3): r.maps[key]}
+    elif tamper == "reordered keys":
+        t.maps = dict(reversed(r.maps.items()))
+        assert list(t.maps) != list(r.maps) and t == r
+        assert _compat_failures(diagram, _reindexings(2, 3)) == 0
+        return
     else:
         t.objects = (r.objects[1],) + r.objects[1:]
     assert t != r

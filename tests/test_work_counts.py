@@ -240,13 +240,16 @@ def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
     per sigma; it enumerates only the max-preserving morphisms, with no
     ``enumerate_inclusions``; and it passes every item by the sub-frame
     lemma, so it certifies no generator on its views and builds no
-    preimages.  Its report holds 1514 items."""
+    preimages.  Its Reedy check forms the shifted source shift(X_{alpha(0)},
+    m) once per pair (alpha(0), m), 4 x 4 times, not once per frame.  Its
+    report holds 1514 items."""
     path = tmp_path / "r7n3.json"
     path.write_text(json.dumps(random_simplex(random.Random(7), 3).to_json()))
     counts = {}
     _count_calls(monkeypatch, counts, "act", dg_nerve.act)
     _count_calls(monkeypatch, counts, "enumerate_inclusions", simplicial.enumerate_inclusions)
     _count_calls(monkeypatch, counts, "_selection_certified", frames._selection_certified)
+    _count_calls(monkeypatch, counts, "shift", complexes.shift)
     counts["Selection.preimages"] = 0
 
     def preimages(self, _original=frames.Selection.preimages):
@@ -259,11 +262,13 @@ def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
     counts["report items"] = len(json.loads(out.read_text())["report"])
     # while simplicial-compat restricted t along every alpha, is_homotopical
     # filtered all inclusions and identity maps were scanned: 713, 69 and 224;
-    # while every item was judged off the sub-frame lemma: 224 and 155
+    # while every item was judged off the sub-frame lemma: 224 and 155;
+    # while the Reedy check formed the shifted source per frame: shift 69
     assert counts == {
         "act": 77,
         "enumerate_inclusions": 0,
         "_selection_certified": 0,
+        "shift": 16,
         "Selection.preimages": 0,
         "report items": 1514,
     }
@@ -323,8 +328,11 @@ def test_check_validates_only_the_values_it_parses(monkeypatch, tmp_path):
 def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_path):
     """``recover`` takes the block of its retraction system from the matrices
     of the mapping complexes, not by applying D and precomposition to every
-    elementary map, and solves one system for the retraction and one for
-    the null-homotopy it reports, none for a splitting homotopy.  It builds
+    elementary map, and solves one system for the retraction and, when the
+    recovered map differs from the edge, one for the null-homotopy it
+    reports, none for a splitting homotopy.  On Random(5) the recovered map
+    is the edge (exact_match true), whose witness is the zero map with no
+    solve; on Random(20) it is not, and both systems are solved.  It builds
     only the differential of the mapping complex that each system reads
     (``hom_complex_diff``), never the whole complex with its labels and its
     d^2 check (``hom_complex``).  Neither solve runs ``snf``: each builds no
@@ -362,17 +370,25 @@ def test_recover_reads_its_systems_from_the_mapping_complex(monkeypatch, tmp_pat
     # preconditions were re-proved on cone(j) instead of read off the frame's
     # last-vertex verdict: 1 cone and product_is_zero 6, the cone's checked
     # constructor testing its d^2; while each solve eliminated on dense rows:
-    # to_lists 2, one dense copy of m per solve
+    # to_lists 2, one dense copy of m per solve; while the zero difference of
+    # an exact match was solved for its null-homotopy: vector_to_graded_map
+    # and solve 2
     assert counts == {
         "hom_differential": 0,
         "hom_complex": 0,
-        "vector_to_graded_map": 2,
-        "solve": 2,
+        "vector_to_graded_map": 1,
+        "solve": 1,
         "cone": 0,
         "IntMatrix.__matmul__": 2,
         "IntMatrix.product_is_zero": 3,
         "IntMatrix.to_lists": 0,
     }
+    path.write_text(json.dumps(random_simplex(random.Random(20), 1, max_rank=4).to_json()))
+    counts["solve"] = counts["vector_to_graded_map"] = 0
+    out = tmp_path / "r20n1-out.json"
+    assert cli.main(["recover", "--input", str(path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["exact_match"] is False
+    assert (counts["solve"], counts["vector_to_graded_map"]) == (2, 2)
 
 
 def test_drawing_a_simplex_builds_no_smith_transform(monkeypatch):
