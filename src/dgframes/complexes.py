@@ -269,8 +269,7 @@ class GradedMap:
     rank_X(d) and rank_Y(d+r) are positive; ``mat`` returns a zero matrix of
     the right shape elsewhere.  The degree and the keys of ``mats`` must be
     ints.  Composition carries no sign; signs enter only through
-    :func:`differential_terms`.  Every reader goes through ``_mats``, so a
-    subclass may supply it on first read (``frames.Selection`` does).
+    :func:`differential_terms`.
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, degree: int, mats=None):

@@ -15,9 +15,7 @@ matrices, ``+``, :meth:`IntMatrix.scale` and ``@`` here and the identity
 deciders of ``complexes`` and ``dg_nerve``, is a sum of terms computed row
 by row by the one kernel :func:`nonzero_rows`.  Other tests walk the
 views with loops of their own: the d^2 test
-(:meth:`IntMatrix.product_is_zero`), the renamed-row comparisons of d and
-of j in the homotopical certificate (``frames._renamed_rows_equal`` and
-``frames._selection_certified``) and the Reedy items, which read a
+(:meth:`IntMatrix.product_is_zero`) and the Reedy items, which read a
 frame's stored differential in place (``frames.is_reedy_cofibrant``).
 Every block matrix, a sum of signed blocks at row and column offsets, is
 put together by the one assembler :func:`_assemble`: the frame

@@ -59,16 +59,23 @@ and an index map into that frame, both read through ``_images(psi)``, and
 its restriction.  While the extension has d^2 = 0 and passes its
 last-vertex identities, a view reads its d^2 verdict, its last-vertex
 verdicts and the rows its Reedy items need off the extension, by the
-lemma, and ``is_homotopical`` passes the items between proven frames by
-index; otherwise the view builds its own complex with
-build_frame_object, so every FAIL witness is its frame's own.  The trust
-boundary is that of ``check_simplicial_compat``, and it now covers the
-views: a recorded frame, view or not, is build_frame_object of its
-restriction.  A frame set into a diagram by hand is judged on its own.
+lemma; otherwise the view builds its own complex with build_frame_object,
+so every FAIL witness is its frame's own.
 
-The module also provides the structure maps (lazy selections: a diagram
-holds frames only), the Reedy check, read in place from each frame's layout
-and differential, the last-vertex identities, with which
+The lemma is also the one ground of a ``homotopical`` PASS: the structure
+map along a max-preserving injection includes one sub-frame in another,
+so it is a homotopy equivalence once both frames are proven (d^2 = 0 and
+the last-vertex identities), and :func:`is_homotopical` passes such an
+item by index, with no map built.  An item fails when an endpoint has
+d^2 != 0 or is not proven.  The trust boundary is that of
+``check_simplicial_compat``, and it covers the views: a recorded frame,
+view or not, is build_frame_object of its restriction.  A frame set into a
+diagram by hand is not recorded, so every item that touches it fails.
+
+The module also provides the structure maps (:meth:`FrameDiagram.structure_map`,
+assembled anew on each call: a diagram holds frames only, and no check
+reads them), the Reedy check, read in place from each frame's layout and
+differential, the last-vertex identities, with which
 ``last_vertex_equivalence`` proves j : X_{alpha(m)} -> B(alpha) a homotopy
 equivalence for ``frame`` and ``recover``, the homotopical check
 (:func:`is_homotopical`), ``run_checks``, which assembles the whole suite,
@@ -101,7 +108,6 @@ from .complexes import (
     first_defect,
     graded_map_to_vector,
     hom_complex_diff,
-    homology,
     identity_term,
     is_acyclic,
     parity_sign,
@@ -312,9 +318,11 @@ class FrameDiagram:
         self.recorded: Dict[OrderMap, Tuple[FrameObject, FrameObject]] = {}
 
     def structure_map(self, mor: DMorphism) -> GradedMap:
-        """The basis inclusion B(mor.src) -> B(mor.tgt) along mor.inj, as a
-        lazy :class:`Selection`."""
-        return Selection(self.objects[mor.src], self.objects[mor.tgt], mor.inj)
+        """The basis inclusion B(mor.src) -> B(mor.tgt) along mor.inj: the
+        block of each subset S of [mor.src.dom] goes, as an identity, to the
+        block of inj(S)."""
+        src, tgt = self.objects[mor.src], self.objects[mor.tgt]
+        return GradedMap._trusted(src.complex, tgt.complex, 0, _structure_matrices(src, tgt, mor.inj))
 
     def proven(self, alpha: OrderMap) -> bool:
         """Whether the frame at alpha is the recorded one, with d^2 = 0 and
@@ -323,6 +331,16 @@ class FrameDiagram:
         o = self.objects[alpha]
         ok = self.recorded.get(alpha, (None,))[0] is o and not o.d2_defects
         return ok and all(w is None for _, w in o.verdicts)
+
+    def doubt(self, alpha: OrderMap) -> str:
+        """Why the frame at alpha, with d^2 = 0 but not :meth:`proven`, is
+        not: it is not the recorded frame, or its first failing last-vertex
+        verdict, whose identities are not read on a frame set by hand."""
+        o = self.objects[alpha]
+        if self.recorded.get(alpha, (None,))[0] is not o:
+            return "endpoint B(%s) is not the frame build_frame_diagram recorded" % o.alpha.key()
+        check, witness = next(v for v in o.verdicts if v[1] is not None)
+        return "endpoint B(%s) fails %s: %s" % (o.alpha.key(), check, witness)
 
 
 def build_frame_diagram(s: NerveSimplex, max_len: int) -> FrameDiagram:
@@ -337,48 +355,6 @@ def build_frame_diagram(s: NerveSimplex, max_len: int) -> FrameDiagram:
         o = diagram.objects[alpha] = ext if alpha.dom == max_len else FrameView(s, alpha, ext)
         diagram.recorded[alpha] = (o, ext)
     return diagram
-
-
-class Selection(GradedMap):
-    """The structure map B(beta) -> B(alpha) along the injection ``inj``: the
-    block of each subset S of [beta.dom] goes, as an identity, to the block
-    of inj(S).  The matrices are assembled on first read.
-
-    ``preimages()[d]`` lists, for each row of B(alpha)_d, the column of
-    B(beta)_d that the map sends there, None off its image.  It is built
-    from the layouts alone, each subset's image read by index from
-    ``_images``, and is None unless the blocks describe the map as
-    such a selection: both frames' blocks tile their bases
-    (``untiled_degree``), the image of each block is a block of the same
-    width, and the images go up as the blocks do.  It is not kept, so that a
-    selection kept as a factor holds no more than its frames and ``inj``.
-    The homotopical check reads a selection through its preimages alone; it
-    assembles the matrices only for one without preimages, for its chain-map
-    test and cone."""
-
-    def __init__(self, src: FrameObject, tgt: FrameObject, inj: Tuple[int, ...]):
-        self.source, self.target, self.degree = src.complex, tgt.complex, 0
-        self.frames, self.inj = (src, tgt), inj
-
-    @cached_property
-    def _mats(self) -> Dict[int, IntMatrix]:
-        return _structure_matrices(*self.frames, self.inj)
-
-    def preimages(self) -> Optional[Dict[int, list]]:
-        src, tgt = self.frames
-        if src.untiled_degree is not None or tgt.untiled_degree is not None:
-            return None
-        out = {d: [None] * n for d, n in tgt.complex._ranks.items()}
-        image = _images(self.inj, tgt.alpha.dom)
-        for d, spans in src.layout.items():
-            rows, cols, last = tgt.layout.get(d, {}), out.get(d), -1
-            for i, (col, width) in spans.items():
-                row, image_width = rows.get(image[i], (-1, 0))
-                if image_width != width or row <= last:
-                    return None
-                cols[row : row + width] = range(col, col + width)
-                last = row
-        return out
 
 
 @lru_cache(maxsize=256)
@@ -512,8 +488,8 @@ class LastVertexCheck:
     """A frame's last-vertex inclusion j and one (check, witness) pair per
     last-vertex identity, the witness None when the identity holds.  The
     retraction r and the homotopy h are checked but not kept: when the
-    identities hold, j is a homotopy equivalence, and the homotopical
-    certificate reads j alone."""
+    identities hold (``holds``), j is a homotopy equivalence, which
+    ``recover`` splits."""
 
     __slots__ = ("j", "verdicts", "holds")
 
@@ -575,8 +551,7 @@ def _at(degree: Optional[int], what: str) -> Optional[str]:
 def is_homotopical(diagram: FrameDiagram) -> Report:
     """Every max-preserving morphism must have a structure map whose cone is
     acyclic.  Non-max-preserving morphisms carry no requirement and are
-    not enumerated.  A morphism with an endpoint frame whose d^2 is nonzero
-    fails without a cone, since that cone is no complex.
+    not enumerated.
 
     Items come by target alpha in ``diagram.objects`` order, then one per
     subset of [alpha.dom] that holds the last index a: {a}, then S u {a}
@@ -585,51 +560,39 @@ def is_homotopical(diagram: FrameDiagram) -> Report:
     them among all morphisms into alpha.  The subsets are walked as index
     tuples, read off ``twisting_plan(a)`` with their label prefixes: each
     source frame is found by its value tuple and each item's location is
-    written once from them.  A PASS rests on one of four things:
+    written once from them.  Each item is decided on one path, from its two
+    endpoint frames, source first, with no morphism or map built:
 
-    * for an item between two frames both :meth:`FrameDiagram.proven`, in a
-      diagram whose ``structure_map`` is its own, the sub-frame lemma (see
-      the module docstring): the selection along the item's injection
-      includes B(beta) in B(alpha) as a sub-complex, so D(g) = 0 and
-      g o j = j.  Such an item passes by index, with no morphism or map
-      built;
-    * for any other selection psi = delta o psi' of codimension >= 2, delta
-      the coface that misses the least index psi misses: both factors
-      passed as selections (so the middle frame has d^2 = 0), and
-      g_psi = g_delta o g_psi' as layouts (:func:`_composes`).  Then g_psi
-      is a composite of homotopy equivalences, so it is one too: weak
-      equivalences compose (2-out-of-3);
-    * for any other selection, its own certificate: it is a chain map with
-      g o j_src = j_tgt, and both frames' last-vertex identities hold, so
-      that g is homotopic to j_tgt o r_src, a homotopy equivalence.  These
-      identities are read from its preimages and the stored row views of d
-      and j (:func:`_selection_certified`), with no matrix of the map;
-    * for any other map, or a selection that passes neither way, the
-      chain-map test and then cone homology, so that a FAIL names the
-      homology.
+    * it fails when an endpoint has d^2 != 0, since the cone would be no
+      complex;
+    * else it fails when an endpoint is not :meth:`FrameDiagram.proven`,
+      the witness naming that endpoint's first failing last-vertex verdict,
+      or that it is not the frame ``build_frame_diagram`` recorded;
+    * else it passes by the sub-frame lemma (see the module docstring):
+      the structure map along the item's injection includes B(beta) in
+      B(alpha) as a sub-complex, so D(g) = 0 and g o j = j, and j is a
+      homotopy equivalence at both ends, so g is one too.
 
-    Each map off the lemma is read once, through ``diagram.structure_map``,
-    and judged on one path (:func:`_route`); a ValueError on that path, as
-    from a frame built by hand whose layout lacks a block, fails the item
-    with its message as the witness.  A target's generators (codimension
-    <= 1) are tried as selections before the composites into it, which pass
-    over them; the other maps are judged in item order."""
-    report = Report()
-    by_values = {alpha.values: o for alpha, o in diagram.objects.items()}
-    # the proven frames, when the diagram's structure maps are its own selections
-    own = getattr(diagram.structure_map, "__func__", None) is FrameDiagram.structure_map
-    proven = {o for alpha, o in diagram.objects.items() if own and diagram.proven(alpha)}
-    # (target values, inj) -> the selection of each map passed as a selection off the lemma
-    certified: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Selection] = {}
+    A frame that ``build_frame_diagram`` recorded with d^2 = 0 passes its
+    last-vertex identities, d^2 = 0 being the Maurer-Cartan identity of its
+    restriction, so on a diagram as built every item is decided by the
+    lemma or by the d^2 rule.  A frame set into a diagram by hand fails
+    every item that touches it; ``oracles.homotopical_items`` in the tests
+    judges such diagrams by cone homology."""
+    report, by_values, faults = Report(), {}, {}
+    for alpha, o in diagram.objects.items():
+        by_values[alpha.values] = o
+        if o.d2_defects:
+            faults[o] = ("endpoint B(%s) has d^2 != 0 at degree %d" % (o.alpha.key(), o.d2_defects[0]), None)
+        else:
+            faults[o] = (None, None if diagram.proven(alpha) else diagram.doubt(alpha))
     for alpha, tgt in diagram.objects.items():
-        a, at, key = alpha.dom, alpha.values.__getitem__, alpha.key()
-        held = [(S, inj_key, by_values[tuple(map(at, S))]) for S, inj_key in _held_subsets(a)]
-        lemma = proven if tgt in proven else ()  # the sources of the items that pass by the sub-frame lemma
-        # the other generators first: the composites into alpha pass over them
-        routed = {S: _route(diagram, alpha, S, src, certified) for S, _, src in held if len(S) >= a and src not in lemma}
-        for S, inj_key, src in held:
-            g, verdict = (None, (True, None)) if src in lemma else routed.get(S) or _route(diagram, alpha, S, src, certified)
-            report.add("homotopical", "%s->%s[%s]" % (src.alpha.key(), key, inj_key), *(verdict or _homotopical_verdict(g)))
+        at, key = alpha.values.__getitem__, alpha.key()
+        for S, inj_key in _held_subsets(alpha.dom):
+            src = by_values[tuple(map(at, S))]
+            (src_d2, src_doubt), (tgt_d2, tgt_doubt) = faults[src], faults[tgt]
+            witness = src_d2 or tgt_d2 or src_doubt or tgt_doubt
+            report.add("homotopical", "%s->%s[%s]" % (src.alpha.key(), key, inj_key), witness is None, witness)
     return report
 
 
@@ -638,127 +601,6 @@ def _held_subsets(a: int) -> tuple:
     """The subsets S of [a] that hold a, those with no S u {a}, in item
     order, each with its injection key seq_key(S): one table per domain."""
     return tuple((S, p[:-1]) for S, p, row in zip(*twisting_plan(a)[:3]) if row[2] < 0)
-
-
-def _route(diagram: FrameDiagram, alpha: OrderMap, S: tuple, src: FrameObject, certified) -> tuple:
-    """(g, verdict) of an item off the sub-frame lemma, that of the
-    morphism mor from src's alpha to alpha along S: its map g, None when
-    the item needs none, and the (status, witness) of the item when an
-    endpoint frame has d^2 != 0, which fails it; when g passes as a
-    selection by 2-out-of-3 (:func:`_composite_certified`) or else on its
-    own certificate, which enters g in ``certified``; or when a ValueError
-    is raised on the way, its message the witness; else None."""
-    tgt = diagram.objects[alpha]
-    broken = src if src.d2_defects else tgt if tgt.d2_defects else None
-    if broken is not None:
-        return None, (False, "endpoint B(%s) has d^2 != 0 at degree %d" % (broken.alpha.key(), broken.d2_defects[0]))
-    mor = DMorphism._trusted(src.alpha, alpha, S)
-    try:
-        g = diagram.structure_map(mor)
-        if type(g) is Selection and (
-            len(S) < alpha.dom and _composite_certified(mor, g, certified)
-            or _selection_certified(g, src.last_vertex, tgt.last_vertex)
-        ):
-            certified[alpha.values, S] = g
-            return g, (True, None)
-    except ValueError as err:
-        return None, (False, str(err))
-    return g, None
-
-
-def _homotopical_verdict(g: GradedMap) -> Tuple[bool, Optional[str]]:
-    """(status, witness) of the ``homotopical`` item of a map g that did
-    not pass as a selection: the chain-map test, then cone homology, or
-    the message of a ValueError raised on the way."""
-    try:
-        if not g.is_cycle():
-            return False, "structure map is not a chain map"
-        hom = homology(cone(g))
-    except ValueError as err:
-        return False, str(err)
-    return hom.is_trivial(), None if hom.is_trivial() else "cone homology: %s" % hom
-
-
-def _composite_certified(mor: DMorphism, g: Selection, certified) -> bool:
-    """Whether the selection g of mor, of codimension >= 2, passes by
-    2-out-of-3 (see :func:`is_homotopical`).  The middle frame has d^2 = 0:
-    both factors end there, and a map is certified only once its item has
-    found d^2 = 0 at both of its ends.  A composite that passes is a
-    selection its blocks describe, since its factors are."""
-    inj, values = mor.inj, mor.tgt.values
-    i = next(k for k, v in enumerate(inj) if k != v)  # the least index inj misses; i < alpha.dom
-    first = certified.get((values[:i] + values[i + 1 :], tuple(v - (v > i) for v in inj)))
-    second = certified.get((values, tuple(range(i)) + tuple(range(i + 1, len(values)))))
-    return first is not None and second is not None and _composes(g, first, second)
-
-
-def _composes(g: Selection, first: Selection, second: Selection) -> bool:
-    """Whether g = second o first as a layout identity, read from indices
-    alone: first ends at the frame where second starts, g runs from first's
-    source frame to second's target frame, and inj_g = inj_second o inj_first.
-
-    Then each block S of g's source lands at the block of inj_g(S) both
-    ways, since every map places S by looking up its image among the blocks
-    of its target.  When the blocks describe first and second (see
-    ``Selection.preimages``), each keeps the width of every block, so the
-    identity blocks compose and g is their composite, matrix for matrix."""
-    (src, tgt), (first_src, mid), (mid_src, second_tgt) = g.frames, first.frames, second.frames
-    ends = first_src is src and mid_src is mid and second_tgt is tgt
-    return ends and tuple(map(second.inj.__getitem__, first.inj)) == g.inj
-
-
-def _selection_certified(g: Selection, src: LastVertexCheck, tgt: LastVertexCheck) -> bool:
-    """Whether g : B(beta) -> B(alpha), a selection with ``preimages()``, is
-    a chain map with g o j_beta = j_alpha, and both frames' last-vertex
-    identities hold.  Those make j_beta and j_alpha homotopy equivalences,
-    with r_beta a homotopy inverse of j_beta.  Then g ~ g o j_beta o r_beta
-    = j_alpha o r_beta through g o h_beta, a composite of homotopy
-    equivalences, so g is one too and its cone is acyclic.  No identity of
-    r is read: r enters the argument, not the test.  The identities are
-    decided on the stored row views of d and j, read through the preimages
-    with no matrix of g.
-
-    With p = preimages()[d], row t of d_alpha o g is row t of d_alpha with each
-    column c renamed p[c] and dropped where p[c] is None, and row t of
-    g o d_beta is row p[t] of d_beta, or zero where p[t] is None; row t of
-    g o j_beta is row p[t] of j_beta.  Since p keeps column order, each
-    renamed row is a sorted, zero-free view and is compared as a tuple.
-    False also when g has no preimages or the maps do not fit together as
-    the certificate reads them."""
-    b, a, j_src, j_tgt = g.source, g.target, src.j, tgt.j
-    x = j_src.source
-    fit = not (j_src.degree or j_tgt.degree) and j_src.target is b and j_tgt.target is a and j_tgt.source is x
-    if not (src.holds and tgt.holds and fit):
-        return False
-    p = g.preimages()
-    if p is None:
-        return False
-    # every matrix read below is stored, each of its two ranks being positive
-    for d in b.support:
-        if a.rank(d - 1):
-            sources = b.diff(d).nonzeros if b.rank(d - 1) else ()
-            wants = [() if i is None else sources[i] for i in p[d - 1]]
-            if not _renamed_rows_equal(a.diff(d).nonzeros, p[d], wants):
-                return False
-    for d in x.support:
-        if a.rank(d):
-            have = j_src.mat(d).nonzeros if b.rank(d) else ()
-            if tuple([() if i is None else have[i] for i in p[d]]) != j_tgt.mat(d).nonzeros:
-                return False
-    return True
-
-
-def _renamed_rows_equal(rows, names: list, wants) -> bool:
-    """Whether each row of ``rows``, its (column, value) pairs kept where
-    ``names`` names the column and renamed by it, equals the matching row of
-    ``wants``."""
-    for row, want in zip(rows, wants):
-        if row:
-            if tuple([(names[j], v) for j, v in row if names[j] is not None]) != want:
-                return False
-        elif want:
-            return False
-    return True
 
 
 def check_simplicial_compat(sigma: OrderMap, diagram: FrameDiagram) -> Report:

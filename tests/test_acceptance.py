@@ -2,7 +2,8 @@
 pass/fail line) per criterion.  Run with ``pytest -v tests/test_acceptance.py``
 for the per-criterion verdicts, or with ``-s`` to see the detail lines.
 Criterion 6 has a second test: cone homology as the oracle of the
-certificate that ``is_homotopical`` passes on.
+certificate g o j = j, which the sub-frame lemma that ``is_homotopical``
+passes on gives every max-preserving structure map.
 
 The shared corpus is 200 seeded simplices of dimensions 0..3 in round-robin
 (strict in dimensions 0 and 1, homotopy-perturbed in dimensions 2 and 3),
@@ -254,9 +255,10 @@ def test_criterion_06_homotopical_check(corpus):
 
 
 def test_criterion_06_certificate_implies_acyclic_cone(corpus):
-    """Cone homology as the oracle of the certificate that
-    ``is_homotopical`` passes on, a chain map g with g o j = j between
-    frames whose last-vertex identities hold: over criterion 6's
+    """Cone homology as the oracle of the certificate, a chain map g with
+    g o j = j between frames whose last-vertex identities hold, which the
+    sub-frame lemma that ``is_homotopical`` passes on gives every
+    max-preserving structure map: over criterion 6's
     cross-section, every structure map the certificate accepts has an
     acyclic cone, and it accepts every max-preserving one.  So does every
     tampered copy (``tamperings``) of a max-preserving map that it accepts;

@@ -663,21 +663,31 @@ def corrupted_simplex(seed=3, n=2, key="0,1,2"):
     return NerveSimplex.from_json(obj)
 
 
+# A 3-simplex with one entry of its edge 1,2 changed: 98 homotopical items
+# fail, each with an endpoint whose d^2 != 0.
+corrupted_3_simplex = functools.partial(corrupted_simplex, seed=108, n=3, key="1,2")
+
 # Reports with failed items and their witnesses; each case exits 1.
 FAILING_PINNED_CASES = {
     "check-corrupted": (corrupted_simplex, ["check", "--max-len", "2"]),
     "check-corrupted-text": (corrupted_simplex, ["check", "--max-len", "2", "--format", "text"]),
     "check-corrupted-max-len-3": (corrupted_simplex, ["check", "--max-len", "3"]),
+    "check-corrupted-n3": (corrupted_3_simplex, ["check", "--max-len", "3"]),
+    "check-corrupted-n3-text": (corrupted_3_simplex, ["check", "--max-len", "3", "--format", "text"]),
 }
 
 # sha256 of the stdout of each case, recorded before report items were
 # written from one template; check-corrupted-max-len-3, where the shorter
 # frame B(0,1,2) fails with its extension B(0,1,2,2) and gives its own
-# witnesses, was recorded while every frame of a diagram was built in full.
+# witnesses, was recorded while every frame of a diagram was built in full;
+# the two n = 3 cases while is_homotopical still kept its certificate,
+# 2-out-of-3 and cone routes.
 FAILING_PINNED_CASE_STDOUT = {
     "check-corrupted": "adf7f5fe6570fae44b64f604a547dda2d5b18334237f8bea38c23b64a733288a",
     "check-corrupted-text": "cec642cab1a5dc6481546b18484d3739aa32159c9ef1afad905672b92f97aab8",
     "check-corrupted-max-len-3": "8632a1898cb078173026044667530c4e28892b781396ca2d10a1836bc1cbeaf5",
+    "check-corrupted-n3": "eab6b783846dbeacd5db1007070edf98a4a9f4e24d000aaa4654762e2aba06d8",
+    "check-corrupted-n3-text": "764ecd382b9c0bcc57c57aeb85b765cf1ba191c26a15f3f213455c1c802e2a37",
 }
 
 

@@ -12,12 +12,11 @@ validation of values the library builds itself does not creep back.  The
 frames that ``check`` builds are counted (the longest ones, and a shorter
 one only where a failing extension asks for its own witnesses), and so are
 the structure maps it reads (none, every item passing by the sub-frame
-lemma, by index), with those it assembles (none) and those it judges off
-the lemma, on the stored views or by 2-out-of-3 (none), as are the
-matrices its Reedy check assembles (none), and the memory peak of the
-whole suite is bounded.
-So are the restrictions ``check`` takes, the morphisms it enumerates, the
-preimages it builds (none) and the items it reports, and the last-vertex
+lemma, by index) and those it assembles (none), as are the matrices its
+Reedy check assembles (none), and the memory peak of the whole suite is
+bounded.
+So are the restrictions ``check`` takes, the morphisms it enumerates and
+the items it reports, and the last-vertex
 maps it builds: j, r and h once per longest frame under ``check``, and
 once under ``recover``.
 Drawing the pinned 3-simplex forms no Smith transform, and ``homology`` runs
@@ -93,28 +92,21 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
     """``check --max-len 3`` on the pinned 3-simplex reads no structure map
     of its 384 max-preserving morphisms, and assembles none: each runs
     between two recorded frames whose verdicts hold, so it passes by the
-    sub-frame lemma, by index, and none is judged on its views or by
-    2-out-of-3.  The Reedy check reads each frame's block
-    layout and stored differential in place: it assembles no matrix
-    (``_assemble``) and decides no identity row by row
+    sub-frame lemma, by index, and no cone is built.  The Reedy check reads
+    each frame's block layout and stored differential in place: it
+    assembles no matrix (``_assemble``) and decides no identity row by row
     (``combination_is_zero``), neither there nor on the 2-simplex drawn from
-    seed 3, whose objects span two degrees."""
+    seed 3, whose objects span two degrees, where no cone is built either."""
     counts = {}
     _count_calls(monkeypatch, counts, "_structure_matrices", frames._structure_matrices)
-    _count_calls(monkeypatch, counts, "_selection_certified", frames._selection_certified)
-    counts["structure_map"] = counts["composites passed"] = 0
+    _count_calls(monkeypatch, counts, "cone", complexes.cone)
+    counts["structure_map"] = 0
 
     def structure_map(self, mor, _original=frames.FrameDiagram.structure_map):
         counts["structure_map"] += 1
         return _original(self, mor)
 
-    def composes(*args, _original=frames._composes):
-        passed = _original(*args)
-        counts["composites passed"] += passed
-        return passed
-
     monkeypatch.setattr(frames.FrameDiagram, "structure_map", structure_map)
-    monkeypatch.setattr(frames, "_composes", composes)
     inside = []
 
     def reedy(diagram, _original=frames.is_reedy_cofibrant):
@@ -142,16 +134,18 @@ def test_check_builds_only_the_maps_it_reads(monkeypatch, tmp_path):
     # tested an inclusion matrix per degree of each proper span: 207 and 102
     # of each on r7n3 and r3n2; while every item was judged off the sub-frame
     # lemma, 224 generators on their views and 160 composites by 2-out-of-3;
-    # while the lemma read each item's selection: 384 structure maps
+    # while the lemma read each item's selection: 384 structure maps.  The
+    # view certificate (_selection_certified) and 2-out-of-3 (_composes)
+    # counted 0 here until the lemma became is_homotopical's one path and
+    # they left the package
     assert seen[0] == {
         "structure_map": 0,
         "_structure_matrices": 0,
-        "_selection_certified": 0,
-        "composites passed": 0,
+        "cone": 0,
         "_assemble": 0,
         "combination_is_zero": 0,
     }
-    assert (seen[1]["_assemble"], seen[1]["combination_is_zero"]) == (0, 0)
+    assert (seen[1]["_assemble"], seen[1]["combination_is_zero"], seen[1]["cone"]) == (0, 0, 0)
 
 
 def test_check_and_recover_build_each_last_vertex_map_once(monkeypatch, tmp_path):
@@ -239,8 +233,7 @@ def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
     every other restriction that simplicial-compat compares from one table
     per sigma; it enumerates only the max-preserving morphisms, with no
     ``enumerate_inclusions``; and it passes every item by the sub-frame
-    lemma, so it certifies no generator on its views and builds no
-    preimages.  Its Reedy check forms the shifted source shift(X_{alpha(0)},
+    lemma.  Its Reedy check forms the shifted source shift(X_{alpha(0)},
     m) once per pair (alpha(0), m), 4 x 4 times, not once per frame.  Its
     report holds 1514 items."""
     path = tmp_path / "r7n3.json"
@@ -248,28 +241,20 @@ def test_check_pays_for_proofs_not_bookkeeping(monkeypatch, tmp_path):
     counts = {}
     _count_calls(monkeypatch, counts, "act", dg_nerve.act)
     _count_calls(monkeypatch, counts, "enumerate_inclusions", simplicial.enumerate_inclusions)
-    _count_calls(monkeypatch, counts, "_selection_certified", frames._selection_certified)
     _count_calls(monkeypatch, counts, "shift", complexes.shift)
-    counts["Selection.preimages"] = 0
-
-    def preimages(self, _original=frames.Selection.preimages):
-        counts["Selection.preimages"] += 1
-        return _original(self)
-
-    monkeypatch.setattr(frames.Selection, "preimages", preimages)
     out = tmp_path / "out.json"
     assert cli.main(["check", "--input", str(path), "--max-len", "3", "--output", str(out)]) == 0
     counts["report items"] = len(json.loads(out.read_text())["report"])
     # while simplicial-compat restricted t along every alpha, is_homotopical
     # filtered all inclusions and identity maps were scanned: 713, 69 and 224;
     # while every item was judged off the sub-frame lemma: 224 and 155;
-    # while the Reedy check formed the shifted source per frame: shift 69
+    # while the Reedy check formed the shifted source per frame: shift 69;
+    # _selection_certified and Selection.preimages counted 0 here until
+    # they left the package with the certificate route
     assert counts == {
         "act": 77,
         "enumerate_inclusions": 0,
-        "_selection_certified": 0,
         "shift": 16,
-        "Selection.preimages": 0,
         "report items": 1514,
     }
 
